@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wp::fplan {
@@ -60,75 +61,93 @@ double combine_cost(const AnnealOptions& options, double area, double wl,
          options.weight_throughput * (1.0 - th);
 }
 
-/// Memoizing cost evaluator for one annealing run. Area and wirelength are
-/// cheap closed forms; the throughput term means a min-cycle-ratio solve,
-/// so demands are memoized by value. Most moves (accepted or rejected)
-/// leave the per-connection RS demand unchanged or revisit a recent one,
-/// which turns the hot path of a throughput-driven run into a hash lookup.
+/// Memo key hash over a run's per-connection RS counts.
+struct RsHash {
+  std::size_t operator()(const std::vector<int>& rs) const {
+    return static_cast<std::size_t>(
+        hash_bytes(rs.data(), rs.size() * sizeof(int)));
+  }
+};
+
+/// Cost evaluator for one annealing run. A throughput-driven run interns
+/// the instance's connection labels once (DemandIndex), so each candidate
+/// costs one flat derive() pass for wirelength and RS demand, and the
+/// oracle is addressed by connection id. Throughput values are memoized
+/// by RS vector: the label list is fixed for the run, so that key is as
+/// injective as a labelled one. The memo pays on small instances, where
+/// few distinct demands exist (on the 5-block CPU instance hits outnumber
+/// misses); on a hot 128-block scale-free anneal about 2% of candidate
+/// demands repeat, and the memo costs one hash per candidate.
 class CostModel {
  public:
   CostModel(const Instance& inst, const AnnealOptions& options)
       : inst_(inst), options_(options),
         use_throughput_(options.weight_throughput > 0.0) {
-    if (use_throughput_) {
-      WP_REQUIRE(options_.throughput_engine != nullptr ||
-                     static_cast<bool>(options_.throughput_fn),
-                 "throughput weight set but neither throughput_engine nor "
-                 "throughput_fn provided");
+    if (!use_throughput_) return;
+    WP_REQUIRE(options_.throughput_engine != nullptr ||
+                   static_cast<bool>(options_.throughput_fn),
+               "throughput weight set but neither throughput_engine nor "
+               "throughput_fn provided");
+    index_.emplace(inst);
+    if (options_.throughput_engine != nullptr) {
+      ids_ = options_.throughput_engine->resolve(index_->labels());
+    } else {
+      for (const std::string& label : index_->labels())
+        demand_.emplace_back(label, 0);
     }
   }
 
-  double cost(const Placement& placement, double wirelength,
-              AnnealResult* stats) {
-    double th = 1.0;
-    if (use_throughput_)
-      th = throughput(rs_demand(inst_, placement, options_.delay_model),
-                      stats);
-    return combine_cost(options_, placement.area(), wirelength, th);
+  /// The interned demand index (throughput-driven runs only, else null);
+  /// immutable, so kParallel workers derive through it concurrently.
+  const DemandIndex* index() const { return index_ ? &*index_ : nullptr; }
+
+  double cost(const Placement& placement, AnnealResult* stats) {
+    if (!use_throughput_)
+      return combine_cost(options_, placement.area(),
+                          total_wirelength(inst_, placement), 1.0);
+    const double wirelength =
+        index_->derive(placement, options_.delay_model, rs_);
+    return combine_cost(options_, placement.area(), wirelength,
+                        throughput(rs_, stats));
   }
 
   /// Same objective, assembled from pre-computed ingredients: the
-  /// kParallel loop derives area/wirelength/demand in the worker fan-out
-  /// (all pure functions of the candidate placement), and only the
+  /// kParallel loop derives area/wirelength/RS counts in the worker
+  /// fan-out (all pure functions of the candidate placement), and only the
   /// stateful part — the throughput oracle and its memo — runs here, on
   /// the serial retirement path, in exactly the serial candidate order.
-  /// Bitwise-identical to cost(): rs_demand is deterministic, so the
-  /// demand a worker computed is the demand cost() would have derived.
+  /// Bitwise-identical to cost(): derive() is deterministic, so the counts
+  /// a worker computed are the counts cost() would have derived.
   double cost_terms(double area, double wirelength,
-                    const std::vector<std::pair<std::string, int>>* demand,
-                    AnnealResult* stats) {
+                    const std::vector<int>* rs, AnnealResult* stats) {
     double th = 1.0;
     if (use_throughput_) {
-      WP_REQUIRE(demand != nullptr,
-                 "throughput-weighted cost needs a demand vector");
-      th = throughput(*demand, stats);
+      WP_REQUIRE(rs != nullptr,
+                 "throughput-weighted cost needs relay-station counts");
+      th = throughput(*rs, stats);
     }
     return combine_cost(options_, area, wirelength, th);
   }
 
  private:
-  double throughput(const std::vector<std::pair<std::string, int>>& demand,
-                    AnnealResult* stats) {
-    std::string key;
-    for (const auto& [label, rs] : demand) {
-      key += label;
-      key += ':';
-      key += std::to_string(rs);
-      key += ';';
-    }
-    const auto it = cache_.find(key);
+  double throughput(const std::vector<int>& rs, AnnealResult* stats) {
+    const auto it = cache_.find(rs);
     if (it != cache_.end()) {
       if (stats) ++stats->throughput_cache_hits;
       return it->second;
     }
     WP_SPAN("anneal/throughput");
     const auto oracle_start = Clock::now();
-    const double th = options_.throughput_engine != nullptr
-                          ? options_.throughput_engine->throughput(demand)
-                          : options_.throughput_fn(demand);
+    double th;
+    if (options_.throughput_engine != nullptr) {
+      th = options_.throughput_engine->throughput(ids_, rs);
+    } else {
+      for (std::size_t c = 0; c < rs.size(); ++c) demand_[c].second = rs[c];
+      th = options_.throughput_fn(demand_);
+    }
     if (stats) stats->throughput_ms += ms_since(oracle_start);
     if (cache_.size() >= kMaxEntries) cache_.clear();
-    cache_.emplace(std::move(key), th);
+    cache_.emplace(rs, th);
     if (stats) ++stats->throughput_evals;
     return th;
   }
@@ -138,7 +157,12 @@ class CostModel {
   const Instance& inst_;
   const AnnealOptions& options_;
   const bool use_throughput_;
-  std::unordered_map<std::string, double> cache_;
+  std::optional<DemandIndex> index_;
+  std::vector<int> rs_;   ///< cost()'s derive scratch
+  std::vector<int> ids_;  ///< engine label id per connection id
+  /// throughput_fn's argument: labels filled once, counts per query.
+  std::vector<std::pair<std::string, int>> demand_;
+  std::unordered_map<std::vector<int>, double, RsHash> cache_;
 };
 
 /// The single-threaded move loop shared by kNaive/kFast/kBatched. The
@@ -175,8 +199,7 @@ void run_serial_loop(const Instance& inst, const AnnealOptions& options,
   const Placement* placement = batched ? &evaluator->placement()
                                : fast  ? &packer->placement()
                                        : &scratch;
-  double wirelength = total_wirelength(inst, *placement);
-  double current_cost = model.cost(*placement, wirelength, &best);
+  double current_cost = model.cost(*placement, &best);
 
   best.sequence_pair = current;
   best.placement = *placement;
@@ -197,8 +220,7 @@ void run_serial_loop(const Instance& inst, const AnnealOptions& options,
       candidate = &scratch;
     }
     best.pack_ms += ms_since(pack_start);
-    wirelength = total_wirelength(inst, *candidate);
-    const double cost = model.cost(*candidate, wirelength, &best);
+    const double cost = model.cost(*candidate, &best);
     ++best.evaluations;
     const double delta = cost - current_cost;
     if (delta <= 0 ||
@@ -247,7 +269,7 @@ void run_parallel_window(const Instance& inst, const AnnealOptions& options,
   ParallelWindowOptions popts;
   popts.window = options.parallel_window;
   popts.batch.batch_size = options.speculation_batch;
-  popts.want_demand = options.weight_throughput > 0.0;
+  popts.demand_index = model.index();
   popts.delay_model = options.delay_model;
   const auto initial_pack_start = Clock::now();
   std::optional<ParallelWindowEvaluator> evaluator;
@@ -256,8 +278,7 @@ void run_parallel_window(const Instance& inst, const AnnealOptions& options,
     evaluator.emplace(inst, current, &pool, popts);
   }
   best.pack_ms += ms_since(initial_pack_start);
-  const double initial_wl = total_wirelength(inst, evaluator->placement());
-  double current_cost = model.cost(evaluator->placement(), initial_wl, &best);
+  double current_cost = model.cost(evaluator->placement(), &best);
 
   best.sequence_pair = current;
   best.placement = evaluator->placement();
@@ -279,7 +300,7 @@ void run_parallel_window(const Instance& inst, const AnnealOptions& options,
       const SpeculativeCandidate& cand = window[t];
       const double cost = model.cost_terms(
           cand.area, cand.wirelength,
-          popts.want_demand ? &cand.demand : nullptr, &best);
+          popts.demand_index != nullptr ? &cand.rs : nullptr, &best);
       ++best.evaluations;
       ++it;
       const double delta = cost - current_cost;
@@ -342,6 +363,15 @@ AnnealResult anneal(const Instance& inst, const AnnealOptions& options) {
   WP_SPAN("anneal/run");
   WP_REQUIRE(inst.blocks.size() >= 2, "need at least two blocks");
   WP_REQUIRE(options.iterations > 0, "need at least one iteration");
+  WP_REQUIRE(std::isfinite(options.initial_temperature) &&
+                 options.initial_temperature > 0,
+             "initial_temperature must be finite and positive");
+  WP_REQUIRE(options.cooling > 0 && options.cooling <= 1,
+             "cooling must lie in (0, 1]");
+  for (const double weight : {options.weight_area, options.weight_wirelength,
+                              options.weight_throughput})
+    WP_REQUIRE(std::isfinite(weight) && weight >= 0,
+               "objective weights must be finite and non-negative");
   const std::uint64_t run_start_ns = obs::now_ns();
   wp::Rng rng(options.seed);
 

@@ -88,9 +88,9 @@ struct AnnealResult {
   double throughput = 1.0;  ///< only meaningful when throughput_fn is set
   int accepted_moves = 0;
   int evaluations = 0;
-  /// Full throughput-oracle calls vs. demands served from the memo cache;
-  /// most rejected moves leave the RS demand untouched, so the expensive
-  /// min-cycle-ratio query is skipped for them.
+  /// Full throughput-oracle calls vs. demands served from the memo cache
+  /// (a candidate whose RS demand was already seen this run skips the
+  /// min-cycle-ratio query).
   int throughput_evals = 0;
   int throughput_cache_hits = 0;
   /// ThroughputEngine counter deltas for this run (zeros when the run used

@@ -5,8 +5,10 @@
 // needs in a real wire-pipelined SoC flow.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wp::fplan {
@@ -61,11 +63,42 @@ struct WireDelayModel {
   double reachable_mm() const { return clock_ps / ps_per_mm; }
 };
 
-/// Relay stations needed by a wire of length `mm`.
+/// Relay stations needed by a wire of length `mm`. The length must be
+/// finite and non-negative, and the stage count must fit an int.
 int relay_stations_for_length(double mm, const WireDelayModel& model);
 
+/// An instance's nets with their connection labels interned: labels are
+/// resolved to dense ids once, so a placement's wirelength and RS demand
+/// come out of one flat pass over integer arrays. An anneal builds one and
+/// derives every candidate through it; it is immutable, so concurrent
+/// derive() calls are safe.
+class DemandIndex {
+ public:
+  /// Range-checks every net's block indices (once, here).
+  explicit DemandIndex(const Instance& inst);
+
+  /// The sorted unique connection labels; connection id i is labels()[i].
+  /// This is the order rs_demand() emits.
+  const std::vector<std::string>& labels() const { return labels_; }
+
+  /// One pass over the nets: `rs` (resized to labels().size()) receives
+  /// each connection's max relay_stations_for_length() over its nets, and
+  /// the return value is the net-order sum of net lengths — bit-identical
+  /// to total_wirelength().
+  double derive(const Placement& placement, const WireDelayModel& model,
+                std::vector<int>& rs) const;
+
+ private:
+  std::vector<std::string> labels_;
+  std::vector<std::size_t> src_;   ///< per net
+  std::vector<std::size_t> dst_;   ///< per net
+  std::vector<std::size_t> conn_;  ///< per net: connection id
+  std::vector<double> half_w_;     ///< per block
+  std::vector<double> half_h_;     ///< per block
+};
+
 /// Per-connection relay-station demand of a placement: the max over the
-/// connection's nets of relay_stations_for_length().
+/// connection's nets of relay_stations_for_length(), sorted by label.
 std::vector<std::pair<std::string, int>> rs_demand(
     const Instance& inst, const Placement& placement,
     const WireDelayModel& model);

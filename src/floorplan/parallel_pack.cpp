@@ -109,9 +109,11 @@ const std::vector<SpeculativeCandidate>& ParallelWindowEvaluator::speculate(
         SpeculativeCandidate& cand = candidates_[i];
         const Placement& candidate = arena.eval.apply(cand.move);
         cand.area = candidate.area();
-        cand.wirelength = total_wirelength(*inst_, candidate);
-        if (options_.want_demand)
-          cand.demand = rs_demand(*inst_, candidate, options_.delay_model);
+        cand.wirelength =
+            options_.demand_index != nullptr
+                ? options_.demand_index->derive(
+                      candidate, options_.delay_model, cand.rs)
+                : total_wirelength(*inst_, candidate);
         arena.eval.revert();
       },
       grain);

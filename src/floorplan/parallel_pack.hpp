@@ -50,8 +50,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "floorplan/batch_pack.hpp"
@@ -74,11 +72,13 @@ struct ParallelWindowOptions {
   std::size_t window = 0;
   /// Forwarded to every per-slot arena (their internal window cap etc.).
   BatchOptions batch;
-  /// Also compute each candidate's RS demand (rs_demand) in the worker,
-  /// so a throughput-driven anneal keeps only the stateful oracle query on
-  /// the serial path. Off for pure area/wirelength runs.
-  bool want_demand = false;
-  WireDelayModel delay_model;  ///< demand derivation (want_demand only)
+  /// When set, workers derive each candidate's wirelength and per-connection
+  /// RS counts through this interned index (DemandIndex::derive), so a
+  /// throughput-driven anneal keeps only the stateful oracle query on the
+  /// serial path. Null for pure area/wirelength runs. Non-owning; must
+  /// outlive the evaluator.
+  const DemandIndex* demand_index = nullptr;
+  WireDelayModel delay_model;  ///< demand derivation (demand_index only)
 };
 
 /// One pre-drawn speculative candidate: the move, the RNG bookkeeping that
@@ -97,7 +97,7 @@ struct SpeculativeCandidate {
   // the serial evaluation):
   double area = 0.0;
   double wirelength = 0.0;
-  std::vector<std::pair<std::string, int>> demand;  ///< want_demand only
+  std::vector<int> rs;  ///< per connection id; demand_index only
 };
 
 /// Fans speculative candidate evaluation across a thread pool. Usage

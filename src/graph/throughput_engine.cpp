@@ -96,8 +96,36 @@ void ThroughputEngine::revert_label_to_base(std::size_t label) {
   label_dirty_[label] = 0;
 }
 
+int ThroughputEngine::label_id(const std::string& label) const {
+  const auto it = label_ids_.find(label);
+  return it == label_ids_.end() ? -1 : static_cast<int>(it->second);
+}
+
+std::vector<int> ThroughputEngine::resolve(
+    const std::vector<std::string>& labels) const {
+  std::vector<int> ids;
+  ids.reserve(labels.size());
+  for (const std::string& label : labels) ids.push_back(label_id(label));
+  return ids;
+}
+
 double ThroughputEngine::throughput(
     const std::vector<std::pair<std::string, int>>& demand) {
+  std::vector<int> ids;
+  std::vector<int> rs;
+  ids.reserve(demand.size());
+  rs.reserve(demand.size());
+  for (const auto& [label, count] : demand) {
+    ids.push_back(label_id(label));
+    rs.push_back(count);
+  }
+  return throughput(ids, rs);
+}
+
+double ThroughputEngine::throughput(const std::vector<int>& ids,
+                                    const std::vector<int>& rs) {
+  WP_REQUIRE(ids.size() == rs.size(),
+             "ThroughputEngine: one relay-station count per label id");
   ++stats_.queries;
   trail_.clear();
   prev_dirty_labels_ = dirty_labels_;
@@ -105,41 +133,19 @@ double ThroughputEngine::throughput(
   prev_has_result_ = has_result_;
   ++epoch_;
 
-  // rs_demand() emits the same sorted label sequence for one instance on
-  // every call, so the label→id resolution is memoized per sequence and
-  // revalidated with plain string equality — cheaper than re-hashing
-  // thousands of connection names per move on large instances.
-  const std::size_t count = demand.size();
-  bool cached = count == seq_labels_.size();
-  if (cached) {
-    for (std::size_t i = 0; i < count; ++i)
-      if (demand[i].first != seq_labels_[i]) {
-        cached = false;
-        break;
-      }
-  }
-  if (!cached) {
-    seq_labels_.resize(count);
-    seq_ids_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      seq_labels_[i] = demand[i].first;
-      const auto it = label_ids_.find(demand[i].first);
-      seq_ids_[i] =
-          it == label_ids_.end() ? -1 : static_cast<int>(it->second);
-    }
-  }
-
   // Pass 1: apply the demanded labels (duplicates: last one wins, like the
   // evaluator's sequential apply; unknown labels are ignored).
   touched_scratch_.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (seq_ids_[i] < 0) continue;  // label absent from the graph
-    const auto label = static_cast<std::size_t>(seq_ids_[i]);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < 0) continue;  // label absent from the graph
+    const auto label = static_cast<std::size_t>(ids[i]);
+    WP_REQUIRE(label < label_edges_.size(),
+               "ThroughputEngine: label id out of range");
     if (label_epoch_[label] != epoch_) {
       label_epoch_[label] = epoch_;
       touched_scratch_.push_back(label);
     }
-    set_label_edges(label, demand[i].second);
+    set_label_edges(label, rs[i]);
   }
   // Pass 2: labels dirtied by an earlier demand but absent from this one
   // revert to the base counts — the evaluator's whole-graph reset, paid

@@ -91,10 +91,19 @@ class ThroughputEngine {
   /// aggregates across restarts without touching the query hot path.
   ~ThroughputEngine();
 
-  /// System throughput (minimum cycle ratio) with per-connection RS counts
-  /// from `demand`; connections not mentioned revert to the base graph's
-  /// counts, unknown labels are ignored. Exactly equal to a fresh
+  /// Interns connection labels: the engine's id for each label, -1 for a
+  /// label absent from the graph. Hot callers resolve their label list
+  /// once and then query by id.
+  std::vector<int> resolve(const std::vector<std::string>& labels) const;
+
+  /// System throughput (minimum cycle ratio) with `rs[i]` relay stations
+  /// on every edge of label `ids[i]` (ids from resolve(); -1 entries are
+  /// ignored, duplicates: last one wins); labels not mentioned revert to
+  /// the base graph's counts. Exactly equal to a fresh
   /// min_cycle_ratio_howard() on the configured graph.
+  double throughput(const std::vector<int>& ids, const std::vector<int>& rs);
+
+  /// Same, addressed by label: resolves `demand`'s labels and forwards.
   double throughput(const std::vector<std::pair<std::string, int>>& demand);
 
   /// Same, keyed form (the experiment driver's RsConfig::rs shape).
@@ -117,6 +126,7 @@ class ThroughputEngine {
   const Digraph& graph() const { return g_; }
 
  private:
+  int label_id(const std::string& label) const;  ///< -1 if absent
   void set_label_edges(std::size_t label, int relay_stations);
   void revert_label_to_base(std::size_t label);
   double solve();
@@ -136,13 +146,8 @@ class ThroughputEngine {
   bool incremental_ = true;
   std::vector<int> base_rs_;  ///< per-edge counts of the base graph
 
-  // Label interning: demand vectors address edges by connection label.
+  // Label interning: queries address edges by label id (resolve()).
   std::unordered_map<std::string, std::size_t> label_ids_;
-  /// Memoized label→id resolution of the last demand's label sequence
-  /// (rs_demand emits a stable sorted sequence; equality-checked per
-  /// query, rebuilt on any mismatch). -1 = label absent from the graph.
-  std::vector<std::string> seq_labels_;
-  std::vector<int> seq_ids_;
   std::vector<std::vector<EdgeId>> label_edges_;
   std::vector<std::uint64_t> label_epoch_;  ///< last query touching a label
   std::vector<char> label_dirty_;  ///< any edge differs from base

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -391,6 +392,29 @@ TEST(EvalErrors, EvaluationFailureBecomesTypedErrorReply) {
   EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed);
   EXPECT_FALSE(reply.error.message.empty());
   EXPECT_THROW(unwrap_floorplan(reply), ContractViolation);
+}
+
+TEST(EvalErrors, OverlongWiresBecomeErrorReply) {
+  // Decodable but absurd: 1e300 mm² blocks are ~1e150 mm wide, so every
+  // net needs more pipeline stages than an int can count.
+  EvalRequest request = sample_floorplan_request();
+  request.floorplan.system.blocks.max_area_mm2 = 1e300;
+  const EvalReply reply = evaluate(request, {});
+  EXPECT_EQ(reply.kind, ReplyKind::kError);
+  EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed);
+  EXPECT_NE(reply.error.message.find("pipeline stages"), std::string::npos)
+      << reply.error.message;
+}
+
+TEST(EvalErrors, MeaninglessScheduleBecomesErrorReply) {
+  EvalRequest request = sample_floorplan_request();
+  request.floorplan.anneal.cooling = std::nan("");
+  request.floorplan.anneal.initial_temperature = -1.0;
+  const EvalReply reply = evaluate(request, {});
+  EXPECT_EQ(reply.kind, ReplyKind::kError);
+  EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed);
+  EXPECT_NE(reply.error.message.find("initial_temperature"), std::string::npos)
+      << reply.error.message;
 }
 
 TEST(EvalErrors, UnwrapKindMismatchThrows) {

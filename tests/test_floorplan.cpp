@@ -3,12 +3,17 @@
 // station model, the parser, and the annealer's improvement guarantees.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "util/assert.hpp"
 
 #include "floorplan/annealer.hpp"
 #include "floorplan/instances.hpp"
 #include "floorplan/model.hpp"
 #include "floorplan/sequence_pair.hpp"
+#include "gen/instances.hpp"
+#include "gen/topologies.hpp"
 #include "graph/cycle_ratio.hpp"
 #include "graph/throughput.hpp"
 #include "proc/cpu.hpp"
@@ -141,6 +146,75 @@ TEST(Model, RsDemandTakesWorstNetPerConnection) {
   EXPECT_EQ(demand[0].second, relay_stations_for_length(40.0, {}));
 }
 
+TEST(Model, RelayStationsRejectNonFiniteAndOverlongWires) {
+  const WireDelayModel model;  // 0.3 stages per mm
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(relay_stations_for_length(inf, model), wp::ContractViolation);
+  EXPECT_THROW(relay_stations_for_length(std::nan(""), model),
+               wp::ContractViolation);
+  EXPECT_THROW(relay_stations_for_length(-1.0, model), wp::ContractViolation);
+  // 1e150 mm (blocks of a 1e300 mm² area draw) and 1e10 mm both need more
+  // stages than an int holds; 1e9 mm still fits.
+  EXPECT_THROW(relay_stations_for_length(1e150, model), wp::ContractViolation);
+  EXPECT_THROW(relay_stations_for_length(1e10, model), wp::ContractViolation);
+  EXPECT_EQ(relay_stations_for_length(1e9, model), 300000000 - 1);
+}
+
+/// Random placements of `inst`: packs of random sequence pairs.
+std::vector<Placement> random_placements(const Instance& inst, int count,
+                                         std::uint64_t seed) {
+  wp::Rng rng(seed);
+  std::vector<Placement> placements;
+  for (int i = 0; i < count; ++i)
+    placements.push_back(
+        pack(inst, SequencePair::random(inst.blocks.size(), rng)));
+  return placements;
+}
+
+Instance generated_instance(wp::gen::TopologyFamily family, int nodes,
+                            std::uint64_t seed) {
+  wp::gen::TopologyConfig config;
+  config.family = family;
+  config.num_nodes = nodes;
+  wp::gen::SystemConfig system;
+  system.build_netlist = false;
+  wp::Rng rng(seed);
+  const auto topology = wp::gen::generate_topology(config, rng);
+  return wp::gen::dress_topology(topology, system, rng).instance;
+}
+
+TEST(Model, DeriveMatchesRsDemandAndWirelengthBitForBit) {
+  // The CPU instance carries two CU-IC nets (the per-connection max), BA-128
+  // hub-heavy fan-in, the mesh a regular grid of short nets.
+  const std::vector<Instance> instances = {
+      cpu_instance(),
+      generated_instance(wp::gen::TopologyFamily::kBarabasiAlbert, 128, 3),
+      generated_instance(wp::gen::TopologyFamily::kMesh, 36, 4)};
+  WireDelayModel tight;
+  tight.clock_ps = 250.0;
+  for (const Instance& inst : instances) {
+    const DemandIndex index(inst);
+    std::vector<int> rs;
+    for (const Placement& p : random_placements(inst, 20, inst.nets.size())) {
+      const double wirelength = index.derive(p, tight, rs);
+      EXPECT_EQ(wirelength, total_wirelength(inst, p));
+      const auto demand = rs_demand(inst, p, tight);
+      ASSERT_EQ(demand.size(), rs.size());
+      ASSERT_EQ(index.labels().size(), rs.size());
+      for (std::size_t c = 0; c < rs.size(); ++c) {
+        EXPECT_EQ(demand[c].first, index.labels()[c]);
+        EXPECT_EQ(demand[c].second, rs[c]) << demand[c].first;
+      }
+    }
+  }
+}
+
+TEST(Model, DemandIndexRangeChecksNetsOnce) {
+  Instance inst = two_blocks();
+  inst.nets.push_back({"bad", 0, 2});
+  EXPECT_THROW(DemandIndex{inst}, wp::ContractViolation);
+}
+
 TEST(Parser, RoundTrips) {
   const Instance inst = cpu_instance();
   EXPECT_EQ(inst.blocks.size(), 5u);
@@ -223,6 +297,37 @@ TEST(Annealer, RejectsMissingThroughputFn) {
   AnnealOptions options;
   options.weight_throughput = 1.0;
   EXPECT_THROW(anneal(two_blocks(), options), wp::ContractViolation);
+}
+
+TEST(Annealer, RejectsMeaninglessSchedules) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  auto rejects = [](auto mutate) {
+    AnnealOptions options;
+    options.iterations = 10;
+    mutate(options);
+    EXPECT_THROW(anneal(two_blocks(), options), wp::ContractViolation);
+  };
+  rejects([&](AnnealOptions& o) {
+    o.cooling = nan;
+    o.initial_temperature = -1;
+  });
+  rejects([](AnnealOptions& o) { o.initial_temperature = 0; });
+  rejects([&](AnnealOptions& o) { o.initial_temperature = inf; });
+  rejects([&](AnnealOptions& o) { o.initial_temperature = nan; });
+  rejects([](AnnealOptions& o) { o.cooling = 0; });
+  rejects([](AnnealOptions& o) { o.cooling = 1.5; });
+  rejects([&](AnnealOptions& o) { o.cooling = nan; });
+  rejects([](AnnealOptions& o) { o.weight_area = -1; });
+  rejects([&](AnnealOptions& o) { o.weight_wirelength = nan; });
+  rejects([&](AnnealOptions& o) { o.weight_throughput = inf; });
+
+  // The edges of the valid ranges still run.
+  AnnealOptions edge;
+  edge.iterations = 10;
+  edge.cooling = 1.0;
+  edge.weight_area = 0.0;
+  EXPECT_NO_THROW(anneal(two_blocks(), edge));
 }
 
 bool identical_results(const AnnealResult& a, const AnnealResult& b) {

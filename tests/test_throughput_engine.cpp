@@ -230,6 +230,50 @@ TEST(ThroughputEngine, WithRsMapMatchesVectorForm) {
             by_vector.throughput({rs.begin(), rs.end()}));
 }
 
+TEST(ThroughputEngine, IdQueriesMatchLabelQueriesAndFreshHoward) {
+  for (const Digraph& base : family_topologies(24, 61)) {
+    // Every demand of the chain carries two labels the graph lacks.
+    std::vector<std::string> labels = labels_of(base);
+    labels.push_back("NO-SUCH");
+    labels.push_back("ZZ-absent");
+    Rng rng(314);
+    const auto chain = demand_chain(labels, 40, rng);
+
+    ThroughputEngine by_label(base);
+    ThroughputEngine by_id(base);
+    std::vector<std::string> chain_labels;
+    for (const auto& [label, rs] : chain.front()) chain_labels.push_back(label);
+    const std::vector<int> ids = by_id.resolve(chain_labels);
+    ASSERT_EQ(ids.size(), chain_labels.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      EXPECT_EQ(ids[i] < 0, chain_labels[i] == "NO-SUCH" ||
+                                chain_labels[i] == "ZZ-absent")
+          << chain_labels[i];
+
+    std::vector<int> rs;
+    for (std::size_t step = 0; step < chain.size(); ++step) {
+      rs.clear();
+      for (const auto& [label, count] : chain[step]) rs.push_back(count);
+      const double expected = fresh_ratio(base, chain[step]);
+      ASSERT_EQ(by_label.throughput(chain[step]), expected) << "step " << step;
+      ASSERT_EQ(by_id.throughput(ids, rs), expected) << "step " << step;
+    }
+    // Same apply path, so the same query-path accounting.
+    EXPECT_EQ(by_label.stats().unchanged, by_id.stats().unchanged);
+    EXPECT_EQ(by_label.stats().fallbacks, by_id.stats().fallbacks);
+  }
+}
+
+TEST(ThroughputEngine, IdQueriesRejectMalformedInput) {
+  ThroughputEngine engine(proc::make_cpu_graph());
+  const std::vector<int> ids = engine.resolve({"CU-IC", "NO-SUCH"});
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_GE(ids[0], 0);
+  EXPECT_EQ(ids[1], -1);
+  EXPECT_THROW(engine.throughput(ids, {1}), wp::ContractViolation);
+  EXPECT_THROW(engine.throughput({1 << 20}, {1}), wp::ContractViolation);
+}
+
 TEST(ThroughputEngine, SerialEqualsPooled) {
   const auto bases = family_topologies(24, 9);
   // Serial reference: one engine per topology, a fixed chain each.
