@@ -26,7 +26,6 @@
 
 #include "bench_common.hpp"
 #include "cli/arg_parser.hpp"
-#include "floorplan/pack_engine.hpp"
 #include "gen/ensemble.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -99,9 +98,7 @@ wp::gen::EnsembleConfig make_config() {
 /// The 256/512/1024-node scale sweep, collected for the JSON artifact.
 struct ScaleSection {
   bool ran = false;
-  bool engines_identical = true;
-  double batched_ms = 0.0;          ///< pooled run, serial kBatched anneals
-  double parallel_engine_ms = 0.0;  ///< pooled run, kParallel anneals
+  double pooled_ms = 0.0;  ///< wall-clock of the pooled run
   struct Row {
     std::string family;
     std::size_t samples = 0;
@@ -112,12 +109,8 @@ struct ScaleSection {
 
 /// Runs a slice of the scale substrate (ba-256 / mesh-16x16 / ba-1024,
 /// 2 samples each, simulation and cycle enumeration off — the pipeline is
-/// anneal -> placement RS demand -> min-cycle-ratio throughput) twice
-/// through the pooled runner: once with the serial kBatched engine, once
-/// with the speculative kParallel engine. The two reports must be
-/// bit-identical — the scale families are exactly where a parallel-window
-/// divergence would hide, so the bench doubles as the at-scale engine
-/// differential the unit tests cannot afford.
+/// anneal -> placement RS demand -> min-cycle-ratio throughput) through
+/// the pooled runner.
 ScaleSection run_scale_section() {
   using namespace wp;
   gen::EnsembleConfig config;
@@ -133,25 +126,15 @@ ScaleSection run_scale_section() {
   ScaleSection section;
   section.ran = true;
 
-  config.anneal.pack_engine = fplan::PackEngine::kBatched;
-  const auto batched_start = Clock::now();
-  const gen::EnsembleReport batched = gen::run_ensemble(config);
-  section.batched_ms = seconds_since(batched_start) * 1000.0;
-
-  config.anneal.pack_engine = fplan::PackEngine::kParallel;
-  const auto parallel_start = Clock::now();
-  const gen::EnsembleReport parallel = gen::run_ensemble(config);
-  section.parallel_engine_ms = seconds_since(parallel_start) * 1000.0;
-
-  section.engines_identical = batched.samples == parallel.samples;
+  const auto pooled_start = Clock::now();
+  const gen::EnsembleReport pooled = gen::run_ensemble(config);
+  section.pooled_ms = seconds_since(pooled_start) * 1000.0;
 
   TextTable table({"family", "samples", "Th mean", "RS mean", "area mean",
                    "anneal ms"});
-  table.add_section(
-      "Scale substrate (2 samples/family, sim off, kBatched vs kParallel "
-      "bit-compared)");
+  table.add_section("Scale substrate (2 samples/family, sim off)");
   table.add_separator();
-  for (const auto& f : parallel.families) {
+  for (const auto& f : pooled.families) {
     table.add_row({f.family, std::to_string(f.samples),
                    fmt_fixed(f.th_mean, 3), fmt_fixed(f.rs_mean, 1),
                    fmt_fixed(f.area_mean, 1),
@@ -160,12 +143,8 @@ ScaleSection run_scale_section() {
                             f.area_mean, f.anneal_ms_mean});
   }
   table.print(std::cout);
-  std::cout << "batched engine " << fmt_fixed(section.batched_ms / 1000.0, 2)
-            << " s, parallel engine "
-            << fmt_fixed(section.parallel_engine_ms / 1000.0, 2)
-            << " s   batched == parallel: "
-            << (section.engines_identical ? "yes" : "NO — ENGINE DIVERGENCE")
-            << "\n\n";
+  std::cout << "pooled run " << fmt_fixed(section.pooled_ms / 1000.0, 2)
+            << " s\n\n";
   return section;
 }
 
@@ -274,9 +253,7 @@ bool run_and_report(const wp::gen::EnsembleConfig& config,
     json.end_array();
     if (scale.ran) {
       json.key("scale").begin_object();
-      json.field("engines_identical", scale.engines_identical);
-      json.field("batched_ms", scale.batched_ms);
-      json.field("parallel_engine_ms", scale.parallel_engine_ms);
+      json.field("pooled_ms", scale.pooled_ms);
       json.key("families").begin_array();
       for (const auto& r : scale.rows) {
         json.begin_object();
@@ -295,7 +272,7 @@ bool run_and_report(const wp::gen::EnsembleConfig& config,
     json_file << "\n";
   }
   std::cout << "wrote " << json_path << "\n\n";
-  return identical && (!scale.ran || scale.engines_identical);
+  return identical;
 }
 
 }  // namespace
@@ -315,7 +292,7 @@ int main(int argc, char** argv) {
                 "subset of families to run (default: all)");
   parser.flag("--no-sim", "skip the netlist-simulation pass");
   parser.flag("--no-scale",
-              "skip the 256/1024-node scale sweep (kBatched vs kParallel)");
+              "skip the 256/1024-node scale sweep");
   parser.option("--json", "PATH", "BENCH_ensembles.json",
                 "perf flight-recorder artifact");
   parser.positional("prefix", "bench_ensembles",

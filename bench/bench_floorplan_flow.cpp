@@ -6,12 +6,12 @@
 //
 // The multi-seed restarts run on the shared thread pool (anneal_parallel),
 // each with a private incremental throughput engine. Head-to-head
-// sections time the hot-loop machinery: the packing engines (naive O(n²)
-// pack() vs pack_fast() vs the IncrementalPacker and BatchedMoveEvaluator
-// delta paths, at mid-anneal and cold-tail accept rates), whole anneals
-// under each engine including the 128-vs-256-block scaling study, and the
-// throughput oracles (ThroughputEvaluator reference vs the incremental
-// ThroughputEngine), asserting bit-identical results as they run.
+// sections time the hot-loop machinery: packing (naive O(n²) pack() vs
+// pack_fast() vs the MovePacker's per-move apply at mid-anneal and
+// cold-tail accept rates), whole anneals under both engines plus the
+// 128-vs-256-block scaling study, and the throughput oracles
+// (ThroughputEvaluator reference vs the incremental ThroughputEngine),
+// asserting bit-identical results as they run.
 //
 // Machine-readable trajectory: every run writes the per-stage timings
 // (pack ms, throughput-eval ms, whole-anneal ms, engine hit rates) as
@@ -26,7 +26,6 @@
 #include "bench_common.hpp"
 #include "cli/arg_parser.hpp"
 #include "floorplan/annealer.hpp"
-#include "floorplan/batch_pack.hpp"
 #include "floorplan/instances.hpp"
 #include "floorplan/pack_engine.hpp"
 #include "graph/cycle_ratio.hpp"
@@ -41,9 +40,8 @@ namespace {
 using wp::fplan::AnnealOptions;
 using wp::fplan::AnnealResult;
 using wp::fplan::AppliedMove;
-using wp::fplan::BatchedMoveEvaluator;
-using wp::fplan::IncrementalPacker;
 using wp::fplan::Instance;
+using wp::fplan::MovePacker;
 using wp::fplan::PackEngine;
 using wp::fplan::ParallelAnnealOptions;
 using wp::fplan::Placement;
@@ -63,8 +61,7 @@ struct FloorplanRow {
 };
 struct PackingRow {
   std::size_t blocks = 0;
-  double naive_ms = 0, fast_ms = 0, incr_us = 0;
-  double batched_us = 0, tail_incr_us = 0, tail_batched_us = 0;
+  double naive_ms = 0, fast_ms = 0, move_us = 0, tail_move_us = 0;
 };
 struct AnnealEngineRow {
   std::size_t blocks = 0;
@@ -73,10 +70,7 @@ struct AnnealEngineRow {
 };
 struct ScaleRow {
   std::size_t blocks = 0;
-  std::string engine;
   double anneal_ms = 0, pack_ms = 0;
-  std::uint64_t persistent = 0, prime = 0, full = 0, rebuilds = 0,
-                saved = 0;
 };
 struct OracleRow {
   std::size_t blocks = 0;
@@ -85,16 +79,9 @@ struct OracleRow {
   int evals = 0;
   std::uint64_t incremental = 0, fallbacks = 0;
 };
-struct ThreadScaleRow {
-  std::size_t blocks = 0;
-  int threads = 0;  ///< 0 = the serial kBatched baseline row
-  double anneal_ms = 0;
-  double gain_over_serial = 1.0;  ///< serial_ms / this row's ms
-  std::uint64_t windows = 0, drawn = 0, wasted = 0;
-};
 
 /// Times the three packing paths on one instance size. Equality of the
-/// engines is asserted as the timing loops run — the bench doubles as a
+/// paths is asserted as the timing loops run — the bench doubles as a
 /// smoke differential check (the exhaustive one is test_pack_equivalence).
 PackingRow bench_packing_engines(wp::TextTable& table, std::size_t blocks) {
   const Instance inst = wp::fplan::synthetic_instance(blocks, 11);
@@ -119,73 +106,49 @@ PackingRow bench_packing_engines(wp::TextTable& table, std::size_t blocks) {
     std::exit(1);
   }
 
-  // Incremental vs batched on identical annealer-shaped move loops: each
-  // engine replays the same seeded move stream with the same accept
-  // pattern (accept one move in `accept_mod`), so per-move costs are
-  // directly comparable and the area checksums must agree bitwise. The
-  // half-reject loop is the classic mid-anneal regime; the 1-in-16 loop is
-  // the cold tail, where the batched evaluator's rejection path (shared
-  // prime + persistent dominance index) is designed to win.
+  // The MovePacker on annealer-shaped move loops: a seeded move stream
+  // with one move in `accept_mod` accepted, the rest undone. The
+  // half-reject loop is the classic mid-anneal regime, the 1-in-16 loop
+  // the cold tail. An untimed naive replay of the same stream (re-packing
+  // the pair from scratch per move) must produce the same area checksum.
   const int moves = 2000;
-  const auto run_incremental = [&](std::uint64_t seed, int accept_mod,
-                                   double* checksum) {
+  const auto run_moves = [&](std::uint64_t seed, int accept_mod,
+                             bool naive, double* checksum) {
     wp::Rng loop_rng(seed);
     SequencePair sp = SequencePair::random(blocks, loop_rng);
-    IncrementalPacker packer(inst, sp);
+    MovePacker packer(inst, sp);
     const auto start = std::chrono::steady_clock::now();
     for (int m = 0; m < moves; ++m) {
       const AppliedMove move = random_move(sp, loop_rng);
-      *checksum += packer.apply(move).area();
+      *checksum += naive ? pack(inst, sp).area() : packer.apply(move).area();
       if (m % accept_mod != accept_mod - 1) {
         undo_move(sp, move);
-        packer.revert();
+        if (!naive) packer.revert();
+      } else if (!naive) {
+        packer.commit();
       }
     }
     return ms_since(start) * 1000.0 / moves;
   };
-  const auto run_batched = [&](std::uint64_t seed, int accept_mod,
-                               double* checksum) {
-    wp::Rng loop_rng(seed);
-    SequencePair sp = SequencePair::random(blocks, loop_rng);
-    BatchedMoveEvaluator evaluator(inst, sp);
-    const auto start = std::chrono::steady_clock::now();
-    for (int m = 0; m < moves; ++m) {
-      const AppliedMove move = random_move(sp, loop_rng);
-      *checksum += evaluator.apply(move).area();
-      if (m % accept_mod != accept_mod - 1) {
-        undo_move(sp, move);
-        evaluator.revert();
-      } else {
-        evaluator.commit();
-      }
+  const auto timed_moves = [&](std::uint64_t seed, int accept_mod) {
+    double checksum = 0, reference = 0;
+    const double us = run_moves(seed, accept_mod, false, &checksum);
+    run_moves(seed, accept_mod, true, &reference);
+    if (checksum != reference) {
+      std::cerr << "MOVEPACKER DIVERGENCE at n=" << blocks << "\n";
+      std::exit(1);
     }
-    return ms_since(start) * 1000.0 / moves;
+    return us;
   };
-
-  double checksum_incr = 0, checksum_batched = 0;
-  const double incr_us = run_incremental(2, 2, &checksum_incr);
-  const double batched_us = run_batched(2, 2, &checksum_batched);
-  if (checksum_incr != checksum_batched) {
-    std::cerr << "BATCHED ENGINE DIVERGENCE at n=" << blocks << "\n";
-    std::exit(1);
-  }
-  double checksum_tail_incr = 0, checksum_tail_batched = 0;
-  const double tail_incr_us = run_incremental(3, 16, &checksum_tail_incr);
-  const double tail_batched_us = run_batched(3, 16, &checksum_tail_batched);
-  if (checksum_tail_incr != checksum_tail_batched) {
-    std::cerr << "BATCHED ENGINE DIVERGENCE (tail) at n=" << blocks << "\n";
-    std::exit(1);
-  }
+  const double move_us = timed_moves(2, 2);
+  const double tail_move_us = timed_moves(3, 16);
 
   table.add_row({std::to_string(blocks), wp::fmt_fixed(naive_ms, 3),
                  wp::fmt_fixed(fast_ms, 3),
                  wp::fmt_fixed(naive_ms / fast_ms, 1),
-                 wp::fmt_fixed(incr_us, 1), wp::fmt_fixed(batched_us, 1),
-                 wp::fmt_fixed(tail_incr_us, 1),
-                 wp::fmt_fixed(tail_batched_us, 1),
-                 wp::fmt_fixed(tail_incr_us / tail_batched_us, 2)});
-  return {blocks, naive_ms, fast_ms,    incr_us,
-          batched_us, tail_incr_us, tail_batched_us};
+                 wp::fmt_fixed(move_us, 1), wp::fmt_fixed(tail_move_us, 1),
+                 wp::fmt_fixed(naive_ms * 1000.0 / move_us, 1)});
+  return {blocks, naive_ms, fast_ms, move_us, tail_move_us};
 }
 
 double static_throughput_of_demand(
@@ -326,15 +289,13 @@ int main(int argc, char** argv) {
   }
   synth.print(std::cout);
 
-  // Packing-engine head-to-head: the O(n²) reference vs the O(n log n)
-  // weighted-LCS evaluation vs the per-move delta paths (IncrementalPacker
-  // and the speculative BatchedMoveEvaluator), at 50% and 1-in-16 accept
-  // rates.
+  // Packing head-to-head: the O(n²) reference vs the O(n log n)
+  // weighted-LCS evaluation vs the MovePacker's per-move apply, at 50%
+  // and 1-in-16 accept rates.
   TextTable packt({"blocks", "naive ms/pack", "fast ms/pack", "fast speedup",
-                   "incr us/move", "batched us/move", "tail incr us",
-                   "tail batched us", "tail gain"});
-  packt.add_section("Packing engines (naive O(n^2) vs fast O(n log n) vs "
-                    "incremental vs batched delta)");
+                   "move us", "tail move us", "move speedup"});
+  packt.add_section("Packing (naive O(n^2) vs fast O(n log n) vs "
+                    "MovePacker per move)");
   packt.add_separator();
   for (const std::size_t blocks : {33u, 100u, 150u, 256u})
     packing_rows.push_back(bench_packing_engines(packt, blocks));
@@ -347,10 +308,10 @@ int main(int argc, char** argv) {
   annealt.add_separator();
   for (const std::size_t blocks : {33u, 100u, 150u}) {
     const Instance inst = fplan::synthetic_instance(blocks, 11);
-    double engine_ms[3] = {0, 0, 0};
-    AnnealResult results[3];
+    double engine_ms[2] = {0, 0};
+    AnnealResult results[2];
     for (const PackEngine engine :
-         {PackEngine::kNaive, PackEngine::kFast, PackEngine::kBatched}) {
+         {PackEngine::kNaive, PackEngine::kMovePacker}) {
       AnnealOptions anneal_options;
       anneal_options.iterations = 3000;
       anneal_options.seed = 4;
@@ -369,164 +330,49 @@ int main(int argc, char** argv) {
                                 : fmt_fixed(engine_ms[0] / engine_ms[idx],
                                             1)});
     }
-    for (const std::size_t idx : {1u, 2u}) {
-      if (results[0].cost != results[idx].cost ||
-          results[0].placement.x != results[idx].placement.x) {
-        std::cerr << "ANNEALER ENGINE DIVERGENCE at n=" << blocks << "\n";
-        return 1;
-      }
+    if (results[0].cost != results[1].cost ||
+        results[0].placement.x != results[1].placement.x) {
+      std::cerr << "ANNEALER ENGINE DIVERGENCE at n=" << blocks << "\n";
+      return 1;
     }
   }
   annealt.print(std::cout);
 
   // Scale study: production-shaped runs (20000 iterations — the
-  // AnnealOptions default) at 128 and 256 blocks. The headline number is
-  // the 256-block batched anneal against the 128-block fast anneal — the
-  // "doubling n costs less than the naive extrapolation" claim — plus the
-  // batched evaluator's own path split at each size. The instances are
-  // the bounded-degree family (expected degree ~10, the NoC regime the
-  // generator families produce and the ROADMAP scaling item names) rather
-  // than the quadratic-density default, where the wirelength scan — the
-  // same O(nets) cost on every engine — would drown the packing signal.
-  // Each config is best-of-3: single-shot anneal wall-clocks jitter well
-  // above the ~10% this comparison is about.
+  // AnnealOptions default) at 128 and 256 blocks: what doubling n costs
+  // the production engine. The instances are the bounded-degree family
+  // (expected degree ~10, the NoC regime the generator families produce)
+  // rather than the quadratic-density default, where the wirelength scan
+  // would drown the packing signal. Each size is best-of-3: single-shot
+  // anneal wall-clocks jitter well above the ~10% this comparison is
+  // about.
   std::vector<ScaleRow> scale_rows;
-  TextTable scalet({"blocks", "engine", "anneal ms", "pack ms", "persistent",
-                    "primed", "full", "rebuilds", "prime pos saved"});
+  TextTable scalet({"blocks", "anneal ms", "pack ms"});
   scalet.add_section(
-      "Scaling: area-driven anneal, 20000 iterations, bounded-degree nets "
-      "(batched-256 target: <= 1.5x fast-128)");
+      "Scaling: area-driven anneal, 20000 iterations, bounded-degree nets");
   scalet.add_separator();
-  double scale_ms[2][2] = {{0, 0}, {0, 0}};  // [blocks!=128][batched]
   for (const std::size_t blocks : {128u, 256u}) {
     const Instance inst = fplan::synthetic_instance(
         blocks, 11, 0.5, 3.0, 8.0 / static_cast<double>(blocks));
-    AnnealResult results[2];
-    for (const PackEngine engine : {PackEngine::kFast, PackEngine::kBatched}) {
-      AnnealOptions anneal_options;
-      anneal_options.seed = 4;
-      anneal_options.pack_engine = engine;
-      const std::size_t idx = engine == PackEngine::kBatched ? 1 : 0;
-      double anneal_ms = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        results[idx] = fplan::anneal(inst, anneal_options);
-        const double rep_ms = ms_since(start);
-        if (rep == 0 || rep_ms < anneal_ms) anneal_ms = rep_ms;
-      }
-      scale_ms[blocks == 128u ? 0 : 1][idx] = anneal_ms;
-      const AnnealResult& r = results[idx];
-      scale_rows.push_back({blocks, fplan::pack_engine_name(engine),
-                            anneal_ms, r.pack_ms, r.batch_persistent_evals,
-                            r.batch_prime_evals, r.batch_full_packs,
-                            r.batch_index_rebuilds, r.batch_reprime_saved});
-      scalet.add_row(
-          {std::to_string(blocks), fplan::pack_engine_name(engine),
-           fmt_fixed(anneal_ms, 1), fmt_fixed(r.pack_ms, 1),
-           idx ? std::to_string(r.batch_persistent_evals) : "-",
-           idx ? std::to_string(r.batch_prime_evals) : "-",
-           idx ? std::to_string(r.batch_full_packs) : "-",
-           idx ? std::to_string(r.batch_index_rebuilds) : "-",
-           idx ? std::to_string(r.batch_reprime_saved) : "-"});
-    }
-    if (results[0].cost != results[1].cost ||
-        results[0].placement.x != results[1].placement.x) {
-      std::cerr << "ANNEALER ENGINE DIVERGENCE (scale) at n=" << blocks
-                << "\n";
-      return 1;
-    }
-  }
-  scalet.print(std::cout);
-  const double ratio_cross = scale_ms[1][1] / scale_ms[0][0];
-  const double ratio_batched = scale_ms[1][1] / scale_ms[0][1];
-  std::cout << "batched-256 / fast-128 anneal ratio: "
-            << fmt_fixed(ratio_cross, 2)
-            << "  (doubling n under the batched engine costs "
-            << fmt_fixed(ratio_batched, 2) << "x its own 128-block run)\n\n";
-
-  // Thread-scaling study: the speculative parallel-window engine against
-  // the serial batched engine it retires through, at 1/2/4/8 workers and
-  // up to 1024 blocks. Trajectories are asserted bitwise-identical to the
-  // serial run as the timings are taken — "parallel" never gets to mean
-  // "approximately the same anneal". Budgets are production-shaped
-  // (20000 iterations, tapering with n for CI budget) and the schedule
-  // starts pre-cooled: speculation is structurally wasteful while the
-  // anneal is still in its accept-everything descent (every acceptance
-  // invalidates the rest of the window), so the table must reach the
-  // rejection-heavy converged regime this engine exists for, not
-  // measure the descent prefix. Each cell is best-of-3.
-  // The window is pinned to K=8 for every thread count so the
-  // drawn/wasted columns — the deterministic speculation ledger, a pure
-  // function of (instance, seed, K) — come out identical across rows:
-  // worker count buys wall-clock only, never a different trajectory.
-  // K=8 rather than the auto 2×slots: at 8 workers a window then costs
-  // one eval-depth, and the expected retired-per-window at measured
-  // acceptance rates is what bounds the speedup — a deeper window only
-  // pays when acceptance is far colder than these schedules reach.
-  std::vector<ThreadScaleRow> thread_rows;
-  TextTable threadt({"blocks", "engine", "anneal ms", "vs serial",
-                     "windows", "drawn", "wasted"});
-  threadt.add_section(
-      "Parallel speculative annealing (kParallel vs serial kBatched, "
-      "best of 3, bitwise-identical trajectories)");
-  threadt.add_separator();
-  const std::pair<std::size_t, int> thread_cases[] = {
-      {100u, 20000}, {256u, 20000}, {512u, 10000}, {1024u, 5000}};
-  for (const auto& [blocks, iterations] : thread_cases) {
-    const Instance inst = fplan::synthetic_instance(
-        blocks, 11, 0.5, 3.0, 8.0 / static_cast<double>(blocks));
-    AnnealOptions base_options;
-    base_options.iterations = iterations;
-    base_options.seed = 4;
-    base_options.initial_temperature = 0.05;
-    base_options.pack_engine = PackEngine::kBatched;
-    AnnealResult serial;
-    double serial_ms = 0.0;
+    AnnealOptions anneal_options;
+    anneal_options.seed = 4;
+    AnnealResult result;
+    double anneal_ms = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
       const auto start = std::chrono::steady_clock::now();
-      serial = fplan::anneal(inst, base_options);
+      result = fplan::anneal(inst, anneal_options);
       const double rep_ms = ms_since(start);
-      if (rep == 0 || rep_ms < serial_ms) serial_ms = rep_ms;
+      if (rep == 0 || rep_ms < anneal_ms) anneal_ms = rep_ms;
     }
-    thread_rows.push_back({blocks, 0, serial_ms, 1.0, 0, 0, 0});
-    threadt.add_row({std::to_string(blocks), "batched",
-                     fmt_fixed(serial_ms, 1), "1.00", "-", "-", "-"});
-    for (const int threads : {1, 2, 4, 8}) {
-      ThreadPool pool(static_cast<std::size_t>(threads));
-      AnnealOptions parallel_options = base_options;
-      parallel_options.pack_engine = PackEngine::kParallel;
-      parallel_options.eval_pool = &pool;
-      parallel_options.parallel_window = 8;
-      AnnealResult result;
-      double anneal_ms = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        result = fplan::anneal(inst, parallel_options);
-        const double rep_ms = ms_since(start);
-        if (rep == 0 || rep_ms < anneal_ms) anneal_ms = rep_ms;
-      }
-      if (result.cost != serial.cost ||
-          result.placement.x != serial.placement.x) {
-        std::cerr << "PARALLEL ENGINE DIVERGENCE at n=" << blocks
-                  << " threads=" << threads << "\n";
-        return 1;
-      }
-      thread_rows.push_back({blocks, threads, anneal_ms,
-                             serial_ms / anneal_ms, result.parallel_windows,
-                             result.parallel_drawn, result.parallel_wasted});
-      threadt.add_row({std::to_string(blocks),
-                       "parallel-" + std::to_string(threads),
-                       fmt_fixed(anneal_ms, 1),
-                       fmt_fixed(serial_ms / anneal_ms, 2),
-                       std::to_string(result.parallel_windows),
-                       std::to_string(result.parallel_drawn),
-                       std::to_string(result.parallel_wasted)});
-    }
+    scale_rows.push_back({blocks, anneal_ms, result.pack_ms});
+    scalet.add_row({std::to_string(blocks), fmt_fixed(anneal_ms, 1),
+                    fmt_fixed(result.pack_ms, 1)});
   }
-  threadt.print(std::cout);
-  std::cout << "Every parallel cell retired the exact serial trajectory "
-               "(asserted above);\nthe speculation ledger (windows / drawn "
-               "/ wasted) is thread-count-invariant.\n\n";
+  scalet.print(std::cout);
+  const double ratio_256_over_128 =
+      scale_rows[1].anneal_ms / scale_rows[0].anneal_ms;
+  std::cout << "256 / 128 anneal ratio: " << fmt_fixed(ratio_256_over_128, 2)
+            << "\n\n";
 
   // Throughput-oracle head-to-head: the evaluator reference (whole-graph
   // RS reset + cold certification per demand) vs the incremental engine
@@ -623,13 +469,9 @@ int main(int argc, char** argv) {
           .field("naive_ms_per_pack", r.naive_ms)
           .field("fast_ms_per_pack", r.fast_ms)
           .field("fast_speedup", r.naive_ms / r.fast_ms)
-          .field("incremental_us_per_move", r.incr_us)
-          .field("move_speedup", r.naive_ms * 1000.0 / r.incr_us)
-          .field("batched_us_per_move", r.batched_us)
-          .field("batched_move_speedup", r.naive_ms * 1000.0 / r.batched_us)
-          .field("tail_incremental_us_per_move", r.tail_incr_us)
-          .field("tail_batched_us_per_move", r.tail_batched_us)
-          .field("tail_gain", r.tail_incr_us / r.tail_batched_us);
+          .field("move_us_per_move", r.move_us)
+          .field("move_speedup", r.naive_ms * 1000.0 / r.move_us)
+          .field("tail_move_us_per_move", r.tail_move_us);
       json.end_object();
     }
     json.end_array();
@@ -647,41 +489,14 @@ int main(int argc, char** argv) {
     for (const auto& r : scale_rows) {
       json.begin_object();
       json.field("blocks", r.blocks)
-          .field("pack_engine", r.engine)
           .field("anneal_ms", r.anneal_ms)
-          .field("pack_ms", r.pack_ms)
-          .field("batch_persistent_evals", r.persistent)
-          .field("batch_prime_evals", r.prime)
-          .field("batch_full_packs", r.full)
-          .field("batch_index_rebuilds", r.rebuilds)
-          .field("batch_reprime_saved", r.saved);
+          .field("pack_ms", r.pack_ms);
       json.end_object();
     }
     json.end_array();
-    // Ratios of two same-process wall-clock measurements: informational
-    // (no ms/speedup token), deliberately outside the bench_diff gate —
-    // they are the ISSUE-9 acceptance numbers, too noisy to gate on.
-    json.field("anneal_batched256_over_fast128_ratio", ratio_cross);
-    json.field("anneal_batched256_over_batched128_ratio", ratio_batched);
-    // Cross-thread ratios are informational by naming (no ms/speedup
-    // token): a 1-worker runner and an 8-core runner legitimately
-    // disagree on them, so only the wall-clock cells themselves gate.
-    json.key("thread_scale").begin_array();
-    for (const auto& r : thread_rows) {
-      json.begin_object();
-      json.field("blocks", r.blocks)
-          .field("threads", r.threads)
-          .field("engine", r.threads == 0
-                               ? std::string("batched")
-                               : "parallel-" + std::to_string(r.threads))
-          .field("anneal_ms", r.anneal_ms)
-          .field("gain_over_serial", r.gain_over_serial)
-          .field("parallel_windows", r.windows)
-          .field("parallel_drawn", r.drawn)
-          .field("parallel_wasted", r.wasted);
-      json.end_object();
-    }
-    json.end_array();
+    // A ratio of two same-process wall-clock measurements: informational
+    // (no ms/speedup token), outside the bench_diff gate.
+    json.field("anneal_256_over_128_ratio", ratio_256_over_128);
     json.key("throughput_oracle").begin_array();
     for (const auto& r : oracle_rows) {
       json.begin_object();

@@ -1,27 +1,27 @@
 // Micro-benchmarks for the packing primitives under the annealer's hot
-// loop: the epoch-stamped MaxFenwick (plain updates, logged updates with
-// trail rewind, and the O(1)-amortised reset), the persistent dominance
-// index (build cost and O(log² n) prefix queries), and the end-to-end
-// per-move cost of a rejection-heavy move chain under the IncrementalPacker
-// vs the BatchedMoveEvaluator.
+// loop: the epoch-stamped MaxFenwick pass, one-shot pack_fast() against
+// the naive O(n²) pack(), and the per-move cost of rejection-heavy move
+// chains (uniform global swaps and local tail swaps) under the MovePacker
+// against the naive reference re-pack.
 //
 // Self-contained (no google-benchmark): deterministic seeded workloads,
-// checksums printed so the measured loops cannot be optimised away, and a
-// JSON artifact (default BENCH_pack_micro.json, --json PATH) that rides
-// the tools/bench_diff Release-CI gate. Aggregate `*_total_ms` fields are
-// the gated wall-clock numbers; the derived per-op `*_ns` fields sit below
-// the gate's noise floor and are informational.
+// checksums printed so the measured loops cannot be optimised away (and
+// compared: the fast paths must match the naive reference bit for bit),
+// and a JSON artifact (default BENCH_pack_micro.json, --json PATH) that
+// rides the tools/bench_diff Release-CI gate. Aggregate `*_total_ms`
+// fields are the gated wall-clock numbers; `*_speedup` fields are
+// same-process ratios against the naive reference, gated higher-is-better;
+// the derived per-op `*_ns` fields sit below the gate's noise floor and
+// are informational.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "cli/arg_parser.hpp"
-#include "floorplan/batch_pack.hpp"
 #include "floorplan/instances.hpp"
 #include "floorplan/pack_engine.hpp"
 #include "floorplan/sequence_pair.hpp"
@@ -32,12 +32,10 @@
 namespace {
 
 using wp::fplan::AppliedMove;
-using wp::fplan::BatchedMoveEvaluator;
-using wp::fplan::IncrementalPacker;
 using wp::fplan::Instance;
+using wp::fplan::MovePacker;
 using wp::fplan::SequencePair;
 using wp::fplan::SpMove;
-using wp::fplan::detail::DominanceIndex;
 using wp::fplan::detail::MaxFenwick;
 
 constexpr std::size_t kBlocks = 256;
@@ -60,6 +58,56 @@ double fenwick_pass(MaxFenwick& fw, const std::vector<std::size_t>& keys,
     fw.update(keys[i], coord + vals[i]);
   }
   return checksum;
+}
+
+/// A move source: draws (and applies to `sp`) the next candidate move.
+using MoveSource = AppliedMove (*)(SequencePair& sp, wp::Rng& rng);
+
+AppliedMove uniform_move(SequencePair& sp, wp::Rng& rng) {
+  return random_move(sp, rng);
+}
+
+/// Rejection-heavy *local* moves — Γ− swaps confined to the last few
+/// positions, the shape of late-anneal refinement.
+AppliedMove local_move(SequencePair& sp, wp::Rng& rng) {
+  constexpr std::size_t kSpan = 12;
+  const std::size_t i = kBlocks - 1 - rng.below(kSpan);
+  std::size_t j = kBlocks - 1 - rng.below(kSpan);
+  if (j == i) j = kBlocks - 1 - ((kBlocks - 1 - j + 1) % kSpan);
+  const AppliedMove move{SpMove::kSwapNegative, i, j};
+  apply_move(sp, move);
+  return move;
+}
+
+struct ChainRun {
+  double total_ms = 0;
+  double checksum = 0;
+};
+
+/// The annealing cold tail: 1 move in 16 accepted, the rest undone. The
+/// naive reference re-packs the caller's pair from scratch per move; the
+/// MovePacker applies/commits/reverts. Same seed, same move stream, so the
+/// area checksums must agree bitwise.
+ChainRun run_chain(const Instance& inst, MoveSource next, int moves,
+                   std::uint64_t seed, bool naive) {
+  wp::Rng rng(seed);
+  SequencePair sp = SequencePair::random(kBlocks, rng);
+  MovePacker packer(inst, sp);
+  ChainRun run;
+  const auto start = std::chrono::steady_clock::now();
+  for (int m = 0; m < moves; ++m) {
+    const AppliedMove move = next(sp, rng);
+    run.checksum +=
+        naive ? wp::fplan::pack(inst, sp).area() : packer.apply(move).area();
+    if (m % 16 != 15) {
+      undo_move(sp, move);
+      if (!naive) packer.revert();
+    } else if (!naive) {
+      packer.commit();
+    }
+  }
+  run.total_ms = ms_since(start);
+  return run;
 }
 
 }  // namespace
@@ -102,191 +150,65 @@ int main(int argc, char** argv) {
                  fmt_fixed(fenwick_total_ms, 1),
                  fmt_fixed(fenwick_op_ns, 1) + " ns/op"});
 
-  // --------------------------------------------- logged update + rewind
-  // The batched evaluator's shared-prime pattern: extend the tree with
-  // logged updates, take a mark halfway, keep extending, then rewind to
-  // the mark — paying the trail on every node write.
-  const int logged_reps = 20000;
-  double logged_checksum = 0;
-  const auto logged_start = std::chrono::steady_clock::now();
-  for (int r = 0; r < logged_reps; ++r) {
-    fw.reset(kBlocks);
-    for (std::size_t i = 0; i < kBlocks / 2; ++i)
-      fw.update_logged(keys[i], vals[i]);
-    const std::size_t mark = fw.mark();
-    for (std::size_t i = kBlocks / 2; i < kBlocks; ++i)
-      fw.update_logged(keys[i], vals[i]);
-    logged_checksum += fw.prefix_max(kBlocks);
-    fw.rewind(mark);
-    logged_checksum += fw.prefix_max(kBlocks);
-  }
-  const double logged_total_ms = ms_since(logged_start);
-  const double logged_op_ns =
-      logged_total_ms * 1e6 / (logged_reps * kBlocks * 1.5);
-  table.add_row({"MaxFenwick", "logged update + rewind x" +
-                                   std::to_string(logged_reps),
-                 fmt_fixed(logged_total_ms, 1),
-                 fmt_fixed(logged_op_ns, 1) + " ns/op"});
-
-  // ------------------------------------------------- dominance index
-  std::vector<std::uint32_t> leaf_keys(kBlocks);
-  std::vector<double> leaf_vals(kBlocks);
-  for (std::size_t i = 0; i < kBlocks; ++i) {
-    leaf_keys[i] = static_cast<std::uint32_t>(keys[i]);
-    leaf_vals[i] = vals[i];
-  }
-  DominanceIndex dom;
-  const int build_reps = 5000;
-  const auto build_start = std::chrono::steady_clock::now();
-  for (int r = 0; r < build_reps; ++r) dom.build(leaf_keys, leaf_vals);
-  const double dom_build_total_ms = ms_since(build_start);
-  const double dom_build_us = dom_build_total_ms * 1000.0 / build_reps;
-  table.add_row({"DominanceIndex", "build x" + std::to_string(build_reps),
-                 fmt_fixed(dom_build_total_ms, 1),
-                 fmt_fixed(dom_build_us, 2) + " us/build"});
-
-  const int query_reps = 2000000;
-  double query_checksum = 0;
-  Rng query_rng(23);
-  const auto query_start = std::chrono::steady_clock::now();
-  for (int r = 0; r < query_reps; ++r) {
-    const std::size_t prefix = query_rng.below(kBlocks + 1);
-    const auto bound = static_cast<std::uint32_t>(query_rng.below(kBlocks));
-    query_checksum += dom.query(prefix, bound);
-  }
-  const double dom_query_total_ms = ms_since(query_start);
-  const double dom_query_ns = dom_query_total_ms * 1e6 / query_reps;
-  table.add_row({"DominanceIndex", "query x" + std::to_string(query_reps),
-                 fmt_fixed(dom_query_total_ms, 1),
-                 fmt_fixed(dom_query_ns, 1) + " ns/query"});
-
-  // ------------------------------- rejection-heavy move chain, n = 256
-  // The annealing cold tail: 1 move in 16 accepted. Identical seeded move
-  // streams per engine; the checksums must agree bitwise (the engines'
-  // differential contract), and the batched evaluator's persistent-index
-  // rejection path is where it earns its keep.
+  // ------------------------------------------ one-shot pack vs naive
   const Instance inst = wp::fplan::synthetic_instance(kBlocks, 11);
+  const int pack_reps = 400;
+  std::vector<SequencePair> pairs;
+  for (int r = 0; r < pack_reps; ++r)
+    pairs.push_back(SequencePair::random(kBlocks, rng));
+  double naive_checksum = 0;
+  const auto naive_start = std::chrono::steady_clock::now();
+  for (const SequencePair& sp : pairs)
+    naive_checksum += wp::fplan::pack(inst, sp).area();
+  const double pack_naive_total_ms = ms_since(naive_start);
+  double fast_checksum = 0;
+  const auto fast_start = std::chrono::steady_clock::now();
+  for (const SequencePair& sp : pairs)
+    fast_checksum += wp::fplan::pack_fast(inst, sp).area();
+  const double pack_fast_total_ms = ms_since(fast_start);
+  if (naive_checksum != fast_checksum) {
+    std::cerr << "PACK_FAST DIVERGENCE from naive pack()\n";
+    return 1;
+  }
+  table.add_row({"pack()", "one-shot x" + std::to_string(pack_reps),
+                 fmt_fixed(pack_naive_total_ms, 1),
+                 fmt_fixed(pack_naive_total_ms * 1000.0 / pack_reps, 2) +
+                     " us/pack"});
+  table.add_row({"pack_fast()", "one-shot x" + std::to_string(pack_reps),
+                 fmt_fixed(pack_fast_total_ms, 1),
+                 fmt_fixed(pack_fast_total_ms * 1000.0 / pack_reps, 2) +
+                     " us/pack"});
+
+  // ------------------------------- rejection-heavy move chains, n = 256
   const int chain_moves = 4000;
-  const auto run_chain = [&](auto& engine_like, SequencePair& sp,
-                             Rng& chain_rng) {
-    double chain_checksum = 0;
-    for (int m = 0; m < chain_moves; ++m) {
-      const AppliedMove move = random_move(sp, chain_rng);
-      chain_checksum += engine_like.apply(move).area();
-      if (m % 16 != 15) {
-        undo_move(sp, move);
-        engine_like.revert();
-      } else if constexpr (std::is_same_v<std::decay_t<decltype(engine_like)>,
-                                          BatchedMoveEvaluator>) {
-        engine_like.commit();
-      }
-    }
-    return chain_checksum;
-  };
-
-  Rng incr_rng(31);
-  SequencePair incr_sp = SequencePair::random(kBlocks, incr_rng);
-  IncrementalPacker packer(inst, incr_sp);
-  const auto incr_start = std::chrono::steady_clock::now();
-  const double incr_checksum = run_chain(packer, incr_sp, incr_rng);
-  const double chain_incr_total_ms = ms_since(incr_start);
-
-  Rng batched_rng(31);
-  SequencePair batched_sp = SequencePair::random(kBlocks, batched_rng);
-  BatchedMoveEvaluator evaluator(inst, batched_sp);
-  const auto batched_start = std::chrono::steady_clock::now();
-  const double batched_checksum =
-      run_chain(evaluator, batched_sp, batched_rng);
-  const double chain_batched_total_ms = ms_since(batched_start);
-  if (incr_checksum != batched_checksum) {
-    std::cerr << "BATCHED ENGINE DIVERGENCE in micro chain\n";
+  const ChainRun chain_naive = run_chain(inst, uniform_move, chain_moves, 31,
+                                         /*naive=*/true);
+  const ChainRun chain_packer = run_chain(inst, uniform_move, chain_moves, 31,
+                                          /*naive=*/false);
+  const ChainRun local_naive = run_chain(inst, local_move, chain_moves, 37,
+                                         /*naive=*/true);
+  const ChainRun local_packer = run_chain(inst, local_move, chain_moves, 37,
+                                          /*naive=*/false);
+  if (chain_naive.checksum != chain_packer.checksum ||
+      local_naive.checksum != local_packer.checksum) {
+    std::cerr << "MOVEPACKER DIVERGENCE from naive pack() in a move chain\n";
     return 1;
   }
-  table.add_row({"IncrementalPacker", "1-in-16 accept chain x" +
-                                          std::to_string(chain_moves),
-                 fmt_fixed(chain_incr_total_ms, 1),
-                 fmt_fixed(chain_incr_total_ms * 1000.0 / chain_moves, 2) +
-                     " us/move"});
-  table.add_row({"BatchedMoveEvaluator", "1-in-16 accept chain x" +
-                                             std::to_string(chain_moves),
-                 fmt_fixed(chain_batched_total_ms, 1),
-                 fmt_fixed(chain_batched_total_ms * 1000.0 / chain_moves, 2) +
-                     " us/move"});
-
-  // ------------------------------- local-move chain (tail refinement)
-  // Rejection-heavy *local* moves — swaps confined to the last few Γ−
-  // positions, the shape of late-anneal refinement — keep the dirty
-  // suffix tiny and the clean prefix huge. This is the persistent
-  // dominance index's home regime: no per-candidate prefix prime at all.
-  const int local_moves = 4000;
-  const std::size_t local_span = 12;
-  const auto run_local = [&](auto& engine_like, SequencePair& sp,
-                             Rng& chain_rng) {
-    double local_checksum = 0;
-    for (int m = 0; m < local_moves; ++m) {
-      const std::size_t i =
-          kBlocks - 1 - chain_rng.below(local_span);
-      std::size_t j = kBlocks - 1 - chain_rng.below(local_span);
-      if (j == i) j = kBlocks - 1 - ((kBlocks - 1 - j + 1) % local_span);
-      const AppliedMove move{SpMove::kSwapNegative, i, j};
-      apply_move(sp, move);
-      local_checksum += engine_like.apply(move).area();
-      if (m % 16 != 15) {
-        undo_move(sp, move);
-        engine_like.revert();
-      } else if constexpr (std::is_same_v<std::decay_t<decltype(engine_like)>,
-                                          BatchedMoveEvaluator>) {
-        engine_like.commit();
-      }
-    }
-    return local_checksum;
+  const auto chain_row = [&](const std::string& engine,
+                             const std::string& workload,
+                             const ChainRun& run) {
+    table.add_row({engine, workload + " x" + std::to_string(chain_moves),
+                   fmt_fixed(run.total_ms, 1),
+                   fmt_fixed(run.total_ms * 1000.0 / chain_moves, 2) +
+                       " us/move"});
   };
-
-  Rng local_incr_rng(37);
-  SequencePair local_incr_sp = SequencePair::random(kBlocks, local_incr_rng);
-  IncrementalPacker local_packer(inst, local_incr_sp);
-  const auto local_incr_start = std::chrono::steady_clock::now();
-  const double local_incr_checksum =
-      run_local(local_packer, local_incr_sp, local_incr_rng);
-  const double local_incr_total_ms = ms_since(local_incr_start);
-
-  Rng local_batched_rng(37);
-  SequencePair local_batched_sp =
-      SequencePair::random(kBlocks, local_batched_rng);
-  BatchedMoveEvaluator local_evaluator(inst, local_batched_sp);
-  const auto local_batched_start = std::chrono::steady_clock::now();
-  const double local_batched_checksum =
-      run_local(local_evaluator, local_batched_sp, local_batched_rng);
-  const double local_batched_total_ms = ms_since(local_batched_start);
-  if (local_incr_checksum != local_batched_checksum) {
-    std::cerr << "BATCHED ENGINE DIVERGENCE in local-move chain\n";
-    return 1;
-  }
-  table.add_row({"IncrementalPacker", "local 1-in-16 chain x" +
-                                          std::to_string(local_moves),
-                 fmt_fixed(local_incr_total_ms, 1),
-                 fmt_fixed(local_incr_total_ms * 1000.0 / local_moves, 2) +
-                     " us/move"});
-  table.add_row({"BatchedMoveEvaluator", "local 1-in-16 chain x" +
-                                             std::to_string(local_moves),
-                 fmt_fixed(local_batched_total_ms, 1),
-                 fmt_fixed(local_batched_total_ms * 1000.0 / local_moves, 2) +
-                     " us/move"});
+  chain_row("pack()", "1-in-16 accept chain", chain_naive);
+  chain_row("MovePacker", "1-in-16 accept chain", chain_packer);
+  chain_row("pack()", "local 1-in-16 chain", local_naive);
+  chain_row("MovePacker", "local 1-in-16 chain", local_packer);
   table.print(std::cout);
-  const BatchedMoveEvaluator::Stats& stats = evaluator.stats();
-  std::cout << "chain path split: " << stats.persistent_evals
-            << " persistent / " << stats.prime_evals << " primed / "
-            << stats.full_packs << " full; " << stats.index_rebuilds
-            << " index rebuilds\n";
-  const BatchedMoveEvaluator::Stats& local_stats = local_evaluator.stats();
-  std::cout << "local chain path split: " << local_stats.persistent_evals
-            << " persistent / " << local_stats.prime_evals << " primed / "
-            << local_stats.full_packs << " full; "
-            << local_stats.index_rebuilds << " index rebuilds; "
-            << local_stats.reprime_positions_saved
-            << " prime positions saved\n";
-  std::cout << "checksums: " << checksum << " " << logged_checksum << " "
-            << query_checksum << " " << incr_checksum << "\n";
+  std::cout << "checksums: " << checksum << " " << fast_checksum << " "
+            << chain_packer.checksum << " " << local_packer.checksum << "\n";
 
   // ---------------------------------------------------- JSON artifact
   std::ofstream file(json_path);
@@ -296,24 +218,20 @@ int main(int argc, char** argv) {
   }
   json::JsonWriter json(file);
   json.begin_object();
-  json.field("schema", "wirepipe-bench-pack-micro/1");
+  json.field("schema", "wirepipe-bench-pack-micro/2");
   json.field("blocks", kBlocks);
   json.field("fenwick_pass_total_ms", fenwick_total_ms)
       .field("fenwick_op_ns", fenwick_op_ns)
-      .field("fenwick_logged_total_ms", logged_total_ms)
-      .field("fenwick_logged_op_ns", logged_op_ns)
-      .field("dominance_build_total_ms", dom_build_total_ms)
-      .field("dominance_build_us_each", dom_build_us)
-      .field("dominance_query_total_ms", dom_query_total_ms)
-      .field("dominance_query_op_ns", dom_query_ns)
-      .field("chain_incremental_total_ms", chain_incr_total_ms)
-      .field("chain_batched_total_ms", chain_batched_total_ms)
-      .field("chain_tail_speedup",
-             chain_incr_total_ms / chain_batched_total_ms)
-      .field("local_chain_incremental_total_ms", local_incr_total_ms)
-      .field("local_chain_batched_total_ms", local_batched_total_ms)
+      .field("pack_naive_total_ms", pack_naive_total_ms)
+      .field("pack_fast_total_ms", pack_fast_total_ms)
+      .field("pack_fast_speedup", pack_naive_total_ms / pack_fast_total_ms)
+      .field("chain_naive_total_ms", chain_naive.total_ms)
+      .field("chain_packer_total_ms", chain_packer.total_ms)
+      .field("chain_speedup", chain_naive.total_ms / chain_packer.total_ms)
+      .field("local_chain_naive_total_ms", local_naive.total_ms)
+      .field("local_chain_packer_total_ms", local_packer.total_ms)
       .field("local_chain_speedup",
-             local_incr_total_ms / local_batched_total_ms);
+             local_naive.total_ms / local_packer.total_ms);
   json.end_object();
   file << "\n";
   std::cout << "wrote " << json_path << "\n";

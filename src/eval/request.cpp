@@ -238,7 +238,7 @@ AnnealKnobs decode_knobs(Reader& r) {
   k.cooling = r.f64();
   k.seed = r.u64();
   const std::uint8_t engine = r.u8();
-  if (engine > static_cast<std::uint8_t>(fplan::PackEngine::kParallel))
+  if (engine > static_cast<std::uint8_t>(fplan::PackEngine::kMovePacker))
     throw WireError("unknown pack-engine tag");
   k.pack_engine = static_cast<fplan::PackEngine>(engine);
   return k;

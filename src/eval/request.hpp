@@ -40,9 +40,10 @@ namespace wp::eval {
 
 /// Version byte leading every encoded EvalRequest/EvalReply. Bump on any
 /// layout change; decoders reject foreign versions with WireError.
-/// v2: FamilySpec carries per-family simulation horizons, and the
-/// pack-engine tag admits kParallel.
-constexpr std::uint8_t kEvalVersion = 2;
+/// v2: FamilySpec carries per-family simulation horizons.
+/// v3: the pack-engine tag names only kNaive (0) and kMovePacker (1); the
+/// retired incremental, batched and parallel engine tags are rejected.
+constexpr std::uint8_t kEvalVersion = 3;
 
 enum class RequestKind : std::uint8_t {
   kExperiment = 1,      ///< golden/WP1/WP2 triple → ExperimentRow
@@ -98,11 +99,9 @@ struct AnnealKnobs {
   double initial_temperature = 1.0;
   double cooling = 0.9995;
   std::uint64_t seed = 42;
-  /// Engine tag crosses the wire (kParallel included: the evaluating
-  /// process fans windows over its own ThreadPool::shared()); pool/window
-  /// tuning knobs do not — they are trajectory-invariant by contract, so
-  /// the reply is bit-identical whatever the worker picks.
-  fplan::PackEngine pack_engine = fplan::PackEngine::kBatched;
+  /// Engine tag crosses the wire so a client can ask for the naive
+  /// reference; both engines give bit-identical replies.
+  fplan::PackEngine pack_engine = fplan::PackEngine::kMovePacker;
 
   static AnnealKnobs from_options(const fplan::AnnealOptions& options);
   fplan::AnnealOptions to_options() const;

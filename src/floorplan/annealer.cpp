@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "floorplan/batch_pack.hpp"
 #include "floorplan/pack_engine.hpp"
-#include "floorplan/parallel_pack.hpp"
 #include "graph/throughput_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -97,10 +95,6 @@ class CostModel {
     }
   }
 
-  /// The interned demand index (throughput-driven runs only, else null);
-  /// immutable, so kParallel workers derive through it concurrently.
-  const DemandIndex* index() const { return index_ ? &*index_ : nullptr; }
-
   double cost(const Placement& placement, AnnealResult* stats) {
     if (!use_throughput_)
       return combine_cost(options_, placement.area(),
@@ -109,24 +103,6 @@ class CostModel {
         index_->derive(placement, options_.delay_model, rs_);
     return combine_cost(options_, placement.area(), wirelength,
                         throughput(rs_, stats));
-  }
-
-  /// Same objective, assembled from pre-computed ingredients: the
-  /// kParallel loop derives area/wirelength/RS counts in the worker
-  /// fan-out (all pure functions of the candidate placement), and only the
-  /// stateful part — the throughput oracle and its memo — runs here, on
-  /// the serial retirement path, in exactly the serial candidate order.
-  /// Bitwise-identical to cost(): derive() is deterministic, so the counts
-  /// a worker computed are the counts cost() would have derived.
-  double cost_terms(double area, double wirelength,
-                    const std::vector<int>* rs, AnnealResult* stats) {
-    double th = 1.0;
-    if (use_throughput_) {
-      WP_REQUIRE(rs != nullptr,
-                 "throughput-weighted cost needs relay-station counts");
-      th = throughput(*rs, stats);
-    }
-    return combine_cost(options_, area, wirelength, th);
   }
 
  private:
@@ -165,40 +141,32 @@ class CostModel {
   std::unordered_map<std::vector<int>, double, RsHash> cache_;
 };
 
-/// The single-threaded move loop shared by kNaive/kFast/kBatched. The
-/// fast engine keeps an IncrementalPacker in lockstep with `current` and
-/// delta-evaluates each move; the batched engine speculates windows of
-/// candidates against a pinned baseline (BatchedMoveEvaluator); the naive
-/// engine re-packs from scratch. Placements are bit-identical across all
-/// three, so the accept/reject stream — and hence the whole trajectory —
-/// is engine-independent. Wirelength is a sequential full scan on every
-/// engine: under uniform global swaps a candidate moves ~n/3 blocks,
-/// touching most nets, and a hardware-prefetched pass over the net array
-/// beats any dirty-set walk at that density (measured; an incremental
-/// tracker was tried and lost at every instance family).
-void run_serial_loop(const Instance& inst, const AnnealOptions& options,
-                     CostModel& model, SequencePair& current, Rng& rng,
-                     AnnealResult& best) {
-  const bool fast = options.pack_engine == PackEngine::kFast;
-  const bool batched = options.pack_engine == PackEngine::kBatched;
+/// The move loop. The MovePacker re-packs each candidate with one fused
+/// pass and parks the baseline for an O(1) revert; the naive engine
+/// re-packs from scratch. Placements are bit-identical across both, so the
+/// accept/reject stream — and hence the whole trajectory — is
+/// engine-independent. Wirelength is a sequential full scan: under uniform
+/// global swaps a candidate moves ~n/3 blocks, touching most nets, and a
+/// hardware-prefetched pass over the net array beats any dirty-set walk at
+/// that density (measured; an incremental tracker was tried and lost at
+/// every instance family).
+void run_loop(const Instance& inst, const AnnealOptions& options,
+              CostModel& model, SequencePair& current, Rng& rng,
+              AnnealResult& best) {
+  const bool naive = options.pack_engine == PackEngine::kNaive;
   const auto initial_pack_start = Clock::now();
-  std::optional<IncrementalPacker> packer;
-  std::optional<BatchedMoveEvaluator> evaluator;
+  std::optional<MovePacker> packer;
+  Placement scratch;
   {
     WP_SPAN("anneal/pack");
-    if (fast) packer.emplace(inst, current);
-    if (batched) {
-      BatchOptions batch;
-      batch.batch_size = options.speculation_batch;
-      evaluator.emplace(inst, current, batch);
+    if (naive) {
+      scratch = pack(inst, current);
+    } else {
+      packer.emplace(inst, current);
     }
   }
-  Placement scratch;
-  if (!fast && !batched) scratch = pack(inst, current);
   best.pack_ms += ms_since(initial_pack_start);
-  const Placement* placement = batched ? &evaluator->placement()
-                               : fast  ? &packer->placement()
-                                       : &scratch;
+  const Placement* placement = naive ? &scratch : &packer->placement();
   double current_cost = model.cost(*placement, &best);
 
   best.sequence_pair = current;
@@ -211,13 +179,11 @@ void run_serial_loop(const Instance& inst, const AnnealOptions& options,
     const AppliedMove move = random_move(current, rng);
     const auto pack_start = Clock::now();
     const Placement* candidate;
-    if (batched) {
-      candidate = &evaluator->apply(move);
-    } else if (fast) {
-      candidate = &packer->apply(move);
-    } else {
+    if (naive) {
       scratch = pack(inst, current);
       candidate = &scratch;
+    } else {
+      candidate = &packer->apply(move);
     }
     best.pack_ms += ms_since(pack_start);
     const double cost = model.cost(*candidate, &best);
@@ -227,7 +193,7 @@ void run_serial_loop(const Instance& inst, const AnnealOptions& options,
         rng.uniform() < std::exp(-delta / std::max(temperature, 1e-12))) {
       current_cost = cost;
       ++best.accepted_moves;
-      if (batched) evaluator->commit();
+      if (!naive) packer->commit();
       if (cost < best.cost) {
         best.cost = cost;
         best.sequence_pair = current;
@@ -235,104 +201,10 @@ void run_serial_loop(const Instance& inst, const AnnealOptions& options,
       }
     } else {
       undo_move(current, move);
-      if (batched) {
-        evaluator->revert();
-      } else if (fast) {
-        packer->revert();
-      }
+      if (!naive) packer->revert();
     }
     temperature *= options.cooling;
   }
-
-  if (batched) {
-    const BatchedMoveEvaluator::Stats& batch_stats = evaluator->stats();
-    best.batch_persistent_evals = batch_stats.persistent_evals;
-    best.batch_prime_evals = batch_stats.prime_evals;
-    best.batch_full_packs = batch_stats.full_packs;
-    best.batch_index_rebuilds = batch_stats.index_rebuilds;
-    best.batch_reprime_saved = batch_stats.reprime_positions_saved;
-  }
-}
-
-/// The kParallel move loop: speculation windows fanned across the pool,
-/// retired serially. Mirrors the serial loop decision for decision — each
-/// candidate's cost is assembled from worker-computed ingredients
-/// (cost_terms), the Metropolis test consumes the pre-drawn uniform, and
-/// on acceptance the RNG is rewound to the snapshot serial execution
-/// would have left behind — so the trajectory, the oracle query stream
-/// and every draw after the run are bit-identical to the serial engines.
-void run_parallel_window(const Instance& inst, const AnnealOptions& options,
-                         CostModel& model, SequencePair& current, Rng& rng,
-                         AnnealResult& best) {
-  ThreadPool& pool =
-      options.eval_pool != nullptr ? *options.eval_pool : ThreadPool::shared();
-  ParallelWindowOptions popts;
-  popts.window = options.parallel_window;
-  popts.batch.batch_size = options.speculation_batch;
-  popts.demand_index = model.index();
-  popts.delay_model = options.delay_model;
-  const auto initial_pack_start = Clock::now();
-  std::optional<ParallelWindowEvaluator> evaluator;
-  {
-    WP_SPAN("anneal/pack");
-    evaluator.emplace(inst, current, &pool, popts);
-  }
-  best.pack_ms += ms_since(initial_pack_start);
-  double current_cost = model.cost(evaluator->placement(), &best);
-
-  best.sequence_pair = current;
-  best.placement = evaluator->placement();
-  best.cost = current_cost;
-
-  double temperature =
-      options.initial_temperature * std::max(current_cost, 1e-9);
-  int it = 0;
-  while (it < options.iterations) {
-    const std::size_t k =
-        std::min(evaluator->window(),
-                 static_cast<std::size_t>(options.iterations - it));
-    const auto pack_start = Clock::now();
-    const std::vector<SpeculativeCandidate>& window =
-        evaluator->speculate(current, rng, k);
-    best.pack_ms += ms_since(pack_start);
-    bool committed = false;
-    for (std::size_t t = 0; t < k && !committed; ++t) {
-      const SpeculativeCandidate& cand = window[t];
-      const double cost = model.cost_terms(
-          cand.area, cand.wirelength,
-          popts.demand_index != nullptr ? &cand.rs : nullptr, &best);
-      ++best.evaluations;
-      ++it;
-      const double delta = cost - current_cost;
-      if (delta <= 0 ||
-          cand.accept_u < std::exp(-delta / std::max(temperature, 1e-12))) {
-        current_cost = cost;
-        ++best.accepted_moves;
-        apply_move(current, cand.move);
-        // Rewind to the serial stream position: a delta <= 0 accept never
-        // drew its acceptance uniform, a delta > 0 accept consumed it.
-        rng = delta <= 0 ? cand.rng_after_move : cand.rng_after_uniform;
-        const auto commit_start = Clock::now();
-        evaluator->commit(t);
-        best.pack_ms += ms_since(commit_start);
-        if (cost < best.cost) {
-          best.cost = cost;
-          best.sequence_pair = current;
-          best.placement = evaluator->placement();
-        }
-        committed = true;
-      }
-      temperature *= options.cooling;
-    }
-    // Full-window rejection: every rejection consumed its uniform, so the
-    // RNG already sits at the post-window serial position.
-    if (!committed) evaluator->discard();
-  }
-
-  const ParallelWindowEvaluator::Stats& stats = evaluator->stats();
-  best.parallel_windows = stats.windows;
-  best.parallel_drawn = stats.drawn;
-  best.parallel_wasted = stats.wasted;
 }
 
 }  // namespace
@@ -383,11 +255,7 @@ AnnealResult anneal(const Instance& inst, const AnnealOptions& options) {
   CostModel model(inst, options);
   SequencePair current = SequencePair::random(inst.blocks.size(), rng);
 
-  if (options.pack_engine == PackEngine::kParallel) {
-    run_parallel_window(inst, options, model, current, rng, best);
-  } else {
-    run_serial_loop(inst, options, model, current, rng, best);
-  }
+  run_loop(inst, options, model, current, rng, best);
 
   placement_cost(inst, best.placement, options, &best.area,
                  &best.wirelength, &best.throughput);
@@ -437,8 +305,6 @@ AnnealResult anneal_parallel(const Instance& inst,
       // state, mutation trail and certificate are all worker-local.
       engine = options.engine_factory();
       per_restart.throughput_engine = engine.get();
-    } else if (options.throughput_factory) {
-      per_restart.throughput_fn = options.throughput_factory();
     }
     results[i] = anneal(inst, per_restart);
   });

@@ -42,7 +42,7 @@ struct AnnealOptions {
   /// results are bit-identical to a fresh min-cycle-ratio solve per demand
   /// (the engine's exact-fallback contract) — and records its
   /// hit/fallback counters in AnnealResult. Engines are stateful and not
-  /// thread-safe: one engine per concurrent run (anneal_parallel spawns
+  /// thread-safe: one engine per concurrent run (anneal_parallel builds
   /// one per restart via ParallelAnnealOptions::engine_factory).
   graph::ThroughputEngine* throughput_engine = nullptr;
   WireDelayModel delay_model;
@@ -51,32 +51,12 @@ struct AnnealOptions {
   double initial_temperature = 1.0;
   double cooling = 0.9995;       ///< geometric cooling per iteration
   std::uint64_t seed = 42;
-  /// Packing implementation for the move loop. All engines yield
+  /// Packing implementation for the move loop. Both engines yield
   /// bit-identical placements (and therefore identical annealing
   /// trajectories under a fixed seed): kNaive re-runs the O(n²) relaxation
-  /// per move and stays the differential oracle, kFast delta-evaluates
-  /// moves with the IncrementalPacker, kBatched (the default) runs the
-  /// speculative BatchedMoveEvaluator — windows of candidates share one
-  /// pinned baseline, rejected candidates cost O(dirty·polylog n) via the
-  /// persistent dominance index — and kParallel fans each speculation
-  /// window's candidate evaluations across a thread pool
-  /// (ParallelWindowEvaluator) while retiring acceptances serially, so
-  /// the trajectory stays bit-identical at every thread count.
-  PackEngine pack_engine = PackEngine::kBatched;
-  /// Speculation-window cap K for kBatched (BatchOptions::batch_size):
-  /// how many candidates may share one baseline before the window closes.
-  /// Trajectory-invariant — K only moves cost, never results.
-  std::size_t speculation_batch = 8;
-  /// kParallel only: pool the window evaluations fan over; nullptr uses
-  /// ThreadPool::shared(). When the anneal itself already runs on a worker
-  /// of this pool (anneal_parallel restarts, pooled ensembles), the
-  /// fan-out degrades to inline evaluation on that worker — correct and
-  /// deterministic, the outer parallelism owns the cores.
-  wp::ThreadPool* eval_pool = nullptr;
-  /// kParallel only: speculation-window size K per fan-out; 0 auto-scales
-  /// to twice the pool width. Trajectory-invariant — K moves the
-  /// speculation-efficiency/parallelism trade, never results.
-  std::size_t parallel_window = 0;
+  /// per move and stays the differential oracle, kMovePacker (the
+  /// default) re-packs each candidate with the MovePacker's fused pass.
+  PackEngine pack_engine = PackEngine::kMovePacker;
 };
 
 struct AnnealResult {
@@ -100,26 +80,6 @@ struct AnnealResult {
   /// queries the run issued.
   std::uint64_t engine_incremental = 0;
   std::uint64_t engine_fallbacks = 0;
-  /// BatchedMoveEvaluator path counters for this run (zeros for the other
-  /// engines): candidates served by the persistent dominance index vs the
-  /// incrementally-primed shared Fenwick trees vs full repacks, dominance
-  /// rebuilds paid, and the Γ− prime positions the batched paths skipped
-  /// relative to a per-candidate from-scratch prime.
-  std::uint64_t batch_persistent_evals = 0;
-  std::uint64_t batch_prime_evals = 0;
-  std::uint64_t batch_full_packs = 0;
-  std::uint64_t batch_index_rebuilds = 0;
-  std::uint64_t batch_reprime_saved = 0;
-  /// ParallelWindowEvaluator accounting for this run (zeros for the other
-  /// engines): windows fanned, candidates evaluated past the commit point
-  /// (speculation the serial trajectory never consumed — the wasted-work
-  /// price of the parallel fan-out). Deterministic in (instance, seed, K);
-  /// independent of the thread count, so cross-thread-count equality
-  /// tests may compare them. parallel_drawn - parallel_wasted ==
-  /// evaluations always holds.
-  std::uint64_t parallel_windows = 0;
-  std::uint64_t parallel_drawn = 0;
-  std::uint64_t parallel_wasted = 0;
   /// Wall-clock breakdown (informational, never compared): time inside
   /// packing calls and inside the throughput oracle, for the bench
   /// tables/JSON showing each stage's share of the anneal.
@@ -139,15 +99,14 @@ struct ParallelAnnealOptions {
   int restarts = 8;
   /// Pool to fan the restarts over; nullptr uses ThreadPool::shared().
   ThreadPool* pool = nullptr;
-  /// When set, called once per restart to build a private throughput
-  /// oracle, overriding base.throughput_fn. Required for stateful oracles
-  /// (e.g. graph::ThroughputEvaluator with its warm-started Howard policy),
-  /// which must not be shared across worker threads.
-  std::function<ThroughputFn()> throughput_factory;
-  /// When set, called once per restart to build that restart's private
-  /// incremental throughput engine (overrides base.throughput_engine and
-  /// throughput_factory). The engine lives for the duration of the
-  /// restart; its counters land in the restart's AnnealResult.
+  /// The per-run oracle seam: when set, called once per restart to build
+  /// that restart's private throughput engine (overrides
+  /// base.throughput_engine, which would otherwise be shared across
+  /// workers and is refused). Without it a throughput-driven restart uses
+  /// its own copy of base.throughput_fn, which is private when the
+  /// callable holds its state by value (graph::ThroughputEvaluator does).
+  /// The engine lives for the duration of the restart; its counters land
+  /// in the restart's AnnealResult.
   std::function<std::unique_ptr<graph::ThroughputEngine>()> engine_factory;
 };
 

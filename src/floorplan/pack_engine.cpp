@@ -2,39 +2,14 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace wp::fplan {
 
-namespace {
-
-/// Pack-path counters. Packs run millions of times per anneal, so the
-/// record path is exactly one relaxed fetch_add per pack — no locks, no
-/// registry lookups after the first call.
-struct PackMetrics {
-  obs::Counter& fast_packs;
-  obs::Counter& delta_packs;
-  obs::Counter& full_packs;
-
-  static PackMetrics& get() {
-    obs::Registry& registry = obs::Registry::global();
-    static PackMetrics metrics{
-        registry.counter("pack/fast_packs"),
-        registry.counter("pack/incremental/delta_packs"),
-        registry.counter("pack/incremental/full_packs")};
-    return metrics;
-  }
-};
-
-}  // namespace
-
 const char* pack_engine_name(PackEngine engine) {
   switch (engine) {
     case PackEngine::kNaive: return "naive";
-    case PackEngine::kFast: return "fast";
-    case PackEngine::kBatched: return "batched";
-    case PackEngine::kParallel: return "parallel";
+    case PackEngine::kMovePacker: return "move";
   }
   return "?";
 }
@@ -48,7 +23,6 @@ void MaxFenwick::reset(std::size_t size) {
     current_epoch_ = 0;
   }
   ++current_epoch_;
-  trail_.clear();
 }
 
 void MaxFenwick::update(std::size_t index, double value) {
@@ -59,29 +33,6 @@ void MaxFenwick::update(std::size_t index, double value) {
     } else {
       tree_[i] = std::max(tree_[i], value);
     }
-  }
-}
-
-void MaxFenwick::update_logged(std::size_t index, double value) {
-  for (std::size_t i = index + 1; i < tree_.size(); i += i & (~i + 1)) {
-    if (epoch_[i] != current_epoch_) {
-      trail_.push_back({i, epoch_[i], tree_[i]});
-      epoch_[i] = current_epoch_;
-      tree_[i] = value;
-    } else if (value > tree_[i]) {
-      trail_.push_back({i, epoch_[i], tree_[i]});
-      tree_[i] = value;
-    }
-  }
-}
-
-void MaxFenwick::rewind(std::size_t mark) {
-  WP_REQUIRE(mark <= trail_.size(), "rewind mark is ahead of the trail");
-  while (trail_.size() > mark) {
-    const TrailEntry& entry = trail_.back();
-    epoch_[entry.node] = entry.epoch;
-    tree_[entry.node] = entry.value;
-    trail_.pop_back();
   }
 }
 
@@ -96,229 +47,130 @@ double MaxFenwick::prefix_max(std::size_t count) const {
 
 namespace {
 
-/// Shared core of pack_fast() and the IncrementalPacker's full/suffix
-/// evaluation: recompute x (and symmetrically y) for Γ− positions
-/// [from, n). The Fenwick tree is keyed by Γ+ position for the x pass and
-/// by the reversed Γ+ position for the y pass, so prefix_max() asks exactly
-/// the naive packer's question — max over blocks earlier in Γ− whose Γ+
-/// position is smaller (x) resp. larger (y).
-struct PassSpec {
-  bool horizontal;  ///< true: x/width, false: y/height
-};
-
-void evaluate_pass(const Instance& inst, const std::vector<int>& negative,
-                   const std::vector<std::size_t>& pos_p,
-                   detail::MaxFenwick& fenwick, std::size_t from,
-                   PassSpec pass, std::vector<double>& coord,
-                   std::vector<std::pair<std::size_t, double>>* trail) {
+/// The fused two-axis relaxation behind pack_fast() and every MovePacker
+/// candidate. The x tree is keyed by Γ+ position and the y tree by the
+/// reversed Γ+ position, so prefix_max() asks exactly the naive packer's
+/// question — max over blocks earlier in Γ− whose Γ+ position is smaller
+/// (x) resp. larger (y). One Γ− walk serves both axes (the per-position
+/// block/key lookups are shared), and the bounding box falls out of the
+/// same reaches the trees are fed.
+void fused_pass(const std::vector<int>& negative,
+                const std::vector<std::size_t>& pos_p,
+                const std::vector<double>& widths,
+                const std::vector<double>& heights, detail::MaxFenwick& fx,
+                detail::MaxFenwick& fy, Placement& placement) {
   const std::size_t n = negative.size();
-  auto key = [&](std::size_t block) {
-    return pass.horizontal ? pos_p[block] : n - 1 - pos_p[block];
-  };
-  auto extent = [&](std::size_t block) {
-    return pass.horizontal ? inst.blocks[block].width
-                           : inst.blocks[block].height;
-  };
-  fenwick.reset(n);
-  for (std::size_t k = 0; k < from; ++k) {
-    const auto a = static_cast<std::size_t>(negative[k]);
-    fenwick.update(key(a), coord[a] + extent(a));
-  }
-  for (std::size_t k = from; k < n; ++k) {
+  fx.reset(n);
+  fy.reset(n);
+  double width = 0.0;
+  double height = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
     const auto b = static_cast<std::size_t>(negative[k]);
-    const double value = fenwick.prefix_max(key(b));
-    if (value != coord[b]) {
-      if (trail) trail->emplace_back(b, coord[b]);
-      coord[b] = value;
-    }
-    fenwick.update(key(b), coord[b] + extent(b));
+    const std::size_t kx = pos_p[b];
+    const std::size_t ky = n - 1 - kx;
+    const double x = fx.prefix_max(kx);
+    const double y = fy.prefix_max(ky);
+    placement.x[b] = x;
+    placement.y[b] = y;
+    const double x_reach = x + widths[b];
+    const double y_reach = y + heights[b];
+    fx.update(kx, x_reach);
+    fy.update(ky, y_reach);
+    width = std::max(width, x_reach);
+    height = std::max(height, y_reach);
+  }
+  placement.width = width;
+  placement.height = height;
+}
+
+void positions_of(const std::vector<int>& sequence,
+                  std::vector<std::size_t>& pos) {
+  pos.resize(sequence.size());
+  for (std::size_t k = 0; k < sequence.size(); ++k)
+    pos[static_cast<std::size_t>(sequence[k])] = k;
+}
+
+void extents_of(const Instance& inst, std::vector<double>& widths,
+                std::vector<double>& heights) {
+  widths.resize(inst.blocks.size());
+  heights.resize(inst.blocks.size());
+  for (std::size_t b = 0; b < inst.blocks.size(); ++b) {
+    widths[b] = inst.blocks[b].width;
+    heights[b] = inst.blocks[b].height;
   }
 }
 
 }  // namespace
 
 Placement pack_fast(const Instance& inst, const SequencePair& sp) {
-  PackMetrics::get().fast_packs.inc();
   const std::size_t n = inst.blocks.size();
   WP_REQUIRE(sp.valid(n), "invalid sequence pair for this instance");
-
-  std::vector<std::size_t> pos_p(n);
-  for (std::size_t k = 0; k < n; ++k)
-    pos_p[static_cast<std::size_t>(sp.positive[k])] = k;
-
+  std::vector<std::size_t> pos_p;
+  positions_of(sp.positive, pos_p);
+  std::vector<double> widths, heights;
+  extents_of(inst, widths, heights);
   Placement placement;
   placement.x.assign(n, 0.0);
   placement.y.assign(n, 0.0);
-
-  detail::MaxFenwick fenwick;
-  evaluate_pass(inst, sp.negative, pos_p, fenwick, 0, {true}, placement.x,
-                nullptr);
-  evaluate_pass(inst, sp.negative, pos_p, fenwick, 0, {false}, placement.y,
-                nullptr);
-  for (std::size_t b = 0; b < n; ++b) {
-    placement.width =
-        std::max(placement.width, placement.x[b] + inst.blocks[b].width);
-    placement.height =
-        std::max(placement.height, placement.y[b] + inst.blocks[b].height);
-  }
+  detail::MaxFenwick fx, fy;
+  fused_pass(sp.negative, pos_p, widths, heights, fx, fy, placement);
   return placement;
 }
 
-IncrementalPacker::IncrementalPacker(const Instance& inst,
-                                     const SequencePair& sp,
-                                     double fallback_fraction)
-    : inst_(&inst), n_(inst.blocks.size()),
-      fallback_fraction_(fallback_fraction) {
-  WP_REQUIRE(fallback_fraction >= 0.0 && fallback_fraction <= 1.0,
-             "fallback_fraction must lie in [0, 1]");
+MovePacker::MovePacker(const Instance& inst, const SequencePair& sp)
+    : n_(inst.blocks.size()) {
+  extents_of(inst, widths_, heights_);
   reset(sp);
 }
 
-void IncrementalPacker::reset(const SequencePair& sp) {
+void MovePacker::reset(const SequencePair& sp) {
   WP_REQUIRE(sp.valid(n_), "invalid sequence pair for this instance");
   sp_ = sp;
-  pos_p_.resize(n_);
-  pos_n_.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) {
-    pos_p_[static_cast<std::size_t>(sp_.positive[k])] = k;
-    pos_n_[static_cast<std::size_t>(sp_.negative[k])] = k;
-  }
+  positions_of(sp_.positive, pos_p_);
   placement_.x.assign(n_, 0.0);
   placement_.y.assign(n_, 0.0);
-  evaluate_full();
-  can_revert_ = false;
+  fused_pass(sp_.negative, pos_p_, widths_, heights_, fx_, fy_, placement_);
+  // Pre-size the parking arrays: apply() swaps the live coordinate arrays
+  // into them, and the pass then overwrites every entry.
+  parked_x_.assign(n_, 0.0);
+  parked_y_.assign(n_, 0.0);
+  pending_ = false;
 }
 
-void IncrementalPacker::evaluate_full() {
-  evaluate_pass(*inst_, sp_.negative, pos_p_, fenwick_, 0, {true},
-                placement_.x, nullptr);
-  evaluate_pass(*inst_, sp_.negative, pos_p_, fenwick_, 0, {false},
-                placement_.y, nullptr);
-  refresh_bounding_box();
+void MovePacker::apply_to_mirror(const AppliedMove& move) {
+  apply_move(sp_, move);
+  pos_p_[static_cast<std::size_t>(sp_.positive[move.i])] = move.i;
+  pos_p_[static_cast<std::size_t>(sp_.positive[move.j])] = move.j;
 }
 
-void IncrementalPacker::evaluate_suffix(std::size_t from) {
-  if (from >= n_) return;  // degenerate move: nothing dirty
-  evaluate_pass(*inst_, sp_.negative, pos_p_, fenwick_, from, {true},
-                placement_.x, &trail_.x_delta);
-  evaluate_pass(*inst_, sp_.negative, pos_p_, fenwick_, from, {false},
-                placement_.y, &trail_.y_delta);
-  refresh_bounding_box();
-}
-
-void IncrementalPacker::refresh_bounding_box() {
-  placement_.width = 0.0;
-  placement_.height = 0.0;
-  for (std::size_t b = 0; b < n_; ++b) {
-    placement_.width =
-        std::max(placement_.width, placement_.x[b] + inst_->blocks[b].width);
-    placement_.height = std::max(placement_.height,
-                                 placement_.y[b] + inst_->blocks[b].height);
-  }
-}
-
-std::size_t IncrementalPacker::first_dirty_position(
-    const AppliedMove& move) const {
-  if (move.i == move.j) return n_;
-  // A Γ− swap dirties everything from the earlier swapped position: later
-  // blocks keep their predecessor *sets* but may see changed upstream
-  // coordinates. A Γ+ swap exchanges the Γ+ positions of two blocks, which
-  // can only flip left-of/below relations among blocks whose Γ+ position
-  // lies in the swapped span — find the earliest such block in Γ−.
-  std::size_t from = n_;
-  const auto scan_positive_span = [&](std::size_t lo, std::size_t hi) {
-    std::size_t earliest = n_;
-    for (std::size_t k = lo; k <= hi; ++k) {
-      const auto block = static_cast<std::size_t>(sp_.positive[k]);
-      earliest = std::min(earliest, pos_n_[block]);
-    }
-    return earliest;
-  };
-  const std::size_t lo = std::min(move.i, move.j);
-  const std::size_t hi = std::max(move.i, move.j);
-  switch (move.kind) {
-    case SpMove::kSwapPositive:
-      from = scan_positive_span(lo, hi);
-      break;
-    case SpMove::kSwapNegative:
-      from = lo;
-      break;
-    case SpMove::kSwapBoth:
-      from = std::min(lo, scan_positive_span(lo, hi));
-      break;
-    case SpMove::kCount:
-      break;
-  }
-  return from;
-}
-
-void IncrementalPacker::apply_to_mirror(const AppliedMove& move) {
-  auto swap_in = [&](std::vector<int>& seq, std::vector<std::size_t>& pos) {
-    std::swap(seq[move.i], seq[move.j]);
-    pos[static_cast<std::size_t>(seq[move.i])] = move.i;
-    pos[static_cast<std::size_t>(seq[move.j])] = move.j;
-  };
-  switch (move.kind) {
-    case SpMove::kSwapPositive:
-      swap_in(sp_.positive, pos_p_);
-      break;
-    case SpMove::kSwapNegative:
-      swap_in(sp_.negative, pos_n_);
-      break;
-    case SpMove::kSwapBoth:
-      swap_in(sp_.positive, pos_p_);
-      swap_in(sp_.negative, pos_n_);
-      break;
-    case SpMove::kCount:
-      break;
-  }
-}
-
-const Placement& IncrementalPacker::apply(const AppliedMove& move) {
+const Placement& MovePacker::apply(const AppliedMove& move) {
   WP_REQUIRE(move.i < n_ && move.j < n_, "move indices out of range");
+  // A still-pending candidate is accepted by moving on: its arrays become
+  // the baseline parked below.
+  move_ = move;
+  pending_ = true;
   apply_to_mirror(move);
-
-  trail_.move = move;
-  trail_.x_delta.clear();
-  trail_.y_delta.clear();
-  trail_.width = placement_.width;
-  trail_.height = placement_.height;
-
-  const std::size_t from = first_dirty_position(move);
-  const std::size_t dirty = n_ - std::min(from, n_);
-  if (static_cast<double>(dirty) >
-      fallback_fraction_ * static_cast<double>(n_)) {
-    trail_.full = true;
-    trail_.x_full = placement_.x;
-    trail_.y_full = placement_.y;
-    evaluate_full();
-    ++full_packs_;
-    PackMetrics::get().full_packs.inc();
-  } else {
-    trail_.full = false;
-    evaluate_suffix(from);
-    ++delta_packs_;
-    PackMetrics::get().delta_packs.inc();
-  }
-  can_revert_ = true;
+  parked_width_ = placement_.width;
+  parked_height_ = placement_.height;
+  placement_.x.swap(parked_x_);
+  placement_.y.swap(parked_y_);
+  fused_pass(sp_.negative, pos_p_, widths_, heights_, fx_, fy_, placement_);
   return placement_;
 }
 
-void IncrementalPacker::revert() {
-  WP_REQUIRE(can_revert_, "revert() without a preceding apply()");
-  if (trail_.full) {
-    placement_.x.swap(trail_.x_full);
-    placement_.y.swap(trail_.y_full);
-  } else {
-    for (auto it = trail_.x_delta.rbegin(); it != trail_.x_delta.rend(); ++it)
-      placement_.x[it->first] = it->second;
-    for (auto it = trail_.y_delta.rbegin(); it != trail_.y_delta.rend(); ++it)
-      placement_.y[it->first] = it->second;
-  }
-  placement_.width = trail_.width;
-  placement_.height = trail_.height;
-  apply_to_mirror(trail_.move);  // moves are involutions
-  can_revert_ = false;
+void MovePacker::commit() {
+  WP_REQUIRE(pending_, "commit() without a pending candidate");
+  pending_ = false;
+}
+
+void MovePacker::revert() {
+  WP_REQUIRE(pending_, "revert() without a pending candidate");
+  pending_ = false;
+  placement_.x.swap(parked_x_);
+  placement_.y.swap(parked_y_);
+  placement_.width = parked_width_;
+  placement_.height = parked_height_;
+  apply_to_mirror(move_);  // moves are involutions
 }
 
 }  // namespace wp::fplan

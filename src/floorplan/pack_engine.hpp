@@ -1,14 +1,13 @@
-// Fast sequence-pair packing engine: the O(n log n) weighted-LCS
-// evaluation of Tang/Wong (match-position arrays + a Fenwick tree of
-// prefix maxima over Γ+ positions) and an incremental re-evaluator that
-// delta-packs annealing moves by recomputing only the dirty Γ− suffix.
+// Fast sequence-pair packing: the O(n log n) weighted-LCS evaluation of
+// Tang/Wong (match-position arrays + a Fenwick tree of prefix maxima over
+// Γ+ positions), as a one-shot pack_fast() and as the annealer's MovePacker.
 //
-// Bit-identity contract: both pack_fast() and IncrementalPacker produce
-// Placements bitwise equal to the naive O(n²) pack(). The naive relaxation
-// computes each coordinate as a max over a candidate set of x[a]+w[a]
-// (resp. y[a]+h[a]) terms; the fast paths take the max over exactly the
-// same set of exactly the same double terms, and IEEE max is associative
-// and commutative, so evaluation order cannot change the result. The
+// Bit-identity contract: pack_fast() and MovePacker produce Placements
+// bitwise equal to the naive O(n²) pack(). The naive relaxation computes
+// each coordinate as a max over a candidate set of x[a]+w[a] (resp.
+// y[a]+h[a]) terms; the fast pass takes the max over exactly the same set
+// of exactly the same double terms, and IEEE max is associative and
+// commutative, so evaluation order cannot change the result. The
 // differential suite (tests/test_pack_equivalence.cpp) enforces this.
 #pragma once
 
@@ -22,15 +21,10 @@
 namespace wp::fplan {
 
 /// Which packing implementation the annealer (and everything layered on
-/// it) uses. All engines produce bitwise-identical placements; kNaive is
-/// the O(n²) reference kept as the differential-testing oracle, kFast the
-/// per-move O(n log n) IncrementalPacker, kBatched the speculative
-/// BatchedMoveEvaluator (batch_pack.hpp) that amortizes the clean-prefix
-/// work across a window of candidate moves against one pinned baseline,
-/// and kParallel the ParallelWindowEvaluator (parallel_pack.hpp) that
-/// additionally fans the window's candidate evaluations across a
-/// ThreadPool — same trajectory, more cores.
-enum class PackEngine { kNaive, kFast, kBatched, kParallel };
+/// it) uses. Both produce bitwise-identical placements: kNaive re-runs the
+/// O(n²) relaxation per move and stays the differential-testing oracle,
+/// kMovePacker is the production MovePacker.
+enum class PackEngine { kNaive, kMovePacker };
 
 const char* pack_engine_name(PackEngine engine);
 
@@ -51,31 +45,10 @@ class MaxFenwick {
   /// Max over indices [0, count); 0.0 when the range is empty.
   double prefix_max(std::size_t count) const;
 
-  /// Like update(), but records every node it changes so rewind() can
-  /// restore the tree to an earlier mark(). This is what lets the batched
-  /// evaluator keep one shared tree primed to a *moving* Γ− prefix: advance
-  /// with update_logged(), retreat with rewind(), never re-prime from zero.
-  void update_logged(std::size_t index, double value);
-
-  /// Trail position for a later rewind(). Only monotone while mutations go
-  /// through update_logged(); reset() clears the trail and all marks.
-  std::size_t mark() const { return trail_.size(); }
-
-  /// Undoes every update_logged() recorded after `mark`, restoring both
-  /// node values and epoch stamps.
-  void rewind(std::size_t mark);
-
  private:
-  struct TrailEntry {
-    std::size_t node;
-    std::uint64_t epoch;
-    double value;
-  };
-
   std::vector<double> tree_;
   std::vector<std::uint64_t> epoch_;
   std::uint64_t current_epoch_ = 0;
-  std::vector<TrailEntry> trail_;
 };
 
 }  // namespace detail
@@ -86,94 +59,71 @@ class MaxFenwick {
 /// formulation. Bitwise identical to pack().
 Placement pack_fast(const Instance& inst, const SequencePair& sp);
 
-/// Keeps a packed placement in sync with an annealer's sequence pair by
-/// delta-evaluating each SpMove: only the Γ− suffix whose constraints (or
-/// upstream coordinates) could have changed is recomputed, with an exact
-/// fallback to a full O(n log n) repack when the dirty region covers most
-/// of the instance. Mirrors the caller's SequencePair internally, so the
-/// caller keeps using random_move()/undo_move() on its own copy and
-/// forwards each AppliedMove here.
+/// Keeps a packed placement in sync with an annealer's sequence pair.
+/// Every candidate is re-packed by one fused pass: a single Γ− walk drives
+/// both axis trees and yields the bounding box from the same reaches. The
+/// committed baseline's coordinate arrays are parked by swapping, so
+/// revert() is O(1) and nothing is copied per candidate.
 ///
-/// Cost honesty: the delta path here still re-primes the Fenwick tree over
-/// the clean Γ− prefix, so a move costs O(n log n) like a full repack — the
-/// delta machinery buys a smaller constant (coordinate writes, change
-/// trail and revert() touch only the dirty suffix) on top of the
-/// engine's real win, which is O(n log n) vs the naive O(n²) relaxation
-/// per move (~8–10× at 100–150 blocks, see bench_floorplan_flow).
-/// The sub-linear round lives in batch_pack.hpp: BatchedMoveEvaluator pins
-/// a baseline per speculation window and answers the clean-prefix query
-/// from a persistent 2D dominance index over (Γ−, Γ+) positions
-/// (O(dirty·log² n) per rejected candidate, no re-prime at all), falling
-/// back to a shared incrementally-primed tree (update_logged/rewind) when
-/// the index is stale and to a full repack when the dirty suffix covers
-/// most of the instance. This class remains the simple one-move engine and
-/// the reference the batched paths are differentially tested against.
+/// Why no delta path: under the annealer's uniform global swaps a move
+/// dirties most of the Γ− suffix, and a sequential pass over flat arrays
+/// beats any dirty-suffix or prefix-index scheme at that density.
+/// Measured on the batched engine this replaced, 98–99% of candidates
+/// took its full pass, and forcing all of them there left anneal time
+/// within noise at 33–1024 blocks.
 ///
-/// Usage (one outstanding move at a time, the annealer's shape):
-///   IncrementalPacker packer(inst, sp);
+/// Usage (one outstanding candidate at a time, the annealer's shape):
+///   MovePacker packer(inst, sp);
 ///   AppliedMove move = random_move(sp, rng);
 ///   const Placement& candidate = packer.apply(move);
-///   ... accept: keep going; reject: undo_move(sp, move); packer.revert();
-class IncrementalPacker {
+///   ... accept: packer.commit();
+///   ... reject: undo_move(sp, move); packer.revert();
+///
+/// apply() while a candidate is pending commits it first (the annealer
+/// moving on *is* acceptance). commit()/revert() without a pending
+/// candidate die loudly.
+class MovePacker {
  public:
-  /// `fallback_fraction` is the dirty-suffix share of n above which apply()
-  /// abandons the delta path and repacks fully (still bit-identical; purely
-  /// a cost trade). 0 forces every move through the full repack, 1 forces
-  /// every move through the delta path.
-  explicit IncrementalPacker(const Instance& inst, const SequencePair& sp,
-                             double fallback_fraction = 0.75);
+  MovePacker(const Instance& inst, const SequencePair& sp);
 
   const Placement& placement() const { return placement_; }
   const SequencePair& sequence_pair() const { return sp_; }
 
-  /// Applies `move` to the internal sequence-pair mirror and re-evaluates
-  /// the affected region. The caller must have applied the same move to its
-  /// own SequencePair (random_move already did).
+  /// Applies `move` to the internal sequence-pair mirror and re-packs. The
+  /// caller must have applied the same move to its own SequencePair
+  /// (random_move already did). Returns the candidate placement — bitwise
+  /// equal to pack(inst, caller's sp).
   const Placement& apply(const AppliedMove& move);
 
-  /// Reverts the most recent apply() — one level deep, matching the
-  /// annealer's accept/reject shape. The caller must have undone the move
-  /// on its own SequencePair (undo_move).
+  /// Accepts the pending candidate: it becomes the new baseline.
+  void commit();
+
+  /// Rejects the pending candidate: the baseline placement is restored.
+  /// The caller must have undone the move on its own pair (undo_move).
   void revert();
 
   /// Full resynchronisation to an arbitrary sequence pair.
   void reset(const SequencePair& sp);
 
-  /// Evaluation-path counters (bench/test introspection).
-  std::size_t delta_packs() const { return delta_packs_; }
-  std::size_t full_packs() const { return full_packs_; }
-
  private:
-  void evaluate_full();
-  void evaluate_suffix(std::size_t from);
-  void refresh_bounding_box();
-  std::size_t first_dirty_position(const AppliedMove& move) const;
   void apply_to_mirror(const AppliedMove& move);
 
-  const Instance* inst_;
   std::size_t n_ = 0;
-  double fallback_fraction_;
+  /// Flat copies of the block extents: the pass touches nothing else of
+  /// Block, and Block carries a std::string name that would drag cold
+  /// bytes through the hot loop's cache lines.
+  std::vector<double> widths_, heights_;
   SequencePair sp_;                 ///< mirror of the caller's pair
   std::vector<std::size_t> pos_p_;  ///< block -> position in Γ+
-  std::vector<std::size_t> pos_n_;  ///< block -> position in Γ−
   Placement placement_;
-  detail::MaxFenwick fenwick_;
+  detail::MaxFenwick fx_, fy_;
 
-  /// One-deep undo trail for revert().
-  struct Trail {
-    AppliedMove move;
-    bool full = false;
-    std::vector<double> x_full, y_full;                      ///< full path
-    std::vector<std::pair<std::size_t, double>> x_delta;     ///< (block, old)
-    std::vector<std::pair<std::size_t, double>> y_delta;
-    double width = 0.0;
-    double height = 0.0;
-  };
-  Trail trail_;
-  bool can_revert_ = false;
-
-  std::size_t delta_packs_ = 0;
-  std::size_t full_packs_ = 0;
+  // The pending candidate's undo state: its move and the parked baseline.
+  AppliedMove move_;
+  bool pending_ = false;
+  std::vector<double> parked_x_, parked_y_;
+  double parked_width_ = 0.0;
+  double parked_height_ = 0.0;
 };
 
 }  // namespace wp::fplan

@@ -227,8 +227,7 @@ std::vector<FamilySpec> scale_family_specs() {
   // golden horizon (long enough to average out relay-station beat
   // patterns). BA diameter grows ~log2 n; a rows×cols mesh's is
   // rows+cols. Anneal budgets shrink with n so a scale sweep stays
-  // within a CI bench budget — per-sample cost is what the kParallel
-  // engine attacks, not what this spec should hide.
+  // within a CI bench budget.
   const auto horizons = [](FamilySpec& f, int diameter) {
     f.golden_cycles = 64 + 16 * static_cast<std::uint64_t>(diameter);
     f.wp_cycles = 6 * f.golden_cycles;

@@ -75,8 +75,8 @@ struct EnsembleConfig {
   /// Per-sample annealing job; seed and throughput_fn are overridden per
   /// sample (private evaluator). weight_throughput > 0 makes the
   /// floorplanner fight for loop throughput, the paper's methodology.
-  /// anneal.pack_engine selects the packing engine (default kBatched, the
-  /// speculative batched path; placements are bit-identical to kNaive).
+  /// anneal.pack_engine selects the packing engine (default kMovePacker;
+  /// placements are bit-identical to kNaive).
   fplan::AnnealOptions anneal;
   /// Johnson cycle-enumeration cap for the per-sample cycle count; graphs
   /// whose elementary-cycle count exceeds it record cycles = -1 instead of
@@ -185,9 +185,8 @@ struct SampleJob {
 /// regular NoC fabric) families with per-family anneal budgets and
 /// diameter-scaled simulation horizons — BA diameters grow ~log n so
 /// horizons stay nearly flat, mesh diameters grow as rows+cols so the
-/// 32×32 fabric gets the long horizon it needs. These are the instances
-/// PackEngine::kParallel exists for, and the substrate the trace-informed
-/// demand work will stress.
+/// 32×32 fabric gets the long horizon it needs. These are the substrate
+/// the trace-informed demand work will stress.
 std::vector<FamilySpec> scale_family_specs();
 
 /// The arithmetic per-sample seed: keyed on the family *name* (not index)

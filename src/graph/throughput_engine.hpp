@@ -7,7 +7,7 @@
 // O(V·E) Bellman–Ford probe to certify the answer. But an annealing move
 // perturbs only a handful of per-connection demands, i.e. a few edge
 // latencies in a structurally fixed graph, so the oracle should be
-// incremental the same way packing became incremental (pack_engine):
+// incremental:
 //
 //   * the RS graph is built ONCE per instance; each demand vector is
 //     applied as an in-place edge-latency delta with an undo trail
@@ -111,7 +111,7 @@ class ThroughputEngine {
 
   /// Reverts the edge mutations of the most recent query and restores its
   /// predecessor's cached result — one level deep, the annealer's
-  /// accept/reject shape (mirrors IncrementalPacker::revert()).
+  /// accept/reject shape (mirrors MovePacker::revert()).
   void undo();
   bool can_undo() const { return can_undo_; }
 

@@ -106,11 +106,11 @@ void EvalServer::serve() {
 
 void EvalServer::stop() {
   if (!running_.exchange(false)) return;
-  // Closing the listener unblocks accept(); shutting down the connection
-  // fds unblocks their readers.
+  // Shutting the listener down unblocks accept(); shutting down the
+  // connection fds unblocks their readers. The listener is closed only
+  // once the accept thread has joined: until then that thread still reads
+  // listen_fd_, and a closed fd number could be reused under it.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -118,6 +118,8 @@ void EvalServer::stop() {
     threads.swap(connection_threads_);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   for (std::thread& t : threads)
     if (t.joinable()) t.join();
   {

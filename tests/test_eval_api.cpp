@@ -201,6 +201,31 @@ TEST(EvalRequestWire, ForeignVersionRejected) {
   EXPECT_THROW(EvalRequest::decode(r), wire::WireError);
 }
 
+TEST(EvalRequestWire, RetiredPackEngineTagsRejected) {
+  // Locate the engine tag as the one byte where a naive-engine request
+  // and a MovePacker request differ, then plant each retired tag there.
+  EvalRequest naive = sample_floorplan_request();
+  naive.floorplan.anneal.pack_engine = fplan::PackEngine::kNaive;
+  const std::string reference = encoded(naive);
+  const std::string packer = encoded(sample_floorplan_request());
+  ASSERT_EQ(reference.size(), packer.size());
+  std::size_t tag = reference.size();
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    if (reference[i] == packer[i]) continue;
+    ASSERT_EQ(tag, reference.size()) << "more than one byte differs";
+    tag = i;
+  }
+  ASSERT_LT(tag, reference.size());
+  EXPECT_EQ(static_cast<std::uint8_t>(packer[tag]), 1u);
+  for (const std::uint8_t retired : {2, 3, 255}) {
+    std::string bytes = packer;
+    bytes[tag] = static_cast<char>(retired);
+    wire::Reader r(bytes);
+    EXPECT_THROW(EvalRequest::decode(r), wire::WireError)
+        << "tag " << static_cast<int>(retired);
+  }
+}
+
 TEST(EvalRequestWire, TruncatedRequestRejected) {
   const std::string bytes = encoded(sample_ensemble_request());
   for (std::size_t cut = 0; cut < bytes.size(); cut += 7) {

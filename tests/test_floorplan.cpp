@@ -352,15 +352,13 @@ TEST(AnnealParallel, BitIdenticalToSequentialRestarts) {
   job.base.weight_throughput = 200.0;
   job.base.delay_model.clock_ps = 300.0;
   job.restarts = 5;
-  job.throughput_factory = [&graph]() {
-    return wp::graph::ThroughputEvaluator(graph);
-  };
+  // Every restart runs its own copy of the stateful evaluator.
+  job.base.throughput_fn = wp::graph::ThroughputEvaluator(graph);
 
   AnnealResult sequential;
   for (int i = 0; i < job.restarts; ++i) {
     AnnealOptions options = job.base;
     options.seed = job.base.seed + static_cast<std::uint64_t>(i);
-    options.throughput_fn = job.throughput_factory();
     AnnealResult restart = anneal(inst, options);
     if (i == 0 || restart.cost < sequential.cost)
       sequential = std::move(restart);

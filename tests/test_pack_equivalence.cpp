@@ -1,16 +1,13 @@
-// Differential guardrail for the fast packing engines: pack_fast(),
-// IncrementalPacker and BatchedMoveEvaluator must be *bitwise* identical
-// to the naive O(n²) pack() on randomized instances across sizes,
-// including through long randomized move/undo chains, across the
-// delta-vs-full-repack fallback paths, and across every batched
-// evaluation path (persistent dominance index / incremental shared prime
-// / full repack) and window size K. Also pins down the move involution
-// invariants (apply+undo restores both permutations for every SpMove
-// kind, i == j degenerate cases included), the exactness of the batched
-// evaluator's dirty-block reports, and the engine-independence of the
-// annealer: naive, fast and batched runs of the same seed produce
-// the same trajectory, serial and pooled restarts the same best, and the
-// ensemble pipeline the same samples.
+// Differential guardrail for the fast packing paths: pack_fast() and the
+// MovePacker must be *bitwise* identical to the naive O(n²) pack() on
+// randomized instances across sizes, including through long randomized
+// apply/commit/revert chains with baselines parked for any number of
+// rejected candidates. Also pins down the move involution invariants
+// (apply+undo restores both permutations for every SpMove kind, i == j
+// degenerate cases included), the MovePacker's loud-failure contract, and
+// the engine-independence of the annealer: naive and MovePacker runs of
+// the same seed produce the same trajectory, serial and pooled restarts
+// the same best, and the ensemble pipeline the same samples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +18,6 @@
 #include "util/assert.hpp"
 
 #include "floorplan/annealer.hpp"
-#include "floorplan/batch_pack.hpp"
 #include "floorplan/instances.hpp"
 #include "floorplan/model.hpp"
 #include "floorplan/pack_engine.hpp"
@@ -81,7 +77,7 @@ TEST_P(PackEquivalence, IncrementalConstructionMatchesNaive) {
   const Instance inst = instance_of(n, 17 * n + 3);
   wp::Rng rng(2000 + n);
   const SequencePair sp = SequencePair::random(n, rng);
-  const IncrementalPacker packer(inst, sp);
+  const MovePacker packer(inst, sp);
   ASSERT_TRUE(placements_identical(packer.placement(), pack(inst, sp)));
 }
 
@@ -100,6 +96,13 @@ TEST(PackEquivalence, FastMatchesNaiveOnStructuredPairs) {
       placements_identical(pack_fast(inst, stacked), pack(inst, stacked)));
 }
 
+// --------------------------------------------------------- MovePacker
+//
+// The IncrementalPacker and BatchedMoveEvaluator suites are named after
+// the engines the MovePacker replaced; they keep their names so their
+// results stay comparable across that change, and exercise the
+// MovePacker.
+
 class IncrementalEquivalence : public ::testing::TestWithParam<std::size_t> {
 };
 
@@ -108,7 +111,7 @@ TEST_P(IncrementalEquivalence, RandomMoveUndoChainsMatchNaive) {
   const Instance inst = instance_of(n, 7 * n + 5);
   wp::Rng rng(3000 + n);
   SequencePair sp = SequencePair::random(n, rng);
-  IncrementalPacker packer(inst, sp);
+  MovePacker packer(inst, sp);
   const int moves = n >= 100 ? 150 : 400;
   for (int m = 0; m < moves; ++m) {
     const AppliedMove move = random_move(sp, rng);
@@ -123,36 +126,36 @@ TEST_P(IncrementalEquivalence, RandomMoveUndoChainsMatchNaive) {
           << "n=" << n << " after revert of move " << m;
       ASSERT_EQ(packer.sequence_pair().positive, sp.positive);
       ASSERT_EQ(packer.sequence_pair().negative, sp.negative);
-    }
+    }  // accept path: the next apply() commits implicitly
   }
-  EXPECT_GT(packer.delta_packs() + packer.full_packs(),
-            static_cast<std::size_t>(0));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IncrementalEquivalence,
                          ::testing::Values<std::size_t>(2, 3, 8, 32, 128));
 
 TEST(IncrementalPacker, FallbackAndDeltaPathsAgree) {
+  // Two ways to reach each state: per-move apply()/revert() against the
+  // parked baseline, and a full reset() resynchronisation to the caller's
+  // pair. Both must land on the same bits after every move.
   const Instance inst = synthetic_instance(32, 9);
   wp::Rng rng(11);
   SequencePair sp = SequencePair::random(32, rng);
-  IncrementalPacker always_full(inst, sp, 0.0);
-  IncrementalPacker always_delta(inst, sp, 1.0);
+  MovePacker via_moves(inst, sp);
+  MovePacker via_reset(inst, sp);
   for (int m = 0; m < 250; ++m) {
     const AppliedMove move = random_move(sp, rng);
-    const Placement& via_full = always_full.apply(move);
-    const Placement& via_delta = always_delta.apply(move);
-    ASSERT_TRUE(placements_identical(via_full, via_delta)) << "move " << m;
+    via_reset.reset(sp);
+    ASSERT_TRUE(placements_identical(via_moves.apply(move),
+                                     via_reset.placement()))
+        << "move " << m;
     if (rng.chance(0.3)) {
       undo_move(sp, move);
-      always_full.revert();
-      always_delta.revert();
-      ASSERT_TRUE(placements_identical(always_full.placement(),
-                                       always_delta.placement()));
+      via_moves.revert();
+      via_reset.reset(sp);
+      ASSERT_TRUE(placements_identical(via_moves.placement(),
+                                       via_reset.placement()));
     }
   }
-  EXPECT_EQ(always_full.delta_packs(), 0u);
-  EXPECT_EQ(always_delta.full_packs(), 0u);
 }
 
 TEST(IncrementalPacker, DegenerateEqualIndexMovesAreNoOps) {
@@ -161,7 +164,7 @@ TEST(IncrementalPacker, DegenerateEqualIndexMovesAreNoOps) {
   const SequencePair sp = SequencePair::random(8, rng);
   for (const SpMove kind :
        {SpMove::kSwapPositive, SpMove::kSwapNegative, SpMove::kSwapBoth}) {
-    IncrementalPacker packer(inst, sp);
+    MovePacker packer(inst, sp);
     const Placement before = packer.placement();
     const AppliedMove degenerate{kind, 3, 3};
     ASSERT_TRUE(placements_identical(packer.apply(degenerate), before));
@@ -176,7 +179,7 @@ TEST(IncrementalPacker, ResetResynchronisesToArbitraryPairs) {
   const Instance inst = synthetic_instance(12, 6);
   wp::Rng rng(21);
   SequencePair sp = SequencePair::random(12, rng);
-  IncrementalPacker packer(inst, sp);
+  MovePacker packer(inst, sp);
   for (int round = 0; round < 10; ++round) {
     const SequencePair fresh = SequencePair::random(12, rng);
     packer.reset(fresh);
@@ -188,58 +191,66 @@ TEST(IncrementalPacker, RejectsInvalidInput) {
   const Instance inst = synthetic_instance(6, 2);
   wp::Rng rng(3);
   SequencePair sp = SequencePair::random(6, rng);
-  EXPECT_THROW(IncrementalPacker(inst, SequencePair::identity(4)),
+  EXPECT_THROW(MovePacker(inst, SequencePair::identity(4)),
                wp::ContractViolation);
-  IncrementalPacker packer(inst, sp);
-  EXPECT_THROW(packer.revert(), wp::ContractViolation);  // nothing applied
+  MovePacker packer(inst, sp);
+  EXPECT_THROW(packer.reset(SequencePair::identity(7)), wp::ContractViolation);
   EXPECT_THROW(packer.apply({SpMove::kSwapBoth, 0, 6}),
                wp::ContractViolation);
+  EXPECT_THROW(packer.apply({SpMove::kSwapPositive, 6, 0}),
+               wp::ContractViolation);
+  // A rejected input leaves the packer usable and in sync.
+  const AppliedMove move = random_move(sp, rng);
+  ASSERT_TRUE(placements_identical(packer.apply(move), pack(inst, sp)));
 }
 
-// ----------------------------------------- batched speculative engine
+TEST(IncrementalPacker, DoubleRevertDiesLoudly) {
+  // Pins the loud-failure contract: revert() is one level deep, and a
+  // second revert() without an intervening apply() must throw rather than
+  // silently corrupt the placement.
+  const Instance inst = synthetic_instance(10, 8);
+  wp::Rng rng(9);
+  SequencePair sp = SequencePair::random(10, rng);
+  MovePacker packer(inst, sp);
+  const AppliedMove move = random_move(sp, rng);
+  packer.apply(move);
+  undo_move(sp, move);
+  packer.revert();
+  EXPECT_THROW(packer.revert(), wp::ContractViolation);
+  ASSERT_TRUE(placements_identical(packer.placement(), pack(inst, sp)));
+}
 
 class BatchedEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BatchedEquivalence, SpeculativeChainsMatchNaiveForEveryWindowSize) {
-  // Reject-biased chains (the annealing-tail regime the evaluator exists
-  // for) through every window size: each candidate, each revert and each
-  // commit must leave the evaluator bitwise equal to a fresh naive pack.
-  // The same seed drives every K, so this also proves the chain the
-  // evaluator walks — and therefore the trajectory — is K-independent.
+  // A speculation window is a run of K candidates evaluated against one
+  // committed baseline: K − 1 rejections, then a commit. Every candidate,
+  // every revert and every commit must leave the packer bitwise equal to
+  // a fresh naive pack, however long the baseline stays parked.
   const std::size_t n = GetParam();
   const Instance inst = instance_of(n, 13 * n + 7);
-  for (const std::size_t k : {std::size_t{1}, std::size_t{4},
-                              std::size_t{16}}) {
+  for (const int k : {1, 4, 16}) {
     wp::Rng rng(4000 + n);
     SequencePair sp = SequencePair::random(n, rng);
-    BatchOptions options;
-    options.batch_size = k;
-    BatchedMoveEvaluator evaluator(inst, sp, options);
+    MovePacker packer(inst, sp);
     const int moves = n >= 100 ? 150 : 400;
     for (int m = 0; m < moves; ++m) {
       const AppliedMove move = random_move(sp, rng);
-      ASSERT_TRUE(placements_identical(evaluator.apply(move), pack(inst, sp)))
+      ASSERT_TRUE(placements_identical(packer.apply(move), pack(inst, sp)))
           << "n=" << n << " K=" << k << " move " << m << " kind "
           << static_cast<int>(move.kind) << " i=" << move.i
           << " j=" << move.j;
-      if (rng.chance(0.7)) {  // reject: undo + revert must restore baseline
+      if (m % k != k - 1) {  // reject: undo + revert must restore baseline
         undo_move(sp, move);
-        evaluator.revert();
-        ASSERT_TRUE(
-            placements_identical(evaluator.placement(), pack(inst, sp)))
+        packer.revert();
+        ASSERT_TRUE(placements_identical(packer.placement(), pack(inst, sp)))
             << "n=" << n << " K=" << k << " after revert of move " << m;
-        ASSERT_EQ(evaluator.sequence_pair().positive, sp.positive);
-        ASSERT_EQ(evaluator.sequence_pair().negative, sp.negative);
+        ASSERT_EQ(packer.sequence_pair().positive, sp.positive);
+        ASSERT_EQ(packer.sequence_pair().negative, sp.negative);
       } else {
-        evaluator.commit();
+        packer.commit();
       }
     }
-    EXPECT_EQ(evaluator.stats().candidates,
-              static_cast<std::uint64_t>(moves));
-    EXPECT_EQ(evaluator.stats().persistent_evals +
-                  evaluator.stats().prime_evals +
-                  evaluator.stats().full_packs,
-              static_cast<std::uint64_t>(moves));
   }
 }
 
@@ -247,69 +258,39 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BatchedEquivalence,
                          ::testing::Values<std::size_t>(2, 3, 8, 32, 128));
 
 TEST(BatchedMoveEvaluator, AllEvaluationPathsAgreeOnTheSameChain) {
-  // Force each path: persistent_fraction = 1 with batch_size 1 rebuilds
-  // the dominance index after every rejected window, so nearly every
-  // candidate runs through the persistent structure; persistent_fraction
-  // = 0 forces the incremental shared-prime path; fallback_fraction = 0
-  // forces full repacks. All three walk the same move chain and must stay
-  // bitwise identical to naive pack() throughout.
+  // The three packing paths in the tree — naive pack(), one-shot
+  // pack_fast() and the MovePacker's apply/commit/revert — walk the same
+  // move chain and must agree bit for bit throughout.
   const std::size_t n = 48;
   const Instance inst = synthetic_instance(n, 29);
   wp::Rng rng(31);
   SequencePair sp = SequencePair::random(n, rng);
-
-  BatchOptions persistent;
-  persistent.batch_size = 1;
-  persistent.persistent_fraction = 1.0;
-  persistent.fallback_fraction = 1.0;
-  BatchOptions primed;
-  primed.persistent_fraction = 0.0;
-  primed.fallback_fraction = 1.0;
-  BatchOptions full;
-  full.fallback_fraction = 0.0;
-
-  BatchedMoveEvaluator via_index(inst, sp, persistent);
-  BatchedMoveEvaluator via_prime(inst, sp, primed);
-  BatchedMoveEvaluator via_full(inst, sp, full);
+  MovePacker packer(inst, sp);
   for (int m = 0; m < 300; ++m) {
     const AppliedMove move = random_move(sp, rng);
-    const Placement& reference = pack(inst, sp);
-    ASSERT_TRUE(placements_identical(via_index.apply(move), reference))
-        << "persistent path, move " << m;
-    ASSERT_TRUE(placements_identical(via_prime.apply(move), reference))
-        << "prime path, move " << m;
-    ASSERT_TRUE(placements_identical(via_full.apply(move), reference))
-        << "full path, move " << m;
+    const Placement reference = pack(inst, sp);
+    ASSERT_TRUE(placements_identical(pack_fast(inst, sp), reference))
+        << "pack_fast, move " << m;
+    ASSERT_TRUE(placements_identical(packer.apply(move), reference))
+        << "MovePacker, move " << m;
     if (rng.chance(0.6)) {
       undo_move(sp, move);
-      via_index.revert();
-      via_prime.revert();
-      via_full.revert();
+      packer.revert();
     } else {
-      via_index.commit();
-      via_prime.commit();
-      via_full.commit();
+      packer.commit();
     }
   }
-  EXPECT_EQ(via_full.stats().persistent_evals, 0u);
-  EXPECT_EQ(via_full.stats().prime_evals, 0u);
-  EXPECT_GT(via_index.stats().persistent_evals, 0u);
-  EXPECT_GT(via_index.stats().index_rebuilds, 0u);
-  EXPECT_EQ(via_prime.stats().persistent_evals, 0u);
-  EXPECT_GT(via_prime.stats().prime_evals, 0u);
-  EXPECT_GT(via_prime.stats().reprime_positions_saved, 0u);
 }
 
 TEST(BatchedMoveEvaluator, ImplicitCommitMatchesExplicitCommit) {
-  // apply() while a candidate is pending commits it — the same ergonomics
-  // IncrementalPacker's apply-after-apply has. An accept-every-move chain
-  // driven that way must walk the same states as one with explicit
+  // apply() while a candidate is pending commits it. An accept-every-move
+  // chain driven that way must walk the same states as one with explicit
   // commit() calls, and both must track naive pack().
   const Instance inst = synthetic_instance(24, 41);
   wp::Rng rng(43);
   SequencePair sp = SequencePair::random(24, rng);
-  BatchedMoveEvaluator implicit(inst, sp);
-  BatchedMoveEvaluator explicit_commit(inst, sp);
+  MovePacker implicit(inst, sp);
+  MovePacker explicit_commit(inst, sp);
   for (int m = 0; m < 120; ++m) {
     const AppliedMove move = random_move(sp, rng);
     implicit.apply(move);  // previous candidate (if any) commits here
@@ -322,54 +303,62 @@ TEST(BatchedMoveEvaluator, ImplicitCommitMatchesExplicitCommit) {
         placements_identical(explicit_commit.placement(), pack(inst, sp)))
         << "move " << m;
   }
-  EXPECT_EQ(implicit.stats().commits + 1, explicit_commit.stats().commits);
 }
 
 TEST(BatchedMoveEvaluator, FallbackBoundariesAndDegenerateMoves) {
   const Instance inst = synthetic_instance(8, 4);
   wp::Rng rng(5);
   const SequencePair sp = SequencePair::random(8, rng);
-  // Degenerate i == j moves are no-ops on every path and revert cleanly.
+  // Degenerate i == j moves are no-ops, revert cleanly, and committing
+  // one must not disturb the baseline a later revert restores.
   for (const SpMove kind :
        {SpMove::kSwapPositive, SpMove::kSwapNegative, SpMove::kSwapBoth}) {
-    BatchedMoveEvaluator evaluator(inst, sp);
-    const Placement before = evaluator.placement();
+    MovePacker packer(inst, sp);
+    const Placement before = packer.placement();
     const AppliedMove degenerate{kind, 5, 5};
-    ASSERT_TRUE(placements_identical(evaluator.apply(degenerate), before));
-    EXPECT_EQ(evaluator.sequence_pair().positive, sp.positive);
-    EXPECT_EQ(evaluator.sequence_pair().negative, sp.negative);
-    evaluator.revert();
-    ASSERT_TRUE(placements_identical(evaluator.placement(), before));
-    // ... and committing one must not invalidate the baseline structures.
-    evaluator.apply(degenerate);
-    evaluator.commit();
-    ASSERT_TRUE(placements_identical(evaluator.placement(), before));
+    ASSERT_TRUE(placements_identical(packer.apply(degenerate), before));
+    packer.revert();
+    ASSERT_TRUE(placements_identical(packer.placement(), before));
+    packer.apply(degenerate);
+    packer.commit();
+    ASSERT_TRUE(placements_identical(packer.placement(), before));
+    SequencePair probe = sp;
+    const AppliedMove real{kind, 1, 6};
+    apply_move(probe, real);
+    ASSERT_TRUE(placements_identical(packer.apply(real), pack(inst, probe)));
+    packer.revert();
+    ASSERT_TRUE(placements_identical(packer.placement(), before));
   }
   // The smallest legal instance exercises the n == 2 boundary where every
   // move dirties everything.
   const Instance tiny = synthetic_instance(2, 6);
   wp::Rng tiny_rng(7);
   SequencePair tiny_sp = SequencePair::random(2, tiny_rng);
-  BatchedMoveEvaluator evaluator(tiny, tiny_sp);
+  MovePacker packer(tiny, tiny_sp);
   for (int m = 0; m < 50; ++m) {
     const AppliedMove move = random_move(tiny_sp, tiny_rng);
     ASSERT_TRUE(
-        placements_identical(evaluator.apply(move), pack(tiny, tiny_sp)));
+        placements_identical(packer.apply(move), pack(tiny, tiny_sp)));
     undo_move(tiny_sp, move);
-    evaluator.revert();
+    packer.revert();
   }
 }
 
 TEST(BatchedMoveEvaluator, ResetResynchronisesToArbitraryPairs) {
+  // reset() with a candidate pending discards it: the packer resumes from
+  // the new pair, and revert() has nothing left to undo.
   const Instance inst = synthetic_instance(12, 6);
   wp::Rng rng(21);
   SequencePair sp = SequencePair::random(12, rng);
-  BatchedMoveEvaluator evaluator(inst, sp);
+  MovePacker packer(inst, sp);
   for (int round = 0; round < 10; ++round) {
-    const SequencePair fresh = SequencePair::random(12, rng);
-    evaluator.reset(fresh);
-    ASSERT_TRUE(
-        placements_identical(evaluator.placement(), pack(inst, fresh)));
+    packer.apply(random_move(sp, rng));
+    sp = SequencePair::random(12, rng);
+    packer.reset(sp);
+    ASSERT_TRUE(placements_identical(packer.placement(), pack(inst, sp)));
+    EXPECT_THROW(packer.revert(), wp::ContractViolation);
+    const AppliedMove move = random_move(sp, rng);
+    ASSERT_TRUE(placements_identical(packer.apply(move), pack(inst, sp)));
   }
 }
 
@@ -377,80 +366,15 @@ TEST(BatchedMoveEvaluator, MisuseDiesLoudly) {
   const Instance inst = synthetic_instance(6, 2);
   wp::Rng rng(3);
   SequencePair sp = SequencePair::random(6, rng);
-  EXPECT_THROW(BatchedMoveEvaluator(inst, SequencePair::identity(4)),
-               wp::ContractViolation);
-  BatchedMoveEvaluator evaluator(inst, sp);
-  EXPECT_THROW(evaluator.commit(), wp::ContractViolation);  // nothing pending
-  EXPECT_THROW(evaluator.revert(), wp::ContractViolation);
-  EXPECT_THROW(evaluator.apply({SpMove::kSwapBoth, 0, 6}),
-               wp::ContractViolation);
-  const AppliedMove move = random_move(sp, rng);
-  evaluator.apply(move);
-  undo_move(sp, move);
-  evaluator.revert();
-  EXPECT_THROW(evaluator.revert(), wp::ContractViolation);  // double revert
-  BatchOptions bad;
-  bad.batch_size = 0;
-  EXPECT_THROW(BatchedMoveEvaluator(inst, sp, bad), wp::ContractViolation);
-}
-
-TEST(IncrementalPacker, DoubleRevertDiesLoudly) {
-  // Pins the loud-failure contract: revert() is one level deep, and a
-  // second revert() without an intervening apply() must throw rather than
-  // silently corrupt the placement.
-  const Instance inst = synthetic_instance(10, 8);
-  wp::Rng rng(9);
-  SequencePair sp = SequencePair::random(10, rng);
-  IncrementalPacker packer(inst, sp);
+  MovePacker packer(inst, sp);
+  EXPECT_THROW(packer.commit(), wp::ContractViolation);  // nothing pending
+  EXPECT_THROW(packer.revert(), wp::ContractViolation);
   const AppliedMove move = random_move(sp, rng);
   packer.apply(move);
-  undo_move(sp, move);
-  packer.revert();
-  EXPECT_THROW(packer.revert(), wp::ContractViolation);
-}
-
-// ------------------------------------------------ dirty-block reports
-
-TEST(BatchedEvaluator, DirtyBlocksExactOnEveryPath) {
-  // dirty_blocks() must list exactly the blocks whose coordinates the
-  // candidate changed — no more, no fewer — on every evaluation path,
-  // including the full-repack fallback (which diffs against the saved
-  // baseline rather than reporting "everything").
-  const std::size_t n = 32;
-  const Instance inst = synthetic_instance(n, 19);
-  for (const double fallback : {0.0, 0.75}) {
-    wp::Rng rng(23);
-    SequencePair sp = SequencePair::random(n, rng);
-    BatchOptions options;
-    options.fallback_fraction = fallback;
-    BatchedMoveEvaluator evaluator(inst, sp, options);
-    Placement baseline = evaluator.placement();
-    for (int m = 0; m < 300; ++m) {
-      const AppliedMove move = random_move(sp, rng);
-      const Placement& candidate = evaluator.apply(move);
-      if (fallback == 0.0 && move.i != move.j) {
-        ASSERT_TRUE(evaluator.last_was_full());
-      }
-      std::vector<bool> reported(n, false);
-      for (const std::uint32_t b : evaluator.dirty_blocks()) {
-        ASSERT_LT(b, n);
-        ASSERT_FALSE(reported[b]) << "duplicate dirty report, move " << m;
-        reported[b] = true;
-      }
-      for (std::size_t b = 0; b < n; ++b) {
-        const bool moved = candidate.x[b] != baseline.x[b] ||
-                           candidate.y[b] != baseline.y[b];
-        ASSERT_EQ(reported[b], moved) << "block " << b << ", move " << m;
-      }
-      if (rng.chance(0.6)) {
-        undo_move(sp, move);
-        evaluator.revert();
-      } else {
-        evaluator.commit();
-        baseline = evaluator.placement();
-      }
-    }
-  }
+  packer.commit();
+  EXPECT_THROW(packer.commit(), wp::ContractViolation);  // double commit
+  EXPECT_THROW(packer.revert(), wp::ContractViolation);  // revert after commit
+  ASSERT_TRUE(placements_identical(packer.placement(), pack(inst, sp)));
 }
 
 // --------------------------------------------------------------- moves
@@ -539,21 +463,9 @@ TEST(AnnealerEngines, AreaDrivenRunsAreBitIdenticalAcrossEngines) {
   naive.iterations = 2500;
   naive.seed = 17;
   naive.pack_engine = PackEngine::kNaive;
-  AnnealOptions fast = naive;
-  fast.pack_engine = PackEngine::kFast;
-  const AnnealResult reference = anneal(inst, naive);
-  EXPECT_TRUE(identical_results(reference, anneal(inst, fast)));
-  // The batched engine must reproduce the serial naive trajectory exactly
-  // for every speculation-window size — K amortizes baseline work, it
-  // never reorders RNG draws or decisions.
-  for (const std::size_t k : {std::size_t{1}, std::size_t{4},
-                              std::size_t{16}}) {
-    AnnealOptions batched = naive;
-    batched.pack_engine = PackEngine::kBatched;
-    batched.speculation_batch = k;
-    EXPECT_TRUE(identical_results(reference, anneal(inst, batched)))
-        << "K=" << k;
-  }
+  AnnealOptions packer = naive;
+  packer.pack_engine = PackEngine::kMovePacker;
+  EXPECT_TRUE(identical_results(anneal(inst, naive), anneal(inst, packer)));
 }
 
 TEST(AnnealerEngines, ThroughputDrivenRunsAreBitIdenticalAcrossEngines) {
@@ -566,26 +478,25 @@ TEST(AnnealerEngines, ThroughputDrivenRunsAreBitIdenticalAcrossEngines) {
   naive.delay_model.clock_ps = 300.0;
   naive.throughput_fn = wp::graph::ThroughputEvaluator(graph);
   naive.pack_engine = PackEngine::kNaive;
-  AnnealOptions fast = naive;
-  fast.throughput_fn = wp::graph::ThroughputEvaluator(graph);
-  fast.pack_engine = PackEngine::kFast;
-  AnnealOptions batched = naive;
-  batched.throughput_fn = wp::graph::ThroughputEvaluator(graph);
-  batched.pack_engine = PackEngine::kBatched;
+  AnnealOptions packer = naive;
+  packer.throughput_fn = wp::graph::ThroughputEvaluator(graph);
+  packer.pack_engine = PackEngine::kMovePacker;
   const AnnealResult reference = anneal(inst, naive);
-  EXPECT_TRUE(identical_results(reference, anneal(inst, fast)));
-  EXPECT_TRUE(identical_results(reference, anneal(inst, batched)));
+  const AnnealResult result = anneal(inst, packer);
+  EXPECT_TRUE(identical_results(reference, result));
+  EXPECT_EQ(reference.throughput_evals, result.throughput_evals);
+  EXPECT_EQ(reference.throughput_cache_hits, result.throughput_cache_hits);
 }
 
 TEST(AnnealerEngines, PooledRestartsMatchSerialForBothEngines) {
-  // Extends the PR 2 sequential≡pooled guarantee to the floorplan path:
-  // for each engine, anneal_parallel must reproduce the sequential best-of
+  // Extends the sequential≡pooled guarantee to the floorplan path: for
+  // each engine, anneal_parallel must reproduce the sequential best-of
   // exactly, and the two engines must land on the same best.
   const Instance inst = synthetic_instance(12, 5);
-  AnnealResult best_per_engine[3];
+  AnnealResult best_per_engine[2];
   int engine_index = 0;
   for (const PackEngine engine :
-       {PackEngine::kNaive, PackEngine::kFast, PackEngine::kBatched}) {
+       {PackEngine::kNaive, PackEngine::kMovePacker}) {
     ParallelAnnealOptions job;
     job.base.iterations = 1200;
     job.base.seed = 100;
@@ -610,7 +521,6 @@ TEST(AnnealerEngines, PooledRestartsMatchSerialForBothEngines) {
     best_per_engine[engine_index++] = sequential;
   }
   EXPECT_TRUE(identical_results(best_per_engine[0], best_per_engine[1]));
-  EXPECT_TRUE(identical_results(best_per_engine[0], best_per_engine[2]));
 }
 
 TEST(AnnealerEngines, EnsemblePipelineIsEngineIndependent) {
@@ -630,19 +540,12 @@ TEST(AnnealerEngines, EnsemblePipelineIsEngineIndependent) {
 
   config.anneal.pack_engine = PackEngine::kNaive;
   const gen::EnsembleReport with_naive = gen::run_ensemble_sequential(config);
-  config.anneal.pack_engine = PackEngine::kFast;
-  const gen::EnsembleReport with_fast = gen::run_ensemble_sequential(config);
-  config.anneal.pack_engine = PackEngine::kBatched;
-  const gen::EnsembleReport with_batched =
-      gen::run_ensemble_sequential(config);
-  ASSERT_EQ(with_naive.samples.size(), with_fast.samples.size());
-  ASSERT_EQ(with_naive.samples.size(), with_batched.samples.size());
-  for (std::size_t i = 0; i < with_naive.samples.size(); ++i) {
-    EXPECT_TRUE(with_naive.samples[i] == with_fast.samples[i])
+  config.anneal.pack_engine = PackEngine::kMovePacker;
+  const gen::EnsembleReport with_packer = gen::run_ensemble_sequential(config);
+  ASSERT_EQ(with_naive.samples.size(), with_packer.samples.size());
+  for (std::size_t i = 0; i < with_naive.samples.size(); ++i)
+    EXPECT_TRUE(with_naive.samples[i] == with_packer.samples[i])
         << "sample " << i << " diverged between engines";
-    EXPECT_TRUE(with_naive.samples[i] == with_batched.samples[i])
-        << "sample " << i << " diverged between naive and batched";
-  }
 }
 
 }  // namespace
