@@ -2,12 +2,9 @@
 //
 // Boots an svc::EvalServer on a local socket and serves EvalRequest
 // batches until a shutdown frame arrives. One process = one SimOracle:
-// goldens are cached in memory per daemon, and --golden-dir (or
-// $WIREPIPE_GOLDEN_DIR) adds the persistent store as a shared cache tier
-// across a worker fleet.
+// goldens are cached in memory per daemon.
 //
 //   wirepipe_evald --socket /tmp/eval.sock --workers 2
-//   wirepipe_evald --trace-mode prefix:64   # digest goldens, drop traces
 #include <iostream>
 #include <string>
 
@@ -26,47 +23,12 @@ int main(int argc, char** argv) {
                 "endpoint (default: this user's eval port socket)");
   parser.option("--workers", "N", "0",
                 "evaluation threads (0 = hardware concurrency)");
-  parser.option("--cache", "N", "64", "LRU cap on cached golden records");
-  parser.option("--golden-dir", "DIR", "",
-                "persistent golden store (default: $WIREPIPE_GOLDEN_DIR)");
-  parser.option("--trace-mode", "full|prefix[:W]", "",
-                "golden trace retention (default: $WIREPIPE_GOLDEN_TRACE "
-                "or full)");
   parser.flag("--quiet", "no startup/shutdown banner");
   parser.parse_or_exit(argc, argv);
 
   svc::EvalServerOptions options;
   options.socket_path = parser.get("--socket");
   options.workers = static_cast<std::size_t>(parser.get_int("--workers"));
-  options.oracle.max_cached_goldens =
-      static_cast<std::size_t>(parser.get_int("--cache"));
-  if (!parser.get("--golden-dir").empty())
-    options.oracle.persist_dir = parser.get("--golden-dir");
-
-  const std::string trace_mode = parser.get("--trace-mode");
-  if (!trace_mode.empty()) {
-    options.oracle.use_env_trace_mode = false;
-    if (trace_mode == "full") {
-      options.oracle.trace_mode = sim::TraceMode::kFull;
-    } else if (trace_mode.rfind("prefix", 0) == 0) {
-      options.oracle.trace_mode = sim::TraceMode::kPrefixHash;
-      const std::size_t colon = trace_mode.find(':');
-      if (colon != std::string::npos) {
-        try {
-          options.oracle.prefix_window =
-              std::stoull(trace_mode.substr(colon + 1));
-        } catch (...) {
-          std::cerr << "--trace-mode window must be a number, got '"
-                    << trace_mode << "'\n";
-          return 2;
-        }
-      }
-    } else {
-      std::cerr << "--trace-mode must be 'full' or 'prefix[:window]', got '"
-                << trace_mode << "'\n";
-      return 2;
-    }
-  }
 
   const bool quiet = parser.has("--quiet");
   try {

@@ -263,10 +263,9 @@ int main(int argc, char** argv) {
     const auto start = Clock::now();
     // Single-process side: a private oracle, exactly how run_ensemble
     // wires one per run.
-    const std::shared_ptr<sim::SimOracle> oracle =
-        sim::SimOracle::make_shared();
+    sim::SimOracle oracle;
     eval::EvalContext context;
-    context.oracle = oracle.get();
+    context.oracle = &oracle;
     const std::string single = report_csv(
         report_from_replies(config, eval::evaluate_batch(requests, context)));
     const std::string sharded = report_csv(

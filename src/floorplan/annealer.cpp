@@ -302,7 +302,7 @@ AnnealResult anneal_parallel(const Instance& inst,
     std::unique_ptr<graph::ThroughputEngine> engine;
     if (options.engine_factory) {
       // A private incremental oracle per restart: the engine's Howard
-      // state, mutation trail and certificate are all worker-local.
+      // state and certificate are worker-local.
       engine = options.engine_factory();
       per_restart.throughput_engine = engine.get();
     }

@@ -65,7 +65,9 @@ struct AnnealResult {
   double cost = 0;
   double area = 0;
   double wirelength = 0;
-  double throughput = 1.0;  ///< only meaningful when throughput_fn is set
+  /// System throughput of the final placement, from throughput_engine or
+  /// throughput_fn; 1.0 when weight_throughput is 0 (no oracle consulted).
+  double throughput = 1.0;
   int accepted_moves = 0;
   int evaluations = 0;
   /// Full throughput-oracle calls vs. demands served from the memo cache
@@ -102,9 +104,9 @@ struct ParallelAnnealOptions {
   /// The per-run oracle seam: when set, called once per restart to build
   /// that restart's private throughput engine (overrides
   /// base.throughput_engine, which would otherwise be shared across
-  /// workers and is refused). Without it a throughput-driven restart uses
-  /// its own copy of base.throughput_fn, which is private when the
-  /// callable holds its state by value (graph::ThroughputEvaluator does).
+  /// workers and is refused). Without it a throughput-driven restart calls
+  /// its copy of base.throughput_fn, so a callable whose copies share
+  /// mutable state races across restarts.
   /// The engine lives for the duration of the restart; its counters land
   /// in the restart's AnnealResult.
   std::function<std::unique_ptr<graph::ThroughputEngine>()> engine_factory;

@@ -182,17 +182,13 @@ EnsembleReport run_jobs(const EnsembleConfig& config, ThreadPool* pool) {
   const std::vector<SampleJob> jobs = ensemble_jobs(config);
   EnsembleReport report;
   report.samples.resize(jobs.size());
-  // One oracle for the whole run, wired through the factory (thread-safe,
-  // per-key once-semantics): every sample's WP1/WP2 pair replays one
-  // cached golden, and repeat netlists across samples are cache hits.
-  // Generated netlists are all distinct in a typical ensemble, so a cap
-  // around the worker count keeps memory flat without costing hits.
-  sim::OracleOptions oracle_options;
-  oracle_options.max_cached_goldens = 64;
-  const std::shared_ptr<sim::SimOracle> oracle =
-      sim::SimOracle::make_shared(oracle_options);
+  // One oracle for the whole run (thread-safe, per-key once-semantics):
+  // every sample's WP1/WP2 pair replays one cached golden, and repeat
+  // netlists across samples are cache hits. The oracle's LRU cap keeps
+  // memory flat when the generated netlists are all distinct.
+  sim::SimOracle oracle;
   eval::EvalContext context;
-  context.oracle = oracle.get();
+  context.oracle = &oracle;
   // Every sample goes through the ONE evaluation surface — the same
   // eval::evaluate the service daemon calls for a remote ensemble-sample
   // request, so in-process and sharded ensembles execute literally the
@@ -207,7 +203,7 @@ EnsembleReport run_jobs(const EnsembleConfig& config, ThreadPool* pool) {
   } else {
     pool->parallel_for(0, jobs.size(), body);
   }
-  const sim::GoldenCache::Stats cache_stats = oracle->stats();
+  const sim::GoldenCache::Stats cache_stats = oracle.stats();
   report.sim_golden_runs = cache_stats.golden_runs;
   report.sim_cache_hits = cache_stats.hits;
   for (const SampleResult& s : report.samples) {

@@ -19,7 +19,6 @@ struct EngineMetrics {
   obs::Counter& cycle_hits;
   obs::Counter& warm_hits;
   obs::Counter& fallbacks;
-  obs::Counter& undos;
 
   static EngineMetrics& get() {
     obs::Registry& registry = obs::Registry::global();
@@ -29,8 +28,7 @@ struct EngineMetrics {
         registry.counter("graph/engine/acyclic"),
         registry.counter("graph/engine/cycle_hits"),
         registry.counter("graph/engine/warm_hits"),
-        registry.counter("graph/engine/fallbacks"),
-        registry.counter("graph/engine/undos")};
+        registry.counter("graph/engine/fallbacks")};
     return metrics;
   }
 };
@@ -45,7 +43,6 @@ ThroughputEngine::~ThroughputEngine() {
   metrics.cycle_hits.add(stats_.cycle_hits);
   metrics.warm_hits.add(stats_.warm_hits);
   metrics.fallbacks.add(stats_.fallbacks);
-  metrics.undos.add(stats_.undos);
 }
 
 ThroughputEngine::ThroughputEngine(Digraph base) : g_(std::move(base)) {
@@ -76,8 +73,8 @@ void ThroughputEngine::set_label_edges(std::size_t label,
   for (const EdgeId e : label_edges_[label]) {
     int& current = g_.edge(e).relay_stations;
     if (current != relay_stations) {
-      trail_.push_back({e, current});
       current = relay_stations;
+      changed_ = true;
     }
     if (base_rs_[static_cast<std::size_t>(e)] != relay_stations) dirty = true;
   }
@@ -89,8 +86,8 @@ void ThroughputEngine::revert_label_to_base(std::size_t label) {
     int& current = g_.edge(e).relay_stations;
     const int base = base_rs_[static_cast<std::size_t>(e)];
     if (current != base) {
-      trail_.push_back({e, current});
       current = base;
+      changed_ = true;
     }
   }
   label_dirty_[label] = 0;
@@ -127,10 +124,7 @@ double ThroughputEngine::throughput(const std::vector<int>& ids,
   WP_REQUIRE(ids.size() == rs.size(),
              "ThroughputEngine: one relay-station count per label id");
   ++stats_.queries;
-  trail_.clear();
-  prev_dirty_labels_ = dirty_labels_;
-  prev_ratio_ = ratio_;
-  prev_has_result_ = has_result_;
+  changed_ = false;
   ++epoch_;
 
   // Pass 1: apply the demanded labels (duplicates: last one wins, like the
@@ -156,16 +150,11 @@ double ThroughputEngine::throughput(const std::vector<int>& ids,
   for (const std::size_t label : touched_scratch_)
     if (label_dirty_[label]) dirty_labels_.push_back(label);
 
-  can_undo_ = true;
-  if (trail_.empty() && has_result_) {
+  if (!changed_ && has_result_) {
     ++stats_.unchanged;
     return ratio_;
   }
   return solve();
-}
-
-double ThroughputEngine::with_rs_map(const std::map<std::string, int>& rs) {
-  return throughput({rs.begin(), rs.end()});
 }
 
 double ThroughputEngine::solve() {
@@ -408,22 +397,6 @@ std::vector<EdgeId> ThroughputEngine::rebuild_certificate(double lambda) {
   // last relaxed edge — divergent, but without a clean witness; let the
   // caller's descent cap hand this to the parametric search.
   return {};
-}
-
-void ThroughputEngine::undo() {
-  WP_REQUIRE(can_undo_, "ThroughputEngine: nothing to undo");
-  for (auto it = trail_.rbegin(); it != trail_.rend(); ++it)
-    g_.edge(it->edge).relay_stations = it->old_relay_stations;
-  trail_.clear();
-  for (const std::size_t label : dirty_labels_) label_dirty_[label] = 0;
-  dirty_labels_ = prev_dirty_labels_;
-  for (const std::size_t label : dirty_labels_) label_dirty_[label] = 1;
-  ratio_ = prev_ratio_;
-  has_result_ = prev_has_result_;
-  can_undo_ = false;
-  ++stats_.undos;
-  // Howard state and the certificate stay as they are: both are advisory —
-  // every future query re-validates them against the current graph.
 }
 
 }  // namespace wp::graph

@@ -10,10 +10,9 @@
 // incremental:
 //
 //   * the RS graph is built ONCE per instance; each demand vector is
-//     applied as an in-place edge-latency delta with an undo trail
-//     (labels absent from the new demand revert to base counts — the
-//     evaluator's reset semantics, paid only where an edge actually
-//     changes);
+//     applied as an in-place edge-latency delta (labels absent from the
+//     new demand revert to base counts — the evaluator's reset
+//     semantics, paid only where an edge actually changes);
 //   * optimality is RE-CERTIFIED LAZILY: the engine keeps the dual
 //     certificate of the last solve — per-node potentials π with
 //     tokens_e − λ·latency_e + π(src) − π(dst) ≥ 0 for every edge, which
@@ -54,7 +53,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -76,7 +74,6 @@ class ThroughputEngine {
     std::uint64_t cycle_hits = 0;  ///< previous critical cycle re-certified
     std::uint64_t warm_hits = 0;   ///< warm policy sweeps certified
     std::uint64_t fallbacks = 0;   ///< cold certified re-solve
-    std::uint64_t undos = 0;
 
     /// Queries resolved without a cold solve.
     std::uint64_t incremental() const {
@@ -105,15 +102,6 @@ class ThroughputEngine {
 
   /// Same, addressed by label: resolves `demand`'s labels and forwards.
   double throughput(const std::vector<std::pair<std::string, int>>& demand);
-
-  /// Same, keyed form (the experiment driver's RsConfig::rs shape).
-  double with_rs_map(const std::map<std::string, int>& rs);
-
-  /// Reverts the edge mutations of the most recent query and restores its
-  /// predecessor's cached result — one level deep, the annealer's
-  /// accept/reject shape (mirrors MovePacker::revert()).
-  void undo();
-  bool can_undo() const { return can_undo_; }
 
   /// Test hook: with incremental certification off, every solving query
   /// takes the cold fallback path (demand deltas still apply in place).
@@ -177,18 +165,11 @@ class ThroughputEngine {
   std::vector<char> in_worklist_;
   std::vector<std::uint32_t> pops_;  ///< per-node pop counts of one repair
 
-  // Cached result of the current configuration + one-deep undo trail.
+  // Cached result of the current configuration; changed_ records whether
+  // the current query moved any edge off it.
   double ratio_ = 1.0;
   bool has_result_ = false;
-  struct TrailEntry {
-    EdgeId edge;
-    int old_relay_stations;
-  };
-  std::vector<TrailEntry> trail_;
-  std::vector<std::size_t> prev_dirty_labels_;
-  double prev_ratio_ = 1.0;
-  bool prev_has_result_ = false;
-  bool can_undo_ = false;
+  bool changed_ = false;
 
   Stats stats_;
 };

@@ -1,19 +1,6 @@
 #include "sim/golden_cache.hpp"
 
-#include <algorithm>
-#include <cstdint>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iterator>
-#include <sstream>
-#include <thread>
-
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -32,8 +19,6 @@ struct CacheMetrics {
   obs::Counter& misses;
   obs::Counter& evictions;
   obs::Counter& golden_runs;
-  obs::Counter& disk_hits;
-  obs::Counter& disk_stores;
 
   static CacheMetrics& get() {
     obs::Registry& registry = obs::Registry::global();
@@ -41,308 +26,12 @@ struct CacheMetrics {
         registry.counter("sim/golden_cache/hits"),
         registry.counter("sim/golden_cache/misses"),
         registry.counter("sim/golden_cache/evictions"),
-        registry.counter("sim/golden_cache/golden_runs"),
-        registry.counter("sim/golden_cache/disk_hits"),
-        registry.counter("sim/golden_cache/disk_stores")};
+        registry.counter("sim/golden_cache/golden_runs")};
     return metrics;
   }
 };
 
-// ---------------------------------------------------- on-disk record format
-//
-//   [8B magic][payload][8B FNV-1a checksum of payload]
-//
-// The payload is a flat little-ceremony byte stream (u32/u64 in host order
-// — the persist dir is a local cache, not an interchange format): the full
-// cache key, then every GoldenRecord field, the trace as (name, values[])
-// streams. Readers are bounds-checked; any violation, a checksum mismatch,
-// a foreign key or a fingerprint that does not match the stored trace all
-// make the loader return nullptr so the caller recomputes (and overwrites
-// the bad file).
-//
-// Version 02 adds the trace mode byte: prefix-hash records store the
-// windowed TraceDigest instead of the full trace, so on-disk goldens of
-// huge traces shrink from 8 bytes per value to 8 bytes per window. '01'
-// files (full traces, no mode byte) are still readable.
-
-constexpr char kMagic[8] = {'W', 'P', 'G', 'O', 'L', 'D', '0', '1'};
-constexpr char kMagicV2[8] = {'W', 'P', 'G', 'O', 'L', 'D', '0', '2'};
-
-void put_u32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-/// Bounds-checked sequential reader over the payload; every getter fails
-/// soft by flipping `ok`.
-struct Reader {
-  const char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool take(void* out, std::size_t n) {
-    if (!ok || size - pos < n) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, data + pos, n);
-    pos += n;
-    return true;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    take(&v, sizeof v);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    take(&v, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok || size - pos < n) {
-      ok = false;
-      return {};
-    }
-    std::string s(data + pos, n);
-    pos += n;
-    return s;
-  }
-};
-
-std::string serialize_payload(const GoldenRecord& record,
-                              const std::string& key) {
-  std::string out;
-  put_string(out, key);
-  put_u64(out, record.cycles);
-  put_u32(out, record.halted ? 1 : 0);
-  put_u32(out, record.result_ok ? 1 : 0);
-  put_string(out, record.result_detail);
-  put_u64(out, record.fingerprint);
-  put_u32(out, static_cast<std::uint32_t>(record.trace_mode));
-  if (record.trace_mode == TraceMode::kFull) {
-    put_u32(out, static_cast<std::uint32_t>(record.trace.size()));
-    for (const auto& [stream, values] : record.trace) {
-      put_string(out, stream);
-      put_u32(out, static_cast<std::uint32_t>(values.size()));
-      for (const Word v : values) put_u64(out, v);
-    }
-  } else {
-    put_u64(out, record.digest.window);
-    put_u32(out, static_cast<std::uint32_t>(record.digest.streams.size()));
-    for (const auto& stream : record.digest.streams) {
-      put_string(out, stream.name);
-      put_u64(out, stream.count);
-      put_u32(out, static_cast<std::uint32_t>(stream.checkpoints.size()));
-      for (const std::uint64_t h : stream.checkpoints) put_u64(out, h);
-    }
-  }
-  return out;
-}
-
 }  // namespace
-
-// ------------------------------------------------- trace digest (prefix)
-
-TraceDigest make_trace_digest(const Trace& trace, std::uint64_t window) {
-  WP_REQUIRE(window >= 1, "digest window must be >= 1");
-  TraceDigest digest;
-  digest.window = window;
-  for (const auto& [name, values] : trace) {
-    TraceDigest::Stream stream;
-    stream.name = name;
-    stream.count = values.size();
-    std::uint64_t h = 0x5afe601dULL;
-    for (std::size_t k = 0; k < values.size(); ++k) {
-      h = hash_combine(h, values[k]);
-      if ((k + 1) % window == 0 || k + 1 == values.size())
-        stream.checkpoints.push_back(h);
-    }
-    digest.streams.push_back(std::move(stream));
-  }
-  return digest;
-}
-
-EquivalenceResult check_equivalence_digest(const TraceDigest& digest,
-                                           const Trace& wp) {
-  EquivalenceResult result;
-  WP_REQUIRE(digest.window >= 1, "digest window must be >= 1");
-  for (const auto& stream : digest.streams) {
-    auto it = wp.find(stream.name);
-    if (it == wp.end()) continue;  // stream not observed in the WP run
-    const auto& wp_values = it->second;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(stream.count, wp_values.size());
-    // Replay the WP values through the same rolling hash, comparing at
-    // every golden checkpoint position that lies within the shared prefix.
-    std::uint64_t h = 0x5afe601dULL;
-    std::size_t ci = 0;
-    std::uint64_t covered = 0;
-    for (std::uint64_t k = 0; k < n && ci < stream.checkpoints.size(); ++k) {
-      h = hash_combine(h, wp_values[k]);
-      const std::uint64_t position =
-          std::min<std::uint64_t>((ci + 1) * digest.window, stream.count);
-      if (k + 1 == position) {
-        if (h != stream.checkpoints[ci]) {
-          result.equivalent = false;
-          std::ostringstream os;
-          os << "stream " << stream.name
-             << " diverges within the first " << position
-             << " events (prefix-hash window " << digest.window << ")";
-          result.detail = os.str();
-          return result;
-        }
-        covered = position;
-        ++ci;
-      }
-    }
-    result.events_checked += covered;
-  }
-  return result;
-}
-
-EquivalenceResult check_golden_equivalence(const GoldenRecord& record,
-                                           const Trace& wp) {
-  return record.trace_mode == TraceMode::kFull
-             ? check_equivalence(record.trace, wp)
-             : check_equivalence_digest(record.digest, wp);
-}
-
-bool save_golden_record(const GoldenRecord& record, const std::string& key,
-                        const std::string& path) {
-  const std::string payload = serialize_payload(record, key);
-  // Write-to-temp + rename: the store is shared across processes (CI
-  // shards racing on a cold key both write), and an in-place truncate
-  // would interleave two streams into a permanently corrupt file. The
-  // rename makes whichever writer lands last win atomically; readers see
-  // either a complete old record or a complete new one. The temp name is
-  // per-process, so concurrent writers do not clobber each other's
-  // staging files either.
-  std::error_code ec;
-#ifdef _WIN32
-  const auto pid = static_cast<std::uint64_t>(_getpid());
-#else
-  const auto pid = static_cast<std::uint64_t>(getpid());
-#endif
-  // pid ⊕ thread id: unique across the racing processes AND the racing
-  // pool workers within one process (addresses or thread ids alone can
-  // coincide across identical binaries).
-  const auto tag = hash_combine(
-      pid, static_cast<std::uint64_t>(
-               std::hash<std::thread::id>{}(std::this_thread::get_id())));
-  const std::string tmp = path + ".tmp." + hash_hex(tag);
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) return false;
-    file.write(kMagicV2, sizeof kMagicV2);
-    file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    const std::uint64_t checksum = hash_bytes(payload.data(), payload.size());
-    file.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-    if (!file.flush()) {
-      file.close();
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
-
-std::shared_ptr<const GoldenRecord> load_golden_record(
-    const std::string& path, const std::string& key) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return nullptr;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string bytes = buffer.str();
-  if (bytes.size() < sizeof kMagic + sizeof(std::uint64_t)) return nullptr;
-  const bool v2 = std::memcmp(bytes.data(), kMagicV2, sizeof kMagicV2) == 0;
-  if (!v2 && std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
-    return nullptr;
-
-  const char* payload = bytes.data() + sizeof kMagic;
-  const std::size_t payload_size =
-      bytes.size() - sizeof kMagic - sizeof(std::uint64_t);
-  std::uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + bytes.size() - sizeof stored_checksum,
-              sizeof stored_checksum);
-  if (hash_bytes(payload, payload_size) != stored_checksum) return nullptr;
-
-  Reader in{payload, payload_size};
-  if (in.str() != key) return nullptr;  // foreign or renamed record
-  auto record = std::make_shared<GoldenRecord>();
-  record->cycles = in.u64();
-  record->halted = in.u32() != 0;
-  record->result_ok = in.u32() != 0;
-  record->result_detail = in.str();
-  record->fingerprint = in.u64();
-  if (v2) {
-    const std::uint32_t mode = in.u32();
-    if (!in.ok || mode > static_cast<std::uint32_t>(TraceMode::kPrefixHash))
-      return nullptr;
-    record->trace_mode = static_cast<TraceMode>(mode);
-  }
-  if (record->trace_mode == TraceMode::kFull) {
-    const std::uint32_t streams = in.u32();
-    for (std::uint32_t i = 0; in.ok && i < streams; ++i) {
-      std::string stream = in.str();
-      const std::uint32_t count = in.u32();
-      if (!in.ok ||
-          (in.size - in.pos) / sizeof(std::uint64_t) < count)
-        return nullptr;
-      auto& values = record->trace[std::move(stream)];
-      values.reserve(count);
-      for (std::uint32_t v = 0; v < count; ++v) values.push_back(in.u64());
-    }
-    if (!in.ok || in.pos != in.size) return nullptr;
-    // Cross-check the stored fingerprint against the stored trace: a
-    // record whose two halves disagree is corrupt even if the checksum
-    // matched.
-    if (trace_fingerprint(record->trace) != record->fingerprint)
-      return nullptr;
-  } else {
-    record->digest.window = in.u64();
-    if (!in.ok || record->digest.window == 0) return nullptr;
-    const std::uint32_t streams = in.u32();
-    for (std::uint32_t i = 0; in.ok && i < streams; ++i) {
-      TraceDigest::Stream stream;
-      stream.name = in.str();
-      stream.count = in.u64();
-      const std::uint32_t checkpoints = in.u32();
-      if (!in.ok ||
-          (in.size - in.pos) / sizeof(std::uint64_t) < checkpoints)
-        return nullptr;
-      // The checkpoint count is implied by (count, window); a stored
-      // record whose halves disagree is corrupt.
-      const std::uint64_t expected =
-          stream.count == 0
-              ? 0
-              : (stream.count + record->digest.window - 1) /
-                    record->digest.window;
-      if (checkpoints != expected) return nullptr;
-      stream.checkpoints.reserve(checkpoints);
-      for (std::uint32_t c = 0; c < checkpoints; ++c)
-        stream.checkpoints.push_back(in.u64());
-      record->digest.streams.push_back(std::move(stream));
-    }
-    if (!in.ok || in.pos != in.size) return nullptr;
-  }
-  return record;
-}
 
 std::uint64_t trace_fingerprint(const Trace& trace) {
   std::uint64_t h = 0x5afe601dULL;
@@ -356,25 +45,6 @@ std::uint64_t trace_fingerprint(const Trace& trace) {
 
 GoldenCache::GoldenCache(std::size_t max_entries)
     : max_entries_(max_entries) {}
-
-void GoldenCache::set_persist_dir(std::string dir) {
-  if (!dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);  // best effort
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  persist_dir_ = std::move(dir);
-}
-
-std::string GoldenCache::persist_path(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (persist_dir_.empty()) return {};
-  // Content-hashed filename: keys contain ':' and arbitrary program names;
-  // the full key is stored (and verified) inside the file.
-  return (std::filesystem::path(persist_dir_) /
-          (hash_hex(hash_string(key)) + ".wpgolden"))
-      .string();
-}
 
 std::shared_ptr<const GoldenRecord> GoldenCache::get_or_run(
     const std::string& key, const ComputeFn& compute) {
@@ -421,31 +91,14 @@ std::shared_ptr<const GoldenRecord> GoldenCache::get_or_run(
   // a failing key neither occupies capacity nor poisons later retries.
   try {
     std::call_once(slot->once, [&] {
-      // Persistent layer first: a stored record (this process or an
-      // earlier one) replaces the simulation. Corrupt or foreign files
-      // load as nullptr and are recomputed (and overwritten) below.
-      const std::string path = persist_path(key);
       std::shared_ptr<const GoldenRecord> record;
-      if (!path.empty()) record = load_golden_record(path, key);
-      const bool from_disk = record != nullptr;
-      bool stored = false;
-      if (!from_disk) {
+      {
         WP_SPAN("sim/golden_run");
         record = std::make_shared<GoldenRecord>(compute());
-        if (!path.empty()) stored = save_golden_record(*record, key, path);
       }
       std::lock_guard<std::mutex> lock(mutex_);
-      if (from_disk) {
-        ++stats_.disk_hits;
-        CacheMetrics::get().disk_hits.inc();
-      } else {
-        ++stats_.golden_runs;
-        CacheMetrics::get().golden_runs.inc();
-      }
-      if (stored) {
-        ++stats_.disk_stores;
-        CacheMetrics::get().disk_stores.inc();
-      }
+      ++stats_.golden_runs;
+      CacheMetrics::get().golden_runs.inc();
       slot->record = std::move(record);
       slot->done = true;
     });
@@ -471,12 +124,6 @@ GoldenCache::Stats GoldenCache::stats() const {
   Stats s = stats_;
   s.entries = entries_.size();
   return s;
-}
-
-void GoldenCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  lru_.clear();
 }
 
 }  // namespace wp::sim

@@ -25,85 +25,24 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/system.hpp"
 
 namespace wp::sim {
 
-/// How a golden record keeps its τ-filtered trace.
-enum class TraceMode : std::uint8_t {
-  kFull = 0,        ///< the whole trace is resident (exact equivalence)
-  kPrefixHash = 1,  ///< only windowed prefix hashes are kept (see below)
-};
-
-/// Windowed prefix-hash digest of a trace (ROADMAP, PR 5 leftover):
-/// instead of keeping every value of every stream resident, keep — per
-/// stream — the value count plus a rolling order-sensitive hash sampled
-/// every `window` values and at the end of the stream. Equivalence against
-/// a WP trace is then checked at window granularity: the WP side replays
-/// its own values through the same rolling hash and compares at each
-/// checkpoint position. Exactly as strong as the full check at checkpoint
-/// positions; a divergence inside the final partial window of a WP run
-/// *shorter* than the golden stream is the one case it cannot see (a WP
-/// run at least as long as the golden is fully covered, because the final
-/// checkpoint lands on the golden stream's last value). Memory per stream
-/// drops from 8 bytes per value to 8 bytes per window.
-struct TraceDigest {
-  struct Stream {
-    std::string name;
-    std::uint64_t count = 0;  ///< values in the golden stream
-    /// Rolling hash after value min(k * window, count), k = 1, 2, ...;
-    /// the last entry always covers the whole stream.
-    std::vector<std::uint64_t> checkpoints;
-  };
-  std::uint64_t window = 0;     ///< checkpoint interval (values)
-  std::vector<Stream> streams;  ///< sorted by name (Trace is a std::map)
-};
-
-/// Builds the windowed digest of `trace`. `window` must be >= 1.
-TraceDigest make_trace_digest(const Trace& trace, std::uint64_t window);
-
-/// The prefix-hash counterpart of wp::check_equivalence: compares `wp`
-/// against the digest at checkpoint granularity. `events_checked` counts
-/// values covered by a compared checkpoint; `detail` reports the window in
-/// which the first divergence was detected.
-EquivalenceResult check_equivalence_digest(const TraceDigest& digest,
-                                           const Trace& wp);
-
 /// Everything a WP evaluation needs from the golden reference run.
+/// Equivalence is checked with wp::check_equivalence(record.trace, wp).
 struct GoldenRecord {
   std::uint64_t cycles = 0;   ///< cycles simulated (halt cycle, or horizon)
   bool halted = false;        ///< did a process halt within the horizon?
-  TraceMode trace_mode = TraceMode::kFull;
-  Trace trace;                ///< τ-filtered execution trace (kFull only)
-  TraceDigest digest;         ///< windowed prefix hashes (kPrefixHash only)
+  Trace trace;                ///< τ-filtered execution trace
   std::uint64_t fingerprint = 0;  ///< order-sensitive digest of the trace
   bool result_ok = true;      ///< final-memory verdict (program runs only)
   std::string result_detail;  ///< first verification failure, if any
 };
 
-/// Dispatches on record.trace_mode: the exact full-trace check, or the
-/// windowed digest check for records whose trace was dropped.
-EquivalenceResult check_golden_equivalence(const GoldenRecord& record,
-                                           const Trace& wp);
-
 /// Order-sensitive digest of a τ-filtered trace (stream names + values).
 std::uint64_t trace_fingerprint(const Trace& trace);
-
-/// Serializes a golden record (with the cache key it belongs to) into the
-/// file at `path` — a small binary format with a magic header and a
-/// whole-payload checksum. Returns false on IO failure (best-effort: the
-/// persistent layer degrades to in-memory behavior).
-bool save_golden_record(const GoldenRecord& record, const std::string& key,
-                        const std::string& path);
-
-/// Loads a record previously written by save_golden_record. Returns
-/// nullptr — never throws — when the file is missing, truncated, fails the
-/// checksum, was written for a different key, or its trace does not match
-/// its stored fingerprint; corrupt files are simply recomputed over.
-std::shared_ptr<const GoldenRecord> load_golden_record(
-    const std::string& path, const std::string& key);
 
 class GoldenCache {
  public:
@@ -126,36 +65,14 @@ class GoldenCache {
   std::shared_ptr<const GoldenRecord> get_or_run(const std::string& key,
                                                  const ComputeFn& compute);
 
-  /// Opt-in persistent layer (ROADMAP: reuse golden records across
-  /// processes and CI shards). When a directory is set, the first caller
-  /// of a key probes `dir` before simulating — files are named by a
-  /// content hash of the key — and every freshly computed record is
-  /// written back, so a later process (or an entry evicted by the LRU cap)
-  /// replays the stored golden instead of re-simulating. Probing and
-  /// storing happen inside the key's once-slot, off the cache lock, so
-  /// disk IO never serializes unrelated keys. An empty dir disables the
-  /// layer. Creates the directory (best effort).
-  void set_persist_dir(std::string dir);
-
-  /// The on-disk path a key persists to; empty when persistence is off.
-  /// Exposed for the corruption-tolerance tests.
-  std::string persist_path(const std::string& key) const;
-
   struct Stats {
     std::uint64_t hits = 0;         ///< evaluations served from the cache
     std::uint64_t misses = 0;       ///< evaluations that created a slot
     std::uint64_t golden_runs = 0;  ///< compute() invocations that finished
     std::uint64_t evictions = 0;    ///< records dropped by the size cap
     std::size_t entries = 0;        ///< records currently cached
-    std::uint64_t disk_hits = 0;    ///< golden runs avoided via stored records
-    std::uint64_t disk_stores = 0;  ///< records written to the persist dir
   };
   Stats stats() const;
-
-  /// Drops every cached record (stat counters are kept).
-  void clear();
-
-  std::size_t max_entries() const { return max_entries_; }
 
  private:
   struct Slot {
@@ -166,7 +83,6 @@ class GoldenCache {
 
   mutable std::mutex mutex_;
   std::size_t max_entries_;
-  std::string persist_dir_;  ///< empty = persistence off
   /// Most-recently-used key at the front; LRU eviction pops the back.
   std::list<std::string> lru_;
   struct Entry {

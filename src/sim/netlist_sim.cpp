@@ -64,7 +64,7 @@ NetlistSimResult simulate_netlist(const std::string& netlist,
 
     bool equivalent = true;
     if (options.check_equivalence) {
-      const auto eq = check_golden_equivalence(*golden_record, lid.trace);
+      const auto eq = check_equivalence(golden_record->trace, lid.trace);
       equivalent = eq.equivalent;
       if (!eq.equivalent)
         note(std::string(oracle ? "WP2" : "WP1") +

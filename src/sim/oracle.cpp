@@ -1,7 +1,5 @@
 #include "sim/oracle.hpp"
 
-#include <cstdlib>
-
 #include "graph/cycle_ratio.hpp"
 #include "graph/throughput_engine.hpp"
 #include "obs/metrics.hpp"
@@ -47,58 +45,7 @@ std::string golden_key(const proc::ProgramSpec& program,
 
 }  // namespace
 
-OracleOptions OracleOptions::resolved() const {
-  OracleOptions r = *this;
-  if (r.persist_dir.empty() && r.use_env_persist) {
-    if (const char* dir = std::getenv("WIREPIPE_GOLDEN_DIR"))
-      r.persist_dir = dir;
-  }
-  if (r.use_env_trace_mode) {
-    // WIREPIPE_GOLDEN_TRACE=prefix or prefix:<window>; "full" (or unset)
-    // keeps exact traces.
-    if (const char* mode = std::getenv("WIREPIPE_GOLDEN_TRACE")) {
-      const std::string text = mode;
-      if (text.rfind("prefix", 0) == 0) {
-        r.trace_mode = TraceMode::kPrefixHash;
-        const auto colon = text.find(':');
-        if (colon != std::string::npos) {
-          try {
-            const unsigned long long window =
-                std::stoull(text.substr(colon + 1));
-            if (window >= 1) r.prefix_window = window;
-          } catch (...) {
-            // Unparseable window: keep the default rather than failing a
-            // whole run over an env var typo.
-          }
-        }
-      }
-    }
-  }
-  if (r.prefix_window == 0) r.prefix_window = 1;
-  return r;
-}
-
-SimOracle::SimOracle(std::size_t max_cached_goldens)
-    : SimOracle([max_cached_goldens] {
-        OracleOptions options;
-        options.max_cached_goldens = max_cached_goldens;
-        // The legacy size-only constructor keeps fully explicit behavior
-        // for tests: no environment surprises.
-        options.use_env_persist = false;
-        options.use_env_trace_mode = false;
-        return options;
-      }()) {}
-
-SimOracle::SimOracle(const OracleOptions& options)
-    : options_(options.resolved()), cache_(options_.max_cached_goldens) {
-  if (!options_.persist_dir.empty())
-    cache_.set_persist_dir(options_.persist_dir);
-}
-
-std::shared_ptr<SimOracle> SimOracle::make_shared(
-    const OracleOptions& options) {
-  return std::make_shared<SimOracle>(options);
-}
+SimOracle::SimOracle() : cache_(kMaxCachedGoldens) {}
 
 SimOracle::~SimOracle() {
   // Spec-cache stats mirror into the registry at teardown — one flush per
@@ -135,7 +82,7 @@ double SimOracle::static_bound(const std::map<std::string, int>& rs) {
   if (static_engine_ == nullptr)
     static_engine_ =
         std::make_unique<graph::ThroughputEngine>(proc::make_cpu_graph());
-  return static_engine_->with_rs_map(rs);
+  return static_engine_->throughput({rs.begin(), rs.end()});
 }
 
 SimOracle::SpecStats SimOracle::spec_stats() const {
@@ -163,14 +110,6 @@ std::shared_ptr<const GoldenRecord> SimOracle::golden(
     }
     record.trace = sim.trace();
     record.fingerprint = trace_fingerprint(record.trace);
-    if (options_.trace_mode == TraceMode::kPrefixHash) {
-      // Digest-then-drop: the windowed prefix hashes replace the resident
-      // trace (and shrink the persisted record); equivalence checks go
-      // through check_golden_equivalence, which dispatches on the mode.
-      record.trace_mode = TraceMode::kPrefixHash;
-      record.digest = make_trace_digest(record.trace, options_.prefix_window);
-      record.trace.clear();
-    }
     return record;
   });
 }
@@ -212,7 +151,7 @@ proc::ExperimentRow SimOracle::run_experiment(
            " run did not halt within max_cycles");
     }
     if (options.check_equivalence) {
-      const auto eq = check_golden_equivalence(*golden_record, lid.trace);
+      const auto eq = check_equivalence(golden_record->trace, lid.trace);
       if (!eq.equivalent) {
         if (oracle)
           row.wp2_equivalent = false;
@@ -261,17 +200,17 @@ double SimOracle::wp2_throughput(const proc::ProgramSpec& program,
   shell.fifo_capacity = fifo_capacity;
   wp::LidSystem lid = build_lid(spec, shell, false);
   const std::uint64_t cycles = lid.run_until_halt(max_cycles, /*grace=*/0);
+  // A run cut off at the horizon has no throughput to report: the ratio
+  // would only measure the horizon.
+  WP_CHECK(lid.shells.at("CU")->halted(),
+           "WP2 run did not halt within max_cycles");
   return static_cast<double>(golden_record->cycles) /
          static_cast<double>(cycles);
 }
 
 SimOracle& SimOracle::shared() {
-  // The process-wide oracle rides the same factory configuration as every
-  // other consumer: WIREPIPE_GOLDEN_DIR switches on persistent golden
-  // records (CI shards, repeated bench runs, daemon fleets sharing a
-  // store), WIREPIPE_GOLDEN_TRACE=prefix the trace-digest mode.
-  static std::shared_ptr<SimOracle> oracle = make_shared();
-  return *oracle;
+  static SimOracle oracle;
+  return oracle;
 }
 
 }  // namespace wp::sim

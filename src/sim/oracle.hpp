@@ -33,47 +33,14 @@ class ThroughputEngine;
 
 namespace wp::sim {
 
-/// The one place cache wiring is configured (LRU cap, persist dir, trace
-/// mode). Every oracle consumer — the in-process shared() singleton, the
-/// ensemble runner, the evaluation daemon — builds its oracle from this
-/// struct via make_shared(), so benches and examples never wire a
-/// GoldenCache by hand.
-struct OracleOptions {
-  /// LRU cap on cached golden records; 0 = unbounded. Full-trace records
-  /// are large, so long-lived processes sweeping many programs keep a cap.
-  std::size_t max_cached_goldens = 32;
-  /// Persistent golden store directory. Empty + use_env_persist →
-  /// $WIREPIPE_GOLDEN_DIR; empty with use_env_persist=false → in-memory
-  /// only.
-  std::string persist_dir;
-  bool use_env_persist = true;
-  /// kPrefixHash drops the full golden trace after digesting it into
-  /// windowed prefix hashes (see sim::TraceDigest): equivalence checks on
-  /// huge traces stop keeping the whole trace resident and on-disk golden
-  /// files shrink accordingly. use_env_trace_mode lets
-  /// WIREPIPE_GOLDEN_TRACE=prefix[:window] switch it on per process.
-  TraceMode trace_mode = TraceMode::kFull;
-  bool use_env_trace_mode = true;
-  std::uint64_t prefix_window = 64;  ///< digest checkpoint interval
-
-  /// The options after applying the environment overrides above.
-  OracleOptions resolved() const;
-};
-
 class SimOracle {
  public:
-  /// `max_cached_goldens` bounds the cache (LRU); 0 = unbounded. Golden
-  /// records hold full traces, so long-lived processes sweeping many
-  /// programs should keep a cap.
-  explicit SimOracle(std::size_t max_cached_goldens = 32);
-  explicit SimOracle(const OracleOptions& options);
-  ~SimOracle();  ///< out-of-line: static_engine_'s type is incomplete here
+  /// LRU cap on cached golden records. Records hold full traces, so a
+  /// long-lived process sweeping many programs keeps a bound.
+  static constexpr std::size_t kMaxCachedGoldens = 64;
 
-  /// The factory every bench/example/daemon should use instead of wiring
-  /// a GoldenCache directly: applies the environment overrides
-  /// (WIREPIPE_GOLDEN_DIR, WIREPIPE_GOLDEN_TRACE) and returns a
-  /// fully-configured oracle.
-  static std::shared_ptr<SimOracle> make_shared(const OracleOptions& = {});
+  SimOracle();
+  ~SimOracle();  ///< out-of-line: static_engine_'s type is incomplete here
 
   SimOracle(const SimOracle&) = delete;
   SimOracle& operator=(const SimOracle&) = delete;
@@ -97,7 +64,9 @@ class SimOracle {
                                      const proc::ExperimentOptions& options);
 
   /// The optimizer objective: simulated WP2 throughput of one RS map.
-  /// Candidate evaluations after the first are golden-cache hits.
+  /// Candidate evaluations after the first are golden-cache hits. Throws
+  /// ContractViolation when the WP2 run does not halt within the default
+  /// horizon.
   double wp2_throughput(const proc::ProgramSpec& program,
                         const proc::CpuConfig& cpu,
                         const std::map<std::string, int>& rs,
@@ -135,7 +104,6 @@ class SimOracle {
   static SimOracle& shared();
 
  private:
-  OracleOptions options_;  ///< resolved (env overrides applied)
   GoldenCache cache_;
 
   mutable std::mutex spec_mutex_;

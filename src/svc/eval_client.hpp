@@ -73,8 +73,7 @@ struct FleetOptions {
   port_name base_port = kPortShardBase;
   /// Evaluation threads per worker (--workers flag of wirepipe_evald).
   std::size_t threads_per_worker = 1;
-  /// Extra argv entries for every worker (e.g. "--trace-mode",
-  /// "prefix").
+  /// Extra argv entries for every worker (e.g. "--quiet").
   std::vector<std::string> extra_args;
 };
 

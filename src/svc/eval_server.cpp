@@ -65,7 +65,6 @@ EvalServer::EvalServer(EvalServerOptions options)
     : options_(std::move(options)) {
   if (options_.socket_path.empty())
     options_.socket_path = default_socket_path();
-  oracle_ = sim::SimOracle::make_shared(options_.oracle);
   pool_ = std::make_unique<ThreadPool>(options_.workers);
 }
 
@@ -199,8 +198,8 @@ void EvalServer::handle_connection(int fd) {
 
 std::string EvalServer::stats_json() const {
   const Stats server = stats();
-  const sim::GoldenCache::Stats cache = oracle_->stats();
-  const sim::SimOracle::SpecStats specs = oracle_->spec_stats();
+  const sim::GoldenCache::Stats cache = oracle_.stats();
+  const sim::SimOracle::SpecStats specs = oracle_.spec_stats();
   std::ostringstream os;
   json::JsonWriter json(os);
   json.begin_object();
@@ -218,9 +217,7 @@ std::string EvalServer::stats_json() const {
       .field("misses", cache.misses)
       .field("golden_runs", cache.golden_runs)
       .field("evictions", cache.evictions)
-      .field("entries", static_cast<unsigned long long>(cache.entries))
-      .field("disk_hits", cache.disk_hits)
-      .field("disk_stores", cache.disk_stores);
+      .field("entries", static_cast<unsigned long long>(cache.entries));
   json.end_object();
   json.key("spec_cache").begin_object();
   json.field("builds", specs.builds).field("reuses", specs.reuses);
@@ -258,7 +255,7 @@ bool EvalServer::handle_frame(int fd, const Frame& frame) {
         return true;
       }
       eval::EvalContext context;
-      context.oracle = oracle_.get();
+      context.oracle = &oracle_;
       const std::uint64_t batch_start_ns = obs::now_ns();
       const std::vector<eval::EvalReply> replies =
           eval::evaluate_batch(requests, context, pool_.get());

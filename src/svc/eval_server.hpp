@@ -5,9 +5,8 @@
 // thread, each eval-batch frame is decoded into EvalRequests and fanned
 // over the server's ThreadPool (the identical eval::evaluate_batch the
 // in-process adapters call), and the replies go back as one reply-batch
-// frame in request order. Each server owns one SimOracle built from
-// OracleOptions, so goldens are cached per server process and
-// $WIREPIPE_GOLDEN_DIR acts as the shared cache tier across a fleet.
+// frame in request order. Each server owns one SimOracle, so goldens are
+// cached in memory per server process.
 //
 // Failure containment, layer by layer:
 //   * a request that fails to *evaluate* → a kError reply in the batch
@@ -42,9 +41,6 @@ struct EvalServerOptions {
   /// Evaluation worker threads (the pool batches fan over); 0 = hardware
   /// concurrency.
   std::size_t workers = 0;
-  /// Cache wiring of the server's SimOracle (LRU cap, persist dir, trace
-  /// mode — environment overrides apply unless disabled).
-  sim::OracleOptions oracle;
 };
 
 class EvalServer {
@@ -72,7 +68,7 @@ class EvalServer {
 
   bool running() const { return running_.load(); }
   const std::string& socket_path() const { return options_.socket_path; }
-  sim::SimOracle& oracle() { return *oracle_; }
+  sim::SimOracle& oracle() { return oracle_; }
 
   struct Stats {
     std::uint64_t connections = 0;    ///< accepted connections
@@ -95,7 +91,7 @@ class EvalServer {
   bool handle_frame(int fd, const Frame& frame);
 
   EvalServerOptions options_;
-  std::shared_ptr<sim::SimOracle> oracle_;
+  sim::SimOracle oracle_;
   std::unique_ptr<ThreadPool> pool_;
 
   int listen_fd_ = -1;

@@ -2,16 +2,11 @@
 // truncation behavior, per-kind request/reply serialize→deserialize
 // identity, content-hash stability, the inline-program wire guard, the
 // adapter guarantee (proc::run_experiment / simulate_wp2_throughput /
-// ParallelSweep rows are bit-identical to direct SimOracle calls), error
-// containment in eval::evaluate, and the prefix-hash golden-trace mode
-// (digest equivalence, oracle parity with full mode, v2 persistence).
+// ParallelSweep rows are bit-identical to direct SimOracle calls), and
+// error containment in eval::evaluate.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -20,7 +15,6 @@
 #include "gen/ensemble.hpp"
 #include "proc/experiment.hpp"
 #include "proc/programs.hpp"
-#include "sim/golden_cache.hpp"
 #include "sim/oracle.hpp"
 #include "util/assert.hpp"
 #include "util/wire.hpp"
@@ -302,7 +296,7 @@ TEST(EvalAdapters, RunExperimentMatchesDirectOracle) {
   const proc::ExperimentOptions options;
 
   // Adapter path: EvalRequest through evaluate against a private oracle.
-  sim::SimOracle oracle(8);
+  sim::SimOracle oracle;
   ExperimentJob job;
   job.program = ProgramRef::inlined(program);
   job.cpu = cpu;
@@ -314,7 +308,7 @@ TEST(EvalAdapters, RunExperimentMatchesDirectOracle) {
       unwrap_row(evaluate(EvalRequest(std::move(job)), context));
 
   // Direct path.
-  sim::SimOracle direct(8);
+  sim::SimOracle direct;
   const proc::ExperimentRow via_oracle =
       direct.run_experiment(program, cpu, config, options);
 
@@ -326,7 +320,7 @@ TEST(EvalAdapters, Wp2ThroughputMatchesDirectOracle) {
   const proc::CpuConfig cpu;
   const std::map<std::string, int> rs = {{"CU-RF", 1}, {"RF-ALU", 1}};
 
-  sim::SimOracle oracle(8);
+  sim::SimOracle oracle;
   ThroughputJob job;
   job.program = ProgramRef::inlined(program);
   job.cpu = cpu;
@@ -337,7 +331,7 @@ TEST(EvalAdapters, Wp2ThroughputMatchesDirectOracle) {
   const double via_eval =
       unwrap_throughput(evaluate(EvalRequest(std::move(job)), context));
 
-  sim::SimOracle direct(8);
+  sim::SimOracle direct;
   EXPECT_EQ(via_eval, direct.wp2_throughput(program, cpu, rs, 16));
 }
 
@@ -347,7 +341,7 @@ TEST(EvalAdapters, GeneratorRefMatchesInlineProgram) {
   const proc::CpuConfig cpu;
   const std::map<std::string, int> rs = {{"CU-RF", 1}};
 
-  sim::SimOracle oracle_a(8);
+  sim::SimOracle oracle_a;
   ThroughputJob by_ref;
   by_ref.program = ProgramRef::extraction_sort(8, 3);
   by_ref.cpu = cpu;
@@ -357,7 +351,7 @@ TEST(EvalAdapters, GeneratorRefMatchesInlineProgram) {
   const double via_ref =
       unwrap_throughput(evaluate(EvalRequest(std::move(by_ref)), context_a));
 
-  sim::SimOracle oracle_b(8);
+  sim::SimOracle oracle_b;
   ThroughputJob by_inline;
   by_inline.program =
       ProgramRef::inlined(proc::extraction_sort_program(8, 3));
@@ -377,13 +371,13 @@ TEST(EvalAdapters, ParallelSweepStillMatchesSequentialRuns) {
   const std::vector<proc::RsConfig> configs = {
       {"a", {}}, {"b", {{"CU-RF", 1}}}, {"c", {{"RF-ALU", 2}}}};
 
-  sim::SimOracle oracle(8);
+  sim::SimOracle oracle;
   proc::ParallelSweep sweep(program, cpu, {});
   sweep.set_oracle(&oracle);
   const std::vector<proc::ExperimentRow> rows = sweep.run(configs);
   ASSERT_EQ(rows.size(), configs.size());
 
-  sim::SimOracle reference(8);
+  sim::SimOracle reference;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const proc::ExperimentRow direct =
         reference.run_experiment(program, cpu, configs[i], {});
@@ -442,6 +436,23 @@ TEST(EvalErrors, MeaninglessScheduleBecomesErrorReply) {
       << reply.error.message;
 }
 
+TEST(EvalErrors, TruncatedWp2RunBecomesErrorReply) {
+  // The 528,125-cycle golden slowed by six relay stations on CU-IC needs
+  // more than the 2,000,000-cycle horizon; golden_cycles / horizon is not
+  // a throughput.
+  ThroughputJob job;
+  job.program = ProgramRef::extraction_sort(256, 3);
+  job.rs = {{"CU-IC", 6}};
+  sim::SimOracle oracle;
+  EvalContext context;
+  context.oracle = &oracle;
+  const EvalReply reply = evaluate(EvalRequest(std::move(job)), context);
+  EXPECT_EQ(reply.kind, ReplyKind::kError);
+  EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed);
+  EXPECT_NE(reply.error.message.find("did not halt"), std::string::npos)
+      << reply.error.message;
+}
+
 TEST(EvalErrors, UnwrapKindMismatchThrows) {
   EvalReply reply;
   reply.kind = ReplyKind::kThroughput;
@@ -471,126 +482,6 @@ TEST(EvalErrors, FloorplanEvaluationIsDeterministic) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a.floorplan == b.floorplan);
-}
-
-// ----------------------------------------------------- prefix-hash mode
-
-Trace small_trace() {
-  Trace trace;
-  trace["a"] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  trace["b"] = {10, 20, 30};
-  return trace;
-}
-
-TEST(TraceDigest, IdenticalTracePasses) {
-  const Trace golden = small_trace();
-  const sim::TraceDigest digest = sim::make_trace_digest(golden, 4);
-  const auto result = sim::check_equivalence_digest(digest, golden);
-  EXPECT_TRUE(result.equivalent) << result.detail;
-}
-
-TEST(TraceDigest, MutationWithinWindowDetected) {
-  const Trace golden = small_trace();
-  const sim::TraceDigest digest = sim::make_trace_digest(golden, 4);
-  Trace mutated = golden;
-  mutated["a"][1] = 999;  // inside the first window
-  const auto result = sim::check_equivalence_digest(digest, mutated);
-  EXPECT_FALSE(result.equivalent);
-  EXPECT_NE(result.detail.find("a"), std::string::npos);
-}
-
-TEST(TraceDigest, MutationInLaterWindowDetected) {
-  const Trace golden = small_trace();
-  const sim::TraceDigest digest = sim::make_trace_digest(golden, 4);
-  Trace mutated = golden;
-  mutated["a"][7] = 999;  // second window
-  EXPECT_FALSE(sim::check_equivalence_digest(digest, mutated).equivalent);
-}
-
-TEST(TraceDigest, ShorterWpRunCheckedAtCoveredCheckpoints) {
-  const Trace golden = small_trace();
-  const sim::TraceDigest digest = sim::make_trace_digest(golden, 4);
-  Trace shorter = golden;
-  shorter["a"].resize(8);  // both checkpoints at 4 and 8 still covered
-  shorter["a"][2] = 777;
-  EXPECT_FALSE(sim::check_equivalence_digest(digest, shorter).equivalent);
-}
-
-TEST(TraceDigest, GoldenRecordDispatchesOnMode) {
-  sim::GoldenRecord record;
-  record.trace = small_trace();
-  record.trace_mode = sim::TraceMode::kFull;
-  EXPECT_TRUE(
-      sim::check_golden_equivalence(record, small_trace()).equivalent);
-
-  sim::GoldenRecord digested;
-  digested.trace_mode = sim::TraceMode::kPrefixHash;
-  digested.digest = sim::make_trace_digest(small_trace(), 2);
-  EXPECT_TRUE(
-      sim::check_golden_equivalence(digested, small_trace()).equivalent);
-  Trace mutated = small_trace();
-  mutated["b"][0] = 11;
-  EXPECT_FALSE(
-      sim::check_golden_equivalence(digested, mutated).equivalent);
-}
-
-TEST(PrefixHashOracle, RowsMatchFullTraceMode) {
-  const proc::ProgramSpec program = proc::extraction_sort_program(8, 6);
-  const proc::CpuConfig cpu;
-  const proc::RsConfig config{"prefix-parity", {{"CU-RF", 1}}};
-
-  sim::OracleOptions full_options;
-  full_options.use_env_persist = false;
-  full_options.use_env_trace_mode = false;
-  sim::SimOracle full(full_options);
-
-  sim::OracleOptions prefix_options = full_options;
-  prefix_options.trace_mode = sim::TraceMode::kPrefixHash;
-  prefix_options.prefix_window = 16;
-  sim::SimOracle prefix(prefix_options);
-
-  const proc::ExperimentRow full_row =
-      full.run_experiment(program, cpu, config, {});
-  const proc::ExperimentRow prefix_row =
-      prefix.run_experiment(program, cpu, config, {});
-  EXPECT_TRUE(rows_equal(full_row, prefix_row));
-
-  // The digested record dropped its trace but kept the digest and the
-  // fingerprint (computed before the drop).
-  const auto record = prefix.golden(program, cpu, 2000000);
-  EXPECT_EQ(record->trace_mode, sim::TraceMode::kPrefixHash);
-  EXPECT_TRUE(record->trace.empty());
-  EXPECT_FALSE(record->digest.streams.empty());
-  EXPECT_NE(record->fingerprint, 0u);
-
-  const auto full_record = full.golden(program, cpu, 2000000);
-  EXPECT_EQ(full_record->fingerprint, record->fingerprint);
-}
-
-TEST(PrefixHashOracle, DigestRecordPersistsAndReloads) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("wp_eval_api_digest_" + std::to_string(::getpid()) + ".golden"))
-          .string();
-  sim::GoldenRecord record;
-  record.cycles = 64;
-  record.trace_mode = sim::TraceMode::kPrefixHash;
-  record.digest = sim::make_trace_digest(small_trace(), 4);
-  record.fingerprint = sim::trace_fingerprint(small_trace());
-  ASSERT_TRUE(sim::save_golden_record(record, "test:key", path));
-
-  const auto loaded = sim::load_golden_record(path, "test:key");
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->trace_mode, sim::TraceMode::kPrefixHash);
-  EXPECT_EQ(loaded->cycles, 64u);
-  EXPECT_TRUE(loaded->trace.empty());
-  ASSERT_EQ(loaded->digest.streams.size(), record.digest.streams.size());
-  EXPECT_EQ(loaded->digest.window, 4u);
-  EXPECT_EQ(loaded->digest.streams[0].checkpoints,
-            record.digest.streams[0].checkpoints);
-  EXPECT_TRUE(
-      sim::check_golden_equivalence(*loaded, small_trace()).equivalent);
-  std::remove(path.c_str());
 }
 
 }  // namespace

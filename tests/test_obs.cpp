@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -402,8 +403,6 @@ svc::EvalServerOptions test_server_options() {
   svc::EvalServerOptions options;
   options.socket_path = unique_socket_path();
   options.workers = 2;
-  options.oracle.use_env_persist = false;
-  options.oracle.use_env_trace_mode = false;
   return options;
 }
 
@@ -421,7 +420,16 @@ TEST(StatsScrape, LiveServerAnswersWithParsableStatsDocument) {
   EXPECT_DOUBLE_EQ(srv->find("workers")->as_double(), 2.0);
   // The scrape itself is a frame, so the server has seen at least one.
   EXPECT_GE(srv->find("frames")->as_double(), 1.0);
-  ASSERT_NE(doc.find("golden_cache"), nullptr);
+  const json::Value* golden_cache = doc.find("golden_cache");
+  ASSERT_NE(golden_cache, nullptr);
+  std::set<std::string> golden_keys;
+  for (const auto& [key, value] : golden_cache->members()) {
+    EXPECT_TRUE(value.is_number()) << key;
+    golden_keys.insert(key);
+  }
+  EXPECT_EQ(golden_keys,
+            (std::set<std::string>{"hits", "misses", "golden_runs",
+                                   "evictions", "entries"}));
   ASSERT_NE(doc.find("spec_cache"), nullptr);
   // The full registry rides along (pool metrics are always registered by
   // the server's own worker pool).

@@ -6,9 +6,11 @@
 // reference.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
+#include <chrono>
+#include <string>
+#include <thread>
 
 #include "core/procs.hpp"
 #include "graph/cycle_ratio.hpp"
@@ -138,140 +140,46 @@ TEST(GoldenCache, ThrowingComputeNeverEvictsHealthyRecords) {
   EXPECT_EQ(runs, 1);
 }
 
-// ------------------------------------------- persistent on-disk records
-
-/// Fresh temp dir per test so runs cannot contaminate each other.
-std::string persist_dir(const std::string& name) {
-  const std::string dir =
-      ::testing::TempDir() + "wpgolden-" + name + "-" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-GoldenRecord traced_record() {
-  GoldenRecord record;
-  record.cycles = 4242;
-  record.halted = true;
-  record.result_ok = false;
-  record.result_detail = "expected 7, got 8";
-  record.trace = {{"CU.iaddr", {1, 2, 3, 0xDEADBEEFULL}},
-                  {"DC.load", {}},
-                  {"ALU.result", {9, 9, 9}}};
-  record.fingerprint = trace_fingerprint(record.trace);
-  return record;
-}
-
-TEST(GoldenCachePersistence, SaveLoadRoundTripsEveryField) {
-  const std::string dir = persist_dir("roundtrip");
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/record.wpgolden";
-  const GoldenRecord record = traced_record();
-  ASSERT_TRUE(save_golden_record(record, "key-1", path));
-
-  const auto loaded = load_golden_record(path, "key-1");
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->cycles, record.cycles);
-  EXPECT_EQ(loaded->halted, record.halted);
-  EXPECT_EQ(loaded->result_ok, record.result_ok);
-  EXPECT_EQ(loaded->result_detail, record.result_detail);
-  EXPECT_EQ(loaded->fingerprint, record.fingerprint);
-  EXPECT_EQ(loaded->trace, record.trace);
-
-  // A foreign key must not alias the record.
-  EXPECT_EQ(load_golden_record(path, "key-2"), nullptr);
-  EXPECT_EQ(load_golden_record(dir + "/missing.wpgolden", "key-1"), nullptr);
-}
-
-TEST(GoldenCachePersistence, SecondCacheReplaysStoredRecordWithoutARun) {
-  const std::string dir = persist_dir("replay");
-  int runs = 0;
-  const auto compute = [&] {
-    ++runs;
-    return traced_record();
-  };
-
-  GoldenCache writer;
-  writer.set_persist_dir(dir);
-  const auto first = writer.get_or_run("shared-key", compute);
-  EXPECT_EQ(runs, 1);
-  EXPECT_EQ(writer.stats().disk_stores, 1u);
-  EXPECT_EQ(writer.stats().disk_hits, 0u);
-
-  // A different cache (a later process) replays the stored golden.
-  GoldenCache reader;
-  reader.set_persist_dir(dir);
-  const auto replayed = reader.get_or_run("shared-key", compute);
-  EXPECT_EQ(runs, 1) << "stored record should have replaced the run";
-  EXPECT_EQ(reader.stats().disk_hits, 1u);
-  EXPECT_EQ(reader.stats().golden_runs, 0u);
-  EXPECT_EQ(replayed->cycles, first->cycles);
-  EXPECT_EQ(replayed->trace, first->trace);
-  EXPECT_EQ(replayed->fingerprint, first->fingerprint);
-}
-
-TEST(GoldenCachePersistence, CorruptFilesAreRecomputedAndOverwritten) {
-  const std::string dir = persist_dir("corrupt");
-  int runs = 0;
-  const auto compute = [&] {
-    ++runs;
-    return traced_record();
-  };
-
-  GoldenCache writer;
-  writer.set_persist_dir(dir);
-  writer.get_or_run("k", compute);
-  ASSERT_EQ(runs, 1);
-  const std::string path = writer.persist_path("k");
-  ASSERT_FALSE(path.empty());
-
-  // Corruption 1: flip a payload byte — checksum must reject it.
-  {
-    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(12);
-    file.put('\x5a');
-  }
-  EXPECT_EQ(load_golden_record(path, "k"), nullptr);
-  GoldenCache after_flip;
-  after_flip.set_persist_dir(dir);
-  after_flip.get_or_run("k", compute);
-  EXPECT_EQ(runs, 2) << "corrupt record must be recomputed";
-  EXPECT_EQ(after_flip.stats().disk_stores, 1u)
-      << "recompute should overwrite the corrupt file";
-
-  // The overwrite healed the file: the next cache replays it again.
-  GoldenCache reader;
-  reader.set_persist_dir(dir);
-  reader.get_or_run("k", compute);
-  EXPECT_EQ(runs, 2);
-  EXPECT_EQ(reader.stats().disk_hits, 1u);
-
-  // Corruption 2: truncation (including into the header).
-  std::filesystem::resize_file(path, 10);
-  EXPECT_EQ(load_golden_record(path, "k"), nullptr);
-  // Corruption 3: garbage that is not even a header.
-  {
-    std::ofstream file(path, std::ios::binary | std::ios::trunc);
-    file << "not a golden record";
-  }
-  EXPECT_EQ(load_golden_record(path, "k"), nullptr);
-}
-
-TEST(GoldenCachePersistence, EvictedRecordsReloadFromDiskInsteadOfRerunning) {
-  const std::string dir = persist_dir("evict");
-  int runs = 0;
-  GoldenCache cache(/*max_entries=*/1);
-  cache.set_persist_dir(dir);
-  const auto compute = [&] {
-    ++runs;
-    return traced_record();
-  };
-  cache.get_or_run("a", compute);
-  cache.get_or_run("b", compute);  // evicts "a" from memory, not from disk
-  EXPECT_EQ(runs, 2);
-  cache.get_or_run("a", compute);
-  EXPECT_EQ(runs, 2) << "the evicted record should replay from disk";
-  EXPECT_EQ(cache.stats().disk_hits, 1u);
+TEST(GoldenCache, SoftCapHoldsUnderContention) {
+  // A cap-2 cache cycling through 8 keys on 4 workers: eviction runs while
+  // other slots are still in flight, and workers race for the same keys.
+  constexpr std::size_t kCap = 2;
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kKeys = 8;
+  GoldenCache cache(kCap);
+  std::array<std::atomic<int>, kKeys> running{};
+  std::atomic<int> overlapping_runs{0};
+  std::atomic<int> mismatches{0};
+  std::atomic<std::size_t> max_entries{0};
+  ThreadPool pool(kWorkers);
+  pool.parallel_for(0, 256, [&](std::size_t i) {
+    // Scattered key order: pool chunks do not walk the keys in lockstep.
+    const std::size_t key = ((i * 2654435761u) >> 7) % kKeys;
+    const auto record = cache.get_or_run("k" + std::to_string(key), [&] {
+      // Two runs of one key at once would mean an in-flight slot was
+      // evicted and a racing caller started a duplicate.
+      if (running[key].fetch_add(1) != 0) ++overlapping_runs;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      --running[key];
+      return tiny_record(100 + key);
+    });
+    if (record->cycles != 100 + key) ++mismatches;
+    const std::size_t entries = cache.stats().entries;
+    std::size_t seen = max_entries.load();
+    while (entries > seen &&
+           !max_entries.compare_exchange_weak(seen, entries)) {
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(overlapping_runs.load(), 0);
+  const GoldenCache::Stats stats = cache.stats();
+  // Every miss ran its golden exactly once: no slot ran twice.
+  EXPECT_EQ(stats.golden_runs, stats.misses);
+  EXPECT_EQ(stats.hits + stats.misses, 256u);
+  EXPECT_GT(stats.evictions, 0u);
+  // In-flight slots are never evicted, so the cap is exceeded by at most
+  // one slot per worker.
+  EXPECT_LE(max_entries.load(), kCap + kWorkers);
 }
 
 // ------------------------------------------------- cached vs fresh golden

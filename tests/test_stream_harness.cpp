@@ -398,8 +398,6 @@ svc::EvalServerOptions test_server_options() {
   svc::EvalServerOptions options;
   options.socket_path = unique_socket_path();
   options.workers = 2;
-  options.oracle.use_env_persist = false;
-  options.oracle.use_env_trace_mode = false;
   return options;
 }
 

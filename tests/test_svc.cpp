@@ -151,8 +151,6 @@ EvalServerOptions test_server_options() {
   EvalServerOptions options;
   options.socket_path = unique_socket_path();
   options.workers = 2;
-  options.oracle.use_env_persist = false;
-  options.oracle.use_env_trace_mode = false;
   return options;
 }
 

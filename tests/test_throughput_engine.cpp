@@ -2,8 +2,8 @@
 // graph::ThroughputEngine must be *bitwise* identical to a fresh
 // min_cycle_ratio_howard() on an equivalently configured graph, across
 // random demand-perturbation chains on every topology family — including
-// through apply/undo, across the incremental-vs-cold-fallback paths, and
-// under the thread pool (serial ≡ pooled). Also pins the annealer
+// across the incremental-vs-cold-fallback paths and under the thread pool
+// (serial ≡ pooled). Also pins the annealer
 // integration (engine-backed run ≡ ThroughputEvaluator-backed run, the
 // pre-engine oracle) and the ensemble's engine-counter determinism.
 //
@@ -168,37 +168,6 @@ TEST(ThroughputEngine, ColdModeMatchesIncrementalEverywhere) {
   }
 }
 
-TEST(ThroughputEngine, UndoRestoresStateAndResult) {
-  const Digraph base = proc::make_cpu_graph();
-  ThroughputEngine engine(base);
-  const Demand d1 = {{"CU-IC", 1}, {"ALU-CU", 2}};
-  const Demand d2 = {{"CU-IC", 0}, {"RF-ALU", 3}};
-
-  const double r1 = engine.throughput(d1);
-  EXPECT_EQ(r1, fresh_ratio(base, d1));
-  const double r2 = engine.throughput(d2);
-  EXPECT_EQ(r2, fresh_ratio(base, d2));
-  ASSERT_TRUE(engine.can_undo());
-
-  engine.undo();  // back to the d1 configuration
-  EXPECT_FALSE(engine.can_undo());
-  for (EdgeId e = 0; e < base.num_edges(); ++e) {
-    const Digraph expected = configured(base, d1);
-    EXPECT_EQ(engine.graph().edge(e).relay_stations,
-              expected.edge(e).relay_stations);
-  }
-  // Re-querying the restored demand is the unchanged fast path and returns
-  // the cached (exact) result.
-  const std::uint64_t unchanged_before = engine.stats().unchanged;
-  EXPECT_EQ(engine.throughput(d1), r1);
-  EXPECT_EQ(engine.stats().unchanged, unchanged_before + 1);
-  // Chains keep matching fresh solves after an undo.
-  EXPECT_EQ(engine.throughput(d2), r2);
-
-  engine.undo();
-  EXPECT_THROW(engine.undo(), wp::ContractViolation);  // one level deep
-}
-
 TEST(ThroughputEngine, AcyclicGraphAlwaysReportsUnitThroughput) {
   Digraph g;
   const NodeId a = g.add_node("a");
@@ -218,16 +187,6 @@ TEST(ThroughputEngine, UnknownLabelsAreIgnored) {
   const double plain = engine.throughput({});
   EXPECT_EQ(engine.throughput({{"NO-SUCH", 7}}), plain);
   EXPECT_EQ(engine.stats().unchanged, 1u);
-}
-
-TEST(ThroughputEngine, WithRsMapMatchesVectorForm) {
-  const Digraph base = proc::make_cpu_graph();
-  ThroughputEngine by_map(base);
-  ThroughputEngine by_vector(base);
-  const std::map<std::string, int> rs = {
-      {"CU-IC", 1}, {"RF-DC", 2}, {"DC-RF", 1}};
-  EXPECT_EQ(by_map.with_rs_map(rs),
-            by_vector.throughput({rs.begin(), rs.end()}));
 }
 
 TEST(ThroughputEngine, IdQueriesMatchLabelQueriesAndFreshHoward) {
