@@ -1,8 +1,8 @@
 // Micro-benchmarks for the packing primitives under the annealer's hot
-// loop: the epoch-stamped MaxFenwick pass, one-shot pack_fast() against
-// the naive O(n²) pack(), and the per-move cost of rejection-heavy move
-// chains (uniform global swaps and local tail swaps) under the MovePacker
-// against the naive reference re-pack.
+// loop: the MaxFenwick pass (a zero-fill reset, then plain max walks),
+// one-shot pack_fast() against the naive O(n²) pack(), and the per-move
+// cost of rejection-heavy move chains (uniform global swaps and local tail
+// swaps) under the MovePacker against the naive reference re-pack.
 //
 // Self-contained (no google-benchmark): deterministic seeded workloads,
 // checksums printed so the measured loops cannot be optimised away (and

@@ -67,21 +67,26 @@ struct RsHash {
   }
 };
 
-/// Cost evaluator for one annealing run. A throughput-driven run interns
-/// the instance's connection labels once (DemandIndex), so each candidate
-/// costs one flat derive() pass for wirelength and RS demand, and the
-/// oracle is addressed by connection id. Throughput values are memoized
-/// by RS vector: the label list is fixed for the run, so that key is as
-/// injective as a labelled one. The memo pays on small instances, where
-/// few distinct demands exist (on the 5-block CPU instance hits outnumber
-/// misses); on a hot 128-block scale-free anneal about 2% of candidate
-/// demands repeat, and the memo costs one hash per candidate.
+/// Cost evaluator for one annealing run. Each candidate costs one flat pass
+/// over the run's net arrays. An area-driven run sums wirelength through a
+/// NetGeometry, which needs no labels and so skips the label sort. A
+/// throughput-driven run interns the instance's connection labels once
+/// (DemandIndex): its derive() pass yields wirelength and RS demand
+/// together, and the oracle is addressed by connection id. Throughput
+/// values are memoized by RS vector: the label list is fixed for the run,
+/// so that key is as injective as a labelled one. The memo pays on small
+/// instances, where few distinct demands exist (on the 5-block CPU
+/// instance hits outnumber misses); on a hot 128-block scale-free anneal
+/// about 2% of candidate demands repeat, and the memo costs one hash per
+/// candidate.
 class CostModel {
  public:
   CostModel(const Instance& inst, const AnnealOptions& options)
-      : inst_(inst), options_(options),
-        use_throughput_(options.weight_throughput > 0.0) {
-    if (!use_throughput_) return;
+      : options_(options) {
+    if (options_.weight_throughput == 0.0) {
+      nets_.emplace(inst);
+      return;
+    }
     WP_REQUIRE(options_.throughput_engine != nullptr ||
                    static_cast<bool>(options_.throughput_fn),
                "throughput weight set but neither throughput_engine nor "
@@ -96,9 +101,9 @@ class CostModel {
   }
 
   double cost(const Placement& placement, AnnealResult* stats) {
-    if (!use_throughput_)
+    if (nets_)
       return combine_cost(options_, placement.area(),
-                          total_wirelength(inst_, placement), 1.0);
+                          nets_->wirelength(placement), 1.0);
     const double wirelength =
         index_->derive(placement, options_.delay_model, rs_);
     return combine_cost(options_, placement.area(), wirelength,
@@ -130,10 +135,9 @@ class CostModel {
 
   static constexpr std::size_t kMaxEntries = 1 << 16;
 
-  const Instance& inst_;
   const AnnealOptions& options_;
-  const bool use_throughput_;
-  std::optional<DemandIndex> index_;
+  std::optional<NetGeometry> nets_;   ///< area-driven runs
+  std::optional<DemandIndex> index_;  ///< throughput-driven runs
   std::vector<int> rs_;   ///< cost()'s derive scratch
   std::vector<int> ids_;  ///< engine label id per connection id
   /// throughput_fn's argument: labels filled once, counts per query.

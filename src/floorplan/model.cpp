@@ -68,15 +68,40 @@ int relay_stations_for_length(double mm, const WireDelayModel& model) {
   return std::max(1, static_cast<int>(stages)) - 1;
 }
 
-DemandIndex::DemandIndex(const Instance& inst) {
-  const std::size_t n = inst.nets.size();
-  src_.reserve(n);
-  dst_.reserve(n);
+NetGeometry::NetGeometry(const Instance& inst) {
+  WP_REQUIRE(inst.blocks.size() <= std::numeric_limits<std::uint32_t>::max(),
+             "too many blocks for 32-bit net indices");
+  src_.reserve(inst.nets.size());
+  dst_.reserve(inst.nets.size());
   for (const auto& net : inst.nets) {
     require_net_in_range(inst, net);
-    src_.push_back(static_cast<std::size_t>(net.src_block));
-    dst_.push_back(static_cast<std::size_t>(net.dst_block));
+    src_.push_back(static_cast<std::uint32_t>(net.src_block));
+    dst_.push_back(static_cast<std::uint32_t>(net.dst_block));
   }
+  half_w_.reserve(inst.blocks.size());
+  half_h_.reserve(inst.blocks.size());
+  for (const auto& block : inst.blocks) {
+    half_w_.push_back(block.width / 2);
+    half_h_.push_back(block.height / 2);
+  }
+}
+
+double NetGeometry::length(const Placement& placement,
+                           std::size_t net) const {
+  const std::size_t s = src_[net];
+  const std::size_t d = dst_[net];
+  return centre_distance(placement, s, half_w_[s], half_h_[s], d, half_w_[d],
+                         half_h_[d]);
+}
+
+double NetGeometry::wirelength(const Placement& placement) const {
+  double total = 0;
+  for (std::size_t i = 0; i < src_.size(); ++i) total += length(placement, i);
+  return total;
+}
+
+DemandIndex::DemandIndex(const Instance& inst) : nets_(inst) {
+  const std::size_t n = inst.nets.size();
   // Nets in label order; each run of equal labels is one connection id.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -87,13 +112,7 @@ DemandIndex::DemandIndex(const Instance& inst) {
   for (const std::size_t i : order) {
     const std::string& label = inst.nets[i].connection;
     if (labels_.empty() || labels_.back() != label) labels_.push_back(label);
-    conn_[i] = labels_.size() - 1;
-  }
-  half_w_.reserve(inst.blocks.size());
-  half_h_.reserve(inst.blocks.size());
-  for (const auto& block : inst.blocks) {
-    half_w_.push_back(block.width / 2);
-    half_h_.push_back(block.height / 2);
+    conn_[i] = static_cast<std::uint32_t>(labels_.size() - 1);
   }
 }
 
@@ -103,11 +122,7 @@ double DemandIndex::derive(const Placement& placement,
   rs.assign(labels_.size(), 0);
   double total = 0;
   for (std::size_t i = 0; i < conn_.size(); ++i) {
-    const std::size_t s = src_[i];
-    const std::size_t d = dst_[i];
-    const double length = centre_distance(placement, s, half_w_[s],
-                                          half_h_[s], d, half_w_[d],
-                                          half_h_[d]);
+    const double length = nets_.length(placement, i);
     total += length;
     int& worst = rs[conn_[i]];
     worst = std::max(worst, relay_stations_for_length(length, model));

@@ -67,11 +67,37 @@ struct WireDelayModel {
 /// finite and non-negative, and the stage count must fit an int.
 int relay_stations_for_length(double mm, const WireDelayModel& model);
 
+/// An instance's nets as flat arrays: per-net block indices and per-block
+/// half extents, range-checked once at construction. Both cost paths of an
+/// anneal measure wirelength through it, so no candidate walks the Net and
+/// Block structs (which carry std::strings) or re-checks a net. Immutable,
+/// so concurrent calls are safe.
+class NetGeometry {
+ public:
+  explicit NetGeometry(const Instance& inst);
+
+  /// Centre-to-centre Manhattan length of net `net`; bit-identical to
+  /// net_length().
+  double length(const Placement& placement, std::size_t net) const;
+
+  /// The net-order sum of net lengths — bit-identical to
+  /// total_wirelength(). The sum is one in-order add chain on purpose:
+  /// reassociating it would change the result's bits.
+  double wirelength(const Placement& placement) const;
+
+ private:
+  std::vector<std::uint32_t> src_;  ///< per net
+  std::vector<std::uint32_t> dst_;  ///< per net
+  std::vector<double> half_w_;      ///< per block
+  std::vector<double> half_h_;      ///< per block
+};
+
 /// An instance's nets with their connection labels interned: labels are
 /// resolved to dense ids once, so a placement's wirelength and RS demand
-/// come out of one flat pass over integer arrays. An anneal builds one and
-/// derives every candidate through it; it is immutable, so concurrent
-/// derive() calls are safe.
+/// come out of one flat pass over integer arrays. A throughput-driven
+/// anneal builds one and derives every candidate through it; an
+/// area-driven anneal needs no labels and uses a bare NetGeometry, skipping
+/// the label sort. Immutable, so concurrent derive() calls are safe.
 class DemandIndex {
  public:
   /// Range-checks every net's block indices (once, here).
@@ -89,12 +115,9 @@ class DemandIndex {
                 std::vector<int>& rs) const;
 
  private:
+  NetGeometry nets_;
   std::vector<std::string> labels_;
-  std::vector<std::size_t> src_;   ///< per net
-  std::vector<std::size_t> dst_;   ///< per net
-  std::vector<std::size_t> conn_;  ///< per net: connection id
-  std::vector<double> half_w_;     ///< per block
-  std::vector<double> half_h_;     ///< per block
+  std::vector<std::uint32_t> conn_;  ///< per net: connection id
 };
 
 /// Per-connection relay-station demand of a placement: the max over the

@@ -1,6 +1,8 @@
 // Floorplanning tests: sequence-pair packing semantics, overlap-freedom as
-// a property over random instances, wirelength, the wire-delay → relay-
-// station model, the parser, and the annealer's improvement guarantees.
+// a property over random instances, wirelength (the reference and the flat
+// net pass, bit for bit), the packer's Fenwick tree, the wire-delay →
+// relay-station model, the parser, and the annealer's improvement
+// guarantees.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +13,7 @@
 #include "floorplan/annealer.hpp"
 #include "floorplan/instances.hpp"
 #include "floorplan/model.hpp"
+#include "floorplan/pack_engine.hpp"
 #include "floorplan/sequence_pair.hpp"
 #include "gen/instances.hpp"
 #include "gen/topologies.hpp"
@@ -194,10 +197,15 @@ TEST(Model, DeriveMatchesRsDemandAndWirelengthBitForBit) {
   tight.clock_ps = 250.0;
   for (const Instance& inst : instances) {
     const DemandIndex index(inst);
+    const NetGeometry nets(inst);
     std::vector<int> rs;
     for (const Placement& p : random_placements(inst, 20, inst.nets.size())) {
-      const double wirelength = index.derive(p, tight, rs);
-      EXPECT_EQ(wirelength, total_wirelength(inst, p));
+      const double reference = total_wirelength(inst, p);
+      EXPECT_EQ(index.derive(p, tight, rs), reference);
+      // The area path's flat pass, which interns no labels.
+      EXPECT_EQ(nets.wirelength(p), reference);
+      for (std::size_t i = 0; i < inst.nets.size(); ++i)
+        ASSERT_EQ(nets.length(p, i), net_length(inst, p, inst.nets[i]));
       const auto demand = rs_demand(inst, p, tight);
       ASSERT_EQ(demand.size(), rs.size());
       ASSERT_EQ(index.labels().size(), rs.size());
@@ -213,6 +221,56 @@ TEST(Model, DemandIndexRangeChecksNetsOnce) {
   Instance inst = two_blocks();
   inst.nets.push_back({"bad", 0, 2});
   EXPECT_THROW(DemandIndex{inst}, wp::ContractViolation);
+  EXPECT_THROW(NetGeometry{inst}, wp::ContractViolation);
+}
+
+/// Drives `tree` through one packing-shaped pass over `size` positions —
+/// a prefix_max() query then an update() per step, at seeded random keys
+/// with positive values — and returns every query's answer.
+std::vector<double> fenwick_pass(detail::MaxFenwick& tree, std::size_t size,
+                                 std::uint64_t seed) {
+  wp::Rng rng(seed);
+  tree.reset(size);
+  std::vector<double> answers;
+  for (std::size_t step = 0; step < 2 * size; ++step) {
+    const auto key = static_cast<std::size_t>(rng.below(size));
+    answers.push_back(tree.prefix_max(key + 1));
+    tree.update(key, 0.5 + 100.0 * rng.uniform());
+  }
+  answers.push_back(tree.prefix_max(size));
+  return answers;
+}
+
+TEST(MaxFenwick, ReusedTreeMatchesAFreshTreeAcrossSizes) {
+  // reset() must leave no trace of the previous pass whether the tree
+  // grows, shrinks or keeps its size: every pass of one reused tree must
+  // answer exactly like a tree built for that pass alone.
+  detail::MaxFenwick reused;
+  std::uint64_t seed = 1;
+  for (const std::size_t size : {16u, 256u, 16u, 16u, 256u, 256u, 1u, 33u}) {
+    detail::MaxFenwick fresh;
+    EXPECT_EQ(fenwick_pass(reused, size, seed), fenwick_pass(fresh, size, seed))
+        << "size " << size << " seed " << seed;
+    ++seed;
+  }
+}
+
+TEST(MaxFenwick, PrefixMaxMatchesALinearScan) {
+  detail::MaxFenwick tree;
+  tree.reset(40);
+  std::vector<double> values(40, 0.0);
+  wp::Rng rng(11);
+  for (int step = 0; step < 200; ++step) {
+    const auto key = static_cast<std::size_t>(rng.below(values.size()));
+    const double value = 0.5 + 10.0 * rng.uniform();
+    tree.update(key, value);
+    values[key] = std::max(values[key], value);
+    double expected = 0.0;  // the empty prefix's identity
+    for (std::size_t count = 0; count <= values.size(); ++count) {
+      ASSERT_EQ(tree.prefix_max(count), expected) << "count " << count;
+      if (count < values.size()) expected = std::max(expected, values[count]);
+    }
+  }
 }
 
 TEST(Parser, RoundTrips) {
@@ -389,6 +447,29 @@ TEST(AnnealParallel, AreaDrivenDeterminismAndSeedBookkeeping) {
   EXPECT_TRUE(identical_results(a, b));
   EXPECT_GE(a.seed, 100u);
   EXPECT_LT(a.seed, 104u);
+}
+
+TEST(Annealer, AreaDrivenFlatPassMatchesNaiveEngineAndReferenceCost) {
+  // An area-driven run prices candidates through NetGeometry's flat pass.
+  // Both packers must end on the same bits, and the search-path cost of
+  // the best placement must equal the reference placement_cost(), which
+  // measures wirelength with total_wirelength().
+  const Instance inst =
+      generated_instance(wp::gen::TopologyFamily::kMesh, 64, 2);
+  AnnealOptions options;
+  options.iterations = 1500;
+  options.seed = 17;
+  options.weight_throughput = 0.0;
+  options.pack_engine = PackEngine::kNaive;
+  const AnnealResult naive = anneal(inst, options);
+  options.pack_engine = PackEngine::kMovePacker;
+  const AnnealResult move = anneal(inst, options);
+  EXPECT_EQ(naive.cost, move.cost);
+  EXPECT_EQ(naive.area, move.area);
+  EXPECT_EQ(naive.wirelength, move.wirelength);
+  EXPECT_TRUE(identical_results(naive, move));
+  EXPECT_EQ(move.cost, placement_cost(inst, move.placement, options, nullptr,
+                                      nullptr, nullptr));
 }
 
 TEST(AnnealParallel, MemoCacheSkipsRepeatedThroughputDemands) {
