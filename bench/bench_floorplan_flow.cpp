@@ -9,9 +9,9 @@
 // sections time the hot-loop machinery: packing (naive O(n²) pack() vs
 // pack_fast() vs the MovePacker's per-move apply at mid-anneal and
 // cold-tail accept rates), whole anneals under both engines plus the
-// 128-vs-256-block scaling study, and the throughput oracles
-// (ThroughputEvaluator reference vs the incremental ThroughputEngine),
-// asserting bit-identical results as they run.
+// 128-vs-256-block scaling study, and the throughput oracles (a fresh
+// certified Howard solve per demand, the reference, vs the incremental
+// ThroughputEngine), asserting bit-identical results as they run.
 //
 // Machine-readable trajectory: every run writes the per-stage timings
 // (pack ms, throughput-eval ms, whole-anneal ms, engine hit rates) as
@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -29,7 +30,6 @@
 #include "floorplan/instances.hpp"
 #include "floorplan/pack_engine.hpp"
 #include "graph/cycle_ratio.hpp"
-#include "graph/throughput.hpp"
 #include "graph/throughput_engine.hpp"
 #include "proc/experiment.hpp"
 #include "util/table.hpp"
@@ -151,14 +151,25 @@ PackingRow bench_packing_engines(wp::TextTable& table, std::size_t blocks) {
   return {blocks, naive_ms, fast_ms, move_us, tail_move_us};
 }
 
-double static_throughput_of_demand(
-    const wp::graph::Digraph& base,
-    const std::vector<std::pair<std::string, int>>& demand) {
-  auto g = base;
-  for (const auto& [label, rs] : demand)
-    for (wp::graph::EdgeId e = 0; e < g.num_edges(); ++e)
-      if (g.edge(e).label == label) g.edge(e).relay_stations = rs;
-  return wp::graph::min_cycle_ratio_lawler(g).ratio;
+/// The throughput-oracle reference: a stateless ThroughputFn that applies
+/// each demand to a fresh copy of `base` (labels not mentioned keep their
+/// base counts) and solves the copy with the certified
+/// min_cycle_ratio_howard(). The label index is built once, read only.
+wp::fplan::ThroughputFn fresh_howard_fn(const wp::graph::Digraph& base) {
+  std::unordered_map<std::string, std::vector<wp::graph::EdgeId>> by_label;
+  for (wp::graph::EdgeId e = 0; e < base.num_edges(); ++e)
+    by_label[base.edge(e).label].push_back(e);
+  return [base, by_label = std::move(by_label)](
+             const std::vector<std::pair<std::string, int>>& demand) {
+    wp::graph::Digraph g = base;
+    for (const auto& [label, rs] : demand) {
+      const auto it = by_label.find(label);
+      if (it == by_label.end()) continue;
+      for (const wp::graph::EdgeId e : it->second)
+        g.edge(e).relay_stations = rs;
+    }
+    return wp::graph::min_cycle_ratio_howard(g).ratio;
+  };
 }
 
 /// One node per block, one labelled edge per net: the static-analysis
@@ -237,7 +248,7 @@ int main(int argc, char** argv) {
     out.objective = throughput_driven ? "area+WL+throughput" : "area+WL";
     out.area = result.area;
     out.wirelength = result.wirelength;
-    out.static_th = static_throughput_of_demand(cpu_graph, demand);
+    out.static_th = fresh_howard_fn(cpu_graph)(demand);
     out.th_wp1 = row.th_wp1;
     out.th_wp2 = row.th_wp2;
     floorplan_rows.push_back(out);
@@ -374,15 +385,15 @@ int main(int argc, char** argv) {
   std::cout << "256 / 128 anneal ratio: " << fmt_fixed(ratio_256_over_128, 2)
             << "\n\n";
 
-  // Throughput-oracle head-to-head: the evaluator reference (whole-graph
-  // RS reset + cold certification per demand) vs the incremental engine
+  // Throughput-oracle head-to-head: the fresh-Howard reference (configured
+  // graph copy + cold certified solve per demand) vs the incremental engine
   // (in-place deltas + lazily repaired certificate), on throughput-driven
   // anneals of the synthetic SoCs. The trajectories must be bit-identical;
   // the win is the throughput-eval share of the anneal.
   TextTable oraclet({"blocks", "oracle", "anneal ms", "th-eval ms",
                      "th share", "th-eval speedup", "incr", "cold"});
   oraclet.add_section(
-      "Throughput oracles (evaluator reference vs incremental engine), "
+      "Throughput oracles (fresh-Howard reference vs incremental engine), "
       "throughput-driven anneal, 4000 iterations");
   oraclet.add_separator();
   for (const std::size_t blocks : {33u, 100u, 150u}) {
@@ -395,12 +406,11 @@ int main(int argc, char** argv) {
       anneal_options.seed = 9;
       anneal_options.delay_model = delay;
       anneal_options.weight_throughput = 100.0;
-      graph::ThroughputEvaluator evaluator(g);
       graph::ThroughputEngine engine(g);
       if (use_engine)
         anneal_options.throughput_engine = &engine;
       else
-        anneal_options.throughput_fn = std::ref(evaluator);
+        anneal_options.throughput_fn = fresh_howard_fn(g);
       const auto start = std::chrono::steady_clock::now();
       const std::size_t idx = use_engine ? 1 : 0;
       results[idx] = fplan::anneal(inst, anneal_options);
@@ -408,7 +418,7 @@ int main(int argc, char** argv) {
 
       OracleRow row;
       row.blocks = blocks;
-      row.oracle = use_engine ? "engine" : "evaluator";
+      row.oracle = use_engine ? "engine" : "fresh-howard";
       row.anneal_ms = anneal_ms;
       row.throughput_ms = results[idx].throughput_ms;
       row.evals = results[idx].throughput_evals;
@@ -429,7 +439,12 @@ int main(int argc, char** argv) {
     }
     if (results[0].cost != results[1].cost ||
         results[0].placement.x != results[1].placement.x ||
-        results[0].throughput != results[1].throughput) {
+        results[0].placement.y != results[1].placement.y ||
+        results[0].throughput != results[1].throughput ||
+        results[0].accepted_moves != results[1].accepted_moves ||
+        results[0].throughput_evals != results[1].throughput_evals ||
+        results[0].throughput_cache_hits !=
+            results[1].throughput_cache_hits) {
       std::cerr << "THROUGHPUT ORACLE DIVERGENCE at n=" << blocks << "\n";
       return 1;
     }

@@ -11,7 +11,7 @@
 #include "gen/instances.hpp"
 #include "gen/topologies.hpp"
 #include "graph/cycle_ratio.hpp"
-#include "graph/throughput.hpp"
+#include "graph/throughput_engine.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -53,21 +53,19 @@ int main() {
     // The netlist view really is a runnable system description.
     const ParsedSystem parsed = parse_system(sys.netlist, default_registry());
 
-    // Throughput-aware floorplan of the dressed instance; the evaluator
-    // scores the placement-implied relay stations on the topology itself.
+    // Throughput-aware floorplan of the dressed instance; the incremental
+    // engine scores the placement-implied relay stations on the topology
+    // itself.
     graph::Digraph base = topology;
     for (graph::EdgeId e = 0; e < base.num_edges(); ++e)
       base.edge(e).relay_stations = 0;
-    graph::ThroughputEvaluator evaluator(base);
+    graph::ThroughputEngine engine(std::move(base));
     fplan::AnnealOptions options;
     options.iterations = 4000;
     options.weight_wirelength = 0.05;
     options.weight_throughput = 50.0;
     options.seed = 99;
-    options.throughput_fn =
-        [&evaluator](const std::vector<std::pair<std::string, int>>& demand) {
-          return evaluator(demand);
-        };
+    options.throughput_engine = &engine;
     const fplan::AnnealResult result = fplan::anneal(sys.instance, options);
     const auto demand =
         fplan::rs_demand(sys.instance, result.placement, options.delay_model);
@@ -77,15 +75,10 @@ int main() {
       total_rs += rs;
     }
     // Critical loop straight from the solver (no full enumeration — hub
-    // families have far too many elementary cycles to list).
-    graph::Digraph scored = topology;
-    for (graph::EdgeId e = 0; e < scored.num_edges(); ++e)
-      scored.edge(e).relay_stations = 0;
-    for (const auto& [connection, rs] : demand)
-      for (graph::EdgeId e = 0; e < scored.num_edges(); ++e)
-        if (scored.edge(e).label == connection)
-          scored.edge(e).relay_stations = rs;
-    const auto mcr = graph::min_cycle_ratio_howard(scored);
+    // families have far too many elementary cycles to list), on the
+    // engine's graph configured with the final placement's demand.
+    engine.throughput(demand);
+    const auto mcr = graph::min_cycle_ratio_howard(engine.graph());
 
     const auto degrees = gen::undirected_degrees(topology);
     table.add_row(

@@ -87,8 +87,9 @@ struct ProgramRef {
 
 /// The serializable subset of fplan::AnnealOptions: every knob that shapes
 /// an annealing trajectory, minus the in-process-only oracle hooks
-/// (throughput_fn / throughput_engine — the evaluator always wires a
-/// private incremental engine per job).
+/// (throughput_engine, and throughput_fn — the fresh-solve reference seam
+/// of the differential tests; the evaluator always wires a private
+/// incremental engine per job).
 struct AnnealKnobs {
   double weight_area = 1.0;
   double weight_wirelength = 0.1;

@@ -33,9 +33,12 @@ struct AnnealOptions {
   double weight_wirelength = 0.1;
   /// Weight on (1 - system throughput); 0 = classic area/WL floorplanning.
   double weight_throughput = 0.0;
-  /// Computes the system throughput from per-connection RS demand; required
-  /// when weight_throughput > 0 (typically graph min-cycle-ratio) unless
-  /// `throughput_engine` is set.
+  /// The reference seam: computes the system throughput from
+  /// per-connection RS demand. Required when weight_throughput > 0 unless
+  /// `throughput_engine` is set. Production callers wire an engine; the
+  /// differential tests pass a stateless fn that solves a configured copy
+  /// of the graph fresh with graph::min_cycle_ratio_howard(), the
+  /// reference the engine matches bit for bit.
   ThroughputFn throughput_fn;
   /// Incremental throughput oracle (non-owning). When set it takes
   /// precedence over throughput_fn: the annealer queries it directly —

@@ -72,9 +72,10 @@ struct EnsembleConfig {
   int samples_per_family = 20;
   std::uint64_t seed = 1;
   EnsembleSimOptions simulate;
-  /// Per-sample annealing job; seed and throughput_fn are overridden per
-  /// sample (private evaluator). weight_throughput > 0 makes the
-  /// floorplanner fight for loop throughput, the paper's methodology.
+  /// Per-sample annealing job; seed and the throughput oracle are
+  /// overridden per sample (a private ThroughputEngine).
+  /// weight_throughput > 0 makes the floorplanner fight for loop
+  /// throughput, the paper's methodology.
   /// anneal.pack_engine selects the packing engine (default kMovePacker;
   /// placements are bit-identical to kNaive).
   fplan::AnnealOptions anneal;

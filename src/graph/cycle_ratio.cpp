@@ -161,9 +161,9 @@ CycleRatioResult min_cycle_ratio_lawler(const Digraph& g, double epsilon) {
 
 namespace {
 
-/// True when `policy` is a structurally valid policy vector for `g`
-/// (HowardState::valid_for semantics, usable without copying the vector
-/// into a temporary state — this runs on the per-query hot path).
+/// True when `policy` is a structurally valid policy vector for `g`: one
+/// out-edge of each node that has any, -1 elsewhere. A policy that no
+/// longer fits is rebuilt, so a stale one only costs iterations.
 bool policy_fits(const Digraph& g, const std::vector<EdgeId>& policy) {
   const int n = g.num_nodes();
   if (static_cast<int>(policy.size()) != n) return false;
@@ -179,14 +179,6 @@ bool policy_fits(const Digraph& g, const std::vector<EdgeId>& policy) {
 }
 
 }  // namespace
-
-bool HowardState::valid_for(const Digraph& g) const {
-  return policy_fits(g, policy);
-}
-
-CycleRatioResult min_cycle_ratio_howard(const Digraph& g) {
-  return min_cycle_ratio_howard(g, nullptr);
-}
 
 namespace detail {
 
@@ -339,13 +331,11 @@ CycleRatioResult howard_policy_iteration(const Digraph& g,
 
 }  // namespace detail
 
-CycleRatioResult min_cycle_ratio_howard(const Digraph& g,
-                                        HowardState* state) {
+CycleRatioResult min_cycle_ratio_howard(const Digraph& g) {
   const int n = g.num_nodes();
   if (n == 0 || !has_any_cycle(g)) return {};
 
-  std::vector<EdgeId> scratch;
-  std::vector<EdgeId>& policy = state != nullptr ? state->policy : scratch;
+  std::vector<EdgeId> policy;
   const CycleRatioResult result = detail::howard_policy_iteration(g, policy);
 
   // Certify optimality: no cycle may have a strictly smaller ratio. Policy
@@ -354,44 +344,6 @@ CycleRatioResult min_cycle_ratio_howard(const Digraph& g,
   if (!find_negative_cycle(g, result.ratio - 1e-9).empty())
     return min_cycle_ratio_lawler(g);
   return result;
-}
-
-std::optional<double> min_cycle_mean_karp(
-    const Digraph& g, const std::vector<double>& weight) {
-  WP_REQUIRE(static_cast<int>(weight.size()) == g.num_edges(),
-             "one weight per edge required");
-  const int n = g.num_nodes();
-  if (n == 0 || !has_any_cycle(g)) return std::nullopt;
-
-  // d[k][v] = min weight of a k-edge walk from the super-source to v; the
-  // super-source is emulated by d[0][v] = 0 for all v.
-  const auto un = static_cast<std::size_t>(n);
-  std::vector<std::vector<double>> d(
-      un + 1, std::vector<double>(un, kInf));
-  std::fill(d[0].begin(), d[0].end(), 0.0);
-  for (std::size_t k = 1; k <= un; ++k) {
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto& ed = g.edge(e);
-      const auto s = static_cast<std::size_t>(ed.src);
-      const auto t = static_cast<std::size_t>(ed.dst);
-      if (d[k - 1][s] == kInf) continue;
-      d[k][t] = std::min(d[k][t], d[k - 1][s] + weight[static_cast<std::size_t>(e)]);
-    }
-  }
-
-  double best = kInf;
-  for (std::size_t v = 0; v < un; ++v) {
-    if (d[un][v] == kInf) continue;
-    double worst = -kInf;
-    for (std::size_t k = 0; k < un; ++k) {
-      if (d[k][v] == kInf) continue;
-      worst = std::max(worst, (d[un][v] - d[k][v]) /
-                                  static_cast<double>(un - k));
-    }
-    if (worst != -kInf) best = std::min(best, worst);
-  }
-  if (best == kInf) return std::nullopt;
-  return best;
 }
 
 }  // namespace wp::graph

@@ -12,12 +12,12 @@
 //   * Lawler        — parametric binary search with Bellman–Ford negative-
 //                     cycle tests; O(E·V·log(1/ε)), then exact ratio
 //                     recovery from the critical cycle;
-//   * Howard        — policy iteration; fast in practice on large graphs.
+//   * Howard        — certified policy iteration; fast in practice on large
+//                     graphs, and the reference for graph::ThroughputEngine.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <vector>
 
 #include "graph/cycles.hpp"
@@ -44,30 +44,12 @@ CycleRatioResult min_cycle_ratio_exhaustive(const Digraph& g,
 CycleRatioResult min_cycle_ratio_lawler(const Digraph& g,
                                         double epsilon = 1e-9);
 
-/// Howard's policy-iteration algorithm.
+/// Howard's policy-iteration algorithm from a cold default policy,
+/// certified: a Bellman–Ford probe just below the answer proves no cycle
+/// beats it, and a failed certificate defers to Lawler's search. This is
+/// the reference the incremental graph::ThroughputEngine must match bit
+/// for bit (tests/test_throughput_engine.cpp).
 CycleRatioResult min_cycle_ratio_howard(const Digraph& g);
-
-/// Reusable policy for warm-starting Howard across a family of structurally
-/// identical graphs (same nodes and edge ids, varying relay-station counts —
-/// exactly what annealing moves and RS sweeps produce). A state whose shape
-/// no longer matches the graph is ignored and rebuilt.
-struct HowardState {
-  std::vector<EdgeId> policy;  ///< per-node chosen out-edge; -1 = none
-
-  bool valid_for(const Digraph& g) const;
-};
-
-/// Howard's algorithm, seeding the initial policy from `state` when it fits
-/// the graph and saving the converged policy back. Neighboring evaluations
-/// (one annealing move, one sweep step) barely perturb the critical cycle,
-/// so the warmed policy usually certifies within an iteration or two.
-CycleRatioResult min_cycle_ratio_howard(const Digraph& g, HowardState* state);
-
-/// Karp's minimum cycle mean over edge weights w(e) = value. Returns
-/// nullopt for acyclic graphs. Included for retiming-style analyses and as
-/// an independently testable classic.
-std::optional<double> min_cycle_mean_karp(const Digraph& g,
-                                          const std::vector<double>& weight);
 
 namespace detail {
 

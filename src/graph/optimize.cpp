@@ -1,9 +1,7 @@
 #include "graph/optimize.hpp"
 
-#include <algorithm>
+#include <cstdint>
 
-
-#include "graph/cycle_ratio.hpp"
 #include "util/assert.hpp"
 
 namespace wp::graph {
@@ -56,55 +54,6 @@ RsOptimizeResult optimize_rs_exhaustive(const RsOptimizeProblem& problem,
     }
   }
   return best;
-}
-
-RsOptimizeResult optimize_rs_greedy(const RsOptimizeProblem& problem,
-                                    const RsObjective& objective) {
-  WP_REQUIRE(problem.max_relieved >= 0, "negative relief budget");
-  RsOptimizeResult result;
-  std::vector<std::string> candidates;
-  for (const auto& [name, count] : problem.demand) {
-    (void)count;
-    candidates.push_back(name);
-  }
-
-  result.assignment = problem.demand;
-  result.objective = objective(result.assignment);
-  ++result.evaluations;
-
-  for (int round = 0; round < problem.max_relieved; ++round) {
-    std::string best_name;
-    double best_value = result.objective;
-    for (const auto& name : candidates) {
-      if (std::find(result.relieved_connections.begin(),
-                    result.relieved_connections.end(),
-                    name) != result.relieved_connections.end())
-        continue;
-      auto relieved = result.relieved_connections;
-      relieved.push_back(name);
-      const double value = objective(apply_relief(problem, relieved));
-      ++result.evaluations;
-      if (value > best_value) {
-        best_value = value;
-        best_name = name;
-      }
-    }
-    if (best_name.empty()) break;  // no relief improves the objective
-    result.relieved_connections.push_back(best_name);
-    result.objective = best_value;
-    result.assignment = apply_relief(problem, result.relieved_connections);
-  }
-  return result;
-}
-
-RsObjective static_objective(Digraph g) {
-  return [g = std::move(g)](const RsAssignment& assignment) mutable {
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      auto it = assignment.find(g.edge(e).label);
-      if (it != assignment.end()) g.edge(e).relay_stations = it->second;
-    }
-    return min_cycle_ratio_lawler(g).ratio;
-  };
 }
 
 }  // namespace wp::graph

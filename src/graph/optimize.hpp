@@ -2,20 +2,16 @@
 // relay-station requirements (e.g. derived from wire lengths after
 // floorplanning) and a budget of connections that may be relieved (kept
 // short, routed on upper metal, …), choose the assignment that maximizes
-// throughput. Produces the paper's "Optimal k" configurations.
+// throughput. Produces the paper's "Optimal k" configurations (Table 1).
 //
-// Two objectives are supported:
-//   * the static objective — min cycle ratio of the graph (WP1 throughput);
-//   * a caller-supplied objective (e.g. simulated WP2 throughput of the
-//     case-study processor under a given program).
+// The objective is caller-supplied: the experiment driver scores each
+// assignment by simulated WP2 throughput of the case-study processor.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <string>
 #include <vector>
-
-#include "graph/digraph.hpp"
 
 namespace wp::graph {
 
@@ -46,15 +42,5 @@ struct RsOptimizeResult {
 /// the best assignment under the objective.
 RsOptimizeResult optimize_rs_exhaustive(const RsOptimizeProblem& problem,
                                         const RsObjective& objective);
-
-/// Greedy variant for large systems: repeatedly relieves the connection
-/// yielding the best objective improvement until the budget is exhausted or
-/// no relief helps.
-RsOptimizeResult optimize_rs_greedy(const RsOptimizeProblem& problem,
-                                    const RsObjective& objective);
-
-/// The static objective: min cycle ratio of `g` with the assignment applied
-/// to the connection labels of its edges (edge label == connection name).
-RsObjective static_objective(Digraph g);
 
 }  // namespace wp::graph

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "graph/cycle_ratio.hpp"
+#include "graph/cycles.hpp"
+
 namespace wp::graph {
 
 ThroughputReport analyze_throughput(const Digraph& g) {
@@ -29,49 +32,6 @@ ThroughputReport analyze_throughput(const Digraph& g) {
 
 double system_throughput(const Digraph& g) {
   return min_cycle_ratio_lawler(g).ratio;
-}
-
-double predicted_wp1_throughput(const Digraph& g) {
-  return system_throughput(g);
-}
-
-ThroughputEvaluator::ThroughputEvaluator(Digraph base) : g_(std::move(base)) {
-  base_rs_.reserve(static_cast<std::size_t>(g_.num_edges()));
-  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
-    base_rs_.push_back(g_.edge(e).relay_stations);
-    edges_by_label_[g_.edge(e).label].push_back(e);
-  }
-}
-
-void ThroughputEvaluator::reset_rs() {
-  for (EdgeId e = 0; e < g_.num_edges(); ++e)
-    g_.edge(e).relay_stations = base_rs_[static_cast<std::size_t>(e)];
-}
-
-void ThroughputEvaluator::apply(const std::string& label,
-                                int relay_stations) {
-  const auto it = edges_by_label_.find(label);
-  if (it == edges_by_label_.end()) return;  // label absent from the graph
-  for (EdgeId e : it->second) g_.edge(e).relay_stations = relay_stations;
-}
-
-double ThroughputEvaluator::evaluate() {
-  ++queries_;
-  return min_cycle_ratio_howard(g_, &state_).ratio;
-}
-
-double ThroughputEvaluator::operator()(
-    const std::vector<std::pair<std::string, int>>& demand) {
-  reset_rs();
-  for (const auto& [label, rs] : demand) apply(label, rs);
-  return evaluate();
-}
-
-double ThroughputEvaluator::with_rs_map(
-    const std::map<std::string, int>& rs) {
-  reset_rs();
-  for (const auto& [label, count] : rs) apply(label, count);
-  return evaluate();
 }
 
 }  // namespace wp::graph

@@ -3,15 +3,9 @@
 // predictions of Table 1.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "graph/cycle_ratio.hpp"
-#include "graph/cycles.hpp"
 #include "graph/digraph.hpp"
 
 namespace wp::graph {
@@ -37,52 +31,5 @@ ThroughputReport analyze_throughput(const Digraph& g);
 /// System throughput only (min cycle ratio, no enumeration) — scales to
 /// graphs whose loop count explodes.
 double system_throughput(const Digraph& g);
-
-/// WP1 throughput prediction for a named single-connection configuration:
-/// the minimum m/(m+n) over the loops that traverse at least one edge with
-/// relay stations. Loops untouched by pipelining run at 1.0.
-double predicted_wp1_throughput(const Digraph& g);
-
-/// Stateful throughput oracle: owns a copy of the base graph, applies
-/// per-connection relay-station counts by label, and warm-starts Howard's
-/// policy iteration from the previous query — but still pays a whole-graph
-/// RS reset and a cold certification probe per evaluation.
-///
-/// This is the REFERENCE oracle, kept verbatim as the differential-testing
-/// baseline (the role naive pack() plays for the packing engine): the hot
-/// paths now run graph::ThroughputEngine (throughput_engine.hpp), which is
-/// bit-identical and applies demands as incremental in-place deltas with a
-/// lazily repaired certificate. tests/test_throughput_engine.cpp holds the
-/// two together.
-///
-/// Returns exactly min_cycle_ratio over the configured graph (Howard is
-/// certified and falls back to the parametric search when the certificate
-/// fails), so warm starts never change a result, only its cost.
-///
-/// Not thread-safe: give each worker thread its own evaluator.
-class ThroughputEvaluator {
- public:
-  explicit ThroughputEvaluator(Digraph base);
-
-  /// Throughput with per-connection RS counts from `demand`; connections
-  /// not mentioned keep the base graph's counts.
-  double operator()(const std::vector<std::pair<std::string, int>>& demand);
-
-  /// Same, keyed form (the experiment driver's RsConfig::rs shape).
-  double with_rs_map(const std::map<std::string, int>& rs);
-
-  std::uint64_t queries() const { return queries_; }
-
- private:
-  void reset_rs();
-  void apply(const std::string& label, int relay_stations);
-  double evaluate();
-
-  Digraph g_;
-  std::vector<int> base_rs_;  ///< per-edge counts of the base graph
-  std::unordered_map<std::string, std::vector<EdgeId>> edges_by_label_;
-  HowardState state_;
-  std::uint64_t queries_ = 0;
-};
 
 }  // namespace wp::graph

@@ -128,7 +128,7 @@ double ThroughputEngine::throughput(const std::vector<int>& ids,
   ++epoch_;
 
   // Pass 1: apply the demanded labels (duplicates: last one wins, like the
-  // evaluator's sequential apply; unknown labels are ignored).
+  // reference's sequential apply; unknown labels are ignored).
   touched_scratch_.clear();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (ids[i] < 0) continue;  // label absent from the graph
@@ -142,8 +142,8 @@ double ThroughputEngine::throughput(const std::vector<int>& ids,
     set_label_edges(label, rs[i]);
   }
   // Pass 2: labels dirtied by an earlier demand but absent from this one
-  // revert to the base counts — the evaluator's whole-graph reset, paid
-  // only where an edge actually differs.
+  // revert to the base counts — the reference's fresh copy of the base
+  // graph, paid only where an edge actually differs.
   for (const std::size_t label : dirty_labels_)
     if (label_epoch_[label] != epoch_) revert_label_to_base(label);
   dirty_labels_.clear();
@@ -186,7 +186,7 @@ double ThroughputEngine::solve() {
     // Candidate 1's failed repair left the potentials partially relaxed —
     // harmless, certify() always re-validates every edge from scratch.
     const CycleRatioResult warm =
-        detail::howard_policy_iteration(g_, state_.policy, kWarmSweeps);
+        detail::howard_policy_iteration(g_, policy_, kWarmSweeps);
     if (certify(warm.ratio)) {
       ++stats_.warm_hits;
       critical_cycle_ = warm.critical_cycle;
@@ -210,7 +210,7 @@ double ThroughputEngine::solve() {
   // safety net behind a round cap.
   ++stats_.fallbacks;
   CycleRatioResult cold =
-      detail::howard_policy_iteration(g_, state_.policy, kColdSweeps);
+      detail::howard_policy_iteration(g_, policy_, kColdSweeps);
   double lambda = cold.ratio;
   std::vector<EdgeId> cycle = std::move(cold.critical_cycle);
   for (int round = 0; round < 32; ++round) {

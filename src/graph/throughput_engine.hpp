@@ -1,17 +1,17 @@
 // Incremental throughput oracle for exploration hot loops — the annealer's
 // per-move cost query, ensemble sample scoring, RS sweeps.
 //
-// The pre-engine path (graph::ThroughputEvaluator, kept as the reference
-// oracle) pays per query: an O(E) reset of every relay-station count, a
-// warm-started Howard policy iteration, and — the real cost — a cold
-// O(V·E) Bellman–Ford probe to certify the answer. But an annealing move
-// perturbs only a handful of per-connection demands, i.e. a few edge
-// latencies in a structurally fixed graph, so the oracle should be
-// incremental:
+// The reference path — a fresh min_cycle_ratio_howard() on a configured
+// copy of the graph — pays per query: a graph copy with every
+// relay-station count set, a cold Howard policy iteration, and — the real
+// cost — a cold O(V·E) Bellman–Ford probe to certify the answer. But an
+// annealing move perturbs only a handful of per-connection demands, i.e. a
+// few edge latencies in a structurally fixed graph, so the oracle should
+// be incremental:
 //
 //   * the RS graph is built ONCE per instance; each demand vector is
 //     applied as an in-place edge-latency delta (labels absent from the
-//     new demand revert to base counts — the evaluator's reset
+//     new demand revert to base counts — the reference's configured-copy
 //     semantics, paid only where an edge actually changes);
 //   * optimality is RE-CERTIFIED LAZILY: the engine keeps the dual
 //     certificate of the last solve — per-node potentials π with
@@ -151,7 +151,9 @@ class ThroughputEngine {
   /// only seeds the witness descent with a good attained ratio; the
   /// descent's certificate owns optimality.
   static constexpr int kColdSweeps = 24;
-  HowardState state_;
+  /// Per-node chosen out-edge of the last policy iteration (-1 = none);
+  /// seeds the next warm or cold sweeps.
+  std::vector<EdgeId> policy_;
   std::vector<EdgeId> critical_cycle_;
   /// π(v) is the Bellman–Ford distance of some super-source path P(v) at
   /// λ = cert_lambda_, i.e. tokens(P) − λ·latency(P); potential_lat_

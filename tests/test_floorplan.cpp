@@ -15,10 +15,9 @@
 #include "floorplan/model.hpp"
 #include "floorplan/pack_engine.hpp"
 #include "floorplan/sequence_pair.hpp"
+#include "fresh_howard.hpp"
 #include "gen/instances.hpp"
 #include "gen/topologies.hpp"
-#include "graph/cycle_ratio.hpp"
-#include "graph/throughput.hpp"
 #include "proc/cpu.hpp"
 #include "util/thread_pool.hpp"
 
@@ -321,15 +320,8 @@ TEST(Annealer, ThroughputDrivenBeatsAreaDrivenOnThroughput) {
   // The CPU instance with the system min-cycle-ratio as objective: giving
   // throughput weight must not yield a slower system than ignoring it.
   const Instance inst = cpu_instance();
-  auto graph = wp::proc::make_cpu_graph();
-  auto throughput_fn =
-      [graph](const std::vector<std::pair<std::string, int>>& demand) {
-        auto g = graph;
-        for (const auto& [label, rs] : demand)
-          for (wp::graph::EdgeId e = 0; e < g.num_edges(); ++e)
-            if (g.edge(e).label == label) g.edge(e).relay_stations = rs;
-        return wp::graph::min_cycle_ratio_lawler(g).ratio;
-      };
+  const ThroughputFn throughput_fn =
+      wp::reference::fresh_howard_fn(wp::proc::make_cpu_graph());
 
   WireDelayModel tight;
   tight.clock_ps = 250.0;  // aggressive clock: wires need pipelining
@@ -410,8 +402,8 @@ TEST(AnnealParallel, BitIdenticalToSequentialRestarts) {
   job.base.weight_throughput = 200.0;
   job.base.delay_model.clock_ps = 300.0;
   job.restarts = 5;
-  // Every restart runs its own copy of the stateful evaluator.
-  job.base.throughput_fn = wp::graph::ThroughputEvaluator(graph);
+  // Stateless reference oracle: every restart may call its own copy.
+  job.base.throughput_fn = wp::reference::fresh_howard_fn(graph);
 
   AnnealResult sequential;
   for (int i = 0; i < job.restarts; ++i) {
@@ -480,7 +472,7 @@ TEST(AnnealParallel, MemoCacheSkipsRepeatedThroughputDemands) {
   options.seed = 7;
   options.weight_throughput = 200.0;
   options.delay_model.clock_ps = 300.0;
-  options.throughput_fn = wp::graph::ThroughputEvaluator(graph);
+  options.throughput_fn = wp::reference::fresh_howard_fn(graph);
   const AnnealResult result = anneal(inst, options);
   // Most moves revisit an already-seen RS demand; the memo must absorb
   // them instead of re-solving the min cycle ratio.

@@ -1,6 +1,6 @@
-// Tests for the extension components: Leiserson–Saxe retiming, the
-// latency-noise injector (the executable form of latency-insensitivity),
-// and the communication profiler.
+// Tests for the extension components: the latency-noise injector (the
+// executable form of latency-insensitivity) and the communication
+// profiler.
 #include <gtest/gtest.h>
 
 #include "util/assert.hpp"
@@ -9,147 +9,12 @@
 #include "core/profile.hpp"
 #include "core/stall_injector.hpp"
 #include "core/system.hpp"
-#include "graph/cycle_ratio.hpp"
-#include "gen/topologies.hpp"
-#include "graph/retiming.hpp"
 #include "proc/blocks.hpp"
 #include "proc/experiment.hpp"
 #include "util/rng.hpp"
 
 namespace wp {
 namespace {
-
-// ----------------------------------------------------------------- Retiming
-
-TEST(Retiming, ClockPeriodOfSimpleChain) {
-  graph::Digraph g;
-  for (int i = 0; i < 3; ++i) g.add_node("n" + std::to_string(i));
-  g.add_edge(0, 1, "", 0);  // 1 register
-  g.add_edge(1, 2, "", 0);  // 1 register
-  const std::vector<double> d{2, 3, 4};
-  // All edges carry one register: period = max single-node delay.
-  auto period = graph::clock_period(g, graph::edge_registers(g), d);
-  ASSERT_TRUE(period.has_value());
-  EXPECT_DOUBLE_EQ(*period, 4.0);
-  // Strip the registers: the whole chain is combinational.
-  period = graph::clock_period(g, {0, 0}, d);
-  ASSERT_TRUE(period.has_value());
-  EXPECT_DOUBLE_EQ(*period, 9.0);
-}
-
-TEST(Retiming, DetectsRegisterFreeCycle) {
-  graph::Digraph g = gen::ring_graph(3, {0});
-  EXPECT_FALSE(graph::clock_period(g, {0, 0, 0}, {1, 1, 1}).has_value());
-  EXPECT_TRUE(graph::clock_period(g, {1, 0, 0}, {1, 1, 1}).has_value());
-}
-
-TEST(Retiming, BalancesARing) {
-  // Ring of 4 unit-delay nodes; all 4 registers piled on one edge (tokens 4
-  // on edge 0, combinational links elsewhere): original period is 4, a
-  // balanced retiming reaches 1.
-  graph::Digraph g = gen::ring_graph(4, {0});
-  g.edge(0).tokens = 4;
-  for (graph::EdgeId e = 1; e < 4; ++e) g.edge(e).tokens = 0;
-  const std::vector<double> d{1, 1, 1, 1};
-
-  const auto before = graph::clock_period(g, graph::edge_registers(g), d);
-  ASSERT_TRUE(before.has_value());
-  EXPECT_DOUBLE_EQ(*before, 4.0);
-
-  const auto result = graph::min_period_retiming(g, d);
-  ASSERT_TRUE(result.feasible);
-  EXPECT_DOUBLE_EQ(result.period, 1.0);
-  // Register sum around the loop is invariant under retiming.
-  int sum = 0;
-  for (int r : result.registers) sum += r;
-  EXPECT_EQ(sum, 4);
-}
-
-TEST(Retiming, RingPeriodIsCeilOfDelayOverRegisters) {
-  // Ring of n unit-delay nodes with R registers total: the best period is
-  // ceil(n / R).
-  for (const auto& [n, registers, expected] :
-       {std::tuple{6, 2, 3.0}, {6, 3, 2.0}, {6, 4, 2.0}, {5, 2, 3.0},
-        {8, 8, 1.0}}) {
-    graph::Digraph g = gen::ring_graph(n, {0});
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) g.edge(e).tokens = 0;
-    g.edge(0).tokens = registers;
-    const std::vector<double> d(static_cast<std::size_t>(n), 1.0);
-    const auto result = graph::min_period_retiming(g, d);
-    ASSERT_TRUE(result.feasible) << n << "/" << registers;
-    EXPECT_DOUBLE_EQ(result.period, expected) << n << "/" << registers;
-  }
-}
-
-TEST(Retiming, LoopRegisterSumsAreInvariant) {
-  // Retiming must never change any loop's register sum (hence never change
-  // a loop's m/(m+n) throughput).
-  wp::Rng rng(31);
-  for (int trial = 0; trial < 10; ++trial) {
-    gen::RandomGraphConfig config;
-    config.num_nodes = 6;
-    config.edge_probability = 0.25;
-    config.max_relay_stations = 3;
-    graph::Digraph g = gen::random_digraph(config, rng);
-    std::vector<double> d;
-    for (int i = 0; i < g.num_nodes(); ++i)
-      d.push_back(1.0 + static_cast<double>(rng.below(5)));
-    const auto result = graph::min_period_retiming(g, d);
-    ASSERT_TRUE(result.feasible);
-    const std::vector<int> w0 = graph::edge_registers(g);
-    for (const auto& cycle : graph::enumerate_cycles(g)) {
-      int before = 0, after = 0;
-      for (graph::EdgeId e : cycle.edges) {
-        before += w0[static_cast<std::size_t>(e)];
-        after += result.registers[static_cast<std::size_t>(e)];
-      }
-      ASSERT_EQ(before, after) << "trial " << trial;
-    }
-  }
-}
-
-TEST(Retiming, MatchesBruteForceOnSmallGraphs) {
-  wp::Rng rng(77);
-  int checked = 0;
-  for (int trial = 0; trial < 12; ++trial) {
-    gen::RandomGraphConfig config;
-    config.num_nodes = 4;
-    config.edge_probability = 0.3;
-    config.max_relay_stations = 2;
-    graph::Digraph g = gen::random_digraph(config, rng);
-    // Sprinkle in combinational links (tokens 0) on the non-ring chords so
-    // retiming has registers to move; keep the ring registered so at least
-    // one legal weighting exists.
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e)
-      if (g.edge(e).label != "ring" && rng.chance(0.5)) g.edge(e).tokens = 0;
-    std::vector<double> d;
-    for (int i = 0; i < 4; ++i)
-      d.push_back(1.0 + static_cast<double>(rng.below(4)));
-
-    // Brute force over retimings r in [-3, 3]^4 (r[0] fixed at 0 WLOG).
-    const std::vector<int> w0 = graph::edge_registers(g);
-    double best = 1e18;
-    int r[4] = {0, 0, 0, 0};
-    for (r[1] = -3; r[1] <= 3; ++r[1])
-      for (r[2] = -3; r[2] <= 3; ++r[2])
-        for (r[3] = -3; r[3] <= 3; ++r[3]) {
-          const std::vector<int> labels{r[0], r[1], r[2], r[3]};
-          const auto weights = graph::apply_retiming(g, w0, labels);
-          bool legal = true;
-          for (int wgt : weights) legal = legal && wgt >= 0;
-          if (!legal) continue;
-          const auto period = graph::clock_period(g, weights, d);
-          if (period.has_value()) best = std::min(best, *period);
-        }
-
-    if (best >= 1e18) continue;  // no legal weighting in the brute window
-    const auto result = graph::min_period_retiming(g, d);
-    ASSERT_TRUE(result.feasible) << "trial " << trial;
-    EXPECT_NEAR(result.period, best, 1e-9) << "trial " << trial;
-    ++checked;
-  }
-  EXPECT_GE(checked, 6);  // the sweep must actually exercise the solver
-}
 
 // ------------------------------------------------------------ StallInjector
 

@@ -98,7 +98,7 @@ TEST(Metrics, ConcurrentRecordingLosesNothing) {
 }
 
 TEST(Metrics, PoolTasksFeedTheGlobalRegistry) {
-  // The shared pool's instrumentation: running tasks must bump
+  // The pool's instrumentation: running tasks must bump
   // util/pool/tasks and record into the wait/run histograms.
   Registry& registry = Registry::global();
   const std::uint64_t tasks_before =
@@ -106,10 +106,17 @@ TEST(Metrics, PoolTasksFeedTheGlobalRegistry) {
   const std::uint64_t runs_before =
       registry.histogram("util/pool/task_run_ns").count();
 
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 16; ++i)
-    futures.push_back(ThreadPool::shared().submit([i] { return i; }));
-  for (auto& f : futures) f.get();
+  {
+    // A worker records task_run_ns after the task has fulfilled its
+    // future, so f.get() alone can observe the count one short. Every
+    // pool feeds the same global metrics; joining a private pool's
+    // workers makes all 16 recordings visible.
+    ThreadPool pool(4);
+    std::vector<std::future<int>> futures;
+    for (int i = 0; i < 16; ++i)
+      futures.push_back(pool.submit([i] { return i; }));
+    for (auto& f : futures) f.get();
+  }
 
   EXPECT_GE(registry.counter("util/pool/tasks").value(), tasks_before + 16);
   EXPECT_GE(registry.histogram("util/pool/task_run_ns").count(),

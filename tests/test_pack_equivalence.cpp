@@ -23,7 +23,7 @@
 #include "floorplan/pack_engine.hpp"
 #include "floorplan/sequence_pair.hpp"
 #include "gen/ensemble.hpp"
-#include "graph/throughput.hpp"
+#include "graph/throughput_engine.hpp"
 #include "proc/cpu.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -476,11 +476,14 @@ TEST(AnnealerEngines, ThroughputDrivenRunsAreBitIdenticalAcrossEngines) {
   naive.seed = 23;
   naive.weight_throughput = 200.0;
   naive.delay_model.clock_ps = 300.0;
-  naive.throughput_fn = wp::graph::ThroughputEvaluator(graph);
   naive.pack_engine = PackEngine::kNaive;
   AnnealOptions packer = naive;
-  packer.throughput_fn = wp::graph::ThroughputEvaluator(graph);
   packer.pack_engine = PackEngine::kMovePacker;
+  // Each side owns its engine: engines are stateful, one per run.
+  wp::graph::ThroughputEngine naive_engine(graph);
+  wp::graph::ThroughputEngine packer_engine(graph);
+  naive.throughput_engine = &naive_engine;
+  packer.throughput_engine = &packer_engine;
   const AnnealResult reference = anneal(inst, naive);
   const AnnealResult result = anneal(inst, packer);
   EXPECT_TRUE(identical_results(reference, result));

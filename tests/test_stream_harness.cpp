@@ -227,7 +227,9 @@ TEST(Harness, GoldenWp1Wp2BitIdenticalAcrossShapesAndDepths) {
         // The paper's amortization: WP2 never slower than WP1, and with
         // relay stations on the feedback loop, strictly faster.
         EXPECT_LE(wp2.cycles, wp1.cycles) << what;
-        if (feedback_rs > 0) EXPECT_LT(wp2.cycles, wp1.cycles) << what;
+        if (feedback_rs > 0) {
+          EXPECT_LT(wp2.cycles, wp1.cycles) << what;
+        }
       }
     }
   }
@@ -292,7 +294,9 @@ TEST(Harness, FlushesTokenAndBackpressureCountersIntoTheRegistry) {
         registry.histogram("stream/stage_fire_ns/" + stage.name);
     EXPECT_GE(h.count(), stage.firings);
     timed = timed || stage.fire_count > 0;
-    if (stage.firings > 0) EXPECT_GT(stage.fire_p99_ns, 0.0);
+    if (stage.firings > 0) {
+      EXPECT_GT(stage.fire_p99_ns, 0.0);
+    }
   }
   EXPECT_TRUE(timed);
 }

@@ -4,8 +4,8 @@
 // random demand-perturbation chains on every topology family — including
 // across the incremental-vs-cold-fallback paths and under the thread pool
 // (serial ≡ pooled). Also pins the annealer
-// integration (engine-backed run ≡ ThroughputEvaluator-backed run, the
-// pre-engine oracle) and the ensemble's engine-counter determinism.
+// integration (engine-backed run ≡ a run whose throughput_fn solves every
+// demand fresh) and the ensemble's engine-counter determinism.
 //
 // This suite is the engine's equivalent of test_pack_equivalence and runs
 // explicitly in the Debug and ASan/UBSan CI jobs.
@@ -23,8 +23,7 @@
 #include "floorplan/instances.hpp"
 #include "gen/ensemble.hpp"
 #include "gen/topologies.hpp"
-#include "graph/cycle_ratio.hpp"
-#include "graph/throughput.hpp"
+#include "fresh_howard.hpp"
 #include "graph/throughput_engine.hpp"
 #include "proc/cpu.hpp"
 #include "util/rng.hpp"
@@ -33,22 +32,10 @@
 namespace wp::graph {
 namespace {
 
-using Demand = std::vector<std::pair<std::string, int>>;
-
-/// The reference semantics the engine must reproduce: copy the base graph,
-/// apply the demand per label (unmentioned labels keep base counts), solve
-/// fresh with the certified Howard path.
-Digraph configured(const Digraph& base, const Demand& demand) {
-  Digraph g = base;
-  for (const auto& [label, rs] : demand)
-    for (EdgeId e = 0; e < g.num_edges(); ++e)
-      if (g.edge(e).label == label) g.edge(e).relay_stations = rs;
-  return g;
-}
-
-double fresh_ratio(const Digraph& base, const Demand& demand) {
-  return min_cycle_ratio_howard(configured(base, demand)).ratio;
-}
+// The reference semantics the engine must reproduce: a fresh certified
+// Howard solve of a configured copy of the base graph.
+using reference::Demand;
+using reference::fresh_ratio;
 
 std::vector<std::string> labels_of(const Digraph& g) {
   std::vector<std::string> labels;
@@ -132,17 +119,6 @@ TEST_P(EngineEquivalence, RandomDemandChainsMatchFreshHoward) {
     // correct, but pointless.
     EXPECT_GT(stats.incremental(), stats.queries / 2)
         << "nodes=" << nodes;
-  }
-}
-
-TEST_P(EngineEquivalence, MatchesReferenceEvaluatorOnSameChain) {
-  const int nodes = GetParam();
-  for (const Digraph& base : family_topologies(nodes, 4000 + nodes)) {
-    ThroughputEngine engine(base);
-    ThroughputEvaluator evaluator(base);  // the pre-engine oracle
-    Rng rng(900 + nodes);
-    for (const auto& demand : demand_chain(labels_of(base), 40, rng))
-      ASSERT_EQ(engine.throughput(demand), evaluator(demand));
   }
 }
 
@@ -266,12 +242,12 @@ fplan::AnnealOptions throughput_driven_options(std::uint64_t seed) {
   return options;
 }
 
-TEST(ThroughputEngineAnnealer, EngineRunMatchesEvaluatorRun) {
+TEST(ThroughputEngineAnnealer, EngineRunMatchesFreshHowardRun) {
   const fplan::Instance inst = fplan::cpu_instance();
   const Digraph graph = proc::make_cpu_graph();
 
   fplan::AnnealOptions with_fn = throughput_driven_options(5);
-  with_fn.throughput_fn = ThroughputEvaluator(graph);
+  with_fn.throughput_fn = reference::fresh_howard_fn(graph);
   const fplan::AnnealResult reference = fplan::anneal(inst, with_fn);
 
   fplan::AnnealOptions with_engine = throughput_driven_options(5);

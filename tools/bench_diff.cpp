@@ -37,6 +37,15 @@ const char* verdict(const wp::obs::MetricDelta& delta) {
   return delta.change < 0.0 ? "improved" : "ok";
 }
 
+/// The metric's own relative change, (fresh − baseline)/|baseline|.
+/// MetricDelta::change is sign-normalized (positive = worse), which would
+/// print a doubled speedup as −100%.
+double own_change(const wp::obs::MetricDelta& delta) {
+  return delta.direction == wp::obs::MetricDirection::kHigherIsBetter
+             ? -delta.change
+             : delta.change;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -91,7 +100,7 @@ int main(int argc, char** argv) {
     if (quiet && !delta.regression) continue;
     std::printf("%-12s %-48s %12.4f -> %12.4f  (%+.1f%%)\n", verdict(delta),
                 delta.path.c_str(), delta.baseline, delta.fresh,
-                delta.change * 100.0);
+                own_change(delta) * 100.0);
   }
   for (const std::string& path : report.missing_in_fresh)
     std::printf("MISSING      %-48s (in baseline, absent from fresh run)\n",
