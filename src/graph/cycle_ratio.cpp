@@ -12,24 +12,35 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-double exact_ratio_of_cycle(const Digraph& g,
-                            const std::vector<EdgeId>& cycle) {
-  long long tokens = 0;
-  long long latency = 0;
-  for (EdgeId e : cycle) {
-    tokens += g.edge(e).tokens;
-    latency += g.edge_latency(e);
-  }
-  WP_CHECK(latency > 0, "cycle with zero latency");
-  return static_cast<double>(tokens) / static_cast<double>(latency);
-}
-
 }  // namespace
 
 namespace detail {
 
-double exact_cycle_ratio(const Digraph& g, const std::vector<EdgeId>& cycle) {
-  return exact_ratio_of_cycle(g, cycle);
+FlatGraph::FlatGraph(const Digraph& g) {
+  const auto num_edges = static_cast<std::size_t>(g.num_edges());
+  edges.reserve(num_edges);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const EdgeData& ed = g.edge(e);
+    edges.push_back({ed.src, ed.dst, ed.tokens, g.edge_latency(e)});
+  }
+  out_begin.reserve(static_cast<std::size_t>(g.num_nodes()) + 1);
+  out.reserve(num_edges);
+  out_begin.push_back(0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const EdgeId e : g.out_edges(v)) out.push_back(e);
+    out_begin.push_back(static_cast<int>(out.size()));
+  }
+}
+
+double exact_cycle_ratio(const FlatGraph& g, const std::vector<EdgeId>& cycle) {
+  long long tokens = 0;
+  long long latency = 0;
+  for (const EdgeId e : cycle) {
+    tokens += g.edge(e).tokens;
+    latency += g.edge(e).latency;
+  }
+  WP_CHECK(latency > 0, "cycle with zero latency");
+  return static_cast<double>(tokens) / static_cast<double>(latency);
 }
 
 std::vector<EdgeId> find_negative_cycle(const Digraph& g, double lambda) {
@@ -127,6 +138,7 @@ CycleRatioResult min_cycle_ratio_lawler(const Digraph& g, double epsilon) {
   if (!has_any_cycle(g)) return result;
 
   result.has_cycle = true;
+  const detail::FlatGraph flat(g);
   // Ratio lies in [0, max tokens/latency]; with unit tokens it is within
   // [0, 1], but keep the general bound.
   double lo = 0.0;
@@ -142,7 +154,8 @@ CycleRatioResult min_cycle_ratio_lawler(const Digraph& g, double epsilon) {
     auto cycle = find_negative_cycle(g, mid);
     if (!cycle.empty()) {
       witness = std::move(cycle);
-      hi = exact_ratio_of_cycle(g, witness);  // jump straight to the ratio
+      // Jump straight to the witness's ratio.
+      hi = detail::exact_cycle_ratio(flat, witness);
     } else {
       lo = mid;
     }
@@ -155,7 +168,7 @@ CycleRatioResult min_cycle_ratio_lawler(const Digraph& g, double epsilon) {
     WP_CHECK(!witness.empty(), "Lawler search failed to find a witness");
   }
   result.critical_cycle = std::move(witness);
-  result.ratio = exact_ratio_of_cycle(g, result.critical_cycle);
+  result.ratio = detail::exact_cycle_ratio(flat, result.critical_cycle);
   return result;
 }
 
@@ -164,12 +177,14 @@ namespace {
 /// True when `policy` is a structurally valid policy vector for `g`: one
 /// out-edge of each node that has any, -1 elsewhere. A policy that no
 /// longer fits is rebuilt, so a stale one only costs iterations.
-bool policy_fits(const Digraph& g, const std::vector<EdgeId>& policy) {
+bool policy_fits(const detail::FlatGraph& g,
+                 const std::vector<EdgeId>& policy) {
   const int n = g.num_nodes();
   if (static_cast<int>(policy.size()) != n) return false;
   for (NodeId v = 0; v < n; ++v) {
-    const EdgeId e = policy[static_cast<std::size_t>(v)];
-    if (g.out_edges(v).empty()) {
+    const auto i = static_cast<std::size_t>(v);
+    const EdgeId e = policy[i];
+    if (g.out_begin[i] == g.out_begin[i + 1]) {
       if (e != -1) return false;
     } else {
       if (e < 0 || e >= g.num_edges() || g.edge(e).src != v) return false;
@@ -178,39 +193,49 @@ bool policy_fits(const Digraph& g, const std::vector<EdgeId>& policy) {
   return true;
 }
 
+/// Each node's first out-edge (Digraph::out_edges() order), -1 for a node
+/// without successors.
+void default_policy(const detail::FlatGraph& g, std::vector<EdgeId>& policy) {
+  policy.assign(static_cast<std::size_t>(g.num_nodes()), -1);
+  for (std::size_t v = 0; v < policy.size(); ++v)
+    if (g.out_begin[v] != g.out_begin[v + 1])
+      policy[v] = g.out[static_cast<std::size_t>(g.out_begin[v])];
+}
+
 }  // namespace
 
 namespace detail {
 
-CycleRatioResult howard_policy_iteration(const Digraph& g,
+CycleRatioResult howard_policy_iteration(const FlatGraph& g,
                                          std::vector<EdgeId>& policy,
+                                         HowardScratch& scratch,
                                          int max_iterations) {
   CycleRatioResult result;
   const int n = g.num_nodes();
   result.has_cycle = true;
 
-  // Work on the subgraph of nodes with out-edges; nodes without successors
-  // cannot lie on a cycle and take value +inf.
-  auto default_policy = [&g, n]() {
-    std::vector<EdgeId> p(static_cast<std::size_t>(n), -1);
-    for (NodeId v = 0; v < n; ++v)
-      if (!g.out_edges(v).empty())
-        p[static_cast<std::size_t>(v)] = g.out_edges(v).front();
-    return p;
-  };
+  // Nodes without successors cannot lie on a cycle and take value +inf.
   bool warm_started = policy_fits(g, policy);
-  if (!warm_started) policy = default_policy();
+  if (!warm_started) default_policy(g, policy);
 
-  auto edge_cost = [&](EdgeId e) {
+  auto edge_cost = [&g](EdgeId e) {
     return static_cast<double>(g.edge(e).tokens);
   };
-  auto edge_time = [&](EdgeId e) {
-    return static_cast<double>(g.edge_latency(e));
+  auto edge_time = [&g](EdgeId e) {
+    return static_cast<double>(g.edge(e).latency);
+  };
+  auto next = [&g, &policy](NodeId v) {
+    return g.edge(policy[static_cast<std::size_t>(v)]).dst;
   };
 
-  std::vector<double> value(static_cast<std::size_t>(n), 0.0);
+  std::vector<int>& mark = scratch.mark;
+  std::vector<double>& value = scratch.value;
+  std::vector<NodeId>& walk = scratch.walk;
+  std::vector<EdgeId>& cycle = scratch.cycle;
+  std::vector<EdgeId>& best_cycle = scratch.best_cycle;
+  mark.resize(static_cast<std::size_t>(n));
+  value.resize(static_cast<std::size_t>(n));
   double best_ratio = kInf;
-  std::vector<EdgeId> best_cycle;
 
   // Convergence guard: on dense graphs the improvement scan keeps flipping
   // the policy between equal-value alternatives — `improved` stays true
@@ -226,7 +251,7 @@ CycleRatioResult howard_policy_iteration(const Digraph& g,
   for (int iteration = 0; iteration < max_iterations; ++iteration) {
     // 1. Find the minimum-ratio cycle of the current policy graph: follow
     //    the policy from each unvisited node until a repeat.
-    std::vector<int> mark(static_cast<std::size_t>(n), -1);
+    std::fill(mark.begin(), mark.end(), -1);
     best_ratio = kInf;
     best_cycle.clear();
     for (NodeId start = 0; start < n; ++start) {
@@ -234,17 +259,15 @@ CycleRatioResult howard_policy_iteration(const Digraph& g,
           policy[static_cast<std::size_t>(start)] < 0)
         continue;
       NodeId v = start;
-      std::vector<NodeId> chain;
-      while (v >= 0 && mark[static_cast<std::size_t>(v)] == -1 &&
+      while (mark[static_cast<std::size_t>(v)] == -1 &&
              policy[static_cast<std::size_t>(v)] >= 0) {
         mark[static_cast<std::size_t>(v)] = start;
-        chain.push_back(v);
-        v = g.edge(policy[static_cast<std::size_t>(v)]).dst;
+        v = next(v);
       }
-      if (v >= 0 && policy[static_cast<std::size_t>(v)] >= 0 &&
+      if (policy[static_cast<std::size_t>(v)] >= 0 &&
           mark[static_cast<std::size_t>(v)] == start) {
         // Found a fresh policy cycle starting at v.
-        std::vector<EdgeId> cycle;
+        cycle.clear();
         double cost = 0.0, time = 0.0;
         NodeId u = v;
         do {
@@ -257,7 +280,7 @@ CycleRatioResult howard_policy_iteration(const Digraph& g,
         const double r = cost / time;
         if (r < best_ratio) {
           best_ratio = r;
-          best_cycle = std::move(cycle);
+          best_cycle.swap(cycle);
         }
       }
     }
@@ -265,51 +288,66 @@ CycleRatioResult howard_policy_iteration(const Digraph& g,
       // A stale warm policy can route every chain into a dead end even
       // though the graph has cycles; rebuild from scratch and retry.
       warm_started = false;
-      policy = default_policy();
+      default_policy(g, policy);
       --iteration;
       continue;
     }
     WP_CHECK(best_ratio < kInf, "Howard: policy graph has no cycle");
 
-    // 2. Value determination: solve value(v) = cost − r·time + value(next)
-    //    along the policy, anchoring the critical cycle's nodes at 0.
+    // 2. Value determination: value(v) = cost − r·time + value(next) along
+    //    the policy, anchored at 0 on the critical cycle's nodes. Each
+    //    value is a fixed function of its successor's, so one memoised walk
+    //    per unsettled node settles every node in O(V). Nodes that cannot
+    //    reach the critical cycle (dead ends, other policy cycles) keep
+    //    +inf and never drive an improvement below.
+    constexpr int kOpen = 0, kOnWalk = 1, kSettled = 2;
     std::fill(value.begin(), value.end(), kInf);
-    for (EdgeId e : best_cycle) value[static_cast<std::size_t>(g.edge(e).src)] = 0.0;
-    // Relax along reversed policy edges until fixpoint (≤ n passes).
-    for (int pass = 0; pass < n; ++pass) {
-      bool changed = false;
-      for (NodeId v = 0; v < n; ++v) {
-        const EdgeId e = policy[static_cast<std::size_t>(v)];
-        if (e < 0) continue;
-        const auto dst = static_cast<std::size_t>(g.edge(e).dst);
-        if (value[dst] == kInf) continue;
-        const double candidate =
-            edge_cost(e) - best_ratio * edge_time(e) + value[dst];
-        if (value[static_cast<std::size_t>(v)] == kInf ||
-            std::abs(candidate - value[static_cast<std::size_t>(v)]) > 1e-12) {
-          if (value[static_cast<std::size_t>(v)] == kInf) {
-            value[static_cast<std::size_t>(v)] = candidate;
-            changed = true;
-          }
-        }
-      }
-      if (!changed) break;
+    for (NodeId v = 0; v < n; ++v)
+      mark[static_cast<std::size_t>(v)] =
+          policy[static_cast<std::size_t>(v)] < 0 ? kSettled : kOpen;
+    for (const EdgeId e : best_cycle) {
+      const auto v = static_cast<std::size_t>(g.edge(e).src);
+      value[v] = 0.0;
+      mark[v] = kSettled;
     }
-    // Nodes that cannot reach the critical cycle keep +inf and never drive
-    // an improvement below.
+    for (NodeId start = 0; start < n; ++start) {
+      if (mark[static_cast<std::size_t>(start)] != kOpen) continue;
+      walk.clear();
+      NodeId v = start;
+      while (mark[static_cast<std::size_t>(v)] == kOpen) {
+        mark[static_cast<std::size_t>(v)] = kOnWalk;
+        walk.push_back(v);
+        v = next(v);
+      }
+      // The walk closed on itself (a non-critical policy cycle) or ran
+      // into a settled node; unwind it back to front, each node's value
+      // from its successor's (the node after it on the walk, or v).
+      const bool reaches = mark[static_cast<std::size_t>(v)] == kSettled &&
+                           value[static_cast<std::size_t>(v)] != kInf;
+      double next_value = value[static_cast<std::size_t>(v)];
+      for (auto it = walk.rbegin(); it != walk.rend(); ++it) {
+        const auto w = static_cast<std::size_t>(*it);
+        mark[w] = kSettled;
+        if (!reaches) continue;
+        const EdgeId e = policy[w];
+        value[w] = edge_cost(e) - best_ratio * edge_time(e) + next_value;
+        next_value = value[w];
+      }
+    }
 
     // 3. Policy improvement.
     bool improved = false;
     for (NodeId v = 0; v < n; ++v) {
-      for (EdgeId e : g.out_edges(v)) {
+      const auto i = static_cast<std::size_t>(v);
+      for (int k = g.out_begin[i]; k < g.out_begin[i + 1]; ++k) {
+        const EdgeId e = g.out[static_cast<std::size_t>(k)];
         const auto dst = static_cast<std::size_t>(g.edge(e).dst);
         if (value[dst] == kInf) continue;
         const double candidate =
             edge_cost(e) - best_ratio * edge_time(e) + value[dst];
-        const double current = value[static_cast<std::size_t>(v)];
-        if (candidate < current - 1e-9) {
-          policy[static_cast<std::size_t>(v)] = e;
-          value[static_cast<std::size_t>(v)] = candidate;
+        if (candidate < value[i] - 1e-9) {
+          policy[i] = e;
+          value[i] = candidate;
           improved = true;
         }
       }
@@ -324,8 +362,8 @@ CycleRatioResult howard_policy_iteration(const Digraph& g,
     last_ratio = best_ratio;
   }
 
-  result.ratio = exact_ratio_of_cycle(g, best_cycle);
-  result.critical_cycle = std::move(best_cycle);
+  result.ratio = exact_cycle_ratio(g, best_cycle);
+  result.critical_cycle = best_cycle;
   return result;
 }
 
@@ -335,8 +373,11 @@ CycleRatioResult min_cycle_ratio_howard(const Digraph& g) {
   const int n = g.num_nodes();
   if (n == 0 || !has_any_cycle(g)) return {};
 
+  const detail::FlatGraph flat(g);
   std::vector<EdgeId> policy;
-  const CycleRatioResult result = detail::howard_policy_iteration(g, policy);
+  detail::HowardScratch scratch;
+  const CycleRatioResult result =
+      detail::howard_policy_iteration(flat, policy, scratch);
 
   // Certify optimality: no cycle may have a strictly smaller ratio. Policy
   // iteration with a single global ratio can stall on multi-chain policy

@@ -86,10 +86,49 @@ bool has_cycle(const Digraph& g);
 /// relaxation-tolerance regression tests.
 std::vector<EdgeId> find_negative_cycle(const Digraph& g, double lambda);
 
+/// Flat, read-mostly view of a Digraph for the cycle-ratio inner loops:
+/// one 16-byte record per edge (`src`, `dst`, `tokens` and `latency` =
+/// 1 + relay stations) plus an out-edge CSR. The CSR keeps
+/// Digraph::out_edges() order, because Howard's policy-improvement
+/// tie-breaks depend on it. The throughput engine owns one and rewrites
+/// `latency` in place per query.
+struct FlatGraph {
+  struct Edge {
+    NodeId src = -1;
+    NodeId dst = -1;
+    int tokens = 1;
+    int latency = 1;
+  };
+
+  explicit FlatGraph(const Digraph& g);
+
+  int num_nodes() const { return static_cast<int>(out_begin.size()) - 1; }
+  int num_edges() const { return static_cast<int>(edges.size()); }
+  const Edge& edge(EdgeId e) const {
+    return edges[static_cast<std::size_t>(e)];
+  }
+  Edge& edge(EdgeId e) { return edges[static_cast<std::size_t>(e)]; }
+
+  std::vector<Edge> edges;
+  /// Out-edges of v are out[out_begin[v] .. out_begin[v + 1]).
+  std::vector<int> out_begin;
+  std::vector<EdgeId> out;
+};
+
 /// Exact ratio (token sum / latency sum, integer-summed) of a cycle given
 /// by its edges. Exposed for the throughput engine's candidate-cycle
 /// re-evaluation.
-double exact_cycle_ratio(const Digraph& g, const std::vector<EdgeId>& cycle);
+double exact_cycle_ratio(const FlatGraph& g, const std::vector<EdgeId>& cycle);
+
+/// Working storage of howard_policy_iteration(), sized on first use and
+/// reused across calls, so a sweep allocates nothing.
+struct HowardScratch {
+  std::vector<int> mark;
+  std::vector<double> value;
+  std::vector<NodeId> walk;
+  std::vector<EdgeId> cycle;
+  std::vector<EdgeId> best_cycle;
+};
 
 /// The core of Howard's algorithm WITHOUT the optimality certificate: runs
 /// at most `max_iterations` rounds of policy iteration and returns the
@@ -101,9 +140,12 @@ double exact_cycle_ratio(const Digraph& g, const std::vector<EdgeId>& cycle);
 /// failed certificate just demotes the answer to a fallback solve, so a
 /// small budget trades hit rate, never correctness). `policy` seeds the
 /// iteration when it fits the graph (rebuilt otherwise) and receives the
-/// final policy. Precondition: `g` has a cycle.
-CycleRatioResult howard_policy_iteration(const Digraph& g,
+/// final policy. Each round costs O(V + E): one walk finds the policy
+/// graph's cycles, one memoised walk along the policy determines the
+/// values, one scan improves the policy. Precondition: `g` has a cycle.
+CycleRatioResult howard_policy_iteration(const FlatGraph& g,
                                          std::vector<EdgeId>& policy,
+                                         HowardScratch& scratch,
                                          int max_iterations = 1000);
 
 }  // namespace detail

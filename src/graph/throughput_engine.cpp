@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
@@ -33,6 +34,24 @@ struct EngineMetrics {
   }
 };
 
+/// Relaxes `edge` at λ: lowers π(dst) to π(src) + tokens − λ·latency (and
+/// records the path's latency) when that beats it beyond the tolerance.
+inline bool relax(const detail::FlatGraph::Edge& edge, double lambda,
+                  double* potential, double* potential_lat) {
+  const double tokens = static_cast<double>(edge.tokens);
+  const double latency = static_cast<double>(edge.latency);
+  const double lt = lambda * latency;
+  const double w = tokens - lt;
+  const auto s = static_cast<std::size_t>(edge.src);
+  const auto d = static_cast<std::size_t>(edge.dst);
+  if (!detail::relax_improves(potential[d], potential[s] + w,
+                              std::abs(tokens) + lt))
+    return false;
+  potential[d] = potential[s] + w;
+  potential_lat[d] = potential_lat[s] + latency;
+  return true;
+}
+
 }  // namespace
 
 ThroughputEngine::~ThroughputEngine() {
@@ -45,52 +64,75 @@ ThroughputEngine::~ThroughputEngine() {
   metrics.fallbacks.add(stats_.fallbacks);
 }
 
-ThroughputEngine::ThroughputEngine(Digraph base) : g_(std::move(base)) {
-  const auto num_edges = static_cast<std::size_t>(g_.num_edges());
-  base_rs_.reserve(num_edges);
-  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
-    base_rs_.push_back(g_.edge(e).relay_stations);
-    const auto [it, inserted] =
-        label_ids_.emplace(g_.edge(e).label, label_edges_.size());
-    if (inserted) label_edges_.emplace_back();
-    label_edges_[it->second].push_back(e);
-  }
-  label_epoch_.assign(label_edges_.size(), 0);
-  label_dirty_.assign(label_edges_.size(), 0);
-  const auto num_nodes = static_cast<std::size_t>(g_.num_nodes());
+ThroughputEngine::ThroughputEngine(Digraph base)
+    : base_(std::move(base)), flat_(base_) {
+  // Label CSR: labels numbered by first appearance, each label's edges in
+  // edge-id order.
+  const auto num_edges = static_cast<std::size_t>(base_.num_edges());
+  std::vector<std::size_t> edge_label(num_edges);
+  for (std::size_t e = 0; e < num_edges; ++e)
+    edge_label[e] = label_ids_
+                        .emplace(base_.edge(static_cast<EdgeId>(e)).label,
+                                 label_ids_.size())
+                        .first->second;
+  const std::size_t num_labels = label_ids_.size();
+  label_begin_.assign(num_labels + 1, 0);
+  for (const std::size_t label : edge_label) ++label_begin_[label + 1];
+  for (std::size_t l = 0; l < num_labels; ++l)
+    label_begin_[l + 1] += label_begin_[l];
+  label_edges_.resize(num_edges);
+  std::vector<int> fill(label_begin_.begin(), label_begin_.end() - 1);
+  for (std::size_t e = 0; e < num_edges; ++e)
+    label_edges_[static_cast<std::size_t>(fill[edge_label[e]]++)] =
+        static_cast<EdgeId>(e);
+  base_latency_.reserve(num_edges);
+  for (const detail::FlatGraph::Edge& edge : flat_.edges)
+    base_latency_.push_back(edge.latency);
+  label_rs_.assign(num_labels, kBase);
+  label_epoch_.assign(num_labels, 0);
+
+  const auto num_nodes = static_cast<std::size_t>(base_.num_nodes());
   potential_.assign(num_nodes, 0.0);
   potential_lat_.assign(num_nodes, 0.0);
   in_worklist_.assign(num_nodes, 0);
+  pops_.assign(num_nodes, 0);
+  pred_.assign(num_nodes, -1);
+  stamp_.assign(num_nodes, -1);
   // Cyclicity is structural — relay-station mutations cannot change it, so
   // acyclic instances answer every query as a constant 1.0 (exactly the
   // fresh solver's acyclic result).
-  cyclic_ = detail::has_cycle(g_);
+  cyclic_ = detail::has_cycle(base_);
 }
 
-void ThroughputEngine::set_label_edges(std::size_t label,
-                                       int relay_stations) {
-  bool dirty = false;
-  for (const EdgeId e : label_edges_[label]) {
-    int& current = g_.edge(e).relay_stations;
-    if (current != relay_stations) {
-      current = relay_stations;
+Digraph ThroughputEngine::graph() const {
+  Digraph g = base_;
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    g.edge(e).relay_stations = flat_.edge(e).latency - 1;
+  return g;
+}
+
+void ThroughputEngine::set_label_latency(std::size_t label, int latency) {
+  for (int k = label_begin_[label]; k < label_begin_[label + 1]; ++k) {
+    int& current =
+        flat_.edge(label_edges_[static_cast<std::size_t>(k)]).latency;
+    if (current != latency) {
+      current = latency;
       changed_ = true;
     }
-    if (base_rs_[static_cast<std::size_t>(e)] != relay_stations) dirty = true;
   }
-  label_dirty_[label] = dirty ? 1 : 0;
 }
 
 void ThroughputEngine::revert_label_to_base(std::size_t label) {
-  for (const EdgeId e : label_edges_[label]) {
-    int& current = g_.edge(e).relay_stations;
-    const int base = base_rs_[static_cast<std::size_t>(e)];
+  for (int k = label_begin_[label]; k < label_begin_[label + 1]; ++k) {
+    const EdgeId e = label_edges_[static_cast<std::size_t>(k)];
+    int& current = flat_.edge(e).latency;
+    const int base = base_latency_[static_cast<std::size_t>(e)];
     if (current != base) {
       current = base;
       changed_ = true;
     }
   }
-  label_dirty_[label] = 0;
+  label_rs_[label] = kBase;
 }
 
 int ThroughputEngine::label_id(const std::string& label) const {
@@ -123,32 +165,50 @@ double ThroughputEngine::throughput(const std::vector<int>& ids,
                                     const std::vector<int>& rs) {
   WP_REQUIRE(ids.size() == rs.size(),
              "ThroughputEngine: one relay-station count per label id");
+  // Validate before mutating, so a rejected query leaves the engine as it
+  // was. A count must keep its edge latency 1 + rs positive and in range.
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    WP_REQUIRE(ids[i] < static_cast<int>(label_rs_.size()),
+               "ThroughputEngine: label id out of range");
+    WP_REQUIRE(0 <= rs[i] && rs[i] < std::numeric_limits<int>::max(),
+               "ThroughputEngine: relay-station count out of range");
+  }
   ++stats_.queries;
   changed_ = false;
-  ++epoch_;
+  const std::uint64_t epoch = ++epoch_;
 
-  // Pass 1: apply the demanded labels (duplicates: last one wins, like the
-  // reference's sequential apply; unknown labels are ignored).
-  touched_scratch_.clear();
+  // Apply the demanded labels (duplicates: last one wins, like the
+  // reference's sequential apply; unknown labels are ignored). A label
+  // whose count did not move costs one compare.
+  std::size_t named = 0;  // distinct labels this query names
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (ids[i] < 0) continue;  // label absent from the graph
     const auto label = static_cast<std::size_t>(ids[i]);
-    WP_REQUIRE(label < label_edges_.size(),
-               "ThroughputEngine: label id out of range");
-    if (label_epoch_[label] != epoch_) {
-      label_epoch_[label] = epoch_;
-      touched_scratch_.push_back(label);
+    if (label_epoch_[label] != epoch) {
+      label_epoch_[label] = epoch;
+      ++named;
+      if (label_rs_[label] == kBase) dirty_labels_.push_back(label);
     }
-    set_label_edges(label, rs[i]);
+    if (label_rs_[label] != rs[i]) {
+      set_label_latency(label, 1 + rs[i]);
+      label_rs_[label] = rs[i];
+    }
   }
-  // Pass 2: labels dirtied by an earlier demand but absent from this one
-  // revert to the base counts — the reference's fresh copy of the base
-  // graph, paid only where an edge actually differs.
-  for (const std::size_t label : dirty_labels_)
-    if (label_epoch_[label] != epoch_) revert_label_to_base(label);
-  dirty_labels_.clear();
-  for (const std::size_t label : touched_scratch_)
-    if (label_dirty_[label]) dirty_labels_.push_back(label);
+  // Every named label is now on the dirty list. Labels set by an earlier
+  // demand but absent from this one revert to the base counts — the
+  // reference's fresh copy of the base graph, paid only where an edge
+  // actually differs — in one compaction pass, skipped when the query
+  // named every dirty label.
+  if (named != dirty_labels_.size()) {
+    std::size_t kept = 0;
+    for (const std::size_t label : dirty_labels_) {
+      if (label_epoch_[label] == epoch)
+        dirty_labels_[kept++] = label;
+      else
+        revert_label_to_base(label);
+    }
+    dirty_labels_.resize(kept);
+  }
 
   if (!changed_ && has_result_) {
     ++stats_.unchanged;
@@ -170,7 +230,8 @@ double ThroughputEngine::solve() {
     // cycles through mutated edges can displace it), so this certifies
     // without running any policy iteration at all.
     if (!critical_cycle_.empty()) {
-      const double candidate = detail::exact_cycle_ratio(g_, critical_cycle_);
+      const double candidate =
+          detail::exact_cycle_ratio(flat_, critical_cycle_);
       if (certify(candidate)) {
         ++stats_.cycle_hits;
         ratio_ = candidate;
@@ -186,7 +247,7 @@ double ThroughputEngine::solve() {
     // Candidate 1's failed repair left the potentials partially relaxed —
     // harmless, certify() always re-validates every edge from scratch.
     const CycleRatioResult warm =
-        detail::howard_policy_iteration(g_, policy_, kWarmSweeps);
+        detail::howard_policy_iteration(flat_, policy_, howard_, kWarmSweeps);
     if (certify(warm.ratio)) {
       ++stats_.warm_hits;
       critical_cycle_ = warm.critical_cycle;
@@ -210,7 +271,7 @@ double ThroughputEngine::solve() {
   // safety net behind a round cap.
   ++stats_.fallbacks;
   CycleRatioResult cold =
-      detail::howard_policy_iteration(g_, policy_, kColdSweeps);
+      detail::howard_policy_iteration(flat_, policy_, howard_, kColdSweeps);
   double lambda = cold.ratio;
   std::vector<EdgeId> cycle = std::move(cold.critical_cycle);
   for (int round = 0; round < 32; ++round) {
@@ -223,9 +284,9 @@ double ThroughputEngine::solve() {
     }
     if (witness.empty()) break;  // divergent without a witness → Lawler
     cycle = std::move(witness);
-    lambda = detail::exact_cycle_ratio(g_, cycle);
+    lambda = detail::exact_cycle_ratio(flat_, cycle);
   }
-  const CycleRatioResult exact = min_cycle_ratio_lawler(g_);
+  const CycleRatioResult exact = min_cycle_ratio_lawler(graph());
   rebuild_certificate(exact.ratio);
   critical_cycle_ = exact.critical_cycle;
   ratio_ = exact.ratio;
@@ -253,24 +314,16 @@ bool ThroughputEngine::certify(double lambda) {
   // the budget bounds the incremental cost before conceding to the cold
   // solver.
   worklist_.clear();
-  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
-    const auto& ed = g_.edge(e);
-    const double tokens = static_cast<double>(ed.tokens);
-    const double latency = static_cast<double>(g_.edge_latency(e));
-    const double lt = lambda * latency;
-    const double w = tokens - lt;
-    const auto s = static_cast<std::size_t>(ed.src);
-    const auto d = static_cast<std::size_t>(ed.dst);
-    if (detail::relax_improves(potential_[d], potential_[s] + w,
-                               std::abs(tokens) + lt)) {
-      potential_[d] = potential_[s] + w;
-      potential_lat_[d] = potential_lat_[s] + latency;
-      if (!in_worklist_[d]) {
-        in_worklist_[d] = 1;
-        worklist_.push_back(ed.dst);
-      }
+  auto enqueue = [this](NodeId v) {
+    if (!in_worklist_[static_cast<std::size_t>(v)]) {
+      in_worklist_[static_cast<std::size_t>(v)] = 1;
+      worklist_.push_back(v);
     }
-  }
+  };
+  double* const potential = potential_.data();
+  double* const potential_lat = potential_lat_.data();
+  for (const detail::FlatGraph::Edge& edge : flat_.edges)
+    if (relax(edge, lambda, potential, potential_lat)) enqueue(edge.dst);
   if (worklist_.empty()) return true;
 
   // Two failure detectors, both safe (failure only demotes the candidate):
@@ -278,42 +331,28 @@ bool ThroughputEngine::certify(double lambda) {
   // the true minimum the relaxations lap the violating cycle forever, so a
   // node popping many times signals divergence after ~cap laps instead of
   // after the whole budget.
-  std::size_t budget = 8 * static_cast<std::size_t>(g_.num_edges()) + 64;
+  std::size_t budget = 8 * flat_.edges.size() + 64;
   constexpr std::uint32_t kMaxPopsPerNode = 6;
-  pops_.assign(static_cast<std::size_t>(g_.num_nodes()), 0);
+  std::fill(pops_.begin(), pops_.end(), 0);
   auto give_up = [&](std::size_t head) {
     for (std::size_t i = head; i < worklist_.size(); ++i)
       in_worklist_[static_cast<std::size_t>(worklist_[i])] = 0;
     return false;
   };
   for (std::size_t head = 0; head < worklist_.size(); ++head) {
-    const NodeId v = worklist_[head];
-    in_worklist_[static_cast<std::size_t>(v)] = 0;
+    const auto v = static_cast<std::size_t>(worklist_[head]);
+    in_worklist_[v] = 0;
     // Inconclusive: drop out with the dedup flags drained. The
     // half-repaired potentials stay — they are a legal starting guess for
     // the next certify (the scan re-validates every edge), and the cold
     // fallback rebuilds them from scratch anyway.
-    if (++pops_[static_cast<std::size_t>(v)] > kMaxPopsPerNode)
-      return give_up(head);
-    for (const EdgeId e : g_.out_edges(v)) {
+    if (++pops_[v] > kMaxPopsPerNode) return give_up(head);
+    for (int k = flat_.out_begin[v]; k < flat_.out_begin[v + 1]; ++k) {
       if (budget == 0) return give_up(head);
       --budget;
-      const auto& ed = g_.edge(e);
-      const double tokens = static_cast<double>(ed.tokens);
-      const double latency = static_cast<double>(g_.edge_latency(e));
-      const double lt = lambda * latency;
-      const double w = tokens - lt;
-      const auto s = static_cast<std::size_t>(ed.src);
-      const auto d = static_cast<std::size_t>(ed.dst);
-      if (detail::relax_improves(potential_[d], potential_[s] + w,
-                                 std::abs(tokens) + lt)) {
-        potential_[d] = potential_[s] + w;
-        potential_lat_[d] = potential_lat_[s] + latency;
-        if (!in_worklist_[d]) {
-          in_worklist_[d] = 1;
-          worklist_.push_back(ed.dst);
-        }
-      }
+      const detail::FlatGraph::Edge& edge =
+          flat_.edge(flat_.out[static_cast<std::size_t>(k)]);
+      if (relax(edge, lambda, potential, potential_lat)) enqueue(edge.dst);
     }
   }
   return true;
@@ -338,10 +377,10 @@ std::vector<EdgeId> ThroughputEngine::rebuild_certificate(double lambda) {
     }
   }
   cert_lambda_ = lambda;
-  const int n = g_.num_nodes();
+  const int n = flat_.num_nodes();
   has_certificate_ = false;
-  std::vector<EdgeId> pred(static_cast<std::size_t>(g_.num_nodes()), -1);
-  std::vector<int> stamp(static_cast<std::size_t>(g_.num_nodes()), -1);
+  std::fill(pred_.begin(), pred_.end(), -1);
+  std::fill(stamp_.begin(), stamp_.end(), -1);
 
   // Every relaxation is a strict (beyond-tolerance) improvement, so a
   // cycle in the predecessor graph is a negative cycle — walking the pred
@@ -349,39 +388,31 @@ std::vector<EdgeId> ThroughputEngine::rebuild_certificate(double lambda) {
   // passes instead of burning all n+1 passes to prove it.
   auto pred_cycle_from = [&](NodeId start, int id) -> std::vector<EdgeId> {
     NodeId v = start;
-    while (v >= 0 && pred[static_cast<std::size_t>(v)] >= 0) {
-      if (stamp[static_cast<std::size_t>(v)] == id) {
+    while (v >= 0 && pred_[static_cast<std::size_t>(v)] >= 0) {
+      if (stamp_[static_cast<std::size_t>(v)] == id) {
         std::vector<EdgeId> cycle;
         NodeId u = v;
         do {
-          const EdgeId e = pred[static_cast<std::size_t>(u)];
+          const EdgeId e = pred_[static_cast<std::size_t>(u)];
           cycle.push_back(e);
-          u = g_.edge(e).src;
+          u = flat_.edge(e).src;
         } while (u != v);
         std::reverse(cycle.begin(), cycle.end());
         return cycle;
       }
-      stamp[static_cast<std::size_t>(v)] = id;
-      v = g_.edge(pred[static_cast<std::size_t>(v)]).src;
+      stamp_[static_cast<std::size_t>(v)] = id;
+      v = flat_.edge(pred_[static_cast<std::size_t>(v)]).src;
     }
     return {};
   };
 
+  double* const potential = potential_.data();
+  double* const potential_lat = potential_lat_.data();
   for (int pass = 0; pass <= n; ++pass) {
     EdgeId last_relaxed = -1;
-    for (EdgeId e = 0; e < g_.num_edges(); ++e) {
-      const auto& ed = g_.edge(e);
-      const double tokens = static_cast<double>(ed.tokens);
-      const double latency = static_cast<double>(g_.edge_latency(e));
-      const double lt = lambda * latency;
-      const double w = tokens - lt;
-      const auto s = static_cast<std::size_t>(ed.src);
-      const auto d = static_cast<std::size_t>(ed.dst);
-      if (detail::relax_improves(potential_[d], potential_[s] + w,
-                                 std::abs(tokens) + lt)) {
-        potential_[d] = potential_[s] + w;
-        potential_lat_[d] = potential_lat_[s] + latency;
-        pred[d] = e;
+    for (EdgeId e = 0; e < flat_.num_edges(); ++e) {
+      if (relax(flat_.edge(e), lambda, potential, potential_lat)) {
+        pred_[static_cast<std::size_t>(flat_.edge(e).dst)] = e;
         last_relaxed = e;
       }
     }
@@ -390,7 +421,7 @@ std::vector<EdgeId> ThroughputEngine::rebuild_certificate(double lambda) {
       return {};
     }
     std::vector<EdgeId> witness =
-        pred_cycle_from(g_.edge(last_relaxed).dst, pass);
+        pred_cycle_from(flat_.edge(last_relaxed).dst, pass);
     if (!witness.empty()) return witness;
   }
   // n+1 passes of relaxations without a pred cycle surfacing behind the

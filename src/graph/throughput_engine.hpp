@@ -9,10 +9,17 @@
 // few edge latencies in a structurally fixed graph, so the oracle should
 // be incremental:
 //
-//   * the RS graph is built ONCE per instance; each demand vector is
-//     applied as an in-place edge-latency delta (labels absent from the
-//     new demand revert to base counts — the reference's configured-copy
-//     semantics, paid only where an edge actually changes);
+//   * the RS graph is flattened ONCE per instance into a
+//     detail::FlatGraph (16-byte src/dst/tokens/latency edge records plus
+//     an out-edge CSR in Digraph order); certification and Howard read
+//     only those arrays, never the string-carrying Digraph records;
+//   * each demand vector is applied as a DIFF: a label→edge CSR plus the
+//     last-applied count per label, so a label whose count did not move
+//     costs one int compare and only moved labels rewrite their edges'
+//     latencies in place. Labels absent from the new demand revert to
+//     base counts (the reference's configured-copy semantics) in one
+//     compaction pass over the dirty-label list, skipped when the demand
+//     names every dirty label;
 //   * optimality is RE-CERTIFIED LAZILY: the engine keeps the dual
 //     certificate of the last solve — per-node potentials π with
 //     tokens_e − λ·latency_e + π(src) − π(dst) ≥ 0 for every edge, which
@@ -25,7 +32,11 @@
 //   * candidates are certified cheapest-first: the PREVIOUS critical
 //     cycle re-costed on the mutated graph (no policy iteration at all),
 //     then a few Howard sweeps warm-started from the previous optimal
-//     policy. Whatever certifies first is the exact minimum.
+//     policy. Whatever certifies first is the exact minimum. The sweeps
+//     run the one Howard core (detail::howard_policy_iteration) on the
+//     flat arrays with an engine-owned HowardScratch: O(V + E) per sweep
+//     — value determination is one memoised walk along the policy — and
+//     no allocation.
 //
 // Exact-fallback equivalence contract: when no candidate certifies, the
 // engine re-solves cold — bounded policy iteration, then WITNESS DESCENT:
@@ -46,7 +57,14 @@
 // demands sit orders of magnitude inside the safe regime.) The
 // differential suite (tests/test_throughput_engine.cpp) enforces the
 // contract across random demand-perturbation chains, run explicitly in
-// Debug and ASan/UBSan CI.
+// Debug and ASan/UBSan CI. The engine and the reference share the Howard
+// core, so tests/test_graph.cpp checks that core directly against
+// exhaustive enumeration, and the engine suite pins its per-request
+// query-path counts.
+//
+// The base Digraph is kept only for labels, the Lawler safety net and
+// graph(), which returns a configured COPY (the current counts live in
+// the flat latencies).
 //
 // Not thread-safe: one engine per worker (annealer restarts and ensemble
 // samples each own one; anneal_parallel takes an engine factory).
@@ -97,7 +115,10 @@ class ThroughputEngine {
   /// on every edge of label `ids[i]` (ids from resolve(); -1 entries are
   /// ignored, duplicates: last one wins); labels not mentioned revert to
   /// the base graph's counts. Exactly equal to a fresh
-  /// min_cycle_ratio_howard() on the configured graph.
+  /// min_cycle_ratio_howard() on the configured graph. Requires one count
+  /// per id, every id below the number of labels and every count in
+  /// [0, INT_MAX) — the range where the edge latency 1 + rs is positive
+  /// and representable; a rejected query changes nothing.
   double throughput(const std::vector<int>& ids, const std::vector<int>& rs);
 
   /// Same, addressed by label: resolves `demand`'s labels and forwards.
@@ -110,12 +131,15 @@ class ThroughputEngine {
   void set_incremental(bool on) { incremental_ = on; }
 
   const Stats& stats() const { return stats_; }
-  /// The engine's graph in its CURRENT configuration (base + last demand).
-  const Digraph& graph() const { return g_; }
+  /// A copy of the engine's graph in its CURRENT configuration (base +
+  /// last demand).
+  Digraph graph() const;
 
  private:
   int label_id(const std::string& label) const;  ///< -1 if absent
-  void set_label_edges(std::size_t label, int relay_stations);
+  /// Sets every edge of `label` to latency `latency`; flags changed_ if any
+  /// edge moved.
+  void set_label_latency(std::size_t label, int latency);
   void revert_label_to_base(std::size_t label);
   double solve();
   /// Tries to certify `lambda` as the exact minimum by repairing the held
@@ -129,18 +153,27 @@ class ThroughputEngine {
   /// whose exact ratio drives the cold path's witness descent.
   std::vector<EdgeId> rebuild_certificate(double lambda);
 
-  Digraph g_;
+  /// The base graph: labels, resolve() and the Lawler safety net. Its
+  /// relay-station counts never change; the current configuration lives in
+  /// the latencies of flat_.
+  Digraph base_;
+  detail::FlatGraph flat_;
   bool cyclic_ = false;
   bool incremental_ = true;
-  std::vector<int> base_rs_;  ///< per-edge counts of the base graph
+  std::vector<int> base_latency_;  ///< per-edge latency of the base graph
 
-  // Label interning: queries address edges by label id (resolve()).
+  // Label interning: queries address edges by label id (resolve()). The
+  // edges of label l are label_edges_[label_begin_[l] .. label_begin_[l+1]).
+  static constexpr int kBase = -1;  ///< label_rs_: edges at base counts
   std::unordered_map<std::string, std::size_t> label_ids_;
-  std::vector<std::vector<EdgeId>> label_edges_;
-  std::vector<std::uint64_t> label_epoch_;  ///< last query touching a label
-  std::vector<char> label_dirty_;  ///< any edge differs from base
-  std::vector<std::size_t> dirty_labels_;
-  std::vector<std::size_t> touched_scratch_;
+  std::vector<int> label_begin_;
+  std::vector<EdgeId> label_edges_;
+  /// Count last applied to every edge of a label, kBase when the label's
+  /// edges hold their base counts. A query repeating a label's count costs
+  /// one compare.
+  std::vector<int> label_rs_;
+  std::vector<std::uint64_t> label_epoch_;  ///< last query naming a label
+  std::vector<std::size_t> dirty_labels_;   ///< labels with label_rs_ != kBase
   std::uint64_t epoch_ = 0;
 
   // Warm-start state and the incremental dual certificate. The previous
@@ -154,6 +187,7 @@ class ThroughputEngine {
   /// Per-node chosen out-edge of the last policy iteration (-1 = none);
   /// seeds the next warm or cold sweeps.
   std::vector<EdgeId> policy_;
+  detail::HowardScratch howard_;
   std::vector<EdgeId> critical_cycle_;
   /// π(v) is the Bellman–Ford distance of some super-source path P(v) at
   /// λ = cert_lambda_, i.e. tokens(P) − λ·latency(P); potential_lat_
@@ -166,6 +200,8 @@ class ThroughputEngine {
   std::vector<NodeId> worklist_;
   std::vector<char> in_worklist_;
   std::vector<std::uint32_t> pops_;  ///< per-node pop counts of one repair
+  std::vector<EdgeId> pred_;         ///< rebuild_certificate's pred edges
+  std::vector<int> stamp_;           ///< rebuild_certificate's walk stamps
 
   // Cached result of the current configuration; changed_ records whether
   // the current query moved any edge off it.

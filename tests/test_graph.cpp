@@ -1,11 +1,17 @@
 // Graph-analysis tests: digraph bookkeeping, Johnson cycle enumeration,
 // the three minimum-cycle-ratio solvers (cross-checked on random graphs),
+// the flat Howard core the engine and the reference share (FlatGraph's
+// CSR order, warm-policy rebuilds, value determination, scratch reuse),
 // the throughput report and the RS optimizer.
 #include <gtest/gtest.h>
 
 #include "util/assert.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "graph/cycle_ratio.hpp"
 #include "graph/cycles.hpp"
@@ -202,6 +208,201 @@ TEST_P(McrCrossCheck, SolversAgreeOnRandomGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Random, McrCrossCheck,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+// ------------------------------------------------------- Howard core
+
+std::vector<EdgeId> csr_out_edges(const detail::FlatGraph& flat, NodeId v) {
+  const auto i = static_cast<std::size_t>(v);
+  return {flat.out.begin() + flat.out_begin[i],
+          flat.out.begin() + flat.out_begin[i + 1]};
+}
+
+TEST(FlatGraph, MirrorsEdgesAndOutEdgeOrder) {
+  // Parallel edges, a self loop and a node without successors, plus
+  // random graphs: the CSR must list each node's out-edges exactly in
+  // Digraph::out_edges() order.
+  Digraph multi;
+  for (int i = 0; i < 4; ++i) multi.add_node("n" + std::to_string(i));
+  multi.add_edge(2, 0, "a", 3);
+  multi.add_edge(0, 1, "b");
+  multi.add_edge(0, 1, "c", 1);
+  multi.add_edge(1, 1, "self");
+  multi.add_edge(0, 2, "d", 2);
+  multi.edge(4).tokens = 2;
+  std::vector<Digraph> graphs{multi};
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    wp::Rng rng(seed);
+    gen::RandomGraphConfig config;
+    config.num_nodes = static_cast<int>(rng.range(2, 30));
+    config.edge_probability = 0.2;
+    graphs.push_back(gen::random_digraph(config, rng));
+  }
+  for (const Digraph& g : graphs) {
+    const detail::FlatGraph flat(g);
+    ASSERT_EQ(flat.num_nodes(), g.num_nodes());
+    ASSERT_EQ(flat.num_edges(), g.num_edges());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_EQ(flat.edge(e).src, g.edge(e).src);
+      EXPECT_EQ(flat.edge(e).dst, g.edge(e).dst);
+      EXPECT_EQ(flat.edge(e).tokens, g.edge(e).tokens);
+      EXPECT_EQ(flat.edge(e).latency, g.edge_latency(e));
+    }
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      EXPECT_EQ(csr_out_edges(flat, v), g.out_edges(v)) << "node " << v;
+  }
+}
+
+TEST(HowardCore, UnfitWarmPoliciesAreRebuilt) {
+  wp::Rng rng(17);
+  gen::RandomGraphConfig config;
+  config.num_nodes = 9;
+  config.edge_probability = 0.3;
+  config.max_relay_stations = 4;
+  const Digraph g = gen::random_digraph(config, rng);
+  const detail::FlatGraph flat(g);
+  const double expected = min_cycle_ratio_exhaustive(g).ratio;
+
+  // Foreign edges: node v's entry names an edge that leaves another node.
+  std::vector<EdgeId> foreign(static_cast<std::size_t>(g.num_nodes()), -1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    for (EdgeId e = 0; e < g.num_edges(); ++e)
+      if (g.edge(e).src != v) foreign[static_cast<std::size_t>(v)] = e;
+  const std::vector<std::vector<EdgeId>> unfit{
+      {},                                                       // empty
+      std::vector<EdgeId>(static_cast<std::size_t>(g.num_nodes()) + 3, 0),
+      std::vector<EdgeId>(static_cast<std::size_t>(g.num_nodes()),
+                          g.num_edges()),                       // out of range
+      foreign};
+  for (std::vector<EdgeId> policy : unfit) {
+    detail::HowardScratch scratch;
+    const CycleRatioResult result =
+        detail::howard_policy_iteration(flat, policy, scratch);
+    EXPECT_EQ(result.ratio, expected);
+    EXPECT_EQ(detail::exact_cycle_ratio(flat, result.critical_cycle),
+              expected);
+    // The policy it hands back fits the graph: one own out-edge per node.
+    ASSERT_EQ(policy.size(), static_cast<std::size_t>(g.num_nodes()));
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const EdgeId e = policy[static_cast<std::size_t>(v)];
+      if (g.out_edges(v).empty()) {
+        EXPECT_EQ(e, -1);
+      } else {
+        ASSERT_GE(e, 0);
+        EXPECT_EQ(g.edge(e).src, v);
+      }
+    }
+  }
+}
+
+TEST(HowardCore, DeadEndWarmPolicyRetriesFromTheDefault) {
+  // 0 <-> 1 is the only cycle; both nodes also lead into the sink 2. The
+  // warm policy fits the graph but routes every chain into the sink, so
+  // its policy graph has no cycle: the core must rebuild and retry.
+  Digraph g;
+  for (int i = 0; i < 3; ++i) g.add_node("n" + std::to_string(i));
+  g.add_edge(0, 1, "", 1);
+  g.add_edge(1, 0, "", 2);
+  const EdgeId to_sink_0 = g.add_edge(0, 2);
+  const EdgeId to_sink_1 = g.add_edge(1, 2);
+  const detail::FlatGraph flat(g);
+  std::vector<EdgeId> policy{to_sink_0, to_sink_1, -1};
+  detail::HowardScratch scratch;
+  const CycleRatioResult result =
+      detail::howard_policy_iteration(flat, policy, scratch);
+  EXPECT_EQ(result.ratio, min_cycle_ratio_exhaustive(g).ratio);
+  EXPECT_EQ(result.ratio, 2.0 / 5.0);
+  EXPECT_EQ(result.critical_cycle.size(), 2u);
+  EXPECT_EQ(policy, (std::vector<EdgeId>{0, 1, -1}));
+}
+
+TEST(HowardCore, NodesOffTheCriticalCycleKeepInfiniteValues) {
+  // Critical ring A = {0,1,2} (3 tokens / 6 cycles) and a slower ring
+  // B = {3,4} (2 / 2). A can reach B but B never reaches A; tail 5 feeds A
+  // and tail 6 feeds B. Value determination anchors A at 0: A and node 5
+  // get finite values, while B and node 6 must stay +inf (a non-critical
+  // policy cycle is not an anchor) and so never drive an improvement.
+  Digraph g;
+  for (int i = 0; i < 7; ++i) g.add_node("n" + std::to_string(i));
+  g.add_edge(0, 1, "", 1);
+  g.add_edge(1, 2, "", 1);
+  g.add_edge(2, 0, "", 1);
+  g.add_edge(3, 4);
+  g.add_edge(4, 3);
+  g.add_edge(0, 3);  // A -> B
+  g.add_edge(5, 0);
+  g.add_edge(6, 3);
+  const detail::FlatGraph flat(g);
+  std::vector<EdgeId> policy;
+  detail::HowardScratch scratch;
+  const CycleRatioResult result =
+      detail::howard_policy_iteration(flat, policy, scratch);
+  EXPECT_EQ(result.ratio, min_cycle_ratio_exhaustive(g).ratio);
+  EXPECT_EQ(result.ratio, 0.5);
+  const auto& value = scratch.value;
+  ASSERT_EQ(value.size(), 7u);
+  for (const NodeId v : {0, 1, 2, 5})
+    EXPECT_TRUE(std::isfinite(value[static_cast<std::size_t>(v)])) << v;
+  for (const NodeId v : {3, 4, 6})
+    EXPECT_EQ(value[static_cast<std::size_t>(v)],
+              std::numeric_limits<double>::infinity())
+        << v;
+  // 5 -> 0 costs 1 token and 1 cycle at r = 0.5; 0 is an anchor.
+  EXPECT_EQ(value[5], 1.0 - 0.5 * 1.0);
+}
+
+TEST(HowardCore, OnePolicyAndScratchAcrossRelayStationMutations) {
+  // The engine's usage: one FlatGraph whose latencies change in place, one
+  // policy and one scratch carried from solve to solve. Reusing the
+  // scratch must not change a bit against a fresh one, and the answer is
+  // the core's uncertified contract: the exact ratio of a real cycle,
+  // never below the exhaustive minimum (a warm policy can stall above it;
+  // the callers' certificates catch that).
+  int steps = 0;
+  int exact = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    wp::Rng rng(seed * 31);
+    gen::RandomGraphConfig config;
+    config.num_nodes = static_cast<int>(rng.range(4, 11));
+    config.edge_probability = 0.3;
+    config.max_relay_stations = 4;
+    Digraph g = gen::random_digraph(config, rng);
+    detail::FlatGraph flat(g);
+    std::vector<EdgeId> policy;
+    detail::HowardScratch scratch;
+    for (int step = 0; step < 25; ++step, ++steps) {
+      const auto e = static_cast<EdgeId>(
+          rng.below(static_cast<std::uint64_t>(g.num_edges())));
+      const int rs = static_cast<int>(rng.below(6));
+      g.edge(e).relay_stations = rs;
+      flat.edge(e).latency = 1 + rs;
+
+      std::vector<EdgeId> fresh_policy = policy;
+      detail::HowardScratch fresh_scratch;
+      const CycleRatioResult fresh =
+          detail::howard_policy_iteration(flat, fresh_policy, fresh_scratch);
+      const CycleRatioResult reused =
+          detail::howard_policy_iteration(flat, policy, scratch);
+      ASSERT_EQ(reused.ratio, fresh.ratio)
+          << "seed " << seed << " step " << step;
+      EXPECT_EQ(reused.critical_cycle, fresh.critical_cycle);
+      EXPECT_EQ(policy, fresh_policy);
+
+      const double minimum = min_cycle_ratio_exhaustive(g, 500000).ratio;
+      EXPECT_GE(reused.ratio, minimum);
+      const std::vector<EdgeId>& cycle = reused.critical_cycle;
+      ASSERT_FALSE(cycle.empty());
+      for (std::size_t k = 0; k < cycle.size(); ++k)
+        EXPECT_EQ(g.edge(cycle[k]).dst,
+                  g.edge(cycle[(k + 1) % cycle.size()]).src);
+      EXPECT_EQ(detail::exact_cycle_ratio(flat, reused.critical_cycle),
+                reused.ratio);
+      if (reused.ratio == minimum) ++exact;
+      // The certified solver is exact on the same configuration.
+      EXPECT_EQ(min_cycle_ratio_howard(g).ratio, minimum);
+    }
+  }
+  EXPECT_GT(exact, steps / 2);
+}
 
 TEST(Throughput, ReportSortsWorstFirst) {
   Digraph g = gen::ring_graph(2, {1, 0});  // 2-ring with 1 RS total

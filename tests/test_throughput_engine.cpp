@@ -5,13 +5,15 @@
 // across the incremental-vs-cold-fallback paths and under the thread pool
 // (serial ≡ pooled). Also pins the annealer
 // integration (engine-backed run ≡ a run whose throughput_fn solves every
-// demand fresh) and the ensemble's engine-counter determinism.
+// demand fresh), the per-request query-path counts of a BA-128 anneal, and
+// the ensemble's engine-counter determinism.
 //
 // This suite is the engine's equivalent of test_pack_equivalence and runs
 // explicitly in the Debug and ASan/UBSan CI jobs.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -22,6 +24,7 @@
 #include "floorplan/annealer.hpp"
 #include "floorplan/instances.hpp"
 #include "gen/ensemble.hpp"
+#include "gen/instances.hpp"
 #include "gen/topologies.hpp"
 #include "fresh_howard.hpp"
 #include "graph/throughput_engine.hpp"
@@ -199,6 +202,33 @@ TEST(ThroughputEngine, IdQueriesMatchLabelQueriesAndFreshHoward) {
   }
 }
 
+TEST(ThroughputEngine, OmittedLabelsRevertToBaseCounts) {
+  // Demands naming random subsets of the labels (with repeats): a label a
+  // demand leaves out must fall back to its BASE count, like the
+  // reference's fresh configured copy. Non-zero base counts make a missed
+  // revert visible, and a few demands name every label so the engine's
+  // skip-the-revert-pass case runs too.
+  for (Digraph base : family_topologies(24, 47)) {
+    Rng rng(2024);
+    for (EdgeId e = 0; e < base.num_edges(); ++e)
+      base.edge(e).relay_stations = static_cast<int>(rng.below(3));
+    const std::vector<std::string> labels = labels_of(base);
+    ThroughputEngine engine(base);
+    for (int step = 0; step < 60; ++step) {
+      Demand demand;
+      const bool all = step % 7 == 0;
+      for (const std::string& label : labels)
+        if (all || rng.below(3) == 0)
+          demand.emplace_back(label, static_cast<int>(rng.below(5)));
+      if (!demand.empty() && rng.below(4) == 0)
+        demand.emplace_back(demand.front().first,
+                            static_cast<int>(rng.below(5)));
+      ASSERT_EQ(engine.throughput(demand), fresh_ratio(base, demand))
+          << "step " << step << " labels " << demand.size();
+    }
+  }
+}
+
 TEST(ThroughputEngine, IdQueriesRejectMalformedInput) {
   ThroughputEngine engine(proc::make_cpu_graph());
   const std::vector<int> ids = engine.resolve({"CU-IC", "NO-SUCH"});
@@ -207,6 +237,20 @@ TEST(ThroughputEngine, IdQueriesRejectMalformedInput) {
   EXPECT_EQ(ids[1], -1);
   EXPECT_THROW(engine.throughput(ids, {1}), wp::ContractViolation);
   EXPECT_THROW(engine.throughput({1 << 20}, {1}), wp::ContractViolation);
+  // A count the engine cannot represent: a negative one would make an edge
+  // latency 1 + rs <= 0, and INT_MAX would overflow it. Both are rejected
+  // up front, by id and by label, and leave the engine answering as before.
+  const double before = engine.throughput(ids, {2, 0});
+  constexpr int kMax = std::numeric_limits<int>::max();
+  for (const int bad : {-1, -5, kMax}) {
+    EXPECT_THROW(engine.throughput(ids, {bad, 0}), wp::ContractViolation);
+    EXPECT_THROW(engine.throughput(ids, {3, bad}), wp::ContractViolation);
+    EXPECT_THROW(engine.throughput({{"CU-IC", bad}}), wp::ContractViolation);
+  }
+  EXPECT_NO_THROW(engine.throughput(ids, {kMax - 1, 0}));
+  EXPECT_EQ(engine.throughput(ids, {2, 0}), before);
+  EXPECT_EQ(engine.throughput(ids, {2, 0}),
+            fresh_ratio(proc::make_cpu_graph(), {{"CU-IC", 2}}));
 }
 
 TEST(ThroughputEngine, SerialEqualsPooled) {
@@ -297,6 +341,44 @@ TEST(ThroughputEngineAnnealer, ParallelEngineFactoryMatchesSerialBestOf) {
   EXPECT_EQ(pooled.seed, best.seed);
   EXPECT_EQ(pooled.placement.x, best.placement.x);
   EXPECT_EQ(pooled.throughput, best.throughput);
+}
+
+/// Per-request query-path counts of one throughput-driven BA-128 anneal of
+/// the wpbench `anneal-throughput-128` shape. The engine and the fresh
+/// reference share one Howard core, so the equivalence tests above cannot
+/// see a change in the policy trajectory; these literals can. They were
+/// recorded before the engine moved onto flat edge arrays and must repeat
+/// exactly.
+TEST(ThroughputEngineAnnealer, Ba128QueryPathCountsArePinned) {
+  gen::TopologyConfig topology_config;
+  topology_config.family = gen::TopologyFamily::kBarabasiAlbert;
+  topology_config.num_nodes = 128;
+  Rng rng(1000);
+  const Digraph topology = gen::generate_topology(topology_config, rng);
+  gen::SystemConfig system;
+  system.build_netlist = false;
+  const gen::GeneratedSystem sys = gen::dress_topology(topology, system, rng);
+  Digraph base = topology;
+  for (EdgeId e = 0; e < base.num_edges(); ++e)
+    base.edge(e).relay_stations = 0;
+
+  ThroughputEngine engine(std::move(base));
+  fplan::AnnealOptions options;
+  options.iterations = 500;
+  options.cooling = 0.996;
+  options.weight_wirelength = 0.05;
+  options.weight_throughput = 50.0;
+  options.seed = 7;
+  options.throughput_engine = &engine;
+  (void)fplan::anneal(sys.instance, options);
+
+  const ThroughputEngine::Stats& stats = engine.stats();
+  EXPECT_EQ(stats.queries, 499u);
+  EXPECT_EQ(stats.unchanged, 0u);
+  EXPECT_EQ(stats.acyclic, 0u);
+  EXPECT_EQ(stats.cycle_hits, 455u);
+  EXPECT_EQ(stats.warm_hits, 43u);
+  EXPECT_EQ(stats.fallbacks, 1u);
 }
 
 // ---------------------------------------------------------------- ensemble
