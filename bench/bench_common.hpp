@@ -1,11 +1,11 @@
 // Shared helpers for the table-reproduction benches: renders ExperimentRow
 // lists in the layout of the paper's Table 1 (Cycles | Th WP1 | Th WP2 |
 // WP2 vs WP1 %) plus our extra diagnostics, mirrors rows to CSV when
-// WIREPIPE_CSV is set in the environment, reports the simulation oracle's
-// golden-replay savings, and emits machine-readable JSON artifacts
-// (JsonWriter) so CI can archive a perf trajectory per commit instead of
-// scraping tables. Flag parsing lives in wp::cli::ArgParser
-// (src/cli/arg_parser.hpp), shared with the service binaries.
+// WIREPIPE_CSV is set in the environment, and reports the simulation
+// oracle's golden-replay savings. JSON artifacts are written with
+// wp::json::JsonWriter (src/util/json.hpp); flag parsing lives in
+// wp::cli::ArgParser (src/cli/arg_parser.hpp), shared with the service
+// binaries.
 #pragma once
 
 #include <cstdint>
@@ -20,20 +20,9 @@
 #include "proc/experiment.hpp"
 #include "sim/oracle.hpp"
 #include "util/csv.hpp"
-#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace wp::bench {
-
-// The JSON emitter moved to src/util/json.hpp (wp::json::JsonWriter) so
-// library code — the metrics registry, the daemon's stats-scrape reply,
-// the trace exporter — writes the same artifact format as the benches.
-// The alias keeps the historical wp::bench::JsonWriter spelling working.
-using JsonWriter = json::JsonWriter;
-
-// Flag parsing lives in wp::cli::ArgParser (src/cli/arg_parser.hpp) —
-// shared by every bench and by the service binaries, so the flag
-// vocabulary cannot drift between the table benches and the daemons.
 
 // ------------------------------------------------- oracle replay report
 

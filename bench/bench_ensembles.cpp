@@ -24,9 +24,9 @@
 #include <iostream>
 #include <string>
 
-#include "bench_common.hpp"
 #include "cli/arg_parser.hpp"
 #include "gen/ensemble.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -222,18 +222,18 @@ bool run_and_report(const wp::gen::EnsembleConfig& config,
             << "_families.csv\n";
 
   // Machine artifact for the perf flight recorder (tools/bench_diff):
-  // wall-clock totals, the pool speedup and per-family aggregate means.
+  // wall-clock totals and per-family aggregate means, all reported, none
+  // gated. The sequential/pooled wall clocks measure core count, not code,
+  // so no ratio of them is emitted.
   {
     std::ofstream json_file(json_path);
-    bench::JsonWriter json(json_file);
+    json::JsonWriter json(json_file);
     json.begin_object();
     json.field("bench", "ensembles");
     json.field("samples_per_family", config.samples_per_family);
     json.field("deterministic", identical);
     json.field("sequential_ms", sequential_s * 1000.0);
     json.field("parallel_ms", parallel_s * 1000.0);
-    json.field("pool_speedup", parallel_s > 0.0 ? sequential_s / parallel_s
-                                                : 0.0);
     json.key("engine").begin_object();
     json.field("incremental", parallel.engine_incremental);
     json.field("fallbacks", parallel.engine_fallbacks);

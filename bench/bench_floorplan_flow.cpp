@@ -6,17 +6,20 @@
 //
 // The multi-seed restarts run on the shared thread pool (anneal_parallel),
 // each with a private incremental throughput engine. Head-to-head
-// sections time the hot-loop machinery: packing (naive O(n²) pack() vs
-// pack_fast() vs the MovePacker's per-move apply at mid-anneal and
-// cold-tail accept rates), whole anneals under both engines plus the
-// 128-vs-256-block scaling study, and the throughput oracles (a fresh
-// certified Howard solve per demand, the reference, vs the incremental
-// ThroughputEngine), asserting bit-identical results as they run.
+// sections time whole anneals under both pack engines (naive pack(), the
+// reference, vs the MovePacker) plus the 128-vs-256-block scaling study,
+// and the throughput oracles (a fresh certified Howard solve per demand,
+// the reference, vs the incremental ThroughputEngine), asserting
+// bit-identical results as they run. The packing primitives on their own
+// are bench_pack_micro's.
 //
 // Machine-readable trajectory: every run writes the per-stage timings
 // (pack ms, throughput-eval ms, whole-anneal ms, engine hit rates) as
-// JSON — default BENCH_floorplan.json, override with --json PATH — which
-// Release CI uploads as a per-commit artifact.
+// JSON — default BENCH_floorplan.json, override with --json PATH. The
+// tools/bench_diff gate compares only its same-run ratios against the
+// in-tree references: anneal_speedup (naive ÷ MovePacker anneal, per
+// size) and throughput_eval_speedup (fresh-Howard ÷ engine eval time,
+// per size). Everything else in it is reported, never gated.
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -24,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "cli/arg_parser.hpp"
 #include "floorplan/annealer.hpp"
 #include "floorplan/instances.hpp"
@@ -32,6 +34,7 @@
 #include "graph/cycle_ratio.hpp"
 #include "graph/throughput_engine.hpp"
 #include "proc/experiment.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -39,13 +42,9 @@ namespace {
 
 using wp::fplan::AnnealOptions;
 using wp::fplan::AnnealResult;
-using wp::fplan::AppliedMove;
 using wp::fplan::Instance;
-using wp::fplan::MovePacker;
 using wp::fplan::PackEngine;
 using wp::fplan::ParallelAnnealOptions;
-using wp::fplan::Placement;
-using wp::fplan::SequencePair;
 using wp::fplan::WireDelayModel;
 
 double ms_since(std::chrono::steady_clock::time_point start) {
@@ -59,14 +58,11 @@ struct FloorplanRow {
   std::string objective;
   double area = 0, wirelength = 0, static_th = 0, th_wp1 = 0, th_wp2 = 0;
 };
-struct PackingRow {
-  std::size_t blocks = 0;
-  double naive_ms = 0, fast_ms = 0, move_us = 0, tail_move_us = 0;
-};
 struct AnnealEngineRow {
   std::size_t blocks = 0;
   std::string engine;
   double anneal_ms = 0, pack_ms = 0;
+  double speedup = 0;  ///< naive ÷ this row; 0 on the naive row itself
 };
 struct ScaleRow {
   std::size_t blocks = 0;
@@ -76,80 +72,10 @@ struct OracleRow {
   std::size_t blocks = 0;
   std::string oracle;
   double anneal_ms = 0, throughput_ms = 0;
+  double speedup = 0;  ///< replay_eval_speedup; 0 on the reference row
   int evals = 0;
   std::uint64_t incremental = 0, fallbacks = 0;
 };
-
-/// Times the three packing paths on one instance size. Equality of the
-/// paths is asserted as the timing loops run — the bench doubles as a
-/// smoke differential check (the exhaustive one is test_pack_equivalence).
-PackingRow bench_packing_engines(wp::TextTable& table, std::size_t blocks) {
-  const Instance inst = wp::fplan::synthetic_instance(blocks, 11);
-  wp::Rng rng(1);
-
-  const int reps = 200;
-  std::vector<SequencePair> pairs;
-  for (int r = 0; r < reps; ++r)
-    pairs.push_back(SequencePair::random(blocks, rng));
-
-  const auto naive_start = std::chrono::steady_clock::now();
-  double checksum_naive = 0;
-  for (const auto& sp : pairs) checksum_naive += pack(inst, sp).area();
-  const double naive_ms = ms_since(naive_start) / reps;
-
-  const auto fast_start = std::chrono::steady_clock::now();
-  double checksum_fast = 0;
-  for (const auto& sp : pairs) checksum_fast += pack_fast(inst, sp).area();
-  const double fast_ms = ms_since(fast_start) / reps;
-  if (checksum_naive != checksum_fast) {
-    std::cerr << "PACKING ENGINE DIVERGENCE at n=" << blocks << "\n";
-    std::exit(1);
-  }
-
-  // The MovePacker on annealer-shaped move loops: a seeded move stream
-  // with one move in `accept_mod` accepted, the rest undone. The
-  // half-reject loop is the classic mid-anneal regime, the 1-in-16 loop
-  // the cold tail. An untimed naive replay of the same stream (re-packing
-  // the pair from scratch per move) must produce the same area checksum.
-  const int moves = 2000;
-  const auto run_moves = [&](std::uint64_t seed, int accept_mod,
-                             bool naive, double* checksum) {
-    wp::Rng loop_rng(seed);
-    SequencePair sp = SequencePair::random(blocks, loop_rng);
-    MovePacker packer(inst, sp);
-    const auto start = std::chrono::steady_clock::now();
-    for (int m = 0; m < moves; ++m) {
-      const AppliedMove move = random_move(sp, loop_rng);
-      *checksum += naive ? pack(inst, sp).area() : packer.apply(move).area();
-      if (m % accept_mod != accept_mod - 1) {
-        undo_move(sp, move);
-        if (!naive) packer.revert();
-      } else if (!naive) {
-        packer.commit();
-      }
-    }
-    return ms_since(start) * 1000.0 / moves;
-  };
-  const auto timed_moves = [&](std::uint64_t seed, int accept_mod) {
-    double checksum = 0, reference = 0;
-    const double us = run_moves(seed, accept_mod, false, &checksum);
-    run_moves(seed, accept_mod, true, &reference);
-    if (checksum != reference) {
-      std::cerr << "MOVEPACKER DIVERGENCE at n=" << blocks << "\n";
-      std::exit(1);
-    }
-    return us;
-  };
-  const double move_us = timed_moves(2, 2);
-  const double tail_move_us = timed_moves(3, 16);
-
-  table.add_row({std::to_string(blocks), wp::fmt_fixed(naive_ms, 3),
-                 wp::fmt_fixed(fast_ms, 3),
-                 wp::fmt_fixed(naive_ms / fast_ms, 1),
-                 wp::fmt_fixed(move_us, 1), wp::fmt_fixed(tail_move_us, 1),
-                 wp::fmt_fixed(naive_ms * 1000.0 / move_us, 1)});
-  return {blocks, naive_ms, fast_ms, move_us, tail_move_us};
-}
 
 /// The throughput-oracle reference: a stateless ThroughputFn that applies
 /// each demand to a fresh copy of `base` (labels not mentioned keep their
@@ -170,6 +96,57 @@ wp::fplan::ThroughputFn fresh_howard_fn(const wp::graph::Digraph& base) {
     }
     return wp::graph::min_cycle_ratio_howard(g).ratio;
   };
+}
+
+/// The queries one throughput-driven anneal put to its oracle, in order:
+/// the connection labels once, then the counts of each query.
+struct QueryStream {
+  std::vector<std::string> labels;
+  std::vector<std::vector<int>> counts;
+};
+
+/// `oracle`, recording every query it answers into `stream`.
+wp::fplan::ThroughputFn recording(wp::fplan::ThroughputFn oracle,
+                                  QueryStream& stream) {
+  return [oracle = std::move(oracle), &stream](
+             const std::vector<std::pair<std::string, int>>& demand) {
+    if (stream.labels.empty())
+      for (const auto& entry : demand) stream.labels.push_back(entry.first);
+    std::vector<int>& counts = stream.counts.emplace_back();
+    for (const auto& entry : demand) counts.push_back(entry.second);
+    return oracle(demand);
+  };
+}
+
+/// Replays `stream` through a fresh engine on its id path (the annealer's)
+/// and through the fresh-Howard reference, alternating query by query so
+/// a slow stretch of the host lands on both sides of the ratio alike.
+/// Returns the reference's total query time over the engine's; exits on
+/// a query where the two disagree.
+double replay_eval_speedup(const wp::graph::Digraph& g,
+                           const QueryStream& stream) {
+  wp::graph::ThroughputEngine engine(g);
+  const std::vector<int> ids = engine.resolve(stream.labels);
+  const wp::fplan::ThroughputFn reference = fresh_howard_fn(g);
+  std::vector<std::pair<std::string, int>> demand;
+  for (const std::string& label : stream.labels) demand.emplace_back(label, 0);
+  double engine_ms = 0, reference_ms = 0;
+  for (const std::vector<int>& counts : stream.counts) {
+    for (std::size_t c = 0; c < counts.size(); ++c)
+      demand[c].second = counts[c];
+    const auto engine_start = std::chrono::steady_clock::now();
+    const double th = engine.throughput(ids, counts);
+    engine_ms += ms_since(engine_start);
+    const auto reference_start = std::chrono::steady_clock::now();
+    const double reference_th = reference(demand);
+    reference_ms += ms_since(reference_start);
+    if (th != reference_th) {
+      std::cerr << "THROUGHPUT ORACLE DIVERGENCE in replay at n="
+                << g.num_nodes() << "\n";
+      std::exit(1);
+    }
+  }
+  return reference_ms / engine_ms;
 }
 
 /// One node per block, one labelled edge per net: the static-analysis
@@ -203,7 +180,6 @@ int main(int argc, char** argv) {
   delay.clock_ps = 350.0;
 
   std::vector<FloorplanRow> floorplan_rows;
-  std::vector<PackingRow> packing_rows;
   std::vector<AnnealEngineRow> anneal_rows;
   std::vector<OracleRow> oracle_rows;
 
@@ -300,50 +276,57 @@ int main(int argc, char** argv) {
   }
   synth.print(std::cout);
 
-  // Packing head-to-head: the O(n²) reference vs the O(n log n)
-  // weighted-LCS evaluation vs the MovePacker's per-move apply, at 50%
-  // and 1-in-16 accept rates.
-  TextTable packt({"blocks", "naive ms/pack", "fast ms/pack", "fast speedup",
-                   "move us", "tail move us", "move speedup"});
-  packt.add_section("Packing (naive O(n^2) vs fast O(n log n) vs "
-                    "MovePacker per move)");
-  packt.add_separator();
-  for (const std::size_t blocks : {33u, 100u, 150u, 256u})
-    packing_rows.push_back(bench_packing_engines(packt, blocks));
-  packt.print(std::cout);
-
   // Whole annealing runs under each engine: the end-to-end effect on the
-  // path both anneal_parallel and the ensemble runner sit on.
+  // path both anneal_parallel and the ensemble runner sit on. The gated
+  // number is anneal_speedup, the naive anneal's wall clock over the
+  // MovePacker's in the same run, best of kAnnealReps each. Every rep runs
+  // both engines at every size, so each size's samples spread over the
+  // whole section: a 33-block anneal takes a few ms, and a slow stretch
+  // of the host (which hits the MovePacker harder than naive pack())
+  // held all nine back-to-back reps of one size, moving the ratio by
+  // more than the gate's 25%.
+  constexpr int kAnnealReps = 15;
+  constexpr std::size_t kSizes[3] = {33, 100, 150};
+  constexpr PackEngine kEngines[2] = {PackEngine::kNaive,
+                                      PackEngine::kMovePacker};
   TextTable annealt({"blocks", "engine", "anneal ms", "pack ms", "speedup"});
-  annealt.add_section("Area-driven anneal, 3000 iterations per run");
+  annealt.add_section("Area-driven anneal, 3000 iterations per run, best of " +
+                      std::to_string(kAnnealReps));
   annealt.add_separator();
-  for (const std::size_t blocks : {33u, 100u, 150u}) {
-    const Instance inst = fplan::synthetic_instance(blocks, 11);
-    double engine_ms[2] = {0, 0};
-    AnnealResult results[2];
-    for (const PackEngine engine :
-         {PackEngine::kNaive, PackEngine::kMovePacker}) {
-      AnnealOptions anneal_options;
-      anneal_options.iterations = 3000;
-      anneal_options.seed = 4;
-      anneal_options.pack_engine = engine;
-      const auto start = std::chrono::steady_clock::now();
-      const auto idx = static_cast<std::size_t>(engine);
-      results[idx] = fplan::anneal(inst, anneal_options);
-      engine_ms[idx] = ms_since(start);
-      anneal_rows.push_back({blocks, fplan::pack_engine_name(engine),
-                             engine_ms[idx], results[idx].pack_ms});
-      annealt.add_row({std::to_string(blocks),
-                       fplan::pack_engine_name(engine),
-                       fmt_fixed(engine_ms[idx], 1),
-                       fmt_fixed(results[idx].pack_ms, 1),
-                       idx == 0 ? "1.0"
-                                : fmt_fixed(engine_ms[0] / engine_ms[idx],
-                                            1)});
+  std::vector<Instance> anneal_insts;
+  for (const std::size_t blocks : kSizes)
+    anneal_insts.push_back(fplan::synthetic_instance(blocks, 11));
+  double engine_ms[3][2] = {};
+  AnnealResult anneal_results[3][2];
+  for (int rep = 0; rep < kAnnealReps; ++rep)
+    for (std::size_t size = 0; size < 3; ++size)
+      for (std::size_t idx = 0; idx < 2; ++idx) {
+        AnnealOptions anneal_options;
+        anneal_options.iterations = 3000;
+        anneal_options.seed = 4;
+        anneal_options.pack_engine = kEngines[idx];
+        const auto start = std::chrono::steady_clock::now();
+        anneal_results[size][idx] =
+            fplan::anneal(anneal_insts[size], anneal_options);
+        const double ms = ms_since(start);
+        if (rep == 0 || ms < engine_ms[size][idx]) engine_ms[size][idx] = ms;
+      }
+  for (std::size_t size = 0; size < 3; ++size) {
+    const AnnealResult* results = anneal_results[size];
+    for (std::size_t idx = 0; idx < 2; ++idx) {
+      const double ms = engine_ms[size][idx];
+      const double speedup = idx == 0 ? 0.0 : engine_ms[size][0] / ms;
+      anneal_rows.push_back({kSizes[size],
+                             fplan::pack_engine_name(kEngines[idx]), ms,
+                             results[idx].pack_ms, speedup});
+      annealt.add_row({std::to_string(kSizes[size]),
+                       fplan::pack_engine_name(kEngines[idx]),
+                       fmt_fixed(ms, 1), fmt_fixed(results[idx].pack_ms, 1),
+                       idx == 0 ? "1.0" : fmt_fixed(speedup, 1)});
     }
     if (results[0].cost != results[1].cost ||
         results[0].placement.x != results[1].placement.x) {
-      std::cerr << "ANNEALER ENGINE DIVERGENCE at n=" << blocks << "\n";
+      std::cerr << "ANNEALER ENGINE DIVERGENCE at n=" << kSizes[size] << "\n";
       return 1;
     }
   }
@@ -389,9 +372,14 @@ int main(int argc, char** argv) {
   // graph copy + cold certified solve per demand) vs the incremental engine
   // (in-place deltas + lazily repaired certificate), on throughput-driven
   // anneals of the synthetic SoCs. The trajectories must be bit-identical;
-  // the win is the throughput-eval share of the anneal.
+  // the win is the throughput-eval share of the anneal. The gated
+  // throughput_eval_speedup is not the ratio of the two anneals' th-eval
+  // ms: the 150-block reference anneal runs for seconds, and a slow
+  // stretch of the host landing on one anneal only moved that ratio by
+  // more than the gate's 25%. The reference anneal records its query
+  // stream instead, and replay_eval_speedup times both oracles on it.
   TextTable oraclet({"blocks", "oracle", "anneal ms", "th-eval ms",
-                     "th share", "th-eval speedup", "incr", "cold"});
+                     "th share", "replayed eval speedup", "incr", "cold"});
   oraclet.add_section(
       "Throughput oracles (fresh-Howard reference vs incremental engine), "
       "throughput-driven anneal, 4000 iterations");
@@ -400,6 +388,7 @@ int main(int argc, char** argv) {
     const Instance inst = fplan::synthetic_instance(blocks, 7);
     const graph::Digraph g = graph_of_instance(inst);
     AnnealResult results[2];
+    QueryStream stream;
     for (const bool use_engine : {false, true}) {
       AnnealOptions anneal_options;
       anneal_options.iterations = 4000;
@@ -410,7 +399,7 @@ int main(int argc, char** argv) {
       if (use_engine)
         anneal_options.throughput_engine = &engine;
       else
-        anneal_options.throughput_fn = fresh_howard_fn(g);
+        anneal_options.throughput_fn = recording(fresh_howard_fn(g), stream);
       const auto start = std::chrono::steady_clock::now();
       const std::size_t idx = use_engine ? 1 : 0;
       results[idx] = fplan::anneal(inst, anneal_options);
@@ -424,16 +413,13 @@ int main(int argc, char** argv) {
       row.evals = results[idx].throughput_evals;
       row.incremental = results[idx].engine_incremental;
       row.fallbacks = results[idx].engine_fallbacks;
+      if (use_engine) row.speedup = replay_eval_speedup(g, stream);
       oracle_rows.push_back(row);
       oraclet.add_row(
           {std::to_string(blocks), row.oracle, fmt_fixed(anneal_ms, 1),
            fmt_fixed(row.throughput_ms, 1),
            fmt_percent(row.throughput_ms / anneal_ms),
-           use_engine ? fmt_fixed(oracle_rows[oracle_rows.size() - 2]
-                                          .throughput_ms /
-                                      row.throughput_ms,
-                                  1)
-                      : std::string("1.0"),
+           use_engine ? fmt_fixed(row.speedup, 1) : std::string("1.0"),
            use_engine ? std::to_string(row.incremental) : "-",
            use_engine ? std::to_string(row.fallbacks) : "-"});
     }
@@ -461,9 +447,9 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << json_path << "\n";
       return 1;
     }
-    wp::bench::JsonWriter json(file);
+    json::JsonWriter json(file);
     json.begin_object();
-    json.field("schema", "wirepipe-bench-floorplan/1");
+    json.field("schema", "wirepipe-bench-floorplan/2");
     json.field("workers", ThreadPool::shared().size());
     json.key("floorplan").begin_array();
     for (const auto& r : floorplan_rows) {
@@ -477,19 +463,6 @@ int main(int argc, char** argv) {
       json.end_object();
     }
     json.end_array();
-    json.key("packing").begin_array();
-    for (const auto& r : packing_rows) {
-      json.begin_object();
-      json.field("blocks", r.blocks)
-          .field("naive_ms_per_pack", r.naive_ms)
-          .field("fast_ms_per_pack", r.fast_ms)
-          .field("fast_speedup", r.naive_ms / r.fast_ms)
-          .field("move_us_per_move", r.move_us)
-          .field("move_speedup", r.naive_ms * 1000.0 / r.move_us)
-          .field("tail_move_us_per_move", r.tail_move_us);
-      json.end_object();
-    }
-    json.end_array();
     json.key("anneal").begin_array();
     for (const auto& r : anneal_rows) {
       json.begin_object();
@@ -497,6 +470,7 @@ int main(int argc, char** argv) {
           .field("pack_engine", r.engine)
           .field("anneal_ms", r.anneal_ms)
           .field("pack_ms", r.pack_ms);
+      if (r.speedup != 0) json.field("anneal_speedup", r.speedup);
       json.end_object();
     }
     json.end_array();
@@ -509,8 +483,9 @@ int main(int argc, char** argv) {
       json.end_object();
     }
     json.end_array();
-    // A ratio of two same-process wall-clock measurements: informational
-    // (no ms/speedup token), outside the bench_diff gate.
+    // A ratio of two same-process wall-clock measurements, but of two
+    // workloads rather than of a path and its reference: informational
+    // (no _speedup suffix), outside the bench_diff gate.
     json.field("anneal_256_over_128_ratio", ratio_256_over_128);
     json.key("throughput_oracle").begin_array();
     for (const auto& r : oracle_rows) {
@@ -523,6 +498,7 @@ int main(int argc, char** argv) {
           .field("throughput_evals", r.evals)
           .field("engine_incremental", r.incremental)
           .field("engine_fallbacks", r.fallbacks);
+      if (r.speedup != 0) json.field("throughput_eval_speedup", r.speedup);
       json.end_object();
     }
     json.end_array();

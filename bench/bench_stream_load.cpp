@@ -9,9 +9,9 @@
 // Per-run setup (spec strings, shells, wires, preallocated ring FIFOs,
 // histograms) allocates identically in both; anything that scales with
 // tokens is token-path allocation. With the ring-buffer FIFOs the delta is
-// ~zero allocations per million tokens, and the committed BENCH_stream.json
-// snapshot holds that number so a regression (say, a vector sneaking back
-// into the hot loop) shows up in the bench_diff gate as drift.
+// zero allocations and zero bytes per million tokens, and the bench exits
+// non-zero when either is not, so a vector sneaking back into the hot
+// loop fails the run that measured it.
 //
 // The measured run is cross-checked against a golden run of the same
 // config: digest mismatch aborts the bench — a throughput number for a
@@ -23,11 +23,11 @@
 #include <new>
 #include <string>
 
-#include "bench_common.hpp"
 #include "cli/arg_parser.hpp"
 #include "obs/metrics.hpp"
 #include "stream/harness.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   const std::string json_path = parser.get("--json");
   {
     std::ofstream json_file(json_path);
-    bench::JsonWriter json(json_file);
+    json::JsonWriter json(json_file);
     json.begin_object();
     json.field("bench", "stream");
     json.field("mode", stream::run_mode_name(options.mode));
@@ -232,7 +232,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stage_count(config)));
     json.field("cycles", result.cycles);
     json.field("run_ms", result.wall_ms);
-    json.field("tokens_per_min", result.tokens_per_sec * 60.0);
     json.field("tokens_per_sec", result.tokens_per_sec);
     json.field("cycles_per_token",
                result.tokens == 0
@@ -251,5 +250,13 @@ int main(int argc, char** argv) {
     json_file << "\n";
   }
   std::cout << "wrote " << json_path << "\n";
+
+  if (allocs_per_mtoken != 0.0 || bytes_per_mtoken != 0.0) {
+    std::cerr << "bench_stream_load: the token path allocates ("
+              << fmt_fixed(allocs_per_mtoken, 2) << " allocs, "
+              << fmt_fixed(bytes_per_mtoken, 0)
+              << " bytes per Mtoken); it must allocate nothing\n";
+    return 1;
+  }
   return 0;
 }

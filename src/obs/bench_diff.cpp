@@ -1,6 +1,5 @@
 #include "obs/bench_diff.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -8,34 +7,8 @@ namespace wp::obs {
 
 namespace {
 
-bool has_token(const std::string& key, const std::string& token) {
-  // '_'-separated token match: "fast_ms_per_pack" has tokens
-  // {fast, ms, per, pack}.
-  std::size_t start = 0;
-  while (start <= key.size()) {
-    std::size_t end = key.find('_', start);
-    if (end == std::string::npos) end = key.size();
-    if (key.compare(start, end - start, token) == 0) return true;
-    start = end + 1;
-  }
-  return false;
-}
-
-bool contains(const std::string& key, const std::string& needle) {
-  return key.find(needle) != std::string::npos;
-}
-
-/// Scale factor from this metric's unit to milliseconds, for the noise
-/// floor. Non-time metrics return 0 (floor never applies).
-double to_ms_scale(const std::string& key) {
-  if (has_token(key, "ms")) return 1.0;
-  if (has_token(key, "us")) return 1e-3;
-  if (has_token(key, "ns")) return 1e-6;
-  return 0.0;
-}
-
-/// Flattens every numeric leaf of a document into path → value.
-/// Array elements use index paths ("packing[1].fast_ms_per_pack"), so the
+/// Flattens every numeric leaf of a document into path → (key, value).
+/// Array elements use index paths ("anneal[1].anneal_speedup"), so the
 /// diff only lines up when both documents keep the same ordering — which
 /// the bench emitters guarantee (fixed scenario lists).
 void flatten(const json::Value& value, const std::string& path,
@@ -62,26 +35,13 @@ void flatten(const json::Value& value, const std::string& path,
   }
 }
 
-const char* direction_name(MetricDirection direction) {
-  switch (direction) {
-    case MetricDirection::kLowerIsBetter:
-      return "lower_is_better";
-    case MetricDirection::kHigherIsBetter:
-      return "higher_is_better";
-    case MetricDirection::kInformational:
-      return "informational";
-  }
-  return "informational";
-}
-
 }  // namespace
 
-MetricDirection metric_direction(const std::string& key) {
-  if (contains(key, "per_min") || contains(key, "speedup") ||
-      contains(key, "hit_rate"))
-    return MetricDirection::kHigherIsBetter;
-  if (to_ms_scale(key) != 0.0) return MetricDirection::kLowerIsBetter;
-  return MetricDirection::kInformational;
+bool is_gated(const std::string& key) {
+  static const std::string kSuffix = "_speedup";
+  return key.size() >= kSuffix.size() &&
+         key.compare(key.size() - kSuffix.size(), kSuffix.size(), kSuffix) ==
+             0;
 }
 
 std::size_t BenchDiffReport::regressions() const {
@@ -92,8 +52,7 @@ std::size_t BenchDiffReport::regressions() const {
 }
 
 BenchDiffReport diff_benchmarks(const json::Value& baseline,
-                                const json::Value& fresh,
-                                const BenchDiffOptions& options) {
+                                const json::Value& fresh) {
   std::map<std::string, std::pair<std::string, double>> base_leaves;
   std::map<std::string, std::pair<std::string, double>> fresh_leaves;
   flatten(baseline, "", "", base_leaves);
@@ -106,30 +65,17 @@ BenchDiffReport diff_benchmarks(const json::Value& baseline,
       report.missing_in_fresh.push_back(path);
       continue;
     }
-    const std::string& key = base_entry.first;
     MetricDelta delta;
     delta.path = path;
     delta.baseline = base_entry.second;
     delta.fresh = it->second.second;
-    delta.direction = metric_direction(key);
-
     const double denom = std::fabs(delta.baseline);
-    double relative =
-        denom == 0.0 ? 0.0 : (delta.fresh - delta.baseline) / denom;
-    if (delta.direction == MetricDirection::kHigherIsBetter)
-      relative = -relative;  // positive = worse in every direction
-    delta.change = relative;
-
-    if (delta.direction != MetricDirection::kInformational) {
-      const double ms_scale = to_ms_scale(key);
-      if (ms_scale != 0.0) {
-        const double floor_in_unit = options.min_ms / ms_scale;
-        delta.skipped_small = std::fabs(delta.baseline) < floor_in_unit &&
-                              std::fabs(delta.fresh) < floor_in_unit;
-      }
-      delta.regression =
-          !delta.skipped_small && delta.change > options.threshold;
-    }
+    delta.change = denom == 0.0 ? 0.0 : (delta.fresh - delta.baseline) / denom;
+    delta.gated = is_gated(base_entry.first);
+    // baseline / fresh − 1 > threshold, without dividing by a zero fresh.
+    delta.regression =
+        delta.gated &&
+        delta.baseline > delta.fresh * (1.0 + kRegressionThreshold);
     report.deltas.push_back(std::move(delta));
   }
   for (const auto& [path, entry] : fresh_leaves) {
@@ -140,13 +86,10 @@ BenchDiffReport diff_benchmarks(const json::Value& baseline,
   return report;
 }
 
-void write_diff_report(const BenchDiffReport& report,
-                       const BenchDiffOptions& options,
-                       json::JsonWriter& json) {
+void write_diff_report(const BenchDiffReport& report, json::JsonWriter& json) {
   json.begin_object();
-  json.field("schema", "wirepipe-bench-diff/1")
-      .field("threshold", options.threshold)
-      .field("min_ms", options.min_ms)
+  json.field("schema", "wirepipe-bench-diff/2")
+      .field("threshold", kRegressionThreshold)
       .field("pass", report.pass())
       .field("regressions",
              static_cast<unsigned long long>(report.regressions()));
@@ -157,9 +100,8 @@ void write_diff_report(const BenchDiffReport& report,
         .field("baseline", delta.baseline)
         .field("fresh", delta.fresh)
         .field("change", delta.change)
-        .field("direction", direction_name(delta.direction))
+        .field("gated", delta.gated)
         .field("regression", delta.regression);
-    if (delta.skipped_small) json.field("skipped_small", true);
     json.end_object();
   }
   json.end_array();

@@ -1,25 +1,21 @@
 // The perf flight recorder's comparator: committed BENCH_*.json snapshot
-// vs a fresh run, with a typed verdict per metric.
+// vs a fresh run, with a verdict per metric.
 //
-// Both documents are walked in parallel; every numeric leaf shared by the
-// two is classified by its key name:
+// One rule: a numeric leaf gates if and only if its key ends in
+// "_speedup". Every such key is a same-process ratio of a code path
+// against the in-tree reference it must beat (naive pack(), a fresh
+// Howard solve), so it carries from one machine to another. It regresses
+// when baseline / fresh − 1 exceeds kRegressionThreshold: a path that got
+// 30% slower reads as a 30% regression. Every other leaf (milliseconds,
+// counts, areas, shares) is reported and never gates; end-to-end
+// milliseconds belong to wpbench, which times alternating pairs on one
+// host.
 //
-//   * lower-is-better  — wall-clock / latency metrics: any '_'-separated
-//     token of the key is "ms", "us" or "ns" (anneal_ms, reply_p99_ms,
-//     naive_ms_per_pack, incremental_us_per_move);
-//   * higher-is-better — rate / speedup metrics: the key contains
-//     "per_min", "speedup" or "hit_rate";
-//   * informational    — everything else (areas, throughput ratios,
-//     counts, shares): drift is reported but never fails the gate.
+// A leaf of the baseline that is missing from the fresh run fails the
+// gate, so a vanished ratio cannot pass unnoticed.
 //
-// A directional metric regresses when the fresh value is worse than the
-// baseline by more than `threshold` (relative). Tiny wall-clock metrics
-// (both sides under `min_ms` for ms-metrics, scaled for us/ns) are
-// skipped: a 0.2 ms stage timing doubles on scheduler noise alone, and a
-// gate that cries wolf gets deleted. Every skip is visible in the report.
-//
-// Used by tools/bench_diff (the CI gate) and unit-tested with injected
-// slowdowns in tests/test_obs.cpp.
+// Used by tools/bench_diff (the CI gate) and unit-tested in
+// tests/test_obs.cpp.
 #pragma once
 
 #include <string>
@@ -29,33 +25,22 @@
 
 namespace wp::obs {
 
-enum class MetricDirection {
-  kLowerIsBetter,   ///< wall-clock / latency
-  kHigherIsBetter,  ///< rates, speedups
-  kInformational,   ///< reported, never gated
-};
+/// Relative slowdown of a `*_speedup` ratio that fails the gate.
+inline constexpr double kRegressionThreshold = 0.25;
 
-/// Classification by key name (see file comment).
-MetricDirection metric_direction(const std::string& key);
+/// True for the keys the gate compares: those ending in "_speedup".
+bool is_gated(const std::string& key);
 
 struct MetricDelta {
-  std::string path;  ///< e.g. "packing[1].fast_ms_per_pack"
+  std::string path;  ///< e.g. "throughput_oracle[1].throughput_eval_speedup"
   double baseline = 0.0;
   double fresh = 0.0;
-  /// Relative change, sign-normalized so positive = worse: (fresh −
-  /// baseline)/|baseline| for lower-is-better, negated for
-  /// higher-is-better, raw for informational. 0 when baseline is 0.
+  /// The metric's own relative change, (fresh − baseline)/|baseline|;
+  /// 0 when baseline is 0.
   double change = 0.0;
-  MetricDirection direction = MetricDirection::kInformational;
+  bool gated = false;
+  /// Gated and baseline / fresh − 1 > kRegressionThreshold.
   bool regression = false;
-  bool skipped_small = false;  ///< under the noise floor, not gated
-};
-
-struct BenchDiffOptions {
-  double threshold = 0.25;  ///< relative regression that fails the gate
-  /// Noise floor for wall-clock metrics, in milliseconds (us/ns keys are
-  /// converted). A metric is gated only when baseline or fresh exceeds it.
-  double min_ms = 1.0;
 };
 
 struct BenchDiffReport {
@@ -71,12 +56,9 @@ struct BenchDiffReport {
 };
 
 BenchDiffReport diff_benchmarks(const json::Value& baseline,
-                                const json::Value& fresh,
-                                const BenchDiffOptions& options = {});
+                                const json::Value& fresh);
 
 /// Streams the report as one JSON object (the CI diff artifact).
-void write_diff_report(const BenchDiffReport& report,
-                       const BenchDiffOptions& options,
-                       json::JsonWriter& json);
+void write_diff_report(const BenchDiffReport& report, json::JsonWriter& json);
 
 }  // namespace wp::obs

@@ -3,11 +3,11 @@
 // keeping cached references valid), span tracing (runtime gating, tiny-ring
 // wraparound with a dropped counter, chrome-trace export that parses as
 // JSON), the JsonWriter/Value round trip including NaN/Inf → null, the
-// bench_diff regression gate (injected slowdown must fail, identical runs
-// must pass, noise floor and direction classes), and the kStatsRequest
-// scrape against a live in-process EvalServer — including the adversarial
-// payload-carrying scrape which must cost one kError frame, not the
-// connection.
+// bench_diff regression gate (a 30% slower path must fail on its *_speedup
+// ratio, identical runs and any millisecond drift must pass), and the
+// kStatsRequest scrape against a live in-process EvalServer — including
+// the adversarial payload-carrying scrape which must cost one kError
+// frame, not the connection.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -280,27 +280,21 @@ TEST(Json, ParserRejectsTrailingGarbage) {
 
 // ------------------------------------------------------------ bench_diff
 
-TEST(BenchDiff, DirectionClassificationByKeyTokens) {
-  EXPECT_EQ(metric_direction("anneal_ms"), MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(metric_direction("reply_p99_ms"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(metric_direction("incremental_us_per_move"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(metric_direction("wait_ns"), MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(metric_direction("evals_per_min"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(metric_direction("pool_speedup"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(metric_direction("cache_hit_rate"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(metric_direction("area_mean"), MetricDirection::kInformational);
-  // "msg" must not read as a wall-clock token.
-  EXPECT_EQ(metric_direction("msg_count"), MetricDirection::kInformational);
+TEST(BenchDiff, OnlyTheSpeedupSuffixGates) {
+  EXPECT_TRUE(is_gated("anneal_speedup"));
+  EXPECT_TRUE(is_gated("throughput_eval_speedup"));
+  EXPECT_FALSE(is_gated("anneal_ms"));
+  EXPECT_FALSE(is_gated("evals_per_min"));
+  EXPECT_FALSE(is_gated("cache_hit_rate"));
+  EXPECT_FALSE(is_gated("speedup_ms"));
+  EXPECT_FALSE(is_gated("speedups"));
+  EXPECT_FALSE(is_gated("_speedu"));
 }
 
 TEST(BenchDiff, IdenticalRunsPass) {
   const std::string doc =
-      "{\"anneal_ms\": 120.0, \"pool_speedup\": 3.5, \"area_mean\": 900.0}";
+      "{\"anneal_ms\": 120.0, \"pack_fast_speedup\": 3.5, "
+      "\"area_mean\": 900.0}";
   const BenchDiffReport report =
       diff_benchmarks(json::Value::parse(doc), json::Value::parse(doc));
   EXPECT_TRUE(report.pass());
@@ -309,91 +303,95 @@ TEST(BenchDiff, IdenticalRunsPass) {
 }
 
 TEST(BenchDiff, InjectedSlowdownOverThresholdFails) {
-  const json::Value baseline =
-      json::Value::parse("{\"anneal_ms\": 100.0, \"area_mean\": 900.0}");
-  // 30% slower than baseline — over the 25% gate.
-  const json::Value fresh =
-      json::Value::parse("{\"anneal_ms\": 130.0, \"area_mean\": 900.0}");
-  const BenchDiffReport report = diff_benchmarks(baseline, fresh);
+  // The code path got 30% slower against its reference: the ratio falls
+  // to 4.0 / 1.3, which is a 30% regression, over the 25% gate.
+  const json::Value baseline = json::Value::parse(
+      "{\"pack_fast_speedup\": 4.0, \"area_mean\": 900.0}");
+  std::ostringstream slower;
+  slower.precision(17);
+  slower << "{\"pack_fast_speedup\": " << 4.0 / 1.3
+         << ", \"area_mean\": 900.0}";
+  const BenchDiffReport report =
+      diff_benchmarks(baseline, json::Value::parse(slower.str()));
   EXPECT_FALSE(report.pass());
   ASSERT_EQ(report.regressions(), 1u);
   for (const MetricDelta& d : report.deltas)
     if (d.regression) {
-      EXPECT_EQ(d.path, "anneal_ms");
-      EXPECT_NEAR(d.change, 0.30, 1e-9);
+      EXPECT_EQ(d.path, "pack_fast_speedup");
+      EXPECT_NEAR(d.baseline / d.fresh - 1.0, 0.30, 1e-9);
     }
-  // 20% slower stays under the default gate.
-  const json::Value mild = json::Value::parse("{\"anneal_ms\": 120.0}");
+  // 20% slower stays under the gate.
+  std::ostringstream mild;
+  mild.precision(17);
+  mild << "{\"pack_fast_speedup\": " << 4.0 / 1.2 << "}";
   EXPECT_TRUE(
-      diff_benchmarks(json::Value::parse("{\"anneal_ms\": 100.0}"), mild)
+      diff_benchmarks(json::Value::parse("{\"pack_fast_speedup\": 4.0}"),
+                      json::Value::parse(mild.str()))
           .pass());
 }
 
 TEST(BenchDiff, SpeedupDropFailsAndSpeedupGainPasses) {
   const json::Value baseline =
-      json::Value::parse("{\"pool_speedup\": 4.0}");
-  EXPECT_FALSE(
-      diff_benchmarks(baseline, json::Value::parse("{\"pool_speedup\": 2.0}"))
-          .pass());
-  EXPECT_TRUE(
-      diff_benchmarks(baseline, json::Value::parse("{\"pool_speedup\": 8.0}"))
-          .pass());
-}
-
-TEST(BenchDiff, NoiseFloorSkipsTinyTimings) {
-  // 0.2 ms → 0.9 ms is a 350% "regression" entirely inside the noise
-  // floor; the gate must skip it — visibly.
-  const BenchDiffReport report =
-      diff_benchmarks(json::Value::parse("{\"stage_ms\": 0.2}"),
-                      json::Value::parse("{\"stage_ms\": 0.9}"));
-  EXPECT_TRUE(report.pass());
-  ASSERT_EQ(report.deltas.size(), 1u);
-  EXPECT_TRUE(report.deltas[0].skipped_small);
-  EXPECT_FALSE(report.deltas[0].regression);
+      json::Value::parse("{\"anneal_speedup\": 4.0}");
+  EXPECT_FALSE(diff_benchmarks(baseline,
+                               json::Value::parse("{\"anneal_speedup\": 2.0}"))
+                   .pass());
+  EXPECT_TRUE(diff_benchmarks(baseline,
+                              json::Value::parse("{\"anneal_speedup\": 8.0}"))
+                  .pass());
 }
 
 TEST(BenchDiff, MissingMetricInFreshFailsTheGate) {
   const BenchDiffReport report = diff_benchmarks(
-      json::Value::parse("{\"anneal_ms\": 100.0, \"gone_ms\": 50.0}"),
-      json::Value::parse("{\"anneal_ms\": 100.0, \"new_ms\": 9.0}"));
+      json::Value::parse("{\"anneal_ms\": 100.0, \"gone_speedup\": 5.0}"),
+      json::Value::parse("{\"anneal_ms\": 100.0, \"new_speedup\": 9.0}"));
   EXPECT_FALSE(report.pass());
+  EXPECT_EQ(report.regressions(), 0u);
   ASSERT_EQ(report.missing_in_fresh.size(), 1u);
-  EXPECT_EQ(report.missing_in_fresh[0], "gone_ms");
+  EXPECT_EQ(report.missing_in_fresh[0], "gone_speedup");
   ASSERT_EQ(report.missing_in_baseline.size(), 1u);
-  EXPECT_EQ(report.missing_in_baseline[0], "new_ms");
+  EXPECT_EQ(report.missing_in_baseline[0], "new_speedup");
 }
 
 TEST(BenchDiff, InformationalDriftNeverFails) {
-  const BenchDiffReport report =
-      diff_benchmarks(json::Value::parse("{\"area_mean\": 100.0}"),
-                      json::Value::parse("{\"area_mean\": 900.0}"));
+  // Milliseconds measure the host: a 10x slower *_ms leaf is reported
+  // and passes, like any other non-ratio drift.
+  const BenchDiffReport report = diff_benchmarks(
+      json::Value::parse("{\"anneal_ms\": 100.0, \"area_mean\": 100.0}"),
+      json::Value::parse("{\"anneal_ms\": 1000.0, \"area_mean\": 900.0}"));
   EXPECT_TRUE(report.pass());
-  EXPECT_EQ(report.deltas[0].direction, MetricDirection::kInformational);
+  ASSERT_EQ(report.deltas.size(), 2u);
+  for (const MetricDelta& d : report.deltas) {
+    EXPECT_FALSE(d.gated);
+    EXPECT_FALSE(d.regression);
+  }
 }
 
 TEST(BenchDiff, NestedArraysAndObjectsKeepTheirPaths) {
   const json::Value baseline = json::Value::parse(
-      "{\"packing\": [{\"fast_ms\": 10.0}, {\"fast_ms\": 20.0}]}");
+      "{\"anneal\": [{\"anneal_speedup\": 10.0}, "
+      "{\"anneal_speedup\": 20.0}]}");
   const json::Value fresh = json::Value::parse(
-      "{\"packing\": [{\"fast_ms\": 10.0}, {\"fast_ms\": 40.0}]}");
+      "{\"anneal\": [{\"anneal_speedup\": 10.0}, "
+      "{\"anneal_speedup\": 10.0}]}");
   const BenchDiffReport report = diff_benchmarks(baseline, fresh);
   EXPECT_FALSE(report.pass());
   ASSERT_EQ(report.regressions(), 1u);
   for (const MetricDelta& d : report.deltas)
     if (d.regression) {
-      EXPECT_EQ(d.path, "packing[1].fast_ms");
+      EXPECT_EQ(d.path, "anneal[1].anneal_speedup");
     }
 }
 
 TEST(BenchDiff, ReportJsonParsesAndCarriesTheVerdict) {
   const BenchDiffReport report =
-      diff_benchmarks(json::Value::parse("{\"anneal_ms\": 100.0}"),
-                      json::Value::parse("{\"anneal_ms\": 200.0}"));
+      diff_benchmarks(json::Value::parse("{\"pack_fast_speedup\": 4.0}"),
+                      json::Value::parse("{\"pack_fast_speedup\": 2.0}"));
   std::ostringstream os;
   json::JsonWriter json(os);
-  write_diff_report(report, BenchDiffOptions{}, json);
+  write_diff_report(report, json);
   const json::Value doc = json::Value::parse(os.str());
-  EXPECT_EQ(doc.find("schema")->as_string(), "wirepipe-bench-diff/1");
+  EXPECT_EQ(doc.find("schema")->as_string(), "wirepipe-bench-diff/2");
   EXPECT_FALSE(doc.find("pass")->as_bool());
   EXPECT_DOUBLE_EQ(doc.find("regressions")->as_double(), 1.0);
 }

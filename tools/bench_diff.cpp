@@ -2,13 +2,14 @@
 //
 //   bench_diff --baseline bench/snapshots/BENCH_floorplan.json
 //              --fresh build/BENCH_floorplan.json
-//              [--threshold 0.25] [--min-ms 1.0] [--report diff.json]
+//              [--report diff.json]
 //
 // Compares a fresh bench run against the committed snapshot and exits
-// nonzero when any hot-path metric regressed by more than the threshold
-// (see src/obs/bench_diff.hpp for the metric classification rules). The
-// human-readable verdict goes to stdout; --report writes the full machine
-// diff for the CI artifact.
+// nonzero when a same-process `*_speedup` ratio lost more than 25% or a
+// snapshot metric went missing (see src/obs/bench_diff.hpp). Every other
+// number is printed as "info" and never gates. The human-readable verdict
+// goes to stdout; --report writes the full machine diff for the CI
+// artifact.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -31,19 +32,8 @@ bool read_file(const std::string& path, std::string& out) {
 
 const char* verdict(const wp::obs::MetricDelta& delta) {
   if (delta.regression) return "REGRESSED";
-  if (delta.skipped_small) return "skipped (noise floor)";
-  if (delta.direction == wp::obs::MetricDirection::kInformational)
-    return "info";
-  return delta.change < 0.0 ? "improved" : "ok";
-}
-
-/// The metric's own relative change, (fresh − baseline)/|baseline|.
-/// MetricDelta::change is sign-normalized (positive = worse), which would
-/// print a doubled speedup as −100%.
-double own_change(const wp::obs::MetricDelta& delta) {
-  return delta.direction == wp::obs::MetricDirection::kHigherIsBetter
-             ? -delta.change
-             : delta.change;
+  if (!delta.gated) return "info";
+  return delta.change > 0.0 ? "improved" : "ok";
 }
 
 }  // namespace
@@ -51,16 +41,11 @@ double own_change(const wp::obs::MetricDelta& delta) {
 int main(int argc, char** argv) {
   wp::cli::ArgParser args(
       "bench_diff",
-      "Compare a fresh bench JSON against a committed snapshot and fail on "
-      "hot-path regressions.");
+      "Compare a fresh bench JSON against a committed snapshot and fail when "
+      "a *_speedup ratio regressed.");
   args.option("--baseline", "path", "", "committed snapshot JSON");
   args.option("--fresh", "path", "", "freshly generated bench JSON");
-  args.option("--threshold", "fraction", "0.25",
-              "relative slowdown that fails the gate");
-  args.option("--min-ms", "ms", "1.0",
-              "noise floor: wall-clock metrics under this are not gated");
   args.option("--report", "path", "", "write the full JSON diff report here");
-  args.flag("--quiet", "print only regressions and the final verdict");
   args.parse_or_exit(argc, argv);
 
   const std::string baseline_path = args.get("--baseline");
@@ -81,26 +66,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  wp::obs::BenchDiffOptions options;
-  options.threshold = args.get_double("--threshold");
-  options.min_ms = args.get_double("--min-ms");
-
   wp::obs::BenchDiffReport report;
   try {
     const wp::json::Value baseline = wp::json::Value::parse(baseline_text);
     const wp::json::Value fresh = wp::json::Value::parse(fresh_text);
-    report = wp::obs::diff_benchmarks(baseline, fresh, options);
+    report = wp::obs::diff_benchmarks(baseline, fresh);
   } catch (const wp::json::ParseError& error) {
     std::cerr << "bench_diff: JSON parse error: " << error.what() << "\n";
     return 2;
   }
 
-  const bool quiet = args.has("--quiet");
+  // A gated ratio prints the gate's own measure, baseline / fresh − 1: how
+  // much slower the path got against its reference. Others print their
+  // relative change.
   for (const wp::obs::MetricDelta& delta : report.deltas) {
-    if (quiet && !delta.regression) continue;
-    std::printf("%-12s %-48s %12.4f -> %12.4f  (%+.1f%%)\n", verdict(delta),
-                delta.path.c_str(), delta.baseline, delta.fresh,
-                own_change(delta) * 100.0);
+    if (delta.gated)
+      std::printf("%-12s %-48s %12.4f -> %12.4f  (path time %+.1f%%)\n",
+                  verdict(delta), delta.path.c_str(), delta.baseline,
+                  delta.fresh, (delta.baseline / delta.fresh - 1.0) * 100.0);
+    else
+      std::printf("%-12s %-48s %12.4f -> %12.4f  (%+.1f%%)\n",
+                  verdict(delta), delta.path.c_str(), delta.baseline,
+                  delta.fresh, delta.change * 100.0);
   }
   for (const std::string& path : report.missing_in_fresh)
     std::printf("MISSING      %-48s (in baseline, absent from fresh run)\n",
@@ -116,17 +103,17 @@ int main(int argc, char** argv) {
       return 2;
     }
     wp::json::JsonWriter json(file);
-    wp::obs::write_diff_report(report, options, json);
+    wp::obs::write_diff_report(report, json);
     file << "\n";
   }
 
   if (!report.pass()) {
     std::printf("FAIL: %zu regression(s) beyond %.0f%%, %zu missing metric(s)\n",
-                report.regressions(), options.threshold * 100.0,
+                report.regressions(), wp::obs::kRegressionThreshold * 100.0,
                 report.missing_in_fresh.size());
     return 1;
   }
   std::printf("PASS: %zu metric(s) compared, no regression beyond %.0f%%\n",
-              report.deltas.size(), options.threshold * 100.0);
+              report.deltas.size(), wp::obs::kRegressionThreshold * 100.0);
   return 0;
 }
