@@ -5,10 +5,8 @@
 #include <utility>
 
 #include "floorplan/annealer.hpp"
-#include "floorplan/model.hpp"
 #include "gen/instances.hpp"
 #include "gen/topologies.hpp"
-#include "graph/throughput_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/oracle.hpp"
@@ -74,41 +72,29 @@ EvalReply eval_throughput(const ThroughputJob& job, sim::SimOracle& oracle) {
 }
 
 // The floorplan portion of the ensemble pipeline as a standalone request:
-// generate → dress → anneal with a private incremental throughput engine →
-// placement-derived RS demand → exact min-cycle-ratio throughput.
+// generate → dress → gen::anneal_and_score (the same scoring half an
+// ensemble sample runs).
 EvalReply eval_floorplan(const FloorplanJob& job) {
   Rng rng(job.seed);
   const graph::Digraph topology = gen::generate_topology(job.topology, rng);
   const gen::GeneratedSystem sys =
       gen::dress_topology(topology, job.system, rng);
-
-  graph::Digraph base = topology;
-  for (graph::EdgeId e = 0; e < base.num_edges(); ++e)
-    base.edge(e).relay_stations = 0;
-  graph::ThroughputEngine engine(std::move(base));
-
-  fplan::AnnealOptions options = job.anneal.to_options();
-  options.throughput_fn = nullptr;
-  options.throughput_engine = &engine;
-  const fplan::AnnealResult annealed = fplan::anneal(sys.instance, options);
+  gen::SampleResult score;
+  const fplan::AnnealResult annealed = gen::anneal_and_score(
+      topology, sys.instance, job.anneal.to_options(), score);
 
   EvalReply reply;
   reply.kind = ReplyKind::kFloorplan;
-  reply.floorplan.area = annealed.area;
-  reply.floorplan.wirelength = annealed.wirelength;
-  reply.floorplan.cost = annealed.cost;
-  reply.floorplan.accepted_moves = annealed.accepted_moves;
-  reply.floorplan.evaluations = annealed.evaluations;
-
-  const auto demand =
-      fplan::rs_demand(sys.instance, annealed.placement, options.delay_model);
-  for (const auto& [connection, rs] : demand) {
-    (void)connection;
-    reply.floorplan.total_rs += rs;
-  }
-  reply.floorplan.throughput = engine.throughput(demand);
-  reply.floorplan.engine_incremental = engine.stats().incremental();
-  reply.floorplan.engine_fallbacks = engine.stats().fallbacks;
+  FloorplanResult& fp = reply.floorplan;
+  fp.area = score.area;
+  fp.wirelength = score.wirelength;
+  fp.cost = annealed.cost;
+  fp.throughput = score.throughput;
+  fp.total_rs = score.total_rs;
+  fp.accepted_moves = annealed.accepted_moves;
+  fp.evaluations = annealed.evaluations;
+  fp.engine_incremental = score.engine_incremental;
+  fp.engine_fallbacks = score.engine_fallbacks;
   return reply;
 }
 
@@ -168,9 +154,6 @@ EvalReply evaluate(const EvalRequest& request, const EvalContext& context) {
   try {
     sim::SimOracle& oracle =
         context.oracle != nullptr ? *context.oracle : sim::SimOracle::shared();
-    sim::GoldenCache* netlist_cache = context.netlist_cache != nullptr
-                                          ? context.netlist_cache
-                                          : &oracle.cache();
     switch (request.kind) {
       case RequestKind::kExperiment:
         return eval_experiment(request.experiment, oracle);
@@ -179,7 +162,7 @@ EvalReply evaluate(const EvalRequest& request, const EvalContext& context) {
       case RequestKind::kFloorplanAnneal:
         return eval_floorplan(request.floorplan);
       case RequestKind::kEnsembleSample:
-        return eval_sample(request.sample, netlist_cache);
+        return eval_sample(request.sample, &oracle.cache());
       case RequestKind::kStreamRun:
         return eval_stream(request.stream);
     }

@@ -20,20 +20,18 @@ namespace wp {
 class ThreadPool;
 }
 namespace wp::sim {
-class GoldenCache;
 class SimOracle;
 }
 
 namespace wp::eval {
 
-/// Where an evaluation finds its caches. Defaults resolve lazily inside
-/// evaluate(): a null oracle means sim::SimOracle::shared(); a null
-/// netlist_cache means the oracle's own GoldenCache (netlist golden keys
-/// and oracle cpu keys live in distinct key spaces, so one cache serves
-/// both).
+/// Where an evaluation finds its caches: a null oracle means
+/// sim::SimOracle::shared(), resolved lazily inside evaluate(). Ensemble
+/// samples keep their netlist golden runs in the oracle's own GoldenCache
+/// (netlist golden keys and oracle cpu keys live in distinct key spaces,
+/// so one cache serves both).
 struct EvalContext {
   sim::SimOracle* oracle = nullptr;
-  sim::GoldenCache* netlist_cache = nullptr;
 };
 
 /// Evaluates one request. Never throws: failures become kError replies

@@ -1,5 +1,7 @@
 #include "eval/request.hpp"
 
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "proc/programs.hpp"
@@ -14,32 +16,68 @@ using wire::Reader;
 using wire::WireError;
 using wire::Writer;
 
-// --------------------------------------------------------- small helpers
+// ------------------------------------------------------------- adapters
+//
+// Every wire type's layout is stated once, as a field list
+// `fields(io, value)` that runs over one of two adapters: Enc appends each
+// field to a Writer, Dec reads each field back from a Reader and assigns
+// it. A verb names the wire encoding of one field; containers carry a u32
+// count.
 
-void encode_rs_map(Writer& w, const std::map<std::string, int>& rs) {
-  w.u32(static_cast<std::uint32_t>(rs.size()));
-  for (const auto& [name, count] : rs) {  // std::map: deterministic order
-    w.str(name);
-    w.i64(count);
+/// `const T` under Enc, `T` under Dec: the value type a field list sees.
+template <class Io, class T>
+using Field = std::conditional_t<Io::kDecoding, T, const T>;
+
+/// ErrorCode is the one u32 tag (protocol error frames share its
+/// vocabulary); every other enum crosses as a u8.
+template <class E>
+using TagWire = std::conditional_t<std::is_same_v<E, ErrorCode>,
+                                   std::uint32_t, std::uint8_t>;
+
+struct Enc {
+  static constexpr bool kDecoding = false;
+  Writer& w;
+  bool for_hash;  ///< content_hash(): digest inline programs, don't throw
+
+  void b(const bool& v) { w.b(v); }
+  void i32(const std::int32_t& v) { w.i32(v); }
+  template <class F>
+  void i64(const F& v) { w.i64(v); }
+  template <class F>
+  void u64(const F& v) { w.u64(v); }
+  void f64(const double& v) { w.f64(v); }
+  void str(const std::string& v) { w.str(v); }
+
+  template <class E>
+  void tag(const E& v, E /*max*/, const char* /*what*/) {
+    if constexpr (sizeof(TagWire<E>) == 1)
+      w.u8(static_cast<std::uint8_t>(v));
+    else
+      w.u32(static_cast<std::uint32_t>(v));
   }
-}
 
-std::map<std::string, int> decode_rs_map(Reader& r) {
-  std::map<std::string, int> rs;
-  const std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name = r.str();
-    const std::int64_t value = r.i64();
-    rs[std::move(name)] = static_cast<int>(value);
+  template <class F>
+  void seq(const std::vector<F>& v) {
+    count(v.size());
+    for (const F& x : v) {
+      if constexpr (std::is_same_v<F, double>)
+        f64(x);
+      else
+        u64(x);
+    }
   }
-  return rs;
-}
 
-// ----------------------------------------------------------- ProgramRef
+  void rs_map(const std::map<std::string, int>& rs) {
+    count(rs.size());
+    for (const auto& [name, n] : rs) {  // std::map: strictly increasing
+      str(name);
+      i64(n);
+    }
+  }
 
-void encode_program(Writer& w, const ProgramRef& program, bool for_hash) {
-  w.u8(static_cast<std::uint8_t>(program.generator));
-  if (program.generator == ProgramRef::Generator::kInline) {
+  void version(const char* /*type*/) { w.u8(kEvalVersion); }
+
+  void inline_program(const proc::ProgramSpec& spec) {
     if (!for_hash)
       throw WireError(
           "inline ProgramSpec is not wire-serializable (its verify closure "
@@ -47,480 +85,388 @@ void encode_program(Writer& w, const ProgramRef& program, bool for_hash) {
     // Hash mode: digest the program content. The verify closure is
     // excluded — it is assumed to be a pure function of (source, ram),
     // the same assumption sim::SimOracle's golden key already makes.
-    w.str(program.inline_spec.name);
-    w.str(program.inline_spec.source);
-    w.u64(program.inline_spec.ram.size());
-    for (const std::uint32_t word : program.inline_spec.ram) w.u32(word);
-    return;
+    str(spec.name);
+    str(spec.source);
+    u64(spec.ram.size());
+    for (const std::uint32_t word : spec.ram) w.u32(word);
   }
-  w.u64(program.size);
-  w.u64(program.seed);
+
+ private:
+  void count(std::size_t n) {
+    if (n > 0xffffffffULL) throw WireError("container too long for wire");
+    w.u32(static_cast<std::uint32_t>(n));
+  }
+};
+
+/// The wire integer `x` as field type F. Decoding is canonical: a value F
+/// cannot hold exactly (an int field carried as i64, say) is a WireError,
+/// never a silent truncation the encoder would not reproduce.
+template <class F, class W>
+F narrow(W x) {
+  static_assert(std::is_signed_v<F> == std::is_signed_v<W>);
+  const F v = static_cast<F>(x);
+  if (static_cast<W>(v) != x)
+    throw WireError("integer field out of range: " + std::to_string(x));
+  return v;
 }
 
-ProgramRef decode_program(Reader& r) {
-  ProgramRef program;
-  const std::uint8_t generator = r.u8();
-  if (generator == 0)
+struct Dec {
+  static constexpr bool kDecoding = true;
+  Reader& r;
+
+  void b(bool& v) { v = r.b(); }
+  void i32(std::int32_t& v) { v = r.i32(); }
+  template <class F>
+  void i64(F& v) { v = narrow<F>(r.i64()); }
+  template <class F>
+  void u64(F& v) { v = narrow<F>(r.u64()); }
+  void f64(double& v) { v = r.f64(); }
+  void str(std::string& v) { v = r.str(); }
+
+  template <class E>
+  void tag(E& v, E max, const char* what) {
+    using Wire = TagWire<E>;
+    const Wire raw = sizeof(Wire) == 1 ? r.u8() : r.u32();
+    if (raw > static_cast<Wire>(max))
+      throw WireError(std::string("unknown ") + what + " tag " +
+                      std::to_string(raw));
+    v = static_cast<E>(raw);
+  }
+
+  template <class F>
+  void seq(std::vector<F>& v) {
+    v.clear();
+    for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
+      F x{};
+      if constexpr (std::is_same_v<F, double>)
+        f64(x);
+      else
+        u64(x);
+      v.push_back(x);
+    }
+  }
+
+  void rs_map(std::map<std::string, int>& rs) {
+    rs.clear();
+    for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
+      std::string name;
+      int count = 0;
+      str(name);
+      i64(count);
+      // Canonical order: a repeated or out-of-order name would collapse or
+      // reorder in the map and re-encode to other bytes.
+      if (!rs.empty() && !(rs.rbegin()->first < name))
+        throw WireError("rs map names not strictly increasing at '" + name +
+                        "'");
+      rs.emplace_hint(rs.end(), std::move(name), count);
+    }
+  }
+
+  void version(const char* type) {
+    const std::uint8_t version = r.u8();
+    if (version != kEvalVersion)
+      throw WireError(std::string("unsupported ") + type + " version " +
+                      std::to_string(version));
+  }
+
+  void inline_program(proc::ProgramSpec& /*spec*/) {
     throw WireError("inline ProgramSpec cannot arrive over the wire");
-  if (generator > static_cast<std::uint8_t>(ProgramRef::Generator::kPointerChase))
-    throw WireError("unknown program generator tag");
-  program.generator = static_cast<ProgramRef::Generator>(generator);
-  program.size = r.u64();
-  program.seed = r.u64();
-  return program;
+  }
+};
+
+// ---------------------------------------------------------- field lists
+
+template <class Io>
+void fields(Io& io, Field<Io, ProgramRef>& p) {
+  io.tag(p.generator, ProgramRef::Generator::kPointerChase,
+         "program generator");
+  if (p.generator == ProgramRef::Generator::kInline)
+    return io.inline_program(p.inline_spec);
+  io.u64(p.size);
+  io.u64(p.seed);
 }
 
-// --------------------------------------------------------- proc configs
-
-void encode_cpu(Writer& w, const proc::CpuConfig& cpu) {
-  w.b(cpu.multicycle);
-  w.i32(cpu.fetch_window);
-  w.i32(cpu.drain_firings);
-  w.b(cpu.relax_squashed_fetches);
+template <class Io>
+void fields(Io& io, Field<Io, proc::CpuConfig>& cpu) {
+  io.b(cpu.multicycle);
+  io.i32(cpu.fetch_window);
+  io.i32(cpu.drain_firings);
+  io.b(cpu.relax_squashed_fetches);
 }
 
-proc::CpuConfig decode_cpu(Reader& r) {
-  proc::CpuConfig cpu;
-  cpu.multicycle = r.b();
-  cpu.fetch_window = r.i32();
-  cpu.drain_firings = r.i32();
-  cpu.relax_squashed_fetches = r.b();
-  return cpu;
+template <class Io>
+void fields(Io& io, Field<Io, proc::RsConfig>& rs) {
+  io.str(rs.label);
+  io.rs_map(rs.rs);
 }
 
-void encode_experiment_options(Writer& w,
-                               const proc::ExperimentOptions& options) {
-  w.b(options.check_equivalence);
-  w.b(options.verify_result);
-  w.u64(options.max_cycles);
-  w.u64(options.fifo_capacity);
+template <class Io>
+void fields(Io& io, Field<Io, proc::ExperimentOptions>& options) {
+  io.b(options.check_equivalence);
+  io.b(options.verify_result);
+  io.u64(options.max_cycles);
+  io.u64(options.fifo_capacity);
 }
 
-proc::ExperimentOptions decode_experiment_options(Reader& r) {
-  proc::ExperimentOptions options;
-  options.check_equivalence = r.b();
-  options.verify_result = r.b();
-  options.max_cycles = r.u64();
-  options.fifo_capacity = static_cast<std::size_t>(r.u64());
-  return options;
+template <class Io>
+void fields(Io& io, Field<Io, gen::TopologyConfig>& t) {
+  io.tag(t.family, gen::TopologyFamily::kClusteredErdosRenyi,
+         "topology family");
+  io.i32(t.num_nodes);
+  io.i32(t.max_relay_stations);
+  io.f64(t.bidirectional_probability);
+  io.b(t.ensure_strongly_connected);
+  io.i32(t.ba_attach);
+  io.i32(t.ws_neighbors);
+  io.f64(t.ws_rewire_probability);
+  io.i32(t.mesh_rows);
+  io.i32(t.mesh_cols);
+  io.b(t.mesh_torus);
+  io.i32(t.er_clusters);
+  io.f64(t.er_intra_probability);
+  io.f64(t.er_inter_probability);
 }
 
-// ----------------------------------------------------------- gen configs
-
-void encode_topology(Writer& w, const gen::TopologyConfig& t) {
-  w.u8(static_cast<std::uint8_t>(t.family));
-  w.i32(t.num_nodes);
-  w.i32(t.max_relay_stations);
-  w.f64(t.bidirectional_probability);
-  w.b(t.ensure_strongly_connected);
-  w.i32(t.ba_attach);
-  w.i32(t.ws_neighbors);
-  w.f64(t.ws_rewire_probability);
-  w.i32(t.mesh_rows);
-  w.i32(t.mesh_cols);
-  w.b(t.mesh_torus);
-  w.i32(t.er_clusters);
-  w.f64(t.er_intra_probability);
-  w.f64(t.er_inter_probability);
-}
-
-gen::TopologyConfig decode_topology(Reader& r) {
-  gen::TopologyConfig t;
-  const std::uint8_t family = r.u8();
-  if (family >
-      static_cast<std::uint8_t>(gen::TopologyFamily::kClusteredErdosRenyi))
-    throw WireError("unknown topology family tag");
-  t.family = static_cast<gen::TopologyFamily>(family);
-  t.num_nodes = r.i32();
-  t.max_relay_stations = r.i32();
-  t.bidirectional_probability = r.f64();
-  t.ensure_strongly_connected = r.b();
-  t.ba_attach = r.i32();
-  t.ws_neighbors = r.i32();
-  t.ws_rewire_probability = r.f64();
-  t.mesh_rows = r.i32();
-  t.mesh_cols = r.i32();
-  t.mesh_torus = r.b();
-  t.er_clusters = r.i32();
-  t.er_intra_probability = r.f64();
-  t.er_inter_probability = r.f64();
-  return t;
-}
-
-void encode_system(Writer& w, const gen::SystemConfig& s) {
-  w.str(s.name);
-  w.f64(s.blocks.min_area_mm2);
-  w.f64(s.blocks.max_area_mm2);
-  w.f64(s.blocks.min_aspect);
-  w.f64(s.blocks.max_aspect);
-  w.i32(s.moore_states);
+template <class Io>
+void fields(Io& io, Field<Io, gen::SystemConfig>& s) {
+  io.str(s.name);
+  io.f64(s.blocks.min_area_mm2);
+  io.f64(s.blocks.max_area_mm2);
+  io.f64(s.blocks.min_aspect);
+  io.f64(s.blocks.max_aspect);
+  io.i32(s.moore_states);
   // v2: netlist-free dressing for families whose hubs exceed the
   // randommoore port model (scale-free topologies at 256+ nodes).
-  w.b(s.build_netlist);
+  io.b(s.build_netlist);
 }
 
-gen::SystemConfig decode_system(Reader& r) {
-  gen::SystemConfig s;
-  s.name = r.str();
-  s.blocks.min_area_mm2 = r.f64();
-  s.blocks.max_area_mm2 = r.f64();
-  s.blocks.min_aspect = r.f64();
-  s.blocks.max_aspect = r.f64();
-  s.moore_states = r.i32();
-  s.build_netlist = r.b();
-  return s;
-}
-
-void encode_family(Writer& w, const gen::FamilySpec& f) {
-  w.str(f.name);
-  encode_topology(w, f.topology);
-  encode_system(w, f.system);
-  w.i32(f.anneal_iterations);
+template <class Io>
+void fields(Io& io, Field<Io, gen::FamilySpec>& f) {
+  io.str(f.name);
+  fields(io, f.topology);
+  fields(io, f.system);
+  io.i32(f.anneal_iterations);
   // v2: per-family diameter-scaled simulation horizons (0 = inherit the
   // ensemble-wide EnsembleSimOptions).
-  w.u64(f.golden_cycles);
-  w.u64(f.wp_cycles);
+  io.u64(f.golden_cycles);
+  io.u64(f.wp_cycles);
 }
 
-gen::FamilySpec decode_family(Reader& r) {
-  gen::FamilySpec f;
-  f.name = r.str();
-  f.topology = decode_topology(r);
-  f.system = decode_system(r);
-  f.anneal_iterations = r.i32();
-  f.golden_cycles = r.u64();
-  f.wp_cycles = r.u64();
-  return f;
+template <class Io>
+void fields(Io& io, Field<Io, gen::EnsembleSimOptions>& s) {
+  io.b(s.enabled);
+  io.u64(s.golden_cycles);
+  io.u64(s.wp_cycles);
+  io.u64(s.fifo_capacity);
+  io.b(s.check_equivalence);
 }
 
-void encode_sim_options(Writer& w, const gen::EnsembleSimOptions& s) {
-  w.b(s.enabled);
-  w.u64(s.golden_cycles);
-  w.u64(s.wp_cycles);
-  w.u64(s.fifo_capacity);
-  w.b(s.check_equivalence);
+template <class Io>
+void fields(Io& io, Field<Io, AnnealKnobs>& k) {
+  io.f64(k.weight_area);
+  io.f64(k.weight_wirelength);
+  io.f64(k.weight_throughput);
+  io.f64(k.ps_per_mm);
+  io.f64(k.clock_ps);
+  io.i32(k.iterations);
+  io.f64(k.initial_temperature);
+  io.f64(k.cooling);
+  io.u64(k.seed);
+  io.tag(k.pack_engine, fplan::PackEngine::kMovePacker, "pack-engine");
 }
 
-gen::EnsembleSimOptions decode_sim_options(Reader& r) {
-  gen::EnsembleSimOptions s;
-  s.enabled = r.b();
-  s.golden_cycles = r.u64();
-  s.wp_cycles = r.u64();
-  s.fifo_capacity = static_cast<std::size_t>(r.u64());
-  s.check_equivalence = r.b();
-  return s;
-}
-
-// ----------------------------------------------------------- AnnealKnobs
-
-void encode_knobs(Writer& w, const AnnealKnobs& k) {
-  w.f64(k.weight_area);
-  w.f64(k.weight_wirelength);
-  w.f64(k.weight_throughput);
-  w.f64(k.ps_per_mm);
-  w.f64(k.clock_ps);
-  w.i32(k.iterations);
-  w.f64(k.initial_temperature);
-  w.f64(k.cooling);
-  w.u64(k.seed);
-  w.u8(static_cast<std::uint8_t>(k.pack_engine));
-}
-
-AnnealKnobs decode_knobs(Reader& r) {
-  AnnealKnobs k;
-  k.weight_area = r.f64();
-  k.weight_wirelength = r.f64();
-  k.weight_throughput = r.f64();
-  k.ps_per_mm = r.f64();
-  k.clock_ps = r.f64();
-  k.iterations = r.i32();
-  k.initial_temperature = r.f64();
-  k.cooling = r.f64();
-  k.seed = r.u64();
-  const std::uint8_t engine = r.u8();
-  if (engine > static_cast<std::uint8_t>(fplan::PackEngine::kMovePacker))
-    throw WireError("unknown pack-engine tag");
-  k.pack_engine = static_cast<fplan::PackEngine>(engine);
-  return k;
+template <class Io>
+void fields(Io& io, Field<Io, stream::StreamGraphConfig>& g) {
+  io.u64(g.tokens);
+  io.u64(g.fir_stages);
+  io.u64(g.branches);
+  io.u64(g.agc_period);
+  io.u64(g.gain_period);
+  io.f64(g.agc_target);
+  io.u64(g.seed);
+  io.seq(g.fir);
+  io.i64(g.feedback_rs);
+  io.i64(g.forward_rs);
+  // g.sink is intentionally not on the wire: the evaluator always runs
+  // stats-only sinks (see StreamJob doc).
 }
 
 // --------------------------------------------------------- job payloads
 
-void encode_experiment_job(Writer& w, const ExperimentJob& job,
-                           bool for_hash) {
-  encode_program(w, job.program, for_hash);
-  encode_cpu(w, job.cpu);
-  w.str(job.rs.label);
-  encode_rs_map(w, job.rs.rs);
-  encode_experiment_options(w, job.options);
+template <class Io>
+void fields(Io& io, Field<Io, ExperimentJob>& job) {
+  fields(io, job.program);
+  fields(io, job.cpu);
+  fields(io, job.rs);
+  fields(io, job.options);
 }
 
-ExperimentJob decode_experiment_job(Reader& r) {
-  ExperimentJob job;
-  job.program = decode_program(r);
-  job.cpu = decode_cpu(r);
-  job.rs.label = r.str();
-  job.rs.rs = decode_rs_map(r);
-  job.options = decode_experiment_options(r);
-  return job;
+template <class Io>
+void fields(Io& io, Field<Io, ThroughputJob>& job) {
+  fields(io, job.program);
+  fields(io, job.cpu);
+  io.rs_map(job.rs);
+  io.u64(job.fifo_capacity);
 }
 
-void encode_throughput_job(Writer& w, const ThroughputJob& job,
-                           bool for_hash) {
-  encode_program(w, job.program, for_hash);
-  encode_cpu(w, job.cpu);
-  encode_rs_map(w, job.rs);
-  w.u64(job.fifo_capacity);
+template <class Io>
+void fields(Io& io, Field<Io, FloorplanJob>& job) {
+  fields(io, job.topology);
+  fields(io, job.system);
+  io.u64(job.seed);
+  fields(io, job.anneal);
 }
 
-ThroughputJob decode_throughput_job(Reader& r) {
-  ThroughputJob job;
-  job.program = decode_program(r);
-  job.cpu = decode_cpu(r);
-  job.rs = decode_rs_map(r);
-  job.fifo_capacity = r.u64();
-  return job;
+template <class Io>
+void fields(Io& io, Field<Io, gen::SampleJob>& job) {
+  fields(io, job.family);
+  io.i32(job.sample);
+  io.u64(job.ensemble_seed);
+  fields(io, job.simulate);
+  // AnnealOptions crosses as its serializable subset, AnnealKnobs.
+  AnnealKnobs knobs = AnnealKnobs::from_options(job.anneal);
+  fields(io, knobs);
+  if constexpr (Io::kDecoding) job.anneal = knobs.to_options();
+  io.u64(job.max_cycle_enumeration);
 }
 
-void encode_floorplan_job(Writer& w, const FloorplanJob& job) {
-  encode_topology(w, job.topology);
-  encode_system(w, job.system);
-  w.u64(job.seed);
-  encode_knobs(w, job.anneal);
+template <class Io>
+void fields(Io& io, Field<Io, StreamJob>& job) {
+  fields(io, job.graph);
+  io.tag(job.mode, stream::RunMode::kWp2, "stream run-mode");
+  io.u64(job.fifo_capacity);
 }
 
-FloorplanJob decode_floorplan_job(Reader& r) {
-  FloorplanJob job;
-  job.topology = decode_topology(r);
-  job.system = decode_system(r);
-  job.seed = r.u64();
-  job.anneal = decode_knobs(r);
-  return job;
-}
-
-void encode_sample_job(Writer& w, const gen::SampleJob& job) {
-  encode_family(w, job.family);
-  w.i32(job.sample);
-  w.u64(job.ensemble_seed);
-  encode_sim_options(w, job.simulate);
-  encode_knobs(w, AnnealKnobs::from_options(job.anneal));
-  w.u64(job.max_cycle_enumeration);
-}
-
-gen::SampleJob decode_sample_job(Reader& r) {
-  gen::SampleJob job;
-  job.family = decode_family(r);
-  job.sample = r.i32();
-  job.ensemble_seed = r.u64();
-  job.simulate = decode_sim_options(r);
-  job.anneal = decode_knobs(r).to_options();
-  job.max_cycle_enumeration = static_cast<std::size_t>(r.u64());
-  return job;
-}
-
-void encode_stream_job(Writer& w, const StreamJob& job) {
-  const stream::StreamGraphConfig& g = job.graph;
-  w.u64(g.tokens);
-  w.u64(g.fir_stages);
-  w.u64(g.branches);
-  w.u64(g.agc_period);
-  w.u64(g.gain_period);
-  w.f64(g.agc_target);
-  w.u64(g.seed);
-  w.u32(static_cast<std::uint32_t>(g.fir.size()));
-  for (const double tap : g.fir) w.f64(tap);
-  w.i64(g.feedback_rs);
-  w.i64(g.forward_rs);
-  // g.sink is intentionally not encoded: the evaluator always runs
-  // stats-only sinks (see StreamJob doc).
-  w.u8(static_cast<std::uint8_t>(job.mode));
-  w.u64(job.fifo_capacity);
-}
-
-StreamJob decode_stream_job(Reader& r) {
-  StreamJob job;
-  stream::StreamGraphConfig& g = job.graph;
-  g.tokens = r.u64();
-  g.fir_stages = static_cast<std::size_t>(r.u64());
-  g.branches = static_cast<std::size_t>(r.u64());
-  g.agc_period = r.u64();
-  g.gain_period = r.u64();
-  g.agc_target = r.f64();
-  g.seed = r.u64();
-  g.fir.clear();
-  const std::uint32_t taps = r.u32();
-  for (std::uint32_t i = 0; i < taps; ++i) g.fir.push_back(r.f64());
-  g.feedback_rs = static_cast<int>(r.i64());
-  g.forward_rs = static_cast<int>(r.i64());
-  const std::uint8_t mode = r.u8();
-  if (mode > static_cast<std::uint8_t>(stream::RunMode::kWp2))
-    throw WireError("unknown stream run-mode tag " + std::to_string(mode));
-  job.mode = static_cast<stream::RunMode>(mode);
-  job.fifo_capacity = r.u64();
-  return job;
-}
-
-void encode_request_body(Writer& w, const EvalRequest& request,
-                         bool for_hash) {
-  w.u8(kEvalVersion);
-  w.u8(static_cast<std::uint8_t>(request.kind));
+template <class Io>
+void fields(Io& io, Field<Io, EvalRequest>& request) {
+  io.version("EvalRequest");
+  io.tag(request.kind, RequestKind::kStreamRun, "request kind");
   switch (request.kind) {
     case RequestKind::kExperiment:
-      encode_experiment_job(w, request.experiment, for_hash);
-      return;
+      return fields(io, request.experiment);
     case RequestKind::kWp2Throughput:
-      encode_throughput_job(w, request.throughput, for_hash);
-      return;
+      return fields(io, request.throughput);
     case RequestKind::kFloorplanAnneal:
-      encode_floorplan_job(w, request.floorplan);
-      return;
+      return fields(io, request.floorplan);
     case RequestKind::kEnsembleSample:
-      encode_sample_job(w, request.sample);
-      return;
+      return fields(io, request.sample);
     case RequestKind::kStreamRun:
-      encode_stream_job(w, request.stream);
-      return;
+      return fields(io, request.stream);
   }
-  throw WireError("unknown request kind");
+  throw WireError("unknown request kind tag " +
+                  std::to_string(static_cast<int>(request.kind)));
 }
 
-// --------------------------------------------------------- reply pieces
+// -------------------------------------------------------- reply payloads
 
-void encode_row(Writer& w, const proc::ExperimentRow& row) {
-  w.str(row.label);
-  w.u64(row.golden_cycles);
-  w.u64(row.wp1_cycles);
-  w.u64(row.wp2_cycles);
-  w.f64(row.th_wp1);
-  w.f64(row.th_wp2);
-  w.f64(row.improvement);
-  w.f64(row.static_wp1);
-  w.b(row.wp1_equivalent);
-  w.b(row.wp2_equivalent);
-  w.b(row.result_ok);
-  w.str(row.detail);
+template <class Io>
+void fields(Io& io, Field<Io, EvalError>& error) {
+  io.tag(error.code, ErrorCode::kInternal, "error code");
+  io.str(error.message);
 }
 
-proc::ExperimentRow decode_row(Reader& r) {
-  proc::ExperimentRow row;
-  row.label = r.str();
-  row.golden_cycles = r.u64();
-  row.wp1_cycles = r.u64();
-  row.wp2_cycles = r.u64();
-  row.th_wp1 = r.f64();
-  row.th_wp2 = r.f64();
-  row.improvement = r.f64();
-  row.static_wp1 = r.f64();
-  row.wp1_equivalent = r.b();
-  row.wp2_equivalent = r.b();
-  row.result_ok = r.b();
-  row.detail = r.str();
-  return row;
+template <class Io>
+void fields(Io& io, Field<Io, proc::ExperimentRow>& row) {
+  io.str(row.label);
+  io.u64(row.golden_cycles);
+  io.u64(row.wp1_cycles);
+  io.u64(row.wp2_cycles);
+  io.f64(row.th_wp1);
+  io.f64(row.th_wp2);
+  io.f64(row.improvement);
+  io.f64(row.static_wp1);
+  io.b(row.wp1_equivalent);
+  io.b(row.wp2_equivalent);
+  io.b(row.result_ok);
+  io.str(row.detail);
 }
 
-void encode_floorplan_result(Writer& w, const FloorplanResult& fp) {
-  w.f64(fp.area);
-  w.f64(fp.wirelength);
-  w.f64(fp.cost);
-  w.f64(fp.throughput);
-  w.i32(fp.total_rs);
-  w.i32(fp.accepted_moves);
-  w.i32(fp.evaluations);
-  w.u64(fp.engine_incremental);
-  w.u64(fp.engine_fallbacks);
+template <class Io>
+void fields(Io& io, Field<Io, FloorplanResult>& fp) {
+  io.f64(fp.area);
+  io.f64(fp.wirelength);
+  io.f64(fp.cost);
+  io.f64(fp.throughput);
+  io.i32(fp.total_rs);
+  io.i32(fp.accepted_moves);
+  io.i32(fp.evaluations);
+  io.u64(fp.engine_incremental);
+  io.u64(fp.engine_fallbacks);
 }
 
-FloorplanResult decode_floorplan_result(Reader& r) {
-  FloorplanResult fp;
-  fp.area = r.f64();
-  fp.wirelength = r.f64();
-  fp.cost = r.f64();
-  fp.throughput = r.f64();
-  fp.total_rs = r.i32();
-  fp.accepted_moves = r.i32();
-  fp.evaluations = r.i32();
-  fp.engine_incremental = r.u64();
-  fp.engine_fallbacks = r.u64();
-  return fp;
-}
-
-void encode_sample_result(Writer& w, const gen::SampleResult& s) {
-  w.str(s.family);
-  w.i32(s.sample);
-  w.u64(s.seed);
-  w.i32(s.nodes);
-  w.i32(s.edges);
-  w.i64(s.cycles);
-  w.i32(s.total_rs);
-  w.f64(s.area);
-  w.f64(s.wirelength);
-  w.f64(s.throughput);
-  w.b(s.simulated);
-  w.f64(s.th_wp1_sim);
-  w.f64(s.th_wp2_sim);
-  w.b(s.sim_ok);
-  w.u64(s.engine_incremental);
-  w.u64(s.engine_fallbacks);
+template <class Io>
+void fields(Io& io, Field<Io, gen::SampleResult>& s) {
+  io.str(s.family);
+  io.i32(s.sample);
+  io.u64(s.seed);
+  io.i32(s.nodes);
+  io.i32(s.edges);
+  io.i64(s.cycles);
+  io.i32(s.total_rs);
+  io.f64(s.area);
+  io.f64(s.wirelength);
+  io.f64(s.throughput);
+  io.b(s.simulated);
+  io.f64(s.th_wp1_sim);
+  io.f64(s.th_wp2_sim);
+  io.b(s.sim_ok);
+  io.u64(s.engine_incremental);
+  io.u64(s.engine_fallbacks);
   // Wall-clock fields ride along so a sharded CSV can still report
   // worker-side timings; they stay excluded from SampleResult::operator==.
-  w.f64(s.anneal_ms);
-  w.f64(s.throughput_ms);
+  io.f64(s.anneal_ms);
+  io.f64(s.throughput_ms);
 }
 
-gen::SampleResult decode_sample_result(Reader& r) {
-  gen::SampleResult s;
-  s.family = r.str();
-  s.sample = r.i32();
-  s.seed = r.u64();
-  s.nodes = r.i32();
-  s.edges = r.i32();
-  s.cycles = r.i64();
-  s.total_rs = r.i32();
-  s.area = r.f64();
-  s.wirelength = r.f64();
-  s.throughput = r.f64();
-  s.simulated = r.b();
-  s.th_wp1_sim = r.f64();
-  s.th_wp2_sim = r.f64();
-  s.sim_ok = r.b();
-  s.engine_incremental = r.u64();
-  s.engine_fallbacks = r.u64();
-  s.anneal_ms = r.f64();
-  s.throughput_ms = r.f64();
-  return s;
-}
-
-void encode_stream_result(Writer& w, const StreamResult& s) {
-  w.u64(s.tokens);
-  w.u64(s.cycles);
-  w.u64(s.digest);
-  w.u32(static_cast<std::uint32_t>(s.sink_digests.size()));
-  for (const std::uint64_t digest : s.sink_digests) w.u64(digest);
-  w.u32(static_cast<std::uint32_t>(s.sink_counts.size()));
-  for (const std::uint64_t count : s.sink_counts) w.u64(count);
-  w.u64(s.input_stalls);
-  w.u64(s.output_stalls);
-  w.u64(s.discarded_tokens);
+template <class Io>
+void fields(Io& io, Field<Io, StreamResult>& s) {
+  io.u64(s.tokens);
+  io.u64(s.cycles);
+  io.u64(s.digest);
+  io.seq(s.sink_digests);
+  io.seq(s.sink_counts);
+  io.u64(s.input_stalls);
+  io.u64(s.output_stalls);
+  io.u64(s.discarded_tokens);
   // Wall-clock throughput rides along for worker-side reporting; it stays
   // excluded from StreamResult::operator==.
-  w.f64(s.tokens_per_sec);
+  io.f64(s.tokens_per_sec);
 }
 
-StreamResult decode_stream_result(Reader& r) {
-  StreamResult s;
-  s.tokens = r.u64();
-  s.cycles = r.u64();
-  s.digest = r.u64();
-  const std::uint32_t digests = r.u32();
-  for (std::uint32_t i = 0; i < digests; ++i)
-    s.sink_digests.push_back(r.u64());
-  const std::uint32_t counts = r.u32();
-  for (std::uint32_t i = 0; i < counts; ++i) s.sink_counts.push_back(r.u64());
-  s.input_stalls = r.u64();
-  s.output_stalls = r.u64();
-  s.discarded_tokens = r.u64();
-  s.tokens_per_sec = r.f64();
-  return s;
+template <class Io>
+void fields(Io& io, Field<Io, EvalReply>& reply) {
+  io.version("EvalReply");
+  io.tag(reply.kind, ReplyKind::kStream, "reply kind");
+  switch (reply.kind) {
+    case ReplyKind::kError:
+      return fields(io, reply.error);
+    case ReplyKind::kExperiment:
+      return fields(io, reply.row);
+    case ReplyKind::kThroughput:
+      return io.f64(reply.throughput);
+    case ReplyKind::kFloorplan:
+      return fields(io, reply.floorplan);
+    case ReplyKind::kSample:
+      return fields(io, reply.sample);
+    case ReplyKind::kStream:
+      return fields(io, reply.stream);
+  }
+  throw WireError("unknown reply kind tag " +
+                  std::to_string(static_cast<int>(reply.kind)));
+}
+
+template <class T>
+void encode_value(Writer& w, const T& value, bool for_hash = false) {
+  Enc enc{w, for_hash};
+  fields(enc, value);
+}
+
+template <class T>
+T decode_value(Reader& r) {
+  T value;
+  Dec dec{r};
+  fields(dec, value);
+  return value;
 }
 
 }  // namespace
@@ -539,27 +485,15 @@ const char* request_kind_name(RequestKind kind) {
 // ----------------------------------------------------------- ProgramRef
 
 ProgramRef ProgramRef::extraction_sort(std::uint64_t n, std::uint64_t seed) {
-  ProgramRef ref;
-  ref.generator = Generator::kExtractionSort;
-  ref.size = n;
-  ref.seed = seed;
-  return ref;
+  return ProgramRef{Generator::kExtractionSort, n, seed, {}};
 }
 
 ProgramRef ProgramRef::matmul(std::uint64_t dim, std::uint64_t seed) {
-  ProgramRef ref;
-  ref.generator = Generator::kMatmul;
-  ref.size = dim;
-  ref.seed = seed;
-  return ref;
+  return ProgramRef{Generator::kMatmul, dim, seed, {}};
 }
 
 ProgramRef ProgramRef::pointer_chase(std::uint64_t n, std::uint64_t seed) {
-  ProgramRef ref;
-  ref.generator = Generator::kPointerChase;
-  ref.size = n;
-  ref.seed = seed;
-  return ref;
+  return ProgramRef{Generator::kPointerChase, n, seed, {}};
 }
 
 ProgramRef ProgramRef::inlined(proc::ProgramSpec spec) {
@@ -637,44 +571,14 @@ EvalRequest::EvalRequest(StreamJob job)
 
 std::uint64_t EvalRequest::content_hash() const {
   Writer w;
-  encode_request_body(w, *this, /*for_hash=*/true);
+  encode_value(w, *this, /*for_hash=*/true);
   return hash_bytes(w.bytes().data(), w.size());
 }
 
-void EvalRequest::encode(Writer& w) const {
-  encode_request_body(w, *this, /*for_hash=*/false);
-}
+void EvalRequest::encode(Writer& w) const { encode_value(w, *this); }
 
 EvalRequest EvalRequest::decode(Reader& r) {
-  const std::uint8_t version = r.u8();
-  if (version != kEvalVersion)
-    throw WireError("unsupported EvalRequest version " +
-                    std::to_string(version));
-  EvalRequest request;
-  const std::uint8_t kind = r.u8();
-  switch (static_cast<RequestKind>(kind)) {
-    case RequestKind::kExperiment:
-      request.kind = RequestKind::kExperiment;
-      request.experiment = decode_experiment_job(r);
-      return request;
-    case RequestKind::kWp2Throughput:
-      request.kind = RequestKind::kWp2Throughput;
-      request.throughput = decode_throughput_job(r);
-      return request;
-    case RequestKind::kFloorplanAnneal:
-      request.kind = RequestKind::kFloorplanAnneal;
-      request.floorplan = decode_floorplan_job(r);
-      return request;
-    case RequestKind::kEnsembleSample:
-      request.kind = RequestKind::kEnsembleSample;
-      request.sample = decode_sample_job(r);
-      return request;
-    case RequestKind::kStreamRun:
-      request.kind = RequestKind::kStreamRun;
-      request.stream = decode_stream_job(r);
-      return request;
-  }
-  throw WireError("unknown request kind tag " + std::to_string(kind));
+  return decode_value<EvalRequest>(r);
 }
 
 // --------------------------------------------------------------- replies
@@ -706,72 +610,8 @@ EvalReply EvalReply::make_error(ErrorCode code, std::string message) {
   return reply;
 }
 
-void EvalReply::encode(Writer& w) const {
-  w.u8(kEvalVersion);
-  w.u8(static_cast<std::uint8_t>(kind));
-  switch (kind) {
-    case ReplyKind::kError:
-      w.u32(static_cast<std::uint32_t>(error.code));
-      w.str(error.message);
-      return;
-    case ReplyKind::kExperiment:
-      encode_row(w, row);
-      return;
-    case ReplyKind::kThroughput:
-      w.f64(throughput);
-      return;
-    case ReplyKind::kFloorplan:
-      encode_floorplan_result(w, floorplan);
-      return;
-    case ReplyKind::kSample:
-      encode_sample_result(w, sample);
-      return;
-    case ReplyKind::kStream:
-      encode_stream_result(w, stream);
-      return;
-  }
-  throw WireError("unknown reply kind");
-}
+void EvalReply::encode(Writer& w) const { encode_value(w, *this); }
 
-EvalReply EvalReply::decode(Reader& r) {
-  const std::uint8_t version = r.u8();
-  if (version != kEvalVersion)
-    throw WireError("unsupported EvalReply version " +
-                    std::to_string(version));
-  EvalReply reply;
-  const std::uint8_t kind = r.u8();
-  switch (static_cast<ReplyKind>(kind)) {
-    case ReplyKind::kError: {
-      reply.kind = ReplyKind::kError;
-      const std::uint32_t code = r.u32();
-      if (code > static_cast<std::uint32_t>(ErrorCode::kInternal))
-        throw WireError("unknown error code tag");
-      reply.error.code = static_cast<ErrorCode>(code);
-      reply.error.message = r.str();
-      return reply;
-    }
-    case ReplyKind::kExperiment:
-      reply.kind = ReplyKind::kExperiment;
-      reply.row = decode_row(r);
-      return reply;
-    case ReplyKind::kThroughput:
-      reply.kind = ReplyKind::kThroughput;
-      reply.throughput = r.f64();
-      return reply;
-    case ReplyKind::kFloorplan:
-      reply.kind = ReplyKind::kFloorplan;
-      reply.floorplan = decode_floorplan_result(r);
-      return reply;
-    case ReplyKind::kSample:
-      reply.kind = ReplyKind::kSample;
-      reply.sample = decode_sample_result(r);
-      return reply;
-    case ReplyKind::kStream:
-      reply.kind = ReplyKind::kStream;
-      reply.stream = decode_stream_result(r);
-      return reply;
-  }
-  throw WireError("unknown reply kind tag " + std::to_string(kind));
-}
+EvalReply EvalReply::decode(Reader& r) { return decode_value<EvalReply>(r); }
 
 }  // namespace wp::eval

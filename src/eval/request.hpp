@@ -16,6 +16,17 @@
 //   * versioned serialization (kEvalVersion byte leads every encoded
 //     request/reply; decoders reject other versions loudly) shared with
 //     the wire protocol;
+//   * one field list per wire type: request.cpp states each layout once,
+//     as a template `fields(io, value)` that runs over an encoding adapter
+//     (appends each field to a wire::Writer; a hash mode digests inline
+//     programs) and a decoding adapter (reads each field back and assigns
+//     it). encode, decode and content_hash are that list run three ways,
+//     so the two directions cannot drift apart;
+//   * canonical decode: every byte image decode() accepts re-encodes to
+//     exactly those bytes. Enum tags are bounds-checked, an int field
+//     carried as i64 (rs-map counts, feedback_rs, forward_rs) must fit in
+//     an int, and rs-map names must strictly increase; anything else is a
+//     wire::WireError;
 //   * content-hash keyed: content_hash() is a stable FNV digest of the
 //     canonical encoding, usable as a cache/shard key across processes.
 //

@@ -35,6 +35,45 @@ std::uint64_t derive_sample_seed(std::uint64_t ensemble_seed,
   return ensemble_seed + 0x9e3779b97f4a7c15ULL * lane;
 }
 
+fplan::AnnealResult anneal_and_score(
+    const graph::Digraph& topology, const fplan::Instance& instance,
+    fplan::AnnealOptions options, SampleResult& score,
+    std::vector<std::pair<std::string, int>>* demand_out) {
+  // Throughput must be placement-driven: score against the topology with
+  // its generator RS annotations cleared, then apply the demand the
+  // annealed placement implies. One incremental engine serves the whole
+  // run — the RS graph is built once here and every anneal move mutates it
+  // in place.
+  graph::Digraph base = topology;
+  for (graph::EdgeId e = 0; e < base.num_edges(); ++e)
+    base.edge(e).relay_stations = 0;
+  graph::ThroughputEngine engine(std::move(base));
+
+  options.throughput_fn = nullptr;  // the private engine is the oracle
+  options.throughput_engine = &engine;
+  const auto anneal_start = std::chrono::steady_clock::now();
+  const fplan::AnnealResult annealed = fplan::anneal(instance, options);
+  score.anneal_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - anneal_start)
+                        .count();
+  score.throughput_ms = annealed.throughput_ms;
+  score.area = annealed.area;
+  score.wirelength = annealed.wirelength;
+
+  auto demand =
+      fplan::rs_demand(instance, annealed.placement, options.delay_model);
+  score.total_rs = 0;
+  for (const auto& [connection, rs] : demand) {
+    (void)connection;
+    score.total_rs += rs;
+  }
+  score.throughput = engine.throughput(demand);
+  score.engine_incremental = engine.stats().incremental();
+  score.engine_fallbacks = engine.stats().fallbacks;
+  if (demand_out != nullptr) *demand_out = std::move(demand);
+  return annealed;
+}
+
 SampleResult run_sample_job(const SampleJob& job,
                             sim::GoldenCache* golden_cache) {
   const FamilySpec& family = job.family;
@@ -51,40 +90,12 @@ SampleResult run_sample_job(const SampleJob& job,
   result.nodes = topology.num_nodes();
   result.edges = topology.num_edges();
 
-  // Throughput must be placement-driven: score against the topology with
-  // its generator RS annotations cleared, then apply the demand the
-  // annealed placement implies. The sample owns one incremental engine for
-  // its whole lifetime — the RS graph is built once here and every anneal
-  // move mutates it in place.
-  graph::Digraph base = topology;
-  for (graph::EdgeId e = 0; e < base.num_edges(); ++e)
-    base.edge(e).relay_stations = 0;
-  graph::ThroughputEngine engine(std::move(base));
-
   fplan::AnnealOptions options = job.anneal;
-  options.throughput_fn = nullptr;  // the private engine is the oracle
   if (family.anneal_iterations > 0)
     options.iterations = family.anneal_iterations;
   options.seed = result.seed;
-  options.throughput_engine = &engine;
-  const auto anneal_start = std::chrono::steady_clock::now();
-  const fplan::AnnealResult annealed = fplan::anneal(sys.instance, options);
-  result.anneal_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - anneal_start)
-                         .count();
-  result.throughput_ms = annealed.throughput_ms;
-  result.area = annealed.area;
-  result.wirelength = annealed.wirelength;
-
-  const auto demand =
-      fplan::rs_demand(sys.instance, annealed.placement, options.delay_model);
-  for (const auto& [connection, rs] : demand) {
-    (void)connection;
-    result.total_rs += rs;
-  }
-  result.throughput = engine.throughput(demand);
-  result.engine_incremental = engine.stats().incremental();
-  result.engine_fallbacks = engine.stats().fallbacks;
+  std::vector<std::pair<std::string, int>> demand;
+  anneal_and_score(topology, sys.instance, options, result, &demand);
 
   if (job.simulate.enabled) {
     WP_REQUIRE(!sys.netlist.empty(),

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "floorplan/annealer.hpp"
@@ -194,6 +195,20 @@ std::vector<FamilySpec> scale_family_specs();
 /// so filtered/reordered/sharded runs reproduce full-run rows bit for bit.
 std::uint64_t derive_sample_seed(std::uint64_t ensemble_seed,
                                  const std::string& family_name, int sample);
+
+/// The placement-driven scoring half of a sample, shared with the
+/// floorplan-anneal evaluation request: clears the generator RS annotations
+/// of `topology`, anneals `instance` with a private incremental
+/// ThroughputEngine over it, derives the annealed placement's
+/// per-connection RS demand and scores it with one final engine query.
+/// Writes area, wirelength, total_rs, throughput, the engine counters
+/// (anneal moves + final query) and the anneal timings into `score`;
+/// returns the anneal itself (placement, cost, move counts) and hands the
+/// demand to `demand` when non-null. Deterministic in its inputs.
+fplan::AnnealResult anneal_and_score(
+    const graph::Digraph& topology, const fplan::Instance& instance,
+    fplan::AnnealOptions options, SampleResult& score,
+    std::vector<std::pair<std::string, int>>* demand = nullptr);
 
 /// Scores one sample through the full pipeline (generate → dress → anneal
 /// → RS demand → throughput, plus the opt-in golden/WP1/WP2 netlist

@@ -77,9 +77,7 @@ Frame decode_frame(const void* data, std::size_t size) {
           "frame size disagrees with the declared payload length");
     Frame frame;
     frame.type = static_cast<FrameType>(type);
-    frame.payload.resize(len);
-    for (std::uint32_t i = 0; i < len; ++i)
-      frame.payload[i] = static_cast<char>(r.u8());
+    frame.payload = r.raw(len);
     if (r.u64() != payload_checksum(frame.payload))
       throw ProtocolError(ErrorCode::kMalformedFrame,
                           "payload checksum mismatch");

@@ -82,11 +82,12 @@ double Reader::f64() {
   return v;
 }
 
-std::string Reader::str() {
-  const std::uint32_t n = u32();
-  if (size_ - pos_ < n) throw WireError("string length exceeds payload");
-  std::string s(data_ + pos_, n);
-  pos_ += n;
+std::string Reader::str() { return raw(u32()); }
+
+std::string Reader::raw(std::size_t size) {
+  if (size_ - pos_ < size) throw WireError("length exceeds wire payload");
+  std::string s(data_ + pos_, size);
+  pos_ += size;
   return s;
 }
 

@@ -63,7 +63,8 @@ class Reader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   bool b();           ///< strict: only 0/1 are valid encodings
   double f64();
-  std::string str();
+  std::string str();  ///< u32 length + bytes
+  std::string raw(std::size_t size);  ///< the next `size` bytes, verbatim
 
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }

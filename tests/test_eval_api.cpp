@@ -1,12 +1,16 @@
 // EvalRequest/EvalReply API suite: wire primitive round trips and
 // truncation behavior, per-kind request/reply serialize→deserialize
-// identity, content-hash stability, the inline-program wire guard, the
+// identity against pinned wire images, canonical decode (seeded byte
+// mutations either fail with WireError or re-encode to the mutated bytes;
+// out-of-range ints and unordered rs maps are rejected), content-hash
+// stability, the inline-program wire guard, the
 // adapter guarantee (proc::run_experiment / simulate_wp2_throughput /
 // ParallelSweep rows are bit-identical to direct SimOracle calls), and
 // error containment in eval::evaluate.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "proc/programs.hpp"
 #include "sim/oracle.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/wire.hpp"
 
 namespace wp::eval {
@@ -69,6 +74,16 @@ TEST(Wire, StringLengthBeyondBufferThrows) {
   w.raw("abc", 3);
   wire::Reader r(w.bytes());
   EXPECT_THROW(r.str(), wire::WireError);
+}
+
+TEST(Wire, RawReadsVerbatimWithinBounds) {
+  wire::Writer w;
+  w.raw("abc\0ef", 6);
+  wire::Reader r(w.bytes());
+  EXPECT_EQ(r.raw(4), std::string("abc\0", 4));
+  EXPECT_THROW(r.raw(3), wire::WireError);  // only 2 bytes remain
+  EXPECT_EQ(r.raw(2), "ef");                // a failed read consumes nothing
+  EXPECT_NO_THROW(r.expect_done());
 }
 
 TEST(Wire, TrailingGarbageDetected) {
@@ -134,18 +149,54 @@ EvalRequest sample_ensemble_request() {
   return EvalRequest(job);
 }
 
+EvalRequest sample_stream_request() {
+  StreamJob job;
+  job.graph.tokens = 900;
+  job.graph.fir_stages = 2;
+  job.graph.branches = 2;
+  job.graph.agc_period = 8;
+  job.graph.gain_period = 2;
+  job.graph.agc_target = 0.5;
+  job.graph.seed = 11;
+  job.graph.fir = {0.125, 0.75, 0.125};
+  job.graph.feedback_rs = 2;
+  job.graph.forward_rs = 1;
+  job.mode = stream::RunMode::kWp2;
+  job.fifo_capacity = 8;
+  return EvalRequest(std::move(job));
+}
+
+/// One request per kind, in RequestKind order.
+std::vector<EvalRequest> request_fixtures() {
+  return {sample_experiment_request(), sample_throughput_request(),
+          sample_floorplan_request(), sample_ensemble_request(),
+          sample_stream_request()};
+}
+
 std::string encoded(const EvalRequest& request) {
   wire::Writer w;
   request.encode(w);
   return w.take();
 }
 
+std::uint64_t image_hash(const std::string& bytes) {
+  return hash_bytes(bytes.data(), bytes.size());
+}
+
 TEST(EvalRequestWire, RoundTripIdentityPerKind) {
-  const std::vector<EvalRequest> requests = {
-      sample_experiment_request(), sample_throughput_request(),
-      sample_floorplan_request(), sample_ensemble_request()};
-  for (const EvalRequest& request : requests) {
+  // hash_bytes of each fixture's wire image, in request_fixtures() order.
+  // These pin the kEvalVersion 3 layout: a change here is a wire-format
+  // change and must bump kEvalVersion.
+  const std::vector<std::uint64_t> pinned = {
+      0x1edd2e3ed2c22441ULL, 0xd6e861a1e1415c5aULL,
+      0x4b94a3219ccd3d89ULL, 0x830e1292740cb9faULL,
+      0x3e64ba984b292f89ULL};
+  const std::vector<EvalRequest> requests = request_fixtures();
+  ASSERT_EQ(requests.size(), pinned.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const EvalRequest& request = requests[i];
     const std::string bytes = encoded(request);
+    EXPECT_EQ(image_hash(bytes), pinned[i]) << request_kind_name(request.kind);
     wire::Reader r(bytes);
     const EvalRequest decoded = EvalRequest::decode(r);
     EXPECT_NO_THROW(r.expect_done());
@@ -186,6 +237,9 @@ TEST(EvalRequestWire, InlineProgramIsNotWireable) {
   // inlined copies of the same program agree.
   const EvalRequest again((ExperimentJob(job)));
   EXPECT_EQ(request.content_hash(), again.content_hash());
+  // Pinned like the wire images: the inline program's name, source and
+  // ram are what the hash digests.
+  EXPECT_EQ(request.content_hash(), 0x4a2edf450b290f39ULL);
 }
 
 TEST(EvalRequestWire, ForeignVersionRejected) {
@@ -228,7 +282,8 @@ TEST(EvalRequestWire, TruncatedRequestRejected) {
   }
 }
 
-TEST(EvalReplyWire, RoundTripPerKind) {
+/// One reply per kind, in ReplyKind order.
+std::vector<EvalReply> reply_fixtures() {
   std::vector<EvalReply> replies;
   replies.push_back(EvalReply::make_error(ErrorCode::kEvalFailed, "boom"));
   {
@@ -264,16 +319,121 @@ TEST(EvalReplyWire, RoundTripPerKind) {
     reply.sample.anneal_ms = 3.25;  // timings ride the wire too
     replies.push_back(reply);
   }
-  for (const EvalReply& reply : replies) {
-    wire::Writer w;
-    reply.encode(w);
-    wire::Reader r(w.bytes());
+  {
+    EvalReply reply;
+    reply.kind = ReplyKind::kStream;
+    reply.stream.tokens = 1400;
+    reply.stream.cycles = 1620;
+    reply.stream.digest = 0xdeadbeefcafef00dULL;
+    reply.stream.sink_digests = {1, 2};
+    reply.stream.sink_counts = {700, 700};
+    reply.stream.input_stalls = 11;
+    reply.stream.discarded_tokens = 3;
+    reply.stream.tokens_per_sec = 123456.0;
+    replies.push_back(reply);
+  }
+  return replies;
+}
+
+std::string encoded(const EvalReply& reply) {
+  wire::Writer w;
+  reply.encode(w);
+  return w.take();
+}
+
+TEST(EvalReplyWire, RoundTripPerKind) {
+  // hash_bytes of each fixture's wire image, in reply_fixtures() order
+  // (pinned like the request images above).
+  const std::vector<std::uint64_t> pinned = {
+      0xe4959458e4a1c4edULL, 0xc260c8a89fa4650bULL,
+      0x5dd09d147cea4b19ULL, 0x50df2b736107d90fULL,
+      0xffbe77194aea8a79ULL, 0xcc7ffb1c0bd4e516ULL};
+  const std::vector<EvalReply> replies = reply_fixtures();
+  ASSERT_EQ(replies.size(), pinned.size());
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    const EvalReply& reply = replies[i];
+    const std::string bytes = encoded(reply);
+    EXPECT_EQ(image_hash(bytes), pinned[i])
+        << static_cast<int>(reply.kind);
+    wire::Reader r(bytes);
     const EvalReply decoded = EvalReply::decode(r);
     EXPECT_NO_THROW(r.expect_done());
     EXPECT_EQ(decoded.kind, reply.kind);
-    wire::Writer again;
-    decoded.encode(again);
-    EXPECT_EQ(again.bytes(), w.bytes());
+    EXPECT_EQ(encoded(decoded), bytes);
+  }
+}
+
+// Canonical decode: every byte image a decoder accepts is exactly the
+// encoding of what it decoded, so a request's content hash (the cache and
+// shard key) always names the bytes that were sent. Mutates 1-2 bytes of
+// `image` per trial; a decode may fail only with WireError.
+template <class T>
+void expect_canonical_decode(const std::string& image, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  int accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string bytes = image;
+    const int flips = 1 + static_cast<int>(rng() % 2);
+    for (int f = 0; f < flips; ++f)
+      bytes[rng() % bytes.size()] = static_cast<char>(rng() & 0xff);
+    T decoded;
+    try {
+      wire::Reader r(bytes);
+      decoded = T::decode(r);
+      r.expect_done();
+    } catch (const wire::WireError&) {
+      continue;
+    }
+    ++accepted;
+    wire::Writer w;
+    decoded.encode(w);
+    ASSERT_EQ(w.bytes(), bytes) << "seed " << seed << " trial " << trial;
+  }
+  EXPECT_GT(accepted, 0) << "seed " << seed;
+}
+
+TEST(EvalRequestWire, MutatedImagesDecodeCanonicallyOrNotAtAll) {
+  std::uint64_t seed = 1;
+  for (const EvalRequest& request : request_fixtures())
+    expect_canonical_decode<EvalRequest>(encoded(request), seed++);
+}
+
+TEST(EvalReplyWire, MutatedImagesDecodeCanonicallyOrNotAtAll) {
+  std::uint64_t seed = 101;
+  for (const EvalReply& reply : reply_fixtures())
+    expect_canonical_decode<EvalReply>(encoded(reply), seed++);
+}
+
+TEST(EvalRequestWire, IntFieldOutOfRangeRejected) {
+  // feedback_rs is an int carried as i64: locate its low byte as the one
+  // byte where feedback_rs 2 and 3 differ, then plant 2^32 + 1.
+  EvalRequest three = sample_stream_request();
+  three.stream.graph.feedback_rs = 3;
+  const std::string reference = encoded(sample_stream_request());
+  const std::string changed = encoded(three);
+  ASSERT_EQ(reference.size(), changed.size());
+  std::size_t low = reference.size();
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    if (reference[i] != changed[i]) low = i;
+  ASSERT_LT(low + 7, reference.size());
+  std::string bytes = reference;
+  bytes[low] = 1;
+  bytes[low + 4] = 1;
+  wire::Reader r(bytes);
+  EXPECT_THROW(EvalRequest::decode(r), wire::WireError);
+}
+
+TEST(EvalRequestWire, RsMapNamesMustStrictlyIncrease) {
+  ThroughputJob job;
+  job.rs = {{"AA", 1}, {"BB", 2}};
+  const std::string image = encoded(EvalRequest(std::move(job)));
+  const std::size_t second = image.find("BB");
+  ASSERT_NE(second, std::string::npos);
+  for (const char* name : {"AA", "A0"}) {  // a repeat, then a decrease
+    std::string bytes = image;
+    bytes.replace(second, 2, name);
+    wire::Reader r(bytes);
+    EXPECT_THROW(EvalRequest::decode(r), wire::WireError) << name;
   }
 }
 

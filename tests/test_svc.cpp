@@ -2,8 +2,9 @@
 // of every framing violation (bad magic / foreign version / reserved bits
 // / oversize / checksum / trailing bytes), batch payload codecs, and an
 // in-process EvalServer driven over real AF_UNIX sockets — replies must
-// equal eval::evaluate_batch, a malformed payload must cost one kError
-// frame but not the connection, a framing violation must cost the
+// equal eval::evaluate_batch, a malformed payload (including a
+// non-canonical request encoding) must cost one kError frame but not the
+// connection, a framing violation must cost the
 // connection but never the server, seeded random byte blobs must never
 // crash it, and evaluate_sharded across two servers must merge back to
 // the single-process reply stream.
@@ -227,6 +228,44 @@ TEST(EvalServer, MalformedPayloadCostsOneErrorFrameNotTheConnection) {
   server.stop();
   EXPECT_EQ(server.stats().dropped_connections, 0u);
   EXPECT_GE(server.stats().error_frames, 1u);
+}
+
+TEST(EvalServer, NonCanonicalRequestIsMalformedNotServed) {
+  // Two well-framed batches whose requests decode only non-canonically
+  // (an rs map that repeats a name; an int field past int range) must be
+  // answered kMalformedRequest, never run as some other request.
+  eval::ThroughputJob job;
+  job.rs = {{"AA", 1}, {"BB", 2}};
+  std::string repeated = encode_request_batch({eval::EvalRequest(job)});
+  repeated.replace(repeated.find("BB"), 2, "AA");
+
+  auto stream_batch = [](int feedback_rs) {
+    eval::StreamJob stream;
+    stream.graph.feedback_rs = feedback_rs;
+    return encode_request_batch({eval::EvalRequest(stream)});
+  };
+  // feedback_rs 2 and 3 differ in one byte: the low byte of its i64.
+  std::string wide = stream_batch(2);
+  const std::string three = stream_batch(3);
+  std::size_t low = 0;
+  while (wide[low] == three[low]) ++low;
+  wide[low + 4] = 1;  // 2^32 + 2
+
+  EvalServer server(test_server_options());
+  server.start();
+  const int fd = raw_connect(server.socket_path());
+  for (const std::string& payload : {repeated, wide}) {
+    write_frame(fd, FrameType::kEvalBatch, payload);
+    auto reply = read_frame(fd);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, FrameType::kError);
+    EXPECT_EQ(decode_error(reply->payload).code,
+              eval::ErrorCode::kMalformedRequest);
+  }
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().requests, 0u);
+  EXPECT_EQ(server.stats().dropped_connections, 0u);
 }
 
 TEST(EvalServer, FramingViolationDropsOnlyThatConnection) {
