@@ -31,8 +31,9 @@ void BM_RingSimulation(benchmark::State& state) {
   spec.set_connection_rs("r0", 2);
   wp::LidSystem lid = build_lid(spec, wp::ShellOptions{}, false);
   for (auto _ : state) lid.network->step();
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(lid.network->node_count()));
+  const auto elements = static_cast<std::int64_t>(
+      lid.network->shell_count() + lid.network->relay_station_count());
+  state.SetItemsProcessed(state.iterations() * elements);
   state.counters["cycles/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);

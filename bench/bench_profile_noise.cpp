@@ -66,7 +66,7 @@ int main() {
   TextTable noise_table({"stall probability", "Th WP1", "Th WP2",
                          "equivalent"});
   noise_table.add_section(
-      "Random congestion on every channel (StallInjector), config all-0");
+      "Random congestion on every channel (noise stations), config all-0");
   noise_table.add_separator();
   SystemSpec spec = make_cpu_system(program, {});
   GoldenSim golden(spec, true);
@@ -88,14 +88,14 @@ int main() {
           equivalent && check_equivalence(golden.trace(), lid.trace)
                             .equivalent;
     }
-    noise_table.add_row({p > 0 && p < 1e-6 ? "0+ (injectors only)"
+    noise_table.add_row({p > 0 && p < 1e-6 ? "0+ (stations only)"
                                            : fmt_fixed(p, 2),
                          fmt_fixed(th[0], 3), fmt_fixed(th[1], 3),
                          equivalent ? "yes" : "NO"});
   }
   noise_table.print(std::cout);
-  std::cout << "The 0+ row isolates the injectors' structural cost (one "
-               "relay-station\nlatency per channel, CU-IC fetch loop "
+  std::cout << "The 0+ row isolates the noise stations' structural cost "
+               "(one relay-station\nlatency per channel, CU-IC fetch loop "
                "included); the rows below it add\nactual random stalls. "
                "Behaviour is preserved at every noise level —\nlatency "
                "insensitivity, executed.\n";

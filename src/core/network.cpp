@@ -9,55 +9,68 @@ Wire* Network::make_wire(std::string name) {
   return &wires_.back();
 }
 
+Shell* Network::add_shell(std::unique_ptr<Shell> shell) {
+  WP_REQUIRE(shell != nullptr, "null shell");
+  if (shell->halted()) ++halted_;
+  shells_.push_back(std::move(shell));
+  return shells_.back().get();
+}
+
+void Network::add_relay_station(Wire* in, Wire* out,
+                                double stall_probability,
+                                std::uint64_t seed) {
+  stations_.emplace_back(in, out, stall_probability, seed);
+}
+
 void Network::step() {
-  for (auto& node : nodes_) node->eval(cycle_);
-  for (auto& node : nodes_) node->commit(cycle_);
+  for (auto& shell : shells_) shell->eval();
+  for (auto& station : stations_) station.eval();
+  for (auto& shell : shells_) {
+    // A process halts only by firing, so the halted count moves here too.
+    if (shell->commit(cycle_)) {
+      ++firings_;
+      if (shell->halted()) ++halted_;
+    }
+  }
+  for (auto& station : stations_) station.commit();
   ++cycle_;
 }
 
 std::uint64_t Network::run(std::uint64_t max_cycles,
-                           const std::function<bool()>& stop) {
+                           std::size_t halted_shells) {
   std::uint64_t executed = 0;
   std::uint64_t idle = 0;
-  while (executed < max_cycles) {
-    if (stop && stop()) break;
+  std::uint64_t last_firings = firings_;
+  while (executed < max_cycles && halted_ < halted_shells) {
     step();
     ++executed;
-    if (watchdog_) {
-      if (watchdog_()) {
-        idle = 0;
-      } else if (++idle >= watchdog_window_) {
-        WP_CHECK(false, "deadlock watchdog: no progress for " +
-                            std::to_string(idle) + " cycles at cycle " +
-                            std::to_string(cycle_));
-      }
+    if (firings_ != last_firings) {
+      last_firings = firings_;
+      idle = 0;
+    } else if (++idle >= kDeadlockWindow) {
+      WP_CHECK(false, "deadlock watchdog: no progress for " +
+                          std::to_string(idle) + " cycles at cycle " +
+                          std::to_string(cycle_));
     }
   }
   return executed;
 }
 
-void Network::arm_watchdog(std::function<bool()> progress,
-                           std::uint64_t window) {
-  WP_REQUIRE(window > 0, "watchdog window must be positive");
-  watchdog_ = std::move(progress);
-  watchdog_window_ = window;
-}
-
 void Network::reset() {
   for (auto& wire : wires_) wire.reset();
-  for (auto& node : nodes_) node->reset();
+  firings_ = 0;
+  halted_ = 0;
+  for (auto& shell : shells_) {
+    shell->reset();
+    if (shell->halted()) ++halted_;
+  }
+  for (auto& station : stations_) station.reset();
   cycle_ = 0;
 }
 
 Wire* Network::wire_at(std::size_t index) {
   WP_REQUIRE(index < wires_.size(), "wire index out of range");
   return &wires_[index];
-}
-
-Node* Network::find(const std::string& name) const {
-  for (const auto& node : nodes_)
-    if (node->name() == name) return node.get();
-  return nullptr;
 }
 
 }  // namespace wp

@@ -1,68 +1,82 @@
-// The clocked simulation kernel: owns nodes and wires and advances them with
-// the two-phase (eval/commit) clock. Because every node is a Moore machine,
-// phase-internal ordering is irrelevant and the kernel is trivially
-// deterministic.
+// The LID simulation kernel: the paper's two elements — a shell around
+// every IP block and the relay stations that pipeline the wires — plus the
+// wires between them, advanced by a two-phase clock. step() runs eval over
+// the shells, eval over the stations, commit over the shells and commit
+// over the stations. Every element is a Moore machine (eval drives wires
+// from registered state, commit samples them), so the order within a
+// phase is irrelevant and the kernel is deterministic.
+//
+// run() is the one run loop, shared by LidSystem::run_until_halt and the
+// stream harness. The shell commits keep a running firing total and a
+// count of halted shells, so the loop's stop test and its deadlock
+// watchdog read two integers instead of walking the shells every cycle.
 #pragma once
 
+#include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/node.hpp"
+#include "core/relay_station.hpp"
+#include "core/shell.hpp"
 #include "core/wire.hpp"
 
 namespace wp {
 
 class Network {
  public:
+  /// run() throws ContractViolation once no shell has fired for this many
+  /// consecutive cycles: a protocol deadlock fails loudly, not by timeout.
+  static constexpr std::uint64_t kDeadlockWindow = 100000;
+
   Network() = default;
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Creates a wire owned by the network (stable address).
   Wire* make_wire(std::string name = {});
 
-  /// Adds a node; returns a borrowed pointer of the concrete type.
-  template <typename T>
-  T* add_node(std::unique_ptr<T> node) {
-    T* raw = node.get();
-    nodes_.push_back(std::move(node));
-    return raw;
-  }
+  /// Adds a shell; returns a borrowed pointer (stable address).
+  Shell* add_shell(std::unique_ptr<Shell> shell);
 
-  /// Advances one clock cycle (eval all, then commit all).
+  /// Adds a relay station in → out. A positive `stall_probability` makes
+  /// it a noise station with its own Rng seeded by `seed`.
+  void add_relay_station(Wire* in, Wire* out, double stall_probability = 0.0,
+                         std::uint64_t seed = 0);
+
+  /// Advances one clock cycle.
   void step();
 
-  /// Runs until `stop()` returns true or `max_cycles` elapse. Returns the
-  /// number of cycles executed. Throws if the deadlock watchdog trips (no
-  /// progress callback signal for `deadlock_window` cycles, if armed).
-  std::uint64_t run(std::uint64_t max_cycles,
-                    const std::function<bool()>& stop);
+  /// Steps until at least `halted_shells` shells have halted or
+  /// `max_cycles` elapse; returns the number of cycles executed. Throws
+  /// ContractViolation when the firing total stays unchanged for
+  /// kDeadlockWindow consecutive cycles.
+  std::uint64_t run(std::uint64_t max_cycles, std::size_t halted_shells);
 
-  /// Arms a watchdog: `progress()` is polled each cycle; if it returns false
-  /// for `window` consecutive cycles, run() throws. Used by tests to turn
-  /// protocol deadlocks into failures instead of timeouts.
-  void arm_watchdog(std::function<bool()> progress, std::uint64_t window);
-
-  /// Resets every node, every wire and the cycle counter.
+  /// Resets every shell, relay station and wire, the cycle counter and the
+  /// firing and halted counts.
   void reset();
 
   Cycle cycle() const { return cycle_; }
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t shell_count() const { return shells_.size(); }
+  std::size_t relay_station_count() const { return stations_.size(); }
   std::size_t wire_count() const { return wires_.size(); }
+  /// Firings of every shell since construction or reset().
+  std::uint64_t firings() const { return firings_; }
+  /// Shells whose process has halted.
+  std::size_t halted_shells() const { return halted_; }
 
   /// Access to owned wires for instrumentation (e.g. VCD sampling).
   Wire* wire_at(std::size_t index);
 
-  /// Finds a node by name; nullptr if absent.
-  Node* find(const std::string& name) const;
-
  private:
   std::deque<Wire> wires_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::unique_ptr<Shell>> shells_;
+  std::vector<RelayStation> stations_;
   Cycle cycle_ = 0;
-  std::function<bool()> watchdog_;
-  std::uint64_t watchdog_window_ = 0;
+  std::uint64_t firings_ = 0;
+  std::size_t halted_ = 0;
 };
 
 }  // namespace wp

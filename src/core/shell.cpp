@@ -8,7 +8,7 @@ namespace wp {
 
 Shell::Shell(std::string name, std::unique_ptr<Process> process,
              ShellOptions options)
-    : Node(std::move(name)),
+    : name_(std::move(name)),
       process_(std::move(process)),
       options_(options) {
   WP_REQUIRE(process_ != nullptr, "shell requires a process");
@@ -46,9 +46,9 @@ void Shell::set_fire_observer(FireObserver observer) {
   observer_ = std::move(observer);
 }
 
-void Shell::eval(Cycle /*cycle*/) {
+void Shell::eval() {
   for (auto& input : in_) {
-    WP_CHECK(input.wire != nullptr, "unconnected input port on " + name());
+    WP_CHECK(input.wire != nullptr, "unconnected input port on " + name_);
     input.stop_driven = input.fifo.size() >= options_.fifo_capacity;
     input.wire->drive_stop(input.stop_driven);
   }
@@ -66,7 +66,7 @@ bool Shell::all_outputs_delivered() const {
   return true;
 }
 
-void Shell::commit(Cycle cycle) {
+bool Shell::commit(Cycle cycle) {
   // 1. Delivery bookkeeping: a pending token is transferred on each branch
   //    whose stop line is low this cycle.
   for (auto& output : out_) {
@@ -88,7 +88,7 @@ void Shell::commit(Cycle cycle) {
     const Tag tag = input.received++;
     if (tag >= firing_counter_) {
       WP_CHECK(input.fifo.size() < options_.fifo_capacity,
-               "input FIFO overflow on " + name());
+               "input FIFO overflow on " + name_);
       input.fifo.push_back({tag, tok.value});
     } else {
       // The process already advanced past this tag without reading the
@@ -106,15 +106,15 @@ void Shell::commit(Cycle cycle) {
     }
   }
 
-  try_fire(cycle);
+  return try_fire(cycle);
 }
 
-void Shell::try_fire(Cycle cycle) {
-  if (process_->halted()) return;
+bool Shell::try_fire(Cycle cycle) {
+  if (process_->halted()) return false;
 
   if (!all_outputs_delivered()) {
     ++stats_.stalls_output;
-    return;
+    return false;
   }
 
   // Availability of current-tag tokens.
@@ -122,7 +122,7 @@ void Shell::try_fire(Cycle cycle) {
     const auto& fifo = in_[i].fifo;
     if (!fifo.empty()) {
       WP_CHECK(fifo.front().tag >= firing_counter_,
-               "stale token survived purge on " + name());
+               "stale token survived purge on " + name_);
       avail_[i] = fifo.front().tag == firing_counter_;
       peek_values_[i] = avail_[i] ? fifo.front().value : kPoisonWord;
     } else {
@@ -141,7 +141,7 @@ void Shell::try_fire(Cycle cycle) {
     if ((required >> i) & 1u) {
       if (!avail_[i]) {
         ++stats_.stalls_input;
-        return;  // a required current-tag token is missing: stall, emit τ
+        return false;  // required current-tag token missing: stall, emit τ
       }
     }
   }
@@ -172,6 +172,7 @@ void Shell::try_fire(Cycle cycle) {
   const Tag tag = firing_counter_++;
   ++stats_.firings;
   if (observer_) observer_(cycle, tag, fire_out_.data());
+  return true;
 }
 
 void Shell::reset() {

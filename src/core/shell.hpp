@@ -20,13 +20,20 @@
 // Each channel carries exactly one initial token (the reset value of the
 // producer's golden output register), which gives the marked-graph semantics
 // behind the paper's Th = m/(m+n) loop formula.
+//
+// A shell is a Moore machine stepped by Network::step in two phases:
+//   eval()        — drive output tokens and input stop lines from registered
+//                   state only; never reads a wire;
+//   commit(cycle) — sample the wires, update the FIFOs and maybe fire.
+// So the order in which shells and relay stations are stepped within a
+// phase never changes the result.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "core/node.hpp"
 #include "core/process.hpp"
 #include "core/token_ring.hpp"
 #include "core/wire.hpp"
@@ -53,10 +60,12 @@ struct ShellStats {
   std::uint64_t discarded_tokens = 0;  ///< stale tokens dropped (WP2 only)
 };
 
-class Shell final : public Node {
+class Shell {
  public:
   Shell(std::string name, std::unique_ptr<Process> process,
         ShellOptions options);
+  Shell(const Shell&) = delete;
+  Shell& operator=(const Shell&) = delete;
 
   /// Connects input port `port` to `wire`. `initial_value` is the reset
   /// value of the producing golden register; it seeds the channel's single
@@ -73,10 +82,15 @@ class Shell final : public Node {
       std::function<void(Cycle cycle, Tag tag, const Word* outs)>;
   void set_fire_observer(FireObserver observer);
 
-  void eval(Cycle cycle) override;
-  void commit(Cycle cycle) override;
-  void reset() override;
+  /// Phase 1: drive output tokens and input stop lines.
+  void eval();
+  /// Phase 2: sample wires, accept tokens, try to fire. Returns true iff
+  /// the process fired this cycle.
+  bool commit(Cycle cycle);
+  /// Power-on state: process reset, initial tokens re-seeded.
+  void reset();
 
+  const std::string& name() const { return name_; }
   const Process& process() const { return *process_; }
   Process& process() { return *process_; }
   const ShellStats& stats() const { return stats_; }
@@ -100,8 +114,9 @@ class Shell final : public Node {
   };
 
   bool all_outputs_delivered() const;
-  void try_fire(Cycle cycle);
+  bool try_fire(Cycle cycle);
 
+  std::string name_;
   std::unique_ptr<Process> process_;
   ShellOptions options_;
   std::vector<InputState> in_;

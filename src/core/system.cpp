@@ -4,8 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "core/relay_station.hpp"
-#include "core/stall_injector.hpp"
 #include "util/rng.hpp"
 #include "util/assert.hpp"
 
@@ -124,7 +122,7 @@ LidSystem build_lid(const SystemSpec& spec, const ShellOptions& options,
     auto process = spec.instantiate(name);
     auto shell =
         std::make_unique<Shell>(name, std::move(process), options);
-    lid.shells[name] = lid.network->add_node(std::move(shell));
+    lid.shells[name] = lid.network->add_shell(std::move(shell));
   }
 
   for (const auto& ch : spec.channels()) {
@@ -142,15 +140,13 @@ LidSystem build_lid(const SystemSpec& spec, const ShellOptions& options,
     Wire* tail = head;
     for (int k = 0; k < ch.relay_stations; ++k) {
       Wire* next = lid.network->make_wire(base + "#" + std::to_string(k + 1));
-      lid.network->add_node(std::make_unique<RelayStation>(
-          base + ".rs" + std::to_string(k), tail, next));
+      lid.network->add_relay_station(tail, next);
       tail = next;
     }
     if (noise.stall_probability > 0.0) {
       Wire* next = lid.network->make_wire(base + "#noise");
-      lid.network->add_node(std::make_unique<StallInjector>(
-          base + ".noise", tail, next, noise.stall_probability,
-          noise_rng()));
+      lid.network->add_relay_station(tail, next, noise.stall_probability,
+                                     noise_rng());
       tail = next;
     }
     to->connect_input(in_port, tail, seed);
@@ -175,34 +171,9 @@ LidSystem build_lid(const SystemSpec& spec, const ShellOptions& options,
   return lid;
 }
 
-std::uint64_t LidSystem::total_firings() const {
-  std::uint64_t total = 0;
-  for (const auto& [name, shell] : shells) {
-    (void)name;
-    total += shell->stats().firings;
-  }
-  return total;
-}
-
 std::uint64_t LidSystem::run_until_halt(std::uint64_t max_cycles,
                                         std::uint64_t grace) {
-  std::uint64_t last_firings = 0;
-  network->arm_watchdog(
-      [this, &last_firings]() {
-        const std::uint64_t now = total_firings();
-        const bool progressed = now != last_firings;
-        last_firings = now;
-        return progressed;
-      },
-      /*window=*/100000);
-  const std::uint64_t halt_cycle =
-      network->run(max_cycles, [this]() {
-        for (const auto& [name, shell] : shells) {
-          (void)name;
-          if (shell->halted()) return true;
-        }
-        return false;
-      });
+  const std::uint64_t halt_cycle = network->run(max_cycles, 1);
   for (std::uint64_t i = 0; i < grace; ++i) network->step();
   return halt_cycle;
 }

@@ -85,27 +85,28 @@ class SystemSpec {
   std::vector<ChannelDecl> channels_;
 };
 
-/// The wire-pipelined instantiation: a Network plus name → shell map.
+/// The wire-pipelined instantiation: a Network plus name → shell map. It
+/// is movable: the shells live in the network, which lives on the heap.
 struct LidSystem {
   std::unique_ptr<Network> network;
   std::map<std::string, Shell*> shells;
   Trace trace;  // populated while running if tracing was requested
 
-  /// Runs until any shell's process halts (or max_cycles elapse), then runs
-  /// `grace` further cycles so in-flight tokens (e.g. trailing stores that
-  /// lag the halting block by the relay-station latency) drain. Returns the
-  /// cycle at which the halt was observed — the Table-1 "Cycles" metric.
+  /// Runs Network::run until one shell's process halts (or max_cycles
+  /// elapse), then runs `grace` further cycles so in-flight tokens (e.g.
+  /// trailing stores that lag the halting block by the relay-station
+  /// latency) drain. Returns the cycle at which the halt was observed — the
+  /// Table-1 "Cycles" metric. A deadlock throws ContractViolation.
   std::uint64_t run_until_halt(std::uint64_t max_cycles,
                                std::uint64_t grace = 256);
-
-  /// Sum of firings over all shells (used by the deadlock watchdog).
-  std::uint64_t total_firings() const;
 };
 
 /// Latency-noise injection applied at build time: when stall_probability is
-/// positive, one StallInjector is spliced into every channel (adding one
-/// relay-station-equivalent latency each), emulating congestion. The LID
-/// protocol must keep the system equivalent under any such noise.
+/// positive, one noise station (a RelayStation with that stall probability)
+/// is spliced into every channel, adding one relay-station latency each and
+/// emulating congestion. The stations are seeded in channel order from one
+/// Rng(seed). The LID protocol must keep the system equivalent under any
+/// such noise.
 struct NoiseOptions {
   double stall_probability = 0.0;
   std::uint64_t seed = 1;

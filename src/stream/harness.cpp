@@ -330,27 +330,13 @@ HarnessResult run_stream_graph(const StreamGraphConfig& config,
     shell.fifo_capacity = options.fifo_capacity;
     LidSystem lid = build_lid(spec, shell, false);
 
+    // Only the sinks halt in a stream graph: wait for all of them, so each
+    // branch holds exactly `tokens` samples and digests compare.
+    result.cycles = lid.network->run(max_cycles, sinks.size());
     std::vector<Shell*> sink_shells;
     sink_shells.reserve(sinks.size());
     for (const std::string& name : sinks)
       sink_shells.push_back(lid.shells.at(name));
-
-    std::uint64_t last_firings = 0;
-    lid.network->arm_watchdog(
-        [&lid, &last_firings]() {
-          const std::uint64_t now = lid.total_firings();
-          const bool progressed = now != last_firings;
-          last_firings = now;
-          return progressed;
-        },
-        /*window=*/100000);
-    // Run until EVERY sink halted (run_until_halt stops at the first),
-    // so each branch holds exactly `tokens` samples and digests compare.
-    result.cycles = lid.network->run(max_cycles, [&sink_shells]() {
-      for (const Shell* sink : sink_shells)
-        if (!sink->halted()) return false;
-      return true;
-    });
     bool all_halted = true;
     for (const Shell* sink : sink_shells)
       all_halted = all_halted && sink->halted();

@@ -13,15 +13,18 @@
 //          └► FIR1_0 ─ …                               (branch 1, …)
 //
 // run_stream_graph pushes tokens through the golden, WP1 or WP2
-// execution until EVERY sink halts (not the first — so each sink holds
-// exactly `tokens` samples and digests are comparable across runs),
-// measures tokens/sec, collects per-stage firing/backpressure counters
-// and optional per-stage fire-latency histograms, and flushes everything
-// into the src/obs metrics registry (`stream/tokens/*`,
-// `stream/backpressure/*`, `stream/stage_fire_ns/<stage>`), which means a
-// daemon serving stream evaluations exposes the same counters through its
-// kStatsRequest scrape. Exhausting the cycle budget without every sink
-// halting is a loud ContractViolation, never a silently truncated result.
+// execution until EVERY sink halts, so each sink holds exactly `tokens`
+// samples and digests are comparable across runs. A LID run uses the
+// kernel's one run loop, Network::run, waiting for `branches` halted
+// shells (only the sinks halt); LidSystem::run_until_halt is the same
+// loop waiting for one. The harness measures tokens/sec, collects
+// per-stage firing/backpressure counters and optional per-stage
+// fire-latency histograms, and flushes everything into the src/obs
+// metrics registry (`stream/tokens/*`, `stream/backpressure/*`,
+// `stream/stage_fire_ns/<stage>`), which means a daemon serving stream
+// evaluations exposes the same counters through its kStatsRequest
+// scrape. Exhausting the cycle budget without every sink halting is a
+// loud ContractViolation, never a silently truncated result.
 //
 // The harness is also the in-process half of the remote stream path:
 // eval::StreamJob (RequestKind::kStreamRun) carries a StreamGraphConfig

@@ -132,7 +132,7 @@ TEST(Vcd, TracksAShellNetwork) {
   Network net;
   Wire* in = net.make_wire("in");
   Wire* out = net.make_wire("out");
-  auto* shell = net.add_node(std::make_unique<Shell>(
+  auto* shell = net.add_shell(std::make_unique<Shell>(
       "id", std::make_unique<IdentityProcess>("id"), ShellOptions{}));
   shell->connect_input(0, in, 1);
   shell->add_output_wire(0, out);

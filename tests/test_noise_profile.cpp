@@ -1,13 +1,12 @@
-// Tests for the extension components: the latency-noise injector (the
-// executable form of latency-insensitivity) and the communication
-// profiler.
+// Tests for the extension components: latency-noise injection through
+// noise stations (the executable form of latency-insensitivity) and the
+// communication profiler.
 #include <gtest/gtest.h>
 
 #include "util/assert.hpp"
 
 #include "core/procs.hpp"
 #include "core/profile.hpp"
-#include "core/stall_injector.hpp"
 #include "core/system.hpp"
 #include "proc/blocks.hpp"
 #include "proc/experiment.hpp"
@@ -16,7 +15,9 @@
 namespace wp {
 namespace {
 
-// ------------------------------------------------------------ StallInjector
+// ------------------------------------------------------------ noise stations
+// The StallInjector suite tests noise stations: relay stations with a
+// stall probability, which inject stalls into a channel.
 
 TEST(StallInjector, TransparentAtZeroProbabilityUpToOneRs) {
   // p = 0: behaves as exactly one relay station (checked via a ring's
@@ -31,12 +32,13 @@ TEST(StallInjector, TransparentAtZeroProbabilityUpToOneRs) {
     spec.add_channel("p" + std::to_string(i), "out",
                      "p" + std::to_string((i + 1) % 3), "in");
   NoiseOptions noise;
-  noise.stall_probability = 1e-12;  // effectively 0, but injectors spliced
+  noise.stall_probability = 1e-12;  // effectively 0, but stations spliced
   LidSystem lid = build_lid(spec, ShellOptions{}, false, noise);
+  EXPECT_EQ(lid.network->relay_station_count(), 3u);  // one per channel
   for (int i = 0; i < 3000; ++i) lid.network->step();
   const double th =
       static_cast<double>(lid.shells.at("p0")->stats().firings) / 3000.0;
-  EXPECT_NEAR(th, 0.5, 0.01);  // 3 tokens / (3 + 3 injector stages)
+  EXPECT_NEAR(th, 0.5, 0.01);  // 3 tokens / (3 + 3 noise stations)
 }
 
 class NoiseEquivalence

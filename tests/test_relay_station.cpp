@@ -1,10 +1,10 @@
 // Relay-station protocol tests: latency, the two-register skid behaviour,
-// stop propagation, and a property test that no token is ever lost or
-// reordered under adversarial stall patterns.
+// stop propagation, the noise station's injected stalls, and a property
+// test that no token is ever lost or reordered under adversarial stall
+// patterns, with and without noise.
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "core/relay_station.hpp"
@@ -19,13 +19,14 @@ namespace {
 /// respects stop (holds its token) and a consumer that stalls on demand.
 class RsHarness {
  public:
-  explicit RsHarness(int num_stations) {
+  /// A positive `noise` makes every station a noise station (seeds 1..n).
+  explicit RsHarness(int num_stations, double noise = 0.0) {
     for (int i = 0; i <= num_stations; ++i)
       wires_.emplace_back("w" + std::to_string(i));
     for (int i = 0; i < num_stations; ++i)
-      stations_.push_back(std::make_unique<RelayStation>(
-          "rs" + std::to_string(i), &wires_[static_cast<std::size_t>(i)],
-          &wires_[static_cast<std::size_t>(i) + 1]));
+      stations_.emplace_back(&wires_[static_cast<std::size_t>(i)],
+                             &wires_[static_cast<std::size_t>(i) + 1], noise,
+                             static_cast<std::uint64_t>(i) + 1);
   }
 
   /// One cycle: producer offers `offer` (or holds the previously refused
@@ -33,7 +34,7 @@ class RsHarness {
   /// consumer this cycle (if any).
   std::optional<Word> step(std::optional<Word> offer, bool stall) {
     // eval phase
-    for (auto& rs : stations_) rs->eval(cycle_);
+    for (auto& rs : stations_) rs.eval();
     // producer drive: held token takes precedence
     if (!held_ && offer) held_ = offer;
     wires_.front().drive(held_ ? Token::make(*held_) : Token::tau());
@@ -43,20 +44,18 @@ class RsHarness {
     // commit phase
     std::optional<Word> delivered;
     if (wires_.back().transferring()) delivered = wires_.back().token().value;
-    for (auto& rs : stations_) rs->commit(cycle_);
+    for (auto& rs : stations_) rs.commit();
     if (held_ && !wires_.front().stop()) held_.reset();  // accepted
-    ++cycle_;
     return delivered;
   }
 
   bool producer_blocked() const { return held_.has_value(); }
-  RelayStation& station(int i) { return *stations_[static_cast<std::size_t>(i)]; }
+  RelayStation& station(int i) { return stations_[static_cast<std::size_t>(i)]; }
 
  private:
   std::deque<Wire> wires_;
-  std::vector<std::unique_ptr<RelayStation>> stations_;
+  std::vector<RelayStation> stations_;
   std::optional<Word> held_;
-  Cycle cycle_ = 0;
 };
 
 TEST(RelayStation, OneStationOneCycleLatency) {
@@ -136,14 +135,11 @@ TEST(RelayStation, OccupancyNeverExceedsTwo) {
 }
 
 /// The key property: an adversarially stalled chain delivers exactly the
-/// produced sequence, in order, without loss or duplication.
-class RelayStationProperty
-    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
-
-TEST_P(RelayStationProperty, LosslessInOrderUnderRandomStalls) {
-  const auto [stations, seed] = GetParam();
+/// produced sequence, in order, without loss or duplication. With `noise`
+/// the stations also withhold their own token at random.
+void check_lossless_in_order(int stations, std::uint64_t seed, double noise) {
   Rng rng(seed);
-  RsHarness h(stations);
+  RsHarness h(stations, noise);
   std::vector<Word> produced, consumed;
   Word next = 100;
   for (int cycle = 0; cycle < 3000; ++cycle) {
@@ -158,8 +154,10 @@ TEST_P(RelayStationProperty, LosslessInOrderUnderRandomStalls) {
     }
     if (out) consumed.push_back(*out);
   }
-  // Drain.
-  for (int i = 0; i < 4 * stations + 8; ++i) {
+  // Drain. A plain chain empties within 4n + 8 cycles; noise stations need
+  // longer because they still stall at random.
+  const int drain = noise > 0.0 ? 64 * stations + 64 : 4 * stations + 8;
+  for (int i = 0; i < drain; ++i) {
     auto out = h.step(std::nullopt, false);
     if (out) consumed.push_back(*out);
   }
@@ -167,10 +165,32 @@ TEST_P(RelayStationProperty, LosslessInOrderUnderRandomStalls) {
   EXPECT_EQ(consumed, produced);
 }
 
+class RelayStationProperty
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
+
+TEST_P(RelayStationProperty, LosslessInOrderUnderRandomStalls) {
+  const auto [stations, seed] = GetParam();
+  check_lossless_in_order(stations, seed, 0.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RelayStationProperty,
     ::testing::Combine(::testing::Values(1, 2, 3, 6),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u)));
+
+class NoiseStationProperty
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t, double>> {
+};
+
+TEST_P(NoiseStationProperty, LosslessInOrderUnderRandomStalls) {
+  const auto [stations, seed, noise] = GetParam();
+  check_lossless_in_order(stations, seed, noise);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, NoiseStationProperty,
+    ::testing::Combine(::testing::Values(1, 3), ::testing::Values(1u, 2u),
+                       ::testing::Values(0.3, 0.9)));
 
 TEST(RelayStation, ResetClearsState) {
   RsHarness h(1);
@@ -182,10 +202,34 @@ TEST(RelayStation, ResetClearsState) {
   EXPECT_EQ(h.station(0).tokens_forwarded(), 0u);
 }
 
+TEST(RelayStation, NoiseStationWithholdsAndReplaysAfterReset) {
+  // p = 1: the station takes one token into main, one into aux, then holds
+  // the stop high and never forwards.
+  RsHarness jammed(1, 1.0);
+  for (Word v = 0; v < 6; ++v) EXPECT_FALSE(jammed.step(v, false).has_value());
+  EXPECT_EQ(jammed.station(0).occupancy(), 2);
+  EXPECT_TRUE(jammed.producer_blocked());
+
+  // Reset rewinds the station's Rng: the same inputs give the same output
+  // schedule.
+  RsHarness h(1, 0.5);
+  auto schedule = [&h]() {
+    std::vector<int> out;
+    for (int c = 0; c < 64; ++c) out.push_back(h.step(7, false) ? 1 : 0);
+    return out;
+  };
+  const std::vector<int> first = schedule();
+  for (int c = 0; c < 8; ++c) h.step(std::nullopt, false);  // drain
+  h.station(0).reset();
+  EXPECT_EQ(schedule(), first);
+}
+
 TEST(RelayStation, NullWiresRejected) {
   Wire w;
-  EXPECT_THROW(RelayStation("bad", nullptr, &w), ContractViolation);
-  EXPECT_THROW(RelayStation("bad", &w, &w), ContractViolation);
+  EXPECT_THROW(RelayStation(nullptr, &w), ContractViolation);
+  EXPECT_THROW(RelayStation(&w, &w), ContractViolation);
+  Wire out;
+  EXPECT_THROW(RelayStation(&w, &out, 1.5), ContractViolation);
 }
 
 }  // namespace

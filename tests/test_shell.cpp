@@ -1,6 +1,7 @@
 // Shell (wrapper) unit tests: strict WP1 synchronization, τ emission,
 // initial tokens, back-pressure, oracle-based WP2 firing, stale-token
-// discarding, peeking, unsound-oracle detection and output fan-out.
+// discarding, peeking, unsound-oracle detection and output fan-out, plus
+// the Network counters the shell commits feed.
 #include <gtest/gtest.h>
 
 #include "core/network.hpp"
@@ -61,7 +62,7 @@ TEST(Shell, StrictWaitsForAllInputs) {
   Wire* wo = net.make_wire("o");
   auto proc = std::make_unique<RecordingProcess>();
   auto* rec = proc.get();
-  auto* shell = net.add_node(
+  auto* shell = net.add_shell(
       std::make_unique<Shell>("s", std::move(proc), wp1()));
   shell->connect_input(0, wa, 10);  // initial tokens tag 0: (10, 20)
   shell->connect_input(1, wb, 20);
@@ -93,7 +94,7 @@ TEST(Shell, EmitsTauWhileStalled) {
   Wire* wa = net.make_wire("a");
   Wire* wb = net.make_wire("b");
   Wire* wo = net.make_wire("o");
-  auto* shell = net.add_node(std::make_unique<Shell>(
+  auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<RecordingProcess>(), wp1()));
   shell->connect_input(0, wa, 1);
   shell->connect_input(1, wb, 2);
@@ -111,7 +112,7 @@ TEST(Shell, OutputHeldUnderStopThenDelivered) {
   Network net;
   Wire* wa = net.make_wire("a");
   Wire* wo = net.make_wire("o");
-  auto* shell = net.add_node(std::make_unique<Shell>(
+  auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<IdentityProcess>("id"), wp1()));
   shell->connect_input(0, wa, 5);
   shell->add_output_wire(0, wo);
@@ -140,7 +141,7 @@ TEST(Shell, BackPressureAssertsStopWhenFifoFull) {
   Wire* wo = net.make_wire("o");
   ShellOptions opts = wp1();
   opts.fifo_capacity = 2;
-  auto* shell = net.add_node(std::make_unique<Shell>(
+  auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<RecordingProcess>(), opts));
   shell->connect_input(0, wa, 0);
   shell->connect_input(1, wb, 0);
@@ -161,7 +162,7 @@ TEST(Shell, OracleFiresWithoutUnneededInput) {
   Wire* wb = net.make_wire("b");
   Wire* wo = net.make_wire("o");
   // Input b needed only at every 3rd firing (phase 0).
-  auto* shell = net.add_node(std::make_unique<Shell>(
+  auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<DutyCycleProcess>("duty", 3), wp2()));
   shell->connect_input(0, wa, 100);
   shell->connect_input(1, wb, 200);
@@ -198,7 +199,7 @@ TEST(Shell, StrictModeNeverDiscards) {
   Wire* wa = net.make_wire("a");
   Wire* wb = net.make_wire("b");
   Wire* wo = net.make_wire("o");
-  auto* shell = net.add_node(std::make_unique<Shell>(
+  auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<DutyCycleProcess>("duty", 3), wp1()));
   shell->connect_input(0, wa, 0);
   shell->connect_input(1, wb, 0);
@@ -217,7 +218,7 @@ TEST(Shell, UnsoundOracleGetsPoisonedInput) {
   Wire* wa = net.make_wire("a");
   Wire* wb = net.make_wire("b");
   Wire* wo = net.make_wire("o");
-  auto* shell = net.add_node(std::make_unique<Shell>(
+  auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<UnsoundOracleProcess>(), wp2()));
   shell->connect_input(0, wa, 1);
   shell->connect_input(1, wb, 2);
@@ -233,7 +234,7 @@ TEST(Shell, FanOutWaitsForAllBranches) {
   Wire* wa = net.make_wire("a");
   Wire* w1 = net.make_wire("o1");
   Wire* w2 = net.make_wire("o2");
-  auto* shell = net.add_node(std::make_unique<Shell>(
+  auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<IdentityProcess>("id"), wp1()));
   shell->connect_input(0, wa, 7);
   shell->add_output_wire(0, w1);
@@ -259,7 +260,7 @@ TEST(Shell, FireObserverSeesTagsInOrder) {
   Network net;
   Wire* wa = net.make_wire("a");
   Wire* wo = net.make_wire("o");
-  auto* shell = net.add_node(std::make_unique<Shell>(
+  auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<IdentityProcess>("id"), wp1()));
   shell->connect_input(0, wa, 0);
   shell->add_output_wire(0, wo);
@@ -271,6 +272,31 @@ TEST(Shell, FireObserverSeesTagsInOrder) {
     net.step();
   }
   EXPECT_EQ(tags, (std::vector<Tag>{0, 1, 2, 3, 4}));
+}
+
+TEST(Network, CountsFiringsAndHaltsAcrossReset) {
+  // The shell commits feed the run loop's two counters: the firing total
+  // and the number of halted shells. reset() clears both.
+  Network net;
+  Wire* w = net.make_wire("w");
+  Shell* src = net.add_shell(std::make_unique<Shell>(
+      "src", std::make_unique<CounterSource>("src", 0, 1, 3), wp1()));
+  Shell* sink = net.add_shell(std::make_unique<Shell>(
+      "sink", std::make_unique<SinkProcess>("sink"), wp1()));
+  src->add_output_wire(0, w);
+  sink->connect_input(0, w, 0);
+
+  EXPECT_EQ(net.run(100, 1), 3u);  // the source halts after 3 firings
+  EXPECT_EQ(net.halted_shells(), 1u);
+  EXPECT_EQ(net.firings(), src->stats().firings + sink->stats().firings);
+  EXPECT_EQ(net.run(100, 1), 0u);  // already satisfied: no step
+
+  net.reset();
+  EXPECT_EQ(net.cycle(), 0u);
+  EXPECT_EQ(net.firings(), 0u);
+  EXPECT_EQ(net.halted_shells(), 0u);
+  EXPECT_FALSE(src->halted());
+  EXPECT_EQ(net.run(100, 1), 3u);  // the same run again
 }
 
 TEST(Shell, RejectsBadConfiguration) {

@@ -3,10 +3,14 @@
 // equivalence checking, and back-pressure safety with tiny FIFOs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 #include "core/procs.hpp"
 #include "core/system.hpp"
+#include "proc/experiment.hpp"
+#include "stream/harness.hpp"
 
 namespace wp {
 namespace {
@@ -267,29 +271,114 @@ TEST(System, HaltGraceDrainsInFlightTokens) {
   }
 }
 
-TEST(System, WatchdogThrowsAfterQuietWindow) {
-  // A chain with no source stalls once the initial tokens are consumed;
-  // an armed watchdog must convert that into a loud failure.
+TEST(System, KernelBehaviourPinned) {
+  // Exact observables of the LID kernel. These values must not move: any
+  // change to cycle counts, stall accounting or the noise stations' RNG
+  // draw order changes them.
+  stream::StreamGraphConfig graph;  // the stream-wp2 workload's shape
+  graph.tokens = 2000;
+  graph.fir_stages = 3;
+  graph.branches = 2;
+  graph.agc_period = 16;
+  graph.feedback_rs = 2;
+  graph.forward_rs = 1;
+  graph.sink.keep_samples = false;
+  graph.sink.tail_window = 0;
+  struct Pin {
+    stream::RunMode mode;
+    std::uint64_t digest, cycles, input_stalls, output_stalls, discarded;
+  };
+  for (const Pin& pin : {
+           Pin{stream::RunMode::kWp1, 9963346953269847280ULL, 3333, 10678, 9054, 0},
+           Pin{stream::RunMode::kWp2, 9963346953269847280ULL, 2253, 2032, 1496, 3244},
+       }) {
+    stream::HarnessOptions options;
+    options.mode = pin.mode;
+    options.record_metrics = false;
+    const stream::HarnessResult r = stream::run_stream_graph(graph, options);
+    SCOPED_TRACE(stream::run_mode_name(pin.mode));
+    EXPECT_EQ(r.digest, pin.digest);
+    EXPECT_EQ(r.cycles, pin.cycles);
+    EXPECT_EQ(r.input_stalls, pin.input_stalls);
+    EXPECT_EQ(r.output_stalls, pin.output_stalls);
+    EXPECT_EQ(r.discarded_tokens, pin.discarded);
+  }
+
+  // Two Table-1 rows of bench_table1_sort.
+  const proc::ProgramSpec sort = proc::extraction_sort_program(16, 1);
+  struct Row {
+    const char* label;
+    std::uint64_t wp1_cycles, wp2_cycles;
+  };
+  for (const Row& row : {Row{"Only RF-DC", 3426, 2299},
+                         Row{"All 1 (no CU-IC)", 4569, 3836}}) {
+    SCOPED_TRACE(row.label);
+    const auto configs = proc::table1_sort_configs();
+    const auto it = std::find_if(
+        configs.begin(), configs.end(),
+        [&row](const proc::RsConfig& c) { return c.label == row.label; });
+    ASSERT_NE(it, configs.end());
+    const proc::ExperimentRow result =
+        proc::run_experiment(sort, proc::CpuConfig{}, *it);
+    EXPECT_EQ(result.wp1_cycles, row.wp1_cycles);
+    EXPECT_EQ(result.wp2_cycles, row.wp2_cycles);
+  }
+
+  // bench_profile_noise's congested CPU: one noise station per channel at
+  // p = 0.1, seed 17. Pins the stations' seeding and draw order.
+  const SystemSpec cpu = proc::make_cpu_system(sort, {});
+  NoiseOptions noise;
+  noise.stall_probability = 0.1;
+  noise.seed = 17;
+  const std::uint64_t noisy_cycles[2] = {5697, 4959};  // WP1, WP2
+  for (const bool oracle : {false, true}) {
+    ShellOptions shell;
+    shell.use_oracle = oracle;
+    LidSystem lid = build_lid(cpu, shell, false, noise);
+    EXPECT_EQ(lid.run_until_halt(5000000, 0), noisy_cycles[oracle ? 1 : 0])
+        << (oracle ? "WP2" : "WP1");
+  }
+}
+
+/// A genuine deadlock: one source fans out to two sinks. Sink `a` halts
+/// after 10 tokens and stops draining, its FIFO fills, back-pressure stalls
+/// the source, and sink `b` starves short of its limit forever.
+SystemSpec fanout_deadlock() {
   SystemSpec spec;
-  spec.add_process("a", []() { return std::make_unique<IdentityProcess>("a"); });
-  spec.add_process("b", []() { return std::make_unique<IdentityProcess>("b"); });
-  spec.add_channel("a", "out", "b", "in");
-  spec.add_channel("b", "out", "a", "in");
-  spec.set_all_rs(2);  // loop throughput 2/(2+4): still progresses
-  LidSystem lid = build_lid(spec, ShellOptions{}, false);
-  std::uint64_t last = 0;
-  lid.network->arm_watchdog(
-      [&]() {
-        // Claim progress only when a NEW firing happened; rings progress
-        // forever, so force a fake stall by capping the count.
-        const std::uint64_t now =
-            std::min<std::uint64_t>(lid.total_firings(), 5);
-        const bool progressed = now != last;
-        last = now;
-        return progressed;
-      },
-      /*window=*/50);
-  EXPECT_THROW(lid.network->run(100000, []() { return false; }),
+  spec.add_process("src", []() {
+    return std::make_unique<CounterSource>("src");
+  });
+  spec.add_process("a", []() { return std::make_unique<SinkProcess>("a", 10); });
+  spec.add_process("b", []() {
+    return std::make_unique<SinkProcess>("b", 1000);
+  });
+  spec.add_channel("src", "out", "a", "in");
+  spec.add_channel("src", "out", "b", "in");
+  return spec;
+}
+
+TEST(System, WatchdogThrowsAfterQuietWindow) {
+  // Waiting for both sinks to halt can never succeed: the watchdog must
+  // throw after Network::kDeadlockWindow quiet cycles, well before the
+  // cycle budget would end the run.
+  LidSystem lid = build_lid(fanout_deadlock(), ShellOptions{}, false);
+  EXPECT_THROW(lid.network->run(10 * Network::kDeadlockWindow, 2),
+               ContractViolation);
+  EXPECT_EQ(lid.network->halted_shells(), 1u);
+  // Sink b's 27th firing is the last progress; the window starts there.
+  EXPECT_EQ(lid.shells.at("b")->stats().firings, 27u);
+  EXPECT_EQ(lid.network->cycle(), 27 + Network::kDeadlockWindow);
+}
+
+TEST(System, RunAfterMoveStillDetectsDeadlock) {
+  // A run after run_until_halt and a move of the system must touch no
+  // state of the earlier call, and must still detect the stall.
+  LidSystem first = build_lid(fanout_deadlock(), ShellOptions{}, false);
+  first.run_until_halt(50, 0);  // sink a halts within 50 cycles
+  ASSERT_EQ(first.network->halted_shells(), 1u);
+  LidSystem moved = std::move(first);
+  EXPECT_EQ(moved.network->run(50, 2), 50u);  // quiet, but inside the window
+  EXPECT_THROW(moved.network->run(10 * Network::kDeadlockWindow, 2),
                ContractViolation);
 }
 
