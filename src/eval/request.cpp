@@ -28,8 +28,8 @@ using wire::Writer;
 template <class Io, class T>
 using Field = std::conditional_t<Io::kDecoding, T, const T>;
 
-/// ErrorCode is the one u32 tag (protocol error frames share its
-/// vocabulary); every other enum crosses as a u8.
+/// ErrorCode is the one u32 tag (it leads a protocol error frame's
+/// payload); every other enum crosses as a u8.
 template <class E>
 using TagWire = std::conditional_t<std::is_same_v<E, ErrorCode>,
                                    std::uint32_t, std::uint8_t>;
@@ -601,6 +601,10 @@ bool StreamResult::operator==(const StreamResult& other) const {
          output_stalls == other.output_stalls &&
          discarded_tokens == other.discarded_tokens;
 }
+
+void EvalError::encode(Writer& w) const { encode_value(w, *this); }
+
+EvalError EvalError::decode(Reader& r) { return decode_value<EvalError>(r); }
 
 EvalReply EvalReply::make_error(ErrorCode code, std::string message) {
   EvalReply reply;

@@ -213,9 +213,13 @@ enum class ErrorCode : std::uint32_t {
   kInternal = 7,
 };
 
+/// Also the whole payload of a protocol error frame (svc/protocol.hpp).
 struct EvalError {
   ErrorCode code = ErrorCode::kNone;
   std::string message;
+
+  void encode(wire::Writer& w) const;
+  static EvalError decode(wire::Reader& r);
 };
 
 /// Reply of a kFloorplanAnneal request.

@@ -1,14 +1,12 @@
 #include "svc/eval_client.hpp"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
+#include <exception>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -19,66 +17,31 @@ namespace wp::svc {
 
 namespace {
 
-/// Client-side service metrics: round-trip latency per batch and the
-/// error frames the server sent us.
-struct ClientMetrics {
-  obs::Counter& batches;
-  obs::Counter& error_replies;
-  obs::Histogram& roundtrip_ns;
-
-  static ClientMetrics& get() {
-    obs::Registry& registry = obs::Registry::global();
-    static ClientMetrics metrics{
-        registry.counter("svc/client/batches"),
-        registry.counter("svc/client/error_replies"),
-        registry.histogram("svc/client/roundtrip_ns")};
-    return metrics;
-  }
-};
-
-int try_connect(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    ::close(fd);
-    return -1;
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
+/// A daemon that was just spawned needs a moment to bind.
+constexpr int kConnectRetries = 50;
+constexpr int kConnectRetryMs = 100;
 
 }  // namespace
 
 EvalClient::~EvalClient() { close(); }
 
-EvalClient::EvalClient(EvalClient&& other) noexcept : fd_(other.fd_) {
-  other.fd_ = -1;
-}
+EvalClient::EvalClient(EvalClient&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)) {}
 
 EvalClient& EvalClient::operator=(EvalClient&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
+    fd_ = std::exchange(other.fd_, -1);
   }
   return *this;
 }
 
-void EvalClient::connect(const std::string& socket_path, int retries,
-                         int retry_ms) {
+void EvalClient::connect(const std::string& socket_path) {
   close();
-  for (int attempt = 0; attempt <= retries; ++attempt) {
-    fd_ = try_connect(socket_path);
+  for (int attempt = 0; attempt <= kConnectRetries; ++attempt) {
+    if (attempt > 0) ::usleep(kConnectRetryMs * 1000);
+    fd_ = open_unix_socket(socket_path, /*listen=*/false);
     if (fd_ >= 0) return;
-    if (attempt < retries)
-      std::this_thread::sleep_for(std::chrono::milliseconds(retry_ms));
   }
   throw ProtocolError(eval::ErrorCode::kInternal,
                       "could not connect to " + socket_path + ": " +
@@ -86,75 +49,81 @@ void EvalClient::connect(const std::string& socket_path, int retries,
 }
 
 void EvalClient::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
 }
 
-std::vector<eval::EvalReply> EvalClient::evaluate(
-    const std::vector<eval::EvalRequest>& requests) {
+void EvalClient::send(FrameType type, const std::string& payload) {
   WP_REQUIRE(connected(), "client is not connected");
-  ClientMetrics& metrics = ClientMetrics::get();
-  metrics.batches.inc();
-  const std::uint64_t start_ns = obs::now_ns();
-  write_frame(fd_, FrameType::kEvalBatch, encode_request_batch(requests));
-  const std::optional<Frame> frame = read_frame(fd_);
-  metrics.roundtrip_ns.record(obs::now_ns() - start_ns);
+  sent_ns_ = obs::now_ns();
+  write_frame(fd_, type, payload);
+}
+
+std::string EvalClient::expect(FrameType type) {
+  std::optional<Frame> frame = read_frame(fd_);
   if (!frame.has_value())
     throw ProtocolError(eval::ErrorCode::kInternal,
                         "server closed the connection before replying");
   if (frame->type == FrameType::kError) {
-    metrics.error_replies.inc();
-    const eval::EvalError error = decode_error(frame->payload);
-    throw ProtocolError(error.code, "server rejected the batch: " +
-                                        error.message);
+    static obs::Counter& error_replies =
+        obs::Registry::global().counter("svc/client/error_replies");
+    error_replies.inc();
+    eval::EvalError error{eval::ErrorCode::kMalformedFrame,
+                          "undecodable error frame"};
+    try {
+      error = decode_payload<eval::EvalError>(frame->payload);
+    } catch (const wire::WireError&) {
+    }
+    throw ProtocolError(error.code,
+                        "server rejected the request: " + error.message);
   }
-  if (frame->type != FrameType::kReplyBatch)
+  if (frame->type != type)
     throw ProtocolError(eval::ErrorCode::kMalformedFrame,
-                        "expected a reply-batch frame");
-  std::vector<eval::EvalReply> replies = decode_reply_batch(frame->payload);
-  if (replies.size() != requests.size())
+                        "unexpected reply frame type " +
+                            std::to_string(static_cast<int>(frame->type)));
+  return std::move(frame->payload);
+}
+
+std::vector<eval::EvalReply> EvalClient::receive_replies(std::size_t count) {
+  static obs::Counter& batches =
+      obs::Registry::global().counter("svc/client/batches");
+  static obs::Histogram& roundtrip_ns =
+      obs::Registry::global().histogram("svc/client/roundtrip_ns");
+  std::vector<eval::EvalReply> replies =
+      decode_reply_batch(expect(FrameType::kReplyBatch));
+  batches.inc();
+  roundtrip_ns.record(obs::now_ns() - sent_ns_);
+  if (replies.size() != count)
     throw ProtocolError(eval::ErrorCode::kInternal,
                         "reply count does not match request count");
   return replies;
 }
 
+std::vector<eval::EvalReply> EvalClient::evaluate(
+    const std::vector<eval::EvalRequest>& requests) {
+  send(FrameType::kEvalBatch, encode_request_batch(requests));
+  return receive_replies(requests.size());
+}
+
 bool EvalClient::ping() {
   if (!connected()) return false;
   try {
-    write_frame(fd_, FrameType::kPing, {});
-    const std::optional<Frame> frame = read_frame(fd_);
-    return frame.has_value() && frame->type == FrameType::kPong;
+    send(FrameType::kPing, {});
+    expect(FrameType::kPong);
+    return true;
   } catch (const ProtocolError&) {
     return false;
   }
 }
 
 std::string EvalClient::stats_json() {
-  WP_REQUIRE(connected(), "client is not connected");
-  write_frame(fd_, FrameType::kStatsRequest, {});
-  const std::optional<Frame> frame = read_frame(fd_);
-  if (!frame.has_value())
-    throw ProtocolError(eval::ErrorCode::kInternal,
-                        "server closed the connection before replying");
-  if (frame->type == FrameType::kError) {
-    ClientMetrics::get().error_replies.inc();
-    const eval::EvalError error = decode_error(frame->payload);
-    throw ProtocolError(error.code,
-                        "server rejected the stats scrape: " + error.message);
-  }
-  if (frame->type != FrameType::kStatsReply)
-    throw ProtocolError(eval::ErrorCode::kMalformedFrame,
-                        "expected a stats-reply frame");
-  return frame->payload;
+  send(FrameType::kStatsRequest, {});
+  return expect(FrameType::kStatsReply);
 }
 
 void EvalClient::shutdown_server() {
-  WP_REQUIRE(connected(), "client is not connected");
   try {
-    write_frame(fd_, FrameType::kShutdown, {});
-    (void)read_frame(fd_);  // kPong acknowledgement (or EOF — both fine)
+    send(FrameType::kShutdown, {});
+    expect(FrameType::kPong);
   } catch (const ProtocolError&) {
     // The server may tear the socket down before the ack leaves: the
     // shutdown still happened.
@@ -169,6 +138,9 @@ std::vector<eval::EvalReply> evaluate_sharded(
     const std::vector<eval::EvalRequest>& requests) {
   WP_REQUIRE(!clients.empty(), "sharding needs at least one client");
   const std::size_t n = clients.size();
+  for (EvalClient* client : clients)
+    WP_REQUIRE(std::count(clients.begin(), clients.end(), client) == 1,
+               "each shard needs its own client connection");
   // Round-robin assignment: request i → client i mod N. Deterministic in
   // the request list alone, so the merged replies are independent of
   // worker count and timing.
@@ -176,28 +148,33 @@ std::vector<eval::EvalReply> evaluate_sharded(
   for (std::size_t i = 0; i < requests.size(); ++i)
     shards[i % n].push_back(requests[i]);
 
-  std::vector<std::vector<eval::EvalReply>> shard_replies(n);
+  // Send every shard, then read every reply in worker order (see the
+  // header for why this cannot deadlock). A shard that fails to send is
+  // not read; every other reply is still consumed.
   std::vector<std::exception_ptr> failures(n);
-  std::vector<std::thread> dispatch;
-  dispatch.reserve(n);
   for (std::size_t w = 0; w < n; ++w) {
-    dispatch.emplace_back([&, w] {
-      try {
-        if (!shards[w].empty())
-          shard_replies[w] = clients[w]->evaluate(shards[w]);
-      } catch (...) {
-        failures[w] = std::current_exception();
-      }
-    });
+    if (shards[w].empty()) continue;
+    try {
+      clients[w]->send(FrameType::kEvalBatch, encode_request_batch(shards[w]));
+    } catch (...) {
+      failures[w] = std::current_exception();
+    }
   }
-  for (std::thread& t : dispatch) t.join();
+  std::vector<std::vector<eval::EvalReply>> shard_replies(n);
+  for (std::size_t w = 0; w < n; ++w) {
+    if (shards[w].empty() || failures[w]) continue;
+    try {
+      shard_replies[w] = clients[w]->receive_replies(shards[w].size());
+    } catch (...) {
+      failures[w] = std::current_exception();
+    }
+  }
   for (const std::exception_ptr& failure : failures)
     if (failure) std::rethrow_exception(failure);
 
   std::vector<eval::EvalReply> merged(requests.size());
-  std::vector<std::size_t> cursor(n, 0);
   for (std::size_t i = 0; i < requests.size(); ++i)
-    merged[i] = std::move(shard_replies[i % n][cursor[i % n]++]);
+    merged[i] = std::move(shard_replies[i % n][i / n]);
   return merged;
 }
 
@@ -214,9 +191,9 @@ WorkerFleet::~WorkerFleet() { stop(); }
 
 void WorkerFleet::start() {
   WP_REQUIRE(!running_, "fleet already running");
-  socket_paths_.clear();
+  std::vector<std::string> paths;
   for (std::size_t w = 0; w < options_.workers; ++w)
-    socket_paths_.push_back(
+    paths.push_back(
         socket_path(options_.base_port + static_cast<port_name>(w)));
 
   for (std::size_t w = 0; w < options_.workers; ++w) {
@@ -224,14 +201,11 @@ void WorkerFleet::start() {
     WP_CHECK(pid >= 0, "fork() failed");
     if (pid == 0) {
       // Child: exec the worker daemon on its own port.
-      std::vector<std::string> args;
-      args.push_back(options_.evald_path);
-      args.push_back("--socket");
-      args.push_back(socket_paths_[w]);
-      args.push_back("--workers");
-      args.push_back(std::to_string(options_.threads_per_worker));
-      for (const std::string& extra : options_.extra_args)
-        args.push_back(extra);
+      std::vector<std::string> args = {
+          options_.evald_path, "--socket", paths[w], "--workers",
+          std::to_string(options_.threads_per_worker)};
+      args.insert(args.end(), options_.extra_args.begin(),
+                  options_.extra_args.end());
       std::vector<char*> argv;
       for (std::string& arg : args) argv.push_back(arg.data());
       argv.push_back(nullptr);
@@ -243,7 +217,7 @@ void WorkerFleet::start() {
 
   clients_.resize(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w)
-    clients_[w].connect(socket_paths_[w]);
+    clients_[w].connect(paths[w]);
   running_ = true;
 }
 
@@ -252,10 +226,7 @@ void WorkerFleet::stop() {
   for (EvalClient& client : clients_)
     if (client.connected()) client.shutdown_server();
   clients_.clear();
-  for (const pid_t pid : pids_) {
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-  }
+  for (const pid_t pid : pids_) ::waitpid(pid, nullptr, 0);
   pids_.clear();
   running_ = false;
 }
@@ -264,7 +235,6 @@ std::vector<eval::EvalReply> WorkerFleet::evaluate_sharded(
     const std::vector<eval::EvalRequest>& requests) {
   WP_REQUIRE(running_, "fleet is not running");
   std::vector<EvalClient*> clients;
-  clients.reserve(clients_.size());
   for (EvalClient& client : clients_) clients.push_back(&client);
   return svc::evaluate_sharded(std::move(clients), requests);
 }

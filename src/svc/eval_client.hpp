@@ -2,17 +2,25 @@
 //
 // EvalClient speaks the frame protocol to one EvalServer endpoint:
 // connect (with retry, for daemons still booting), evaluate a request
-// batch (one eval-batch frame out, one reply-batch frame back, input
-// order preserved), ping, ask the server to shut down.
+// batch (input order preserved), scrape stats, ping, shut the server down.
+// Each is one round trip over one private send/expect pair, which alone
+// turns EOF, a kError frame and a wrong frame type into ProtocolError.
 //
 // WorkerFleet runs a sharded fabric: it forks N wirepipe_evald worker
 // processes on per-worker ports, round-robin shards a request list across
-// them (request i → worker i mod N), dispatches every shard concurrently,
-// and merges the replies back into input order — so a sharded sweep or
-// ensemble is bit-identical to the single-process run (requests are
-// self-contained and seed-derived; no result depends on which worker ran
-// it). evaluate_sharded is also available against caller-owned clients,
-// which is how the tests drive two in-process servers without forking.
+// them (request i → worker i mod N), and merges the replies back into
+// input order — so a sharded sweep or ensemble is bit-identical to the
+// single-process run (requests are self-contained and seed-derived; no
+// result depends on which worker ran it). evaluate_sharded is also
+// available against caller-owned clients, which is how the tests drive
+// two in-process servers without forking.
+//
+// Sharding is threadless: send every shard, then read every reply in
+// worker order. A server reads a whole frame before it evaluates, so every
+// send completes without the caller reading, and no deadlock is possible.
+// Each client is its own connection, so clients must be distinct. A failed
+// shard still lets every other reply be read; the first failure in worker
+// order is rethrown.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +30,7 @@
 
 #include "eval/request.hpp"
 #include "svc/ports.hpp"
+#include "svc/protocol.hpp"
 
 namespace wp::svc {
 
@@ -35,17 +44,16 @@ class EvalClient {
   EvalClient(EvalClient&& other) noexcept;
   EvalClient& operator=(EvalClient&& other) noexcept;
 
-  /// Connects to `socket_path`, retrying `retries` times `retry_ms` apart
-  /// (a daemon that was just spawned needs a moment to bind). Throws
+  /// Connects to `socket_path`, retrying for about five seconds (a daemon
+  /// that was just spawned needs a moment to bind). Throws
   /// ProtocolError(kInternal) when every attempt fails.
-  void connect(const std::string& socket_path, int retries = 50,
-               int retry_ms = 100);
+  void connect(const std::string& socket_path);
   bool connected() const { return fd_ >= 0; }
   void close();
 
-  /// One round trip: eval-batch frame out, reply-batch frame back.
-  /// Replies are in request order. A kError frame from the server (the
-  /// batch could not be decoded) raises ProtocolError with its code.
+  /// Eval-batch frame out, reply-batch frame back, replies in request
+  /// order. A kError frame (the batch could not be decoded) raises
+  /// ProtocolError with its code.
   std::vector<eval::EvalReply> evaluate(
       const std::vector<eval::EvalRequest>& requests);
 
@@ -61,7 +69,20 @@ class EvalClient {
   void shutdown_server();
 
  private:
+  friend std::vector<eval::EvalReply> evaluate_sharded(
+      std::vector<EvalClient*> clients,
+      const std::vector<eval::EvalRequest>& requests);
+
+  /// The two halves of every round trip. send writes one frame; expect
+  /// reads the answer and returns its payload when it is a `type` frame,
+  /// else throws ProtocolError (EOF, kError with its code, wrong type).
+  void send(FrameType type, const std::string& payload);
+  std::string expect(FrameType type);
+  /// expect(kReplyBatch), decoded: the replies to `count` requests.
+  std::vector<eval::EvalReply> receive_replies(std::size_t count);
+
   int fd_ = -1;
+  std::uint64_t sent_ns_ = 0;  ///< when send() last wrote a frame
 };
 
 struct FleetOptions {
@@ -95,7 +116,7 @@ class WorkerFleet {
   /// worker from its own thread).
   EvalClient& client(std::size_t i) { return clients_[i]; }
 
-  /// Round-robin shard + concurrent dispatch + input-order merge.
+  /// Round-robin shard + send-all-then-read dispatch + input-order merge.
   std::vector<eval::EvalReply> evaluate_sharded(
       const std::vector<eval::EvalRequest>& requests);
 
@@ -103,14 +124,13 @@ class WorkerFleet {
   FleetOptions options_;
   std::vector<EvalClient> clients_;
   std::vector<pid_t> pids_;
-  std::vector<std::string> socket_paths_;
   bool running_ = false;
 };
 
 /// Shards `requests` round-robin over `clients` (request i → client
-/// i mod N), dispatches each shard as one batch from its own thread, and
-/// merges replies into input order. Exposed separately so tests can drive
-/// in-process servers.
+/// i mod N), sends each shard as one batch, reads the replies in worker
+/// order and merges them into input order. The clients must be distinct.
+/// Exposed separately so tests can drive in-process servers.
 std::vector<eval::EvalReply> evaluate_sharded(
     std::vector<EvalClient*> clients,
     const std::vector<eval::EvalRequest>& requests);

@@ -1,15 +1,12 @@
 #include "svc/eval_server.hpp"
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <utility>
-
 #include <sstream>
+#include <utility>
 
 #include "eval/evaluate.hpp"
 #include "obs/metrics.hpp"
@@ -19,72 +16,21 @@
 
 namespace wp::svc {
 
-namespace {
-
-/// Obs mirror of EvalServer::Stats plus the batch-latency histogram —
-/// bumped at the same sites as the struct, so a stats scrape and the
-/// registry always agree. Aggregated across server instances (shards).
-struct ServerMetrics {
-  obs::Counter& connections;
-  obs::Counter& frames;
-  obs::Counter& requests;
-  obs::Counter& error_frames;
-  obs::Counter& dropped_connections;
-  obs::Counter& stats_scrapes;
-  obs::Histogram& batch_ns;
-
-  static ServerMetrics& get() {
-    obs::Registry& registry = obs::Registry::global();
-    static ServerMetrics metrics{
-        registry.counter("svc/server/connections"),
-        registry.counter("svc/server/frames"),
-        registry.counter("svc/server/requests"),
-        registry.counter("svc/server/error_frames"),
-        registry.counter("svc/server/dropped_connections"),
-        registry.counter("svc/server/stats_scrapes"),
-        registry.histogram("svc/server/batch_ns")};
-    return metrics;
-  }
-};
-
-void bind_unix(int fd, const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  WP_REQUIRE(path.size() < sizeof(addr.sun_path),
-             "socket path too long for sockaddr_un: " + path);
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ::unlink(path.c_str());  // stale endpoint from a dead server
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0)
-    throw ProtocolError(eval::ErrorCode::kInternal,
-                        "bind(" + path + ") failed: " + std::strerror(errno));
-}
-
-}  // namespace
-
 EvalServer::EvalServer(EvalServerOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), pool_(options_.workers) {
   if (options_.socket_path.empty())
     options_.socket_path = default_socket_path();
-  pool_ = std::make_unique<ThreadPool>(options_.workers);
 }
 
 EvalServer::~EvalServer() { stop(); }
 
 void EvalServer::start() {
   WP_REQUIRE(!running_.load(), "server already running");
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  listen_fd_ = open_unix_socket(options_.socket_path, /*listen=*/true);
   if (listen_fd_ < 0)
     throw ProtocolError(eval::ErrorCode::kInternal,
-                        std::string("socket() failed: ") +
+                        "cannot listen on " + options_.socket_path + ": " +
                             std::strerror(errno));
-  bind_unix(listen_fd_, options_.socket_path);
-  if (::listen(listen_fd_, 64) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ProtocolError(eval::ErrorCode::kInternal,
-                        "listen() failed: " + reason);
-  }
   running_.store(true);
   shutdown_requested_.store(false);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -95,12 +41,6 @@ void EvalServer::wait() {
   shutdown_cv_.wait(lock, [this] {
     return shutdown_requested_.load() || !running_.load();
   });
-}
-
-void EvalServer::serve() {
-  start();
-  wait();
-  stop();
 }
 
 void EvalServer::stop() {
@@ -148,7 +88,6 @@ void EvalServer::accept_loop() {
       break;
     }
     ++stats_.connections;
-    ServerMetrics::get().connections.inc();
     connection_fds_.push_back(fd);
     connection_threads_.emplace_back(
         [this, fd] { handle_connection(fd); });
@@ -156,44 +95,42 @@ void EvalServer::accept_loop() {
 }
 
 void EvalServer::handle_connection(int fd) {
-  bool drop = false;
-  while (running_.load() && !drop) {
-    std::optional<Frame> frame;
-    try {
-      frame = read_frame(fd);
-    } catch (const ProtocolError& e) {
-      // Framing is broken — the stream cannot be resynchronized. Tell the
-      // client why (best effort) and drop the connection; the server and
-      // its other connections are unaffected.
+  try {
+    while (running_.load()) {
+      std::optional<Frame> frame;
       try {
-        write_frame(fd, FrameType::kError,
-                    encode_error(e.code(), e.what()));
-      } catch (const ProtocolError&) {
+        frame = read_frame(fd);
+      } catch (const ProtocolError& e) {
+        // Framing is broken — the stream cannot be resynchronized. Tell
+        // the client why and drop the connection; the server and its
+        // other connections are unaffected.
+        count(&Stats::dropped_connections);
+        send_error(fd, e.code(), e.what());
+        break;
       }
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.error_frames;
-      ++stats_.dropped_connections;
-      ServerMetrics::get().error_frames.inc();
-      ServerMetrics::get().dropped_connections.inc();
-      drop = true;
-      continue;
-    }
-    if (!frame.has_value()) break;  // clean EOF
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.frames;
-    }
-    ServerMetrics::get().frames.inc();
-    try {
+      if (!frame.has_value()) break;  // clean EOF
+      count(&Stats::frames);
       if (!handle_frame(fd, *frame)) break;
-    } catch (const ProtocolError&) {
-      break;  // reply write failed — peer is gone
     }
+  } catch (const ProtocolError&) {
+    // A write failed: the peer is gone.
   }
   // The fd is closed by stop(); closing here too would race a reuse of the
   // descriptor number. Just mark the connection finished by shutting it
   // down (idempotent).
   ::shutdown(fd, SHUT_RDWR);
+}
+
+void EvalServer::count(std::uint64_t Stats::*field, std::uint64_t n) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_.*field += n;
+}
+
+void EvalServer::send_error(int fd, eval::ErrorCode code,
+                            const std::string& message) {
+  count(&Stats::error_frames);
+  write_frame(fd, FrameType::kError,
+              encode_payload(eval::EvalError{code, message}));
 }
 
 std::string EvalServer::stats_json() const {
@@ -210,7 +147,7 @@ std::string EvalServer::stats_json() const {
       .field("requests", server.requests)
       .field("error_frames", server.error_frames)
       .field("dropped_connections", server.dropped_connections)
-      .field("workers", static_cast<unsigned long long>(pool_->size()));
+      .field("workers", static_cast<unsigned long long>(pool_.size()));
   json.end_object();
   json.key("golden_cache").begin_object();
   json.field("hits", cache.hits)
@@ -246,25 +183,18 @@ bool EvalServer::handle_frame(int fd, const Frame& frame) {
       } catch (const wire::WireError& e) {
         // The frame was well-formed but its payload is not a request
         // batch: typed error, connection stays up.
-        write_frame(fd, FrameType::kError,
-                    encode_error(eval::ErrorCode::kMalformedRequest,
-                                 e.what()));
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.error_frames;
-        ServerMetrics::get().error_frames.inc();
+        send_error(fd, eval::ErrorCode::kMalformedRequest, e.what());
         return true;
       }
       eval::EvalContext context;
       context.oracle = &oracle_;
+      static obs::Histogram& batch_ns =
+          obs::Registry::global().histogram("svc/server/batch_ns");
       const std::uint64_t batch_start_ns = obs::now_ns();
       const std::vector<eval::EvalReply> replies =
-          eval::evaluate_batch(requests, context, pool_.get());
-      ServerMetrics::get().batch_ns.record(obs::now_ns() - batch_start_ns);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stats_.requests += requests.size();
-      }
-      ServerMetrics::get().requests.add(requests.size());
+          eval::evaluate_batch(requests, context, &pool_);
+      batch_ns.record(obs::now_ns() - batch_start_ns);
+      count(&Stats::requests, requests.size());
       write_frame(fd, FrameType::kReplyBatch, encode_reply_batch(replies));
       return true;
     }
@@ -273,31 +203,25 @@ bool EvalServer::handle_frame(int fd, const Frame& frame) {
         // The scrape is defined as payloadless; anything else is a
         // malformed request, not a framing violation — keep the
         // connection.
-        write_frame(fd, FrameType::kError,
-                    encode_error(eval::ErrorCode::kMalformedRequest,
-                                 "kStatsRequest carries no payload"));
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.error_frames;
-        ServerMetrics::get().error_frames.inc();
+        send_error(fd, eval::ErrorCode::kMalformedRequest,
+                   "kStatsRequest carries no payload");
         return true;
       }
-      ServerMetrics::get().stats_scrapes.inc();
+      static obs::Counter& scrapes =
+          obs::Registry::global().counter("svc/server/stats_scrapes");
+      scrapes.inc();
       write_frame(fd, FrameType::kStatsReply, stats_json());
       return true;
     }
     case FrameType::kReplyBatch:
     case FrameType::kError:
     case FrameType::kStatsReply:
-    case FrameType::kPong: {
+    case FrameType::kPong:
       // Server-to-client frame types arriving at the server: protocol
       // misuse, but harmless — typed error, keep the connection.
-      write_frame(fd, FrameType::kError,
-                  encode_error(eval::ErrorCode::kMalformedRequest,
-                               "unexpected client frame type"));
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.error_frames;
+      send_error(fd, eval::ErrorCode::kMalformedRequest,
+                 "unexpected client frame type");
       return true;
-    }
   }
   return true;
 }

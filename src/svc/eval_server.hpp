@@ -11,18 +11,22 @@
 // Failure containment, layer by layer:
 //   * a request that fails to *evaluate* → a kError reply in the batch
 //     (eval::evaluate never throws);
-//   * a frame whose *payload* fails to decode → one kError frame, the
-//     connection stays up;
+//   * a frame whose *payload* fails to decode (or a server-bound frame
+//     of a client-bound type) → one kError frame, the connection stays up;
 //   * a *framing* violation (bad magic/version/checksum, oversize,
 //     mid-frame EOF) → best-effort kError frame, then the connection is
 //     dropped (the byte stream cannot be resynchronized);
-// the server itself never goes down for any input.
+//   * a peer gone before its reply → that connection ends (EPIPE, never
+//     SIGPIPE); the server itself never goes down for any input.
+// One count per event: Stats is the only home of the per-server counts
+// (the scrape's "server" section; the registry keeps only batch_ns and
+// stats_scrapes), and send_error counts each error frame before writing
+// it, so a client that read it sees it in stats().
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -59,22 +63,18 @@ class EvalServer {
   /// another thread).
   void wait();
 
-  /// start() + wait() + stop() — the daemon main loop.
-  void serve();
-
   /// Closes the listener and every live connection, joins all threads.
   /// Idempotent.
   void stop();
 
   bool running() const { return running_.load(); }
   const std::string& socket_path() const { return options_.socket_path; }
-  sim::SimOracle& oracle() { return oracle_; }
 
   struct Stats {
     std::uint64_t connections = 0;    ///< accepted connections
     std::uint64_t frames = 0;         ///< frames read successfully
     std::uint64_t requests = 0;       ///< evaluations performed
-    std::uint64_t error_frames = 0;   ///< kError frames sent
+    std::uint64_t error_frames = 0;   ///< kError frames (counted, then sent)
     std::uint64_t dropped_connections = 0;  ///< closed on framing violation
   };
   Stats stats() const;
@@ -89,10 +89,14 @@ class EvalServer {
   void handle_connection(int fd);
   /// One frame's dispatch; returns false when the connection must close.
   bool handle_frame(int fd, const Frame& frame);
+  /// Adds `n` to one Stats count under the lock.
+  void count(std::uint64_t Stats::*field, std::uint64_t n = 1);
+  /// The one error-frame writer: counts the frame, then writes it.
+  void send_error(int fd, eval::ErrorCode code, const std::string& message);
 
   EvalServerOptions options_;
   sim::SimOracle oracle_;
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool pool_;
 
   int listen_fd_ = -1;
   std::atomic<bool> running_{false};

@@ -17,7 +17,6 @@ namespace wp::svc {
 using port_name = std::uint32_t;
 
 constexpr port_name kPortEval = 1;     ///< evaluation service (EvalServer)
-constexpr port_name kPortControl = 2;  ///< reserved: fleet control plane
 /// First port of a sharded worker fleet; worker i serves kPortShardBase+i.
 constexpr port_name kPortShardBase = 16;
 
@@ -28,5 +27,10 @@ std::string socket_path(port_name port);
 
 /// socket_path(kPortEval).
 std::string default_socket_path();
+
+/// The one way server and client open an endpoint: a new AF_UNIX stream
+/// socket connected to `path` or, with `listen`, bound and listening there
+/// (a stale socket file is unlinked first). -1 with errno on failure.
+int open_unix_socket(const std::string& path, bool listen);
 
 }  // namespace wp::svc

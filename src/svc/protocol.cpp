@@ -1,5 +1,6 @@
 #include "svc/protocol.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,142 +19,70 @@ using eval::ErrorCode;
 constexpr std::size_t kHeaderSize = 12;   // magic+version+type+reserved+len
 constexpr std::size_t kChecksumSize = 8;
 
-bool valid_frame_type(std::uint8_t type) {
-  return type >= static_cast<std::uint8_t>(FrameType::kEvalBatch) &&
-         type <= static_cast<std::uint8_t>(FrameType::kStatsReply);
-}
-
-std::uint64_t payload_checksum(const std::string& payload) {
-  return hash_bytes(payload.data(), payload.size());
-}
-
-}  // namespace
-
-std::string encode_frame(FrameType type, const std::string& payload) {
-  if (payload.size() > kMaxFramePayload)
+/// The one frame parser, over a byte source: read(dst, n, allow_eof)
+/// fills dst with the next n bytes, or returns false at a clean end before
+/// them (allow_eof); any other shortfall throws. Header before allocation.
+template <class Read>
+std::optional<Frame> parse_frame(Read&& read) {
+  char header[kHeaderSize];
+  if (!read(header, kHeaderSize, /*allow_eof=*/true)) return std::nullopt;
+  wire::Reader r(header, kHeaderSize);
+  if (r.u32() != kFrameMagic)
+    throw ProtocolError(ErrorCode::kMalformedFrame, "bad frame magic");
+  const std::uint8_t version = r.u8();
+  if (version != kFrameVersion)
+    throw ProtocolError(ErrorCode::kBadVersion,
+                        "unsupported frame version " +
+                            std::to_string(version));
+  const std::uint8_t type = r.u8();
+  if (type < static_cast<std::uint8_t>(FrameType::kEvalBatch) ||
+      type > static_cast<std::uint8_t>(FrameType::kStatsReply))
+    throw ProtocolError(ErrorCode::kMalformedFrame,
+                        "unknown frame type " + std::to_string(type));
+  if (r.u16() != 0)
+    throw ProtocolError(ErrorCode::kMalformedFrame, "nonzero reserved bits");
+  const std::uint32_t len = r.u32();
+  if (len > kMaxFramePayload)
     throw ProtocolError(ErrorCode::kOversizedFrame,
-                        "frame payload of " + std::to_string(payload.size()) +
-                            " bytes exceeds the " +
-                            std::to_string(kMaxFramePayload) + "-byte cap");
-  wire::Writer w;
-  w.u32(kFrameMagic);
-  w.u8(kFrameVersion);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u16(0);  // reserved
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.raw(payload.data(), payload.size());
-  w.u64(payload_checksum(payload));
-  return w.take();
+                        "declared payload of " + std::to_string(len) +
+                            " bytes exceeds the cap");
+  Frame frame{static_cast<FrameType>(type), std::string(len, '\0')};
+  read(frame.payload.data(), len, /*allow_eof=*/false);
+  char checksum[kChecksumSize];
+  read(checksum, kChecksumSize, /*allow_eof=*/false);
+  if (wire::Reader(checksum, kChecksumSize).u64() !=
+      hash_bytes(frame.payload.data(), len))
+    throw ProtocolError(ErrorCode::kMalformedFrame,
+                        "payload checksum mismatch");
+  return frame;
 }
 
-Frame decode_frame(const void* data, std::size_t size) {
-  try {
-    wire::Reader r(data, size);
-    if (r.remaining() < kHeaderSize)
-      throw ProtocolError(ErrorCode::kMalformedFrame,
-                          "truncated frame header");
-    if (r.u32() != kFrameMagic)
-      throw ProtocolError(ErrorCode::kMalformedFrame, "bad frame magic");
-    const std::uint8_t version = r.u8();
-    if (version != kFrameVersion)
-      throw ProtocolError(ErrorCode::kBadVersion,
-                          "unsupported frame version " +
-                              std::to_string(version));
-    const std::uint8_t type = r.u8();
-    if (!valid_frame_type(type))
-      throw ProtocolError(ErrorCode::kMalformedFrame,
-                          "unknown frame type " + std::to_string(type));
-    if (r.u16() != 0)
-      throw ProtocolError(ErrorCode::kMalformedFrame,
-                          "nonzero reserved bits");
-    const std::uint32_t len = r.u32();
-    if (len > kMaxFramePayload)
-      throw ProtocolError(ErrorCode::kOversizedFrame,
-                          "declared payload of " + std::to_string(len) +
-                              " bytes exceeds the cap");
-    if (r.remaining() != len + kChecksumSize)
-      throw ProtocolError(
-          ErrorCode::kMalformedFrame,
-          "frame size disagrees with the declared payload length");
-    Frame frame;
-    frame.type = static_cast<FrameType>(type);
-    frame.payload = r.raw(len);
-    if (r.u64() != payload_checksum(frame.payload))
-      throw ProtocolError(ErrorCode::kMalformedFrame,
-                          "payload checksum mismatch");
-    r.expect_done();
-    return frame;
-  } catch (const wire::WireError& e) {
-    throw ProtocolError(ErrorCode::kMalformedFrame, e.what());
-  }
-}
-
-// -------------------------------------------------------------- payloads
-
-std::string encode_request_batch(const std::vector<eval::EvalRequest>& batch) {
+/// The one count-prefixed batch codec: u32 count + count encodings.
+template <class T>
+std::string encode_batch(const std::vector<T>& batch) {
   wire::Writer w;
   w.u32(static_cast<std::uint32_t>(batch.size()));
-  for (const eval::EvalRequest& request : batch) request.encode(w);
+  for (const T& item : batch) item.encode(w);
   return w.take();
 }
 
-std::vector<eval::EvalRequest> decode_request_batch(
-    const std::string& payload) {
+template <class T>
+std::vector<T> decode_batch(const std::string& payload) {
   wire::Reader r(payload);
   const std::uint32_t count = r.u32();
-  std::vector<eval::EvalRequest> batch;
+  std::vector<T> batch;
   batch.reserve(std::min<std::size_t>(count, 4096));
-  for (std::uint32_t i = 0; i < count; ++i)
-    batch.push_back(eval::EvalRequest::decode(r));
+  for (std::uint32_t i = 0; i < count; ++i) batch.push_back(T::decode(r));
   r.expect_done();
   return batch;
 }
-
-std::string encode_reply_batch(const std::vector<eval::EvalReply>& batch) {
-  wire::Writer w;
-  w.u32(static_cast<std::uint32_t>(batch.size()));
-  for (const eval::EvalReply& reply : batch) reply.encode(w);
-  return w.take();
-}
-
-std::vector<eval::EvalReply> decode_reply_batch(const std::string& payload) {
-  wire::Reader r(payload);
-  const std::uint32_t count = r.u32();
-  std::vector<eval::EvalReply> batch;
-  batch.reserve(std::min<std::size_t>(count, 4096));
-  for (std::uint32_t i = 0; i < count; ++i)
-    batch.push_back(eval::EvalReply::decode(r));
-  r.expect_done();
-  return batch;
-}
-
-std::string encode_error(eval::ErrorCode code, const std::string& message) {
-  wire::Writer w;
-  w.u32(static_cast<std::uint32_t>(code));
-  w.str(message);
-  return w.take();
-}
-
-eval::EvalError decode_error(const std::string& payload) {
-  wire::Reader r(payload);
-  eval::EvalError error;
-  const std::uint32_t code = r.u32();
-  error.code = code <= static_cast<std::uint32_t>(ErrorCode::kInternal)
-                   ? static_cast<ErrorCode>(code)
-                   : ErrorCode::kInternal;
-  error.message = r.str();
-  r.expect_done();
-  return error;
-}
-
-// ------------------------------------------------------------- socket io
-
-namespace {
 
 void write_all(int fd, const char* data, std::size_t size) {
   std::size_t written = 0;
   while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
+    // MSG_NOSIGNAL: a closed peer is EPIPE, not a process-killing SIGPIPE.
+    const ssize_t n =
+        ::send(fd, data + written, size - written, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw ProtocolError(ErrorCode::kInternal,
@@ -188,49 +117,69 @@ bool read_all(int fd, char* data, std::size_t size, bool allow_eof) {
 
 }  // namespace
 
+std::string encode_frame(FrameType type, const std::string& payload) {
+  if (payload.size() > kMaxFramePayload)
+    throw ProtocolError(ErrorCode::kOversizedFrame,
+                        "frame payload of " + std::to_string(payload.size()) +
+                            " bytes exceeds the " +
+                            std::to_string(kMaxFramePayload) + "-byte cap");
+  wire::Writer w;
+  w.u32(kFrameMagic);
+  w.u8(kFrameVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u16(0);  // reserved
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.raw(payload.data(), payload.size());
+  w.u64(hash_bytes(payload.data(), payload.size()));
+  return w.take();
+}
+
+Frame decode_frame(const void* data, std::size_t size) {
+  const char* bytes = static_cast<const char*>(data);
+  std::size_t pos = 0;
+  Frame frame = *parse_frame([&](char* dst, std::size_t n, bool) {
+    if (size - pos < n)
+      throw ProtocolError(ErrorCode::kMalformedFrame, "truncated frame");
+    std::memcpy(dst, bytes + pos, n);
+    pos += n;
+    return true;
+  });
+  if (pos != size)
+    throw ProtocolError(ErrorCode::kMalformedFrame,
+                        "trailing bytes after the frame");
+  return frame;
+}
+
+// -------------------------------------------------------------- payloads
+
+std::string encode_request_batch(const std::vector<eval::EvalRequest>& batch) {
+  return encode_batch(batch);
+}
+
+std::vector<eval::EvalRequest> decode_request_batch(
+    const std::string& payload) {
+  return decode_batch<eval::EvalRequest>(payload);
+}
+
+std::string encode_reply_batch(const std::vector<eval::EvalReply>& batch) {
+  return encode_batch(batch);
+}
+
+std::vector<eval::EvalReply> decode_reply_batch(const std::string& payload) {
+  return decode_batch<eval::EvalReply>(payload);
+}
+
+// ------------------------------------------------------------- socket io
+
 void write_frame(int fd, FrameType type, const std::string& payload) {
   const std::string bytes = encode_frame(type, payload);
   write_all(fd, bytes.data(), bytes.size());
 }
 
 std::optional<Frame> read_frame(int fd) {
-  char header[kHeaderSize];
-  if (!read_all(fd, header, kHeaderSize, /*allow_eof=*/true))
-    return std::nullopt;
-
-  wire::Reader r(header, kHeaderSize);
-  if (r.u32() != kFrameMagic)
-    throw ProtocolError(eval::ErrorCode::kMalformedFrame, "bad frame magic");
-  const std::uint8_t version = r.u8();
-  if (version != kFrameVersion)
-    throw ProtocolError(
-        eval::ErrorCode::kBadVersion,
-        "unsupported frame version " + std::to_string(version));
-  const std::uint8_t type = r.u8();
-  if (!valid_frame_type(type))
-    throw ProtocolError(eval::ErrorCode::kMalformedFrame,
-                        "unknown frame type " + std::to_string(type));
-  if (r.u16() != 0)
-    throw ProtocolError(eval::ErrorCode::kMalformedFrame,
-                        "nonzero reserved bits");
-  const std::uint32_t len = r.u32();
-  if (len > kMaxFramePayload)
-    throw ProtocolError(eval::ErrorCode::kOversizedFrame,
-                        "declared payload of " + std::to_string(len) +
-                            " bytes exceeds the cap");
-
-  Frame frame;
-  frame.type = static_cast<FrameType>(type);
-  frame.payload.resize(len);
-  if (len > 0) read_all(fd, frame.payload.data(), len, /*allow_eof=*/false);
-
-  char checksum_bytes[kChecksumSize];
-  read_all(fd, checksum_bytes, kChecksumSize, /*allow_eof=*/false);
-  wire::Reader c(checksum_bytes, kChecksumSize);
-  if (c.u64() != payload_checksum(frame.payload))
-    throw ProtocolError(eval::ErrorCode::kMalformedFrame,
-                        "payload checksum mismatch");
-  return frame;
+  return parse_frame([fd](char* dst, std::size_t n, bool allow_eof) {
+    return read_all(fd, dst, n, allow_eof);
+  });
 }
 
 }  // namespace wp::svc

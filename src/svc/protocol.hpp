@@ -12,17 +12,18 @@
 //   12      n     payload   (wire-encoded body, type-dependent)
 //   12+n    8     checksum  FNV-1a over the payload bytes
 //
-// Payloads are wire::Writer streams: an eval-batch frame carries
-// u32 count + count EvalRequest encodings, a reply-batch frame u32 count +
-// count EvalReply encodings, an error frame u32 ErrorCode + string. The
-// stats pair is the exception: kStatsRequest is empty and kStatsReply
-// carries a raw UTF-8 JSON document (schema wirepipe-stats/1) — the scrape
-// is for humans and dashboards, so it skips the binary layer.
-// Decoders are strict — wrong magic, foreign version, nonzero reserved
-// bits, a declared length over kMaxFramePayload, or a checksum mismatch
-// throw ProtocolError carrying a typed eval::ErrorCode, and the reader
-// never touches memory past the declared length. A malformed frame can
-// therefore fail a connection loudly but can never crash the server.
+// A binary payload is one wire value read to its end: batches share one
+// count-prefixed codec (u32 count + EvalRequest / EvalReply encodings), an
+// error frame is one eval::EvalError (its field list in request.cpp, so an
+// unknown code fails to decode). kStatsRequest is empty and kStatsReply
+// carries a raw UTF-8 JSON document (schema wirepipe-stats/1) — the
+// scrape is for humans and dashboards, so it skips the binary layer.
+// decode_frame and read_frame run one frame parser: wrong magic, foreign
+// version, unknown type, nonzero reserved bits, a declared length over
+// kMaxFramePayload or a checksum mismatch throw ProtocolError carrying a
+// typed eval::ErrorCode, and the reader never touches memory past the
+// declared length. A malformed frame or a vanished peer (writes never
+// raise SIGPIPE) can fail a connection loudly but never crash the server.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,7 @@ constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 enum class FrameType : std::uint8_t {
   kEvalBatch = 1,     ///< client → server: u32 count + EvalRequest...
   kReplyBatch = 2,    ///< server → client: u32 count + EvalReply...
-  kError = 3,         ///< server → client: u32 ErrorCode + string message
+  kError = 3,         ///< server → client: one eval::EvalError
   kPing = 4,          ///< liveness probe (empty payload)
   kPong = 5,          ///< ping/shutdown acknowledgement (empty payload)
   kShutdown = 6,      ///< client → server: stop serving (empty payload)
@@ -74,11 +75,27 @@ struct Frame {
 std::string encode_frame(FrameType type, const std::string& payload);
 
 /// Bytes → frame; the buffer must hold exactly one frame. Throws
-/// ProtocolError on any violation (magic/version/reserved/length/checksum,
-/// trailing bytes).
+/// ProtocolError on any violation, trailing bytes included.
 Frame decode_frame(const void* data, std::size_t size);
 
 // ------------------------------------------------------------ payloads
+
+/// `value`'s wire encoding (T::encode) as a frame payload.
+template <class T>
+std::string encode_payload(const T& value) {
+  wire::Writer w;
+  value.encode(w);
+  return w.take();
+}
+
+/// The one T filling `payload` (T::decode); throws wire::WireError.
+template <class T>
+T decode_payload(const std::string& payload) {
+  wire::Reader r(payload);
+  T value = T::decode(r);
+  r.expect_done();
+  return value;
+}
 
 std::string encode_request_batch(const std::vector<eval::EvalRequest>& batch);
 std::vector<eval::EvalRequest> decode_request_batch(
@@ -87,19 +104,15 @@ std::vector<eval::EvalRequest> decode_request_batch(
 std::string encode_reply_batch(const std::vector<eval::EvalReply>& batch);
 std::vector<eval::EvalReply> decode_reply_batch(const std::string& payload);
 
-std::string encode_error(eval::ErrorCode code, const std::string& message);
-eval::EvalError decode_error(const std::string& payload);
-
 // ------------------------------------------------------------ socket io
 
-/// Writes one frame to `fd` (handles partial writes). Throws
-/// ProtocolError(kInternal) on socket failure.
+/// Writes one frame to the socket `fd` (handles partial writes). Throws
+/// ProtocolError(kInternal) on socket failure, a closed peer included.
 void write_frame(int fd, FrameType type, const std::string& payload);
 
 /// Reads one frame from `fd`. Returns nullopt on clean EOF at a frame
 /// boundary; throws ProtocolError on mid-frame EOF or any framing
-/// violation. The payload is read (and bounded) before validation, so a
-/// malformed frame consumes exactly its declared bytes.
+/// violation (a bad checksum after consuming the declared bytes).
 std::optional<Frame> read_frame(int fd);
 
 }  // namespace wp::svc

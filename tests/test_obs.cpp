@@ -7,7 +7,8 @@
 // ratio, identical runs and any millisecond drift must pass), and the
 // kStatsRequest scrape against a live in-process EvalServer — including
 // the adversarial payload-carrying scrape which must cost one kError
-// frame, not the connection.
+// frame, not the connection, and a registry that mirrors none of the
+// per-server counts the scrape's server section already carries.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -416,7 +417,7 @@ TEST(StatsScrape, LiveServerAnswersWithParsableStatsDocument) {
   server.start();
 
   svc::EvalClient client;
-  client.connect(server.socket_path(), /*retries=*/10, /*retry_ms=*/50);
+  client.connect(server.socket_path());
   const std::string stats = client.stats_json();
   const json::Value doc = json::Value::parse(stats);
   EXPECT_EQ(doc.find("schema")->as_string(), "wirepipe-stats/1");
@@ -453,7 +454,7 @@ TEST(StatsScrape, ScrapeReflectsServedRequests) {
   server.start();
 
   svc::EvalClient client;
-  client.connect(server.socket_path(), /*retries=*/10, /*retry_ms=*/50);
+  client.connect(server.socket_path());
   std::vector<eval::EvalRequest> requests;
   for (int i = 0; i < 3; ++i) {
     eval::FloorplanJob job;
@@ -467,6 +468,35 @@ TEST(StatsScrape, ScrapeReflectsServedRequests) {
 
   const json::Value doc = json::Value::parse(client.stats_json());
   EXPECT_DOUBLE_EQ(doc.find("server")->find("requests")->as_double(), 3.0);
+  client.close();
+  server.stop();
+}
+
+TEST(StatsScrape, PerServerCountsLiveOnlyInTheServerSection) {
+  // The server section is EvalServer::Stats; the registry keeps no mirror
+  // of those counts, only the batch histogram and the scrape count.
+  svc::EvalServer server(test_server_options());
+  server.start();
+  svc::EvalClient client;
+  client.connect(server.socket_path());
+  eval::FloorplanJob job;
+  job.topology.family = gen::TopologyFamily::kMesh;
+  job.topology.num_nodes = 9;
+  job.anneal.iterations = 12;
+  client.evaluate({eval::EvalRequest(job)});
+
+  const json::Value doc = json::Value::parse(client.stats_json());
+  const json::Value* counters = doc.find("metrics")->find("counters");
+  ASSERT_NE(counters, nullptr);
+  for (const char* name :
+       {"svc/server/connections", "svc/server/frames", "svc/server/requests",
+        "svc/server/error_frames", "svc/server/dropped_connections"})
+    EXPECT_EQ(counters->find(name), nullptr) << name;
+  EXPECT_NE(counters->find("svc/server/stats_scrapes"), nullptr);
+  EXPECT_NE(doc.find("metrics")->find("histograms")->find(
+                "svc/server/batch_ns"),
+            nullptr);
+  EXPECT_DOUBLE_EQ(doc.find("server")->find("requests")->as_double(), 1.0);
   client.close();
   server.stop();
 }
@@ -489,7 +519,7 @@ TEST(StatsScrape, PayloadCarryingScrapeCostsOneErrorFrameNotTheConnection) {
   auto reply = svc::read_frame(fd);
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, svc::FrameType::kError);
-  EXPECT_EQ(svc::decode_error(reply->payload).code,
+  EXPECT_EQ(svc::decode_payload<eval::EvalError>(reply->payload).code,
             eval::ErrorCode::kMalformedRequest);
 
   // Same connection, well-formed scrape: still served.

@@ -424,7 +424,7 @@ TEST(StreamRemote, ServedStreamIsByteIdenticalToInProcess) {
 
   const std::vector<eval::EvalRequest> requests = stream_batch();
   svc::EvalClient client;
-  client.connect(server.socket_path(), /*retries=*/10, /*retry_ms=*/50);
+  client.connect(server.socket_path());
   const std::vector<eval::EvalReply> remote = client.evaluate(requests);
   const std::vector<eval::EvalReply> local =
       eval::evaluate_batch(requests, {});
@@ -455,8 +455,8 @@ TEST(StreamRemote, ShardedAcrossTwoServersMergesByteIdentical) {
   server_b.start();
 
   svc::EvalClient client_a, client_b;
-  client_a.connect(server_a.socket_path(), 10, 50);
-  client_b.connect(server_b.socket_path(), 10, 50);
+  client_a.connect(server_a.socket_path());
+  client_b.connect(server_b.socket_path());
 
   const std::vector<eval::EvalRequest> requests = stream_batch();
   const std::vector<eval::EvalReply> sharded =

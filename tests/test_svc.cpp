@@ -7,7 +7,10 @@
 // connection, a framing violation must cost the
 // connection but never the server, seeded random byte blobs must never
 // crash it, and evaluate_sharded across two servers must merge back to
-// the single-process reply stream.
+// the single-process reply stream. Pinned frame images and error-payload
+// bytes, an unknown error code rejected, every server error path counted
+// once, a client that vanishes before its reply, and a sharded call with
+// one stopped server (it throws; the surviving connection still serves).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -15,8 +18,11 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <chrono>
+#include <iterator>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "eval/evaluate.hpp"
@@ -24,6 +30,9 @@
 #include "svc/eval_client.hpp"
 #include "svc/eval_server.hpp"
 #include "svc/protocol.hpp"
+#include "util/assert.hpp"
+#include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace wp::svc {
 namespace {
@@ -133,11 +142,51 @@ TEST(FrameCodec, RequestBatchPayloadRoundTrip) {
 }
 
 TEST(FrameCodec, ErrorPayloadRoundTrip) {
-  const std::string payload =
-      encode_error(eval::ErrorCode::kMalformedRequest, "what happened");
-  const eval::EvalError error = decode_error(payload);
+  const std::string payload = encode_payload(
+      eval::EvalError{eval::ErrorCode::kMalformedRequest, "what happened"});
+  const eval::EvalError error = decode_payload<eval::EvalError>(payload);
   EXPECT_EQ(error.code, eval::ErrorCode::kMalformedRequest);
   EXPECT_EQ(error.message, "what happened");
+}
+
+TEST(FrameCodec, FrameImagesArePinned) {
+  // hash_bytes of encode_frame(type, "payload-for-type") for FrameType 1-8:
+  // if one moves, the frame layout changed and kFrameVersion must bump.
+  const std::uint64_t pinned[] = {
+      0x61bebe32234d3c20ULL, 0x9aabc9f5dbd02cd1ULL, 0x81ec628b673f8d5aULL,
+      0x6339f75a5bde48ebULL, 0x99bf04ef470bad7cULL, 0xeb62834fb546425dULL,
+      0x1cce9c1b7890f8c6ULL, 0x4bf6875f58f26a57ULL};
+  for (std::uint8_t type = 1; type <= 8; ++type) {
+    const std::string bytes =
+        encode_frame(static_cast<FrameType>(type), "payload-for-type");
+    EXPECT_EQ(hash_bytes(bytes.data(), bytes.size()), pinned[type - 1])
+        << int{type};
+  }
+}
+
+TEST(FrameCodec, ErrorPayloadBytesArePinned) {
+  // hash_bytes of the error payload (code, "m") for every ErrorCode: the
+  // layout is u32 code + string, stated once as EvalError's field list.
+  const std::uint64_t pinned[] = {
+      0xd955c40fa740fe3bULL, 0x5f4933070d44d988ULL, 0x0029eecad07610e1ULL,
+      0x861d5dc23679ec2eULL, 0x8bac769954d53387ULL, 0x119fe590bad90ed4ULL,
+      0xb280a1547e0a462dULL, 0x3874104be40e217aULL};
+  const auto last = static_cast<std::uint32_t>(eval::ErrorCode::kInternal);
+  ASSERT_EQ(last + 1, std::size(pinned));
+  for (std::uint32_t code = 0; code <= last; ++code) {
+    const eval::EvalError error{static_cast<eval::ErrorCode>(code), "m"};
+    const std::string payload = encode_payload(error);
+    EXPECT_EQ(hash_bytes(payload.data(), payload.size()), pinned[code])
+        << code;
+    EXPECT_EQ(decode_payload<eval::EvalError>(payload).code, error.code);
+  }
+}
+
+TEST(FrameCodec, UnknownErrorCodeIsRejected) {
+  wire::Writer w;
+  w.u32(99);
+  w.str("m");
+  EXPECT_THROW(decode_payload<eval::EvalError>(w.bytes()), wire::WireError);
 }
 
 // ------------------------------------------------------- server fixture
@@ -180,7 +229,7 @@ TEST(EvalServer, BatchRepliesMatchInProcessEvaluation) {
   }
 
   EvalClient client;
-  client.connect(server.socket_path(), /*retries=*/10, /*retry_ms=*/50);
+  client.connect(server.socket_path());
   const std::vector<eval::EvalReply> remote = client.evaluate(requests);
   const std::vector<eval::EvalReply> local =
       eval::evaluate_batch(requests, {});
@@ -213,7 +262,7 @@ TEST(EvalServer, MalformedPayloadCostsOneErrorFrameNotTheConnection) {
   auto reply = read_frame(fd);
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, FrameType::kError);
-  EXPECT_EQ(decode_error(reply->payload).code,
+  EXPECT_EQ(decode_payload<eval::EvalError>(reply->payload).code,
             eval::ErrorCode::kMalformedRequest);
 
   // Same connection, now a valid batch: it must still be served.
@@ -259,7 +308,7 @@ TEST(EvalServer, NonCanonicalRequestIsMalformedNotServed) {
     auto reply = read_frame(fd);
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(reply->type, FrameType::kError);
-    EXPECT_EQ(decode_error(reply->payload).code,
+    EXPECT_EQ(decode_payload<eval::EvalError>(reply->payload).code,
               eval::ErrorCode::kMalformedRequest);
   }
   ::close(fd);
@@ -289,7 +338,7 @@ TEST(EvalServer, FramingViolationDropsOnlyThatConnection) {
 
   // The server is still alive for new connections.
   EvalClient client;
-  client.connect(server.socket_path(), /*retries=*/10, /*retry_ms=*/50);
+  client.connect(server.socket_path());
   EXPECT_TRUE(client.ping());
   client.close();
   server.stop();
@@ -315,12 +364,12 @@ TEST(EvalServer, OversizedDeclaredLengthIsRefused) {
   auto reply = read_frame(fd);
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, FrameType::kError);
-  EXPECT_EQ(decode_error(reply->payload).code,
+  EXPECT_EQ(decode_payload<eval::EvalError>(reply->payload).code,
             eval::ErrorCode::kOversizedFrame);
   ::close(fd);
 
   EvalClient client;
-  client.connect(server.socket_path(), /*retries=*/10, /*retry_ms=*/50);
+  client.connect(server.socket_path());
   EXPECT_TRUE(client.ping());
   client.close();
   server.stop();
@@ -353,7 +402,7 @@ TEST(EvalServer, SurvivesSeededRandomBlobFuzzing) {
 
   // After 40 hostile connections the server still evaluates correctly.
   EvalClient client;
-  client.connect(server.socket_path(), /*retries=*/10, /*retry_ms=*/50);
+  client.connect(server.socket_path());
   EXPECT_TRUE(client.ping());
   const std::vector<eval::EvalRequest> requests = tiny_floorplan_batch(2);
   const std::vector<eval::EvalReply> remote = client.evaluate(requests);
@@ -371,7 +420,7 @@ TEST(EvalServer, ShutdownFrameEndsWait) {
   server.start();
 
   EvalClient client;
-  client.connect(server.socket_path(), /*retries=*/10, /*retry_ms=*/50);
+  client.connect(server.socket_path());
   client.shutdown_server();
   server.wait();  // must return now instead of blocking
   server.stop();
@@ -385,8 +434,8 @@ TEST(EvalServer, ShardedEvaluationMatchesSingleProcess) {
   server_b.start();
 
   EvalClient client_a, client_b;
-  client_a.connect(server_a.socket_path(), /*retries=*/10, /*retry_ms=*/50);
-  client_b.connect(server_b.socket_path(), /*retries=*/10, /*retry_ms=*/50);
+  client_a.connect(server_a.socket_path());
+  client_b.connect(server_b.socket_path());
 
   const std::vector<eval::EvalRequest> requests = tiny_floorplan_batch(7);
   const std::vector<eval::EvalReply> sharded =
@@ -408,6 +457,162 @@ TEST(EvalServer, ShardedEvaluationMatchesSingleProcess) {
             requests.size());
   EXPECT_GT(server_a.stats().requests, 0u);
   EXPECT_GT(server_b.stats().requests, 0u);
+}
+
+TEST(EvalServer, EveryErrorPathCountsOnce) {
+  EvalServer server(test_server_options());
+  server.start();
+
+  const int fd = raw_connect(server.socket_path());
+  auto expect_error = [fd](eval::ErrorCode code) {
+    auto reply = read_frame(fd);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, FrameType::kError);
+    EXPECT_EQ(decode_payload<eval::EvalError>(reply->payload).code, code);
+  };
+  write_frame(fd, FrameType::kPong, {});  // wrong direction
+  expect_error(eval::ErrorCode::kMalformedRequest);
+  write_frame(fd, FrameType::kEvalBatch, "this is not a request batch");
+  expect_error(eval::ErrorCode::kMalformedRequest);
+  write_frame(fd, FrameType::kStatsRequest, "unexpected");
+  expect_error(eval::ErrorCode::kMalformedRequest);
+  const std::string junk = "NOT A FRAME AT ALL, JUST BYTES";  // framing
+  ASSERT_EQ(::write(fd, junk.data(), junk.size()),
+            static_cast<ssize_t>(junk.size()));
+  expect_error(eval::ErrorCode::kMalformedFrame);
+  EXPECT_FALSE(read_frame(fd).has_value());  // then dropped
+  ::close(fd);
+
+  // Frames: three read on the first connection plus the scrape below,
+  // which counts itself.
+  EvalClient client;
+  client.connect(server.socket_path());
+  const json::Value doc = json::Value::parse(client.stats_json());
+  const EvalServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.error_frames, 4u);
+  EXPECT_EQ(stats.dropped_connections, 1u);
+  EXPECT_EQ(stats.frames, 4u);
+  EXPECT_EQ(stats.connections, 2u);
+  EXPECT_EQ(stats.requests, 0u);
+  // The scrape's server section is Stats, read before this stats().
+  const json::Value* srv = doc.find("server");
+  ASSERT_NE(srv, nullptr);
+  EXPECT_EQ(srv->find("connections")->as_double(), stats.connections);
+  EXPECT_EQ(srv->find("frames")->as_double(), stats.frames);
+  EXPECT_EQ(srv->find("requests")->as_double(), stats.requests);
+  EXPECT_EQ(srv->find("error_frames")->as_double(), stats.error_frames);
+  EXPECT_EQ(srv->find("dropped_connections")->as_double(),
+            stats.dropped_connections);
+  client.close();
+  server.stop();
+}
+
+TEST(EvalServer, VanishedPeerDoesNotKillTheServer) {
+  // The client closes before its reply; writing that reply must fail that
+  // connection only, never raise SIGPIPE in the daemon.
+  EvalServer server(test_server_options());
+  server.start();
+  eval::FloorplanJob job;
+  job.topology.family = gen::TopologyFamily::kMesh;
+  job.topology.num_nodes = 64;
+  job.anneal.iterations = 4000;
+  const int fd = raw_connect(server.socket_path());
+  write_frame(fd, FrameType::kEvalBatch,
+              encode_request_batch({eval::EvalRequest(job)}));
+  ::close(fd);
+  // requests is counted just before the reply is written.
+  while (server.stats().requests == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  EvalClient client;
+  client.connect(server.socket_path());
+  EXPECT_TRUE(client.ping());
+  const std::vector<eval::EvalRequest> requests = tiny_floorplan_batch(1);
+  const std::vector<eval::EvalReply> remote = client.evaluate(requests);
+  ASSERT_EQ(remote.size(), 1u);
+  EXPECT_TRUE(remote[0].floorplan ==
+              eval::evaluate_batch(requests, {})[0].floorplan);
+  client.close();
+  server.stop();
+}
+
+TEST(EvalClient, UnknownErrorCodeIsAMalformedFrame) {
+  // A peer answering with an error code no ErrorCode names must not pass
+  // for some other code.
+  const std::string path = unique_socket_path();
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    try {
+      (void)read_frame(fd);
+      wire::Writer w;
+      w.u32(99);
+      w.str("m");
+      write_frame(fd, FrameType::kError, w.bytes());
+    } catch (const ProtocolError&) {
+    }
+    ::close(fd);
+  });
+
+  EvalClient client;
+  client.connect(path);
+  try {
+    client.evaluate(tiny_floorplan_batch(1));
+    ADD_FAILURE() << "an unknown error code was accepted";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.code(), eval::ErrorCode::kMalformedFrame) << e.what();
+  }
+  peer.join();
+  client.close();
+  ::close(listener);
+  ::unlink(path.c_str());
+}
+
+TEST(EvalServer, ShardedFailureThrowsAndSurvivorStillServes) {
+  EvalServer server_a(test_server_options());
+  EvalServer server_b(test_server_options());
+  server_a.start();
+  server_b.start();
+  EvalClient client_a, client_b;
+  client_a.connect(server_a.socket_path());
+  client_b.connect(server_b.socket_path());
+  server_b.stop();
+
+  EXPECT_THROW(
+      evaluate_sharded({&client_a, &client_b}, tiny_floorplan_batch(4)),
+      ProtocolError);
+  // Shard a's reply was consumed: its connection answers the next batch.
+  const std::vector<eval::EvalRequest> requests = tiny_floorplan_batch(2, 80);
+  const std::vector<eval::EvalReply> remote = client_a.evaluate(requests);
+  const std::vector<eval::EvalReply> local =
+      eval::evaluate_batch(requests, {});
+  ASSERT_EQ(remote.size(), 2u);
+  EXPECT_TRUE(remote[0].floorplan == local[0].floorplan);
+  EXPECT_TRUE(remote[1].floorplan == local[1].floorplan);
+  EXPECT_EQ(server_a.stats().requests, 4u);
+  client_a.close();
+  server_a.stop();
+}
+
+TEST(EvalServer, ShardingRejectsARepeatedClient) {
+  EvalServer server(test_server_options());
+  server.start();
+  EvalClient client;
+  client.connect(server.socket_path());
+  EXPECT_THROW(evaluate_sharded({&client, &client}, tiny_floorplan_batch(2)),
+               ContractViolation);
+  EXPECT_TRUE(client.ping());  // nothing was sent
+  client.close();
+  server.stop();
 }
 
 }  // namespace
