@@ -3,35 +3,21 @@
 // period, for WP1 and WP2. Demonstrates the paper's amortization law on a
 // second, non-processor system: Th_WP1 = m/(m+n) always, while
 // Th_WP2 = period/(period+n) — the loop latency is paid only by the
-// firings that actually read the feedback.
+// firings that actually read the feedback. A run that exhausts its cycle
+// budget throws from the harness instead of reporting a ratio.
 #include <iostream>
 
-#include "core/system.hpp"
-#include "stream/stream.hpp"
-#include "util/assert.hpp"
+#include "stream/harness.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-double run(const wp::SystemSpec& spec, bool oracle,
-           std::uint64_t golden_cycles) {
-  constexpr std::uint64_t kMaxCycles = 3000000;
-  wp::ShellOptions shell;
-  shell.use_oracle = oracle;
-  wp::LidSystem lid = build_lid(spec, shell, false);
-  const std::uint64_t cycles = lid.run_until_halt(kMaxCycles, 0);
-  // Hitting the cap without the sink halting used to fall through and
-  // report golden_cycles / kMaxCycles as if it were a throughput — a
-  // silently wrong number. A truncated run is a failure, not a data point.
-  bool halted = false;
-  for (const auto& [name, node] : lid.shells) {
-    (void)name;
-    halted = halted || node->halted();
-  }
-  WP_CHECK(halted,
-           "bench_stream: cycle cap reached before the sink halted — the "
-           "measured ratio would be meaningless");
-  return static_cast<double>(golden_cycles) / static_cast<double>(cycles);
+std::uint64_t cycles(const wp::stream::StreamGraphConfig& config,
+                     wp::stream::RunMode mode) {
+  wp::stream::HarnessOptions options;
+  options.mode = mode;
+  options.record_metrics = false;
+  return wp::stream::run_stream_graph(config, options).cycles;
 }
 
 }  // namespace
@@ -47,17 +33,19 @@ int main() {
 
   for (const std::uint64_t period : {4u, 16u, 64u}) {
     for (const int n : {0, 1, 2, 4, 8}) {
-      stream::StreamConfig config;
-      config.samples = 4000;
+      stream::StreamGraphConfig config;  // the paper pipeline
+      config.tokens = 4000;
+      config.fir_stages = 1;
+      config.branches = 1;
       config.agc_period = period;
-      SystemSpec spec = stream::make_stream_system(config);
-      spec.set_connection_rs("AGC-GAIN", n);
+      config.feedback_rs = n;
 
-      GoldenSim golden(spec, false);
-      const std::uint64_t golden_cycles = golden.run_until_halt(1000000);
-
-      const double wp1 = run(spec, false, golden_cycles);
-      const double wp2 = run(spec, true, golden_cycles);
+      const auto golden =
+          static_cast<double>(cycles(config, stream::RunMode::kGolden));
+      const double wp1 =
+          golden / static_cast<double>(cycles(config, stream::RunMode::kWp1));
+      const double wp2 =
+          golden / static_cast<double>(cycles(config, stream::RunMode::kWp2));
       table.add_row({std::to_string(period), std::to_string(n),
                      fmt_fixed(wp1, 3), fmt_fixed(3.0 / (3 + n), 3),
                      fmt_fixed(wp2, 3),

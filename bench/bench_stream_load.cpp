@@ -135,8 +135,10 @@ int main(int argc, char** argv) {
   options.fifo_capacity = static_cast<std::size_t>(parser.get_int("--fifo"));
   options.time_stages = true;
 
+  const std::size_t stages =
+      stream::make_stream_graph(config).process_names().size();
   std::cout << "stream load: " << config.tokens << " tokens/sink x "
-            << config.branches << " branches, " << stage_count(config)
+            << config.branches << " branches, " << stages
             << " stages, mode " << stream::run_mode_name(options.mode)
             << ", K=" << config.agc_period << ", feedback RS "
             << config.feedback_rs << ", forward RS " << config.forward_rs
@@ -228,8 +230,7 @@ int main(int argc, char** argv) {
     json.field("tokens", result.tokens);
     json.field("branches",
                static_cast<unsigned long long>(config.branches));
-    json.field("stages",
-               static_cast<unsigned long long>(stage_count(config)));
+    json.field("stages", static_cast<unsigned long long>(stages));
     json.field("cycles", result.cycles);
     json.field("run_ms", result.wall_ms);
     json.field("tokens_per_sec", result.tokens_per_sec);

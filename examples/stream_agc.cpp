@@ -4,57 +4,51 @@
 #include <iostream>
 
 #include "core/profile.hpp"
-#include "core/system.hpp"
-#include "stream/stream.hpp"
+#include "stream/harness.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace wp;
 
-  stream::StreamConfig config;
-  config.samples = 4000;
+  // The paper pipeline: one branch, one FIR stage.
+  stream::StreamGraphConfig config;
+  config.tokens = 4000;
+  config.fir_stages = 1;
+  config.branches = 1;
   config.agc_period = 16;
 
   // 1. Profile the golden system: which inputs does each stage read?
-  const SystemSpec spec_for_profile = stream::make_stream_system(config);
   const CommunicationProfile profile =
-      profile_communication(spec_for_profile, 100000);
+      profile_communication(stream::make_stream_graph(config), 100000);
   std::cout << "Communication profile (AGC updates every "
             << config.agc_period << " samples):\n";
   for (const auto& input : profile.inputs)
     std::cout << "  " << input.process << "." << input.port
               << "  excitation " << fmt_fixed(input.excitation_rate(), 3)
-            << "\n";
+              << "\n";
 
   // 2. The feedback wire is long and needs 2 relay stations.
-  SystemSpec spec = stream::make_stream_system(config);
-  spec.set_connection_rs("AGC-GAIN", 2);
-
-  GoldenSim golden(spec, false);
-  const std::uint64_t golden_cycles = golden.run_until_halt(1000000);
-  const auto& golden_sink =
-      dynamic_cast<const stream::StreamSink&>(golden.process("SNK"));
-  std::cout << "\ngolden: " << golden_cycles << " cycles for "
-            << golden_sink.samples().size() << " samples\n";
+  config.feedback_rs = 2;
+  stream::HarnessOptions options;
+  options.record_metrics = false;
+  options.mode = stream::RunMode::kGolden;
+  const stream::HarnessResult golden =
+      stream::run_stream_graph(config, options);
+  std::cout << "\ngolden: " << golden.cycles << " cycles for "
+            << golden.tokens << " samples\n";
 
   // 3. Wire-pipelined runs.
-  for (const bool oracle : {false, true}) {
-    ShellOptions shell;
-    shell.use_oracle = oracle;
-    LidSystem lid = build_lid(spec, shell, false);
-    const std::uint64_t cycles = lid.run_until_halt(3000000);
-    const auto& sink = dynamic_cast<const stream::StreamSink&>(
-        lid.shells.at("SNK")->process());
-    bool same = sink.samples().size() >= golden_sink.samples().size();
-    for (std::size_t i = 0; same && i < golden_sink.samples().size(); ++i)
-      same = sink.samples()[i] == golden_sink.samples()[i];
-    std::cout << (oracle ? "WP2" : "WP1") << ":    " << cycles
-              << " cycles, throughput "
-              << fmt_fixed(static_cast<double>(golden_cycles) /
-                               static_cast<double>(cycles),
+  for (const stream::RunMode mode :
+       {stream::RunMode::kWp1, stream::RunMode::kWp2}) {
+    options.mode = mode;
+    const stream::HarnessResult run = stream::run_stream_graph(config, options);
+    std::cout << (mode == stream::RunMode::kWp2 ? "WP2" : "WP1") << ":    "
+              << run.cycles << " cycles, throughput "
+              << fmt_fixed(static_cast<double>(golden.cycles) /
+                               static_cast<double>(run.cycles),
                            3)
-              << ", output stream identical: " << (same ? "yes" : "NO")
-              << "\n";
+              << ", output stream identical: "
+              << (run.digest == golden.digest ? "yes" : "NO") << "\n";
   }
   std::cout << "\nWP1 is bound by the feedback loop (m/(m+n) = 3/5 = 0.6); "
                "WP2 pays the\nrelay-station latency only on the 1-in-16 "

@@ -18,6 +18,8 @@ RelayStation::RelayStation(Wire* in, Wire* out, double stall_probability,
              "stall probability must be in [0, 1]");
 }
 
+// Pinned to a 64-byte boundary: see Network::step in network.cpp.
+[[gnu::aligned(64)]]
 void RelayStation::eval() {
   // A noise station that draws a stall withholds main; aux absorbs the
   // in-flight token in commit, so nothing is lost.
@@ -28,6 +30,7 @@ void RelayStation::eval() {
   in_->drive_stop(aux_.valid);
 }
 
+[[gnu::aligned(64)]]
 void RelayStation::commit() {
   const bool stopped_down = out_->stop() || stalling_;
   // Incoming token is transferred to us iff we did not drive stop this cycle

@@ -46,6 +46,8 @@ void Shell::set_fire_observer(FireObserver observer) {
   observer_ = std::move(observer);
 }
 
+// Pinned to a 64-byte boundary: see Network::step in network.cpp.
+[[gnu::aligned(64)]]
 void Shell::eval() {
   for (auto& input : in_) {
     WP_CHECK(input.wire != nullptr, "unconnected input port on " + name_);
@@ -66,6 +68,7 @@ bool Shell::all_outputs_delivered() const {
   return true;
 }
 
+[[gnu::aligned(64)]]
 bool Shell::commit(Cycle cycle) {
   // 1. Delivery bookkeeping: a pending token is transferred on each branch
   //    whose stop line is low this cycle.
@@ -109,6 +112,7 @@ bool Shell::commit(Cycle cycle) {
   return try_fire(cycle);
 }
 
+[[gnu::aligned(64)]]
 bool Shell::try_fire(Cycle cycle) {
   if (process_->halted()) return false;
 

@@ -281,7 +281,6 @@ void fields(Io& io, Field<Io, stream::StreamGraphConfig>& g) {
   io.u64(g.fir_stages);
   io.u64(g.branches);
   io.u64(g.agc_period);
-  io.u64(g.gain_period);
   io.f64(g.agc_target);
   io.u64(g.seed);
   io.seq(g.fir);

@@ -54,7 +54,8 @@ namespace wp::eval {
 /// v2: FamilySpec carries per-family simulation horizons.
 /// v3: the pack-engine tag names only kNaive (0) and kMovePacker (1); the
 /// retired incremental, batched and parallel engine tags are rejected.
-constexpr std::uint8_t kEvalVersion = 3;
+/// v4: StreamGraphConfig drops gain_period.
+constexpr std::uint8_t kEvalVersion = 4;
 
 enum class RequestKind : std::uint8_t {
   kExperiment = 1,      ///< golden/WP1/WP2 triple → ExperimentRow

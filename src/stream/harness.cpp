@@ -1,6 +1,6 @@
 #include "stream/harness.hpp"
 
-#include <functional>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -22,18 +22,6 @@ std::string gain_name(std::size_t b) { return "GAIN" + std::to_string(b); }
 std::string qnt_name(std::size_t b) { return "QNT" + std::to_string(b); }
 std::string agc_name(std::size_t b) { return "AGC" + std::to_string(b); }
 std::string snk_name(std::size_t b) { return "SNK" + std::to_string(b); }
-
-StreamConfig as_stream_config(const StreamGraphConfig& config) {
-  StreamConfig sc;
-  sc.samples = config.tokens;
-  sc.agc_period = config.agc_period;
-  sc.gain_period = config.gain_period;
-  sc.agc_target = config.agc_target;
-  sc.seed = config.seed;
-  sc.fir = config.fir;
-  sc.sink = config.sink;
-  return sc;
-}
 
 /// Wraps a stage to time every fire() into a per-run histogram (exact for
 /// this run's StageLoad) and, optionally, the process-global registry
@@ -82,27 +70,39 @@ const Process& unwrap(const Process& process) {
   return process;
 }
 
-using StageWrap = std::function<std::unique_ptr<Process>(
-    std::unique_ptr<Process>)>;
+/// Per-run fire-latency histograms, one per stage in spec order (exact for
+/// this run's StageLoad), and whether each stage also records into the
+/// cumulative registry histogram a daemon scrape exposes.
+struct StageTimers {
+  bool record_metrics = false;
+  std::vector<std::shared_ptr<obs::Histogram>> local;
+};
 
+/// Validates, then builds the graph. With `timers`, each stage is wrapped
+/// in a TimedProcess bound to that stage's own histograms as it is added.
 wp::SystemSpec build_graph(const StreamGraphConfig& config,
-                           const StageWrap& wrap) {
+                           StageTimers* timers) {
+  validate_graph_config(config);
   std::vector<Word> taps;
   taps.reserve(config.fir.size());
   for (double c : config.fir) taps.push_back(fix_from_double(c));
-  const std::uint64_t gain_period =
-      resolved_gain_period(as_stream_config(config));
 
   wp::SystemSpec spec;
-  auto add = [&spec, &wrap](const std::string& name,
-                            std::function<std::unique_ptr<Process>()> make) {
-    if (wrap) {
-      spec.add_process(name, [make = std::move(make), wrap]() {
-        return wrap(make());
-      });
-    } else {
+  auto add = [&spec, timers](const std::string& name, ProcessFactory make) {
+    if (timers == nullptr) {
       spec.add_process(name, std::move(make));
+      return;
     }
+    auto local = std::make_shared<obs::Histogram>();
+    obs::Histogram* registry =
+        timers->record_metrics
+            ? &obs::Registry::global().histogram("stream/stage_fire_ns/" +
+                                                 name)
+            : nullptr;
+    timers->local.push_back(local);
+    spec.add_process(name, [make = std::move(make), local, registry]() {
+      return std::make_unique<TimedProcess>(make(), local, registry);
+    });
   };
 
   add("SRC", [config]() {
@@ -117,13 +117,13 @@ wp::SystemSpec build_graph(const StreamGraphConfig& config,
     }
     const std::string gain = gain_name(b), qnt = qnt_name(b),
                       agc = agc_name(b), snk = snk_name(b);
-    add(gain, [gain, gain_period]() {
-      return std::make_unique<GainStage>(gain, gain_period);
+    // One agc_period drives both ends of the gain cadence.
+    add(gain, [gain, period = config.agc_period]() {
+      return std::make_unique<GainStage>(gain, period);
     });
     add(qnt, [qnt]() { return std::make_unique<Quantizer>(qnt); });
-    add(agc, [agc, config]() {
-      return std::make_unique<AgcControl>(agc, config.agc_period,
-                                          config.agc_target);
+    add(agc, [agc, period = config.agc_period, target = config.agc_target]() {
+      return std::make_unique<AgcControl>(agc, period, target);
     });
     add(snk, [snk, config]() {
       return std::make_unique<StreamSink>(snk, config.tokens, config.sink);
@@ -168,10 +168,6 @@ std::uint64_t default_max_cycles(const StreamGraphConfig& config) {
   return 4096 + fill + 2 * config.tokens * per_token;
 }
 
-struct StageTimers {
-  std::vector<std::shared_ptr<obs::Histogram>> local;  // by stage index
-};
-
 void fill_latency(StageLoad& load, const obs::Histogram& histogram) {
   load.fire_count = histogram.count();
   load.fire_p50_ns = histogram.percentile(50);
@@ -203,33 +199,6 @@ void flush_metrics(const HarnessResult& result) {
 
 }  // namespace
 
-std::size_t stage_count(const StreamGraphConfig& config) {
-  return 1 + config.branches * (config.fir_stages + 4);
-}
-
-std::vector<std::string> stage_names(const StreamGraphConfig& config) {
-  std::vector<std::string> names;
-  names.reserve(stage_count(config));
-  names.push_back("SRC");
-  for (std::size_t b = 0; b < config.branches; ++b) {
-    for (std::size_t k = 0; k < config.fir_stages; ++k)
-      names.push_back(fir_name(b, k));
-    names.push_back(gain_name(b));
-    names.push_back(qnt_name(b));
-    names.push_back(agc_name(b));
-    names.push_back(snk_name(b));
-  }
-  return names;
-}
-
-std::vector<std::string> sink_names(const StreamGraphConfig& config) {
-  std::vector<std::string> names;
-  names.reserve(config.branches);
-  for (std::size_t b = 0; b < config.branches; ++b)
-    names.push_back(snk_name(b));
-  return names;
-}
-
 void validate_graph_config(const StreamGraphConfig& config) {
   WP_REQUIRE(config.tokens >= 1, "stream graph needs tokens >= 1");
   WP_REQUIRE(config.fir_stages >= 1 && config.fir_stages <= 256,
@@ -238,12 +207,18 @@ void validate_graph_config(const StreamGraphConfig& config) {
              "branches must be in [1, 256]");
   WP_REQUIRE(config.feedback_rs >= 0 && config.forward_rs >= 0,
              "relay station counts must be non-negative");
-  validate_stream_config(as_stream_config(config));
+  WP_REQUIRE(config.agc_period >= 1, "AGC period must be >= 1");
+  WP_REQUIRE(std::isfinite(config.agc_target) && config.agc_target > 0 &&
+                 config.agc_target < 32768.0,
+             "AGC target must be positive, finite and inside 16.16 range");
+  WP_REQUIRE(!config.fir.empty(), "FIR needs at least one tap");
+  for (const double tap : config.fir)
+    WP_REQUIRE(std::isfinite(tap) && tap >= -32768.0 && tap < 32768.0,
+               "FIR tap outside the representable 16.16 range");
 }
 
 wp::SystemSpec make_stream_graph(const StreamGraphConfig& config) {
-  validate_graph_config(config);
-  return build_graph(config, StageWrap{});
+  return build_graph(config, nullptr);
 }
 
 const char* run_mode_name(RunMode mode) {
@@ -258,48 +233,28 @@ const char* run_mode_name(RunMode mode) {
 HarnessResult run_stream_graph(const StreamGraphConfig& config,
                                const HarnessOptions& options) {
   WP_SPAN("stream/run_graph");
-  validate_graph_config(config);
   WP_REQUIRE(options.fifo_capacity >= 1, "FIFO capacity must be >= 1");
 
-  const std::vector<std::string> names = stage_names(config);
-  const std::vector<std::string> sinks = sink_names(config);
+  StageTimers timers;
+  timers.record_metrics = options.record_metrics;
+  const wp::SystemSpec spec =
+      build_graph(config, options.time_stages ? &timers : nullptr);
+  const std::vector<std::string>& names = spec.process_names();
   const std::uint64_t max_cycles =
       options.max_cycles != 0 ? options.max_cycles
                               : default_max_cycles(config);
 
-  // Per-run latency histograms (exact for this run's StageLoad) and, when
-  // recording, the cumulative registry ones a daemon scrape exposes.
-  StageTimers timers;
-  StageWrap wrap;
-  if (options.time_stages) {
-    timers.local.reserve(names.size());
-    std::vector<obs::Histogram*> registry_hists;
-    for (const std::string& name : names) {
-      timers.local.push_back(std::make_shared<obs::Histogram>());
-      registry_hists.push_back(
-          options.record_metrics
-              ? &obs::Registry::global().histogram("stream/stage_fire_ns/" +
-                                                   name)
-              : nullptr);
-    }
-    // Stage index by construction order: build_graph adds processes in
-    // exactly stage_names order, so a counter suffices.
-    auto next = std::make_shared<std::size_t>(0);
-    auto local = timers.local;
-    wrap = [next, local, registry_hists](std::unique_ptr<Process> inner)
-        -> std::unique_ptr<Process> {
-      const std::size_t i = (*next)++ % local.size();
-      return std::make_unique<TimedProcess>(std::move(inner), local[i],
-                                            registry_hists[i]);
-    };
-  }
-
-  const wp::SystemSpec spec = build_graph(config, wrap);
-
   HarnessResult result;
   result.mode = options.mode;
-  result.sink_digests.reserve(sinks.size());
-  result.sink_counts.reserve(sinks.size());
+  result.sink_digests.reserve(config.branches);
+  result.sink_counts.reserve(config.branches);
+  auto record_sink = [&](const Process& process) {
+    const auto& sink = dynamic_cast<const StreamSink&>(unwrap(process));
+    WP_ENSURE(sink.count() == config.tokens,
+              "sink halted with an unexpected sample count");
+    result.sink_digests.push_back(sink.digest());
+    result.sink_counts.push_back(sink.count());
+  };
 
   const std::uint64_t wall_start = obs::now_ns();
 
@@ -316,14 +271,8 @@ HarnessResult run_stream_graph(const StreamGraphConfig& config,
       load.firings = result.cycles;  // golden: every stage, every cycle
       result.stages.push_back(std::move(load));
     }
-    for (const std::string& name : sinks) {
-      const auto& sink =
-          dynamic_cast<const StreamSink&>(unwrap(golden.process(name)));
-      WP_ENSURE(sink.count() >= config.tokens,
-                "golden sink halted short of its token limit");
-      result.sink_digests.push_back(sink.digest());
-      result.sink_counts.push_back(sink.count());
-    }
+    for (std::size_t b = 0; b < config.branches; ++b)
+      record_sink(golden.process(snk_name(b)));
   } else {
     ShellOptions shell;
     shell.use_oracle = options.mode == RunMode::kWp2;
@@ -332,22 +281,17 @@ HarnessResult run_stream_graph(const StreamGraphConfig& config,
 
     // Only the sinks halt in a stream graph: wait for all of them, so each
     // branch holds exactly `tokens` samples and digests compare.
-    result.cycles = lid.network->run(max_cycles, sinks.size());
-    std::vector<Shell*> sink_shells;
-    sink_shells.reserve(sinks.size());
-    for (const std::string& name : sinks)
-      sink_shells.push_back(lid.shells.at(name));
+    result.cycles = lid.network->run(max_cycles, config.branches);
     bool all_halted = true;
-    for (const Shell* sink : sink_shells)
-      all_halted = all_halted && sink->halted();
+    for (std::size_t b = 0; b < config.branches; ++b)
+      all_halted = all_halted && lid.shells.at(snk_name(b))->halted();
     WP_ENSURE(all_halted,
               "stream harness exhausted its cycle budget before every sink "
               "halted — raise max_cycles; refusing to report a truncated "
               "run");
 
     for (const std::string& name : names) {
-      const Shell* shell_node = lid.shells.at(name);
-      const ShellStats& stats = shell_node->stats();
+      const ShellStats& stats = lid.shells.at(name)->stats();
       StageLoad load;
       load.name = name;
       load.firings = stats.firings;
@@ -359,14 +303,8 @@ HarnessResult run_stream_graph(const StreamGraphConfig& config,
       result.discarded_tokens += stats.discarded_tokens;
       result.stages.push_back(std::move(load));
     }
-    for (Shell* sink_shell : sink_shells) {
-      const auto& sink =
-          dynamic_cast<const StreamSink&>(unwrap(sink_shell->process()));
-      WP_ENSURE(sink.count() == config.tokens,
-                "sink halted with an unexpected sample count");
-      result.sink_digests.push_back(sink.digest());
-      result.sink_counts.push_back(sink.count());
-    }
+    for (std::size_t b = 0; b < config.branches; ++b)
+      record_sink(lid.shells.at(snk_name(b))->process());
   }
 
   const std::uint64_t wall_ns = obs::now_ns() - wall_start;
@@ -381,11 +319,8 @@ HarnessResult run_stream_graph(const StreamGraphConfig& config,
                    : static_cast<double>(result.tokens) * 1e9 /
                          static_cast<double>(wall_ns);
 
-  if (options.time_stages) {
-    for (std::size_t i = 0; i < result.stages.size() && i < timers.local.size();
-         ++i)
-      fill_latency(result.stages[i], *timers.local[i]);
-  }
+  for (std::size_t i = 0; i < timers.local.size(); ++i)
+    fill_latency(result.stages[i], *timers.local[i]);
   if (options.record_metrics) flush_metrics(result);
   return result;
 }

@@ -1,11 +1,8 @@
-// The heavy-traffic streaming harness — ROADMAP's "millions of users"
-// story for the only consumer-facing surface in the repo.
-//
-// Generalizes the fixed five-stage AGC pipeline of stream/stream.hpp into
-// parameterized multi-stage graphs: a shared SampleSource fans out to
-// `branches` parallel AGC pipelines, each with a chain of `fir_stages`
-// FIR filters in front of its GAIN→QNT→SNK spine and its own AGC
-// feedback loop:
+// The one builder and the one runner of the stream system. The paper's
+// AGC pipeline of stream/stream.hpp is the fir_stages = 1, branches = 1
+// graph; in general a shared SampleSource fans out to `branches` parallel
+// AGC pipelines, each with a chain of `fir_stages` FIR filters in front of
+// its GAIN→QNT→SNK spine and its own AGC feedback loop:
 //
 //          ┌► FIR0_0 ─ … ─ FIR0_d ─► GAIN0 ─► QNT0 ─► SNK0
 //   SRC ───┤                           ▲         │
@@ -47,8 +44,7 @@ struct StreamGraphConfig {
   std::uint64_t tokens = 100000;  ///< per-sink halt limit (> 0)
   std::size_t fir_stages = 1;     ///< FIR chain depth per branch (>= 1)
   std::size_t branches = 1;       ///< parallel AGC pipelines (>= 1)
-  std::uint64_t agc_period = 16;  ///< gain update cadence K
-  std::uint64_t gain_period = 0;  ///< 0 = agc_period; must equal agc_period
+  std::uint64_t agc_period = 16;  ///< gain update cadence K (>= 1)
   double agc_target = 0.25;
   std::uint64_t seed = 7;
   std::vector<double> fir = {0.25, 0.5, 0.25};
@@ -57,22 +53,17 @@ struct StreamGraphConfig {
   SinkOptions sink;     ///< retention mode of every sink
 };
 
-/// Number of processes in the graph: 1 + branches * (fir_stages + 4).
-std::size_t stage_count(const StreamGraphConfig& config);
-
-/// Stage names, SRC first, then branch by branch in pipeline order.
-std::vector<std::string> stage_names(const StreamGraphConfig& config);
-/// "SNK<b>" for each branch.
-std::vector<std::string> sink_names(const StreamGraphConfig& config);
-
-/// Build-time validation (ContractViolation on the failing field): token
-/// and shape bounds plus the stream-config checks, including the
-/// gain/AGC cadence contract.
+/// The stream system's one validator (ContractViolation on the failing
+/// field, at spec-build time): token and shape bounds, AGC period >= 1,
+/// a positive finite AGC target and non-empty FIR taps, all inside the
+/// 16.16 range.
 void validate_graph_config(const StreamGraphConfig& config);
 
-/// Builds the graph; validates first. Feedback connections are named
-/// "AGC<b>-GAIN<b>" (relay stations preset from feedback_rs), forward
-/// ones "<from>-<to>" (preset from forward_rs).
+/// Builds the graph; validates first. Processes are added SRC first, then
+/// branch by branch in pipeline order (FIR<b>_<k>…, GAIN<b>, QNT<b>,
+/// AGC<b>, SNK<b>). Feedback connections are named "AGC<b>-GAIN<b>"
+/// (relay stations preset from feedback_rs), forward ones "<from>-<to>"
+/// (preset from forward_rs).
 wp::SystemSpec make_stream_graph(const StreamGraphConfig& config);
 
 // --------------------------------------------------------------- running

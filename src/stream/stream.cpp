@@ -126,8 +126,7 @@ void GainStage::fire(const Word* in, Word* out) {
     const Word token = in[kGainInGain];
     WP_CHECK(AgcControl::fresh(token),
              "gain cadence mismatch between AGC and gain stage (GainStage "
-             "and AgcControl periods differ — validate_stream_config at "
-             "spec-build time catches this)");
+             "and AgcControl periods differ)");
     gain_ = token & ~kFreshBit;
   }
   out[0] = fix_mul(in[kGainInSample], gain_);
@@ -264,62 +263,6 @@ std::vector<Word> StreamSink::tail() const {
   for (std::size_t k = 0; k < n; ++k)
     out.push_back(tail_[(start + k) % tail_.size()]);
   return out;
-}
-
-// ---------------------------------------------------------------------------
-
-std::uint64_t resolved_gain_period(const StreamConfig& config) {
-  return config.gain_period == 0 ? config.agc_period : config.gain_period;
-}
-
-void validate_stream_config(const StreamConfig& config) {
-  WP_REQUIRE(config.agc_period >= 1, "AGC period must be >= 1");
-  WP_REQUIRE(resolved_gain_period(config) == config.agc_period,
-             "gain cadence mismatch: gain_period must equal agc_period (the "
-             "GainStage oracle and the AgcControl fresh-token cadence are "
-             "one contract) — a mismatched pair would die mid-simulation");
-  WP_REQUIRE(std::isfinite(config.agc_target) && config.agc_target > 0 &&
-                 config.agc_target < 32768.0,
-             "AGC target must be positive, finite and inside 16.16 range");
-  WP_REQUIRE(!config.fir.empty(), "FIR needs at least one tap");
-  for (const double tap : config.fir)
-    WP_REQUIRE(std::isfinite(tap) && tap >= -32768.0 && tap < 32768.0,
-               "FIR tap outside the representable 16.16 range");
-}
-
-wp::SystemSpec make_stream_system(const StreamConfig& config) {
-  validate_stream_config(config);
-
-  std::vector<Word> taps;
-  taps.reserve(config.fir.size());
-  for (double c : config.fir) taps.push_back(fix_from_double(c));
-
-  wp::SystemSpec spec;
-  spec.add_process("SRC", [config]() {
-    return std::make_unique<SampleSource>("SRC", config.seed, 0);
-  });
-  spec.add_process("FIR", [taps]() {
-    return std::make_unique<FirFilter>("FIR", taps);
-  });
-  spec.add_process("GAIN", [config]() {
-    return std::make_unique<GainStage>("GAIN", resolved_gain_period(config));
-  });
-  spec.add_process("QNT", []() { return std::make_unique<Quantizer>("QNT"); });
-  spec.add_process("AGC", [config]() {
-    return std::make_unique<AgcControl>("AGC", config.agc_period,
-                                        config.agc_target);
-  });
-  spec.add_process("SNK", [config]() {
-    return std::make_unique<StreamSink>("SNK", config.samples, config.sink);
-  });
-
-  spec.add_channel("SRC", "out", "FIR", "in", "SRC-FIR");
-  spec.add_channel("FIR", "out", "GAIN", "sample", "FIR-GAIN");
-  spec.add_channel("GAIN", "out", "QNT", "in", "GAIN-QNT");
-  spec.add_channel("QNT", "out", "SNK", "in", "QNT-SNK");
-  spec.add_channel("QNT", "mag", "AGC", "mag", "QNT-AGC");
-  spec.add_channel("AGC", "gain", "GAIN", "gain", "AGC-GAIN");
-  return spec;
 }
 
 }  // namespace wp::stream

@@ -11,17 +11,15 @@
 // the throughput a strict WP1 wrapper loses when the feedback wire needs
 // relay stations. Samples are 16.16 fixed-point in the low 32 bits.
 //
-// Multi-stage graphs beyond this fixed five-stage pipeline (parameterized
-// FIR depth and branch fan-out, for the heavy-traffic harness) live in
-// stream/harness.hpp.
+// This header holds the stage processes. The one builder,
+// make_stream_graph in stream/harness.hpp, wires them up: the pipeline
+// above is its fir_stages = 1, branches = 1 graph.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "core/process.hpp"
-#include "core/system.hpp"
 #include "util/stats.hpp"
 
 namespace wp::stream {
@@ -71,11 +69,9 @@ class FirFilter final : public Process {
 /// oracle requires the gain input only on those firings; the AGC marks
 /// fresh tokens with bit 63 and the stage cross-checks the cadence.
 ///
-/// The period MUST equal the period of the AgcControl feeding the "gain"
-/// input — a mismatched pair dies on a WP_CHECK deep inside the
-/// simulation. Spec builders validate this up front (make_stream_system /
-/// harness builders throw at build time); hand-assembled SystemSpecs
-/// should call validate_stream_config before simulating.
+/// The period must equal the period of the AgcControl feeding the "gain"
+/// input. make_stream_graph passes one agc_period to both; a hand-built
+/// SystemSpec that pairs different periods dies on a WP_CHECK mid-run.
 class GainStage final : public Process {
  public:
   GainStage(std::string name, std::uint64_t period);
@@ -125,13 +121,13 @@ class AgcControl final : public Process {
 
 /// How a StreamSink retains what it receives.
 struct SinkOptions {
+  /// false — stats-only (the default): RunningStats + order-sensitive
+  ///         digest + an optional tail window, O(1) memory no matter how
+  ///         many million tokens flow through;
   /// true  — retain every sample (tests that compare streams bit for bit;
   ///         memory grows with the run, reserve()d up front when the halt
-  ///         limit is known);
-  /// false — stats-only: RunningStats + order-sensitive digest + an
-  ///         optional tail window, O(1) memory no matter how many million
-  ///         tokens flow through. The heavy-traffic harness mode.
-  bool keep_samples = true;
+  ///         limit is known).
+  bool keep_samples = false;
   /// Stats-only mode: retain the most recent `tail_window` samples (0 =
   /// none) so long runs still expose a comparable suffix.
   std::size_t tail_window = 0;
@@ -170,34 +166,5 @@ class StreamSink final : public Process {
   std::vector<Word> tail_;     // stats-only ring, tail_pos_ = next slot
   std::size_t tail_pos_ = 0;
 };
-
-struct StreamConfig {
-  std::uint64_t samples = 4000;     ///< sink halt limit
-  std::uint64_t agc_period = 16;    ///< gain updates every K samples
-  /// Gain-stage cadence; 0 follows agc_period. Any other value must EQUAL
-  /// agc_period — the field exists so hand-built configurations state the
-  /// cadence explicitly and a mismatch fails at make_stream_system time
-  /// (ContractViolation) instead of deadlocking mid-simulation.
-  std::uint64_t gain_period = 0;
-  double agc_target = 0.25;
-  std::uint64_t seed = 7;
-  std::vector<double> fir = {0.25, 0.5, 0.25};
-  SinkOptions sink;
-};
-
-/// The gain-stage cadence a config resolves to (gain_period, or agc_period
-/// when gain_period is 0).
-std::uint64_t resolved_gain_period(const StreamConfig& config);
-
-/// Validates a config the way make_stream_system will: periods >= 1 and
-/// matching cadence, positive finite AGC target, non-empty FIR taps inside
-/// the 16.16 range. Throws ContractViolation with the failing field —
-/// at spec-build time, not deep inside a simulation.
-void validate_stream_config(const StreamConfig& config);
-
-/// Builds the five-stage pipeline; connections are named SRC-FIR, FIR-GAIN,
-/// GAIN-QNT, QNT-SNK, QNT-AGC and AGC-GAIN (the feedback link). Calls
-/// validate_stream_config first.
-wp::SystemSpec make_stream_system(const StreamConfig& config);
 
 }  // namespace wp::stream

@@ -155,7 +155,6 @@ EvalRequest sample_stream_request() {
   job.graph.fir_stages = 2;
   job.graph.branches = 2;
   job.graph.agc_period = 8;
-  job.graph.gain_period = 2;
   job.graph.agc_target = 0.5;
   job.graph.seed = 11;
   job.graph.fir = {0.125, 0.75, 0.125};
@@ -185,12 +184,12 @@ std::uint64_t image_hash(const std::string& bytes) {
 
 TEST(EvalRequestWire, RoundTripIdentityPerKind) {
   // hash_bytes of each fixture's wire image, in request_fixtures() order.
-  // These pin the kEvalVersion 3 layout: a change here is a wire-format
+  // These pin the kEvalVersion 4 layout: a change here is a wire-format
   // change and must bump kEvalVersion.
   const std::vector<std::uint64_t> pinned = {
-      0x1edd2e3ed2c22441ULL, 0xd6e861a1e1415c5aULL,
-      0x4b94a3219ccd3d89ULL, 0x830e1292740cb9faULL,
-      0x3e64ba984b292f89ULL};
+      0x8858ba5eb3cff2f0ULL, 0xa0cb0782670d471dULL,
+      0x9f7ae0a118ba5d6aULL, 0xd6dfc4a820e6c673ULL,
+      0xd8e36163fd975f1eULL};
   const std::vector<EvalRequest> requests = request_fixtures();
   ASSERT_EQ(requests.size(), pinned.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -239,7 +238,7 @@ TEST(EvalRequestWire, InlineProgramIsNotWireable) {
   EXPECT_EQ(request.content_hash(), again.content_hash());
   // Pinned like the wire images: the inline program's name, source and
   // ram are what the hash digests.
-  EXPECT_EQ(request.content_hash(), 0x4a2edf450b290f39ULL);
+  EXPECT_EQ(request.content_hash(), 0x670f81e887c51c48ULL);
 }
 
 TEST(EvalRequestWire, ForeignVersionRejected) {
@@ -345,9 +344,9 @@ TEST(EvalReplyWire, RoundTripPerKind) {
   // hash_bytes of each fixture's wire image, in reply_fixtures() order
   // (pinned like the request images above).
   const std::vector<std::uint64_t> pinned = {
-      0xe4959458e4a1c4edULL, 0xc260c8a89fa4650bULL,
-      0x5dd09d147cea4b19ULL, 0x50df2b736107d90fULL,
-      0xffbe77194aea8a79ULL, 0xcc7ffb1c0bd4e516ULL};
+      0x50510f0cb185d2a6ULL, 0x965261b5a53762c2ULL,
+      0xe00ab602ea2faa46ULL, 0x90f68cc3c522de08ULL,
+      0x6d2ed4de65ea0442ULL, 0xa9ff16b17f09f8c1ULL};
   const std::vector<EvalReply> replies = reply_fixtures();
   ASSERT_EQ(replies.size(), pinned.size());
   for (std::size_t i = 0; i < replies.size(); ++i) {

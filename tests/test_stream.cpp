@@ -1,12 +1,17 @@
 // Tests of the DSP stream case study: fixed-point arithmetic, FIR impulse
-// response, AGC convergence and cadence, and the full pipeline's WP1/WP2
-// behaviour with relay stations on the feedback link.
+// response, AGC convergence and cadence, and the paper pipeline's WP1/WP2
+// behaviour with relay stations on the feedback link. The paper pipeline is
+// make_stream_graph's one-branch, one-FIR graph.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
 
 #include "util/assert.hpp"
 
 #include "core/profile.hpp"
 #include "core/system.hpp"
+#include "stream/harness.hpp"
 #include "stream/stream.hpp"
 
 namespace wp::stream {
@@ -72,9 +77,9 @@ TEST(Agc, SteersTowardTarget) {
 }
 
 TEST(StreamSystem, GoldenPipelineProducesBoundedOutput) {
-  StreamConfig config;
-  config.samples = 3000;
-  SystemSpec spec = make_stream_system(config);
+  StreamGraphConfig config;
+  config.tokens = 3000;
+  const SystemSpec spec = make_stream_graph(config);
   GoldenSim golden(spec, false);
   golden.run_until_halt(100000);
   EXPECT_TRUE(golden.halted());
@@ -84,11 +89,11 @@ class StreamFeedbackRs : public ::testing::TestWithParam<int> {};
 
 TEST_P(StreamFeedbackRs, Wp1HitsLoopBoundWp2RecoversToNearOne) {
   const int n = GetParam();
-  StreamConfig config;
-  config.samples = 3000;
+  StreamGraphConfig config;
+  config.tokens = 3000;
   config.agc_period = 16;
-  SystemSpec spec = make_stream_system(config);
-  spec.set_connection_rs("AGC-GAIN", n);
+  config.feedback_rs = n;  // on connection AGC0-GAIN0
+  const SystemSpec spec = make_stream_graph(config);
 
   GoldenSim golden(spec, true);
   const std::uint64_t golden_cycles = golden.run_until_halt(100000);
@@ -98,7 +103,7 @@ TEST_P(StreamFeedbackRs, Wp1HitsLoopBoundWp2RecoversToNearOne) {
     shell.use_oracle = oracle;
     LidSystem lid = build_lid(spec, shell, true);
     const std::uint64_t cycles = lid.run_until_halt(1000000);
-    ASSERT_TRUE(lid.shells.at("SNK")->halted());
+    ASSERT_TRUE(lid.shells.at("SNK0")->halted());
     const double th = static_cast<double>(golden_cycles) /
                       static_cast<double>(cycles);
 
@@ -125,16 +130,17 @@ INSTANTIATE_TEST_SUITE_P(FeedbackDepth, StreamFeedbackRs,
                          ::testing::Values(0, 1, 2, 4, 8));
 
 TEST(StreamSystem, SinkSamplesIdenticalAcrossExecutions) {
-  StreamConfig config;
-  config.samples = 1500;
-  SystemSpec spec = make_stream_system(config);
-  spec.set_connection_rs("AGC-GAIN", 3);
-  spec.set_connection_rs("FIR-GAIN", 1);
+  StreamGraphConfig config;
+  config.tokens = 1500;
+  config.feedback_rs = 3;
+  config.sink.keep_samples = true;
+  SystemSpec spec = make_stream_graph(config);
+  spec.set_connection_rs("FIR0_0-GAIN0", 1);
 
   GoldenSim golden(spec, false);
   golden.run_until_halt(100000);
   const auto& golden_sink =
-      dynamic_cast<const StreamSink&>(golden.process("SNK"));
+      dynamic_cast<const StreamSink&>(golden.process("SNK0"));
 
   for (const bool oracle : {false, true}) {
     ShellOptions shell;
@@ -142,7 +148,7 @@ TEST(StreamSystem, SinkSamplesIdenticalAcrossExecutions) {
     LidSystem lid = build_lid(spec, shell, false);
     lid.run_until_halt(1000000);
     const auto& sink =
-        dynamic_cast<const StreamSink&>(lid.shells.at("SNK")->process());
+        dynamic_cast<const StreamSink&>(lid.shells.at("SNK0")->process());
     ASSERT_GE(sink.samples().size(), golden_sink.samples().size());
     for (std::size_t i = 0; i < golden_sink.samples().size(); ++i)
       ASSERT_EQ(sink.samples()[i], golden_sink.samples()[i])
@@ -151,20 +157,20 @@ TEST(StreamSystem, SinkSamplesIdenticalAcrossExecutions) {
 }
 
 TEST(StreamSystem, ProfilerSeesTheFeedbackDutyCycle) {
-  StreamConfig config;
-  config.samples = 2000;
+  StreamGraphConfig config;
+  config.tokens = 2000;
   config.agc_period = 16;
-  const SystemSpec spec = make_stream_system(config);
+  const SystemSpec spec = make_stream_graph(config);
   const CommunicationProfile profile = profile_communication(spec, 100000);
-  EXPECT_NEAR(profile.at("GAIN", "gain").excitation_rate(), 1.0 / 16, 0.01);
-  EXPECT_DOUBLE_EQ(profile.at("GAIN", "sample").excitation_rate(), 1.0);
-  EXPECT_DOUBLE_EQ(profile.at("AGC", "mag").excitation_rate(), 1.0);
+  EXPECT_NEAR(profile.at("GAIN0", "gain").excitation_rate(), 1.0 / 16, 0.01);
+  EXPECT_DOUBLE_EQ(profile.at("GAIN0", "sample").excitation_rate(), 1.0);
+  EXPECT_DOUBLE_EQ(profile.at("AGC0", "mag").excitation_rate(), 1.0);
 }
 
 TEST(StreamSystem, NoiseDoesNotChangeTheStream) {
-  StreamConfig config;
-  config.samples = 1000;
-  SystemSpec spec = make_stream_system(config);
+  StreamGraphConfig config;
+  config.tokens = 1000;
+  const SystemSpec spec = make_stream_graph(config);
   GoldenSim golden(spec, true);
   golden.run_until_halt(100000);
 
@@ -177,6 +183,50 @@ TEST(StreamSystem, NoiseDoesNotChangeTheStream) {
   lid.run_until_halt(2000000);
   const auto eq = check_equivalence(golden.trace(), lid.trace);
   EXPECT_TRUE(eq.equivalent) << eq.detail;
+}
+
+// The paper pipeline — SRC → FIR → GAIN → QNT → SNK with the AGC loop —
+// is the one-branch, one-FIR stream graph. These cycle counts and sink
+// digests pin its golden, WP1 and WP2 behaviour for 4,000 tokens at the
+// default seed, AGC target and taps.
+TEST(PaperPipeline, CyclesAndSinkDigestPinned) {
+  struct Pin {
+    std::uint64_t period;
+    int feedback_rs;
+    std::uint64_t golden, wp1, wp2, digest;
+  };
+  for (const Pin& pin : {
+           Pin{16, 0, 4000, 4000, 4000, 0x494e067fcac0b9baULL},
+           Pin{16, 2, 4000, 6666, 4498, 0x494e067fcac0b9baULL},
+           Pin{4, 8, 4000, 14664, 11992, 0x0cc268074f9b76bdULL},
+           Pin{64, 1, 4000, 5333, 4062, 0x67c44a74a18984d6ULL},
+       }) {
+    StreamGraphConfig config;
+    config.tokens = 4000;
+    config.fir_stages = 1;
+    config.branches = 1;
+    config.agc_period = pin.period;
+    config.feedback_rs = pin.feedback_rs;
+    SCOPED_TRACE("K=" + std::to_string(pin.period) +
+                 " n=" + std::to_string(pin.feedback_rs));
+    HarnessOptions options;
+    options.record_metrics = false;
+    for (const auto& [mode, cycles] :
+         {std::pair{RunMode::kGolden, pin.golden},
+          std::pair{RunMode::kWp1, pin.wp1},
+          std::pair{RunMode::kWp2, pin.wp2}}) {
+      options.mode = mode;
+      const HarnessResult result = run_stream_graph(config, options);
+      EXPECT_EQ(result.cycles, cycles) << run_mode_name(mode);
+      ASSERT_EQ(result.sink_digests.size(), 1u);
+      EXPECT_EQ(result.sink_digests[0], pin.digest) << run_mode_name(mode);
+    }
+  }
+}
+
+TEST(StreamSink, DefaultRetentionIsStatsOnly) {
+  const StreamSink sink("s", 8, StreamGraphConfig{}.sink);
+  EXPECT_THROW(sink.samples(), ContractViolation);
 }
 
 }  // namespace

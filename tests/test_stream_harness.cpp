@@ -4,8 +4,8 @@
 //     periods × feedback relay-station depths × graph shapes;
 //   * stats-only sinks are observationally identical to keep-all sinks
 //     (count, digest, Welford stats, tail window) at O(1) memory;
-//   * the latent stream bugs stay fixed: gain/AGC cadence mismatch fails
-//     at spec-build time, fix_from_double rejects NaN/out-of-range, the
+//   * the latent stream bugs stay fixed: degenerate configs fail at
+//     spec-build time, fix_from_double rejects NaN/out-of-range, the
 //     shell's ring FIFO wraps and overflows loudly, and a harness that
 //     exhausts its cycle budget throws instead of reporting a truncated
 //     throughput;
@@ -76,36 +76,23 @@ TEST(FixFromDouble, RejectsNonFiniteAndOutOfRange) {
   EXPECT_NEAR(fix_to_double(fix_from_double(-32768.0)), -32768.0, 1e-4);
 }
 
-// ------------------------------------------------- cadence validation
-
-TEST(StreamValidation, MismatchedCadenceFailsAtBuildTime) {
-  StreamConfig config;
-  config.agc_period = 16;
-  config.gain_period = 8;  // the crash that used to happen mid-simulation
-  EXPECT_THROW(make_stream_system(config), ContractViolation);
-  EXPECT_THROW(validate_stream_config(config), ContractViolation);
-
-  config.gain_period = 16;  // explicit and matching: fine
-  EXPECT_NO_THROW(make_stream_system(config));
-  config.gain_period = 0;  // 0 = follow agc_period: fine
-  EXPECT_NO_THROW(make_stream_system(config));
-}
+// ------------------------------------------------- config validation
 
 TEST(StreamValidation, RejectsDegenerateConfigs) {
   {
-    StreamConfig config;
-    config.agc_period = 0;
-    EXPECT_THROW(validate_stream_config(config), ContractViolation);
+    StreamGraphConfig graph;
+    graph.agc_period = 0;
+    EXPECT_THROW(validate_graph_config(graph), ContractViolation);
   }
   {
-    StreamConfig config;
-    config.fir.clear();
-    EXPECT_THROW(validate_stream_config(config), ContractViolation);
+    StreamGraphConfig graph;
+    graph.fir.clear();
+    EXPECT_THROW(validate_graph_config(graph), ContractViolation);
   }
   {
-    StreamConfig config;
-    config.agc_target = std::nan("");
-    EXPECT_THROW(validate_stream_config(config), ContractViolation);
+    StreamGraphConfig graph;
+    graph.agc_target = std::nan("");
+    EXPECT_THROW(validate_graph_config(graph), ContractViolation);
   }
   {
     StreamGraphConfig graph;
@@ -119,8 +106,7 @@ TEST(StreamValidation, RejectsDegenerateConfigs) {
   }
   {
     StreamGraphConfig graph;
-    graph.agc_period = 4;
-    graph.gain_period = 16;
+    graph.agc_period = 0;
     EXPECT_THROW(make_stream_graph(graph), ContractViolation);
   }
 }
@@ -128,24 +114,24 @@ TEST(StreamValidation, RejectsDegenerateConfigs) {
 // ------------------------------------------------------ sink retention
 
 TEST(StreamSink, StatsOnlyIsObservationallyIdenticalToKeepAll) {
-  StreamConfig config;
-  config.samples = 600;
+  StreamGraphConfig config;
+  config.tokens = 600;
   config.agc_period = 8;
 
   config.sink.keep_samples = true;
-  const SystemSpec keep_spec = make_stream_system(config);
+  const SystemSpec keep_spec = make_stream_graph(config);
   GoldenSim keep_run(keep_spec, false);
   keep_run.run_until_halt(10000);
   const auto& keep =
-      dynamic_cast<const StreamSink&>(keep_run.process("SNK"));
+      dynamic_cast<const StreamSink&>(keep_run.process("SNK0"));
 
   config.sink.keep_samples = false;
   config.sink.tail_window = 32;
-  const SystemSpec stats_spec = make_stream_system(config);
+  const SystemSpec stats_spec = make_stream_graph(config);
   GoldenSim stats_run(stats_spec, false);
   stats_run.run_until_halt(10000);
   const auto& stats =
-      dynamic_cast<const StreamSink&>(stats_run.process("SNK"));
+      dynamic_cast<const StreamSink&>(stats_run.process("SNK0"));
 
   EXPECT_EQ(keep.count(), stats.count());
   EXPECT_EQ(keep.digest(), stats.digest());
@@ -273,6 +259,21 @@ TEST(Harness, CycleBudgetExhaustionFailsLoudly) {
   EXPECT_THROW(run_stream_graph(config, options), ContractViolation);
 }
 
+TEST(Harness, EachStageTimerIsBoundToItsOwnStage) {
+  const StreamGraphConfig config = small_graph(600, 2, 2, 8, 2, 1);
+  HarnessOptions options;
+  options.record_metrics = false;
+  options.time_stages = true;
+  for (const RunMode mode : {RunMode::kGolden, RunMode::kWp1, RunMode::kWp2}) {
+    options.mode = mode;
+    const HarnessResult result = run_stream_graph(config, options);
+    ASSERT_EQ(result.stages.size(), 13u) << run_mode_name(mode);
+    for (const StageLoad& stage : result.stages)
+      EXPECT_EQ(stage.fire_count, stage.firings)
+          << run_mode_name(mode) << " " << stage.name;
+  }
+}
+
 TEST(Harness, FlushesTokenAndBackpressureCountersIntoTheRegistry) {
   obs::Registry& registry = obs::Registry::global();
   const std::uint64_t processed_before =
@@ -323,8 +324,6 @@ TEST(StreamWire, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(decoded.stream.graph.fir_stages, request.stream.graph.fir_stages);
   EXPECT_EQ(decoded.stream.graph.branches, request.stream.graph.branches);
   EXPECT_EQ(decoded.stream.graph.agc_period, request.stream.graph.agc_period);
-  EXPECT_EQ(decoded.stream.graph.gain_period,
-            request.stream.graph.gain_period);
   EXPECT_EQ(decoded.stream.graph.fir, request.stream.graph.fir);
   EXPECT_EQ(decoded.stream.graph.feedback_rs,
             request.stream.graph.feedback_rs);
@@ -382,11 +381,11 @@ TEST(StreamWire, EvaluateMatchesDirectHarnessRun) {
 
 TEST(StreamWire, InvalidGraphBecomesTypedErrorNotThrow) {
   eval::StreamJob job = wire_job();
-  job.graph.gain_period = 3;  // != agc_period: rejected at validation
+  job.graph.agc_period = 0;  // rejected at validation
   const eval::EvalReply reply = eval::evaluate(eval::EvalRequest{job}, {});
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.error.code, eval::ErrorCode::kEvalFailed);
-  EXPECT_NE(reply.error.message.find("cadence"), std::string::npos)
+  EXPECT_NE(reply.error.message.find("AGC period"), std::string::npos)
       << reply.error.message;
 }
 
