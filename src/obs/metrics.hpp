@@ -14,7 +14,7 @@
 // same format.
 //
 // Naming convention: `subsystem/metric` with '/' separators, e.g.
-// "svc/server/requests", "sim/golden_cache/hits", "anneal/iterations".
+// "svc/server/requests", "anneal/iterations".
 // Histograms record nanoseconds unless the name says otherwise.
 //
 // Instrumentation idiom (the hot-path form — resolve once, record often):

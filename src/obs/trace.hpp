@@ -48,7 +48,7 @@ struct TraceEvent {
 
 /// One thread's span ring. Pushes come only from the owning thread;
 /// the tiny per-ring mutex exists so an exporter on another thread reads
-/// a consistent ring (spans are scope-grained, so the lock is uncontended
+/// a consistent ring (one span per traced scope, so the lock is uncontended
 /// and nanosecond-cheap next to the work being traced).
 class TraceRing {
  public:

@@ -2,36 +2,11 @@
 
 #include <iterator>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
 
 namespace wp::sim {
-
-namespace {
-
-/// Obs mirror of GoldenCache::Stats: bumped at the same sites, so the
-/// registry (and a daemon stats scrape) sees cache behaviour without
-/// anyone holding a GoldenCache reference. Aggregated across instances.
-struct CacheMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& evictions;
-  obs::Counter& golden_runs;
-
-  static CacheMetrics& get() {
-    obs::Registry& registry = obs::Registry::global();
-    static CacheMetrics metrics{
-        registry.counter("sim/golden_cache/hits"),
-        registry.counter("sim/golden_cache/misses"),
-        registry.counter("sim/golden_cache/evictions"),
-        registry.counter("sim/golden_cache/golden_runs")};
-    return metrics;
-  }
-};
-
-}  // namespace
 
 std::uint64_t trace_fingerprint(const Trace& trace) {
   std::uint64_t h = 0x5afe601dULL;
@@ -55,12 +30,10 @@ std::shared_ptr<const GoldenRecord> GoldenCache::get_or_run(
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++stats_.hits;
-      CacheMetrics::get().hits.inc();
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);  // mark recent
       slot = it->second.slot;
     } else {
       ++stats_.misses;
-      CacheMetrics::get().misses.inc();
       lru_.push_front(key);
       slot = std::make_shared<Slot>();
       entries_[key] = Entry{slot, lru_.begin()};
@@ -74,7 +47,6 @@ std::shared_ptr<const GoldenRecord> GoldenCache::get_or_run(
             entries_.erase(entry);
             lru_.erase(it);
             ++stats_.evictions;
-            CacheMetrics::get().evictions.inc();
             break;
           }
           if (it == lru_.begin()) break;
@@ -98,7 +70,6 @@ std::shared_ptr<const GoldenRecord> GoldenCache::get_or_run(
       }
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.golden_runs;
-      CacheMetrics::get().golden_runs.inc();
       slot->record = std::move(record);
       slot->done = true;
     });

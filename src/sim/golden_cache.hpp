@@ -65,6 +65,8 @@ class GoldenCache {
   std::shared_ptr<const GoldenRecord> get_or_run(const std::string& key,
                                                  const ComputeFn& compute);
 
+  /// The only home of the cache's counts: published through
+  /// SimOracle::stats() and the daemon scrape's golden_cache section.
   struct Stats {
     std::uint64_t hits = 0;         ///< evaluations served from the cache
     std::uint64_t misses = 0;       ///< evaluations that created a slot

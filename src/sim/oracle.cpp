@@ -1,8 +1,6 @@
 #include "sim/oracle.hpp"
 
-#include "graph/cycle_ratio.hpp"
-#include "graph/throughput_engine.hpp"
-#include "obs/metrics.hpp"
+#include "graph/throughput.hpp"
 #include "obs/trace.hpp"
 #include "proc/blocks.hpp"
 #include "proc/cpu.hpp"
@@ -13,10 +11,14 @@ namespace wp::sim {
 
 namespace {
 
-const proc::DcacheBlock& dcache_of(const wp::Process& p) {
-  const auto* dc = dynamic_cast<const proc::DcacheBlock*>(&p);
-  WP_CHECK(dc != nullptr, "DC process is not a DcacheBlock");
-  return *dc;
+/// The program's final-memory check on the DC process of one run. A
+/// program without a verifier has nothing to check and passes.
+bool check_result(const proc::ProgramSpec& program, const wp::Process& dc,
+                  std::string* error) {
+  if (!program.verify) return true;
+  const auto* dcache = dynamic_cast<const proc::DcacheBlock*>(&dc);
+  WP_CHECK(dcache != nullptr, "DC process is not a DcacheBlock");
+  return program.verify(dcache->memory(), error);
 }
 
 /// Stable content digest of program text+data and every CpuConfig knob
@@ -43,70 +45,73 @@ std::string golden_key(const proc::ProgramSpec& program,
   return "cpu:" + program.name + ":" + hash_hex(h);
 }
 
+/// What one wire-pipelined run reports back to its caller.
+struct Leg {
+  std::uint64_t cycles = 0;  ///< halt cycle (or max_cycles)
+  bool halted = false;
+  bool equivalent = true;
+  bool result_ok = true;
+  std::string detail;  ///< first failure of this leg, if any
+};
+
+/// One WP leg: builds the LID system of `spec` (WP2 if `use_oracle`, WP1
+/// otherwise), runs it to the halt, then checks the halt, equivalence
+/// against `golden_trace` (skipped when null) and the final memory (when
+/// `verify_result`). A check that reads state after the halt gets a
+/// 256-cycle grace period so trailing stores drain; the returned cycle
+/// count is the halt cycle either way.
+Leg run_leg(const proc::ProgramSpec& program, const wp::SystemSpec& spec,
+            bool use_oracle, std::size_t fifo_capacity,
+            std::uint64_t max_cycles, const Trace* golden_trace,
+            bool verify_result) {
+  const std::string name = use_oracle ? "WP2" : "WP1";
+  Leg leg;
+  auto note = [&leg](const std::string& msg) {
+    if (leg.detail.empty()) leg.detail = msg;
+  };
+  wp::ShellOptions shell;
+  shell.use_oracle = use_oracle;
+  shell.fifo_capacity = fifo_capacity;
+  const bool record_trace = golden_trace != nullptr;
+  wp::LidSystem lid = build_lid(spec, shell, record_trace);
+  const bool reads_after_halt = record_trace || verify_result;
+  leg.cycles = lid.run_until_halt(max_cycles, reads_after_halt ? 256 : 0);
+  leg.halted = lid.shells.at("CU")->halted();
+  if (!leg.halted) note(name + " run did not halt within max_cycles");
+  if (record_trace) {
+    const auto eq = check_equivalence(*golden_trace, lid.trace);
+    if (!eq.equivalent) {
+      leg.equivalent = false;
+      note(name + " not equivalent to golden: " + eq.detail);
+    }
+  }
+  std::string error;
+  if (verify_result &&
+      !check_result(program, lid.shells.at("DC")->process(), &error)) {
+    leg.result_ok = false;
+    note(name + " result check failed: " + error);
+  }
+  return leg;
+}
+
 }  // namespace
 
 SimOracle::SimOracle() : cache_(kMaxCachedGoldens) {}
-
-SimOracle::~SimOracle() {
-  // Spec-cache stats mirror into the registry at teardown — one flush per
-  // oracle; the lookup path stays a plain mutex-guarded map.
-  obs::Registry& registry = obs::Registry::global();
-  SpecStats stats;
-  {
-    std::lock_guard<std::mutex> lock(spec_mutex_);
-    stats = spec_stats_;
-  }
-  registry.counter("sim/oracle/spec_builds").add(stats.builds);
-  registry.counter("sim/oracle/spec_reuses").add(stats.reuses);
-}
-
-std::shared_ptr<const wp::SystemSpec> SimOracle::system_spec(
-    const proc::ProgramSpec& program, const proc::CpuConfig& cpu) {
-  const std::string key =
-      program.name + ":" + hash_hex(content_hash(program, cpu));
-  std::lock_guard<std::mutex> lock(spec_mutex_);
-  auto it = specs_.find(key);
-  if (it != specs_.end()) {
-    ++spec_stats_.reuses;
-    return it->second;
-  }
-  ++spec_stats_.builds;
-  auto spec =
-      std::make_shared<const wp::SystemSpec>(proc::make_cpu_system(program, cpu));
-  specs_.emplace(key, spec);
-  return spec;
-}
-
-double SimOracle::static_bound(const std::map<std::string, int>& rs) {
-  std::lock_guard<std::mutex> lock(static_mutex_);
-  if (static_engine_ == nullptr)
-    static_engine_ =
-        std::make_unique<graph::ThroughputEngine>(proc::make_cpu_graph());
-  return static_engine_->throughput({rs.begin(), rs.end()});
-}
-
-SimOracle::SpecStats SimOracle::spec_stats() const {
-  std::lock_guard<std::mutex> lock(spec_mutex_);
-  return spec_stats_;
-}
 
 std::shared_ptr<const GoldenRecord> SimOracle::golden(
     const proc::ProgramSpec& program, const proc::CpuConfig& cpu,
     std::uint64_t max_cycles) {
   return cache_.get_or_run(golden_key(program, cpu, max_cycles), [&] {
-    const std::shared_ptr<const wp::SystemSpec> spec =
-        system_spec(program, cpu);
-    wp::GoldenSim sim(*spec, /*record_trace=*/true);
+    wp::GoldenSim sim(proc::make_cpu_system(program, cpu),
+                      /*record_trace=*/true);
     GoldenRecord record;
     record.cycles = sim.run_until_halt(max_cycles);
     record.halted = sim.halted();
     WP_CHECK(record.halted, "golden run did not halt — raise max_cycles");
-    if (program.verify) {
-      std::string error;
-      if (!program.verify(dcache_of(sim.process("DC")).memory(), &error)) {
-        record.result_ok = false;
-        record.result_detail = "golden result check failed: " + error;
-      }
+    std::string error;
+    if (!check_result(program, sim.process("DC"), &error)) {
+      record.result_ok = false;
+      record.result_detail = "golden result check failed: " + error;
     }
     record.trace = sim.trace();
     record.fingerprint = trace_fingerprint(record.trace);
@@ -134,46 +139,19 @@ proc::ExperimentRow SimOracle::run_experiment(
     note(golden_record->result_detail);
   }
 
-  // --- the two wire-pipelined systems: always simulated fresh (their
-  // network state is per-run), but from the shared assembled declaration —
-  wp::SystemSpec spec = *system_spec(program, cpu);
+  // --- the two wire-pipelined systems, always simulated fresh -----------
+  wp::SystemSpec spec = proc::make_cpu_system(program, cpu);
   spec.set_rs_map(config.rs);
-
-  for (const bool oracle : {false, true}) {
-    wp::ShellOptions shell;
-    shell.use_oracle = oracle;
-    shell.fifo_capacity = options.fifo_capacity;
-    wp::LidSystem lid = build_lid(spec, shell, options.check_equivalence);
-    const std::uint64_t cycles = lid.run_until_halt(options.max_cycles);
-    const auto* cu = lid.shells.at("CU");
-    if (!cu->halted()) {
-      note(std::string(oracle ? "WP2" : "WP1") +
-           " run did not halt within max_cycles");
-    }
-    if (options.check_equivalence) {
-      const auto eq = check_equivalence(golden_record->trace, lid.trace);
-      if (!eq.equivalent) {
-        if (oracle)
-          row.wp2_equivalent = false;
-        else
-          row.wp1_equivalent = false;
-        note(std::string(oracle ? "WP2" : "WP1") +
-             " not equivalent to golden: " + eq.detail);
-      }
-    }
-    if (options.verify_result) {
-      std::string error;
-      if (!program.verify(dcache_of(lid.shells.at("DC")->process()).memory(),
-                          &error)) {
-        row.result_ok = false;
-        note(std::string(oracle ? "WP2" : "WP1") +
-             " result check failed: " + error);
-      }
-    }
-    if (oracle)
-      row.wp2_cycles = cycles;
-    else
-      row.wp1_cycles = cycles;
+  const Trace* golden_trace =
+      options.check_equivalence ? &golden_record->trace : nullptr;
+  for (const bool use_oracle : {false, true}) {
+    const Leg leg = run_leg(program, spec, use_oracle, options.fifo_capacity,
+                            options.max_cycles, golden_trace,
+                            options.verify_result);
+    (use_oracle ? row.wp2_cycles : row.wp1_cycles) = leg.cycles;
+    (use_oracle ? row.wp2_equivalent : row.wp1_equivalent) = leg.equivalent;
+    if (!leg.result_ok) row.result_ok = false;
+    if (!leg.detail.empty()) note(leg.detail);
   }
 
   row.th_wp1 = static_cast<double>(row.golden_cycles) /
@@ -181,7 +159,8 @@ proc::ExperimentRow SimOracle::run_experiment(
   row.th_wp2 = static_cast<double>(row.golden_cycles) /
                static_cast<double>(row.wp2_cycles);
   row.improvement = (row.th_wp2 - row.th_wp1) / row.th_wp1;
-  row.static_wp1 = static_bound(config.rs);
+  row.static_wp1 =
+      graph::system_throughput(proc::make_cpu_graph_with_rs(config.rs));
   return row;
 }
 
@@ -193,19 +172,16 @@ double SimOracle::wp2_throughput(const proc::ProgramSpec& program,
   const std::uint64_t max_cycles = proc::ExperimentOptions{}.max_cycles;
   const std::shared_ptr<const GoldenRecord> golden_record =
       golden(program, cpu, max_cycles);
-  wp::SystemSpec spec = *system_spec(program, cpu);
+  wp::SystemSpec spec = proc::make_cpu_system(program, cpu);
   spec.set_rs_map(rs);
-  wp::ShellOptions shell;
-  shell.use_oracle = true;
-  shell.fifo_capacity = fifo_capacity;
-  wp::LidSystem lid = build_lid(spec, shell, false);
-  const std::uint64_t cycles = lid.run_until_halt(max_cycles, /*grace=*/0);
+  const Leg leg = run_leg(program, spec, /*use_oracle=*/true, fifo_capacity,
+                          max_cycles, /*golden_trace=*/nullptr,
+                          /*verify_result=*/false);
   // A run cut off at the horizon has no throughput to report: the ratio
   // would only measure the horizon.
-  WP_CHECK(lid.shells.at("CU")->halted(),
-           "WP2 run did not halt within max_cycles");
+  WP_CHECK(leg.halted, "WP2 run did not halt within max_cycles");
   return static_cast<double>(golden_record->cycles) /
-         static_cast<double>(cycles);
+         static_cast<double>(leg.cycles);
 }
 
 SimOracle& SimOracle::shared() {

@@ -13,6 +13,11 @@
 // the fresh-golden path (the golden run is deterministic; the differential
 // suite in tests/test_sim_oracle.cpp holds the two paths together).
 //
+// The golden run is the only cache. Everything else an evaluation needs is
+// built fresh: make_cpu_system costs ~12 µs and the static m/(m+n) bound
+// ~3.5 µs, next to ~1 ms for one WP2 simulation (Release, gcc 12.2,
+// 4-vCPU Xeon), so neither pays for a cache of its own.
+//
 // Thread-safety: evaluations may run concurrently on a ThreadPool; the
 // cache guarantees per-key once-semantics, so a pooled sweep over one
 // program runs its golden exactly once no matter how many workers race.
@@ -21,15 +26,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "proc/experiment.hpp"
 #include "sim/golden_cache.hpp"
-
-namespace wp::graph {
-class ThroughputEngine;
-}
 
 namespace wp::sim {
 
@@ -40,7 +40,6 @@ class SimOracle {
   static constexpr std::size_t kMaxCachedGoldens = 64;
 
   SimOracle();
-  ~SimOracle();  ///< out-of-line: static_engine_'s type is incomplete here
 
   SimOracle(const SimOracle&) = delete;
   SimOracle& operator=(const SimOracle&) = delete;
@@ -57,43 +56,23 @@ class SimOracle {
                                              std::uint64_t max_cycles);
 
   /// The full experiment driver (one Table-1 row): WP1 and WP2 are
-  /// simulated fresh, the golden side comes from the cache.
+  /// simulated fresh, the golden side comes from the cache, and the static
+  /// m/(m+n) bound is one Lawler solve on the Fig.-1 graph. A program
+  /// without a verifier has no result to check: its rows keep result_ok.
   proc::ExperimentRow run_experiment(const proc::ProgramSpec& program,
                                      const proc::CpuConfig& cpu,
                                      const proc::RsConfig& config,
                                      const proc::ExperimentOptions& options);
 
   /// The optimizer objective: simulated WP2 throughput of one RS map.
-  /// Candidate evaluations after the first are golden-cache hits. Throws
+  /// Candidate evaluations after the first are golden-cache hits. Equals
+  /// the th_wp2 of the run_experiment row for the same RS map. Throws
   /// ContractViolation when the WP2 run does not halt within the default
   /// horizon.
   double wp2_throughput(const proc::ProgramSpec& program,
                         const proc::CpuConfig& cpu,
                         const std::map<std::string, int>& rs,
                         std::size_t fifo_capacity = 16);
-
-  /// The assembled SystemSpec of (program, cpu), built at most once per
-  /// content key and shared across every evaluation that runs it — a sweep
-  /// over one program assembles its source once, each point copies the
-  /// immutable declaration and applies its own RS map, instead of
-  /// re-running make_cpu_system per golden/WP1/WP2 build. Thread-safe.
-  std::shared_ptr<const wp::SystemSpec> system_spec(
-      const proc::ProgramSpec& program, const proc::CpuConfig& cpu);
-
-  /// Static m/(m+n) bound (minimum cycle ratio) of an RS configuration,
-  /// served by a process-shared graph::ThroughputEngine over the Fig.-1
-  /// CPU graph: the graph is built once and each query mutates it in
-  /// place, replacing the per-row fresh-graph + cold-Lawler solve. Exactly
-  /// the same ratios (both are exact minimum cycle ratios). Mutex-guarded
-  /// — the engine itself is single-threaded and the query is microseconds
-  /// next to the simulations around it.
-  double static_bound(const std::map<std::string, int>& rs);
-
-  struct SpecStats {
-    std::uint64_t builds = 0;  ///< make_cpu_system invocations
-    std::uint64_t reuses = 0;  ///< evaluations served by a cached spec
-  };
-  SpecStats spec_stats() const;
 
   GoldenCache::Stats stats() const { return cache_.stats(); }
   GoldenCache& cache() { return cache_; }
@@ -105,15 +84,6 @@ class SimOracle {
 
  private:
   GoldenCache cache_;
-
-  mutable std::mutex spec_mutex_;
-  /// Content key → immutable assembled spec. Distinct (program, cpu)
-  /// pairs are few per process (Table-1 programs), so no eviction.
-  std::map<std::string, std::shared_ptr<const wp::SystemSpec>> specs_;
-  SpecStats spec_stats_;
-
-  std::mutex static_mutex_;
-  std::unique_ptr<graph::ThroughputEngine> static_engine_;  ///< lazy
 };
 
 }  // namespace wp::sim

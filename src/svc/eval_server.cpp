@@ -136,7 +136,6 @@ void EvalServer::send_error(int fd, eval::ErrorCode code,
 std::string EvalServer::stats_json() const {
   const Stats server = stats();
   const sim::GoldenCache::Stats cache = oracle_.stats();
-  const sim::SimOracle::SpecStats specs = oracle_.spec_stats();
   std::ostringstream os;
   json::JsonWriter json(os);
   json.begin_object();
@@ -155,9 +154,6 @@ std::string EvalServer::stats_json() const {
       .field("golden_runs", cache.golden_runs)
       .field("evictions", cache.evictions)
       .field("entries", static_cast<unsigned long long>(cache.entries));
-  json.end_object();
-  json.key("spec_cache").begin_object();
-  json.field("builds", specs.builds).field("reuses", specs.reuses);
   json.end_object();
   json.key("metrics");
   obs::Registry::global().write_json(json);

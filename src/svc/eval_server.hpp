@@ -80,8 +80,8 @@ class EvalServer {
   Stats stats() const;
 
   /// The kStatsRequest scrape document (schema wirepipe-stats/1): server
-  /// counters, the oracle's golden-cache and spec-cache stats, and the
-  /// full obs metrics registry, as one JSON object.
+  /// counters, the oracle's golden-cache stats (the only home of those
+  /// counts), and the full obs metrics registry, as one JSON object.
   std::string stats_json() const;
 
  private:

@@ -3,7 +3,7 @@
 // The annealer's parallel restarts and the relay-station sweeps both need a
 // simple fan-out primitive: a fixed set of workers, FIFO task dispatch,
 // future-based results and loud exception propagation. No work stealing, no
-// priorities — exploration workloads are coarse-grained (one task = one
+// priorities — exploration workloads are coarse (one task = one
 // annealing restart or one simulated sweep point), so a single shared queue
 // is never the bottleneck.
 #pragma once
@@ -54,24 +54,16 @@ class ThreadPool {
   /// chunks still complete, and the first (by chunk order) exception is
   /// rethrown to the caller.
   ///
-  /// `grain` controls the chunking. 0 (the default) picks a few chunks per
-  /// worker automatically — right for coarse bodies like annealing
-  /// restarts. grain > 0 dispatches ⌈count/grain⌉ contiguous chunks of
-  /// exactly `grain` indices (the last may be shorter), a *deterministic*
-  /// partition: index i always lands in chunk (i - begin) / grain, and no
-  /// two chunks overlap, so callers may key chunk-affine scratch (e.g. a
-  /// per-chunk evaluation arena) off that quotient without synchronising.
-  /// It also bounds dispatch overhead for small bodies: one queue
-  /// round-trip per grain indices instead of per worker×4 slice.
+  /// The chunking picks a few chunks per worker, so uneven per-index costs
+  /// still balance while dispatch overhead stays negligible for coarse
+  /// bodies like annealing restarts.
   ///
   /// Re-entrant: when called from a task already running on this pool the
   /// range executes inline on the calling worker instead — blocking on
   /// futures there could deadlock once every worker waits on chunks none
-  /// of them can dequeue. The grain partition is irrelevant inline (one
-  /// thread walks the whole range in order).
+  /// of them can dequeue.
   void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body,
-                    std::size_t grain = 0);
+                    const std::function<void(std::size_t)>& body);
 
   /// Process-wide default pool, created on first use with the hardware
   /// concurrency. Intended for benches and examples; library entry points

@@ -8,7 +8,7 @@
 // kStatsRequest scrape against a live in-process EvalServer — including
 // the adversarial payload-carrying scrape which must cost one kError
 // frame, not the connection, and a registry that mirrors none of the
-// per-server counts the scrape's server section already carries.
+// per-server or golden-cache counts the scrape's own sections carry.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -436,7 +436,6 @@ TEST(StatsScrape, LiveServerAnswersWithParsableStatsDocument) {
   EXPECT_EQ(golden_keys,
             (std::set<std::string>{"hits", "misses", "golden_runs",
                                    "evictions", "entries"}));
-  ASSERT_NE(doc.find("spec_cache"), nullptr);
   // The full registry rides along (pool metrics are always registered by
   // the server's own worker pool).
   const json::Value* metrics = doc.find("metrics");
@@ -497,6 +496,37 @@ TEST(StatsScrape, PerServerCountsLiveOnlyInTheServerSection) {
                 "svc/server/batch_ns"),
             nullptr);
   EXPECT_DOUBLE_EQ(doc.find("server")->find("requests")->as_double(), 1.0);
+  client.close();
+  server.stop();
+}
+
+TEST(StatsScrape, GoldenCacheCountsLiveOnlyInTheGoldenCacheSection) {
+  // GoldenCache::Stats is the one home of the cache's counts: the scrape's
+  // golden_cache section reports them and the registry keeps no mirror.
+  svc::EvalServer server(test_server_options());
+  server.start();
+  svc::EvalClient client;
+  client.connect(server.socket_path());
+  eval::ExperimentJob job;
+  job.program = eval::ProgramRef::extraction_sort(8, 5);
+  job.rs = {"Only RF-DC", {{"RF-DC", 1}}};
+  client.evaluate({eval::EvalRequest(job)});
+  client.evaluate({eval::EvalRequest(job)});
+
+  const json::Value doc = json::Value::parse(client.stats_json());
+  const json::Value* golden_cache = doc.find("golden_cache");
+  ASSERT_NE(golden_cache, nullptr);
+  EXPECT_DOUBLE_EQ(golden_cache->find("misses")->as_double(), 1.0);
+  EXPECT_DOUBLE_EQ(golden_cache->find("golden_runs")->as_double(), 1.0);
+  EXPECT_DOUBLE_EQ(golden_cache->find("hits")->as_double(), 1.0);
+  const json::Value* counters = doc.find("metrics")->find("counters");
+  ASSERT_NE(counters, nullptr);
+  for (const auto& [name, value] : counters->members())
+    EXPECT_NE(name.rfind("sim/", 0), 0u) << name;
+  std::set<std::string> sections;
+  for (const auto& [key, value] : doc.members()) sections.insert(key);
+  EXPECT_EQ(sections, (std::set<std::string>{"schema", "server",
+                                             "golden_cache", "metrics"}));
   client.close();
   server.stop();
 }

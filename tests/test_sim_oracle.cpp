@@ -316,16 +316,14 @@ TEST_P(OracleDifferential, RunExperimentMatchesPreRefactorReference) {
   const ProgramSpec program = use_matmul ? proc::matmul_program(3, 5)
                                          : proc::extraction_sort_program(8, 5);
   const CpuConfig cpu;
-  const std::vector<RsConfig> configs = {
-      {"ideal", {}},
-      {"Only CU-IC", {{"CU-IC", 1}}},
-      {"mixed", {{"CU-IC", 1}, {"RF-DC", 2}, {"ALU-RF", 1}}},
-  };
+  // The matmul list is a superset of the sort list: every Table-1 row.
+  const std::vector<RsConfig> configs = proc::table1_matmul_configs();
   SimOracle oracle;  // private oracle: isolates the replay count below
   for (const bool check_equivalence : {true, false}) {
     ExperimentOptions options;
     options.check_equivalence = check_equivalence;
     for (const auto& config : configs) {
+      SCOPED_TRACE(config.label);
       const ExperimentRow fresh =
           reference_run_experiment(program, cpu, config, options);
       const ExperimentRow cached =
@@ -333,8 +331,8 @@ TEST_P(OracleDifferential, RunExperimentMatchesPreRefactorReference) {
       expect_rows_identical(fresh, cached);
     }
   }
-  // Six evaluations, one (program, cpu, horizon) key: the golden ran once
-  // where the reference path re-simulated it six times.
+  // Every evaluation shares one (program, cpu, horizon) key: the golden
+  // ran once where the reference path re-simulated it per row.
   EXPECT_EQ(oracle.stats().golden_runs, 1u);
 }
 
@@ -344,18 +342,39 @@ INSTANTIATE_TEST_SUITE_P(Programs, OracleDifferential, ::testing::Bool(),
                          });
 
 TEST(SimOracle, Wp2ThroughputMatchesExperimentRow) {
-  const ProgramSpec program = proc::extraction_sort_program(8, 3);
-  const std::map<std::string, int> rs = {{"RF-DC", 1}};
-  SimOracle oracle;
-  const double th = oracle.wp2_throughput(program, {}, rs);
-  ExperimentOptions options;
-  options.check_equivalence = false;
-  const ExperimentRow row =
-      oracle.run_experiment(program, {}, {"row", rs}, options);
-  // wp2_throughput halts without the grace period, so cycles may differ by
-  // the drain; both must express the same golden though.
-  EXPECT_NEAR(th, row.th_wp2, 0.05);
-  EXPECT_EQ(oracle.stats().golden_runs, 1u);  // shared across both calls
+  for (const ProgramSpec& program :
+       {proc::extraction_sort_program(8, 3), proc::matmul_program(3, 5)}) {
+    SimOracle oracle;
+    ExperimentOptions options;
+    options.check_equivalence = false;
+    for (const RsConfig& config : proc::table1_matmul_configs()) {
+      SCOPED_TRACE(program.name + " / " + config.label);
+      const double th = oracle.wp2_throughput(program, {}, config.rs);
+      const ExperimentRow row =
+          oracle.run_experiment(program, {}, config, options);
+      // Both report the halt cycle, taken before any grace period runs,
+      // over the same golden: the same integers divided.
+      EXPECT_EQ(th, row.th_wp2);
+    }
+    EXPECT_EQ(oracle.stats().golden_runs, 1u);  // shared across every call
+  }
+}
+
+TEST(SimOracle, ProgramWithoutVerifierHasNothingToCheck) {
+  const ProgramSpec program = proc::extraction_sort_program(8, 5);
+  ProgramSpec unverified = program;
+  unverified.verify = nullptr;
+  const RsConfig config{"Only RF-DC", {{"RF-DC", 1}}};
+  // Verifier-free first: on a cold cache its golden run is the one kept.
+  const ExperimentRow bare = proc::run_experiment(unverified, {}, config);
+  const ExperimentRow checked = proc::run_experiment(program, {}, config);
+  EXPECT_TRUE(bare.result_ok) << bare.detail;
+  EXPECT_TRUE(checked.result_ok) << checked.detail;
+  EXPECT_EQ(bare.golden_cycles, checked.golden_cycles);
+  EXPECT_EQ(bare.wp1_cycles, checked.wp1_cycles);
+  EXPECT_EQ(bare.wp2_cycles, checked.wp2_cycles);
+  EXPECT_EQ(proc::simulate_wp2_throughput(unverified, {}, config.rs),
+            bare.th_wp2);
 }
 
 // ------------------------------------------ pooled ≡ sequential, one cache
