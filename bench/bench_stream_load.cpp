@@ -16,6 +16,11 @@
 // The measured run is cross-checked against a golden run of the same
 // config: digest mismatch aborts the bench — a throughput number for a
 // stream that is not bit-for-bit the reference stream is worthless.
+//
+// `wp2_over_golden_ns_per_cycle` puts the LID kernel's cost per cycle next
+// to the golden simulator's: an untimed WP2 run (stage timers off) over the
+// golden run of the same config, both in this process. It is
+// informational; no gate reads it.
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -184,18 +189,33 @@ int main(int argc, char** argv) {
 
   // Differential cross-check: the measured stream must be bit-for-bit the
   // golden stream (skip when the measured mode IS golden).
+  stream::HarnessOptions golden_options;
+  golden_options.mode = stream::RunMode::kGolden;
+  golden_options.record_metrics = false;
+  const stream::HarnessResult golden =
+      stream::run_stream_graph(config, golden_options);
   if (options.mode != stream::RunMode::kGolden) {
-    stream::HarnessOptions golden_options;
-    golden_options.mode = stream::RunMode::kGolden;
-    golden_options.record_metrics = false;
-    const stream::HarnessResult golden =
-        stream::run_stream_graph(config, golden_options);
     WP_CHECK(golden.digest == result.digest,
              "bench_stream_load: measured stream diverged from golden — "
              "throughput of a wrong stream is not a result");
     std::cout << "differential check: " << stream::run_mode_name(options.mode)
               << " digest == golden digest\n";
   }
+
+  // The LID kernel's cost per cycle over the golden simulator's.
+  stream::HarnessOptions wp2_options;
+  wp2_options.mode = stream::RunMode::kWp2;
+  wp2_options.fifo_capacity = options.fifo_capacity;
+  wp2_options.record_metrics = false;
+  const stream::HarnessResult wp2 =
+      stream::run_stream_graph(config, wp2_options);
+  auto ns_per_cycle = [](const stream::HarnessResult& r) {
+    return r.wall_ms * 1e6 / static_cast<double>(r.cycles);
+  };
+  const double wp2_over_golden = ns_per_cycle(wp2) / ns_per_cycle(golden);
+  std::cout << "untimed: wp2 " << fmt_fixed(ns_per_cycle(wp2), 0)
+            << " ns/cycle, golden " << fmt_fixed(ns_per_cycle(golden), 0)
+            << " ns/cycle (" << fmt_fixed(wp2_over_golden, 2) << "x)\n";
 
   TextTable table({"stage", "firings", "in stalls", "out stalls",
                    "discarded", "fire p50 ns", "fire p99 ns"});
@@ -242,6 +262,7 @@ int main(int argc, char** argv) {
     json.field("steady_allocs_per_mtoken", allocs_per_mtoken);
     json.field("steady_bytes_per_mtoken", bytes_per_mtoken);
     json.field("max_stage_fire_p99_ns", max_p99);
+    json.field("wp2_over_golden_ns_per_cycle", wp2_over_golden);
     json.key("backpressure").begin_object();
     json.field("input_stalls", result.input_stalls);
     json.field("output_stalls", result.output_stalls);

@@ -72,12 +72,12 @@ done:   halt
   shell.use_oracle = true;
   LidSystem lid = build_lid(spec, shell, false);
   std::ofstream file("processor_tour.vcd");
-  VcdWriter vcd(file, "wp2_cpu");
+  VcdWriter vcd(file, *lid.network, "wp2_cpu");
   // Channel wires are named "CU.iaddr->IC.addr#k"; record the CU-IC bundle.
-  for (std::size_t i = 0; i < lid.network->wire_count(); ++i) {
-    Wire* w = lid.network->wire_at(i);
-    if (w->name().find("CU.iaddr") != std::string::npos ||
-        w->name().find("IC.instr") != std::string::npos)
+  for (WireId w = 0; w < lid.network->wire_count(); ++w) {
+    const std::string& name = lid.network->wire_name(w);
+    if (name.find("CU.iaddr") != std::string::npos ||
+        name.find("IC.instr") != std::string::npos)
       vcd.add_wire(w);
   }
   vcd.finalize_header();

@@ -6,6 +6,11 @@
 // from registered state, commit samples them), so the order within a
 // phase is irrelevant and the kernel is deterministic.
 //
+// The wires are one flat array addressed by WireId; their names live in a
+// side table read only by instrumentation (VCD). Relay stations are held
+// by value and their eval/commit are inline, so a step is four loops over
+// contiguous state plus one out-of-line commit per shell.
+//
 // run() is the one run loop, shared by LidSystem::run_until_halt and the
 // stream harness. The shell commits keep a running firing total and a
 // count of halted shells, so the loop's stop test and its deadlock
@@ -13,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,15 +38,16 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Creates a wire owned by the network (stable address).
-  Wire* make_wire(std::string name = {});
+  /// Creates a wire owned by the network; returns its id.
+  WireId make_wire(std::string name = {});
 
   /// Adds a shell; returns a borrowed pointer (stable address).
   Shell* add_shell(std::unique_ptr<Shell> shell);
 
   /// Adds a relay station in → out. A positive `stall_probability` makes
   /// it a noise station with its own Rng seeded by `seed`.
-  void add_relay_station(Wire* in, Wire* out, double stall_probability = 0.0,
+  void add_relay_station(WireId in, WireId out,
+                         double stall_probability = 0.0,
                          std::uint64_t seed = 0);
 
   /// Advances one clock cycle.
@@ -67,11 +72,15 @@ class Network {
   /// Shells whose process has halted.
   std::size_t halted_shells() const { return halted_; }
 
-  /// Access to owned wires for instrumentation (e.g. VCD sampling).
-  Wire* wire_at(std::size_t index);
+  /// One wire, for instrumentation (VCD sampling) and for tests that
+  /// drive wires by hand between steps.
+  Wire& wire(WireId id);
+  const Wire& wire(WireId id) const;
+  const std::string& wire_name(WireId id) const;
 
  private:
-  std::deque<Wire> wires_;
+  std::vector<Wire> wires_;
+  std::vector<std::string> wire_names_;
   std::vector<std::unique_ptr<Shell>> shells_;
   std::vector<RelayStation> stations_;
   Cycle cycle_ = 0;

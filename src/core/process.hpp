@@ -46,13 +46,15 @@ struct PortSpec {
 /// operand tokens from the RF are needed at all).
 class PeekView {
  public:
-  PeekView(const std::uint8_t* available, const Word* values, std::size_t n)
+  /// `values` holds one word per input; only those of `available` inputs
+  /// are read.
+  PeekView(InputMask available, const Word* values, std::size_t n)
       : available_(available), values_(values), n_(n) {}
 
   std::size_t size() const { return n_; }
 
   bool available(std::size_t i) const {
-    return i < n_ && available_[i] != 0;
+    return i < n_ && ((available_ >> i) & 1u) != 0;
   }
 
   /// Value of an arrived current-tag token; poison if not available.
@@ -61,7 +63,7 @@ class PeekView {
   }
 
  private:
-  const std::uint8_t* available_;
+  InputMask available_;
   const Word* values_;
   std::size_t n_;
 };

@@ -21,14 +21,13 @@ CommunicationProfile profile_communication(const SystemSpec& spec,
   std::map<std::pair<std::string, std::string>, std::size_t> index;
 
   GoldenSim golden(spec, false);
-  std::vector<std::uint8_t> avail;  // in golden runs everything is present
   golden.set_pre_fire_observer([&](const std::string& name,
                                    const Process& process,
                                    const Word* inputs) {
+    // In golden runs every input is present.
     const std::size_t n = process.inputs().size();
-    if (avail.size() < n) avail.assign(n, 1);
     const InputMask mask =
-        process.required(PeekView(avail.data(), inputs, n));
+        process.required(PeekView(all_inputs_mask(n), inputs, n));
     for (std::size_t i = 0; i < n; ++i) {
       const auto key = std::make_pair(name, process.inputs()[i].name);
       auto it = index.find(key);

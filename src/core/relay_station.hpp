@@ -19,11 +19,16 @@
 // variation. No token is lost, so LID equivalence must survive any noise.
 // A plain station, p = 0, draws nothing.
 //
-// Like a shell, a station is a Moore machine stepped by Network::step:
-// eval() drives both wires from registered state, commit() samples them.
+// Like a shell, a station is a Moore machine stepped by Network::step over
+// the network's wire array: eval() drives both wires from registered state,
+// commit() samples them. Both are defined here so the step loop inlines
+// them.
 #pragma once
 
+#include <vector>
+
 #include "core/wire.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace wp {
@@ -32,24 +37,76 @@ class RelayStation {
  public:
   /// in: wire from the upstream element; out: wire to the downstream one.
   /// A positive `stall_probability` makes a noise station seeded by `seed`.
-  RelayStation(Wire* in, Wire* out, double stall_probability = 0.0,
-               std::uint64_t seed = 0);
+  RelayStation(WireId in, WireId out, double stall_probability = 0.0,
+               std::uint64_t seed = 0)
+      : in_(in),
+        out_(out),
+        stall_probability_(stall_probability),
+        seed_(seed),
+        rng_(seed) {
+    WP_REQUIRE(in_ != out_, "relay station input and output must differ");
+    WP_REQUIRE(stall_probability >= 0.0 && stall_probability <= 1.0,
+               "stall probability must be in [0, 1]");
+  }
 
   /// Phase 1: drive the output token and the input stop line.
-  void eval();
+  void eval(std::vector<Wire>& wires) {
+    // A noise station that draws a stall withholds main; aux absorbs the
+    // in-flight token in commit, so nothing is lost.
+    stalling_ = stall_probability_ > 0.0 && rng_.chance(stall_probability_);
+    Wire& out = wires[out_];
+    out.value = main_.value;
+    out.valid = main_.valid && !stalling_;
+    // Back-pressure: only when the auxiliary register is also full is the
+    // stop propagated to the previous stage (paper §1).
+    wires[in_].stop = aux_.valid;
+  }
+
   /// Phase 2: sample both wires and update the two registers.
-  void commit();
+  void commit(const std::vector<Wire>& wires) {
+    const bool stopped_down = wires[out_].stop || stalling_;
+    // The incoming token is transferred to us iff we did not drive stop this
+    // cycle (the line we drove equals aux_.valid, still our current state).
+    const Wire& in = wires[in_];
+    const Token incoming =
+        in.valid && !aux_.valid ? Token::make(in.value) : Token::tau();
+    if (main_.valid && stopped_down) {
+      // Downstream held us: keep main, absorb any in-flight token into aux.
+      if (incoming.valid) {
+        WP_CHECK(!aux_.valid, "relay station auxiliary register overflow");
+        aux_ = incoming;
+      }
+    } else {
+      // Either main was empty or it has been consumed downstream this cycle.
+      if (main_.valid) ++tokens_forwarded_;
+      if (aux_.valid) {
+        // Drain the skid buffer first; our stop was high so nothing arrives.
+        WP_CHECK(!incoming.valid,
+                 "token arrived while stop was asserted (protocol violation)");
+        main_ = aux_;
+        aux_ = Token::tau();
+      } else {
+        main_ = incoming;
+      }
+    }
+  }
+
   /// Power-on state; a noise station also rewinds its Rng.
-  void reset();
+  void reset() {
+    main_ = aux_ = Token::tau();
+    stalling_ = false;
+    tokens_forwarded_ = 0;
+    rng_ = Rng(seed_);
+  }
 
   /// Number of buffered valid items (0, 1 or 2). Exposed for tests.
-  int occupancy() const;
+  int occupancy() const { return int{main_.valid} + int{aux_.valid}; }
 
   std::uint64_t tokens_forwarded() const { return tokens_forwarded_; }
 
  private:
-  Wire* in_;
-  Wire* out_;
+  WireId in_;
+  WireId out_;
 
   Token main_ = Token::tau();  // drives the output
   Token aux_ = Token::tau();   // skid buffer used while stopped

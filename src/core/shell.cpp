@@ -1,7 +1,5 @@
 #include "core/shell.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace wp {
@@ -12,34 +10,34 @@ Shell::Shell(std::string name, std::unique_ptr<Process> process,
       process_(std::move(process)),
       options_(options) {
   WP_REQUIRE(process_ != nullptr, "shell requires a process");
-  WP_REQUIRE(options_.fifo_capacity >= 1, "FIFO capacity must be >= 1");
+  WP_REQUIRE(options_.fifo_capacity >= 1 &&
+                 options_.fifo_capacity <= kMaxFifoCapacity,
+             "FIFO capacity must be in [1, " +
+                 std::to_string(kMaxFifoCapacity) + "]");
   in_.resize(process_->inputs().size());
   for (auto& input : in_) input.fifo.set_capacity(options_.fifo_capacity);
-  initial_seed_.resize(in_.size(), kPoisonWord);
-  out_.resize(process_->outputs().size());
-  avail_.resize(in_.size());
-  peek_values_.resize(in_.size());
   fire_in_.resize(in_.size());
-  fire_out_.resize(out_.size());
+  fire_out_.resize(process_->outputs().size());
+  halted_ = process_->halted();
 }
 
-void Shell::connect_input(std::size_t port, Wire* wire, Word initial_value) {
+void Shell::connect_input(std::size_t port, WireId wire, Word initial_value) {
   WP_REQUIRE(port < in_.size(), "input port index out of range");
-  WP_REQUIRE(wire != nullptr, "null wire");
-  WP_REQUIRE(in_[port].wire == nullptr,
+  WP_REQUIRE(wire != kUnconnected, "invalid wire id");
+  WP_REQUIRE(in_[port].wire == kUnconnected,
              "input port connected twice: " + process_->inputs()[port].name);
   in_[port].wire = wire;
-  initial_seed_[port] = initial_value;
+  in_[port].initial = initial_value;
   // The channel's single initial token: the golden register's reset value.
-  in_[port].fifo.push_back({0, initial_value});
+  in_[port].fifo.push_back(initial_value);
   in_[port].received = 1;
 }
 
-void Shell::add_output_wire(std::size_t port, Wire* wire) {
-  WP_REQUIRE(port < out_.size(), "output port index out of range");
-  WP_REQUIRE(wire != nullptr, "null wire");
-  out_[port].wires.push_back(wire);
-  out_[port].delivered.push_back(true);  // nothing pending yet
+void Shell::add_output_wire(std::size_t port, WireId wire) {
+  WP_REQUIRE(port < fire_out_.size(), "output port index out of range");
+  WP_REQUIRE(wire != kUnconnected, "invalid wire id");
+  // Nothing is pending yet, so the new branch counts as delivered.
+  branches_.push_back({wire, static_cast<std::uint32_t>(port), true});
 }
 
 void Shell::set_fire_observer(FireObserver observer) {
@@ -48,130 +46,80 @@ void Shell::set_fire_observer(FireObserver observer) {
 
 // Pinned to a 64-byte boundary: see Network::step in network.cpp.
 [[gnu::aligned(64)]]
-void Shell::eval() {
-  for (auto& input : in_) {
-    WP_CHECK(input.wire != nullptr, "unconnected input port on " + name_);
-    input.stop_driven = input.fifo.size() >= options_.fifo_capacity;
-    input.wire->drive_stop(input.stop_driven);
-  }
-  for (auto& output : out_) {
-    for (std::size_t k = 0; k < output.wires.size(); ++k) {
-      const bool must_drive = output.pending.valid && !output.delivered[k];
-      output.wires[k]->drive(must_drive ? output.pending : Token::tau());
-    }
-  }
-}
-
-bool Shell::all_outputs_delivered() const {
-  for (const auto& output : out_)
-    if (output.pending.valid) return false;
-  return true;
-}
-
-[[gnu::aligned(64)]]
-bool Shell::commit(Cycle cycle) {
+bool Shell::commit(const std::vector<Wire>& wires, Cycle cycle) {
   // 1. Delivery bookkeeping: a pending token is transferred on each branch
   //    whose stop line is low this cycle.
-  for (auto& output : out_) {
-    if (!output.pending.valid) continue;
-    bool all = true;
-    for (std::size_t k = 0; k < output.wires.size(); ++k) {
-      if (!output.delivered[k] && !output.wires[k]->stop())
-        output.delivered[k] = true;
-      all = all && output.delivered[k];
+  if (undelivered_ != 0) {
+    for (auto& branch : branches_) {
+      if (!branch.delivered && !wires[branch.wire].stop) {
+        branch.delivered = true;
+        --undelivered_;
+      }
     }
-    if (all) output.pending = Token::tau();
   }
 
   // 2. Accept arriving tokens. A token is transferred to us iff we drove the
   //    stop line low; tags are assigned by arrival order.
   for (auto& input : in_) {
-    const Token& tok = input.wire->token();
-    if (!tok.valid || input.stop_driven) continue;
-    const Tag tag = input.received++;
-    if (tag >= firing_counter_) {
-      WP_CHECK(input.fifo.size() < options_.fifo_capacity,
-               "input FIFO overflow on " + name_);
-      input.fifo.push_back({tag, tok.value});
-    } else {
+    const Wire& wire = wires[input.wire];
+    if (!wire.valid || input.stop_driven) continue;
+    if (input.received++ < firing_counter_) {
       // The process already advanced past this tag without reading the
       // channel (WP2 blindness): discard on arrival.
       ++stats_.discarded_tokens;
+    } else {
+      WP_CHECK(!input.fifo.full(), "input FIFO overflow on " + name_);
+      input.fifo.push_back(wire.value);
     }
   }
 
-  // 3. Purge fronts that aged below the firing counter (they were skipped by
-  //    the oracle in an earlier firing and arrived before it completed).
-  for (auto& input : in_) {
-    while (!input.fifo.empty() && input.fifo.front().tag < firing_counter_) {
-      input.fifo.pop_front();
-      ++stats_.discarded_tokens;
-    }
-  }
-
-  return try_fire(cycle);
-}
-
-[[gnu::aligned(64)]]
-bool Shell::try_fire(Cycle cycle) {
-  if (process_->halted()) return false;
-
-  if (!all_outputs_delivered()) {
+  // 3. Try to fire.
+  if (halted_) return false;
+  if (undelivered_ != 0) {
     ++stats_.stalls_output;
     return false;
   }
 
-  // Availability of current-tag tokens.
+  // A non-empty FIFO's front is the current-tag token.
+  InputMask available = 0;
   for (std::size_t i = 0; i < in_.size(); ++i) {
-    const auto& fifo = in_[i].fifo;
-    if (!fifo.empty()) {
-      WP_CHECK(fifo.front().tag >= firing_counter_,
-               "stale token survived purge on " + name_);
-      avail_[i] = fifo.front().tag == firing_counter_;
-      peek_values_[i] = avail_[i] ? fifo.front().value : kPoisonWord;
-    } else {
-      avail_[i] = false;
-      peek_values_[i] = kPoisonWord;
-    }
-  }
-
-  InputMask required = all_inputs_mask(in_.size());
-  if (options_.use_oracle) {
-    const PeekView peek(avail_.data(), peek_values_.data(), in_.size());
-    required = process_->required(peek);
-  }
-
-  for (std::size_t i = 0; i < in_.size(); ++i) {
-    if ((required >> i) & 1u) {
-      if (!avail_[i]) {
-        ++stats_.stalls_input;
-        return false;  // required current-tag token missing: stall, emit τ
-      }
-    }
-  }
-
-  // Fire: build the input vector, consume current-tag tokens, transition.
-  for (std::size_t i = 0; i < in_.size(); ++i) {
-    const bool is_required = ((required >> i) & 1u) != 0;
-    if (avail_[i]) {
-      fire_in_[i] = (is_required || !options_.use_oracle ||
-                     !options_.poison_unrequired)
-                        ? in_[i].fifo.front().value
-                        : kPoisonWord;
-      in_[i].fifo.pop_front();  // tag consumed (or dead)
-    } else {
-      WP_CHECK(!is_required, "firing without a required input");
+    const InputState& input = in_[i];
+    if (input.fifo.empty()) {
       fire_in_[i] = kPoisonWord;  // will arrive later; discarded on arrival
+      continue;
+    }
+    WP_CHECK(input.received - input.fifo.size() == firing_counter_,
+             "stale token survived purge on " + name_);
+    available |= InputMask{1} << i;
+    fire_in_[i] = input.fifo.front();
+  }
+
+  const InputMask required =
+      options_.use_oracle
+          ? process_->required(
+                PeekView(available, fire_in_.data(), in_.size()))
+          : all_inputs_mask(in_.size());
+  if ((required & ~available) != 0) {
+    ++stats_.stalls_input;
+    return false;  // required current-tag token missing: stall, emit τ
+  }
+
+  // Fire: consume the current-tag tokens (read or dead), transition.
+  const bool poison = options_.use_oracle && options_.poison_unrequired;
+  for (std::size_t i = 0; i < in_.size(); ++i) {
+    const InputMask bit = InputMask{1} << i;
+    if ((available & bit) != 0) {
+      if (poison && (required & bit) == 0) fire_in_[i] = kPoisonWord;
+      in_[i].fifo.pop_front();
+    } else {
+      WP_CHECK((required & bit) == 0, "firing without a required input");
     }
   }
 
   process_->fire(fire_in_.data(), fire_out_.data());
-
-  for (std::size_t o = 0; o < out_.size(); ++o) {
-    out_[o].pending = Token::make(fire_out_[o]);
-    std::fill(out_[o].delivered.begin(), out_[o].delivered.end(), false);
-    if (out_[o].wires.empty()) out_[o].pending = Token::tau();  // dropped
-  }
+  for (auto& branch : branches_) branch.delivered = false;
+  undelivered_ = branches_.size();
+  halted_ = process_->halted();
 
   const Tag tag = firing_counter_++;
   ++stats_.firings;
@@ -181,25 +129,21 @@ bool Shell::try_fire(Cycle cycle) {
 
 void Shell::reset() {
   process_->reset();
+  halted_ = process_->halted();
   firing_counter_ = 0;
   stats_ = ShellStats{};
-  for (std::size_t i = 0; i < in_.size(); ++i) {
-    auto& input = in_[i];
+  for (auto& input : in_) {
     input.fifo.clear();
-    if (input.wire != nullptr) {
-      // Re-seed the initial token; its value was recorded at connect time as
-      // the first FIFO entry, so keep it across resets.
-      input.fifo.push_back({0, initial_seed_[i]});
-      input.received = 1;
-    } else {
-      input.received = 0;
-    }
+    input.received = 0;
     input.stop_driven = false;
+    if (input.wire != kUnconnected) {
+      // Re-seed the channel's initial token.
+      input.fifo.push_back(input.initial);
+      input.received = 1;
+    }
   }
-  for (auto& output : out_) {
-    output.pending = Token::tau();
-    std::fill(output.delivered.begin(), output.delivered.end(), true);
-  }
+  for (auto& branch : branches_) branch.delivered = true;
+  undelivered_ = 0;
 }
 
 std::size_t Shell::fifo_size(std::size_t port) const {

@@ -1,9 +1,9 @@
 // The wrapper ("shell") that encloses an unmodified IP block — the paper's
 // central object, in both variants:
 //
-//   WP1 (strict, Carloni-style): τ-filtered inputs are buffered in tagged
-//   FIFOs; the process fires only when *all* inputs carrying the current tag
-//   are present; on a stall, τ is emitted on every output.
+//   WP1 (strict, Carloni-style): τ-filtered inputs are buffered in FIFOs;
+//   the process fires only when *all* inputs carrying the current tag are
+//   present; on a stall, τ is emitted on every output.
 //
 //   WP2 (this paper): an oracle — Process::required(), possibly peeking at
 //   already-arrived current-tag tokens ("processing signals") — names the
@@ -11,9 +11,14 @@
 //   those are present; tokens whose tag is older than the firing counter are
 //   discarded, which is safe because the process was blind to them.
 //
-// Tags never travel on wires: each input keeps a received counter (the k-th
-// valid token on a channel has tag k) and the shell keeps a firing counter,
-// per the paper's "initialized counter that records the lag".
+// Tags never travel on wires, and the FIFOs do not store them either: each
+// input keeps a received counter (the k-th valid token on a channel has tag
+// k) and the shell keeps a firing counter, per the paper's "initialized
+// counter that records the lag". Valid tokens stay in order and a stale one
+// is discarded on arrival, which can only happen while its FIFO is empty,
+// so a FIFO always holds the consecutive tags received − size … received − 1
+// and a non-empty FIFO's front carries the current tag. Availability is
+// therefore "non-empty", kept as one InputMask per firing attempt.
 //
 // Finite FIFOs create back-pressure: the shell asserts stop on an input when
 // its FIFO is full; relay stations propagate the stop toward the source.
@@ -21,10 +26,12 @@
 // producer's golden output register), which gives the marked-graph semantics
 // behind the paper's Th = m/(m+n) loop formula.
 //
-// A shell is a Moore machine stepped by Network::step in two phases:
-//   eval()        — drive output tokens and input stop lines from registered
-//                   state only; never reads a wire;
-//   commit(cycle) — sample the wires, update the FIFOs and maybe fire.
+// A shell is a Moore machine stepped by Network::step in two phases over
+// the network's wire array:
+//   eval(wires)          — drive output tokens and input stop lines from
+//                          registered state only; never reads a wire;
+//   commit(wires, cycle) — sample the wires, update the FIFOs and maybe
+//                          fire.
 // So the order in which shells and relay stations are stepped within a
 // phase never changes the result.
 #pragma once
@@ -40,10 +47,15 @@
 
 namespace wp {
 
+/// Largest input FIFO a shell accepts, in tokens. The shell allocates every
+/// input's ring up front, so the bound caps that allocation.
+inline constexpr std::size_t kMaxFifoCapacity = std::size_t{1} << 20;
+
 struct ShellOptions {
   /// false → WP1 strict wrapper; true → WP2 wrapper with oracle.
   bool use_oracle = false;
-  /// Input FIFO capacity in tokens (≥ 1). Back-pressure point.
+  /// Input FIFO capacity in tokens, 1..kMaxFifoCapacity. Back-pressure
+  /// point.
   std::size_t fifo_capacity = 16;
   /// When using the oracle, pass poison instead of the real value for
   /// available-but-not-required inputs, so an unsound oracle (a transition
@@ -70,12 +82,12 @@ class Shell {
   /// Connects input port `port` to `wire`. `initial_value` is the reset
   /// value of the producing golden register; it seeds the channel's single
   /// initial token (tag 0). Every input must be connected exactly once.
-  void connect_input(std::size_t port, Wire* wire, Word initial_value);
+  void connect_input(std::size_t port, WireId wire, Word initial_value);
 
   /// Adds a fan-out branch of output port `port`. A fired token counts as
   /// delivered only once every branch has accepted it. Ports with no branch
   /// are silently dropped.
-  void add_output_wire(std::size_t port, Wire* wire);
+  void add_output_wire(std::size_t port, WireId wire);
 
   /// Called after every firing with (cycle, tag, output words).
   using FireObserver =
@@ -83,10 +95,23 @@ class Shell {
   void set_fire_observer(FireObserver observer);
 
   /// Phase 1: drive output tokens and input stop lines.
-  void eval();
+  void eval(std::vector<Wire>& wires) {
+    for (auto& input : in_) {
+      WP_CHECK(input.wire != kUnconnected,
+               "unconnected input port on " + name_);
+      input.stop_driven = input.fifo.full();
+      wires[input.wire].stop = input.stop_driven;
+    }
+    // A branch is undelivered only while its port's fired word is pending.
+    for (const auto& branch : branches_) {
+      Wire& wire = wires[branch.wire];
+      wire.value = fire_out_[branch.port];
+      wire.valid = !branch.delivered;
+    }
+  }
   /// Phase 2: sample wires, accept tokens, try to fire. Returns true iff
   /// the process fired this cycle.
-  bool commit(Cycle cycle);
+  bool commit(const std::vector<Wire>& wires, Cycle cycle);
   /// Power-on state: process reset, initial tokens re-seeded.
   void reset();
 
@@ -95,40 +120,42 @@ class Shell {
   Process& process() { return *process_; }
   const ShellStats& stats() const { return stats_; }
   Tag firing_counter() const { return firing_counter_; }
-  bool halted() const { return process_->halted(); }
+  /// The process's halted(), read after each firing and on reset: a
+  /// process halts only by firing.
+  bool halted() const { return halted_; }
 
   /// Current occupancy of one input FIFO (tests / ablation).
   std::size_t fifo_size(std::size_t port) const;
 
  private:
-  struct InputState {
-    Wire* wire = nullptr;
-    TokenRing fifo;            // preallocated ring: no allocation per token
-    Tag received = 0;          // tags handed out so far on this channel
-    bool stop_driven = false;  // what we drove on the stop line
-  };
-  struct OutputState {
-    std::vector<Wire*> wires;
-    std::vector<bool> delivered;  // per fan-out branch
-    Token pending = Token::tau(); // valid until all branches delivered
-  };
+  static constexpr WireId kUnconnected = ~WireId{0};
 
-  bool all_outputs_delivered() const;
-  bool try_fire(Cycle cycle);
+  struct InputState {
+    TokenRing fifo;              // preallocated ring: no allocation per token
+    WireId wire = kUnconnected;
+    bool stop_driven = false;    // what we drove on the stop line
+    Tag received = 0;            // tags handed out so far on this channel
+    Word initial = kPoisonWord;  // the channel's initial token
+  };
+  struct OutputBranch {
+    WireId wire;
+    std::uint32_t port;
+    bool delivered;  // false while the port's fired word is pending here
+  };
 
   std::string name_;
   std::unique_ptr<Process> process_;
   ShellOptions options_;
   std::vector<InputState> in_;
-  std::vector<Word> initial_seed_;  // per input: the channel's initial token
-  std::vector<OutputState> out_;
+  std::vector<OutputBranch> branches_;
+  std::size_t undelivered_ = 0;  // branches still to accept the last firing
   Tag firing_counter_ = 0;
+  bool halted_ = false;
   ShellStats stats_;
   FireObserver observer_;
 
-  // scratch buffers reused across firings
-  std::vector<std::uint8_t> avail_;
-  std::vector<Word> peek_values_;
+  // Per firing: the input words (also the oracle's peek values) and the
+  // output words, which stay in place as the pending tokens.
   std::vector<Word> fire_in_;
   std::vector<Word> fire_out_;
 };

@@ -135,16 +135,16 @@ LidSystem build_lid(const SystemSpec& spec, const ShellOptions& options,
     // Wire chain: from → RS_1 → … → RS_n → to.
     const std::string base =
         ch.from + "." + ch.from_port + "->" + ch.to + "." + ch.to_port;
-    Wire* head = lid.network->make_wire(base + "#0");
-    from->add_output_wire(out_port, head);
-    Wire* tail = head;
+    WireId tail = lid.network->make_wire(base + "#0");
+    from->add_output_wire(out_port, tail);
     for (int k = 0; k < ch.relay_stations; ++k) {
-      Wire* next = lid.network->make_wire(base + "#" + std::to_string(k + 1));
+      const WireId next =
+          lid.network->make_wire(base + "#" + std::to_string(k + 1));
       lid.network->add_relay_station(tail, next);
       tail = next;
     }
     if (noise.stall_probability > 0.0) {
-      Wire* next = lid.network->make_wire(base + "#noise");
+      const WireId next = lid.network->make_wire(base + "#noise");
       lid.network->add_relay_station(tail, next, noise.stall_probability,
                                      noise_rng());
       tail = next;

@@ -45,11 +45,4 @@ struct Token {
 
 std::ostream& operator<<(std::ostream& os, const Token& t);
 
-/// A valid token annotated with its reconstructed tag, as stored in the
-/// shells' input queues.
-struct TaggedToken {
-  Tag tag = 0;
-  Word value = kPoisonWord;
-};
-
 }  // namespace wp

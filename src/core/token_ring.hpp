@@ -1,14 +1,10 @@
-// Fixed-capacity ring of tagged tokens — the shells' input FIFO.
+// Fixed-capacity ring of words — the shells' input FIFO.
 //
-// The original implementation was a std::vector with erase(begin()) on
-// every consumed token: each handoff between shell stages paid an O(depth)
-// memmove, and the vector's growth path put heap allocation on the token
-// path. Under the streaming harness (millions of tokens through a
-// multi-stage graph) that allocation rate is the difference between a
-// steady-state pipeline and a GC-like churn. The ring allocates its
-// storage once, at capacity, when the shell is built; push/pop are index
-// arithmetic, and a token is never moved after it is written — the
-// zero-copy handoff the heavy-traffic harness measures.
+// The ring allocates its storage once, at capacity, when the shell is
+// built; push/pop are index arithmetic, and a token is never moved after
+// it is written, so the token path allocates nothing. It holds bare words:
+// a shell's FIFO always holds consecutive tags, so tags are rebuilt from
+// the shell's counters instead of being stored beside each token.
 #pragma once
 
 #include <cstddef>
@@ -23,11 +19,11 @@ class TokenRing {
  public:
   TokenRing() = default;
 
-  /// Allocates storage for exactly `capacity` tokens (the shell's FIFO
+  /// Allocates storage for exactly `capacity` words (the shell's FIFO
   /// bound). Called once at build time; clears any content.
   void set_capacity(std::size_t capacity) {
     WP_REQUIRE(capacity >= 1, "token ring capacity must be >= 1");
-    buffer_.assign(capacity, TaggedToken{});
+    buffer_.assign(capacity, kPoisonWord);
     head_ = 0;
     size_ = 0;
   }
@@ -37,14 +33,15 @@ class TokenRing {
   bool empty() const { return size_ == 0; }
   bool full() const { return size_ == buffer_.size(); }
 
-  const TaggedToken& front() const {
+  Word front() const {
     WP_CHECK(size_ > 0, "front() on an empty token ring");
     return buffer_[head_];
   }
 
-  void push_back(const TaggedToken& token) {
+  void push_back(Word value) {
     WP_CHECK(size_ < buffer_.size(), "token ring overflow");
-    buffer_[index_of(size_)] = token;
+    const std::size_t i = head_ + size_;
+    buffer_[i >= buffer_.size() ? i - buffer_.size() : i] = value;
     ++size_;
   }
 
@@ -60,12 +57,7 @@ class TokenRing {
   }
 
  private:
-  std::size_t index_of(std::size_t offset) const {
-    const std::size_t i = head_ + offset;
-    return i >= buffer_.size() ? i - buffer_.size() : i;
-  }
-
-  std::vector<TaggedToken> buffer_;
+  std::vector<Word> buffer_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

@@ -6,8 +6,9 @@
 
 namespace wp {
 
-VcdWriter::VcdWriter(std::ostream& os, std::string module)
-    : os_(os), module_(std::move(module)) {}
+VcdWriter::VcdWriter(std::ostream& os, const Network& network,
+                     std::string module)
+    : os_(os), network_(network), module_(std::move(module)) {}
 
 std::string VcdWriter::make_id(std::size_t index) {
   // Printable VCD identifier characters: '!' (33) .. '~' (126).
@@ -19,12 +20,12 @@ std::string VcdWriter::make_id(std::size_t index) {
   return id;
 }
 
-void VcdWriter::add_wire(const Wire* wire, std::string display_name) {
+void VcdWriter::add_wire(WireId wire, std::string display_name) {
   WP_REQUIRE(!header_done_, "add_wire after finalize_header");
-  WP_REQUIRE(wire != nullptr, "null wire");
   Entry e;
   e.wire = wire;
-  e.name = display_name.empty() ? wire->name() : std::move(display_name);
+  e.name = display_name.empty() ? network_.wire_name(wire)
+                                : std::move(display_name);
   if (e.name.empty()) e.name = "wire" + std::to_string(entries_.size());
   for (char& c : e.name)
     if (c == ' ') c = '_';
@@ -56,10 +57,10 @@ void VcdWriter::sample(Cycle cycle) {
     }
   };
   for (auto& e : entries_) {
-    const Token& tok = e.wire->token();
-    const int valid = tok.valid ? 1 : 0;
-    const int stop = e.wire->stop() ? 1 : 0;
-    const Word value = tok.valid ? tok.value : 0;
+    const Wire& wire = network_.wire(e.wire);
+    const int valid = wire.valid ? 1 : 0;
+    const int stop = wire.stop ? 1 : 0;
+    const Word value = wire.valid ? wire.value : 0;
     if (valid != e.last_valid) {
       stamp();
       os_ << valid << e.id_valid << '\n';

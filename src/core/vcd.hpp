@@ -1,25 +1,27 @@
 // Value-change-dump writer: records selected wires of a Network per cycle so
 // WP runs can be inspected in any waveform viewer (GTKWave etc.). Each wire
-// contributes a 64-bit value vector plus `valid` and `stop` bits.
+// contributes a 64-bit value vector plus `valid` and `stop` bits. Wires are
+// named by id; their default display names come from the network's wire
+// name table.
 #pragma once
 
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/network.hpp"
-#include "core/wire.hpp"
 
 namespace wp {
 
 class VcdWriter {
  public:
-  /// Writes the VCD header to `os` immediately; `module` names the scope.
-  VcdWriter(std::ostream& os, std::string module = "wirepipe");
+  /// Samples wires of `network`, which must outlive the writer; `module`
+  /// names the scope.
+  VcdWriter(std::ostream& os, const Network& network,
+            std::string module = "wirepipe");
 
-  /// Registers a wire before the first sample() call.
-  void add_wire(const Wire* wire, std::string display_name = {});
+  /// Registers a wire before finalize_header().
+  void add_wire(WireId wire, std::string display_name = {});
 
   /// Emits the header. Must be called once, after all add_wire() calls and
   /// before the first sample().
@@ -31,7 +33,7 @@ class VcdWriter {
 
  private:
   struct Entry {
-    const Wire* wire;
+    WireId wire;
     std::string id_value, id_valid, id_stop;
     std::string name;
     Word last_value = ~Word{0};
@@ -42,6 +44,7 @@ class VcdWriter {
   static std::string make_id(std::size_t index);
 
   std::ostream& os_;
+  const Network& network_;
   std::string module_;
   std::vector<Entry> entries_;
   bool header_done_ = false;

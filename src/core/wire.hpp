@@ -1,48 +1,36 @@
 // A point-to-point wire segment between two clocked nodes.
 //
-// Per cycle it carries one forward token (data + valid) and one backward
-// stop bit. Both are driven during the eval phase from *registered* state
-// (all nodes are Moore machines), so there are no combinational cycles and
-// evaluation order is irrelevant. A valid token is transferred in a cycle
-// iff the consumer's stop line is low in that same cycle; otherwise the
-// producer is responsible for holding (re-driving) it.
+// Per cycle it carries one forward token (value + valid bit) and one
+// backward stop bit. Both are driven during the eval phase from
+// *registered* state (all nodes are Moore machines), so there are no
+// combinational cycles and evaluation order is irrelevant. A valid token is
+// transferred in a cycle iff the consumer's stop line is low in that same
+// cycle; otherwise the producer is responsible for holding (re-driving) it.
+//
+// Wires are plain records in one flat array owned by the Network and are
+// named by a WireId, their index there. Shells and relay stations hold ids,
+// never addresses; the value of an invalid token carries no information.
 #pragma once
 
-#include <string>
+#include <cstdint>
 
 #include "core/token.hpp"
 
 namespace wp {
 
-class Wire {
- public:
-  explicit Wire(std::string name = {}) : name_(std::move(name)) {}
+/// Index of a wire in its Network's wire array.
+using WireId = std::uint32_t;
 
-  // --- driven by the producer during eval ---
-  void drive(const Token& t) { token_ = t; }
+struct Wire {
+  Word value = kPoisonWord;
+  bool valid = false;
+  bool stop = false;
 
-  // --- driven by the consumer during eval ---
-  void drive_stop(bool s) { stop_ = s; }
-
-  // --- sampled by either side during commit ---
-  const Token& token() const { return token_; }
-  bool stop() const { return stop_; }
-
-  /// True iff a valid token is being transferred this cycle.
-  bool transferring() const { return token_.valid && !stop_; }
-
-  const std::string& name() const { return name_; }
-
-  /// Returns wires to the reset state (τ, no stop).
-  void reset() {
-    token_ = Token::tau();
-    stop_ = false;
+  /// Producer side: drive a token (τ or valid) forward.
+  void drive(const Token& t) {
+    value = t.value;
+    valid = t.valid;
   }
-
- private:
-  std::string name_;
-  Token token_ = Token::tau();
-  bool stop_ = false;
 };
 
 }  // namespace wp

@@ -10,7 +10,9 @@
 #include "core/network.hpp"
 #include "core/procs.hpp"
 #include "core/shell.hpp"
+#include "core/system.hpp"
 #include "core/vcd.hpp"
+#include "util/hash.hpp"
 
 namespace wp {
 namespace {
@@ -95,16 +97,16 @@ TEST(Area, RejectsBadGeometry) {
 TEST(Vcd, EmitsHeaderAndChanges) {
   std::ostringstream os;
   Network net;
-  Wire* w = net.make_wire("bus");
-  VcdWriter vcd(os, "top");
+  const WireId w = net.make_wire("bus");
+  VcdWriter vcd(os, net, "top");
   vcd.add_wire(w);
   vcd.finalize_header();
 
-  w->drive(Token::make(5));
+  net.wire(w).drive(Token::make(5));
   vcd.sample(0);
   vcd.sample(1);  // no change: nothing emitted
-  w->drive(Token::tau());
-  w->drive_stop(true);
+  net.wire(w).drive(Token::tau());
+  net.wire(w).stop = true;
   vcd.sample(2);
 
   const std::string text = os.str();
@@ -119,34 +121,69 @@ TEST(Vcd, EmitsHeaderAndChanges) {
 
 TEST(Vcd, LifecycleContractsEnforced) {
   std::ostringstream os;
-  VcdWriter vcd(os);
-  EXPECT_THROW(vcd.sample(0), ContractViolation);  // before header
+  Network net;
+  VcdWriter vcd(os, net);
+  EXPECT_THROW(vcd.add_wire(0), ContractViolation);  // no such wire
+  EXPECT_THROW(vcd.sample(0), ContractViolation);    // before header
   vcd.finalize_header();
   EXPECT_THROW(vcd.finalize_header(), ContractViolation);
-  Wire w;
-  EXPECT_THROW(vcd.add_wire(&w), ContractViolation);  // after header
+  const WireId w = net.make_wire("w");
+  EXPECT_THROW(vcd.add_wire(w), ContractViolation);  // after header
 }
 
 TEST(Vcd, TracksAShellNetwork) {
   std::ostringstream os;
   Network net;
-  Wire* in = net.make_wire("in");
-  Wire* out = net.make_wire("out");
+  const WireId in = net.make_wire("in");
+  const WireId out = net.make_wire("out");
   auto* shell = net.add_shell(std::make_unique<Shell>(
       "id", std::make_unique<IdentityProcess>("id"), ShellOptions{}));
   shell->connect_input(0, in, 1);
   shell->add_output_wire(0, out);
 
-  VcdWriter vcd(os, "lid");
+  VcdWriter vcd(os, net, "lid");
   vcd.add_wire(in);
   vcd.add_wire(out);
   vcd.finalize_header();
   for (Cycle c = 0; c < 5; ++c) {
-    in->drive(Token::make(10 + c));
+    net.wire(in).drive(Token::make(10 + c));
     net.step();
     vcd.sample(c);
   }
   EXPECT_GT(os.str().size(), 100u);
+}
+
+TEST(Vcd, RingWaveformPinned) {
+  // A 4-process ring with 3 relay stations, every wire recorded for 64
+  // cycles under its network name. The text must not move: it pins the
+  // wire-name table, the id-based sampler and the kernel's wire activity.
+  SystemSpec spec;
+  for (int i = 0; i < 4; ++i)
+    spec.add_process("p" + std::to_string(i), [i]() {
+      return std::make_unique<IdentityProcess>("p" + std::to_string(i),
+                                               static_cast<Word>(i + 1));
+    });
+  for (int i = 0; i < 4; ++i)
+    spec.add_channel("p" + std::to_string(i), "out",
+                     "p" + std::to_string((i + 1) % 4), "in");
+  spec.set_connection_rs("p0-p1", 2);
+  spec.set_connection_rs("p2-p3", 1);
+  LidSystem lid = build_lid(spec, ShellOptions{}, false);
+  ASSERT_EQ(lid.network->wire_count(), 7u);
+
+  std::ostringstream os;
+  VcdWriter vcd(os, *lid.network, "ring");
+  for (WireId w = 0; w < lid.network->wire_count(); ++w) vcd.add_wire(w);
+  vcd.finalize_header();
+  for (Cycle c = 0; c < 64; ++c) {
+    lid.network->step();
+    vcd.sample(c);
+  }
+  const std::string text = os.str();
+  EXPECT_NE(text.find("$var wire 64 ! p0.out->p1.in#0_data $end"),
+            std::string::npos);
+  EXPECT_EQ(text.size(), 28022u);
+  EXPECT_EQ(hash_string(text), 7746884375970697562ULL);
 }
 
 }  // namespace

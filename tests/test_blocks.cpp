@@ -74,7 +74,7 @@ TEST(Dcache, OracleAsksForExactlyWhatTheOpNeeds) {
   const Word load_ctl = DcCtl{false, MemKind::kLoad}.pack();
   const Word store_ctl = DcCtl{false, MemKind::kStore}.pack();
   const Word bubble_ctl = DcCtl{}.pack();
-  std::uint8_t avail[3] = {1, 0, 0};
+  InputMask avail = 0b001;
   Word values[3] = {bubble_ctl, 0, 0};
   EXPECT_EQ(dc.required(PeekView(avail, values, 3)), 0b001u);
   values[0] = load_ctl;
@@ -82,7 +82,7 @@ TEST(Dcache, OracleAsksForExactlyWhatTheOpNeeds) {
   values[0] = store_ctl;
   EXPECT_EQ(dc.required(PeekView(avail, values, 3)), 0b111u);
   // Control not yet available: only the control is required so far.
-  avail[0] = 0;
+  avail = 0;
   EXPECT_EQ(dc.required(PeekView(avail, values, 3)), 0b001u);
 }
 
@@ -135,7 +135,7 @@ TEST(RegFile, ReadsAndSchedulesWriteback) {
 
 TEST(RegFile, OracleRequiresWbOnlyWhenScheduled) {
   RegFileBlock rf;
-  std::uint8_t avail[3] = {1, 1, 1};
+  const InputMask avail = 0b111;
   Word values[3] = {RfCtl{}.pack(), 0, 0};
   EXPECT_EQ(rf.required(PeekView(avail, values, 3)), 0b001u);
 
@@ -265,7 +265,7 @@ TEST(Alu, OracleSkipsOperandsForLi) {
   li.op = Opcode::kLi;
   li.use_imm = true;
   const Word ctl_word = li.pack();
-  std::uint8_t avail[2] = {1, 0};
+  const InputMask avail = 0b01;
   Word values[2] = {ctl_word, 0};
   EXPECT_EQ(alu.required(PeekView(avail, values, 2)), 0b01u);
   AluCtl add;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/shell.hpp"
 #include "eval/evaluate.hpp"
 #include "eval/request.hpp"
 #include "gen/ensemble.hpp"
@@ -610,6 +611,23 @@ TEST(EvalErrors, TruncatedWp2RunBecomesErrorReply) {
   EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed);
   EXPECT_NE(reply.error.message.find("did not halt"), std::string::npos)
       << reply.error.message;
+}
+
+TEST(EvalErrors, AbsurdFifoCapacityBecomesErrorReply) {
+  // Every shell allocates its input rings up front, so the capacity is
+  // bounded before anything is allocated: 2^26 tokens would otherwise ask
+  // for 512 MiB per input.
+  for (const std::uint64_t capacity :
+       {std::uint64_t{kMaxFifoCapacity} + 1, std::uint64_t{1} << 26}) {
+    EvalRequest request = sample_stream_request();
+    request.stream.fifo_capacity = capacity;
+    const EvalReply reply = evaluate(request, {});
+    EXPECT_EQ(reply.kind, ReplyKind::kError) << capacity;
+    EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed) << capacity;
+    EXPECT_NE(reply.error.message.find(std::to_string(kMaxFifoCapacity)),
+              std::string::npos)
+        << reply.error.message;
+  }
 }
 
 TEST(EvalErrors, UnwrapKindMismatchThrows) {

@@ -4,9 +4,9 @@
 // patterns, with and without noise.
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <optional>
 
+#include "core/network.hpp"
 #include "core/relay_station.hpp"
 #include "core/wire.hpp"
 #include "util/assert.hpp"
@@ -20,12 +20,11 @@ namespace {
 class RsHarness {
  public:
   /// A positive `noise` makes every station a noise station (seeds 1..n).
-  explicit RsHarness(int num_stations, double noise = 0.0) {
-    for (int i = 0; i <= num_stations; ++i)
-      wires_.emplace_back("w" + std::to_string(i));
+  explicit RsHarness(int num_stations, double noise = 0.0)
+      : wires_(static_cast<std::size_t>(num_stations) + 1) {
     for (int i = 0; i < num_stations; ++i)
-      stations_.emplace_back(&wires_[static_cast<std::size_t>(i)],
-                             &wires_[static_cast<std::size_t>(i) + 1], noise,
+      stations_.emplace_back(static_cast<WireId>(i),
+                             static_cast<WireId>(i) + 1, noise,
                              static_cast<std::uint64_t>(i) + 1);
   }
 
@@ -34,18 +33,19 @@ class RsHarness {
   /// consumer this cycle (if any).
   std::optional<Word> step(std::optional<Word> offer, bool stall) {
     // eval phase
-    for (auto& rs : stations_) rs.eval();
+    for (auto& rs : stations_) rs.eval(wires_);
     // producer drive: held token takes precedence
     if (!held_ && offer) held_ = offer;
     wires_.front().drive(held_ ? Token::make(*held_) : Token::tau());
     // consumer stop line
-    wires_.back().drive_stop(stall);
+    wires_.back().stop = stall;
 
     // commit phase
     std::optional<Word> delivered;
-    if (wires_.back().transferring()) delivered = wires_.back().token().value;
-    for (auto& rs : stations_) rs.commit();
-    if (held_ && !wires_.front().stop()) held_.reset();  // accepted
+    const Wire& last = wires_.back();
+    if (last.valid && !last.stop) delivered = last.value;
+    for (auto& rs : stations_) rs.commit(wires_);
+    if (held_ && !wires_.front().stop) held_.reset();  // accepted
     return delivered;
   }
 
@@ -53,7 +53,7 @@ class RsHarness {
   RelayStation& station(int i) { return stations_[static_cast<std::size_t>(i)]; }
 
  private:
-  std::deque<Wire> wires_;
+  std::vector<Wire> wires_;
   std::vector<RelayStation> stations_;
   std::optional<Word> held_;
 };
@@ -224,12 +224,15 @@ TEST(RelayStation, NoiseStationWithholdsAndReplaysAfterReset) {
   EXPECT_EQ(schedule(), first);
 }
 
-TEST(RelayStation, NullWiresRejected) {
-  Wire w;
-  EXPECT_THROW(RelayStation(nullptr, &w), ContractViolation);
-  EXPECT_THROW(RelayStation(&w, &w), ContractViolation);
-  Wire out;
-  EXPECT_THROW(RelayStation(&w, &out, 1.5), ContractViolation);
+TEST(RelayStation, BadWiresRejected) {
+  EXPECT_THROW(RelayStation(0, 0), ContractViolation);
+  EXPECT_THROW(RelayStation(0, 1, 1.5), ContractViolation);
+  Network net;
+  const WireId in = net.make_wire("in");
+  EXPECT_THROW(net.add_relay_station(in, in + 1), ContractViolation);
+  EXPECT_THROW(net.add_relay_station(in + 1, in), ContractViolation);
+  net.add_relay_station(in, net.make_wire("out"));
+  EXPECT_EQ(net.relay_station_count(), 1u);
 }
 
 }  // namespace

@@ -55,11 +55,26 @@ class UnsoundOracleProcess final : public Process {
   void reset() override {}
 };
 
+// A process with `inputs` inputs that fires on all of them.
+class WideProcess final : public Process {
+ public:
+  explicit WideProcess(std::size_t inputs) : Process("wide") {
+    for (std::size_t i = 0; i < inputs; ++i)
+      add_input("in" + std::to_string(i));
+    add_output("out");
+  }
+  void fire(const Word* in, Word* out) override {
+    out[0] = 0;
+    for (std::size_t i = 0; i < inputs().size(); ++i) out[0] += in[i];
+  }
+  void reset() override {}
+};
+
 TEST(Shell, StrictWaitsForAllInputs) {
   Network net;
-  Wire* wa = net.make_wire("a");
-  Wire* wb = net.make_wire("b");
-  Wire* wo = net.make_wire("o");
+  const WireId wa = net.make_wire("a");
+  const WireId wb = net.make_wire("b");
+  const WireId wo = net.make_wire("o");
   auto proc = std::make_unique<RecordingProcess>();
   auto* rec = proc.get();
   auto* shell = net.add_shell(
@@ -74,26 +89,26 @@ TEST(Shell, StrictWaitsForAllInputs) {
   EXPECT_EQ(rec->seen[0], std::make_pair(Word{10}, Word{20}));
 
   // Only input a gets a tag-1 token: the strict shell must stall.
-  wa->drive(Token::make(11));
+  net.wire(wa).drive(Token::make(11));
   net.step();
-  wa->drive(Token::tau());
+  net.wire(wa).drive(Token::tau());
   net.step();
   EXPECT_EQ(shell->stats().firings, 1u);
   EXPECT_GT(shell->stats().stalls_input, 0u);
 
   // b arrives: fire.
-  wb->drive(Token::make(21));
+  net.wire(wb).drive(Token::make(21));
   net.step();
-  wb->drive(Token::tau());
+  net.wire(wb).drive(Token::tau());
   EXPECT_EQ(shell->stats().firings, 2u);
   EXPECT_EQ(rec->seen[1], std::make_pair(Word{11}, Word{21}));
 }
 
 TEST(Shell, EmitsTauWhileStalled) {
   Network net;
-  Wire* wa = net.make_wire("a");
-  Wire* wb = net.make_wire("b");
-  Wire* wo = net.make_wire("o");
+  const WireId wa = net.make_wire("a");
+  const WireId wb = net.make_wire("b");
+  const WireId wo = net.make_wire("o");
   auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<RecordingProcess>(), wp1()));
   shell->connect_input(0, wa, 1);
@@ -102,43 +117,43 @@ TEST(Shell, EmitsTauWhileStalled) {
 
   net.step();  // tag-0 firing; result (3) is driven next cycle
   net.step();
-  EXPECT_TRUE(wo->token().valid);
-  EXPECT_EQ(wo->token().value, 3u);
+  EXPECT_TRUE(net.wire(wo).valid);
+  EXPECT_EQ(net.wire(wo).value, 3u);
   net.step();  // no new inputs: stalled, output must be τ
-  EXPECT_FALSE(wo->token().valid);
+  EXPECT_FALSE(net.wire(wo).valid);
 }
 
 TEST(Shell, OutputHeldUnderStopThenDelivered) {
   Network net;
-  Wire* wa = net.make_wire("a");
-  Wire* wo = net.make_wire("o");
+  const WireId wa = net.make_wire("a");
+  const WireId wo = net.make_wire("o");
   auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<IdentityProcess>("id"), wp1()));
   shell->connect_input(0, wa, 5);
   shell->add_output_wire(0, wo);
 
-  wo->drive_stop(true);  // consumer stalls (re-driven manually each eval)
+  net.wire(wo).stop = true;  // consumer stalls (re-driven manually each eval)
   net.step();            // fires tag 0 (output pending)
   EXPECT_EQ(shell->stats().firings, 1u);
   // Pending output + stop: cannot fire tag 1 even though input arrives.
-  wa->drive(Token::make(6));
-  wo->drive_stop(true);
+  net.wire(wa).drive(Token::make(6));
+  net.wire(wo).stop = true;
   net.step();
-  wa->drive(Token::tau());
+  net.wire(wa).drive(Token::tau());
   EXPECT_EQ(shell->stats().firings, 1u);
   EXPECT_GT(shell->stats().stalls_output, 0u);
-  EXPECT_EQ(wo->token().value, 5u);  // held token re-driven
+  EXPECT_EQ(net.wire(wo).value, 5u);  // held token re-driven
   // Release the stop: token 5 delivered, then tag 1 fires with value 6.
-  wo->drive_stop(false);
+  net.wire(wo).stop = false;
   net.step();
   EXPECT_EQ(shell->stats().firings, 2u);
 }
 
 TEST(Shell, BackPressureAssertsStopWhenFifoFull) {
   Network net;
-  Wire* wa = net.make_wire("a");
-  Wire* wb = net.make_wire("b");
-  Wire* wo = net.make_wire("o");
+  const WireId wa = net.make_wire("a");
+  const WireId wb = net.make_wire("b");
+  const WireId wo = net.make_wire("o");
   ShellOptions opts = wp1();
   opts.fifo_capacity = 2;
   auto* shell = net.add_shell(std::make_unique<Shell>(
@@ -149,18 +164,18 @@ TEST(Shell, BackPressureAssertsStopWhenFifoFull) {
 
   // Flood input a while b starves: a's FIFO fills to capacity, stop rises.
   for (int i = 1; i <= 6; ++i) {
-    wa->drive(Token::make(static_cast<Word>(i)));
+    net.wire(wa).drive(Token::make(static_cast<Word>(i)));
     net.step();
     EXPECT_LE(shell->fifo_size(0), 2u);
   }
-  EXPECT_TRUE(wa->stop());
+  EXPECT_TRUE(net.wire(wa).stop);
 }
 
 TEST(Shell, OracleFiresWithoutUnneededInput) {
   Network net;
-  Wire* wa = net.make_wire("a");
-  Wire* wb = net.make_wire("b");
-  Wire* wo = net.make_wire("o");
+  const WireId wa = net.make_wire("a");
+  const WireId wb = net.make_wire("b");
+  const WireId wo = net.make_wire("o");
   // Input b needed only at every 3rd firing (phase 0).
   auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<DutyCycleProcess>("duty", 3), wp2()));
@@ -171,42 +186,42 @@ TEST(Shell, OracleFiresWithoutUnneededInput) {
   net.step();  // tag 0 fires (both initial tokens present)
   EXPECT_EQ(shell->stats().firings, 1u);
   // Feed only a: tags 1 and 2 need just a, so the shell runs ahead.
-  wa->drive(Token::make(101));
+  net.wire(wa).drive(Token::make(101));
   net.step();
-  wa->drive(Token::make(102));
+  net.wire(wa).drive(Token::make(102));
   net.step();
-  wa->drive(Token::tau());
+  net.wire(wa).drive(Token::tau());
   EXPECT_EQ(shell->stats().firings, 3u);
   // Tag 3 is a phase-0 firing again: b required, shell must stall.
-  wa->drive(Token::make(103));
+  net.wire(wa).drive(Token::make(103));
   net.step();
-  wa->drive(Token::tau());
+  net.wire(wa).drive(Token::tau());
   net.step();
   EXPECT_EQ(shell->stats().firings, 3u);
   // The stale b tokens (tags 1, 2) arrive late and must be discarded; the
   // tag-3 token unblocks the firing.
   for (Word v : {201, 202, 203}) {
-    wb->drive(Token::make(v));
+    net.wire(wb).drive(Token::make(v));
     net.step();
   }
-  wb->drive(Token::tau());
+  net.wire(wb).drive(Token::tau());
   EXPECT_EQ(shell->stats().firings, 4u);
   EXPECT_EQ(shell->stats().discarded_tokens, 2u);
 }
 
 TEST(Shell, StrictModeNeverDiscards) {
   Network net;
-  Wire* wa = net.make_wire("a");
-  Wire* wb = net.make_wire("b");
-  Wire* wo = net.make_wire("o");
+  const WireId wa = net.make_wire("a");
+  const WireId wb = net.make_wire("b");
+  const WireId wo = net.make_wire("o");
   auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<DutyCycleProcess>("duty", 3), wp1()));
   shell->connect_input(0, wa, 0);
   shell->connect_input(1, wb, 0);
   shell->add_output_wire(0, wo);
   for (int i = 1; i <= 10; ++i) {
-    wa->drive(Token::make(static_cast<Word>(i)));
-    wb->drive(Token::make(static_cast<Word>(100 + i)));
+    net.wire(wa).drive(Token::make(static_cast<Word>(i)));
+    net.wire(wb).drive(Token::make(static_cast<Word>(100 + i)));
     net.step();
   }
   EXPECT_EQ(shell->stats().discarded_tokens, 0u);
@@ -215,9 +230,9 @@ TEST(Shell, StrictModeNeverDiscards) {
 
 TEST(Shell, UnsoundOracleGetsPoisonedInput) {
   Network net;
-  Wire* wa = net.make_wire("a");
-  Wire* wb = net.make_wire("b");
-  Wire* wo = net.make_wire("o");
+  const WireId wa = net.make_wire("a");
+  const WireId wb = net.make_wire("b");
+  const WireId wo = net.make_wire("o");
   auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<UnsoundOracleProcess>(), wp2()));
   shell->connect_input(0, wa, 1);
@@ -225,41 +240,41 @@ TEST(Shell, UnsoundOracleGetsPoisonedInput) {
   shell->add_output_wire(0, wo);
   net.step();  // fires: b available but NOT required -> poisoned
   net.step();
-  EXPECT_TRUE(wo->token().valid);
-  EXPECT_EQ(wo->token().value, 1u + kPoisonWord);  // the bug is loud
+  EXPECT_TRUE(net.wire(wo).valid);
+  EXPECT_EQ(net.wire(wo).value, 1u + kPoisonWord);  // the bug is loud
 }
 
 TEST(Shell, FanOutWaitsForAllBranches) {
   Network net;
-  Wire* wa = net.make_wire("a");
-  Wire* w1 = net.make_wire("o1");
-  Wire* w2 = net.make_wire("o2");
+  const WireId wa = net.make_wire("a");
+  const WireId w1 = net.make_wire("o1");
+  const WireId w2 = net.make_wire("o2");
   auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<IdentityProcess>("id"), wp1()));
   shell->connect_input(0, wa, 7);
   shell->add_output_wire(0, w1);
   shell->add_output_wire(0, w2);
 
-  w2->drive_stop(true);
+  net.wire(w2).stop = true;
   net.step();  // fires tag 0
-  wa->drive(Token::make(8));
-  w2->drive_stop(true);
+  net.wire(wa).drive(Token::make(8));
+  net.wire(w2).stop = true;
   net.step();  // w1 delivered, w2 held: no second firing
-  wa->drive(Token::tau());
+  net.wire(wa).drive(Token::tau());
   EXPECT_EQ(shell->stats().firings, 1u);
-  w2->drive_stop(true);
+  net.wire(w2).stop = true;
   net.step();  // branch w1 now drives τ, w2 still re-drives the held token
-  EXPECT_FALSE(w1->token().valid);  // already delivered branch sends τ
-  EXPECT_EQ(w2->token().value, 7u);
-  w2->drive_stop(false);
+  EXPECT_FALSE(net.wire(w1).valid);  // already delivered branch sends τ
+  EXPECT_EQ(net.wire(w2).value, 7u);
+  net.wire(w2).stop = false;
   net.step();  // w2 delivered; tag 1 fires
   EXPECT_EQ(shell->stats().firings, 2u);
 }
 
 TEST(Shell, FireObserverSeesTagsInOrder) {
   Network net;
-  Wire* wa = net.make_wire("a");
-  Wire* wo = net.make_wire("o");
+  const WireId wa = net.make_wire("a");
+  const WireId wo = net.make_wire("o");
   auto* shell = net.add_shell(std::make_unique<Shell>(
       "s", std::make_unique<IdentityProcess>("id"), wp1()));
   shell->connect_input(0, wa, 0);
@@ -268,7 +283,7 @@ TEST(Shell, FireObserverSeesTagsInOrder) {
   shell->set_fire_observer(
       [&tags](Cycle, Tag tag, const Word*) { tags.push_back(tag); });
   for (int i = 1; i <= 5; ++i) {
-    wa->drive(Token::make(static_cast<Word>(i)));
+    net.wire(wa).drive(Token::make(static_cast<Word>(i)));
     net.step();
   }
   EXPECT_EQ(tags, (std::vector<Tag>{0, 1, 2, 3, 4}));
@@ -278,7 +293,7 @@ TEST(Network, CountsFiringsAndHaltsAcrossReset) {
   // The shell commits feed the run loop's two counters: the firing total
   // and the number of halted shells. reset() clears both.
   Network net;
-  Wire* w = net.make_wire("w");
+  const WireId w = net.make_wire("w");
   Shell* src = net.add_shell(std::make_unique<Shell>(
       "src", std::make_unique<CounterSource>("src", 0, 1, 3), wp1()));
   Shell* sink = net.add_shell(std::make_unique<Shell>(
@@ -307,13 +322,51 @@ TEST(Shell, RejectsBadConfiguration) {
   ShellOptions zero = wp1();
   zero.fifo_capacity = 0;
   EXPECT_THROW(Shell("s", make(), zero), ContractViolation);
+  ShellOptions huge = wp1();
+  huge.fifo_capacity = kMaxFifoCapacity + 1;
+  EXPECT_THROW(Shell("s", make(), huge), ContractViolation);
+  huge.fifo_capacity = kMaxFifoCapacity;
+  EXPECT_NO_THROW(Shell("s", make(), huge));
 
   Network net;
-  Wire* w = net.make_wire("w");
+  const WireId w = net.make_wire("w");
   Shell s("s", make(), wp1());
   EXPECT_THROW(s.connect_input(5, w, 0), ContractViolation);
   s.connect_input(0, w, 0);
   EXPECT_THROW(s.connect_input(0, w, 0), ContractViolation);  // twice
+}
+
+TEST(Shell, RejectsMoreInputsThanTheMaskHolds) {
+  // Availability and requirements are 32-bit InputMasks: a 33rd input has
+  // no bit, so such a process is refused before a shell can wrap it.
+  EXPECT_THROW(Shell("s", std::make_unique<WideProcess>(33), wp1()),
+               ContractViolation);
+
+  // 32 inputs use every bit of the mask, the top one included.
+  Network net;
+  const WireId out = net.make_wire("o");
+  Shell* shell = net.add_shell(
+      std::make_unique<Shell>("s", std::make_unique<WideProcess>(32), wp2()));
+  std::vector<WireId> in;
+  for (std::size_t i = 0; i < 32; ++i) {
+    in.push_back(net.make_wire("in" + std::to_string(i)));
+    shell->connect_input(i, in.back(), i + 1);
+  }
+  shell->add_output_wire(0, out);
+  net.step();  // tag 0 fires from the 32 initial tokens
+  EXPECT_EQ(shell->stats().firings, 1u);
+  net.step();
+  EXPECT_TRUE(net.wire(out).valid);
+  EXPECT_EQ(net.wire(out).value, Word{32 * 33 / 2});
+  net.step();  // tag 1 waits for the top input, like every other one
+  EXPECT_EQ(shell->stats().firings, 1u);
+  for (std::size_t i = 0; i < 31; ++i) net.wire(in[i]).drive(Token::make(1));
+  net.step();
+  for (std::size_t i = 0; i < 31; ++i) net.wire(in[i]).drive(Token::tau());
+  EXPECT_EQ(shell->stats().firings, 1u);
+  net.wire(in[31]).drive(Token::make(1));
+  net.step();
+  EXPECT_EQ(shell->stats().firings, 2u);
 }
 
 }  // namespace

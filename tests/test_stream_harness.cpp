@@ -43,14 +43,14 @@ TEST(TokenRing, WrapsAroundWithoutLosingOrder) {
   TokenRing ring;
   ring.set_capacity(3);
   EXPECT_TRUE(ring.empty());
-  for (Word w = 0; w < 2; ++w) ring.push_back(TaggedToken{w, w});
+  for (Word w = 0; w < 2; ++w) ring.push_back(w);
   ring.pop_front();
   // head_ is now 1; push two more so the buffer wraps.
-  ring.push_back(TaggedToken{2, 2});
-  ring.push_back(TaggedToken{3, 3});
+  ring.push_back(2);
+  ring.push_back(3);
   EXPECT_TRUE(ring.full());
   for (Word expected = 1; expected <= 3; ++expected) {
-    EXPECT_EQ(ring.front().value, expected);
+    EXPECT_EQ(ring.front(), expected);
     ring.pop_front();
   }
   EXPECT_TRUE(ring.empty());
@@ -60,8 +60,8 @@ TEST(TokenRing, OverflowAndEmptyFrontFailLoudly) {
   TokenRing ring;
   ring.set_capacity(1);
   EXPECT_THROW(ring.front(), ContractViolation);
-  ring.push_back(TaggedToken{1, 0});
-  EXPECT_THROW(ring.push_back(TaggedToken{2, 1}), ContractViolation);
+  ring.push_back(0);
+  EXPECT_THROW(ring.push_back(1), ContractViolation);
 }
 
 // ------------------------------------------------- fix_from_double guard

@@ -11,6 +11,8 @@
 #include "core/system.hpp"
 #include "proc/experiment.hpp"
 #include "stream/harness.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace wp {
 namespace {
@@ -338,6 +340,64 @@ TEST(System, KernelBehaviourPinned) {
     EXPECT_EQ(lid.run_until_halt(5000000, 0), noisy_cycles[oracle ? 1 : 0])
         << (oracle ? "WP2" : "WP1");
   }
+}
+
+TEST(System, DiscardHeavyWp2NetworkPinned) {
+  // KernelBehaviourPinned sees discards only on the AGC-GAIN link. Here six
+  // random Moore machines with peek-gated oracles skip inputs all the time,
+  // behind small FIFOs and noise stations at p = 0.2, so stale tokens,
+  // back-pressure and injected stalls meet on every channel. Every shell's
+  // counters are pinned: any change to the kernel's behaviour moves them.
+  Rng rng(83);
+  SystemSpec spec;
+  const int n = 6;
+  Rng table_rng = rng.split();
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t seed = table_rng();
+    spec.add_process("p" + std::to_string(i), [seed]() {
+      Rng r(seed);
+      return std::make_unique<RandomMooreProcess>("m", 3, 2, 6, r, true);
+    });
+  }
+  for (int i = 0; i < n; ++i) {
+    spec.add_channel("p" + std::to_string((i + n - 1) % n), "out0",
+                     "p" + std::to_string(i), "in0");
+    for (int port = 1; port < 3; ++port)
+      spec.add_channel("p" + std::to_string(rng.below(n)),
+                       "out" + std::to_string(rng.below(2)),
+                       "p" + std::to_string(i), "in" + std::to_string(port));
+  }
+  for (const auto& name : spec.connections())
+    spec.set_connection_rs(name, static_cast<int>(rng.below(3)));
+
+  ShellOptions shell;
+  shell.use_oracle = true;
+  shell.fifo_capacity = 4;
+  NoiseOptions noise;
+  noise.stall_probability = 0.2;
+  noise.seed = 29;
+  LidSystem lid = build_lid(spec, shell, false, noise);
+  for (int c = 0; c < 20000; ++c) lid.network->step();
+
+  std::uint64_t digest = hash_string("kernel");
+  ShellStats total;
+  for (const auto& [name, s] : lid.shells) {
+    const ShellStats& stats = s->stats();
+    digest = hash_combine(digest, hash_string(name));
+    for (const std::uint64_t count :
+         {stats.firings, stats.stalls_input, stats.stalls_output,
+          stats.discarded_tokens})
+      digest = hash_combine(digest, count);
+    total.firings += stats.firings;
+    total.stalls_input += stats.stalls_input;
+    total.stalls_output += stats.stalls_output;
+    total.discarded_tokens += stats.discarded_tokens;
+  }
+  EXPECT_EQ(total.firings, 33151u);
+  EXPECT_EQ(total.stalls_input, 86734u);
+  EXPECT_EQ(total.stalls_output, 115u);
+  EXPECT_EQ(total.discarded_tokens, 9081u);
+  EXPECT_EQ(digest, 13437317583291833912ULL);
 }
 
 /// A genuine deadlock: one source fans out to two sinks. Sink `a` halts
