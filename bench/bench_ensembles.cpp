@@ -82,8 +82,7 @@ wp::gen::EnsembleConfig make_config() {
 
   // The scale regime the incremental packing engine unlocked, now in the
   // default set: per-family iteration budget instead of a separate
-  // --large run. Johnson cycle enumeration explodes here; the global cap
-  // records cycles = -1 for these samples.
+  // --large run.
   FamilySpec large;
   large.name = "ba-128";
   large.topology.family = TopologyFamily::kBarabasiAlbert;
@@ -108,7 +107,7 @@ struct ScaleSection {
 };
 
 /// Runs a slice of the scale substrate (ba-256 / mesh-16x16 / ba-1024,
-/// 2 samples each, simulation and cycle enumeration off — the pipeline is
+/// 2 samples each, simulation off — the pipeline is
 /// anneal -> placement RS demand -> min-cycle-ratio throughput) through
 /// the pooled runner.
 ScaleSection run_scale_section() {
@@ -117,7 +116,6 @@ ScaleSection run_scale_section() {
   config.seed = 2005;
   config.samples_per_family = 2;
   config.simulate.enabled = false;
-  config.max_cycle_enumeration = 0;  // Johnson enumeration explodes here
   for (auto& family : gen::scale_family_specs())
     if (family.name == "ba-256" || family.name == "mesh-16x16" ||
         family.name == "ba-1024")

@@ -326,7 +326,6 @@ void fields(Io& io, Field<Io, gen::SampleJob>& job) {
   AnnealKnobs knobs = AnnealKnobs::from_options(job.anneal);
   fields(io, knobs);
   if constexpr (Io::kDecoding) job.anneal = knobs.to_options();
-  io.u64(job.max_cycle_enumeration);
 }
 
 template <class Io>
@@ -400,7 +399,6 @@ void fields(Io& io, Field<Io, gen::SampleResult>& s) {
   io.u64(s.seed);
   io.i32(s.nodes);
   io.i32(s.edges);
-  io.i64(s.cycles);
   io.i32(s.total_rs);
   io.f64(s.area);
   io.f64(s.wirelength);

@@ -55,7 +55,9 @@ namespace wp::eval {
 /// v3: the pack-engine tag names only kNaive (0) and kMovePacker (1); the
 /// retired incremental, batched and parallel engine tags are rejected.
 /// v4: StreamGraphConfig drops gain_period.
-constexpr std::uint8_t kEvalVersion = 4;
+/// v5: ensemble samples no longer count elementary cycles: the job drops
+/// its enumeration cap and the result its cycle count.
+constexpr std::uint8_t kEvalVersion = 5;
 
 enum class RequestKind : std::uint8_t {
   kExperiment = 1,      ///< golden/WP1/WP2 triple → ExperimentRow

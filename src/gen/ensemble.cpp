@@ -8,7 +8,6 @@
 
 #include "eval/evaluate.hpp"
 #include "eval/request.hpp"
-#include "graph/cycles.hpp"
 #include "sim/oracle.hpp"
 #include "graph/throughput_engine.hpp"
 #include "sim/netlist_sim.hpp"
@@ -120,18 +119,6 @@ SampleResult run_sample_job(const SampleJob& job,
     result.sim_ok = sim_result.wp1_equivalent && sim_result.wp2_equivalent &&
                     sim_result.wp1_firings > 0 && sim_result.wp2_firings > 0;
   }
-
-  if (job.max_cycle_enumeration == 0) {
-    result.cycles = -1;
-  } else {
-    try {
-      result.cycles = static_cast<long long>(
-          graph::enumerate_cycles(topology, job.max_cycle_enumeration)
-              .size());
-    } catch (const ContractViolation&) {
-      result.cycles = -1;  // count explosion, not an error
-    }
-  }
   return result;
 }
 
@@ -143,8 +130,7 @@ std::vector<FamilyStats> aggregate_families(
   for (std::size_t f = 0; f < config.families.size(); ++f) {
     FamilyStats stats;
     stats.family = config.families[f].name;
-    RunningStats th, rs, area, wl, cycles, anneal_ms, th_ms, th1_sim,
-        th2_sim;
+    RunningStats th, rs, area, wl, anneal_ms, th_ms, th1_sim, th2_sim;
     std::vector<double> th_values;
     for (std::size_t i = f * per_family; i < (f + 1) * per_family; ++i) {
       const SampleResult& s = samples[i];
@@ -155,7 +141,6 @@ std::vector<FamilyStats> aggregate_families(
       wl.add(s.wirelength);
       anneal_ms.add(s.anneal_ms);
       th_ms.add(s.throughput_ms);
-      if (s.cycles >= 0) cycles.add(static_cast<double>(s.cycles));
       if (s.simulated) {
         th1_sim.add(s.th_wp1_sim);
         th2_sim.add(s.th_wp2_sim);
@@ -175,8 +160,6 @@ std::vector<FamilyStats> aggregate_families(
       stats.anneal_ms_mean = anneal_ms.mean();
       stats.throughput_ms_mean = th_ms.mean();
     }
-    stats.cycles_counted = cycles.count();
-    if (stats.cycles_counted > 0) stats.cycles_mean = cycles.mean();
     stats.sim_samples = th2_sim.count();
     if (stats.sim_samples > 0) {
       stats.th_wp1_sim_mean = th1_sim.mean();
@@ -296,7 +279,6 @@ std::vector<SampleJob> ensemble_jobs(const EnsembleConfig& config) {
         job.simulate.golden_cycles = family.golden_cycles;
       if (family.wp_cycles > 0) job.simulate.wp_cycles = family.wp_cycles;
       job.anneal = config.anneal;
-      job.max_cycle_enumeration = config.max_cycle_enumeration;
       jobs.push_back(std::move(job));
     }
   }
@@ -310,9 +292,8 @@ bool SampleResult::operator==(const SampleResult& other) const {
   // throughput engine must be deterministic.
   return family == other.family && sample == other.sample &&
          seed == other.seed && nodes == other.nodes &&
-         edges == other.edges && cycles == other.cycles &&
-         total_rs == other.total_rs && area == other.area &&
-         wirelength == other.wirelength && throughput == other.throughput &&
+         edges == other.edges && total_rs == other.total_rs &&
+         area == other.area && wirelength == other.wirelength && throughput == other.throughput &&
          simulated == other.simulated && th_wp1_sim == other.th_wp1_sim &&
          th_wp2_sim == other.th_wp2_sim && sim_ok == other.sim_ok &&
          engine_incremental == other.engine_incremental &&
@@ -329,15 +310,15 @@ EnsembleReport run_ensemble_sequential(const EnsembleConfig& config) {
 
 void write_samples_csv(const EnsembleReport& report, std::ostream& os) {
   CsvWriter csv(os);
-  csv.row({"family", "sample", "seed", "nodes", "edges", "cycles",
-           "total_rs", "area_mm2", "wirelength_mm", "throughput",
-           "th_wp1_sim", "th_wp2_sim", "sim_ok", "anneal_ms",
-           "throughput_ms", "engine_incremental", "engine_fallbacks"});
+  csv.row({"family", "sample", "seed", "nodes", "edges", "total_rs",
+           "area_mm2", "wirelength_mm", "throughput", "th_wp1_sim",
+           "th_wp2_sim", "sim_ok", "anneal_ms", "throughput_ms",
+           "engine_incremental", "engine_fallbacks"});
   for (const auto& s : report.samples)
     csv.row({s.family, std::to_string(s.sample), std::to_string(s.seed),
              std::to_string(s.nodes), std::to_string(s.edges),
-             std::to_string(s.cycles), std::to_string(s.total_rs),
-             fmt_fixed(s.area, 6), fmt_fixed(s.wirelength, 6),
+             std::to_string(s.total_rs), fmt_fixed(s.area, 6),
+             fmt_fixed(s.wirelength, 6),
              fmt_fixed(s.throughput, 6),
              s.simulated ? fmt_fixed(s.th_wp1_sim, 6) : std::string(),
              s.simulated ? fmt_fixed(s.th_wp2_sim, 6) : std::string(),
@@ -350,15 +331,14 @@ void write_samples_csv(const EnsembleReport& report, std::ostream& os) {
 void write_families_csv(const EnsembleReport& report, std::ostream& os) {
   CsvWriter csv(os);
   csv.row({"family", "samples", "th_mean", "th_median", "th_p95", "th_min",
-           "th_max", "rs_mean", "cycles_mean", "cycles_counted", "area_mean",
-           "wirelength_mean", "th_wp1_sim_mean", "th_wp2_sim_mean",
-           "sim_failures", "anneal_ms_mean", "throughput_ms_mean"});
+           "th_max", "rs_mean", "area_mean", "wirelength_mean",
+           "th_wp1_sim_mean", "th_wp2_sim_mean", "sim_failures",
+           "anneal_ms_mean", "throughput_ms_mean"});
   for (const auto& f : report.families)
     csv.row({f.family, std::to_string(f.samples), fmt_fixed(f.th_mean, 6),
              fmt_fixed(f.th_median, 6), fmt_fixed(f.th_p95, 6),
              fmt_fixed(f.th_min, 6), fmt_fixed(f.th_max, 6),
-             fmt_fixed(f.rs_mean, 3), fmt_fixed(f.cycles_mean, 3),
-             std::to_string(f.cycles_counted), fmt_fixed(f.area_mean, 3),
+             fmt_fixed(f.rs_mean, 3), fmt_fixed(f.area_mean, 3),
              fmt_fixed(f.wirelength_mean, 3),
              f.sim_samples > 0 ? fmt_fixed(f.th_wp1_sim_mean, 6)
                                : std::string(),

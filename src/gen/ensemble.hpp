@@ -80,10 +80,6 @@ struct EnsembleConfig {
   /// anneal.pack_engine selects the packing engine (default kMovePacker;
   /// placements are bit-identical to kNaive).
   fplan::AnnealOptions anneal;
-  /// Johnson cycle-enumeration cap for the per-sample cycle count; graphs
-  /// whose elementary-cycle count exceeds it record cycles = -1 instead of
-  /// exploding. 0 skips counting entirely.
-  std::size_t max_cycle_enumeration = 20000;
 
   EnsembleConfig() {
     anneal.iterations = 2500;
@@ -99,7 +95,6 @@ struct SampleResult {
   std::uint64_t seed = 0;      ///< the derived per-sample seed
   int nodes = 0;
   int edges = 0;
-  long long cycles = 0;        ///< elementary cycles; -1 = over the cap
   int total_rs = 0;            ///< placement-implied relay stations, summed
   double area = 0.0;           ///< annealed bounding-box area (mm^2)
   double wirelength = 0.0;     ///< annealed HPWL (mm)
@@ -138,8 +133,6 @@ struct FamilyStats {
   double th_min = 0.0;
   double th_max = 0.0;
   double rs_mean = 0.0;        ///< mean total relay stations
-  double cycles_mean = 0.0;    ///< over samples whose count completed
-  std::size_t cycles_counted = 0;
   double area_mean = 0.0;
   double wirelength_mean = 0.0;
   std::size_t sim_samples = 0;   ///< samples that carried a simulation
@@ -179,7 +172,6 @@ struct SampleJob {
   /// Non-serializable members (throughput_fn/throughput_engine) are
   /// ignored: every sample owns a private engine.
   fplan::AnnealOptions anneal;
-  std::size_t max_cycle_enumeration = 20000;
 };
 
 /// The 256/512/1024-node scale substrate: Barabási–Albert (the hub-heavy

@@ -43,48 +43,6 @@ double exact_cycle_ratio(const FlatGraph& g, const std::vector<EdgeId>& cycle) {
   return static_cast<double>(tokens) / static_cast<double>(latency);
 }
 
-std::vector<EdgeId> find_negative_cycle(const Digraph& g, double lambda) {
-  const int n = g.num_nodes();
-  if (n == 0) return {};
-  std::vector<double> dist(static_cast<std::size_t>(n), 0.0);
-  std::vector<EdgeId> pred_edge(static_cast<std::size_t>(n), -1);
-
-  EdgeId last_relaxed = -1;
-  for (int pass = 0; pass < n; ++pass) {
-    last_relaxed = -1;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto& ed = g.edge(e);
-      const double tokens = static_cast<double>(ed.tokens);
-      const double lt = lambda * static_cast<double>(g.edge_latency(e));
-      const double w = tokens - lt;
-      const auto s = static_cast<std::size_t>(ed.src);
-      const auto d = static_cast<std::size_t>(ed.dst);
-      if (relax_improves(dist[d], dist[s] + w, std::abs(tokens) + lt)) {
-        dist[d] = dist[s] + w;
-        pred_edge[d] = e;
-        last_relaxed = e;
-      }
-    }
-    if (last_relaxed == -1) return {};  // converged, no negative cycle
-  }
-
-  // A relaxation happened on the n-th pass: walk predecessors from the
-  // relaxed edge's head to land inside the negative cycle, then extract it.
-  NodeId v = g.edge(last_relaxed).dst;
-  for (int i = 0; i < n; ++i) v = g.edge(pred_edge[static_cast<std::size_t>(v)]).src;
-
-  std::vector<EdgeId> cycle;
-  NodeId u = v;
-  do {
-    const EdgeId e = pred_edge[static_cast<std::size_t>(u)];
-    WP_CHECK(e >= 0, "broken predecessor chain");
-    cycle.push_back(e);
-    u = g.edge(e).src;
-  } while (u != v);
-  std::reverse(cycle.begin(), cycle.end());
-  return cycle;
-}
-
 bool has_cycle(const Digraph& g) {
   // Kahn's algorithm: the graph has a cycle iff topological sort is partial.
   const int n = g.num_nodes();
@@ -109,14 +67,6 @@ bool has_cycle(const Digraph& g) {
 
 }  // namespace detail
 
-namespace {
-
-bool has_any_cycle(const Digraph& g) { return detail::has_cycle(g); }
-
-using detail::find_negative_cycle;
-
-}  // namespace
-
 CycleRatioResult min_cycle_ratio_exhaustive(const Digraph& g,
                                             std::size_t max_cycles) {
   CycleRatioResult result;
@@ -129,46 +79,6 @@ CycleRatioResult min_cycle_ratio_exhaustive(const Digraph& g,
       result.has_cycle = true;
     }
   }
-  return result;
-}
-
-CycleRatioResult min_cycle_ratio_lawler(const Digraph& g, double epsilon) {
-  WP_REQUIRE(epsilon > 0, "epsilon must be positive");
-  CycleRatioResult result;
-  if (!has_any_cycle(g)) return result;
-
-  result.has_cycle = true;
-  const detail::FlatGraph flat(g);
-  // Ratio lies in [0, max tokens/latency]; with unit tokens it is within
-  // [0, 1], but keep the general bound.
-  double lo = 0.0;
-  double hi = 0.0;
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    hi = std::max(hi, static_cast<double>(g.edge(e).tokens));
-  hi = std::max(hi, 1.0);
-
-  // Invariant: some cycle has ratio < hi + ε; no cycle has ratio < lo.
-  std::vector<EdgeId> witness;
-  while (hi - lo > epsilon) {
-    const double mid = 0.5 * (lo + hi);
-    auto cycle = find_negative_cycle(g, mid);
-    if (!cycle.empty()) {
-      witness = std::move(cycle);
-      // Jump straight to the witness's ratio.
-      hi = detail::exact_cycle_ratio(flat, witness);
-    } else {
-      lo = mid;
-    }
-  }
-  if (witness.empty()) {
-    // No cycle ever tested negative: every cycle has ratio >= hi; since
-    // tokens/latency <= hi for all edges, the min equals hi only when a
-    // cycle attains it. Fall back to a slightly relaxed probe.
-    witness = find_negative_cycle(g, hi + 10 * epsilon);
-    WP_CHECK(!witness.empty(), "Lawler search failed to find a witness");
-  }
-  result.critical_cycle = std::move(witness);
-  result.ratio = detail::exact_cycle_ratio(flat, result.critical_cycle);
   return result;
 }
 
@@ -242,8 +152,7 @@ CycleRatioResult howard_policy_iteration(const FlatGraph& g,
   // while the policy min-ratio has long stopped moving (observed: the
   // correct ratio by round ~4, churn until the round cap). Stop once the
   // ratio has been flat for several rounds; exactness is unaffected
-  // because every caller certifies the answer (and falls back to the
-  // parametric search when certification fails).
+  // because every caller certifies the answer (witness descent).
   constexpr int kStallRounds = 5;
   double last_ratio = kInf;
   int stalled = 0;
@@ -367,23 +276,109 @@ CycleRatioResult howard_policy_iteration(const FlatGraph& g,
   return result;
 }
 
+Potentials::Potentials(int num_nodes)
+    : value(static_cast<std::size_t>(num_nodes), 0.0),
+      latency(static_cast<std::size_t>(num_nodes), 0.0) {}
+
+void Potentials::rebase(double new_lambda) {
+  if (new_lambda == lambda) return;
+  const double delta = new_lambda - lambda;
+  for (std::size_t v = 0; v < value.size(); ++v)
+    value[v] -= delta * latency[v];
+  lambda = new_lambda;
+}
+
+std::vector<EdgeId> witness_bellman_ford(const FlatGraph& g, double lambda,
+                                         Potentials& potentials) {
+  // Warm start: every held π(v) is a real path's value, re-based at λ by
+  // the exact affine shift and clamped to the empty path's 0 — usually a
+  // handful of passes from feasibility instead of a from-scratch solve.
+  potentials.rebase(lambda);
+  double* const value = potentials.value.data();
+  double* const latency = potentials.latency.data();
+  for (std::size_t v = 0; v < potentials.value.size(); ++v) {
+    if (value[v] > 0.0) {
+      value[v] = 0.0;
+      latency[v] = 0.0;
+    }
+  }
+  const int n = g.num_nodes();
+  std::vector<EdgeId>& pred = potentials.pred;
+  std::vector<int>& stamp = potentials.stamp;
+  pred.assign(static_cast<std::size_t>(n), -1);
+  stamp.assign(static_cast<std::size_t>(n), -1);
+
+  // Every relaxation is a strict (beyond-tolerance) improvement, so a
+  // cycle in the predecessor graph is a negative cycle: walk the chain
+  // behind `start`, stamping it with `id`, and cut out the first repeat.
+  auto pred_cycle_from = [&](NodeId start, int id) -> std::vector<EdgeId> {
+    NodeId v = start;
+    while (v >= 0 && pred[static_cast<std::size_t>(v)] >= 0) {
+      if (stamp[static_cast<std::size_t>(v)] == id) {
+        std::vector<EdgeId> cycle;
+        NodeId u = v;
+        do {
+          const EdgeId e = pred[static_cast<std::size_t>(u)];
+          cycle.push_back(e);
+          u = g.edge(e).src;
+        } while (u != v);
+        std::reverse(cycle.begin(), cycle.end());
+        return cycle;
+      }
+      stamp[static_cast<std::size_t>(v)] = id;
+      v = g.edge(pred[static_cast<std::size_t>(v)]).src;
+    }
+    return {};
+  };
+
+  for (int pass = 0; pass <= n; ++pass) {
+    EdgeId last_relaxed = -1;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (relax(g.edge(e), lambda, value, latency)) {
+        pred[static_cast<std::size_t>(g.edge(e).dst)] = e;
+        last_relaxed = e;
+      }
+    }
+    if (last_relaxed == -1) return {};  // converged: π certifies λ
+    std::vector<EdgeId> witness =
+        pred_cycle_from(g.edge(last_relaxed).dst, pass);
+    if (!witness.empty()) return witness;
+    // A node relaxed in pass k hangs off a predecessor relaxed in pass
+    // k − 1 or later, so the chain behind a pass-n relaxation spans n + 1
+    // relaxed nodes — more than the graph has: it must close a cycle.
+    WP_CHECK(pass < n, "divergent Bellman-Ford pass without a witness cycle");
+  }
+  return {};  // unreachable: the last pass converges or yields a witness
+}
+
+void witness_descent(const FlatGraph& g, CycleRatioResult& result,
+                     Potentials& potentials) {
+  for (;;) {
+    std::vector<EdgeId> witness =
+        witness_bellman_ford(g, result.ratio, potentials);
+    if (witness.empty()) return;
+    const double lower = exact_cycle_ratio(g, witness);
+    WP_CHECK(lower < result.ratio, "witness cycle does not beat the candidate");
+    result.ratio = lower;
+    result.critical_cycle = std::move(witness);
+  }
+}
+
 }  // namespace detail
 
 CycleRatioResult min_cycle_ratio_howard(const Digraph& g) {
-  const int n = g.num_nodes();
-  if (n == 0 || !has_any_cycle(g)) return {};
+  if (!detail::has_cycle(g)) return {};
 
   const detail::FlatGraph flat(g);
   std::vector<EdgeId> policy;
   detail::HowardScratch scratch;
-  const CycleRatioResult result =
+  CycleRatioResult result =
       detail::howard_policy_iteration(flat, policy, scratch);
-
-  // Certify optimality: no cycle may have a strictly smaller ratio. Policy
-  // iteration with a single global ratio can stall on multi-chain policy
-  // graphs; when the certificate fails, defer to the parametric search.
-  if (!find_negative_cycle(g, result.ratio - 1e-9).empty())
-    return min_cycle_ratio_lawler(g);
+  // Policy iteration with a single global ratio can stall above the
+  // minimum on multi-chain policy graphs; the descent certifies or
+  // corrects it.
+  detail::Potentials potentials(flat.num_nodes());
+  detail::witness_descent(flat, result, potentials);
   return result;
 }
 

@@ -6,14 +6,16 @@
 //     Th* = min over cycles C  (Σ_e∈C tokens_e) / (Σ_e∈C (1 + rs_e)),
 //
 // the paper's "the worst loop dominates the system" with Th = m/(m+n) per
-// loop. Three solvers are provided and cross-checked by the test suite:
+// loop. One production solver and one reference, cross-checked by the
+// test suite:
 //
-//   * exhaustive    — via Johnson enumeration; exact, small graphs only;
-//   * Lawler        — parametric binary search with Bellman–Ford negative-
-//                     cycle tests; O(E·V·log(1/ε)), then exact ratio
-//                     recovery from the critical cycle;
-//   * Howard        — certified policy iteration; fast in practice on large
-//                     graphs, and the reference for graph::ThroughputEngine.
+//   * Howard        — policy iteration, certified by witness descent (a
+//                     Bellman–Ford at λ either proves no cycle beats λ or
+//                     hands back a cycle whose exact ratio is the next,
+//                     strictly lower λ); the one solver every caller and
+//                     graph::ThroughputEngine use;
+//   * exhaustive    — via Johnson enumeration; exact, small graphs only —
+//                     the test reference.
 #pragma once
 
 #include <algorithm>
@@ -39,23 +41,18 @@ struct CycleRatioResult {
 CycleRatioResult min_cycle_ratio_exhaustive(const Digraph& g,
                                             std::size_t max_cycles = 100000);
 
-/// Lawler's parametric search. `epsilon` bounds the binary-search interval
-/// before exact recovery from the critical cycle.
-CycleRatioResult min_cycle_ratio_lawler(const Digraph& g,
-                                        double epsilon = 1e-9);
-
 /// Howard's policy-iteration algorithm from a cold default policy,
-/// certified: a Bellman–Ford probe just below the answer proves no cycle
-/// beats it, and a failed certificate defers to Lawler's search. This is
-/// the reference the incremental graph::ThroughputEngine must match bit
-/// for bit (tests/test_throughput_engine.cpp).
+/// certified by detail::witness_descent(): the result is the exact
+/// minimum, attained by the returned critical cycle. This is the reference
+/// the incremental graph::ThroughputEngine must match bit for bit
+/// (tests/test_throughput_engine.cpp).
 CycleRatioResult min_cycle_ratio_howard(const Digraph& g);
 
 namespace detail {
 
 /// Relaxation test shared by every Bellman–Ford-style loop in this module
-/// (Lawler's negative-cycle probe, Howard's certification, the throughput
-/// engine's incremental certificate): `candidate` must beat `current` by a
+/// (witness_bellman_ford() and the throughput engine's incremental
+/// certificate repair): `candidate` must beat `current` by a
 /// *relative* slack. The previous absolute 1e-15 threshold let
 /// large-latency graphs (λ·latency products in the millions, whose
 /// rounding noise is ~1e-10) relax forever on float noise and extract
@@ -78,13 +75,6 @@ inline bool relax_improves(double current, double candidate,
 /// so the throughput engine can decide cyclicity once per instance — it is
 /// a structural property, unaffected by relay-station mutations.
 bool has_cycle(const Digraph& g);
-
-/// Bellman–Ford negative-cycle detection on weights
-/// w(e) = tokens_e − λ·latency_e, starting all distances at 0 (virtual
-/// super-source). Returns one negative cycle's edges, empty if none.
-/// Exposed for the throughput engine's certificate rebuilds and for the
-/// relaxation-tolerance regression tests.
-std::vector<EdgeId> find_negative_cycle(const Digraph& g, double lambda);
 
 /// Flat, read-mostly view of a Digraph for the cycle-ratio inner loops:
 /// one 16-byte record per edge (`src`, `dst`, `tokens` and `latency` =
@@ -135,18 +125,78 @@ struct HowardScratch {
 /// best cycle of the final policy graph. That cycle may sit strictly above
 /// the true minimum — when iteration stalls on a multi-chain policy graph,
 /// or when the round budget cuts it short — so callers must certify the
-/// answer: min_cycle_ratio_howard() probes with a cold Bellman–Ford,
-/// graph::ThroughputEngine repairs an incremental dual certificate (a
-/// failed certificate just demotes the answer to a fallback solve, so a
-/// small budget trades hit rate, never correctness). `policy` seeds the
-/// iteration when it fits the graph (rebuilt otherwise) and receives the
-/// final policy. Each round costs O(V + E): one walk finds the policy
+/// answer: min_cycle_ratio_howard() and the engine's cold path run
+/// witness_descent(), graph::ThroughputEngine's warm paths repair an
+/// incremental dual certificate (a failed certificate just demotes the
+/// answer to the cold path, so a small budget trades hit rate, never
+/// correctness). `policy` seeds the iteration when it fits the graph
+/// (rebuilt otherwise) and receives the final policy. Each round costs O(V + E): one walk finds the policy
 /// graph's cycles, one memoised walk along the policy determines the
 /// values, one scan improves the policy. Precondition: `g` has a cycle.
 CycleRatioResult howard_policy_iteration(const FlatGraph& g,
                                          std::vector<EdgeId>& policy,
                                          HowardScratch& scratch,
                                          int max_iterations = 1000);
+
+/// Node potentials of a Bellman–Ford at some λ, kept by the caller so the
+/// next run warm-starts from them, plus the pass loop's scratch. Each
+/// π(v) = `value[v]` is the weight tokens(P) − λ·latency(P) of a concrete
+/// path P(v) from the virtual super-source (the empty path: 0), and
+/// `latency[v]` is latency(P) — so re-basing at another λ is the exact
+/// affine shift π − Δλ·latency (path weights are linear in λ). When every
+/// edge has slack tokens_e − λ·latency_e + π(src) − π(dst) ≥ 0, π is a
+/// dual certificate: no cycle has a ratio below λ.
+struct Potentials {
+  explicit Potentials(int num_nodes);
+
+  /// Re-values every π(v) at `new_lambda` (exact: the paths stay put).
+  void rebase(double new_lambda);
+
+  std::vector<double> value;
+  std::vector<double> latency;
+  double lambda = 0.0;       ///< the λ `value` is priced at
+  std::vector<EdgeId> pred;  ///< witness_bellman_ford's predecessor edges
+  std::vector<int> stamp;    ///< witness_bellman_ford's walk stamps
+};
+
+/// Relaxes `edge` at λ: lowers π(dst) to π(src) + tokens − λ·latency (and
+/// records the path's latency) when that beats it beyond the tolerance.
+inline bool relax(const FlatGraph::Edge& edge, double lambda, double* value,
+                  double* latency) {
+  const double tokens = static_cast<double>(edge.tokens);
+  const double edge_latency = static_cast<double>(edge.latency);
+  const double lt = lambda * edge_latency;
+  const double w = tokens - lt;
+  const auto s = static_cast<std::size_t>(edge.src);
+  const auto d = static_cast<std::size_t>(edge.dst);
+  if (!relax_improves(value[d], value[s] + w, std::abs(tokens) + lt))
+    return false;
+  value[d] = value[s] + w;
+  latency[d] = latency[s] + edge_latency;
+  return true;
+}
+
+/// Whole-graph Bellman–Ford at λ on weights tokens_e − λ·latency_e,
+/// warm-started from `potentials` re-based at λ and clamped to the empty
+/// path's 0. Returns empty when a pass relaxes nothing: the potentials
+/// then certify λ. Otherwise returns a witness — a cycle of the
+/// predecessor graph, which is negative at λ because every relaxation is
+/// a strict improvement beyond the tolerance. The predecessor chain behind
+/// each pass's last relaxation is walked after the pass (O(V)), so
+/// divergence shows after about a diameter's worth of passes; a relaxing
+/// (n+1)-th pass always closes such a chain into a cycle.
+std::vector<EdgeId> witness_bellman_ford(const FlatGraph& g, double lambda,
+                                         Potentials& potentials);
+
+/// Witness descent: turns `result` — a cycle and its exact ratio, e.g.
+/// howard_policy_iteration()'s answer — into the certified minimum. Runs
+/// witness_bellman_ford() at λ = result.ratio; on divergence λ jumps to
+/// the witness's exact ratio, strictly lower, and the search repeats. A
+/// graph has finitely many cycle ratios, so it ends, and a certified
+/// attained ratio IS the exact minimum. On return `potentials` certify
+/// result.ratio. Precondition: `g` has a cycle.
+void witness_descent(const FlatGraph& g, CycleRatioResult& result,
+                     Potentials& potentials);
 
 }  // namespace detail
 

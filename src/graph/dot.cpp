@@ -10,7 +10,7 @@ namespace wp::graph {
 std::string to_dot(const Digraph& g, const DotOptions& options) {
   std::set<EdgeId> critical;
   if (options.highlight_critical_loop) {
-    const auto mcr = min_cycle_ratio_lawler(g);
+    const auto mcr = min_cycle_ratio_howard(g);
     critical.insert(mcr.critical_cycle.begin(), mcr.critical_cycle.end());
   }
 

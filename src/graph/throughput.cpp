@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/cycle_ratio.hpp"
 #include "graph/cycles.hpp"
 
 namespace wp::graph {
@@ -28,10 +27,6 @@ ThroughputReport analyze_throughput(const Digraph& g) {
     report.critical_loop = report.loops.front().description;
   }
   return report;
-}
-
-double system_throughput(const Digraph& g) {
-  return min_cycle_ratio_lawler(g).ratio;
 }
 
 }  // namespace wp::graph

@@ -28,8 +28,4 @@ struct ThroughputReport {
 /// relay-station counts.
 ThroughputReport analyze_throughput(const Digraph& g);
 
-/// System throughput only (min cycle ratio, no enumeration) — scales to
-/// graphs whose loop count explodes.
-double system_throughput(const Digraph& g);
-
 }  // namespace wp::graph

@@ -1,7 +1,6 @@
 #include "graph/throughput_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -34,24 +33,6 @@ struct EngineMetrics {
   }
 };
 
-/// Relaxes `edge` at λ: lowers π(dst) to π(src) + tokens − λ·latency (and
-/// records the path's latency) when that beats it beyond the tolerance.
-inline bool relax(const detail::FlatGraph::Edge& edge, double lambda,
-                  double* potential, double* potential_lat) {
-  const double tokens = static_cast<double>(edge.tokens);
-  const double latency = static_cast<double>(edge.latency);
-  const double lt = lambda * latency;
-  const double w = tokens - lt;
-  const auto s = static_cast<std::size_t>(edge.src);
-  const auto d = static_cast<std::size_t>(edge.dst);
-  if (!detail::relax_improves(potential[d], potential[s] + w,
-                              std::abs(tokens) + lt))
-    return false;
-  potential[d] = potential[s] + w;
-  potential_lat[d] = potential_lat[s] + latency;
-  return true;
-}
-
 }  // namespace
 
 ThroughputEngine::~ThroughputEngine() {
@@ -65,7 +46,7 @@ ThroughputEngine::~ThroughputEngine() {
 }
 
 ThroughputEngine::ThroughputEngine(Digraph base)
-    : base_(std::move(base)), flat_(base_) {
+    : base_(std::move(base)), flat_(base_), potentials_(flat_.num_nodes()) {
   // Label CSR: labels numbered by first appearance, each label's edges in
   // edge-id order.
   const auto num_edges = static_cast<std::size_t>(base_.num_edges());
@@ -92,12 +73,8 @@ ThroughputEngine::ThroughputEngine(Digraph base)
   label_epoch_.assign(num_labels, 0);
 
   const auto num_nodes = static_cast<std::size_t>(base_.num_nodes());
-  potential_.assign(num_nodes, 0.0);
-  potential_lat_.assign(num_nodes, 0.0);
   in_worklist_.assign(num_nodes, 0);
   pops_.assign(num_nodes, 0);
-  pred_.assign(num_nodes, -1);
-  stamp_.assign(num_nodes, -1);
   // Cyclicity is structural — relay-station mutations cannot change it, so
   // acyclic instances answer every query as a constant 1.0 (exactly the
   // fresh solver's acyclic result).
@@ -256,40 +233,22 @@ double ThroughputEngine::solve() {
       return ratio_;
     }
   }
-  // Cold path — same answers as the certified solver
-  // (min_cycle_ratio_howard), arrived at by witness descent: converge
-  // policy iteration, then certify with the whole-graph Bellman–Ford of
-  // rebuild_certificate(). When that diverges the policy stalled above
-  // the true minimum — instead of Lawler's from-scratch bisection, jump λ
-  // down to the exact ratio of the negative cycle the Bellman–Ford just
-  // found (Lawler's own witness-jump step, started from a near-optimal λ)
-  // and re-certify; each jump lands on an attained cycle ratio strictly
-  // below the last, so a couple of rounds settle where the bisection
-  // spends dozens of probes. A certified attained ratio is the exact
-  // minimum either way. The converged distances are KEPT as the next
-  // queries' dual certificate. The parametric search remains as the
-  // safety net behind a round cap.
+  // Cold path — the certified solver's own algorithm (policy iteration,
+  // then detail::witness_descent), so the answer is the same exact
+  // minimum as a fresh min_cycle_ratio_howard(). Policy iteration only
+  // seeds the descent with a good attained ratio; when the whole-graph
+  // Bellman–Ford diverges, λ jumps to the exact ratio of the negative
+  // cycle it surfaced and re-certifies — usually a round or two. The
+  // descent warm-starts from the held potentials, and the converged ones
+  // are KEPT as the next queries' dual certificate.
   ++stats_.fallbacks;
   CycleRatioResult cold =
       detail::howard_policy_iteration(flat_, policy_, howard_, kColdSweeps);
-  double lambda = cold.ratio;
-  std::vector<EdgeId> cycle = std::move(cold.critical_cycle);
-  for (int round = 0; round < 32; ++round) {
-    std::vector<EdgeId> witness = rebuild_certificate(lambda);
-    if (has_certificate_) {
-      critical_cycle_ = std::move(cycle);
-      ratio_ = lambda;
-      has_result_ = true;
-      return ratio_;
-    }
-    if (witness.empty()) break;  // divergent without a witness → Lawler
-    cycle = std::move(witness);
-    lambda = detail::exact_cycle_ratio(flat_, cycle);
-  }
-  const CycleRatioResult exact = min_cycle_ratio_lawler(graph());
-  rebuild_certificate(exact.ratio);
-  critical_cycle_ = exact.critical_cycle;
-  ratio_ = exact.ratio;
+  has_certificate_ = false;
+  detail::witness_descent(flat_, cold, potentials_);
+  has_certificate_ = true;
+  critical_cycle_ = std::move(cold.critical_cycle);
+  ratio_ = cold.ratio;
   has_result_ = true;
   return ratio_;
 }
@@ -300,12 +259,7 @@ bool ThroughputEngine::certify(double lambda) {
   // linear in λ — so the shift is exact, not an approximation. After it,
   // only edges whose optimal path changed (or whose latency was mutated)
   // can violate, no matter how far λ moved.
-  if (lambda != cert_lambda_) {
-    const double delta = lambda - cert_lambda_;
-    for (std::size_t v = 0; v < potential_.size(); ++v)
-      potential_[v] -= delta * potential_lat_[v];
-    cert_lambda_ = lambda;
-  }
+  potentials_.rebase(lambda);
   // Slack scan: π certifies λ iff every edge satisfies
   // tokens − λ·latency + π(src) − π(dst) ≥ 0. Violations seed a
   // Bellman–Ford worklist that relaxes π downward from the frontier; if it
@@ -320,10 +274,11 @@ bool ThroughputEngine::certify(double lambda) {
       worklist_.push_back(v);
     }
   };
-  double* const potential = potential_.data();
-  double* const potential_lat = potential_lat_.data();
+  double* const potential = potentials_.value.data();
+  double* const potential_lat = potentials_.latency.data();
   for (const detail::FlatGraph::Edge& edge : flat_.edges)
-    if (relax(edge, lambda, potential, potential_lat)) enqueue(edge.dst);
+    if (detail::relax(edge, lambda, potential, potential_lat))
+      enqueue(edge.dst);
   if (worklist_.empty()) return true;
 
   // Two failure detectors, both safe (failure only demotes the candidate):
@@ -352,82 +307,11 @@ bool ThroughputEngine::certify(double lambda) {
       --budget;
       const detail::FlatGraph::Edge& edge =
           flat_.edge(flat_.out[static_cast<std::size_t>(k)]);
-      if (relax(edge, lambda, potential, potential_lat)) enqueue(edge.dst);
+      if (detail::relax(edge, lambda, potential, potential_lat))
+        enqueue(edge.dst);
     }
   }
   return true;
-}
-
-std::vector<EdgeId> ThroughputEngine::rebuild_certificate(double lambda) {
-  // Bellman–Ford to a feasible potential at λ (possible iff no cycle is
-  // negative there — true for a certified ratio, where the critical cycle
-  // sits exactly at weight 0). Warm-started: every held π(v) is a real
-  // path's value, re-based at λ by the exact affine shift and clamped to
-  // the empty path's 0 — usually a handful of passes from feasibility
-  // instead of a from-scratch solve.
-  if (lambda != cert_lambda_) {
-    const double delta = lambda - cert_lambda_;
-    for (std::size_t v = 0; v < potential_.size(); ++v)
-      potential_[v] -= delta * potential_lat_[v];
-  }
-  for (std::size_t v = 0; v < potential_.size(); ++v) {
-    if (potential_[v] > 0.0) {
-      potential_[v] = 0.0;
-      potential_lat_[v] = 0.0;
-    }
-  }
-  cert_lambda_ = lambda;
-  const int n = flat_.num_nodes();
-  has_certificate_ = false;
-  std::fill(pred_.begin(), pred_.end(), -1);
-  std::fill(stamp_.begin(), stamp_.end(), -1);
-
-  // Every relaxation is a strict (beyond-tolerance) improvement, so a
-  // cycle in the predecessor graph is a negative cycle — walking the pred
-  // chain after each pass (O(V)) detects divergence after ~diameter
-  // passes instead of burning all n+1 passes to prove it.
-  auto pred_cycle_from = [&](NodeId start, int id) -> std::vector<EdgeId> {
-    NodeId v = start;
-    while (v >= 0 && pred_[static_cast<std::size_t>(v)] >= 0) {
-      if (stamp_[static_cast<std::size_t>(v)] == id) {
-        std::vector<EdgeId> cycle;
-        NodeId u = v;
-        do {
-          const EdgeId e = pred_[static_cast<std::size_t>(u)];
-          cycle.push_back(e);
-          u = flat_.edge(e).src;
-        } while (u != v);
-        std::reverse(cycle.begin(), cycle.end());
-        return cycle;
-      }
-      stamp_[static_cast<std::size_t>(v)] = id;
-      v = flat_.edge(pred_[static_cast<std::size_t>(v)]).src;
-    }
-    return {};
-  };
-
-  double* const potential = potential_.data();
-  double* const potential_lat = potential_lat_.data();
-  for (int pass = 0; pass <= n; ++pass) {
-    EdgeId last_relaxed = -1;
-    for (EdgeId e = 0; e < flat_.num_edges(); ++e) {
-      if (relax(flat_.edge(e), lambda, potential, potential_lat)) {
-        pred_[static_cast<std::size_t>(flat_.edge(e).dst)] = e;
-        last_relaxed = e;
-      }
-    }
-    if (last_relaxed == -1) {
-      has_certificate_ = true;
-      return {};
-    }
-    std::vector<EdgeId> witness =
-        pred_cycle_from(flat_.edge(last_relaxed).dst, pass);
-    if (!witness.empty()) return witness;
-  }
-  // n+1 passes of relaxations without a pred cycle surfacing behind the
-  // last relaxed edge — divergent, but without a clean witness; let the
-  // caller's descent cap hand this to the parametric search.
-  return {};
 }
 
 }  // namespace wp::graph

@@ -38,32 +38,29 @@
 //     — value determination is one memoised walk along the policy — and
 //     no allocation.
 //
-// Exact-fallback equivalence contract: when no candidate certifies, the
-// engine re-solves cold — bounded policy iteration, then WITNESS DESCENT:
-// a full Bellman–Ford either converges (certifying the candidate and
-// becoming the next queries' certificate) or surfaces a negative cycle
-// whose exact ratio becomes the next, strictly lower candidate. That is
-// the same certify-or-defer-to-parametric-search algorithm as
-// min_cycle_ratio_howard (Lawler's bisection remains the safety net
-// behind a round cap), so every returned ratio is BIT-IDENTICAL to a
-// fresh min_cycle_ratio_howard() on an equivalently configured graph: a
+// Equivalence contract: when no candidate certifies, the engine re-solves
+// cold with the certified solver's own algorithm — bounded policy
+// iteration, then detail::witness_descent: a full Bellman–Ford either
+// converges (certifying the candidate and becoming the next queries'
+// certificate) or surfaces a negative cycle whose exact ratio becomes the
+// next, strictly lower candidate. min_cycle_ratio_howard runs the same
+// descent, so every returned ratio is BIT-IDENTICAL to a fresh
+// min_cycle_ratio_howard() on an equivalently configured graph: a
 // certified attained ratio IS the exact minimum, and distinct cycle
 // ratios of these integer-token/latency graphs are rationals separated by
-// far more than the solver tolerances, so both paths land on the same
-// double. (That separation argument — shared with the certified solver's
-// own ±1e-9 probe — assumes cycle latency sums well below ~1e6; graphs
-// with near-tie cycles at larger magnitudes can quantize below the
-// relative slack for any solver in this module. Placement-derived RS
-// demands sit orders of magnitude inside the safe regime.) The
+// far more than the solver tolerance, so both paths land on the same
+// double. (That separation argument assumes cycle latency sums well below
+// ~1e6; graphs with near-tie cycles at larger magnitudes can quantize
+// below the relative slack for any solver in this module. Placement-
+// derived RS demands sit orders of magnitude inside the safe regime.) The
 // differential suite (tests/test_throughput_engine.cpp) enforces the
 // contract across random demand-perturbation chains, run explicitly in
 // Debug and ASan/UBSan CI. The engine and the reference share the Howard
-// core, so tests/test_graph.cpp checks that core directly against
-// exhaustive enumeration, and the engine suite pins its per-request
-// query-path counts.
+// core and the witness descent, so tests/test_graph.cpp checks those
+// directly against exhaustive enumeration, and the engine suite pins its
+// per-request query-path counts.
 //
-// The base Digraph is kept only for labels, the Lawler safety net and
-// graph(), which returns a configured COPY (the current counts live in
+// The base Digraph is kept only for labels and graph(), which returns a configured COPY (the current counts live in
 // the flat latencies).
 //
 // Not thread-safe: one engine per worker (annealer restarts and ensemble
@@ -146,14 +143,8 @@ class ThroughputEngine {
   /// potentials; returns false (inconclusive) when the worklist budget is
   /// exhausted or no certificate is held.
   bool certify(double lambda);
-  /// Rebuilds the dual certificate at `lambda` with a full Bellman–Ford
-  /// from the virtual super-source (the cold-path cost, paid only on
-  /// fallback). Returns empty on success (has_certificate_ set); on
-  /// divergence returns a witness cycle that is negative at `lambda`,
-  /// whose exact ratio drives the cold path's witness descent.
-  std::vector<EdgeId> rebuild_certificate(double lambda);
 
-  /// The base graph: labels, resolve() and the Lawler safety net. Its
+  /// The base graph: labels and resolve(). Its
   /// relay-station counts never change; the current configuration lives in
   /// the latencies of flat_.
   Digraph base_;
@@ -189,19 +180,15 @@ class ThroughputEngine {
   std::vector<EdgeId> policy_;
   detail::HowardScratch howard_;
   std::vector<EdgeId> critical_cycle_;
-  /// π(v) is the Bellman–Ford distance of some super-source path P(v) at
-  /// λ = cert_lambda_, i.e. tokens(P) − λ·latency(P); potential_lat_
-  /// remembers latency(P), so re-basing the certificate at a different λ
-  /// is the exact affine shift π − Δλ·latency instead of a repair storm.
-  std::vector<double> potential_;
-  std::vector<double> potential_lat_;
-  double cert_lambda_ = 0.0;
+  /// The dual certificate: valid at potentials_.lambda when
+  /// has_certificate_. Each π(v) is a concrete path's value, so certify()
+  /// re-bases it at a new λ by the exact affine shift instead of a repair
+  /// storm, and the cold path's witness descent warm-starts from it.
+  detail::Potentials potentials_;
   bool has_certificate_ = false;
   std::vector<NodeId> worklist_;
   std::vector<char> in_worklist_;
   std::vector<std::uint32_t> pops_;  ///< per-node pop counts of one repair
-  std::vector<EdgeId> pred_;         ///< rebuild_certificate's pred edges
-  std::vector<int> stamp_;           ///< rebuild_certificate's walk stamps
 
   // Cached result of the current configuration; changed_ records whether
   // the current query moved any edge off it.

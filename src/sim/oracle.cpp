@@ -1,6 +1,6 @@
 #include "sim/oracle.hpp"
 
-#include "graph/throughput.hpp"
+#include "graph/cycle_ratio.hpp"
 #include "obs/trace.hpp"
 #include "proc/blocks.hpp"
 #include "proc/cpu.hpp"
@@ -160,7 +160,8 @@ proc::ExperimentRow SimOracle::run_experiment(
                static_cast<double>(row.wp2_cycles);
   row.improvement = (row.th_wp2 - row.th_wp1) / row.th_wp1;
   row.static_wp1 =
-      graph::system_throughput(proc::make_cpu_graph_with_rs(config.rs));
+      graph::min_cycle_ratio_howard(proc::make_cpu_graph_with_rs(config.rs))
+          .ratio;
   return row;
 }
 

@@ -57,7 +57,7 @@ class SimOracle {
 
   /// The full experiment driver (one Table-1 row): WP1 and WP2 are
   /// simulated fresh, the golden side comes from the cache, and the static
-  /// m/(m+n) bound is one Lawler solve on the Fig.-1 graph. A program
+  /// m/(m+n) bound is one certified Howard solve on the Fig.-1 graph. A program
   /// without a verifier has no result to check: its rows keep result_ok.
   proc::ExperimentRow run_experiment(const proc::ProgramSpec& program,
                                      const proc::CpuConfig& cpu,

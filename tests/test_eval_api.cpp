@@ -146,7 +146,6 @@ EvalRequest sample_ensemble_request() {
   job.simulate.golden_cycles = 32;
   job.simulate.wp_cycles = 128;
   job.anneal.iterations = 200;
-  job.max_cycle_enumeration = 500;
   return EvalRequest(job);
 }
 
@@ -185,12 +184,12 @@ std::uint64_t image_hash(const std::string& bytes) {
 
 TEST(EvalRequestWire, RoundTripIdentityPerKind) {
   // hash_bytes of each fixture's wire image, in request_fixtures() order.
-  // These pin the kEvalVersion 4 layout: a change here is a wire-format
+  // These pin the kEvalVersion 5 layout: a change here is a wire-format
   // change and must bump kEvalVersion.
   const std::vector<std::uint64_t> pinned = {
-      0x8858ba5eb3cff2f0ULL, 0xa0cb0782670d471dULL,
-      0x9f7ae0a118ba5d6aULL, 0xd6dfc4a820e6c673ULL,
-      0xd8e36163fd975f1eULL};
+      0x00e7922c733ebb4bULL, 0x63adb2b7a6199a18ULL,
+      0x4cdbf0b691e05fefULL, 0xbf475edc31d9b4b3ULL,
+      0x3c09d277373af545ULL};
   const std::vector<EvalRequest> requests = request_fixtures();
   ASSERT_EQ(requests.size(), pinned.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -237,9 +236,9 @@ TEST(EvalRequestWire, InlineProgramIsNotWireable) {
   // inlined copies of the same program agree.
   const EvalRequest again((ExperimentJob(job)));
   EXPECT_EQ(request.content_hash(), again.content_hash());
-  // Pinned like the wire images: the inline program's name, source and
-  // ram are what the hash digests.
-  EXPECT_EQ(request.content_hash(), 0x670f81e887c51c48ULL);
+  // Pinned like the wire images: the version byte and the inline
+  // program's name, source and ram are what the hash digests.
+  EXPECT_EQ(request.content_hash(), 0x9139173d7ba48047ULL);
 }
 
 TEST(EvalRequestWire, ForeignVersionRejected) {
@@ -345,9 +344,9 @@ TEST(EvalReplyWire, RoundTripPerKind) {
   // hash_bytes of each fixture's wire image, in reply_fixtures() order
   // (pinned like the request images above).
   const std::vector<std::uint64_t> pinned = {
-      0x50510f0cb185d2a6ULL, 0x965261b5a53762c2ULL,
-      0xe00ab602ea2faa46ULL, 0x90f68cc3c522de08ULL,
-      0x6d2ed4de65ea0442ULL, 0xa9ff16b17f09f8c1ULL};
+      0xfbbd72118d9c9773ULL, 0xf0ef9d1f2afc3275ULL,
+      0x13408875b7c25d8bULL, 0x2e5e82b710394c21ULL,
+      0xd0e6f8d7ff056bffULL, 0x9b8fd8acfcda6cb8ULL};
   const std::vector<EvalReply> replies = reply_fixtures();
   ASSERT_EQ(replies.size(), pinned.size());
   for (std::size_t i = 0; i < replies.size(); ++i) {
@@ -553,7 +552,6 @@ TEST(EvalAdapters, EnsembleSampleMatchesRunSampleJob) {
   job.sample = 1;
   job.ensemble_seed = 5;
   job.anneal.iterations = 60;
-  job.max_cycle_enumeration = 200;
 
   const gen::SampleResult direct = gen::run_sample_job(job, nullptr);
   const gen::SampleResult via_eval =

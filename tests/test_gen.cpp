@@ -220,13 +220,12 @@ TEST(RandomDigraph, AcyclicResultContract) {
   const graph::Digraph g = random_digraph(config, rng);
   EXPECT_TRUE(enumerate_cycles(g).empty());
   for (const auto& result :
-       {graph::min_cycle_ratio_exhaustive(g), graph::min_cycle_ratio_lawler(g),
+       {graph::min_cycle_ratio_exhaustive(g),
         graph::min_cycle_ratio_howard(g)}) {
     EXPECT_FALSE(result.has_cycle);
     EXPECT_DOUBLE_EQ(result.ratio, 1.0);
     EXPECT_TRUE(result.critical_cycle.empty());
   }
-  EXPECT_DOUBLE_EQ(graph::system_throughput(g), 1.0);
   const auto report = graph::analyze_throughput(g);
   EXPECT_TRUE(report.loops.empty());
   EXPECT_DOUBLE_EQ(report.system_throughput, 1.0);
@@ -371,12 +370,23 @@ TEST(Ensemble, DeterministicAcrossRunsAndSane) {
   const EnsembleReport a = run_ensemble_sequential(config);
   const EnsembleReport b = run_ensemble_sequential(config);
   EXPECT_TRUE(a.samples == b.samples);
-  for (const auto& s : a.samples) {
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    const SampleResult& s = a.samples[i];
     EXPECT_GT(s.throughput, 0.0);
     EXPECT_LE(s.throughput, 1.0);
     EXPECT_GT(s.nodes, 0);
     EXPECT_GT(s.edges, 0);
-    EXPECT_GE(s.cycles, 1);  // strongly connected => at least one loop
+    // The sample's topology, regenerated from its seed, is strongly
+    // connected, so its throughput is bounded by at least one loop.
+    const FamilySpec& family =
+        config.families[i / static_cast<std::size_t>(
+                                config.samples_per_family)];
+    ASSERT_EQ(s.family, family.name);
+    Rng rng(s.seed);
+    const graph::Digraph topology = generate_topology(family.topology, rng);
+    EXPECT_EQ(topology.num_nodes(), s.nodes);
+    EXPECT_EQ(topology.num_edges(), s.edges);
+    EXPECT_TRUE(is_strongly_connected(topology)) << s.family << " " << i;
     EXPECT_GE(s.total_rs, 0);
     EXPECT_GT(s.area, 0.0);
   }
@@ -386,17 +396,6 @@ TEST(Ensemble, DeterministicAcrossRunsAndSane) {
   EXPECT_GE(family.th_max, family.th_median);
   EXPECT_GE(family.th_median, family.th_min);
   EXPECT_GE(family.th_p95, family.th_median);
-}
-
-TEST(Ensemble, CycleCapRecordsOverflowAsUncounted) {
-  EnsembleConfig config = small_ensemble();
-  config.families.resize(1);  // ba-10 has well over one elementary cycle
-  config.samples_per_family = 1;
-  config.max_cycle_enumeration = 1;
-  const EnsembleReport report = run_ensemble_sequential(config);
-  EXPECT_EQ(report.samples[0].cycles, -1);
-  EXPECT_EQ(report.families[0].cycles_counted, 0u);
-  EXPECT_DOUBLE_EQ(report.families[0].cycles_mean, 0.0);
 }
 
 TEST(Ensemble, SimulateModeIsDeterministicAndEquivalent) {
@@ -481,7 +480,6 @@ TEST(Ensemble, ScaleFamiliesSequentialAndPooledAgree) {
   EnsembleConfig config;
   config.seed = 91;
   config.samples_per_family = 1;
-  config.max_cycle_enumeration = 0;  // Johnson on 1024 nodes is a bench
   for (FamilySpec family : scale_family_specs()) {
     if (family.name == "ba-512" || family.name == "mesh-16x32") continue;
     family.anneal_iterations = 60;
@@ -496,7 +494,6 @@ TEST(Ensemble, ScaleFamiliesSequentialAndPooledAgree) {
   for (const auto& s : sequential.samples) {
     EXPECT_GT(s.throughput, 0.0);
     EXPECT_GT(s.area, 0.0);
-    EXPECT_EQ(s.cycles, -1);
   }
   EXPECT_EQ(sequential.samples[0].nodes, 256);
   EXPECT_EQ(sequential.samples[1].nodes, 1024);

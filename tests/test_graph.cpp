@@ -1,12 +1,15 @@
 // Graph-analysis tests: digraph bookkeeping, Johnson cycle enumeration,
-// the three minimum-cycle-ratio solvers (cross-checked on random graphs),
-// the flat Howard core the engine and the reference share (FlatGraph's
-// CSR order, warm-policy rebuilds, value determination, scratch reuse),
-// the throughput report and the RS optimizer.
+// the certified Howard solver against the exhaustive reference (on random
+// graphs, and where uncertified policy iteration stalls), the flat Howard
+// core and witness Bellman–Ford the engine and the reference share
+// (FlatGraph's CSR order, warm-policy rebuilds, value determination,
+// scratch reuse), the throughput report, the RS optimizer and the DOT
+// critical-loop highlight.
 #include <gtest/gtest.h>
 
 #include "util/assert.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -106,7 +109,6 @@ TEST(CycleRatio, RingFormula) {
       const double expected =
           static_cast<double>(m) / static_cast<double>(m + n);
       EXPECT_NEAR(min_cycle_ratio_exhaustive(g).ratio, expected, 1e-12);
-      EXPECT_NEAR(min_cycle_ratio_lawler(g).ratio, expected, 1e-9);
       EXPECT_NEAR(min_cycle_ratio_howard(g).ratio, expected, 1e-9);
     }
   }
@@ -118,8 +120,7 @@ TEST(CycleRatio, AcyclicReportsUnitThroughput) {
   g.add_node("b");
   g.add_edge(0, 1, "", 7);
   for (const auto& result :
-       {min_cycle_ratio_exhaustive(g), min_cycle_ratio_lawler(g),
-        min_cycle_ratio_howard(g)}) {
+       {min_cycle_ratio_exhaustive(g), min_cycle_ratio_howard(g)}) {
     EXPECT_FALSE(result.has_cycle);
     EXPECT_DOUBLE_EQ(result.ratio, 1.0);
     EXPECT_TRUE(result.critical_cycle.empty());
@@ -135,7 +136,7 @@ TEST(CycleRatio, PicksTheWorstLoop) {
   g.add_edge(1, 2, "", 1);
   g.add_edge(2, 3, "", 1);
   g.add_edge(3, 1, "", 1);
-  const auto result = min_cycle_ratio_lawler(g);
+  const auto result = min_cycle_ratio_howard(g);
   EXPECT_NEAR(result.ratio, 0.5, 1e-9);
   EXPECT_EQ(result.critical_cycle.size(), 3u);
 }
@@ -164,18 +165,22 @@ TEST(CycleRatio, LargeMagnitudeGraphsDoNotSpinOnFloatNoise) {
   const double expected =
       static_cast<double>(total_tokens) / static_cast<double>(total_latency);
 
-  const auto lawler = min_cycle_ratio_lawler(g);
   const auto howard = min_cycle_ratio_howard(g);
-  EXPECT_DOUBLE_EQ(lawler.ratio, expected);
   EXPECT_DOUBLE_EQ(howard.ratio, expected);
   EXPECT_EQ(howard.ratio, min_cycle_ratio_exhaustive(g).ratio);
 
-  // The probe at λ = ratio must converge to "no negative cycle" instead of
-  // spinning on the residue; meaningfully above the ratio it must still
-  // find one (the slack is noise-proof, not blind).
-  EXPECT_TRUE(detail::find_negative_cycle(g, expected).empty());
-  EXPECT_FALSE(
-      detail::find_negative_cycle(g, expected * (1.0 + 1e-3)).empty());
+  // The witness Bellman–Ford at λ = ratio must converge (its potentials
+  // certify λ) instead of spinning on the residue; meaningfully above the
+  // ratio it must still surface the ring as a witness (the slack is
+  // noise-proof, not blind).
+  const detail::FlatGraph flat(g);
+  detail::Potentials at_ratio(flat.num_nodes());
+  EXPECT_TRUE(detail::witness_bellman_ford(flat, expected, at_ratio).empty());
+  detail::Potentials above(flat.num_nodes());
+  const std::vector<EdgeId> witness =
+      detail::witness_bellman_ford(flat, expected * (1.0 + 1e-3), above);
+  EXPECT_EQ(witness.size(), 4u);
+  EXPECT_EQ(detail::exact_cycle_ratio(flat, witness), expected);
 
   // The incremental engine sees through the same tolerance: a perturbation
   // chain on the huge-latency graph stays bit-identical to fresh solves.
@@ -189,21 +194,28 @@ TEST(CycleRatio, LargeMagnitudeGraphsDoNotSpinOnFloatNoise) {
   }
 }
 
-class McrCrossCheck : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(McrCrossCheck, SolversAgreeOnRandomGraphs) {
-  wp::Rng rng(GetParam());
+/// The random graph of McrCrossCheck's seed `seed` (3–9 nodes, RS 0–4).
+Digraph cross_check_graph(std::uint64_t seed) {
+  wp::Rng rng(seed);
   gen::RandomGraphConfig config;
   config.num_nodes = static_cast<int>(rng.range(3, 10));
   config.edge_probability = 0.25;
   config.max_relay_stations = 4;
-  const Digraph g = gen::random_digraph(config, rng);
+  return gen::random_digraph(config, rng);
+}
+
+class McrCrossCheck : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(McrCrossCheck, SolversAgreeOnRandomGraphs) {
+  const Digraph g = cross_check_graph(GetParam());
   const auto exhaustive = min_cycle_ratio_exhaustive(g, 500000);
-  const auto lawler = min_cycle_ratio_lawler(g);
   const auto howard = min_cycle_ratio_howard(g);
   ASSERT_TRUE(exhaustive.has_cycle);
-  EXPECT_NEAR(lawler.ratio, exhaustive.ratio, 1e-9) << "seed " << GetParam();
-  EXPECT_NEAR(howard.ratio, exhaustive.ratio, 1e-9) << "seed " << GetParam();
+  EXPECT_EQ(howard.ratio, exhaustive.ratio) << "seed " << GetParam();
+  EXPECT_EQ(detail::exact_cycle_ratio(detail::FlatGraph(g),
+                                      howard.critical_cycle),
+            howard.ratio)
+      << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, McrCrossCheck,
@@ -350,6 +362,45 @@ TEST(HowardCore, NodesOffTheCriticalCycleKeepInfiniteValues) {
   EXPECT_EQ(value[5], 1.0 - 0.5 * 1.0);
 }
 
+TEST(HowardCore, WitnessDescentCorrectsAStalledPolicyIteration) {
+  // McrCrossCheck's seed-13 graph: a 5-ring 0→1→2→3→4→0 plus chords.
+  // Policy iteration with one global ratio stalls on the ring through the
+  // slow 0→1 edge (5 tokens / 15 cycles) and never switches to the chord
+  // cycle 0→1→3→4→0 through the same edge, the minimum at 4/13.
+  // Uncertified, the core answers above the minimum; the certified
+  // solver's witness descent lands on it.
+  Digraph g;
+  for (int i = 0; i < 5; ++i) g.add_node("n" + std::to_string(i));
+  g.add_edge(0, 1, "", 3);
+  g.add_edge(1, 2, "", 4);
+  g.add_edge(2, 3, "", 0);
+  g.add_edge(3, 4, "", 1);
+  g.add_edge(4, 0, "", 2);
+  g.add_edge(0, 1, "", 1);
+  g.add_edge(1, 3, "", 3);
+  g.add_edge(2, 3, "", 0);
+  const detail::FlatGraph flat(g);
+  const CycleRatioResult exhaustive = min_cycle_ratio_exhaustive(g);
+
+  std::vector<EdgeId> policy;
+  detail::HowardScratch scratch;
+  const CycleRatioResult stalled =
+      detail::howard_policy_iteration(flat, policy, scratch);
+  EXPECT_EQ(exhaustive.ratio, 4.0 / 13.0);
+  EXPECT_EQ(stalled.ratio, 5.0 / 15.0);
+  EXPECT_EQ(stalled.critical_cycle.size(), 5u);
+
+  CycleRatioResult descended = stalled;
+  detail::Potentials potentials(flat.num_nodes());
+  detail::witness_descent(flat, descended, potentials);
+  EXPECT_EQ(descended.ratio, exhaustive.ratio);
+
+  const CycleRatioResult howard = min_cycle_ratio_howard(g);
+  EXPECT_EQ(howard.ratio, exhaustive.ratio);
+  EXPECT_EQ(detail::exact_cycle_ratio(flat, howard.critical_cycle),
+            exhaustive.ratio);
+}
+
 TEST(HowardCore, OnePolicyAndScratchAcrossRelayStationMutations) {
   // The engine's usage: one FlatGraph whose latencies change in place, one
   // policy and one scratch carried from solve to solve. Reusing the
@@ -414,7 +465,7 @@ TEST(Throughput, ReportSortsWorstFirst) {
   EXPECT_EQ(report.loops[0].m, 2);
   EXPECT_EQ(report.loops[0].n, 1);
   EXPECT_NEAR(report.system_throughput, 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(system_throughput(g), 2.0 / 3.0, 1e-9);
+  EXPECT_EQ(min_cycle_ratio_howard(g).ratio, report.system_throughput);
 }
 
 /// The WP1 objective: min cycle ratio of a configured copy of `g`, with
@@ -461,14 +512,57 @@ TEST(Optimizer, ZeroBudgetKeepsDemand) {
   EXPECT_NEAR(result.objective, 0.5, 1e-9);
 }
 
+/// The edges to_dot() paints red, by edge id (the edge lines follow the
+/// node lines in edge-id order).
+std::vector<EdgeId> red_edges(const std::string& dot) {
+  std::vector<EdgeId> red;
+  EdgeId e = 0;
+  std::size_t line_start = 0;
+  while (line_start < dot.size()) {
+    const std::size_t line_end = dot.find('\n', line_start);
+    const std::string line = dot.substr(line_start, line_end - line_start);
+    line_start = line_end == std::string::npos ? dot.size() : line_end + 1;
+    if (line.find(" -> ") == std::string::npos) continue;
+    if (line.find("color=red") != std::string::npos) red.push_back(e);
+    ++e;
+  }
+  return red;
+}
+
 TEST(Dot, ContainsNodesEdgesAndCriticalHighlight) {
-  Digraph g = gen::ring_graph(2, {1});
-  g.edge(0).label = "hot";
-  const std::string dot = to_dot(g, {"title", true, true});
+  Digraph ring = gen::ring_graph(2, {1});
+  ring.edge(0).label = "hot";
+  const std::string dot = to_dot(ring, {"title", true, true});
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("p0"), std::string::npos);
   EXPECT_NE(dot.find("hot (1 RS)"), std::string::npos);
-  EXPECT_NE(dot.find("color=red"), std::string::npos);
+  EXPECT_EQ(red_edges(dot), (std::vector<EdgeId>{0, 1}));
+
+  // On the McrCrossCheck graphs the red edges form exactly one cycle, and
+  // its ratio is the exhaustive minimum.
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const Digraph g = cross_check_graph(seed);
+    const std::vector<EdgeId> red = red_edges(to_dot(g, {"", true, true}));
+    ASSERT_FALSE(red.empty()) << "seed " << seed;
+    // One cycle: walking successor red edges from the first returns to it
+    // after visiting every red edge exactly once.
+    std::vector<EdgeId> walk{red.front()};
+    while (walk.size() <= red.size()) {
+      const NodeId at = g.edge(walk.back()).dst;
+      std::vector<EdgeId> next;
+      for (const EdgeId e : red)
+        if (g.edge(e).src == at) next.push_back(e);
+      ASSERT_EQ(next.size(), 1u) << "seed " << seed;
+      if (next.front() == walk.front()) break;
+      walk.push_back(next.front());
+    }
+    std::vector<EdgeId> sorted_walk = walk;
+    std::sort(sorted_walk.begin(), sorted_walk.end());
+    EXPECT_EQ(sorted_walk, red) << "seed " << seed;
+    EXPECT_EQ(detail::exact_cycle_ratio(detail::FlatGraph(g), walk),
+              min_cycle_ratio_exhaustive(g, 500000).ratio)
+        << "seed " << seed;
+  }
 }
 
 TEST(RandomGraphs, RingGraphShape) {

@@ -290,7 +290,7 @@ ExperimentRow reference_run_experiment(const ProgramSpec& program,
     auto it = config.rs.find(g.edge(e).label);
     if (it != config.rs.end()) g.edge(e).relay_stations = it->second;
   }
-  row.static_wp1 = wp::graph::min_cycle_ratio_lawler(g).ratio;
+  row.static_wp1 = wp::graph::min_cycle_ratio_exhaustive(g).ratio;
   return row;
 }
 

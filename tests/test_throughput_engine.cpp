@@ -387,7 +387,6 @@ TEST(ThroughputEngineEnsemble, CountersAreDeterministicAcrossPooling) {
   gen::EnsembleConfig config;
   config.samples_per_family = 3;
   config.anneal.iterations = 250;
-  config.max_cycle_enumeration = 2000;
 
   gen::FamilySpec ba;
   ba.name = "ba-12";
