@@ -10,8 +10,11 @@
 // reference, vs the MovePacker) plus the 128-vs-256-block scaling study,
 // and the throughput oracles (a fresh certified Howard solve per demand,
 // the reference, vs the incremental ThroughputEngine), asserting
-// bit-identical results as they run. The packing primitives on their own
-// are bench_pack_micro's.
+// bit-identical results as they run. It exits non-zero when a claim
+// fails: the engines diverge, the throughput-aware CPU floorplan's static
+// Th falls below the area-only one, or an anneal reports a throughput
+// other than a fresh solve of its best placement's demand. The packing
+// primitives on their own are bench_pack_micro's.
 //
 // Machine-readable trajectory: every run writes the per-stage timings
 // (pack ms, throughput-eval ms, whole-anneal ms, engine hit rates) as
@@ -24,19 +27,19 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <unordered_map>
 #include <vector>
 
 #include "cli/arg_parser.hpp"
 #include "floorplan/annealer.hpp"
 #include "floorplan/instances.hpp"
 #include "floorplan/pack_engine.hpp"
-#include "graph/cycle_ratio.hpp"
 #include "graph/throughput_engine.hpp"
 #include "proc/experiment.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
+
+#include "../tests/fresh_howard.hpp"
 
 namespace {
 
@@ -46,6 +49,7 @@ using wp::fplan::Instance;
 using wp::fplan::PackEngine;
 using wp::fplan::ParallelAnnealOptions;
 using wp::fplan::WireDelayModel;
+using wp::reference::fresh_howard_fn;
 
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -76,27 +80,6 @@ struct OracleRow {
   int evals = 0;
   std::uint64_t incremental = 0, fallbacks = 0;
 };
-
-/// The throughput-oracle reference: a stateless ThroughputFn that applies
-/// each demand to a fresh copy of `base` (labels not mentioned keep their
-/// base counts) and solves the copy with the certified
-/// min_cycle_ratio_howard(). The label index is built once, read only.
-wp::fplan::ThroughputFn fresh_howard_fn(const wp::graph::Digraph& base) {
-  std::unordered_map<std::string, std::vector<wp::graph::EdgeId>> by_label;
-  for (wp::graph::EdgeId e = 0; e < base.num_edges(); ++e)
-    by_label[base.edge(e).label].push_back(e);
-  return [base, by_label = std::move(by_label)](
-             const std::vector<std::pair<std::string, int>>& demand) {
-    wp::graph::Digraph g = base;
-    for (const auto& [label, rs] : demand) {
-      const auto it = by_label.find(label);
-      if (it == by_label.end()) continue;
-      for (const wp::graph::EdgeId e : it->second)
-        g.edge(e).relay_stations = rs;
-    }
-    return wp::graph::min_cycle_ratio_howard(g).ratio;
-  };
-}
 
 /// The queries one throughput-driven anneal put to its oracle, in order:
 /// the connection labels once, then the counts of each query.
@@ -225,6 +208,11 @@ int main(int argc, char** argv) {
     out.area = result.area;
     out.wirelength = result.wirelength;
     out.static_th = fresh_howard_fn(cpu_graph)(demand);
+    if (throughput_driven && result.throughput != out.static_th) {
+      std::cerr << "REPORTED THROUGHPUT DIFFERS FROM A FRESH SOLVE of the "
+                   "best CPU placement\n";
+      return 1;
+    }
     out.th_wp1 = row.th_wp1;
     out.th_wp2 = row.th_wp2;
     floorplan_rows.push_back(out);
@@ -234,6 +222,12 @@ int main(int argc, char** argv) {
                    fmt_fixed(out.th_wp2, 3)});
   }
   table.print(std::cout);
+  if (floorplan_rows[1].static_th < floorplan_rows[0].static_th) {
+    std::cerr << "CLAIM FAILED: the throughput-aware floorplan's static Th "
+              << floorplan_rows[1].static_th << " is below the area-only "
+              << floorplan_rows[0].static_th << "\n";
+    return 1;
+  }
   std::cout << "Throughput-aware floorplanning keeps the critical loops "
                "short (fewer\nrelay stations where they hurt), trading a "
                "little area/wirelength for\nsystem throughput — the full "
@@ -428,10 +422,17 @@ int main(int argc, char** argv) {
         results[0].placement.y != results[1].placement.y ||
         results[0].throughput != results[1].throughput ||
         results[0].accepted_moves != results[1].accepted_moves ||
-        results[0].throughput_evals != results[1].throughput_evals ||
-        results[0].throughput_cache_hits !=
-            results[1].throughput_cache_hits) {
+        results[0].throughput_evals != results[1].throughput_evals) {
       std::cerr << "THROUGHPUT ORACLE DIVERGENCE at n=" << blocks << "\n";
+      return 1;
+    }
+    // The anneal reports the throughput it scored the best placement with;
+    // it must be that placement's own, as a fresh solve gives it.
+    if (results[1].throughput !=
+        fresh_howard_fn(g)(rs_demand(inst, results[1].placement, delay))) {
+      std::cerr << "REPORTED THROUGHPUT DIFFERS FROM A FRESH SOLVE of the "
+                   "best placement at n="
+                << blocks << "\n";
       return 1;
     }
   }

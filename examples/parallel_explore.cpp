@@ -94,9 +94,8 @@ int main() {
   std::cout << "speedup: " << fmt_fixed(sequential_s / parallel_s, 2)
             << "x   best results bit-identical: "
             << (identical ? "yes" : "NO — DETERMINISM BUG") << "\n";
-  std::cout << "cache: " << parallel.throughput_evals
-            << " min-cycle-ratio queries, " << parallel.throughput_cache_hits
-            << " served from the demand memo; engine: "
+  std::cout << "oracle: " << parallel.throughput_evals
+            << " min-cycle-ratio queries (one per scored placement); engine: "
             << parallel.engine_incremental << " incremental / "
             << parallel.engine_fallbacks
             << " cold re-solves (best restart)\n\n";

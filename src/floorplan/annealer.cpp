@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
-#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wp::fplan {
@@ -30,7 +28,6 @@ struct AnnealMetrics {
   obs::Counter& evaluations;
   obs::Counter& accepted_moves;
   obs::Counter& throughput_evals;
-  obs::Counter& throughput_cache_hits;
   obs::Histogram& run_ns;
 
   static AnnealMetrics& get() {
@@ -40,7 +37,6 @@ struct AnnealMetrics {
         registry.counter("anneal/evaluations"),
         registry.counter("anneal/accepted_moves"),
         registry.counter("anneal/throughput_evals"),
-        registry.counter("anneal/throughput_cache_hits"),
         registry.histogram("anneal/run_ns")};
     return metrics;
   }
@@ -51,36 +47,25 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-/// The single place the annealing objective is assembled; CostModel (the
-/// search path) and placement_cost (the reporting path) must agree.
-double combine_cost(const AnnealOptions& options, double area, double wl,
-                    double th) {
-  return options.weight_area * area + options.weight_wirelength * wl +
-         options.weight_throughput * (1.0 - th);
-}
-
-/// Memo key hash over a run's per-connection RS counts.
-struct RsHash {
-  std::size_t operator()(const std::vector<int>& rs) const {
-    return static_cast<std::size_t>(
-        hash_bytes(rs.data(), rs.size() * sizeof(int)));
-  }
-};
-
-/// Cost evaluator for one annealing run. Each candidate costs one flat pass
-/// over the run's net arrays. An area-driven run sums wirelength through a
-/// NetGeometry, which needs no labels and so skips the label sort. A
-/// throughput-driven run interns the instance's connection labels once
-/// (DemandIndex): its derive() pass yields wirelength and RS demand
-/// together, and the oracle is addressed by connection id. Throughput
-/// values are memoized by RS vector: the label list is fixed for the run,
-/// so that key is as injective as a labelled one. The memo pays on small
-/// instances, where few distinct demands exist (on the 5-block CPU
-/// instance hits outnumber misses); on a hot 128-block scale-free anneal
-/// about 2% of candidate demands repeat, and the memo costs one hash per
-/// candidate.
+/// Cost evaluator for one annealing run, and the one place a placement is
+/// scored: each candidate costs one flat pass over the run's net arrays
+/// and, when the run is throughput-driven, exactly one oracle query. An
+/// area-driven run sums wirelength through a NetGeometry, which needs no
+/// labels and so skips the label sort. A throughput-driven run interns the
+/// instance's connection labels once (DemandIndex): its derive() pass
+/// yields wirelength and RS demand together, and the oracle is addressed
+/// by connection id. Both sum wirelength bit-identically to
+/// total_wirelength(), so the terms a score carries are the reported ones.
 class CostModel {
  public:
+  /// A placement's objective and the three terms it combines.
+  struct Score {
+    double cost;
+    double area;
+    double wirelength;
+    double throughput;  ///< 1.0 when the run is not throughput-driven
+  };
+
   CostModel(const Instance& inst, const AnnealOptions& options)
       : options_(options) {
     if (options_.weight_throughput == 0.0) {
@@ -100,50 +85,55 @@ class CostModel {
     }
   }
 
-  double cost(const Placement& placement, AnnealResult* stats) {
-    if (nets_)
-      return combine_cost(options_, placement.area(),
-                          nets_->wirelength(placement), 1.0);
+  Score score(const Placement& placement, AnnealResult& stats) {
+    const double area = placement.area();
+    if (nets_) return combine(area, nets_->wirelength(placement), 1.0);
     const double wirelength =
         index_->derive(placement, options_.delay_model, rs_);
-    return combine_cost(options_, placement.area(), wirelength,
-                        throughput(rs_, stats));
+    return combine(area, wirelength, throughput(stats));
   }
 
  private:
-  double throughput(const std::vector<int>& rs, AnnealResult* stats) {
-    const auto it = cache_.find(rs);
-    if (it != cache_.end()) {
-      if (stats) ++stats->throughput_cache_hits;
-      return it->second;
-    }
+  Score combine(double area, double wirelength, double throughput) const {
+    return {options_.weight_area * area +
+                options_.weight_wirelength * wirelength +
+                options_.weight_throughput * (1.0 - throughput),
+            area, wirelength, throughput};
+  }
+
+  /// One oracle query for the demand derive() left in rs_.
+  double throughput(AnnealResult& stats) {
     WP_SPAN("anneal/throughput");
     const auto oracle_start = Clock::now();
     double th;
     if (options_.throughput_engine != nullptr) {
-      th = options_.throughput_engine->throughput(ids_, rs);
+      th = options_.throughput_engine->throughput(ids_, rs_);
     } else {
-      for (std::size_t c = 0; c < rs.size(); ++c) demand_[c].second = rs[c];
+      for (std::size_t c = 0; c < rs_.size(); ++c) demand_[c].second = rs_[c];
       th = options_.throughput_fn(demand_);
     }
-    if (stats) stats->throughput_ms += ms_since(oracle_start);
-    if (cache_.size() >= kMaxEntries) cache_.clear();
-    cache_.emplace(rs, th);
-    if (stats) ++stats->throughput_evals;
+    stats.throughput_ms += ms_since(oracle_start);
+    ++stats.throughput_evals;
     return th;
   }
-
-  static constexpr std::size_t kMaxEntries = 1 << 16;
 
   const AnnealOptions& options_;
   std::optional<NetGeometry> nets_;   ///< area-driven runs
   std::optional<DemandIndex> index_;  ///< throughput-driven runs
-  std::vector<int> rs_;   ///< cost()'s derive scratch
+  std::vector<int> rs_;   ///< score()'s derive scratch
   std::vector<int> ids_;  ///< engine label id per connection id
   /// throughput_fn's argument: labels filled once, counts per query.
   std::vector<std::pair<std::string, int>> demand_;
-  std::unordered_map<std::vector<int>, double, RsHash> cache_;
 };
+
+/// Makes `score` the run's best so far: its cost and terms are the ones
+/// anneal() reports.
+void keep_terms(const CostModel::Score& score, AnnealResult& best) {
+  best.cost = score.cost;
+  best.area = score.area;
+  best.wirelength = score.wirelength;
+  best.throughput = score.throughput;
+}
 
 /// The move loop. The MovePacker re-packs each candidate with one fused
 /// pass and parks the baseline for an O(1) revert; the naive engine
@@ -171,11 +161,10 @@ void run_loop(const Instance& inst, const AnnealOptions& options,
   }
   best.pack_ms += ms_since(initial_pack_start);
   const Placement* placement = naive ? &scratch : &packer->placement();
-  double current_cost = model.cost(*placement, &best);
-
+  keep_terms(model.score(*placement, best), best);
   best.sequence_pair = current;
   best.placement = *placement;
-  best.cost = current_cost;
+  double current_cost = best.cost;
 
   double temperature = options.initial_temperature *
                        std::max(current_cost, 1e-9);
@@ -190,16 +179,16 @@ void run_loop(const Instance& inst, const AnnealOptions& options,
       candidate = &packer->apply(move);
     }
     best.pack_ms += ms_since(pack_start);
-    const double cost = model.cost(*candidate, &best);
+    const CostModel::Score score = model.score(*candidate, best);
     ++best.evaluations;
-    const double delta = cost - current_cost;
+    const double delta = score.cost - current_cost;
     if (delta <= 0 ||
         rng.uniform() < std::exp(-delta / std::max(temperature, 1e-12))) {
-      current_cost = cost;
+      current_cost = score.cost;
       ++best.accepted_moves;
       if (!naive) packer->commit();
-      if (cost < best.cost) {
-        best.cost = cost;
+      if (score.cost < best.cost) {
+        keep_terms(score, best);
         best.sequence_pair = current;
         best.placement = *candidate;
       }
@@ -212,28 +201,6 @@ void run_loop(const Instance& inst, const AnnealOptions& options,
 }
 
 }  // namespace
-
-double placement_cost(const Instance& inst, const Placement& placement,
-                      const AnnealOptions& options, double* area_out,
-                      double* wl_out, double* th_out) {
-  const double area = placement.area();
-  const double wl = total_wirelength(inst, placement);
-  double th = 1.0;
-  if (options.weight_throughput > 0.0) {
-    WP_REQUIRE(options.throughput_engine != nullptr ||
-                   static_cast<bool>(options.throughput_fn),
-               "throughput weight set but neither throughput_engine nor "
-               "throughput_fn provided");
-    const auto demand = rs_demand(inst, placement, options.delay_model);
-    th = options.throughput_engine != nullptr
-             ? options.throughput_engine->throughput(demand)
-             : options.throughput_fn(demand);
-  }
-  if (area_out) *area_out = area;
-  if (wl_out) *wl_out = wl;
-  if (th_out) *th_out = th;
-  return combine_cost(options, area, wl, th);
-}
 
 AnnealResult anneal(const Instance& inst, const AnnealOptions& options) {
   WP_SPAN("anneal/run");
@@ -261,8 +228,6 @@ AnnealResult anneal(const Instance& inst, const AnnealOptions& options) {
 
   run_loop(inst, options, model, current, rng, best);
 
-  placement_cost(inst, best.placement, options, &best.area,
-                 &best.wirelength, &best.throughput);
   if (options.throughput_engine != nullptr) {
     const graph::ThroughputEngine::Stats after =
         options.throughput_engine->stats();
@@ -279,8 +244,6 @@ AnnealResult anneal(const Instance& inst, const AnnealOptions& options) {
       static_cast<std::uint64_t>(best.accepted_moves));
   metrics.throughput_evals.add(
       static_cast<std::uint64_t>(best.throughput_evals));
-  metrics.throughput_cache_hits.add(
-      static_cast<std::uint64_t>(best.throughput_cache_hits));
   metrics.run_ns.record(obs::now_ns() - run_start_ns);
   return best;
 }

@@ -33,18 +33,20 @@ struct AnnealOptions {
   double weight_wirelength = 0.1;
   /// Weight on (1 - system throughput); 0 = classic area/WL floorplanning.
   double weight_throughput = 0.0;
-  /// The reference seam: computes the system throughput from
+  /// The one reference seam: computes the system throughput from
   /// per-connection RS demand. Required when weight_throughput > 0 unless
   /// `throughput_engine` is set. Production callers wire an engine; the
   /// differential tests pass a stateless fn that solves a configured copy
   /// of the graph fresh with graph::min_cycle_ratio_howard(), the
-  /// reference the engine matches bit for bit.
+  /// reference the engine matches bit for bit. Called once per scored
+  /// placement, with nothing cached in front of it.
   ThroughputFn throughput_fn;
-  /// Incremental throughput oracle (non-owning). When set it takes
-  /// precedence over throughput_fn: the annealer queries it directly —
-  /// results are bit-identical to a fresh min-cycle-ratio solve per demand
-  /// (the engine's exact-fallback contract) — and records its
-  /// hit/fallback counters in AnnealResult. Engines are stateful and not
+  /// Incremental throughput oracle (non-owning), the production path. When
+  /// set it takes precedence over throughput_fn: every scored placement
+  /// of a throughput-driven run is one engine query — results are
+  /// bit-identical to a fresh min-cycle-ratio solve per demand (the
+  /// engine's exact-fallback contract) — and the run records the engine's
+  /// path counters in AnnealResult. Engines are stateful and not
   /// thread-safe: one engine per concurrent run (anneal_parallel builds
   /// one per restart via ParallelAnnealOptions::engine_factory).
   graph::ThroughputEngine* throughput_engine = nullptr;
@@ -65,24 +67,30 @@ struct AnnealOptions {
 struct AnnealResult {
   SequencePair sequence_pair;
   Placement placement;
+  /// The best placement's cost and its three terms, as the run scored it
+  /// when it became the best.
   double cost = 0;
   double area = 0;
   double wirelength = 0;
-  /// System throughput of the final placement, from throughput_engine or
+  /// System throughput of the best placement, from throughput_engine or
   /// throughput_fn; 1.0 when weight_throughput is 0 (no oracle consulted).
   double throughput = 1.0;
   int accepted_moves = 0;
+  /// Candidates scored by the move loop (the initial placement excluded).
   int evaluations = 0;
-  /// Full throughput-oracle calls vs. demands served from the memo cache
-  /// (a candidate whose RS demand was already seen this run skips the
-  /// min-cycle-ratio query).
+  /// Throughput-oracle queries: one per scored placement of a
+  /// throughput-driven run, evaluations + 1 with the initial placement;
+  /// 0 otherwise.
   int throughput_evals = 0;
+  /// Retired: the demand memo it counted is gone, so it is always 0. It
+  /// is deleted in the next benchmark change, together with wpbench's
+  /// graph.memo_hit_ratio, which reads it.
   int throughput_cache_hits = 0;
   /// ThroughputEngine counter deltas for this run (zeros when the run used
   /// a plain throughput_fn): oracle queries resolved incrementally
   /// (unchanged demand, or the dual certificate held/repaired) vs cold
   /// certified re-solves. incremental + fallbacks equals the engine
-  /// queries the run issued.
+  /// queries the run issued, which is throughput_evals.
   std::uint64_t engine_incremental = 0;
   std::uint64_t engine_fallbacks = 0;
   /// Wall-clock breakdown (informational, never compared): time inside
@@ -121,11 +129,5 @@ struct ParallelAnnealOptions {
 /// sequentially through anneal() and reducing in seed order.
 AnnealResult anneal_parallel(const Instance& inst,
                              const ParallelAnnealOptions& options);
-
-/// Evaluates the cost terms of one placement under the options (exposed for
-/// tests and reporting).
-double placement_cost(const Instance& inst, const Placement& placement,
-                      const AnnealOptions& options, double* area_out,
-                      double* wl_out, double* th_out);
 
 }  // namespace wp::fplan

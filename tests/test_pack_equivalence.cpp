@@ -488,7 +488,6 @@ TEST(AnnealerEngines, ThroughputDrivenRunsAreBitIdenticalAcrossEngines) {
   const AnnealResult result = anneal(inst, packer);
   EXPECT_TRUE(identical_results(reference, result));
   EXPECT_EQ(reference.throughput_evals, result.throughput_evals);
-  EXPECT_EQ(reference.throughput_cache_hits, result.throughput_cache_hits);
 }
 
 TEST(AnnealerEngines, PooledRestartsMatchSerialForBothEngines) {

@@ -305,13 +305,27 @@ TEST(ThroughputEngineAnnealer, EngineRunMatchesFreshHowardRun) {
   EXPECT_EQ(result.placement.y, reference.placement.y);
   EXPECT_EQ(result.throughput, reference.throughput);
   EXPECT_EQ(result.accepted_moves, reference.accepted_moves);
-  EXPECT_EQ(result.throughput_evals, reference.throughput_evals);
-  EXPECT_EQ(result.throughput_cache_hits, reference.throughput_cache_hits);
-  // Counter plumbing: every engine query of the run (move evaluations plus
-  // the final placement_cost report) is accounted one way or the other.
+  // One oracle query per scored placement: the initial one plus every
+  // move. On the engine run each of them is one engine query.
+  for (const fplan::AnnealResult* run : {&reference, &result}) {
+    EXPECT_EQ(run->evaluations, with_fn.iterations);
+    EXPECT_EQ(run->throughput_evals, run->evaluations + 1);
+  }
   EXPECT_EQ(result.engine_incremental + result.engine_fallbacks,
-            static_cast<std::uint64_t>(result.throughput_evals) + 1);
+            static_cast<std::uint64_t>(result.throughput_evals));
   EXPECT_EQ(reference.engine_incremental + reference.engine_fallbacks, 0u);
+
+  // The reported terms are the best placement's own, as a reference
+  // recomputation from scratch gives them.
+  const auto demand =
+      fplan::rs_demand(inst, result.placement, with_engine.delay_model);
+  EXPECT_EQ(result.area, result.placement.area());
+  EXPECT_EQ(result.wirelength, fplan::total_wirelength(inst, result.placement));
+  EXPECT_EQ(result.throughput, reference::fresh_ratio(graph, demand));
+  EXPECT_EQ(result.cost,
+            with_engine.weight_area * result.area +
+                with_engine.weight_wirelength * result.wirelength +
+                with_engine.weight_throughput * (1.0 - result.throughput));
 }
 
 TEST(ThroughputEngineAnnealer, ParallelEngineFactoryMatchesSerialBestOf) {
@@ -346,9 +360,10 @@ TEST(ThroughputEngineAnnealer, ParallelEngineFactoryMatchesSerialBestOf) {
 /// Per-request query-path counts of one throughput-driven BA-128 anneal of
 /// the wpbench `anneal-throughput-128` shape. The engine and the fresh
 /// reference share one Howard core, so the equivalence tests above cannot
-/// see a change in the policy trajectory; these literals can. They were
-/// recorded before the engine moved onto flat edge arrays and must repeat
-/// exactly.
+/// see a change in the policy trajectory; these literals can. The anneal
+/// puts one query per scored placement (501 = the initial placement plus
+/// 500 moves); a candidate whose demand repeats the previous query's is
+/// the engine's `unchanged` path. The literals must repeat exactly.
 TEST(ThroughputEngineAnnealer, Ba128QueryPathCountsArePinned) {
   gen::TopologyConfig topology_config;
   topology_config.family = gen::TopologyFamily::kBarabasiAlbert;
@@ -373,11 +388,11 @@ TEST(ThroughputEngineAnnealer, Ba128QueryPathCountsArePinned) {
   (void)fplan::anneal(sys.instance, options);
 
   const ThroughputEngine::Stats& stats = engine.stats();
-  EXPECT_EQ(stats.queries, 499u);
-  EXPECT_EQ(stats.unchanged, 0u);
+  EXPECT_EQ(stats.queries, 501u);
+  EXPECT_EQ(stats.unchanged, 3u);
   EXPECT_EQ(stats.acyclic, 0u);
   EXPECT_EQ(stats.cycle_hits, 455u);
-  EXPECT_EQ(stats.warm_hits, 43u);
+  EXPECT_EQ(stats.warm_hits, 42u);
   EXPECT_EQ(stats.fallbacks, 1u);
 }
 
