@@ -41,7 +41,10 @@ inline void print_golden_replays(const std::string& what,
      << (after.hits - before.hits) << "\n";
 }
 
-inline void print_table1(const std::string& title,
+/// Prints the rows as one Table-1 section. Returns whether every row
+/// passed: its equivalence and result checks hold, and WP2 sustains at
+/// least WP1's throughput (the paper's claim for every configuration).
+inline bool print_table1(const std::string& title,
                          const std::vector<proc::ExperimentRow>& rows,
                          std::ostream& os = std::cout) {
   TextTable table({"RS Configuration", "Cycles", "Th WP1", "Th WP2",
@@ -49,11 +52,12 @@ inline void print_table1(const std::string& title,
   table.add_section(title);
   table.add_separator();
   int index = 1;
+  bool all_passed = true;
   for (const auto& row : rows) {
-    const std::string checks =
-        (row.wp1_equivalent && row.wp2_equivalent && row.result_ok)
-            ? "ok"
-            : ("FAIL: " + row.detail);
+    const bool checks_ok =
+        row.wp1_equivalent && row.wp2_equivalent && row.result_ok;
+    all_passed = all_passed && checks_ok && row.th_wp2 >= row.th_wp1;
+    const std::string checks = checks_ok ? "ok" : ("FAIL: " + row.detail);
     table.add_row({std::to_string(index++) + "  " + row.label,
                    std::to_string(row.wp2_cycles), fmt_fixed(row.th_wp1, 3),
                    fmt_fixed(row.th_wp2, 3), fmt_percent(row.improvement),
@@ -63,6 +67,7 @@ inline void print_table1(const std::string& title,
   os << "Cycles column: WP2 run, as in the paper's Table 1 "
         "(ideal row: golden cycles "
      << (rows.empty() ? 0 : rows.front().golden_cycles) << ").\n\n";
+  return all_passed;
 }
 
 /// Appends rows to $WIREPIPE_CSV (if set) for downstream plotting.

@@ -1,6 +1,8 @@
 // E2 — Table 1, Matrix Multiply section (paper rows 1-25, pipelined CPU):
 // the sort-section configurations plus the all-1-with-2-on-one sweeps,
 // "Optimal 2 (no CU-IC)", all-2, and all-2-with-1-on-CU-RF.
+// Exits 1 when a row fails its checks or its WP2 throughput falls below
+// WP1's.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -34,7 +36,7 @@ int main() {
     }
   }
 
-  wp::bench::print_table1(
+  const bool rows_pass = wp::bench::print_table1(
       "Table 1 — Matrix Multiply (pipelined case), program " + program.name,
       rows);
   wp::bench::maybe_write_csv("table1_matmul", rows);
@@ -48,5 +50,5 @@ int main() {
                "Th toward\nm/(m+2); \"All 1 and 2 CU-IC\" is the floor "
                "(0.33, no WP2 gain);\nRF-DC and CU-AL rows show the biggest "
                "WP2 recovery.\n";
-  return 0;
+  return rows_pass ? 0 : 1;
 }

@@ -1,6 +1,8 @@
 // E1 — Table 1, Extraction Sort section (paper rows 1-13, pipelined CPU):
 // the ideal system, one relay station on each single connection, all-1
 // except CU-IC, and the optimizer's "Optimal 1 (no CU-IC)" placement.
+// Exits 1 when a row fails its checks or its WP2 throughput falls below
+// WP1's.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -30,7 +32,7 @@ int main() {
                      /*budget=*/3);
   rows.push_back(run_experiment(program, cpu, optimal));
 
-  wp::bench::print_table1(
+  const bool rows_pass = wp::bench::print_table1(
       "Table 1 — Extraction Sort (pipelined case), program " + program.name,
       rows);
   wp::bench::maybe_write_csv("table1_sort", rows);
@@ -39,5 +41,5 @@ int main() {
                "loop;\nCU-IC worst (0.5, ~no WP2 gain); RF-DC-class links "
                "~0.667 with the\nlargest WP2 recovery (paper: +49% on "
                "RF-DC); all WP2 >= WP1.\n";
-  return 0;
+  return rows_pass ? 0 : 1;
 }

@@ -278,7 +278,9 @@ CycleRatioResult howard_policy_iteration(const FlatGraph& g,
 
 Potentials::Potentials(int num_nodes)
     : value(static_cast<std::size_t>(num_nodes), 0.0),
-      latency(static_cast<std::size_t>(num_nodes), 0.0) {}
+      latency(static_cast<std::size_t>(num_nodes), 0.0),
+      pred(static_cast<std::size_t>(num_nodes), -1),
+      stamp(static_cast<std::size_t>(num_nodes), -1) {}
 
 void Potentials::rebase(double new_lambda) {
   if (new_lambda == lambda) return;
@@ -288,11 +290,35 @@ void Potentials::rebase(double new_lambda) {
   lambda = new_lambda;
 }
 
+std::vector<EdgeId> predecessor_cycle(const FlatGraph& g,
+                                      Potentials& potentials, NodeId start,
+                                      int id) {
+  const std::vector<EdgeId>& pred = potentials.pred;
+  std::vector<int>& stamp = potentials.stamp;
+  NodeId v = start;
+  while (v >= 0 && pred[static_cast<std::size_t>(v)] >= 0) {
+    if (stamp[static_cast<std::size_t>(v)] == id) {
+      std::vector<EdgeId> cycle;
+      NodeId u = v;
+      do {
+        const EdgeId e = pred[static_cast<std::size_t>(u)];
+        cycle.push_back(e);
+        u = g.edge(e).src;
+      } while (u != v);
+      std::reverse(cycle.begin(), cycle.end());
+      return cycle;
+    }
+    stamp[static_cast<std::size_t>(v)] = id;
+    v = g.edge(pred[static_cast<std::size_t>(v)]).src;
+  }
+  return {};
+}
+
 std::vector<EdgeId> witness_bellman_ford(const FlatGraph& g, double lambda,
                                          Potentials& potentials) {
-  // Warm start: every held π(v) is a real path's value, re-based at λ by
-  // the exact affine shift and clamped to the empty path's 0 — usually a
-  // handful of passes from feasibility instead of a from-scratch solve.
+  // Warm start: the held π re-based at λ and clamped to the empty path's
+  // 0 — usually a handful of passes from feasibility instead of a
+  // from-scratch solve.
   potentials.rebase(lambda);
   double* const value = potentials.value.data();
   double* const latency = potentials.latency.data();
@@ -304,32 +330,8 @@ std::vector<EdgeId> witness_bellman_ford(const FlatGraph& g, double lambda,
   }
   const int n = g.num_nodes();
   std::vector<EdgeId>& pred = potentials.pred;
-  std::vector<int>& stamp = potentials.stamp;
   pred.assign(static_cast<std::size_t>(n), -1);
-  stamp.assign(static_cast<std::size_t>(n), -1);
-
-  // Every relaxation is a strict (beyond-tolerance) improvement, so a
-  // cycle in the predecessor graph is a negative cycle: walk the chain
-  // behind `start`, stamping it with `id`, and cut out the first repeat.
-  auto pred_cycle_from = [&](NodeId start, int id) -> std::vector<EdgeId> {
-    NodeId v = start;
-    while (v >= 0 && pred[static_cast<std::size_t>(v)] >= 0) {
-      if (stamp[static_cast<std::size_t>(v)] == id) {
-        std::vector<EdgeId> cycle;
-        NodeId u = v;
-        do {
-          const EdgeId e = pred[static_cast<std::size_t>(u)];
-          cycle.push_back(e);
-          u = g.edge(e).src;
-        } while (u != v);
-        std::reverse(cycle.begin(), cycle.end());
-        return cycle;
-      }
-      stamp[static_cast<std::size_t>(v)] = id;
-      v = g.edge(pred[static_cast<std::size_t>(v)]).src;
-    }
-    return {};
-  };
+  potentials.stamp.assign(static_cast<std::size_t>(n), -1);
 
   for (int pass = 0; pass <= n; ++pass) {
     EdgeId last_relaxed = -1;
@@ -340,8 +342,10 @@ std::vector<EdgeId> witness_bellman_ford(const FlatGraph& g, double lambda,
       }
     }
     if (last_relaxed == -1) return {};  // converged: π certifies λ
+    // Every relaxation is a strict improvement, so a cycle in the
+    // predecessor graph is a negative cycle.
     std::vector<EdgeId> witness =
-        pred_cycle_from(g.edge(last_relaxed).dst, pass);
+        predecessor_cycle(g, potentials, g.edge(last_relaxed).dst, pass);
     if (!witness.empty()) return witness;
     // A node relaxed in pass k hangs off a predecessor relaxed in pass
     // k − 1 or later, so the chain behind a pass-n relaxation spans n + 1

@@ -125,38 +125,44 @@ struct HowardScratch {
 /// best cycle of the final policy graph. That cycle may sit strictly above
 /// the true minimum — when iteration stalls on a multi-chain policy graph,
 /// or when the round budget cuts it short — so callers must certify the
-/// answer: min_cycle_ratio_howard() and the engine's cold path run
-/// witness_descent(), graph::ThroughputEngine's warm paths repair an
-/// incremental dual certificate (a failed certificate just demotes the
-/// answer to the cold path, so a small budget trades hit rate, never
-/// correctness). `policy` seeds the iteration when it fits the graph
-/// (rebuilt otherwise) and receives the final policy. Each round costs O(V + E): one walk finds the policy
-/// graph's cycles, one memoised walk along the policy determines the
-/// values, one scan improves the policy. Precondition: `g` has a cycle.
+/// answer: min_cycle_ratio_howard() and graph::ThroughputEngine's cold
+/// path run witness_descent() on it, so a small budget costs descent
+/// rounds, never correctness. `policy` seeds the iteration when it fits
+/// the graph (rebuilt otherwise) and receives the final policy. Each round
+/// costs O(V + E): one walk finds the policy graph's cycles, one memoised
+/// walk along the policy determines the values, one scan improves the
+/// policy. Precondition: `g` has a cycle.
 CycleRatioResult howard_policy_iteration(const FlatGraph& g,
                                          std::vector<EdgeId>& policy,
                                          HowardScratch& scratch,
                                          int max_iterations = 1000);
 
 /// Node potentials of a Bellman–Ford at some λ, kept by the caller so the
-/// next run warm-starts from them, plus the pass loop's scratch. Each
-/// π(v) = `value[v]` is the weight tokens(P) − λ·latency(P) of a concrete
-/// path P(v) from the virtual super-source (the empty path: 0), and
-/// `latency[v]` is latency(P) — so re-basing at another λ is the exact
-/// affine shift π − Δλ·latency (path weights are linear in λ). When every
-/// edge has slack tokens_e − λ·latency_e + π(src) − π(dst) ≥ 0, π is a
-/// dual certificate: no cycle has a ratio below λ.
+/// next run warm-starts from them, plus the pass loop's scratch.
+/// `value[v]` = π(v) starts out as the weight tokens(P) − λ·latency(P) of
+/// a concrete path P(v) from the virtual super-source (the empty path: 0),
+/// and `latency[v]` as latency(P) — so re-basing at another λ is the
+/// affine shift π − Δλ·latency. That holds only until an edge on P changes
+/// latency (or the throughput engine repairs π at a λ other than the one
+/// it is priced at); after that π(v) is just a number. The re-base is
+/// therefore a warm-start heuristic: correctness rests only on a slack
+/// check — a full scan, or the engine's repair seeded from the edges a
+/// query raised. When every edge has slack
+/// tokens_e − λ·latency_e + π(src) − π(dst) ≥ 0, π is a dual certificate:
+/// no cycle has a ratio below λ.
 struct Potentials {
   explicit Potentials(int num_nodes);
 
-  /// Re-values every π(v) at `new_lambda` (exact: the paths stay put).
+  /// Shifts every π(v) by −(new_lambda − lambda)·latency[v].
   void rebase(double new_lambda);
 
   std::vector<double> value;
   std::vector<double> latency;
-  double lambda = 0.0;       ///< the λ `value` is priced at
-  std::vector<EdgeId> pred;  ///< witness_bellman_ford's predecessor edges
-  std::vector<int> stamp;    ///< witness_bellman_ford's walk stamps
+  double lambda = 0.0;  ///< the λ `value` is priced at
+  /// Predecessor edge of each node's last relaxation in the current run
+  /// (-1: not relaxed in it); the input of predecessor_cycle().
+  std::vector<EdgeId> pred;
+  std::vector<int> stamp;  ///< predecessor_cycle()'s walk stamps
 };
 
 /// Relaxes `edge` at λ: lowers π(dst) to π(src) + tokens − λ·latency (and
@@ -176,15 +182,25 @@ inline bool relax(const FlatGraph::Edge& edge, double lambda, double* value,
   return true;
 }
 
+/// Walks the predecessor chain behind `start` (potentials.pred), stamping
+/// each node with `id` (no node may carry that stamp yet), and cuts out
+/// the first cycle the chain closes; empty when the chain ends first. When
+/// every predecessor edge was set by a strict (beyond-tolerance)
+/// relaxation at one λ, that cycle is negative at λ: its exact ratio lies
+/// strictly below λ. Shared by witness_bellman_ford() and the throughput
+/// engine's certificate repair.
+std::vector<EdgeId> predecessor_cycle(const FlatGraph& g,
+                                      Potentials& potentials, NodeId start,
+                                      int id);
+
 /// Whole-graph Bellman–Ford at λ on weights tokens_e − λ·latency_e,
 /// warm-started from `potentials` re-based at λ and clamped to the empty
 /// path's 0. Returns empty when a pass relaxes nothing: the potentials
-/// then certify λ. Otherwise returns a witness — a cycle of the
-/// predecessor graph, which is negative at λ because every relaxation is
-/// a strict improvement beyond the tolerance. The predecessor chain behind
-/// each pass's last relaxation is walked after the pass (O(V)), so
-/// divergence shows after about a diameter's worth of passes; a relaxing
-/// (n+1)-th pass always closes such a chain into a cycle.
+/// then certify λ. Otherwise returns a witness — predecessor_cycle() of
+/// a pass's last relaxation, negative at λ. That chain is walked after
+/// each pass (O(V)), so divergence shows after about a diameter's worth
+/// of passes; a relaxing (n+1)-th pass always closes such a chain into a
+/// cycle.
 std::vector<EdgeId> witness_bellman_ford(const FlatGraph& g, double lambda,
                                          Potentials& potentials);
 

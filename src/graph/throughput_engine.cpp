@@ -17,7 +17,7 @@ struct EngineMetrics {
   obs::Counter& unchanged;
   obs::Counter& acyclic;
   obs::Counter& cycle_hits;
-  obs::Counter& warm_hits;
+  obs::Counter& witness_hits;
   obs::Counter& fallbacks;
 
   static EngineMetrics& get() {
@@ -27,7 +27,7 @@ struct EngineMetrics {
         registry.counter("graph/engine/unchanged"),
         registry.counter("graph/engine/acyclic"),
         registry.counter("graph/engine/cycle_hits"),
-        registry.counter("graph/engine/warm_hits"),
+        registry.counter("graph/engine/witness_hits"),
         registry.counter("graph/engine/fallbacks")};
     return metrics;
   }
@@ -41,7 +41,7 @@ ThroughputEngine::~ThroughputEngine() {
   metrics.unchanged.add(stats_.unchanged);
   metrics.acyclic.add(stats_.acyclic);
   metrics.cycle_hits.add(stats_.cycle_hits);
-  metrics.warm_hits.add(stats_.warm_hits);
+  metrics.witness_hits.add(stats_.witness_hits);
   metrics.fallbacks.add(stats_.fallbacks);
 }
 
@@ -90,9 +90,10 @@ Digraph ThroughputEngine::graph() const {
 
 void ThroughputEngine::set_label_latency(std::size_t label, int latency) {
   for (int k = label_begin_[label]; k < label_begin_[label + 1]; ++k) {
-    int& current =
-        flat_.edge(label_edges_[static_cast<std::size_t>(k)]).latency;
+    const EdgeId e = label_edges_[static_cast<std::size_t>(k)];
+    int& current = flat_.edge(e).latency;
     if (current != latency) {
+      if (latency > current) raised_.push_back(e);
       current = latency;
       changed_ = true;
     }
@@ -105,6 +106,7 @@ void ThroughputEngine::revert_label_to_base(std::size_t label) {
     int& current = flat_.edge(e).latency;
     const int base = base_latency_[static_cast<std::size_t>(e)];
     if (current != base) {
+      if (base > current) raised_.push_back(e);
       current = base;
       changed_ = true;
     }
@@ -152,6 +154,7 @@ double ThroughputEngine::throughput(const std::vector<int>& ids,
   }
   ++stats_.queries;
   changed_ = false;
+  raised_.clear();
   const std::uint64_t epoch = ++epoch_;
 
   // Apply the demanded labels (duplicates: last one wins, like the
@@ -201,36 +204,25 @@ double ThroughputEngine::solve() {
     ++stats_.acyclic;
     return ratio_;
   }
-  if (incremental_ && has_certificate_) {
+  if (incremental_ && !critical_cycle_.empty()) {
     // Candidate 1: the previous critical cycle, re-costed on the mutated
-    // graph in O(|cycle|). Most moves leave the argmin where it was (only
-    // cycles through mutated edges can displace it), so this certifies
-    // without running any policy iteration at all.
-    if (!critical_cycle_.empty()) {
-      const double candidate =
-          detail::exact_cycle_ratio(flat_, critical_cycle_);
+    // graph in O(|cycle|) — most moves leave the argmin where it was. When
+    // the move displaced it, the failed repair usually hands back the
+    // displacing cycle, whose exact ratio is the next candidate: a witness
+    // descent paid at repair cost instead of whole-graph Bellman–Fords.
+    double candidate = detail::exact_cycle_ratio(flat_, critical_cycle_);
+    for (bool descended = false;; descended = true) {
       if (certify(candidate)) {
-        ++stats_.cycle_hits;
+        ++(descended ? stats_.witness_hits : stats_.cycle_hits);
         ratio_ = candidate;
         has_result_ = true;
         return ratio_;
       }
-    }
-    // Candidate 2: a few warm policy-iteration sweeps from the previous
-    // optimal policy — the move displaced the argmin (candidate 1's
-    // certify diverged on the displacing cycle), but usually only to a
-    // neighboring cycle the warmed policy finds within a round or two.
-    // The certificate decides; an uncertifiable sweep just falls through.
-    // Candidate 1's failed repair left the potentials partially relaxed —
-    // harmless, certify() always re-validates every edge from scratch.
-    const CycleRatioResult warm =
-        detail::howard_policy_iteration(flat_, policy_, howard_, kWarmSweeps);
-    if (certify(warm.ratio)) {
-      ++stats_.warm_hits;
-      critical_cycle_ = warm.critical_cycle;
-      ratio_ = warm.ratio;
-      has_result_ = true;
-      return ratio_;
+      if (witness_.empty()) break;  // gave up without a witness: go cold
+      const double lower = detail::exact_cycle_ratio(flat_, witness_);
+      WP_CHECK(lower < candidate, "repair witness does not beat the candidate");
+      candidate = lower;
+      critical_cycle_.swap(witness_);
     }
   }
   // Cold path — the certified solver's own algorithm (policy iteration,
@@ -244,9 +236,9 @@ double ThroughputEngine::solve() {
   ++stats_.fallbacks;
   CycleRatioResult cold =
       detail::howard_policy_iteration(flat_, policy_, howard_, kColdSweeps);
-  has_certificate_ = false;
+  proven_lambda_.reset();
   detail::witness_descent(flat_, cold, potentials_);
-  has_certificate_ = true;
+  proven_lambda_ = cold.ratio;
   critical_cycle_ = std::move(cold.critical_cycle);
   ratio_ = cold.ratio;
   has_result_ = true;
@@ -254,63 +246,84 @@ double ThroughputEngine::solve() {
 }
 
 bool ThroughputEngine::certify(double lambda) {
-  // Re-base the certificate at λ: each π(v) is the value of a concrete
-  // super-source path whose latency we remembered, and path values are
-  // linear in λ — so the shift is exact, not an approximation. After it,
-  // only edges whose optimal path changed (or whose latency was mutated)
-  // can violate, no matter how far λ moved.
-  potentials_.rebase(lambda);
-  // Slack scan: π certifies λ iff every edge satisfies
+  // π certifies λ iff every edge has slack
   // tokens − λ·latency + π(src) − π(dst) ≥ 0. Violations seed a
   // Bellman–Ford worklist that relaxes π downward from the frontier; if it
-  // drains, the repaired π certifies λ (kept for the next query). A
-  // genuinely smaller cycle makes the relaxations chase their own tail, so
-  // the budget bounds the incremental cost before conceding to the cold
-  // solver.
+  // drains, the repaired π certifies λ (kept for the next query). Each
+  // relaxation records its edge in potentials_.pred, so a repair that
+  // chases a genuinely smaller cycle can hand that cycle back.
+  witness_.clear();
   worklist_.clear();
+  std::vector<EdgeId>& pred = potentials_.pred;
+  std::fill(pred.begin(), pred.end(), -1);
+  double* const potential = potentials_.value.data();
+  double* const potential_lat = potentials_.latency.data();
   auto enqueue = [this](NodeId v) {
     if (!in_worklist_[static_cast<std::size_t>(v)]) {
       in_worklist_[static_cast<std::size_t>(v)] = 1;
       worklist_.push_back(v);
     }
   };
-  double* const potential = potentials_.value.data();
-  double* const potential_lat = potentials_.latency.data();
-  for (const detail::FlatGraph::Edge& edge : flat_.edges)
-    if (detail::relax(edge, lambda, potential, potential_lat))
+  auto relax = [&](EdgeId e) {
+    const detail::FlatGraph::Edge& edge = flat_.edge(e);
+    if (detail::relax(edge, lambda, potential, potential_lat)) {
+      pred[static_cast<std::size_t>(edge.dst)] = e;
       enqueue(edge.dst);
-  if (worklist_.empty()) return true;
+    }
+  };
+  if (proven_lambda_ && lambda <= *proven_lambda_) {
+    // Scoped: π was proven feasible at a λ at least this high, and since
+    // then only this query's edges moved. An unchanged or shortened edge
+    // keeps slack ≥ 0 at any lower λ (its −λ·latency term only grows),
+    // so only the raised edges can violate — no re-base, no O(E) scan.
+    // The repair below re-checks the out-edges of every node it lowers.
+    for (const EdgeId e : raised_) relax(e);
+  } else {
+    // Full: re-base π at λ as a warm start, then scan every edge.
+    potentials_.rebase(lambda);
+    for (EdgeId e = 0; e < flat_.num_edges(); ++e) relax(e);
+  }
 
-  // Two failure detectors, both safe (failure only demotes the candidate):
-  // a global relaxation budget, and a per-node pop cap — when λ sits above
-  // the true minimum the relaxations lap the violating cycle forever, so a
-  // node popping many times signals divergence after ~cap laps instead of
-  // after the whole budget.
+  if (worklist_.empty()) {
+    proven_lambda_ = lambda;
+    return true;
+  }
+  // Inconclusive exits drain the dedup flags and drop the proof: the
+  // half-repaired π is only a warm start now, so the next certify scans
+  // every edge.
+  auto give_up = [this](std::size_t head) {
+    for (std::size_t i = head; i < worklist_.size(); ++i)
+      in_worklist_[static_cast<std::size_t>(worklist_[i])] = 0;
+    proven_lambda_.reset();
+    return false;
+  };
+  // Failure detectors, all safe (failure only demotes the candidate): a
+  // node popped again walks its predecessor chain, and a chain that
+  // closes is a cycle negative at λ — every predecessor edge is a strict
+  // relaxation at λ — so λ is not the minimum and the cycle is the
+  // witness. Behind that, a per-node pop cap and a global relaxation
+  // budget bound a repair whose chains never close.
   std::size_t budget = 8 * flat_.edges.size() + 64;
   constexpr std::uint32_t kMaxPopsPerNode = 6;
   std::fill(pops_.begin(), pops_.end(), 0);
-  auto give_up = [&](std::size_t head) {
-    for (std::size_t i = head; i < worklist_.size(); ++i)
-      in_worklist_[static_cast<std::size_t>(worklist_[i])] = 0;
-    return false;
-  };
+  std::fill(potentials_.stamp.begin(), potentials_.stamp.end(), -1);
+  int walks = 0;
   for (std::size_t head = 0; head < worklist_.size(); ++head) {
-    const auto v = static_cast<std::size_t>(worklist_[head]);
-    in_worklist_[v] = 0;
-    // Inconclusive: drop out with the dedup flags drained. The
-    // half-repaired potentials stay — they are a legal starting guess for
-    // the next certify (the scan re-validates every edge), and the cold
-    // fallback rebuilds them from scratch anyway.
-    if (++pops_[v] > kMaxPopsPerNode) return give_up(head);
-    for (int k = flat_.out_begin[v]; k < flat_.out_begin[v + 1]; ++k) {
+    const NodeId v = worklist_[head];
+    const auto i = static_cast<std::size_t>(v);
+    in_worklist_[i] = 0;
+    if (++pops_[i] > 1) {
+      witness_ = detail::predecessor_cycle(flat_, potentials_, v, walks++);
+      if (!witness_.empty() || pops_[i] > kMaxPopsPerNode)
+        return give_up(head);
+    }
+    for (int k = flat_.out_begin[i]; k < flat_.out_begin[i + 1]; ++k) {
       if (budget == 0) return give_up(head);
       --budget;
-      const detail::FlatGraph::Edge& edge =
-          flat_.edge(flat_.out[static_cast<std::size_t>(k)]);
-      if (detail::relax(edge, lambda, potential, potential_lat))
-        enqueue(edge.dst);
+      relax(flat_.out[static_cast<std::size_t>(k)]);
     }
   }
+  proven_lambda_ = lambda;
   return true;
 }
 

@@ -20,23 +20,28 @@
 //     base counts (the reference's configured-copy semantics) in one
 //     compaction pass over the dirty-label list, skipped when the demand
 //     names every dirty label;
-//   * optimality is RE-CERTIFIED LAZILY: the engine keeps the dual
-//     certificate of the last solve — per-node potentials π with
+//   * optimality is RE-CERTIFIED LAZILY: the engine keeps a dual
+//     certificate — per-node potentials π with
 //     tokens_e − λ·latency_e + π(src) − π(dst) ≥ 0 for every edge, which
-//     proves no cycle beats λ. Each π(v) is a concrete path's value, so
-//     re-basing the certificate at a new λ is an exact O(V) affine shift
-//     (path values are linear in λ), and a query is one O(E) slack scan
-//     plus a bounded Bellman–Ford repair around the violation frontier —
-//     only cycles through mutated edges can change the argmin, so the
-//     frontier is usually tiny;
-//   * candidates are certified cheapest-first: the PREVIOUS critical
-//     cycle re-costed on the mutated graph (no policy iteration at all),
-//     then a few Howard sweeps warm-started from the previous optimal
-//     policy. Whatever certifies first is the exact minimum. The sweeps
-//     run the one Howard core (detail::howard_policy_iteration) on the
-//     flat arrays with an engine-owned HowardScratch: O(V + E) per sweep
-//     — value determination is one memoised walk along the policy — and
-//     no allocation.
+//     proves no cycle beats λ — and the λ it was last proven at. A query
+//     at a λ no higher than that proven λ needs no re-base and no scan:
+//     an unchanged or shortened edge keeps slack ≥ 0 at any lower λ, so a
+//     Bellman–Ford repair seeded from the edges the query RAISED decides
+//     it (the repair re-checks the out-edges of every node it lowers).
+//     Any other λ re-bases π by the affine shift along its remembered path
+//     latencies (a warm-start heuristic) and scans all E edges before the
+//     repair. Only cycles through mutated edges can change the argmin, so
+//     the repair frontier is usually tiny;
+//   * candidates descend from the PREVIOUS critical cycle, re-costed on
+//     the mutated graph (no policy iteration at all). The repair records
+//     each relaxation's edge, and a node it pops again walks that
+//     predecessor chain (detail::predecessor_cycle, the walk
+//     witness_bellman_ford runs): a chain that closes is a cycle negative
+//     at the candidate λ, so the repair gives up at once and that cycle's
+//     exact ratio, strictly lower, is the next candidate. A per-node pop
+//     cap and a relaxation budget stop a repair whose chains never close.
+//     Whatever certifies first is the exact minimum; only a repair that
+//     gives up without a witness goes cold.
 //
 // Equivalence contract: when no candidate certifies, the engine re-solves
 // cold with the certified solver's own algorithm — bounded policy
@@ -60,14 +65,15 @@
 // directly against exhaustive enumeration, and the engine suite pins its
 // per-request query-path counts.
 //
-// The base Digraph is kept only for labels and graph(), which returns a configured COPY (the current counts live in
-// the flat latencies).
+// The base Digraph is kept only for labels and graph(), which returns a
+// configured COPY (the current counts live in the flat latencies).
 //
 // Not thread-safe: one engine per worker (annealer restarts and ensemble
 // samples each own one; anneal_parallel takes an engine factory).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -81,18 +87,18 @@ namespace wp::graph {
 class ThroughputEngine {
  public:
   /// Query-path counters. Every query lands in exactly one of unchanged /
-  /// acyclic / cycle_hits / warm_hits / fallbacks.
+  /// acyclic / cycle_hits / witness_hits / fallbacks.
   struct Stats {
     std::uint64_t queries = 0;
-    std::uint64_t unchanged = 0;   ///< delta touched no edge
-    std::uint64_t acyclic = 0;     ///< no cycle exists; constant 1.0
-    std::uint64_t cycle_hits = 0;  ///< previous critical cycle re-certified
-    std::uint64_t warm_hits = 0;   ///< warm policy sweeps certified
-    std::uint64_t fallbacks = 0;   ///< cold certified re-solve
+    std::uint64_t unchanged = 0;     ///< delta touched no edge
+    std::uint64_t acyclic = 0;       ///< no cycle exists; constant 1.0
+    std::uint64_t cycle_hits = 0;    ///< previous critical cycle certified
+    std::uint64_t witness_hits = 0;  ///< a failed repair's witness certified
+    std::uint64_t fallbacks = 0;     ///< cold certified re-solve
 
     /// Queries resolved without a cold solve.
     std::uint64_t incremental() const {
-      return unchanged + acyclic + cycle_hits + warm_hits;
+      return unchanged + acyclic + cycle_hits + witness_hits;
     }
   };
 
@@ -140,8 +146,8 @@ class ThroughputEngine {
   void revert_label_to_base(std::size_t label);
   double solve();
   /// Tries to certify `lambda` as the exact minimum by repairing the held
-  /// potentials; returns false (inconclusive) when the worklist budget is
-  /// exhausted or no certificate is held.
+  /// potentials. Returns false when the repair gives up; witness_ then
+  /// holds a cycle with a ratio strictly below `lambda`, or nothing.
   bool certify(double lambda);
 
   /// The base graph: labels and resolve(). Its
@@ -167,25 +173,29 @@ class ThroughputEngine {
   std::vector<std::size_t> dirty_labels_;   ///< labels with label_rs_ != kBase
   std::uint64_t epoch_ = 0;
 
-  // Warm-start state and the incremental dual certificate. The previous
-  // critical cycle doubles as the first candidate of every solve — its
-  // edge ids stay valid because the graph's structure never changes.
-  static constexpr int kWarmSweeps = 12;
+  // Cold-path state and the incremental dual certificate. The previous
+  // critical cycle is the first candidate of every solve — its edge ids
+  // stay valid because the graph's structure never changes.
   /// The cold path does not need full policy-iteration convergence — it
   /// only seeds the witness descent with a good attained ratio; the
   /// descent's certificate owns optimality.
   static constexpr int kColdSweeps = 24;
-  /// Per-node chosen out-edge of the last policy iteration (-1 = none);
-  /// seeds the next warm or cold sweeps.
+  /// Per-node chosen out-edge of the last cold policy iteration (-1 =
+  /// none); seeds the next one.
   std::vector<EdgeId> policy_;
   detail::HowardScratch howard_;
   std::vector<EdgeId> critical_cycle_;
-  /// The dual certificate: valid at potentials_.lambda when
-  /// has_certificate_. Each π(v) is a concrete path's value, so certify()
-  /// re-bases it at a new λ by the exact affine shift instead of a repair
-  /// storm, and the cold path's witness descent warm-starts from it.
+  /// The dual certificate and the repair's predecessor edges. certify()
+  /// re-bases it at a new λ as a warm start, and the cold path's witness
+  /// descent warm-starts from it.
   detail::Potentials potentials_;
-  bool has_certificate_ = false;
+  /// The λ at which potentials_ were last proven feasible (a successful
+  /// certify or a cold solve); empty once a repair gives up.
+  std::optional<double> proven_lambda_;
+  /// Edges whose latency the current query raised: the only edges that can
+  /// violate a certificate proven at a λ no lower than the candidate.
+  std::vector<EdgeId> raised_;
+  std::vector<EdgeId> witness_;  ///< the last failed repair's witness cycle
   std::vector<NodeId> worklist_;
   std::vector<char> in_worklist_;
   std::vector<std::uint32_t> pops_;  ///< per-node pop counts of one repair

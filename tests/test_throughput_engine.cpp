@@ -3,10 +3,11 @@
 // min_cycle_ratio_howard() on an equivalently configured graph, across
 // random demand-perturbation chains on every topology family — including
 // across the incremental-vs-cold-fallback paths and under the thread pool
-// (serial ≡ pooled). Also pins the annealer
-// integration (engine-backed run ≡ a run whose throughput_fn solves every
-// demand fresh), the per-request query-path counts of a BA-128 anneal, and
-// the ensemble's engine-counter determinism.
+// (serial ≡ pooled) and through the scoped-certify and repair-witness
+// steps on a literal two-loop graph. Also pins the annealer integration
+// (engine-backed run ≡ a run whose throughput_fn solves every demand
+// fresh), the query-path counts of a BA-128 anneal and of the CPU case
+// study, and the ensemble's engine-counter determinism.
 //
 // This suite is the engine's equivalent of test_pack_equivalence and runs
 // explicitly in the Debug and ASan/UBSan CI jobs.
@@ -139,7 +140,7 @@ TEST(ThroughputEngine, ColdModeMatchesIncrementalEverywhere) {
       ASSERT_EQ(incremental.throughput(demand), cold.throughput(demand));
     // Path accounting: the cold engine only ever short-circuits on
     // untouched demands; every solving query is a fallback.
-    EXPECT_EQ(cold.stats().cycle_hits + cold.stats().warm_hits, 0u);
+    EXPECT_EQ(cold.stats().cycle_hits + cold.stats().witness_hits, 0u);
     EXPECT_EQ(cold.stats().fallbacks + cold.stats().unchanged,
               cold.stats().queries);
     EXPECT_GT(incremental.stats().incremental(),
@@ -251,6 +252,84 @@ TEST(ThroughputEngine, IdQueriesRejectMalformedInput) {
   EXPECT_EQ(engine.throughput(ids, {2, 0}), before);
   EXPECT_EQ(engine.throughput(ids, {2, 0}),
             fresh_ratio(proc::make_cpu_graph(), {{"CU-IC", 2}}));
+}
+
+/// Two loops sharing node b: C1 = a→b→a (2 tokens) and C2 = b→c→d→b (3
+/// tokens), plus an edge a→e off every cycle. Relay stations set the
+/// ratios: C1 = 2 / (2 + rs_ab + rs_ba), C2 = 3 / (3 + rs_bc + rs_cd +
+/// rs_db).
+Digraph two_loop_graph() {
+  Digraph g;
+  const NodeId a = g.add_node("a");
+  const NodeId b = g.add_node("b");
+  const NodeId c = g.add_node("c");
+  const NodeId d = g.add_node("d");
+  const NodeId e = g.add_node("e");
+  g.add_edge(a, b, "ab");
+  g.add_edge(b, a, "ba");
+  g.add_edge(b, c, "bc");
+  g.add_edge(c, d, "cd");
+  g.add_edge(d, b, "db");
+  g.add_edge(a, e, "ae");
+  return g;
+}
+
+TEST(ThroughputEngine, ScopedCertifyMatchesFreshHoward) {
+  // Each step's first candidate is the held critical cycle. At a λ no
+  // higher than the proven one, certify checks only the edges the query
+  // raised, so every step below runs that scoped path except where noted.
+  const Digraph base = two_loop_graph();
+  ThroughputEngine engine(base);
+  const ThroughputEngine::Stats& stats = engine.stats();
+  auto query = [&](const Demand& demand, const char* step) {
+    ASSERT_EQ(engine.throughput(demand), fresh_ratio(base, demand)) << step;
+  };
+
+  query({{"ab", 1}}, "cold start: C1 = 2/3 is critical");
+  ASSERT_EQ(stats.fallbacks, 1u);
+
+  // 1. Off-critical edges move, λ stays at 2/3: a raise on C2 (3/4) and
+  // on a→e, then a raise and two lowerings (bc reverts to its base count).
+  query({{"ab", 1}, {"ae", 3}, {"bc", 1}}, "1a: raise off-critical edges");
+  query({{"ab", 1}, {"ae", 1}, {"cd", 1}}, "1b: raise cd, lower ae and bc");
+  EXPECT_EQ(stats.cycle_hits, 2u);
+
+  // 2. Raising C1 lowers its ratio to 1/2: a candidate below the proof.
+  query({{"ab", 2}, {"cd", 1}}, "2: lower the critical ratio");
+  EXPECT_EQ(stats.cycle_hits, 3u);
+
+  // 3. Raising cd makes C2 = 3/7 the new minimum: C1's repair at 1/2 laps
+  // C2, and the first node it pops again has a predecessor chain that
+  // closes on C2, so it gives up with C2 as the witness. C2 certifies on
+  // a full scan, because the give-up dropped the proof.
+  query({{"ab", 2}, {"cd", 4}}, "3: a repair gives up");
+  EXPECT_EQ(stats.witness_hits, 1u);
+
+  // 4. Raising cd again re-queries C2 at 3/8, below the held 3/7.
+  query({{"ab", 2}, {"cd", 5}}, "4: re-query below the held ratio");
+  EXPECT_EQ(stats.cycle_hits, 4u);
+
+  EXPECT_EQ(stats.queries, 6u);
+  EXPECT_EQ(stats.fallbacks, 1u);
+}
+
+TEST(ThroughputEngine, FailedRepairWitnessCertifiesNextCycle) {
+  const Digraph base = two_loop_graph();
+  ThroughputEngine engine(base);
+  const Demand start = {{"ab", 2}, {"cd", 2}};  // C1 = 1/2, C2 = 3/5
+  ASSERT_EQ(engine.throughput(start), fresh_ratio(base, start));
+  const ThroughputEngine::Stats before = engine.stats();
+
+  // Dropping C1's relay stations raises its ratio to 1, so the argmin
+  // moves to C2. Certifying C1 at 1 makes the repair lap C2 until a
+  // predecessor chain closes on it; C2's ratio 3/5 then certifies — no
+  // cold re-solve.
+  const Demand moved = {{"ab", 0}, {"cd", 2}};
+  const double expected = fresh_ratio(base, moved);
+  ASSERT_EQ(expected, 0.6);
+  ASSERT_EQ(engine.throughput(moved), expected);
+  EXPECT_EQ(engine.stats().witness_hits, before.witness_hits + 1);
+  EXPECT_EQ(engine.stats().fallbacks, before.fallbacks);
 }
 
 TEST(ThroughputEngine, SerialEqualsPooled) {
@@ -391,8 +470,34 @@ TEST(ThroughputEngineAnnealer, Ba128QueryPathCountsArePinned) {
   EXPECT_EQ(stats.queries, 501u);
   EXPECT_EQ(stats.unchanged, 3u);
   EXPECT_EQ(stats.acyclic, 0u);
-  EXPECT_EQ(stats.cycle_hits, 455u);
-  EXPECT_EQ(stats.warm_hits, 42u);
+  EXPECT_EQ(stats.cycle_hits, 454u);
+  EXPECT_EQ(stats.witness_hits, 43u);
+  EXPECT_EQ(stats.fallbacks, 1u);
+}
+
+/// The same for one 20,000-move anneal of the 5-block CPU case study in
+/// examples/parallel_explore (weight 500, 350 ps, seed 12: that job's best
+/// restart). With no memo in front of the engine, every candidate is a
+/// query, and nearly all of them must stay off the cold path.
+TEST(ThroughputEngineAnnealer, CpuCaseStudyQueryPathCountsArePinned) {
+  ThroughputEngine engine(proc::make_cpu_graph());
+  fplan::AnnealOptions options;
+  options.iterations = 20000;
+  options.seed = 12;
+  options.weight_throughput = 500.0;
+  options.delay_model.clock_ps = 350.0;
+  options.throughput_engine = &engine;
+  const fplan::AnnealResult result =
+      fplan::anneal(fplan::cpu_instance(), options);
+
+  const ThroughputEngine::Stats& stats = engine.stats();
+  EXPECT_EQ(result.engine_incremental, 20000u);
+  EXPECT_EQ(result.engine_fallbacks, 1u);
+  EXPECT_EQ(stats.queries, 20001u);
+  EXPECT_EQ(stats.unchanged, 1045u);
+  EXPECT_EQ(stats.acyclic, 0u);
+  EXPECT_EQ(stats.cycle_hits, 6157u);
+  EXPECT_EQ(stats.witness_hits, 12798u);
   EXPECT_EQ(stats.fallbacks, 1u);
 }
 
