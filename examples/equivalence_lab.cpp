@@ -14,6 +14,7 @@ namespace {
 class LyingProcess final : public wp::Process {
  public:
   LyingProcess() : Process("liar") {
+    declare_oracle();
     add_input("a");
     add_input("b");
     add_output("out", 0);

@@ -13,6 +13,11 @@
 //     fire()'s result must not depend on any input the final required set
 //     excluded. The default requires every input — that is exactly the WP1
 //     wrapper.
+//   * A class that overrides required() says so once, non-virtually, with
+//     declare_oracle() in its constructor. The WP2 shell asks the oracle of
+//     a declared process only; any other process is wrapped as under WP1,
+//     which is always sound — a forgotten declaration costs throughput,
+//     never correctness.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +88,11 @@ class Process {
   std::size_t input_index(std::string_view port) const;
   std::size_t output_index(std::string_view port) const;
 
+  /// True once the constructor called declare_oracle(): required() may
+  /// then exclude inputs, and the WP2 shell calls it on every firing
+  /// attempt.
+  bool has_oracle() const { return has_oracle_; }
+
   /// The oracle. Default: every input is required (strict synchronicity).
   virtual InputMask required(const PeekView& peek) const {
     (void)peek;
@@ -105,11 +115,15 @@ class Process {
   /// Builders used by subclasses' constructors.
   std::size_t add_input(std::string port_name, Word reset_value = 0);
   std::size_t add_output(std::string port_name, Word reset_value = 0);
+  /// Declares that required() gates the inputs; every class that overrides
+  /// required() calls it.
+  void declare_oracle() { has_oracle_ = true; }
 
  private:
   std::string name_;
   std::vector<PortSpec> inputs_;
   std::vector<PortSpec> outputs_;
+  bool has_oracle_ = false;
 };
 
 /// Factory so a system description can be instantiated several times (once

@@ -88,6 +88,7 @@ bool SinkProcess::halted() const {
 DutyCycleProcess::DutyCycleProcess(std::string name, std::uint64_t period)
     : Process(std::move(name)), period_(period) {
   WP_REQUIRE(period_ >= 1, "duty-cycle period must be >= 1");
+  declare_oracle();
   add_input("a");
   add_input("b");
   add_output("out", 0);
@@ -116,6 +117,7 @@ RandomMooreProcess::RandomMooreProcess(std::string name,
   WP_REQUIRE(num_inputs >= 1 && num_inputs <= 32, "1..32 inputs supported");
   WP_REQUIRE(num_outputs >= 1, "need at least one output");
   WP_REQUIRE(num_states >= 1, "need at least one state");
+  declare_oracle();
   for (std::size_t i = 0; i < num_inputs; ++i)
     add_input("in" + std::to_string(i));
   for (std::size_t o = 0; o < num_outputs; ++o)

@@ -21,8 +21,9 @@
 //
 // Like a shell, a station is a Moore machine stepped by Network::step over
 // the network's wire array: eval() drives both wires from registered state,
-// commit() samples them. Both are defined here so the step loop inlines
-// them.
+// commit() samples them. All are defined here so the step loop inlines
+// them; the network steps plain stations with drive(), eval() without the
+// draw, so their loop makes no call.
 #pragma once
 
 #include <vector>
@@ -49,11 +50,18 @@ class RelayStation {
                "stall probability must be in [0, 1]");
   }
 
-  /// Phase 1: drive the output token and the input stop line.
+  /// Phase 1: drive the output token and the input stop line. A noise
+  /// station first draws this cycle's stall.
   void eval(std::vector<Wire>& wires) {
+    if (stall_probability_ > 0.0) stalling_ = rng_.chance(stall_probability_);
+    drive(wires);
+  }
+
+  /// Phase 1 without the draw: all of eval() for a plain station, whose
+  /// stall is always low.
+  void drive(std::vector<Wire>& wires) const {
     // A noise station that draws a stall withholds main; aux absorbs the
     // in-flight token in commit, so nothing is lost.
-    stalling_ = stall_probability_ > 0.0 && rng_.chance(stall_probability_);
     Wire& out = wires[out_];
     out.value = main_.value;
     out.valid = main_.valid && !stalling_;

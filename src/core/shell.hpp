@@ -9,7 +9,9 @@
 //   already-arrived current-tag tokens ("processing signals") — names the
 //   inputs the next transition actually reads. The shell fires as soon as
 //   those are present; tokens whose tag is older than the firing counter are
-//   discarded, which is safe because the process was blind to them.
+//   discarded, which is safe because the process was blind to them. Only a
+//   process that declares an oracle (Process::has_oracle) is asked; any
+//   other requires every input, so its WP2 shell behaves as WP1.
 //
 // Tags never travel on wires, and the FIFOs do not store them either: each
 // input keeps a received counter (the k-th valid token on a channel has tag
@@ -26,29 +28,35 @@
 // producer's golden output register), which gives the marked-graph semantics
 // behind the paper's Th = m/(m+n) loop formula.
 //
-// A shell is a Moore machine stepped by Network::step in two phases over
-// the network's wire array:
-//   eval(wires)          — drive output tokens and input stop lines from
-//                          registered state only; never reads a wire;
-//   commit(wires, cycle) — sample the wires, update the FIFOs and maybe
-//                          fire.
+// A shell is a Moore machine. Its per-cycle state — the input FIFOs and
+// counters, the output branches, the firing counter — lives in flat arrays
+// owned by its Network, one entry per input, per output branch and per
+// shell across the whole network, and Network::step advances every shell
+// at once in two phases over the network's wire array:
+//   eval   — drive input stop lines and output tokens from registered state
+//            only; never reads a wire;
+//   commit — sample the wires: arrivals, deliveries, then one firing
+//            attempt per shell.
 // So the order in which shells and relay stations are stepped within a
-// phase never changes the result.
+// phase never changes the result. A Shell object is the handle: it owns the
+// process and the configuration (name, options, port connections) and reads
+// its state back from the network once Network::add_shell has taken it.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/process.hpp"
-#include "core/token_ring.hpp"
 #include "core/wire.hpp"
 
 namespace wp {
 
-/// Largest input FIFO a shell accepts, in tokens. The shell allocates every
-/// input's ring up front, so the bound caps that allocation.
+/// Largest input FIFO a shell accepts, in tokens. The network allocates
+/// every input's FIFO words when the shell is added, so the bound caps that
+/// allocation.
 inline constexpr std::size_t kMaxFifoCapacity = std::size_t{1} << 20;
 
 struct ShellOptions {
@@ -72,6 +80,8 @@ struct ShellStats {
   std::uint64_t discarded_tokens = 0;  ///< stale tokens dropped (WP2 only)
 };
 
+class Network;
+
 class Shell {
  public:
   Shell(std::string name, std::unique_ptr<Process> process,
@@ -94,70 +104,43 @@ class Shell {
       std::function<void(Cycle cycle, Tag tag, const Word* outs)>;
   void set_fire_observer(FireObserver observer);
 
-  /// Phase 1: drive output tokens and input stop lines.
-  void eval(std::vector<Wire>& wires) {
-    for (auto& input : in_) {
-      WP_CHECK(input.wire != kUnconnected,
-               "unconnected input port on " + name_);
-      input.stop_driven = input.fifo.full();
-      wires[input.wire].stop = input.stop_driven;
-    }
-    // A branch is undelivered only while its port's fired word is pending.
-    for (const auto& branch : branches_) {
-      Wire& wire = wires[branch.wire];
-      wire.value = fire_out_[branch.port];
-      wire.valid = !branch.delivered;
-    }
-  }
-  /// Phase 2: sample wires, accept tokens, try to fire. Returns true iff
-  /// the process fired this cycle.
-  bool commit(const std::vector<Wire>& wires, Cycle cycle);
-  /// Power-on state: process reset, initial tokens re-seeded.
-  void reset();
-
   const std::string& name() const { return name_; }
   const Process& process() const { return *process_; }
   Process& process() { return *process_; }
-  const ShellStats& stats() const { return stats_; }
-  Tag firing_counter() const { return firing_counter_; }
+
+  // State, read back from the network; the shell must be in one. A
+  // returned reference stays valid until the network adds a shell.
+  const ShellStats& stats() const;
+  Tag firing_counter() const;
   /// The process's halted(), read after each firing and on reset: a
   /// process halts only by firing.
-  bool halted() const { return halted_; }
-
+  bool halted() const;
   /// Current occupancy of one input FIFO (tests / ablation).
   std::size_t fifo_size(std::size_t port) const;
 
  private:
+  friend class Network;
   static constexpr WireId kUnconnected = ~WireId{0};
 
-  struct InputState {
-    TokenRing fifo;              // preallocated ring: no allocation per token
+  void require_network() const;
+
+  struct Input {
     WireId wire = kUnconnected;
-    bool stop_driven = false;    // what we drove on the stop line
-    Tag received = 0;            // tags handed out so far on this channel
     Word initial = kPoisonWord;  // the channel's initial token
   };
-  struct OutputBranch {
+  struct Branch {
     WireId wire;
     std::uint32_t port;
-    bool delivered;  // false while the port's fired word is pending here
   };
 
   std::string name_;
   std::unique_ptr<Process> process_;
   ShellOptions options_;
-  std::vector<InputState> in_;
-  std::vector<OutputBranch> branches_;
-  std::size_t undelivered_ = 0;  // branches still to accept the last firing
-  Tag firing_counter_ = 0;
-  bool halted_ = false;
-  ShellStats stats_;
+  std::vector<Input> inputs_;      // one per input port
+  std::vector<Branch> branches_;   // in the order they were added
   FireObserver observer_;
-
-  // Per firing: the input words (also the oracle's peek values) and the
-  // output words, which stay in place as the pending tokens.
-  std::vector<Word> fire_in_;
-  std::vector<Word> fire_out_;
+  Network* network_ = nullptr;     // set by Network::add_shell
+  std::uint32_t index_ = 0;        // this shell's entry in the network
 };
 
 }  // namespace wp

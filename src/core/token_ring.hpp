@@ -1,14 +1,16 @@
-// Fixed-capacity ring of words — the shells' input FIFO.
+// Fixed-capacity ring of words — one shell input's FIFO.
 //
-// The ring allocates its storage once, at capacity, when the shell is
-// built; push/pop are index arithmetic, and a token is never moved after
+// The ring holds no storage of its own: it is a window of `capacity` words
+// in a word pool that the Network allocates once for every input of every
+// shell, so all FIFOs of a network lie in one contiguous array. push/pop
+// are index arithmetic over that window, and a token is never moved after
 // it is written, so the token path allocates nothing. It holds bare words:
 // a shell's FIFO always holds consecutive tags, so tags are rebuilt from
 // the shell's counters instead of being stored beside each token.
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <cstdint>
 
 #include "core/token.hpp"
 #include "util/assert.hpp"
@@ -17,37 +19,33 @@ namespace wp {
 
 class TokenRing {
  public:
-  TokenRing() = default;
-
-  /// Allocates storage for exactly `capacity` words (the shell's FIFO
-  /// bound). Called once at build time; clears any content.
-  void set_capacity(std::size_t capacity) {
-    WP_REQUIRE(capacity >= 1, "token ring capacity must be >= 1");
-    buffer_.assign(capacity, kPoisonWord);
-    head_ = 0;
-    size_ = 0;
+  /// The window pool[base, base + capacity). Starts empty.
+  TokenRing(std::size_t base, std::size_t capacity)
+      : base_(base), capacity_(static_cast<std::uint32_t>(capacity)) {
+    WP_REQUIRE(capacity >= 1 && capacity <= UINT32_MAX / 2,
+               "token ring capacity must be in [1, 2^31)");
   }
 
-  std::size_t capacity() const { return buffer_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == buffer_.size(); }
+  bool full() const { return size_ == capacity_; }
 
-  Word front() const {
+  Word front(const Word* pool) const {
     WP_CHECK(size_ > 0, "front() on an empty token ring");
-    return buffer_[head_];
+    return pool[base_ + head_];
   }
 
-  void push_back(Word value) {
-    WP_CHECK(size_ < buffer_.size(), "token ring overflow");
-    const std::size_t i = head_ + size_;
-    buffer_[i >= buffer_.size() ? i - buffer_.size() : i] = value;
+  void push_back(Word* pool, Word value) {
+    WP_CHECK(size_ < capacity_, "token ring overflow");
+    const std::uint32_t i = head_ + size_;
+    pool[base_ + (i >= capacity_ ? i - capacity_ : i)] = value;
     ++size_;
   }
 
   void pop_front() {
     WP_CHECK(size_ > 0, "pop_front() on an empty token ring");
-    head_ = head_ + 1 == buffer_.size() ? 0 : head_ + 1;
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     --size_;
   }
 
@@ -57,9 +55,10 @@ class TokenRing {
   }
 
  private:
-  std::vector<Word> buffer_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  std::size_t base_ = 0;
+  std::uint32_t capacity_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
 };
 
 }  // namespace wp

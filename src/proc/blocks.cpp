@@ -99,6 +99,7 @@ void IcacheBlock::fire(const Word* in, Word* out) {
 
 DcacheBlock::DcacheBlock(std::vector<std::uint32_t> ram)
     : Process("DC"), initial_ram_(ram), ram_(std::move(ram)) {
+  declare_oracle();
   add_input("ctl", DcCtl{}.pack());
   add_input("maddr", 0);
   add_input("store_data", 0);
@@ -139,6 +140,7 @@ void DcacheBlock::reset() {
 // ---------------------------------------------------------------------------
 
 RegFileBlock::RegFileBlock() : Process("RF") {
+  declare_oracle();
   add_input("ctl", RfCtl{}.pack());
   add_input("wb", 0);
   add_input("load", 0);
@@ -206,6 +208,7 @@ void RegFileBlock::reset() {
 // ---------------------------------------------------------------------------
 
 AluBlock::AluBlock() : Process("ALU") {
+  declare_oracle();
   add_input("op", AluCtl{}.pack());
   add_input("operands", Operands{}.pack());
   add_output("flags", Flags{}.pack());
@@ -248,6 +251,7 @@ ControlUnit::ControlUnit(Config config)
     : Process("CU"), config_(config) {
   WP_REQUIRE(config_.fetch_window >= 1, "fetch window must be >= 1");
   WP_REQUIRE(config_.drain_firings >= 0, "drain count must be >= 0");
+  declare_oracle();
   in_instr_ = add_input("instr", FetchResp{}.pack());
   in_flags_ = add_input("flags", Flags{}.pack());
   out_iaddr_ = add_output("iaddr", FetchReq{}.pack());

@@ -39,6 +39,7 @@ class TimedProcess final : public Process {
       add_input(port.name, port.reset_value);
     for (const auto& port : inner_->outputs())
       add_output(port.name, port.reset_value);
+    if (inner_->has_oracle()) declare_oracle();
   }
 
   InputMask required(const PeekView& peek) const override {

@@ -112,6 +112,7 @@ void FirFilter::reset() {
 GainStage::GainStage(std::string name, std::uint64_t period)
     : Process(std::move(name)), period_(period) {
   WP_REQUIRE(period_ >= 1, "gain period must be >= 1");
+  declare_oracle();
   add_input("sample", 0);
   add_input("gain", static_cast<Word>(kFixOne));
   add_output("out", 0);

@@ -46,6 +46,7 @@ class RecordingProcess final : public Process {
 class UnsoundOracleProcess final : public Process {
  public:
   UnsoundOracleProcess() : Process("unsound") {
+    declare_oracle();
     add_input("a");
     add_input("b");
     add_output("out", 0);

@@ -40,28 +40,32 @@ namespace {
 // ----------------------------------------------------------- TokenRing
 
 TEST(TokenRing, WrapsAroundWithoutLosingOrder) {
-  TokenRing ring;
-  ring.set_capacity(3);
+  // A ring is a window of a shared pool: words 1..3 of five. The words
+  // outside the window must never be written.
+  std::vector<Word> pool(5, kPoisonWord);
+  TokenRing ring(1, 3);
   EXPECT_TRUE(ring.empty());
-  for (Word w = 0; w < 2; ++w) ring.push_back(w);
+  for (Word w = 0; w < 2; ++w) ring.push_back(pool.data(), w);
   ring.pop_front();
-  // head_ is now 1; push two more so the buffer wraps.
-  ring.push_back(2);
-  ring.push_back(3);
+  // The head is now at word 1 of the window; two more pushes wrap.
+  ring.push_back(pool.data(), 2);
+  ring.push_back(pool.data(), 3);
   EXPECT_TRUE(ring.full());
+  EXPECT_EQ(pool, (std::vector<Word>{kPoisonWord, 3, 1, 2, kPoisonWord}));
   for (Word expected = 1; expected <= 3; ++expected) {
-    EXPECT_EQ(ring.front(), expected);
+    EXPECT_EQ(ring.front(pool.data()), expected);
     ring.pop_front();
   }
   EXPECT_TRUE(ring.empty());
 }
 
 TEST(TokenRing, OverflowAndEmptyFrontFailLoudly) {
-  TokenRing ring;
-  ring.set_capacity(1);
-  EXPECT_THROW(ring.front(), ContractViolation);
-  ring.push_back(0);
-  EXPECT_THROW(ring.push_back(1), ContractViolation);
+  std::vector<Word> pool(1, kPoisonWord);
+  TokenRing ring(0, 1);
+  EXPECT_THROW(ring.front(pool.data()), ContractViolation);
+  ring.push_back(pool.data(), 0);
+  EXPECT_THROW(ring.push_back(pool.data(), 1), ContractViolation);
+  EXPECT_THROW(TokenRing(0, 0), ContractViolation);
 }
 
 // ------------------------------------------------- fix_from_double guard

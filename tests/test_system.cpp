@@ -4,13 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <regex>
+#include <set>
+#include <string>
 
 #include "util/assert.hpp"
 
 #include "core/procs.hpp"
 #include "core/system.hpp"
+#include "proc/blocks.hpp"
 #include "proc/experiment.hpp"
 #include "stream/harness.hpp"
+#include "stream/stream.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -398,6 +405,132 @@ TEST(System, DiscardHeavyWp2NetworkPinned) {
   EXPECT_EQ(total.stalls_output, 115u);
   EXPECT_EQ(total.discarded_tokens, 9081u);
   EXPECT_EQ(digest, 13437317583291833912ULL);
+}
+
+TEST(System, StreamGraphCapacitySweepPinned) {
+  // KernelBehaviourPinned runs the stream-wp2 shape at the default FIFO
+  // capacity only. Capacities 1 and 2 keep the input FIFOs full, empty and
+  // wrapping almost every cycle, so these pins cover the ring arithmetic
+  // and the stop lines that capacity 16 rarely reaches.
+  stream::StreamGraphConfig graph;
+  graph.tokens = 2000;
+  graph.fir_stages = 3;
+  graph.branches = 2;
+  graph.agc_period = 16;
+  graph.feedback_rs = 2;
+  graph.forward_rs = 1;
+  graph.sink.keep_samples = false;
+  graph.sink.tail_window = 0;
+  struct Pin {
+    std::size_t capacity;
+    stream::RunMode mode;
+    std::uint64_t cycles, input_stalls, output_stalls, discarded;
+  };
+  for (const Pin& pin : {
+           Pin{1, stream::RunMode::kWp1, 3333, 10678, 9294, 0},
+           Pin{1, stream::RunMode::kWp2, 2253, 2032, 1736, 3244},
+           Pin{2, stream::RunMode::kWp1, 3333, 10678, 9278, 0},
+           Pin{2, stream::RunMode::kWp2, 2253, 2032, 1720, 3244},
+           Pin{4, stream::RunMode::kWp1, 3333, 10678, 9246, 0},
+           Pin{4, stream::RunMode::kWp2, 2253, 2032, 1688, 3244},
+           Pin{16, stream::RunMode::kWp1, 3333, 10678, 9054, 0},
+           Pin{16, stream::RunMode::kWp2, 2253, 2032, 1496, 3244},
+       }) {
+    stream::HarnessOptions options;
+    options.mode = pin.mode;
+    options.fifo_capacity = pin.capacity;
+    options.record_metrics = false;
+    const stream::HarnessResult r = stream::run_stream_graph(graph, options);
+    SCOPED_TRACE(std::string(stream::run_mode_name(pin.mode)) + " capacity " +
+                 std::to_string(pin.capacity));
+    EXPECT_EQ(r.digest, 9963346953269847280ULL);  // the golden digest
+    EXPECT_EQ(r.cycles, pin.cycles);
+    EXPECT_EQ(r.input_stalls, pin.input_stalls);
+    EXPECT_EQ(r.output_stalls, pin.output_stalls);
+    EXPECT_EQ(r.discarded_tokens, pin.discarded);
+  }
+}
+
+/// The Process subclasses under src/ whose class body overrides required():
+/// a line `class X ... Process` opens a class, and a `required(const
+/// PeekView` line with `override` inside it names X.
+std::set<std::string> oracle_overrides_in_src() {
+  namespace fs = std::filesystem;
+  const std::regex class_line(R"(^\s*class\s+(\w+)\b.*\bProcess\b)");
+  std::set<std::string> found;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(fs::path(WP_SOURCE_DIR) / "src")) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".hpp" && ext != ".cpp") continue;
+    std::ifstream in(entry.path());
+    std::string line, current;
+    std::smatch match;
+    while (std::getline(in, line)) {
+      if (std::regex_search(line, match, class_line)) current = match[1];
+      if (line.find("required(const PeekView") != std::string::npos &&
+          line.find("override") != std::string::npos && !current.empty())
+        found.insert(current);
+    }
+  }
+  return found;
+}
+
+TEST(System, EveryOracleOverrideDeclaresTheOracle) {
+  // The WP2 shell asks required() only of a process that declared an
+  // oracle; a class that overrides required() without declaring it would
+  // silently run as WP1. Every such class in src/ is listed here, and each
+  // one must declare it.
+  const std::set<std::string> expected = {
+      "AluBlock",         "ControlUnit", "DcacheBlock",
+      "DutyCycleProcess", "GainStage",   "RandomMooreProcess",
+      "RegFileBlock",     "TimedProcess"};
+  EXPECT_EQ(oracle_overrides_in_src(), expected);
+
+  Rng rng(5);
+  const std::unique_ptr<Process> processes[] = {
+      std::make_unique<proc::AluBlock>(),
+      std::make_unique<proc::ControlUnit>(proc::ControlUnit::Config{}),
+      std::make_unique<proc::DcacheBlock>(std::vector<std::uint32_t>(4, 0)),
+      std::make_unique<DutyCycleProcess>("duty", 3),
+      std::make_unique<stream::GainStage>("gain", 16),
+      std::make_unique<RandomMooreProcess>("gated", 3, 2, 4, rng, true),
+      std::make_unique<RandomMooreProcess>("plain", 3, 2, 4, rng, false),
+      std::make_unique<proc::RegFileBlock>(),
+  };
+  for (const auto& process : processes)
+    EXPECT_TRUE(process->has_oracle()) << process->name();
+  EXPECT_FALSE(IdentityProcess("id").has_oracle());
+
+  // TimedProcess (the stream harness's stage timer) declares the oracle of
+  // the stage it wraps: timed or not, WP2 keeps its WP2 cycle count.
+  stream::StreamGraphConfig graph;
+  graph.tokens = 2000;
+  graph.fir_stages = 3;
+  graph.branches = 2;
+  graph.agc_period = 16;
+  graph.feedback_rs = 2;
+  graph.forward_rs = 1;
+  stream::HarnessOptions timed;
+  timed.mode = stream::RunMode::kWp2;
+  timed.record_metrics = false;
+  timed.time_stages = true;
+  EXPECT_EQ(stream::run_stream_graph(graph, timed).cycles, 2253u);
+
+  // The CPU case study under WP2 keeps KernelBehaviourPinned's Table-1
+  // cycles.
+  const proc::ProgramSpec sort = proc::extraction_sort_program(16, 1);
+  const auto configs = proc::table1_sort_configs();
+  for (const auto& [label, wp2_cycles] :
+       {std::pair<const char*, std::uint64_t>{"Only RF-DC", 2299},
+        {"All 1 (no CU-IC)", 3836}}) {
+    const auto it = std::find_if(
+        configs.begin(), configs.end(),
+        [label = label](const proc::RsConfig& c) { return c.label == label; });
+    ASSERT_NE(it, configs.end());
+    EXPECT_EQ(proc::run_experiment(sort, proc::CpuConfig{}, *it).wp2_cycles,
+              wp2_cycles)
+        << label;
+  }
 }
 
 /// A genuine deadlock: one source fans out to two sinks. Sink `a` halts
