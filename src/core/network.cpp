@@ -27,6 +27,7 @@ Shell* Network::add_shell(std::unique_ptr<Shell> shell) {
                        InputMask{1} << port});
   }
   state.in_end = static_cast<std::uint32_t>(inputs_.size());
+  state.all_inputs = all_inputs_mask(handle.inputs_.size());
   unconnected_ += handle.inputs_.size();
   state.br_begin = state.br_end = static_cast<std::uint32_t>(branches_.size());
   state.out_begin = static_cast<std::uint32_t>(out_words_.size());
@@ -106,14 +107,10 @@ void Network::add_relay_station(WireId in, WireId out,
       .emplace_back(in, out, stall_probability, seed);
 }
 
-// The kernel's out-of-line per-cycle functions (Network::step, which holds
-// every per-cycle pass, and run) are pinned to 64-byte boundaries: their
-// speed depends on where their loops fall within a 64-byte line, and
-// unpinned, a code-size change in files linked before them moved the
-// stream-wp2 benchmark by 5% (latency_p1_ms, gcc 12.2 Release on a 4-vCPU
-// Xeon). The relay station's eval and commit are inlined here.
-[[gnu::aligned(64)]]
-void Network::step() {
+// One clock cycle: every per-cycle pass. It is inlined into both step()
+// and run(), so the run loop makes no call per cycle. The relay station's
+// eval and commit are inlined here.
+[[gnu::always_inline]] inline void Network::advance() {
   Word* const ring = ring_words_.data();
 
   WP_CHECK(unconnected_ == 0,
@@ -180,7 +177,7 @@ void Network::step() {
     InputState* const in = inputs_.data() + shell.in_begin;
     Word* const in_words = in_words_.data() + shell.in_begin;
     const std::size_t n = shell.in_end - shell.in_begin;
-    InputMask required = all_inputs_mask(n);
+    InputMask required = shell.all_inputs;
     if (shell.oracle) {
       // The oracle may peek at the current-tag tokens that have arrived.
       for (std::size_t i = 0; i < n; ++i)
@@ -228,6 +225,14 @@ void Network::step() {
   ++cycle_;
 }
 
+// The kernel's out-of-line per-cycle functions, step() and run(), each
+// holding the inlined cycle, are pinned to 64-byte boundaries: their speed
+// depends on where their loops fall within a 64-byte line, and unpinned, a
+// code-size change in files linked before them moved the stream-wp2
+// benchmark by 5% (latency_p1_ms, gcc 12.2 Release on a 4-vCPU Xeon).
+[[gnu::aligned(64)]]
+void Network::step() { advance(); }
+
 [[gnu::aligned(64)]]
 std::uint64_t Network::run(std::uint64_t max_cycles,
                            std::size_t halted_shells) {
@@ -235,7 +240,7 @@ std::uint64_t Network::run(std::uint64_t max_cycles,
   std::uint64_t idle = 0;
   std::uint64_t last_firings = firings_;
   while (executed < max_cycles && halted_ < halted_shells) {
-    step();
+    advance();
     ++executed;
     if (firings_ != last_firings) {
       last_firings = firings_;

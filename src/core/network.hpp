@@ -15,7 +15,8 @@
 //   * one entry per shell: its input and branch ranges, firing counter,
 //     undelivered count, halted flag, process and statistics;
 //   * the relay stations by value, plain and noise stations apart.
-// step() is a few straight passes over these arrays, in this order:
+// One cycle (step(); run() inlines the same passes) is a few straight
+// passes over these arrays, in this order:
 //   1. stations drive both their wires, branches their tokens (eval);
 //   2. each input drives its stop line and takes this cycle's arrival;
 //   3. each branch whose stop line is low takes its delivery;
@@ -119,6 +120,7 @@ class Network {
     std::uint32_t br_begin, br_end;       // range of branches_
     std::uint32_t out_begin;              // first output word in out_words_
     std::uint32_t undelivered = 0;  // branches still to accept the last word
+    InputMask all_inputs;           // what a process without an oracle needs
     InputMask available = 0;        // non-empty FIFOs, gathered by arrivals
     Tag firing_counter = 0;
     bool halted;
@@ -126,6 +128,8 @@ class Network {
     bool poison;  // oracle and ShellOptions::poison_unrequired
     ShellStats stats;
   };
+
+  void advance();  // one clock cycle, inlined into step() and run()
 
   // Called by a Shell handle once it is in this network.
   void connect_input(std::uint32_t shell, std::size_t port);

@@ -92,19 +92,26 @@ FirFilter::FirFilter(std::string name, std::vector<Word> coefficients)
 }
 
 void FirFilter::fire(const Word* in, Word* out) {
-  // Shift the delay line and convolve.
-  for (std::size_t k = delay_line_.size(); k-- > 1;)
-    delay_line_[k] = delay_line_[k - 1];
-  delay_line_[0] = in[0];
+  // The delay line is a ring, so a firing writes one slot and moves no
+  // sample: the newest goes one slot before the previous newest, and the
+  // sample k firings old sits k slots after it. Summing in tap order keeps
+  // the result bit for bit.
+  const std::size_t taps = coefficients_.size();
+  newest_ = newest_ == 0 ? taps - 1 : newest_ - 1;
+  delay_line_[newest_] = in[0];
   std::int64_t acc = 0;
-  for (std::size_t k = 0; k < coefficients_.size(); ++k)
+  std::size_t slot = newest_;
+  for (std::size_t k = 0; k < taps; ++k) {
     acc += static_cast<std::int64_t>(
-        as_signed(fix_mul(delay_line_[k], coefficients_[k])));
+        as_signed(fix_mul(delay_line_[slot], coefficients_[k])));
+    slot = slot + 1 == taps ? 0 : slot + 1;
+  }
   out[0] = as_word(acc);
 }
 
 void FirFilter::reset() {
   delay_line_.assign(coefficients_.size(), 0);
+  newest_ = 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ class FirFilter final : public Process {
 
  private:
   std::vector<Word> coefficients_;
-  std::vector<Word> delay_line_;
+  std::vector<Word> delay_line_;  // a ring; see fire()
+  std::size_t newest_ = 0;        // slot of the newest sample
 };
 
 /// Multiplies the sample stream by the most recent gain. The AGC updates
