@@ -1,7 +1,10 @@
 // E6 — the theory section's claim Th = m/(m+n), "the worst loop dominates":
 // simulated throughput of synthetic ring and multi-loop systems versus the
 // analytic bound, for WP1 and WP2 shells, including a duty-cycled consumer
-// that only WP2 can exploit.
+// that only WP2 can exploit. Exits 1 when a ring's WP1 and WP2 differ or
+// miss m/(m+n) by more than one loop round's transient, or when a duty
+// row's WP2 falls below its WP1.
+#include <cmath>
 #include <iostream>
 
 #include "core/procs.hpp"
@@ -10,6 +13,8 @@
 #include "util/table.hpp"
 
 namespace {
+
+constexpr std::uint64_t kCycles = 4000;
 
 wp::SystemSpec ring_system(int m) {
   wp::SystemSpec spec;
@@ -25,24 +30,24 @@ wp::SystemSpec ring_system(int m) {
   return spec;
 }
 
-double simulated_throughput(const wp::SystemSpec& spec, bool oracle,
-                            std::uint64_t cycles = 4000) {
+double simulated_throughput(const wp::SystemSpec& spec, bool oracle) {
   wp::ShellOptions opts;
   opts.use_oracle = oracle;
   wp::LidSystem lid = build_lid(spec, opts, false);
-  for (std::uint64_t i = 0; i < cycles; ++i) lid.network->step();
+  for (std::uint64_t i = 0; i < kCycles; ++i) lid.network->step();
   std::uint64_t max_firings = 0;
   for (const auto& [name, shell] : lid.shells) {
     (void)name;
-    max_firings = std::max(max_firings, shell->stats().firings);
+    max_firings = std::max(max_firings, lid.network->stats(shell).firings);
   }
-  return static_cast<double>(max_firings) / static_cast<double>(cycles);
+  return static_cast<double>(max_firings) / static_cast<double>(kCycles);
 }
 
 }  // namespace
 
 int main() {
   using namespace wp;
+  bool ok = true;
 
   TextTable table({"system", "m", "n", "analytic m/(m+n)", "sim WP1",
                    "sim WP2"});
@@ -53,10 +58,20 @@ int main() {
       SystemSpec spec = ring_system(m);
       spec.set_connection_rs("ring0", n);
       const double analytic = static_cast<double>(m) / (m + n);
+      const double wp1 = simulated_throughput(spec, false);
+      const double wp2 = simulated_throughput(spec, true);
       table.add_row({"ring", std::to_string(m), std::to_string(n),
-                     fmt_fixed(analytic, 3),
-                     fmt_fixed(simulated_throughput(spec, false), 3),
-                     fmt_fixed(simulated_throughput(spec, true), 3)});
+                     fmt_fixed(analytic, 3), fmt_fixed(wp1, 3),
+                     fmt_fixed(wp2, 3)});
+      // The first loop round fills the ring's m + n slots, so the firing
+      // count may be off the bound by up to that many firings.
+      const double transient = static_cast<double>(m + n) / kCycles;
+      if (wp1 != wp2 || std::abs(wp1 - analytic) > transient) {
+        std::cerr << "bench_loop_formula: ring m=" << m << " n=" << n
+                  << ": WP1 " << wp1 << ", WP2 " << wp2
+                  << ", analytic m/(m+n) " << analytic << "\n";
+        ok = false;
+      }
     }
   }
   table.print(std::cout);
@@ -93,11 +108,16 @@ int main() {
       const double wp2 = simulated_throughput(spec, true);
       duty.add_row({std::to_string(k), std::to_string(n), fmt_fixed(wp1, 3),
                     fmt_fixed(wp2, 3), fmt_percent(wp2 / wp1 - 1.0)});
+      if (wp2 < wp1) {
+        std::cerr << "bench_loop_formula: duty k=" << k << " n=" << n
+                  << ": WP2 " << wp2 << " below WP1 " << wp1 << "\n";
+        ok = false;
+      }
     }
   }
   duty.print(std::cout);
   std::cout << "The oracle's relaxation of synchronicity converts unused "
                "loop slack\ninto throughput — the WP2 mechanism of the "
                "paper, isolated.\n";
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -81,7 +81,7 @@ done:   halt
       vcd.add_wire(w);
   }
   vcd.finalize_header();
-  for (Cycle c = 0; c < 200 && !lid.shells.at("CU")->halted(); ++c) {
+  for (Cycle c = 0; c < 200 && !lid.network->halted(lid.shells.at("CU")); ++c) {
     lid.network->step();
     vcd.sample(c);
   }

@@ -41,7 +41,7 @@ int main() {
     LidSystem lid = build_lid(spec, options, /*record_trace=*/true);
     for (int i = 0; i < 2000; ++i) lid.network->step();
 
-    const auto& stats = lid.shells.at("duty")->stats();
+    const auto& stats = lid.network->stats(lid.shells.at("duty"));
     const double throughput = static_cast<double>(stats.firings) / 2000.0;
     const auto eq = check_equivalence(golden.trace(), lid.trace);
 

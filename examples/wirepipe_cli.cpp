@@ -75,7 +75,7 @@ int cmd_simulate(const ParsedSystem& parsed, std::uint64_t cycles,
   TextTable table({"shell", "firings", "throughput", "input stalls",
                    "output stalls", "discarded"});
   for (const auto& [name, s] : lid.shells) {
-    const auto& st = s->stats();
+    const auto& st = lid.network->stats(s);
     table.add_row({name, std::to_string(st.firings),
                    fmt_fixed(static_cast<double>(st.firings) /
                                  static_cast<double>(std::max<std::uint64_t>(

@@ -10,65 +10,74 @@ WireId Network::make_wire(std::string name) {
   return static_cast<WireId>(wires_.size() - 1);
 }
 
-Shell* Network::add_shell(std::unique_ptr<Shell> shell) {
-  WP_REQUIRE(shell != nullptr, "null shell");
-  Shell& handle = *shell;
-  const auto index = static_cast<std::uint32_t>(shells_.size());
-  const std::size_t capacity = handle.options_.fifo_capacity;
+ShellId Network::add_shell(std::string name,
+                           std::unique_ptr<Process> process,
+                           const ShellOptions& options) {
+  WP_REQUIRE(process != nullptr, "shell requires a process");
+  const std::size_t capacity = options.fifo_capacity;
+  WP_REQUIRE(capacity >= 1 && capacity <= kMaxFifoCapacity,
+             "FIFO capacity must be in [1, " +
+                 std::to_string(kMaxFifoCapacity) + "]");
+  const auto id = static_cast<ShellId>(shells_.size());
+  const std::size_t inputs = process->inputs().size();
 
   ShellState state;
-  state.process = handle.process_.get();
+  state.process = process.get();
   state.observer = nullptr;
   state.in_begin = static_cast<std::uint32_t>(inputs_.size());
-  for (std::size_t port = 0; port < handle.inputs_.size(); ++port) {
+  for (std::size_t port = 0; port < inputs; ++port) {
     inputs_.push_back({TokenRing(ring_words_.size() + port * capacity,
                                  capacity),
-                       0, Shell::kUnconnected, index,
-                       InputMask{1} << port});
+                       0, kUnconnected, id, InputMask{1} << port});
   }
   state.in_end = static_cast<std::uint32_t>(inputs_.size());
-  state.all_inputs = all_inputs_mask(handle.inputs_.size());
-  unconnected_ += handle.inputs_.size();
+  state.all_inputs = all_inputs_mask(inputs);
+  unconnected_ += inputs;
   state.br_begin = state.br_end = static_cast<std::uint32_t>(branches_.size());
   state.out_begin = static_cast<std::uint32_t>(out_words_.size());
-  state.halted = state.process->halted();
-  state.oracle = handle.options_.use_oracle && state.process->has_oracle();
-  state.poison = state.oracle && handle.options_.poison_unrequired;
+  state.halted = process->halted();
+  state.oracle = options.use_oracle && process->has_oracle();
+  state.poison = state.oracle && options.poison_unrequired;
   shells_.push_back(state);
   if (state.halted) ++halted_;
 
-  ring_words_.resize(ring_words_.size() + handle.inputs_.size() * capacity,
-                     kPoisonWord);
+  ring_words_.resize(ring_words_.size() + inputs * capacity, kPoisonWord);
   in_words_.resize(inputs_.size(), 0);
-  out_words_.resize(out_words_.size() + state.process->outputs().size(), 0);
-
-  handles_.push_back(std::move(shell));
-  handle.network_ = this;
-  handle.index_ = index;
-  // The connections made before the shell joined the network.
-  for (std::size_t port = 0; port < handle.inputs_.size(); ++port)
-    if (handle.inputs_[port].wire != Shell::kUnconnected)
-      connect_input(index, port);
-  for (const Shell::Branch& branch : handle.branches_)
-    add_branch(index, branch);
-  observe(index);
-  return &handle;
+  initial_words_.resize(inputs_.size(), kPoisonWord);
+  out_words_.resize(out_words_.size() + process->outputs().size(), 0);
+  shell_names_.push_back(std::move(name));
+  processes_.push_back(std::move(process));
+  observers_.emplace_back();
+  return id;
 }
 
-void Network::connect_input(std::uint32_t shell, std::size_t port) {
-  const std::size_t input = shells_[shell].in_begin + port;
-  inputs_[input].wire = handles_[shell]->inputs_[port].wire;
+void Network::connect_input(ShellId shell, std::size_t port, WireId wire,
+                            Word initial_value) {
+  const ShellState& state = shell_state(shell);
+  WP_REQUIRE(port < state.in_end - state.in_begin,
+             "input port index out of range");
+  WP_REQUIRE(wire < wires_.size(), "input wire id out of range");
+  const std::size_t input = state.in_begin + port;
+  WP_REQUIRE(inputs_[input].wire == kUnconnected,
+             "input port connected twice: " + shell_names_[shell] + "." +
+                 processes_[shell]->inputs()[port].name);
+  inputs_[input].wire = wire;
+  initial_words_[input] = initial_value;
   --unconnected_;
   seed(input);
 }
 
-void Network::add_branch(std::uint32_t shell, const Shell::Branch& branch) {
+void Network::add_output_wire(ShellId shell, std::size_t port, WireId wire) {
+  WP_REQUIRE(port < shell_state(shell).process->outputs().size(),
+             "output port index out of range");
+  WP_REQUIRE(wire < wires_.size(), "output wire id out of range");
   // A shell's branches stay contiguous: insert at the end of its range and
   // shift the ranges of the shells after it. Nothing is pending yet, so the
   // new branch counts as delivered.
   ShellState& state = shells_[shell];
   branches_.insert(branches_.begin() + state.br_end,
-                   {branch.wire, state.out_begin + branch.port, shell, false});
+                   {wire, state.out_begin + static_cast<std::uint32_t>(port),
+                    shell, false});
   ++state.br_end;
   for (std::size_t k = shell + 1; k < shells_.size(); ++k) {
     ++shells_[k].br_begin;
@@ -76,24 +85,22 @@ void Network::add_branch(std::uint32_t shell, const Shell::Branch& branch) {
   }
 }
 
-void Network::observe(std::uint32_t shell) {
-  const Shell::FireObserver& observer = handles_[shell]->observer_;
-  shells_[shell].observer = observer ? &observer : nullptr;
+void Network::set_fire_observer(ShellId shell, FireObserver observer) {
+  shell_state(shell);
+  observers_[shell] = std::move(observer);
+  shells_[shell].observer = observers_[shell] ? &observers_[shell] : nullptr;
 }
 
 void Network::seed(std::size_t input) {
-  InputState& state = inputs_[input];
-  const std::size_t port = input - shells_[state.shell].in_begin;
-  state.fifo.push_back(ring_words_.data(),
-                       handles_[state.shell]->inputs_[port].initial);
-  state.received = 1;
+  inputs_[input].fifo.push_back(ring_words_.data(), initial_words_[input]);
+  inputs_[input].received = 1;
 }
 
 const std::string& Network::first_unconnected_shell() const {
   for (const InputState& input : inputs_)
-    if (input.wire == Shell::kUnconnected) return handles_[input.shell]->name();
+    if (input.wire == kUnconnected) return shell_names_[input.shell];
   WP_CHECK(false, "no unconnected input");
-  return handles_.front()->name();  // unreachable
+  return shell_names_.front();  // unreachable
 }
 
 void Network::add_relay_station(WireId in, WireId out,
@@ -143,14 +150,14 @@ void Network::add_relay_station(WireId in, WireId out,
         ++shell.stats.discarded_tokens;
       } else {
         WP_CHECK(!input.fifo.full(),
-                 "input FIFO overflow on " + handles_[input.shell]->name());
+                 "input FIFO overflow on " + shell_names_[input.shell]);
         input.fifo.push_back(ring, wire.value);
       }
     }
     if (!input.fifo.empty()) {
       WP_CHECK(input.received - input.fifo.size() == shell.firing_counter,
                "stale token survived purge on " +
-                   handles_[input.shell]->name());
+                   shell_names_[input.shell]);
       shell.available |= input.bit;
     }
   }
@@ -271,12 +278,49 @@ void Network::reset() {
     InputState& input = inputs_[i];
     input.fifo.clear();
     input.received = 0;
-    if (input.wire != Shell::kUnconnected) seed(i);  // initial token
+    if (input.wire != kUnconnected) seed(i);  // initial token
   }
   for (BranchState& branch : branches_) branch.pending = false;
   for (auto& station : stations_) station.reset();
   for (auto& station : noise_stations_) station.reset();
   cycle_ = 0;
+}
+
+const Network::ShellState& Network::shell_state(ShellId shell) const {
+  WP_REQUIRE(shell < shells_.size(), "shell id out of range");
+  return shells_[shell];
+}
+
+const ShellStats& Network::stats(ShellId shell) const {
+  return shell_state(shell).stats;
+}
+
+Tag Network::firing_counter(ShellId shell) const {
+  return shell_state(shell).firing_counter;
+}
+
+bool Network::halted(ShellId shell) const {
+  return shell_state(shell).halted;
+}
+
+std::size_t Network::fifo_size(ShellId shell, std::size_t port) const {
+  const ShellState& state = shell_state(shell);
+  WP_REQUIRE(port < state.in_end - state.in_begin,
+             "input port index out of range");
+  return inputs_[state.in_begin + port].fifo.size();
+}
+
+const Process& Network::process(ShellId shell) const {
+  return *shell_state(shell).process;
+}
+
+Process& Network::process(ShellId shell) {
+  return *shell_state(shell).process;
+}
+
+const std::string& Network::shell_name(ShellId shell) const {
+  shell_state(shell);
+  return shell_names_[shell];
 }
 
 Wire& Network::wire(WireId id) {

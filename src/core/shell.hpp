@@ -28,26 +28,21 @@
 // producer's golden output register), which gives the marked-graph semantics
 // behind the paper's Th = m/(m+n) loop formula.
 //
-// A shell is a Moore machine. Its per-cycle state — the input FIFOs and
-// counters, the output branches, the firing counter — lives in flat arrays
-// owned by its Network, one entry per input, per output branch and per
-// shell across the whole network, and Network::step advances every shell
-// at once in two phases over the network's wire array:
+// A shell is a Moore machine. It has no object of its own: its Network
+// holds it as an entry per input, per output branch and per shell in flat
+// arrays, plus the cold data (name, process, observer, initial words) in
+// side tables, and names it by a ShellId. Network::step advances every
+// shell at once in two phases over the network's wire array:
 //   eval   — drive input stop lines and output tokens from registered state
 //            only; never reads a wire;
 //   commit — sample the wires: arrivals, deliveries, then one firing
 //            attempt per shell.
 // So the order in which shells and relay stations are stepped within a
-// phase never changes the result. A Shell object is the handle: it owns the
-// process and the configuration (name, options, port connections) and reads
-// its state back from the network once Network::add_shell has taken it.
+// phase never changes the result.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "core/process.hpp"
 #include "core/wire.hpp"
@@ -80,67 +75,11 @@ struct ShellStats {
   std::uint64_t discarded_tokens = 0;  ///< stale tokens dropped (WP2 only)
 };
 
-class Network;
+/// A shell's index in its Network, handed out by Network::add_shell.
+using ShellId = std::uint32_t;
 
-class Shell {
- public:
-  Shell(std::string name, std::unique_ptr<Process> process,
-        ShellOptions options);
-  Shell(const Shell&) = delete;
-  Shell& operator=(const Shell&) = delete;
-
-  /// Connects input port `port` to `wire`. `initial_value` is the reset
-  /// value of the producing golden register; it seeds the channel's single
-  /// initial token (tag 0). Every input must be connected exactly once.
-  void connect_input(std::size_t port, WireId wire, Word initial_value);
-
-  /// Adds a fan-out branch of output port `port`. A fired token counts as
-  /// delivered only once every branch has accepted it. Ports with no branch
-  /// are silently dropped.
-  void add_output_wire(std::size_t port, WireId wire);
-
-  /// Called after every firing with (cycle, tag, output words).
-  using FireObserver =
-      std::function<void(Cycle cycle, Tag tag, const Word* outs)>;
-  void set_fire_observer(FireObserver observer);
-
-  const std::string& name() const { return name_; }
-  const Process& process() const { return *process_; }
-  Process& process() { return *process_; }
-
-  // State, read back from the network; the shell must be in one. A
-  // returned reference stays valid until the network adds a shell.
-  const ShellStats& stats() const;
-  Tag firing_counter() const;
-  /// The process's halted(), read after each firing and on reset: a
-  /// process halts only by firing.
-  bool halted() const;
-  /// Current occupancy of one input FIFO (tests / ablation).
-  std::size_t fifo_size(std::size_t port) const;
-
- private:
-  friend class Network;
-  static constexpr WireId kUnconnected = ~WireId{0};
-
-  void require_network() const;
-
-  struct Input {
-    WireId wire = kUnconnected;
-    Word initial = kPoisonWord;  // the channel's initial token
-  };
-  struct Branch {
-    WireId wire;
-    std::uint32_t port;
-  };
-
-  std::string name_;
-  std::unique_ptr<Process> process_;
-  ShellOptions options_;
-  std::vector<Input> inputs_;      // one per input port
-  std::vector<Branch> branches_;   // in the order they were added
-  FireObserver observer_;
-  Network* network_ = nullptr;     // set by Network::add_shell
-  std::uint32_t index_ = 0;        // this shell's entry in the network
-};
+/// Called after every firing of a shell with (cycle, tag, output words).
+using FireObserver =
+    std::function<void(Cycle cycle, Tag tag, const Word* outs)>;
 
 }  // namespace wp

@@ -118,50 +118,46 @@ LidSystem build_lid(const SystemSpec& spec, const ShellOptions& options,
   lid.network = std::make_unique<Network>();
   Rng noise_rng(noise.seed);
 
-  for (const auto& name : spec.process_names()) {
-    auto process = spec.instantiate(name);
-    auto shell =
-        std::make_unique<Shell>(name, std::move(process), options);
-    lid.shells[name] = lid.network->add_shell(std::move(shell));
-  }
+  Network& net = *lid.network;
+  for (const auto& name : spec.process_names())
+    lid.shells[name] = net.add_shell(name, spec.instantiate(name), options);
 
   for (const auto& ch : spec.channels()) {
-    Shell* from = lid.shells.at(ch.from);
-    Shell* to = lid.shells.at(ch.to);
-    const std::size_t out_port = from->process().output_index(ch.from_port);
-    const std::size_t in_port = to->process().input_index(ch.to_port);
-    const Word seed = from->process().outputs()[out_port].reset_value;
+    const ShellId from = lid.shells.at(ch.from);
+    const ShellId to = lid.shells.at(ch.to);
+    const Process& producer = net.process(from);
+    const std::size_t out_port = producer.output_index(ch.from_port);
+    const std::size_t in_port = net.process(to).input_index(ch.to_port);
+    const Word seed = producer.outputs()[out_port].reset_value;
 
     // Wire chain: from → RS_1 → … → RS_n → to.
     const std::string base =
         ch.from + "." + ch.from_port + "->" + ch.to + "." + ch.to_port;
-    WireId tail = lid.network->make_wire(base + "#0");
-    from->add_output_wire(out_port, tail);
+    WireId tail = net.make_wire(base + "#0");
+    net.add_output_wire(from, out_port, tail);
     for (int k = 0; k < ch.relay_stations; ++k) {
-      const WireId next =
-          lid.network->make_wire(base + "#" + std::to_string(k + 1));
-      lid.network->add_relay_station(tail, next);
+      const WireId next = net.make_wire(base + "#" + std::to_string(k + 1));
+      net.add_relay_station(tail, next);
       tail = next;
     }
     if (noise.stall_probability > 0.0) {
-      const WireId next = lid.network->make_wire(base + "#noise");
-      lid.network->add_relay_station(tail, next, noise.stall_probability,
-                                     noise_rng());
+      const WireId next = net.make_wire(base + "#noise");
+      net.add_relay_station(tail, next, noise.stall_probability,
+                            noise_rng());
       tail = next;
     }
-    to->connect_input(in_port, tail, seed);
+    net.connect_input(to, in_port, tail, seed);
   }
 
   if (record_trace) {
-    for (auto& [name, shell] : lid.shells) {
-      Shell* s = shell;
+    for (const auto& [name, shell] : lid.shells) {
       Trace* trace = &lid.trace;
-      const auto& outs = s->process().outputs();
+      const auto& outs = net.process(shell).outputs();
       std::vector<std::string> keys;
       keys.reserve(outs.size());
       for (const auto& port : outs) keys.push_back(name + "." + port.name);
-      s->set_fire_observer(
-          [trace, keys](Cycle, Tag, const Word* values) {
+      net.set_fire_observer(
+          shell, [trace, keys](Cycle, Tag, const Word* values) {
             for (std::size_t o = 0; o < keys.size(); ++o)
               (*trace)[keys[o]].push_back(values[o]);
           });

@@ -1,7 +1,7 @@
 // System-level description and the three ways to execute it:
 //   * GoldenSim      — the original fully synchronous system (no wrappers);
 //   * build_lid(...) — the wire-pipelined system: every process enclosed in
-//                      a Shell (WP1 or WP2) and every channel segmented by
+//                      a shell (WP1 or WP2) and every channel segmented by
 //                      its configured number of relay stations.
 //
 // A SystemSpec is instantiated afresh for every run (ProcessFactory), so the
@@ -85,11 +85,11 @@ class SystemSpec {
   std::vector<ChannelDecl> channels_;
 };
 
-/// The wire-pipelined instantiation: a Network plus name → shell map. It
-/// is movable: the shells live in the network, which lives on the heap.
+/// The wire-pipelined instantiation: a Network plus name → shell id map.
+/// It is movable: the shells live in the network, which lives on the heap.
 struct LidSystem {
   std::unique_ptr<Network> network;
-  std::map<std::string, Shell*> shells;
+  std::map<std::string, ShellId> shells;
   Trace trace;  // populated while running if tracing was requested
 
   /// Runs Network::run until one shell's process halts (or max_cycles

@@ -55,7 +55,7 @@ NetlistSimResult simulate_netlist(const std::string& netlist,
     std::uint64_t slowest = std::numeric_limits<std::uint64_t>::max();
     for (const auto& [name, sh] : lid.shells) {
       (void)name;
-      slowest = std::min(slowest, sh->stats().firings);
+      slowest = std::min(slowest, lid.network->stats(sh).firings);
     }
     const double th = static_cast<double>(slowest) /
                       static_cast<double>(options.wp_cycles);

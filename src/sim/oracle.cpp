@@ -76,7 +76,7 @@ Leg run_leg(const proc::ProgramSpec& program, const wp::SystemSpec& spec,
   wp::LidSystem lid = build_lid(spec, shell, record_trace);
   const bool reads_after_halt = record_trace || verify_result;
   leg.cycles = lid.run_until_halt(max_cycles, reads_after_halt ? 256 : 0);
-  leg.halted = lid.shells.at("CU")->halted();
+  leg.halted = lid.network->halted(lid.shells.at("CU"));
   if (!leg.halted) note(name + " run did not halt within max_cycles");
   if (record_trace) {
     const auto eq = check_equivalence(*golden_trace, lid.trace);
@@ -87,7 +87,8 @@ Leg run_leg(const proc::ProgramSpec& program, const wp::SystemSpec& spec,
   }
   std::string error;
   if (verify_result &&
-      !check_result(program, lid.shells.at("DC")->process(), &error)) {
+      !check_result(program, lid.network->process(lid.shells.at("DC")),
+                    &error)) {
     leg.result_ok = false;
     note(name + " result check failed: " + error);
   }

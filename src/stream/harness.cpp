@@ -285,14 +285,15 @@ HarnessResult run_stream_graph(const StreamGraphConfig& config,
     result.cycles = lid.network->run(max_cycles, config.branches);
     bool all_halted = true;
     for (std::size_t b = 0; b < config.branches; ++b)
-      all_halted = all_halted && lid.shells.at(snk_name(b))->halted();
+      all_halted =
+          all_halted && lid.network->halted(lid.shells.at(snk_name(b)));
     WP_ENSURE(all_halted,
               "stream harness exhausted its cycle budget before every sink "
               "halted — raise max_cycles; refusing to report a truncated "
               "run");
 
     for (const std::string& name : names) {
-      const ShellStats& stats = lid.shells.at(name)->stats();
+      const ShellStats& stats = lid.network->stats(lid.shells.at(name));
       StageLoad load;
       load.name = name;
       load.firings = stats.firings;
@@ -305,7 +306,7 @@ HarnessResult run_stream_graph(const StreamGraphConfig& config,
       result.stages.push_back(std::move(load));
     }
     for (std::size_t b = 0; b < config.branches; ++b)
-      record_sink(lid.shells.at(snk_name(b))->process());
+      record_sink(lid.network->process(lid.shells.at(snk_name(b))));
   }
 
   const std::uint64_t wall_ns = obs::now_ns() - wall_start;

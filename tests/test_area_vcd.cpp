@@ -136,10 +136,10 @@ TEST(Vcd, TracksAShellNetwork) {
   Network net;
   const WireId in = net.make_wire("in");
   const WireId out = net.make_wire("out");
-  auto* shell = net.add_shell(std::make_unique<Shell>(
-      "id", std::make_unique<IdentityProcess>("id"), ShellOptions{}));
-  shell->connect_input(0, in, 1);
-  shell->add_output_wire(0, out);
+  const ShellId shell = net.add_shell(
+      "id", std::make_unique<IdentityProcess>("id"), ShellOptions{});
+  net.connect_input(shell, 0, in, 1);
+  net.add_output_wire(shell, 0, out);
 
   VcdWriter vcd(os, net, "lid");
   vcd.add_wire(in);

@@ -90,7 +90,7 @@ TEST_P(EquivalenceProperty, Wp1AndWp2MatchGoldenAndWp2IsNoSlower) {
         << eq.detail;
     ASSERT_GT(eq.events_checked, 0u);
 
-    std::uint64_t firings = lid.shells.at("p0")->stats().firings;
+    std::uint64_t firings = lid.network->stats(lid.shells.at("p0")).firings;
     ASSERT_GT(firings, 0u) << "system deadlocked, seed=" << GetParam();
     (oracle ? firings_wp2 : firings_wp1) = firings;
   }
@@ -113,7 +113,7 @@ TEST_P(IdealIdentityProperty, ZeroRsFiresEveryCycle) {
   const std::uint64_t cycles = 300;
   for (std::uint64_t i = 0; i < cycles; ++i) lid.network->step();
   for (const auto& [name, shell] : lid.shells)
-    EXPECT_EQ(shell->stats().firings, cycles) << name;
+    EXPECT_EQ(lid.network->stats(shell).firings, cycles) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSystems, IdealIdentityProperty,

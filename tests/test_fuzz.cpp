@@ -50,7 +50,7 @@ TEST_P(CpuFuzz, GoldenWp1Wp2AgreeOnRandomPrograms) {
     shell.fifo_capacity = 1 + rng.below(16);
     LidSystem lid = build_lid(spec, shell, true);
     const std::uint64_t cycles = lid.run_until_halt(3000000);
-    ASSERT_TRUE(lid.shells.at("CU")->halted())
+    ASSERT_TRUE(lid.network->halted(lid.shells.at("CU")))
         << (oracle ? "WP2" : "WP1") << " did not halt, seed " << seed;
     ASSERT_GE(cycles, golden_cycles) << "WP faster than golden?!";
 
@@ -58,14 +58,14 @@ TEST_P(CpuFuzz, GoldenWp1Wp2AgreeOnRandomPrograms) {
     ASSERT_TRUE(eq.equivalent)
         << (oracle ? "WP2" : "WP1") << " seed " << seed << ": " << eq.detail;
 
-    const auto& dc =
-        dynamic_cast<const DcacheBlock&>(lid.shells.at("DC")->process());
+    const auto& dc = dynamic_cast<const DcacheBlock&>(
+        lid.network->process(lid.shells.at("DC")));
     ASSERT_EQ(dc.memory(), golden_dc.memory())
         << (oracle ? "WP2" : "WP1") << " final memory differs, seed "
         << seed;
 
-    const auto& cu =
-        dynamic_cast<const ControlUnit&>(lid.shells.at("CU")->process());
+    const auto& cu = dynamic_cast<const ControlUnit&>(
+        lid.network->process(lid.shells.at("CU")));
     ASSERT_EQ(cu.instructions_retired(), golden_cu.instructions_retired())
         << "retired count differs, seed " << seed;
   }
@@ -98,11 +98,11 @@ TEST_P(CpuFuzzNoise, CongestionNeverChangesResults) {
   shell.use_oracle = true;
   LidSystem lid = build_lid(spec, shell, true, noise);
   lid.run_until_halt(5000000);
-  ASSERT_TRUE(lid.shells.at("CU")->halted()) << "seed " << seed;
+  ASSERT_TRUE(lid.network->halted(lid.shells.at("CU"))) << "seed " << seed;
   const auto eq = check_equivalence(golden.trace(), lid.trace);
   ASSERT_TRUE(eq.equivalent) << "seed " << seed << ": " << eq.detail;
-  const auto& dc =
-      dynamic_cast<const DcacheBlock&>(lid.shells.at("DC")->process());
+  const auto& dc = dynamic_cast<const DcacheBlock&>(
+      lid.network->process(lid.shells.at("DC")));
   ASSERT_EQ(dc.memory(), golden_dc.memory()) << "seed " << seed;
 }
 

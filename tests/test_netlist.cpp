@@ -55,7 +55,8 @@ TEST(Netlist, ParsedSystemRunsAndMatchesHandBuilt) {
     wp2.use_oracle = true;
     LidSystem lid = build_lid(*spec, wp2, true);
     for (int i = 0; i < 1000; ++i) lid.network->step();
-    EXPECT_NEAR(static_cast<double>(lid.shells.at("duty")->stats().firings) /
+    EXPECT_NEAR(static_cast<double>(
+                    lid.network->stats(lid.shells.at("duty")).firings) /
                     1000.0,
                 2.0 / 3.0, 0.01);
   }

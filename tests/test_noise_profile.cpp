@@ -37,7 +37,8 @@ TEST(StallInjector, TransparentAtZeroProbabilityUpToOneRs) {
   EXPECT_EQ(lid.network->relay_station_count(), 3u);  // one per channel
   for (int i = 0; i < 3000; ++i) lid.network->step();
   const double th =
-      static_cast<double>(lid.shells.at("p0")->stats().firings) / 3000.0;
+      static_cast<double>(lid.network->stats(lid.shells.at("p0")).firings) /
+      3000.0;
   EXPECT_NEAR(th, 0.5, 0.01);  // 3 tokens / (3 + 3 noise stations)
 }
 
@@ -100,12 +101,13 @@ TEST(StallInjector, CpuSurvivesCongestion) {
   noise.seed = 9;
   LidSystem lid = build_lid(spec, shell, true, noise);
   lid.run_until_halt(2000000);
-  EXPECT_TRUE(lid.shells.at("CU")->halted());
+  EXPECT_TRUE(lid.network->halted(lid.shells.at("CU")));
   const auto eq = check_equivalence(golden.trace(), lid.trace);
   EXPECT_TRUE(eq.equivalent) << eq.detail;
   std::string error;
   EXPECT_TRUE(program.verify(
-      dynamic_cast<const proc::DcacheBlock&>(lid.shells.at("DC")->process())
+      dynamic_cast<const proc::DcacheBlock&>(
+          lid.network->process(lid.shells.at("DC")))
           .memory(),
       &error))
       << error;

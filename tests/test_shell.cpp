@@ -1,7 +1,8 @@
 // Shell (wrapper) unit tests: strict WP1 synchronization, τ emission,
 // initial tokens, back-pressure, oracle-based WP2 firing, stale-token
 // discarding, peeking, unsound-oracle detection and output fan-out, plus
-// the Network counters the shell commits feed.
+// the Network counters the shell commits feed and the checks on every
+// Network call that builds a shell.
 #include <gtest/gtest.h>
 
 #include "core/network.hpp"
@@ -78,14 +79,13 @@ TEST(Shell, StrictWaitsForAllInputs) {
   const WireId wo = net.make_wire("o");
   auto proc = std::make_unique<RecordingProcess>();
   auto* rec = proc.get();
-  auto* shell = net.add_shell(
-      std::make_unique<Shell>("s", std::move(proc), wp1()));
-  shell->connect_input(0, wa, 10);  // initial tokens tag 0: (10, 20)
-  shell->connect_input(1, wb, 20);
-  shell->add_output_wire(0, wo);
+  const ShellId shell = net.add_shell("s", std::move(proc), wp1());
+  net.connect_input(shell, 0, wa, 10);  // initial tokens tag 0: (10, 20)
+  net.connect_input(shell, 1, wb, 20);
+  net.add_output_wire(shell, 0, wo);
 
   net.step();  // fires tag 0 from the initial tokens
-  EXPECT_EQ(shell->stats().firings, 1u);
+  EXPECT_EQ(net.stats(shell).firings, 1u);
   ASSERT_EQ(rec->seen.size(), 1u);
   EXPECT_EQ(rec->seen[0], std::make_pair(Word{10}, Word{20}));
 
@@ -94,14 +94,14 @@ TEST(Shell, StrictWaitsForAllInputs) {
   net.step();
   net.wire(wa).drive(Token::tau());
   net.step();
-  EXPECT_EQ(shell->stats().firings, 1u);
-  EXPECT_GT(shell->stats().stalls_input, 0u);
+  EXPECT_EQ(net.stats(shell).firings, 1u);
+  EXPECT_GT(net.stats(shell).stalls_input, 0u);
 
   // b arrives: fire.
   net.wire(wb).drive(Token::make(21));
   net.step();
   net.wire(wb).drive(Token::tau());
-  EXPECT_EQ(shell->stats().firings, 2u);
+  EXPECT_EQ(net.stats(shell).firings, 2u);
   EXPECT_EQ(rec->seen[1], std::make_pair(Word{11}, Word{21}));
 }
 
@@ -110,11 +110,11 @@ TEST(Shell, EmitsTauWhileStalled) {
   const WireId wa = net.make_wire("a");
   const WireId wb = net.make_wire("b");
   const WireId wo = net.make_wire("o");
-  auto* shell = net.add_shell(std::make_unique<Shell>(
-      "s", std::make_unique<RecordingProcess>(), wp1()));
-  shell->connect_input(0, wa, 1);
-  shell->connect_input(1, wb, 2);
-  shell->add_output_wire(0, wo);
+  const ShellId shell = net.add_shell(
+      "s", std::make_unique<RecordingProcess>(), wp1());
+  net.connect_input(shell, 0, wa, 1);
+  net.connect_input(shell, 1, wb, 2);
+  net.add_output_wire(shell, 0, wo);
 
   net.step();  // tag-0 firing; result (3) is driven next cycle
   net.step();
@@ -128,26 +128,26 @@ TEST(Shell, OutputHeldUnderStopThenDelivered) {
   Network net;
   const WireId wa = net.make_wire("a");
   const WireId wo = net.make_wire("o");
-  auto* shell = net.add_shell(std::make_unique<Shell>(
-      "s", std::make_unique<IdentityProcess>("id"), wp1()));
-  shell->connect_input(0, wa, 5);
-  shell->add_output_wire(0, wo);
+  const ShellId shell = net.add_shell(
+      "s", std::make_unique<IdentityProcess>("id"), wp1());
+  net.connect_input(shell, 0, wa, 5);
+  net.add_output_wire(shell, 0, wo);
 
   net.wire(wo).stop = true;  // consumer stalls (re-driven manually each eval)
   net.step();            // fires tag 0 (output pending)
-  EXPECT_EQ(shell->stats().firings, 1u);
+  EXPECT_EQ(net.stats(shell).firings, 1u);
   // Pending output + stop: cannot fire tag 1 even though input arrives.
   net.wire(wa).drive(Token::make(6));
   net.wire(wo).stop = true;
   net.step();
   net.wire(wa).drive(Token::tau());
-  EXPECT_EQ(shell->stats().firings, 1u);
-  EXPECT_GT(shell->stats().stalls_output, 0u);
+  EXPECT_EQ(net.stats(shell).firings, 1u);
+  EXPECT_GT(net.stats(shell).stalls_output, 0u);
   EXPECT_EQ(net.wire(wo).value, 5u);  // held token re-driven
   // Release the stop: token 5 delivered, then tag 1 fires with value 6.
   net.wire(wo).stop = false;
   net.step();
-  EXPECT_EQ(shell->stats().firings, 2u);
+  EXPECT_EQ(net.stats(shell).firings, 2u);
 }
 
 TEST(Shell, BackPressureAssertsStopWhenFifoFull) {
@@ -157,17 +157,17 @@ TEST(Shell, BackPressureAssertsStopWhenFifoFull) {
   const WireId wo = net.make_wire("o");
   ShellOptions opts = wp1();
   opts.fifo_capacity = 2;
-  auto* shell = net.add_shell(std::make_unique<Shell>(
-      "s", std::make_unique<RecordingProcess>(), opts));
-  shell->connect_input(0, wa, 0);
-  shell->connect_input(1, wb, 0);
-  shell->add_output_wire(0, wo);
+  const ShellId shell = net.add_shell(
+      "s", std::make_unique<RecordingProcess>(), opts);
+  net.connect_input(shell, 0, wa, 0);
+  net.connect_input(shell, 1, wb, 0);
+  net.add_output_wire(shell, 0, wo);
 
   // Flood input a while b starves: a's FIFO fills to capacity, stop rises.
   for (int i = 1; i <= 6; ++i) {
     net.wire(wa).drive(Token::make(static_cast<Word>(i)));
     net.step();
-    EXPECT_LE(shell->fifo_size(0), 2u);
+    EXPECT_LE(net.fifo_size(shell, 0), 2u);
   }
   EXPECT_TRUE(net.wire(wa).stop);
 }
@@ -178,27 +178,27 @@ TEST(Shell, OracleFiresWithoutUnneededInput) {
   const WireId wb = net.make_wire("b");
   const WireId wo = net.make_wire("o");
   // Input b needed only at every 3rd firing (phase 0).
-  auto* shell = net.add_shell(std::make_unique<Shell>(
-      "s", std::make_unique<DutyCycleProcess>("duty", 3), wp2()));
-  shell->connect_input(0, wa, 100);
-  shell->connect_input(1, wb, 200);
-  shell->add_output_wire(0, wo);
+  const ShellId shell = net.add_shell(
+      "s", std::make_unique<DutyCycleProcess>("duty", 3), wp2());
+  net.connect_input(shell, 0, wa, 100);
+  net.connect_input(shell, 1, wb, 200);
+  net.add_output_wire(shell, 0, wo);
 
   net.step();  // tag 0 fires (both initial tokens present)
-  EXPECT_EQ(shell->stats().firings, 1u);
+  EXPECT_EQ(net.stats(shell).firings, 1u);
   // Feed only a: tags 1 and 2 need just a, so the shell runs ahead.
   net.wire(wa).drive(Token::make(101));
   net.step();
   net.wire(wa).drive(Token::make(102));
   net.step();
   net.wire(wa).drive(Token::tau());
-  EXPECT_EQ(shell->stats().firings, 3u);
+  EXPECT_EQ(net.stats(shell).firings, 3u);
   // Tag 3 is a phase-0 firing again: b required, shell must stall.
   net.wire(wa).drive(Token::make(103));
   net.step();
   net.wire(wa).drive(Token::tau());
   net.step();
-  EXPECT_EQ(shell->stats().firings, 3u);
+  EXPECT_EQ(net.stats(shell).firings, 3u);
   // The stale b tokens (tags 1, 2) arrive late and must be discarded; the
   // tag-3 token unblocks the firing.
   for (Word v : {201, 202, 203}) {
@@ -206,8 +206,8 @@ TEST(Shell, OracleFiresWithoutUnneededInput) {
     net.step();
   }
   net.wire(wb).drive(Token::tau());
-  EXPECT_EQ(shell->stats().firings, 4u);
-  EXPECT_EQ(shell->stats().discarded_tokens, 2u);
+  EXPECT_EQ(net.stats(shell).firings, 4u);
+  EXPECT_EQ(net.stats(shell).discarded_tokens, 2u);
 }
 
 TEST(Shell, StrictModeNeverDiscards) {
@@ -215,18 +215,18 @@ TEST(Shell, StrictModeNeverDiscards) {
   const WireId wa = net.make_wire("a");
   const WireId wb = net.make_wire("b");
   const WireId wo = net.make_wire("o");
-  auto* shell = net.add_shell(std::make_unique<Shell>(
-      "s", std::make_unique<DutyCycleProcess>("duty", 3), wp1()));
-  shell->connect_input(0, wa, 0);
-  shell->connect_input(1, wb, 0);
-  shell->add_output_wire(0, wo);
+  const ShellId shell = net.add_shell(
+      "s", std::make_unique<DutyCycleProcess>("duty", 3), wp1());
+  net.connect_input(shell, 0, wa, 0);
+  net.connect_input(shell, 1, wb, 0);
+  net.add_output_wire(shell, 0, wo);
   for (int i = 1; i <= 10; ++i) {
     net.wire(wa).drive(Token::make(static_cast<Word>(i)));
     net.wire(wb).drive(Token::make(static_cast<Word>(100 + i)));
     net.step();
   }
-  EXPECT_EQ(shell->stats().discarded_tokens, 0u);
-  EXPECT_EQ(shell->stats().firings, 10u);  // one firing per cycle, tags 0-9
+  EXPECT_EQ(net.stats(shell).discarded_tokens, 0u);
+  EXPECT_EQ(net.stats(shell).firings, 10u);  // one firing per cycle, tags 0-9
 }
 
 TEST(Shell, UnsoundOracleGetsPoisonedInput) {
@@ -234,11 +234,11 @@ TEST(Shell, UnsoundOracleGetsPoisonedInput) {
   const WireId wa = net.make_wire("a");
   const WireId wb = net.make_wire("b");
   const WireId wo = net.make_wire("o");
-  auto* shell = net.add_shell(std::make_unique<Shell>(
-      "s", std::make_unique<UnsoundOracleProcess>(), wp2()));
-  shell->connect_input(0, wa, 1);
-  shell->connect_input(1, wb, 2);
-  shell->add_output_wire(0, wo);
+  const ShellId shell = net.add_shell(
+      "s", std::make_unique<UnsoundOracleProcess>(), wp2());
+  net.connect_input(shell, 0, wa, 1);
+  net.connect_input(shell, 1, wb, 2);
+  net.add_output_wire(shell, 0, wo);
   net.step();  // fires: b available but NOT required -> poisoned
   net.step();
   EXPECT_TRUE(net.wire(wo).valid);
@@ -250,11 +250,11 @@ TEST(Shell, FanOutWaitsForAllBranches) {
   const WireId wa = net.make_wire("a");
   const WireId w1 = net.make_wire("o1");
   const WireId w2 = net.make_wire("o2");
-  auto* shell = net.add_shell(std::make_unique<Shell>(
-      "s", std::make_unique<IdentityProcess>("id"), wp1()));
-  shell->connect_input(0, wa, 7);
-  shell->add_output_wire(0, w1);
-  shell->add_output_wire(0, w2);
+  const ShellId shell = net.add_shell(
+      "s", std::make_unique<IdentityProcess>("id"), wp1());
+  net.connect_input(shell, 0, wa, 7);
+  net.add_output_wire(shell, 0, w1);
+  net.add_output_wire(shell, 0, w2);
 
   net.wire(w2).stop = true;
   net.step();  // fires tag 0
@@ -262,32 +262,33 @@ TEST(Shell, FanOutWaitsForAllBranches) {
   net.wire(w2).stop = true;
   net.step();  // w1 delivered, w2 held: no second firing
   net.wire(wa).drive(Token::tau());
-  EXPECT_EQ(shell->stats().firings, 1u);
+  EXPECT_EQ(net.stats(shell).firings, 1u);
   net.wire(w2).stop = true;
   net.step();  // branch w1 now drives τ, w2 still re-drives the held token
   EXPECT_FALSE(net.wire(w1).valid);  // already delivered branch sends τ
   EXPECT_EQ(net.wire(w2).value, 7u);
   net.wire(w2).stop = false;
   net.step();  // w2 delivered; tag 1 fires
-  EXPECT_EQ(shell->stats().firings, 2u);
+  EXPECT_EQ(net.stats(shell).firings, 2u);
 }
 
 TEST(Shell, FireObserverSeesTagsInOrder) {
   Network net;
   const WireId wa = net.make_wire("a");
   const WireId wo = net.make_wire("o");
-  auto* shell = net.add_shell(std::make_unique<Shell>(
-      "s", std::make_unique<IdentityProcess>("id"), wp1()));
-  shell->connect_input(0, wa, 0);
-  shell->add_output_wire(0, wo);
+  const ShellId shell = net.add_shell(
+      "s", std::make_unique<IdentityProcess>("id"), wp1());
+  net.connect_input(shell, 0, wa, 0);
+  net.add_output_wire(shell, 0, wo);
   std::vector<Tag> tags;
-  shell->set_fire_observer(
-      [&tags](Cycle, Tag tag, const Word*) { tags.push_back(tag); });
+  net.set_fire_observer(
+      shell, [&tags](Cycle, Tag tag, const Word*) { tags.push_back(tag); });
   for (int i = 1; i <= 5; ++i) {
     net.wire(wa).drive(Token::make(static_cast<Word>(i)));
     net.step();
   }
   EXPECT_EQ(tags, (std::vector<Tag>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(net.firing_counter(shell), 5u);  // the next tag to fire
 }
 
 TEST(Network, CountsFiringsAndHaltsAcrossReset) {
@@ -295,79 +296,106 @@ TEST(Network, CountsFiringsAndHaltsAcrossReset) {
   // and the number of halted shells. reset() clears both.
   Network net;
   const WireId w = net.make_wire("w");
-  Shell* src = net.add_shell(std::make_unique<Shell>(
-      "src", std::make_unique<CounterSource>("src", 0, 1, 3), wp1()));
-  Shell* sink = net.add_shell(std::make_unique<Shell>(
-      "sink", std::make_unique<SinkProcess>("sink"), wp1()));
-  src->add_output_wire(0, w);
-  sink->connect_input(0, w, 0);
+  const ShellId src = net.add_shell(
+      "src", std::make_unique<CounterSource>("src", 0, 1, 3), wp1());
+  const ShellId sink = net.add_shell(
+      "sink", std::make_unique<SinkProcess>("sink"), wp1());
+  net.add_output_wire(src, 0, w);
+  net.connect_input(sink, 0, w, 0);
 
   EXPECT_EQ(net.run(100, 1), 3u);  // the source halts after 3 firings
   EXPECT_EQ(net.halted_shells(), 1u);
-  EXPECT_EQ(net.firings(), src->stats().firings + sink->stats().firings);
+  EXPECT_EQ(net.firings(), net.stats(src).firings + net.stats(sink).firings);
   EXPECT_EQ(net.run(100, 1), 0u);  // already satisfied: no step
 
   net.reset();
   EXPECT_EQ(net.cycle(), 0u);
   EXPECT_EQ(net.firings(), 0u);
   EXPECT_EQ(net.halted_shells(), 0u);
-  EXPECT_FALSE(src->halted());
+  EXPECT_FALSE(net.halted(src));
   EXPECT_EQ(net.run(100, 1), 3u);  // the same run again
 }
 
 TEST(Shell, RejectsBadConfiguration) {
-  auto make = [] {
-    return std::make_unique<IdentityProcess>("id");
-  };
-  EXPECT_THROW(Shell("s", nullptr, wp1()), ContractViolation);
+  auto make = [] { return std::make_unique<IdentityProcess>("id"); };
+  Network net;
+  EXPECT_THROW(net.add_shell("s", nullptr, wp1()), ContractViolation);
   ShellOptions zero = wp1();
   zero.fifo_capacity = 0;
-  EXPECT_THROW(Shell("s", make(), zero), ContractViolation);
+  EXPECT_THROW(net.add_shell("s", make(), zero), ContractViolation);
   ShellOptions huge = wp1();
   huge.fifo_capacity = kMaxFifoCapacity + 1;
-  EXPECT_THROW(Shell("s", make(), huge), ContractViolation);
+  EXPECT_THROW(net.add_shell("s", make(), huge), ContractViolation);
+  EXPECT_EQ(net.shell_count(), 0u);  // a refused shell leaves no entry
   huge.fifo_capacity = kMaxFifoCapacity;
-  EXPECT_NO_THROW(Shell("s", make(), huge));
+  EXPECT_NO_THROW(net.add_shell("big", make(), huge));
 
-  Network net;
   const WireId w = net.make_wire("w");
-  Shell s("s", make(), wp1());
-  EXPECT_THROW(s.connect_input(5, w, 0), ContractViolation);
-  s.connect_input(0, w, 0);
-  EXPECT_THROW(s.connect_input(0, w, 0), ContractViolation);  // twice
+  const ShellId s = net.add_shell("s", make(), wp1());
+  EXPECT_THROW(net.connect_input(s, 5, w, 0), ContractViolation);
+  EXPECT_THROW(net.add_output_wire(s, 5, w), ContractViolation);
+  EXPECT_THROW(net.connect_input(s + 1, 0, w, 0), ContractViolation);
+  EXPECT_THROW(net.add_output_wire(s + 1, 0, w), ContractViolation);
+  EXPECT_THROW(net.stats(s + 1), ContractViolation);
+  EXPECT_EQ(net.shell_name(s), "s");
+  net.connect_input(s, 0, w, 0);
+  EXPECT_THROW(net.connect_input(s, 0, w, 0), ContractViolation);  // twice
+}
+
+TEST(Network, RejectsOutOfRangeWireIds) {
+  // The next step would index the wire array with any id a connection
+  // holds, so both connection calls range-check it, as add_relay_station
+  // does. A refused connection leaves the port free.
+  Network net;
+  const WireId in = net.make_wire("in");
+  const WireId out = net.make_wire("out");
+  const ShellId s =
+      net.add_shell("s", std::make_unique<IdentityProcess>("id"), wp1());
+  EXPECT_THROW(net.connect_input(s, 0, 999, 0), ContractViolation);
+  EXPECT_THROW(net.connect_input(s, 0, out + 1, 0), ContractViolation);
+  EXPECT_THROW(net.add_output_wire(s, 0, 12345), ContractViolation);
+  EXPECT_THROW(net.add_output_wire(s, 0, out + 1), ContractViolation);
+  net.connect_input(s, 0, in, 4);
+  net.add_output_wire(s, 0, out);
+  net.step();  // fires tag 0 from the initial token
+  net.step();
+  EXPECT_EQ(net.stats(s).firings, 1u);
+  EXPECT_TRUE(net.wire(out).valid);
+  EXPECT_EQ(net.wire(out).value, 4u);
 }
 
 TEST(Shell, RejectsMoreInputsThanTheMaskHolds) {
   // Availability and requirements are 32-bit InputMasks: a 33rd input has
   // no bit, so such a process is refused before a shell can wrap it.
-  EXPECT_THROW(Shell("s", std::make_unique<WideProcess>(33), wp1()),
+  Network net;
+  EXPECT_THROW(net.add_shell("s", std::make_unique<WideProcess>(33), wp1()),
                ContractViolation);
+  EXPECT_EQ(net.shell_count(), 0u);
 
   // 32 inputs use every bit of the mask, the top one included.
-  Network net;
   const WireId out = net.make_wire("o");
-  Shell* shell = net.add_shell(
-      std::make_unique<Shell>("s", std::make_unique<WideProcess>(32), wp2()));
+  const ShellId shell = net.add_shell(
+      "s", std::make_unique<WideProcess>(32), wp2());
   std::vector<WireId> in;
   for (std::size_t i = 0; i < 32; ++i) {
     in.push_back(net.make_wire("in" + std::to_string(i)));
-    shell->connect_input(i, in.back(), i + 1);
+    net.connect_input(shell, i, in.back(), i + 1);
   }
-  shell->add_output_wire(0, out);
+  net.add_output_wire(shell, 0, out);
   net.step();  // tag 0 fires from the 32 initial tokens
-  EXPECT_EQ(shell->stats().firings, 1u);
+  EXPECT_EQ(net.stats(shell).firings, 1u);
   net.step();
   EXPECT_TRUE(net.wire(out).valid);
   EXPECT_EQ(net.wire(out).value, Word{32 * 33 / 2});
   net.step();  // tag 1 waits for the top input, like every other one
-  EXPECT_EQ(shell->stats().firings, 1u);
+  EXPECT_EQ(net.stats(shell).firings, 1u);
   for (std::size_t i = 0; i < 31; ++i) net.wire(in[i]).drive(Token::make(1));
   net.step();
   for (std::size_t i = 0; i < 31; ++i) net.wire(in[i]).drive(Token::tau());
-  EXPECT_EQ(shell->stats().firings, 1u);
+  EXPECT_EQ(net.stats(shell).firings, 1u);
   net.wire(in[31]).drive(Token::make(1));
   net.step();
-  EXPECT_EQ(shell->stats().firings, 2u);
+  EXPECT_EQ(net.stats(shell).firings, 2u);
 }
 
 }  // namespace

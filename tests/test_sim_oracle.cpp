@@ -253,7 +253,7 @@ ExperimentRow reference_run_experiment(const ProgramSpec& program,
     shell.fifo_capacity = options.fifo_capacity;
     wp::LidSystem lid = build_lid(spec, shell, options.check_equivalence);
     const std::uint64_t cycles = lid.run_until_halt(options.max_cycles);
-    if (!lid.shells.at("CU")->halted()) {
+    if (!lid.network->halted(lid.shells.at("CU"))) {
       note(std::string(oracle ? "WP2" : "WP1") +
            " run did not halt within max_cycles");
     }
@@ -270,8 +270,9 @@ ExperimentRow reference_run_experiment(const ProgramSpec& program,
     }
     if (options.verify_result) {
       std::string error;
-      if (!program.verify(dcache_of(lid.shells.at("DC")->process()).memory(),
-                          &error)) {
+      if (!program.verify(
+              dcache_of(lid.network->process(lid.shells.at("DC"))).memory(),
+              &error)) {
         row.result_ok = false;
         note(std::string(oracle ? "WP2" : "WP1") +
              " result check failed: " + error);

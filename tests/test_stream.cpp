@@ -103,7 +103,7 @@ TEST_P(StreamFeedbackRs, Wp1HitsLoopBoundWp2RecoversToNearOne) {
     shell.use_oracle = oracle;
     LidSystem lid = build_lid(spec, shell, true);
     const std::uint64_t cycles = lid.run_until_halt(1000000);
-    ASSERT_TRUE(lid.shells.at("SNK0")->halted());
+    ASSERT_TRUE(lid.network->halted(lid.shells.at("SNK0")));
     const double th = static_cast<double>(golden_cycles) /
                       static_cast<double>(cycles);
 
@@ -147,8 +147,8 @@ TEST(StreamSystem, SinkSamplesIdenticalAcrossExecutions) {
     shell.use_oracle = oracle;
     LidSystem lid = build_lid(spec, shell, false);
     lid.run_until_halt(1000000);
-    const auto& sink =
-        dynamic_cast<const StreamSink&>(lid.shells.at("SNK0")->process());
+    const auto& sink = dynamic_cast<const StreamSink&>(
+        lid.network->process(lid.shells.at("SNK0")));
     ASSERT_GE(sink.samples().size(), golden_sink.samples().size());
     for (std::size_t i = 0; i < golden_sink.samples().size(); ++i)
       ASSERT_EQ(sink.samples()[i], golden_sink.samples()[i])

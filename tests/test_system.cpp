@@ -65,7 +65,7 @@ TEST(System, LidZeroRsIsCycleAccurate) {
 
   // Every shell fired every cycle (throughput 1.0)...
   for (const auto& [name, shell] : lid.shells)
-    EXPECT_EQ(shell->stats().firings, 50u) << name;
+    EXPECT_EQ(lid.network->stats(shell).firings, 50u) << name;
   // ...and the τ-filtered streams match the golden ones exactly.
   const auto eq = check_equivalence(golden.trace(), lid.trace);
   EXPECT_TRUE(eq.equivalent) << eq.detail;
@@ -90,7 +90,8 @@ TEST_P(RingThroughput, MatchesLoopFormula) {
   const double expected = static_cast<double>(m) / (m + n);
   for (const auto& [name, shell] : lid.shells) {
     const double th =
-        static_cast<double>(shell->stats().firings) / static_cast<double>(cycles);
+        static_cast<double>(lid.network->stats(shell).firings) /
+        static_cast<double>(cycles);
     // IdentityProcess has no oracle slack, so WP1 == WP2 == m/(m+n).
     EXPECT_NEAR(th, expected, 0.01) << name << " m=" << m << " n=" << n;
   }
@@ -114,7 +115,7 @@ TEST(System, RsPlacementWithinLoopIsIrrelevant) {
     LidSystem lid = build_lid(spec, ShellOptions{}, false);
     for (int i = 0; i < 2400; ++i) lid.network->step();
     const double th = static_cast<double>(
-                          lid.shells.at("p0")->stats().firings) /
+                          lid.network->stats(lid.shells.at("p0")).firings) /
                       2400.0;
     EXPECT_NEAR(th, 0.5, 0.01);  // 3/(3+3)
   }
@@ -131,7 +132,7 @@ TEST(System, TinyFifosStillLoseNothing) {
   for (int i = 0; i < 200; ++i) golden.step();
   LidSystem lid = build_lid(spec, opts, true);
   for (int i = 0; i < 2000; ++i) lid.network->step();
-  EXPECT_GT(lid.shells.at("p0")->stats().firings, 50u);
+  EXPECT_GT(lid.network->stats(lid.shells.at("p0")).firings, 50u);
   const auto eq = check_equivalence(golden.trace(), lid.trace);
   EXPECT_TRUE(eq.equivalent) << eq.detail;
 }
@@ -149,8 +150,8 @@ TEST(System, SourceSinkPipelineDeliversSequence) {
 
   LidSystem lid = build_lid(spec, ShellOptions{}, false);
   lid.run_until_halt(10000, /*grace=*/0);
-  const auto& sink =
-      dynamic_cast<const SinkProcess&>(lid.shells.at("sink")->process());
+  const auto& sink = dynamic_cast<const SinkProcess&>(
+      lid.network->process(lid.shells.at("sink")));
   ASSERT_GE(sink.received().size(), 40u);
   for (std::size_t i = 0; i < 40; ++i) {
     // First value is the channel's initial token (source reset value 5),
@@ -231,7 +232,7 @@ TEST(System, BoundedFifosMatchTheSemiInfiniteAbstraction) {
     LidSystem lid = build_lid(spec, opts, true);
     for (int i = 0; i < 1000; ++i) lid.network->step();
     traces[variant] = std::move(lid.trace);
-    firings[variant] = lid.shells.at("p0")->stats().firings;
+    firings[variant] = lid.network->stats(lid.shells.at("p0")).firings;
     ++variant;
   }
   EXPECT_EQ(traces[0], traces[1]);
@@ -270,8 +271,8 @@ TEST(System, HaltGraceDrainsInFlightTokens) {
   for (const std::uint64_t grace : {0ull, 64ull}) {
     LidSystem lid = build_lid(spec, ShellOptions{}, false);
     lid.run_until_halt(10000, grace);
-    const auto& sink =
-        dynamic_cast<const SinkProcess&>(lid.shells.at("sink")->process());
+    const auto& sink = dynamic_cast<const SinkProcess&>(
+        lid.network->process(lid.shells.at("sink")));
     if (grace == 0) {
       EXPECT_LT(sink.received().size(), 21u);  // tail still in the RS chain
     } else {
@@ -389,7 +390,7 @@ TEST(System, DiscardHeavyWp2NetworkPinned) {
   std::uint64_t digest = hash_string("kernel");
   ShellStats total;
   for (const auto& [name, s] : lid.shells) {
-    const ShellStats& stats = s->stats();
+    const ShellStats& stats = lid.network->stats(s);
     digest = hash_combine(digest, hash_string(name));
     for (const std::uint64_t count :
          {stats.firings, stats.stalls_input, stats.stalls_output,
@@ -559,7 +560,7 @@ TEST(System, WatchdogThrowsAfterQuietWindow) {
                ContractViolation);
   EXPECT_EQ(lid.network->halted_shells(), 1u);
   // Sink b's 27th firing is the last progress; the window starts there.
-  EXPECT_EQ(lid.shells.at("b")->stats().firings, 27u);
+  EXPECT_EQ(lid.network->stats(lid.shells.at("b")).firings, 27u);
   EXPECT_EQ(lid.network->cycle(), 27 + Network::kDeadlockWindow);
 }
 
