@@ -2,6 +2,12 @@
 // 1% with respect to an IP of 100 kgates", 130 nm synthesis). Sweeps the
 // wrapper geometry and reports NAND2-equivalent gates and the overhead
 // ratio for WP1 and WP2 wrappers, plus relay-station cost per width.
+// The summary under the first table is computed from its rows. Exits 1
+// unless the WP2 oracle share of every wrapper stays within 0.5-4.5% and
+// every relay station within 1% of the IP (shares compared as printed, to
+// 0.1%).
+#include <algorithm>
+#include <cmath>
 #include <iostream>
 
 #include "core/area.hpp"
@@ -9,12 +15,16 @@
 
 int main() {
   using namespace wp;
+  constexpr double kIpGates = 100000.0;
 
   TextTable table({"in x out", "width", "depth", "WP1 gates", "WP2 gates",
                    "WP2 oracle share", "overhead vs 100 kgate IP"});
   table.add_section("Wrapper gate-count model (NAND2 equivalents)");
   table.add_separator();
 
+  double min_overhead = 1.0, max_overhead = 0.0;
+  double min_share = 1.0, max_share = 0.0;  // in 0.1% steps, as printed
+  int rows = 0, rows_under_1pct = 0;
   for (const std::size_t channels : {2u, 3u, 4u}) {
     for (const std::size_t width : {16u, 32u, 64u}) {
       for (const std::size_t depth : {2u, 4u}) {
@@ -27,30 +37,47 @@ int main() {
         const double wp1 = estimate_wrapper_area(g).total();
         g.oracle = true;
         const WrapperArea wp2 = estimate_wrapper_area(g);
+        const double share = wp2.oracle_logic / wp2.total();
+        const double overhead = wrapper_overhead_ratio(g, kIpGates);
         table.add_row({std::to_string(channels) + "x" +
                            std::to_string(channels),
                        std::to_string(width), std::to_string(depth),
                        fmt_fixed(wp1, 0), fmt_fixed(wp2.total(), 0),
-                       fmt_percent(wp2.oracle_logic / wp2.total(), 1),
-                       fmt_percent(wp2.total() / 100000.0, 2)});
+                       fmt_percent(share, 1), fmt_percent(overhead, 2)});
+        const double printed_share = std::round(share * 1000.0) / 1000.0;
+        min_share = std::min(min_share, printed_share);
+        max_share = std::max(max_share, printed_share);
+        min_overhead = std::min(min_overhead, overhead);
+        max_overhead = std::max(max_overhead, overhead);
+        ++rows;
+        if (overhead < 0.01) ++rows_under_1pct;
       }
     }
   }
   table.print(std::cout);
-  std::cout << "Paper claim: < 1% of a 100-kgate IP; our conservative "
-               "estimate lands\nat 0.5-3% across the sweep (same order; "
-               "lean interfaces < 1%), and the\nWP2 oracle adds only a few "
-               "percent of the wrapper (\"the effort was minimal\").\n\n";
+  std::cout << "Paper claim: < 1% of a 100-kgate IP. Our conservative "
+               "estimate lands at\n"
+            << fmt_fixed(min_overhead * 100.0, 2) << "-"
+            << fmt_fixed(max_overhead * 100.0, 2) << "% across the sweep, with "
+            << rows_under_1pct << " of " << rows
+            << " rows under 1%, and the WP2\noracle adds "
+            << fmt_fixed(min_share * 100.0, 1) << "-"
+            << fmt_fixed(max_share * 100.0, 1)
+            << "% of the wrapper (\"the effort was minimal\").\n\n";
 
   TextTable rs({"payload width", "relay station gates",
                 "overhead vs 100 kgate IP"});
   rs.add_section("Relay station cost");
   rs.add_separator();
+  double max_station = 0.0;
   for (const std::size_t width : {8u, 16u, 32u, 64u}) {
     const double gates = estimate_relay_station_area(width);
     rs.add_row({std::to_string(width), fmt_fixed(gates, 0),
-                fmt_percent(gates / 100000.0, 2)});
+                fmt_percent(gates / kIpGates, 2)});
+    max_station = std::max(max_station, gates / kIpGates);
   }
   rs.print(std::cout);
-  return 0;
+  return min_share >= 0.005 && max_share <= 0.045 && max_station <= 0.01
+             ? 0
+             : 1;
 }

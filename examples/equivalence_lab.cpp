@@ -23,7 +23,6 @@ class LyingProcess final : public wp::Process {
   void fire(const wp::Word* in, wp::Word* out) override {
     out[0] = in[0] ^ in[1];  // reads b despite not asking for it
   }
-  void reset() override {}
 };
 
 }  // namespace

@@ -138,20 +138,6 @@ int ArgParser::get_int(const std::string& name) const {
   }
 }
 
-double ArgParser::get_double(const std::string& name) const {
-  const Option& o = require_option(name);
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(o.value, &used);
-    if (used != o.value.size()) throw std::invalid_argument(o.value);
-    return v;
-  } catch (...) {
-    std::cerr << program_ << ": " << name << " needs a number, got '"
-              << o.value << "'\n";
-    std::exit(2);
-  }
-}
-
 std::vector<std::string> ArgParser::get_list(const std::string& name) const {
   std::vector<std::string> items;
   std::istringstream stream(require_option(name).value);

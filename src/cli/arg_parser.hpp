@@ -43,7 +43,6 @@ class ArgParser {
   bool has(const std::string& name) const;          ///< flag present?
   std::string get(const std::string& name) const;   ///< option value
   int get_int(const std::string& name) const;       ///< exits 2 on non-int
-  double get_double(const std::string& name) const; ///< exits 2 on non-num
   /// Comma-separated option value split into items; empty when absent.
   std::vector<std::string> get_list(const std::string& name) const;
   const std::string& positional_value() const { return positional_value_; }

@@ -19,10 +19,6 @@ void ProcessRegistry::add(const std::string& type, ProcessBuilder builder) {
   builders_.emplace(type, std::move(builder));
 }
 
-bool ProcessRegistry::contains(const std::string& type) const {
-  return builders_.count(type) != 0;
-}
-
 ProcessFactory ProcessRegistry::build(const std::string& type,
                                       const ProcessParams& params) const {
   auto it = builders_.find(type);
@@ -50,12 +46,6 @@ long long param_int(const ProcessParams& params, const std::string& key,
                     long long fallback) {
   auto it = params.find(key);
   return it == params.end() ? fallback : parse_int(it->second);
-}
-
-double param_double(const ProcessParams& params, const std::string& key,
-                    double fallback) {
-  auto it = params.find(key);
-  return it == params.end() ? fallback : parse_double(it->second);
 }
 
 long long param_int_required(const ProcessParams& params,

@@ -38,7 +38,6 @@ class ProcessRegistry {
   /// Registers a type; overwriting an existing name is an error.
   void add(const std::string& type, ProcessBuilder builder);
 
-  bool contains(const std::string& type) const;
   ProcessFactory build(const std::string& type,
                        const ProcessParams& params) const;
 
@@ -66,8 +65,6 @@ ParsedSystem parse_system(const std::string& text,
 // --- parameter helpers for ProcessBuilder implementations ---------------
 long long param_int(const ProcessParams& params, const std::string& key,
                     long long fallback);
-double param_double(const ProcessParams& params, const std::string& key,
-                    double fallback);
 /// Required variant: throws if the key is absent.
 long long param_int_required(const ProcessParams& params,
                              const std::string& key);

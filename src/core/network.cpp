@@ -43,7 +43,6 @@ ShellId Network::add_shell(std::string name,
 
   ring_words_.resize(ring_words_.size() + inputs * capacity, kPoisonWord);
   in_words_.resize(inputs_.size(), 0);
-  initial_words_.resize(inputs_.size(), kPoisonWord);
   out_words_.resize(out_words_.size() + process->outputs().size(), 0);
   shell_names_.push_back(std::move(name));
   processes_.push_back(std::move(process));
@@ -62,9 +61,10 @@ void Network::connect_input(ShellId shell, std::size_t port, WireId wire,
              "input port connected twice: " + shell_names_[shell] + "." +
                  processes_[shell]->inputs()[port].name);
   inputs_[input].wire = wire;
-  initial_words_[input] = initial_value;
   --unconnected_;
-  seed(input);
+  // The channel's initial token (tag 0).
+  inputs_[input].fifo.push_back(ring_words_.data(), initial_value);
+  inputs_[input].received = 1;
 }
 
 void Network::add_output_wire(ShellId shell, std::size_t port, WireId wire) {
@@ -89,11 +89,6 @@ void Network::set_fire_observer(ShellId shell, FireObserver observer) {
   shell_state(shell);
   observers_[shell] = std::move(observer);
   shells_[shell].observer = observers_[shell] ? &observers_[shell] : nullptr;
-}
-
-void Network::seed(std::size_t input) {
-  inputs_[input].fifo.push_back(ring_words_.data(), initial_words_[input]);
-  inputs_[input].received = 1;
 }
 
 const std::string& Network::first_unconnected_shell() const {
@@ -261,31 +256,6 @@ std::uint64_t Network::run(std::uint64_t max_cycles,
   return executed;
 }
 
-void Network::reset() {
-  for (auto& wire : wires_) wire = Wire{};
-  firings_ = 0;
-  halted_ = 0;
-  for (ShellState& shell : shells_) {
-    shell.process->reset();
-    shell.halted = shell.process->halted();
-    if (shell.halted) ++halted_;
-    shell.firing_counter = 0;
-    shell.undelivered = 0;
-    shell.available = 0;
-    shell.stats = ShellStats{};
-  }
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    InputState& input = inputs_[i];
-    input.fifo.clear();
-    input.received = 0;
-    if (input.wire != kUnconnected) seed(i);  // initial token
-  }
-  for (BranchState& branch : branches_) branch.pending = false;
-  for (auto& station : stations_) station.reset();
-  for (auto& station : noise_stations_) station.reset();
-  cycle_ = 0;
-}
-
 const Network::ShellState& Network::shell_state(ShellId shell) const {
   WP_REQUIRE(shell < shells_.size(), "shell id out of range");
   return shells_[shell];
@@ -311,10 +281,6 @@ std::size_t Network::fifo_size(ShellId shell, std::size_t port) const {
 }
 
 const Process& Network::process(ShellId shell) const {
-  return *shell_state(shell).process;
-}
-
-Process& Network::process(ShellId shell) {
   return *shell_state(shell).process;
 }
 

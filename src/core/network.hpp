@@ -17,9 +17,9 @@
 //     ranges, firing counter, undelivered count, halted flag, process and
 //     statistics;
 //   * the relay stations by value, plain and noise stations apart.
-// A shell's cold data — its name, the process it owns, its fire observer
-// and each input's initial word (read only on seeding) — lives in side
-// tables beside these arrays.
+// A shell's cold data — its name, the process it owns and its fire
+// observer — lives in side tables beside these arrays. A network has no
+// reset: a new run builds a new network.
 // One cycle (step(); run() inlines the same passes) is a few straight
 // passes over these arrays, in this order:
 //   1. stations drive both their wires, branches their tokens (eval);
@@ -97,17 +97,13 @@ class Network {
   /// kDeadlockWindow consecutive cycles.
   std::uint64_t run(std::uint64_t max_cycles, std::size_t halted_shells);
 
-  /// Resets every shell, relay station and wire, the cycle counter and the
-  /// firing and halted counts.
-  void reset();
-
   Cycle cycle() const { return cycle_; }
   std::size_t shell_count() const { return shells_.size(); }
   std::size_t relay_station_count() const {
     return stations_.size() + noise_stations_.size();
   }
   std::size_t wire_count() const { return wires_.size(); }
-  /// Firings of every shell since construction or reset().
+  /// Firings of every shell since construction.
   std::uint64_t firings() const { return firings_; }
   /// Shells whose process has halted.
   std::size_t halted_shells() const { return halted_; }
@@ -116,13 +112,12 @@ class Network {
   // adds a shell.
   const ShellStats& stats(ShellId shell) const;
   Tag firing_counter(ShellId shell) const;
-  /// The process's halted(), read after each firing and on reset: a
-  /// process halts only by firing.
+  /// The process's halted(), read on adding the shell and after each
+  /// firing: a process halts only by firing.
   bool halted(ShellId shell) const;
   /// Current occupancy of one input FIFO (tests / ablation).
   std::size_t fifo_size(ShellId shell, std::size_t port) const;
   const Process& process(ShellId shell) const;
-  Process& process(ShellId shell);
   const std::string& shell_name(ShellId shell) const;
 
   /// One wire, for instrumentation (VCD sampling) and for tests that
@@ -167,8 +162,6 @@ class Network {
 
   const ShellState& shell_state(ShellId shell) const;  // checks the id
   const std::string& first_unconnected_shell() const;
-  /// Pushes the channel's initial token into a connected input's FIFO.
-  void seed(std::size_t input);
 
   std::vector<Wire> wires_;
   std::vector<std::string> wire_names_;
@@ -182,7 +175,6 @@ class Network {
   std::vector<std::string> shell_names_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::deque<FireObserver> observers_;  // a deque: ShellState points in
-  std::vector<Word> initial_words_;     // each channel's initial token
   std::vector<RelayStation> stations_;        // stall probability 0
   std::vector<RelayStation> noise_stations_;  // positive stall probability
   Cycle cycle_ = 0;

@@ -18,6 +18,9 @@
 //     a declared process only; any other process is wrapped as under WP1,
 //     which is always sound — a forgotten declaration costs throughput,
 //     never correctness.
+//   * A process has no reset: its constructor sets its power-on state, and
+//     every simulation (golden, WP1, WP2) runs a fresh instance built by the
+//     system's ProcessFactory.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +106,6 @@ class Process {
   /// inputs the oracle excluded are poison and must not be read); `out` must
   /// be fully written (one word per output port).
   virtual void fire(const Word* in, Word* out) = 0;
-
-  /// Returns the process to its power-on state.
-  virtual void reset() = 0;
 
   /// True once the process has reached a terminal state (used by the kernel
   /// to stop the clock; only meaningful for designated "halting" processes).

@@ -15,8 +15,8 @@ Word hash_mix(Word x) {
 
 CounterSource::CounterSource(std::string name, Word start, Word stride,
                              std::uint64_t limit)
-    : Process(std::move(name)), start_(start), stride_(stride),
-      limit_(limit), next_(start) {
+    : Process(std::move(name)), stride_(stride), limit_(limit),
+      next_(start) {
   add_output("out", start);
 }
 
@@ -24,11 +24,6 @@ void CounterSource::fire(const Word* /*in*/, Word* out) {
   out[0] = next_;
   next_ += stride_;
   ++fired_;
-}
-
-void CounterSource::reset() {
-  next_ = start_;
-  fired_ = 0;
 }
 
 bool CounterSource::halted() const { return limit_ != 0 && fired_ >= limit_; }
@@ -76,8 +71,6 @@ SinkProcess::SinkProcess(std::string name, std::uint64_t limit)
 void SinkProcess::fire(const Word* in, Word* /*out*/) {
   received_.push_back(in[0]);
 }
-
-void SinkProcess::reset() { received_.clear(); }
 
 bool SinkProcess::halted() const {
   return limit_ != 0 && received_.size() >= limit_;

@@ -20,11 +20,10 @@ class CounterSource final : public Process {
                 std::uint64_t limit = 0);
 
   void fire(const Word* in, Word* out) override;
-  void reset() override;
   bool halted() const override;
 
  private:
-  Word start_, stride_;
+  Word stride_;
   std::uint64_t limit_;
   Word next_ = 0;
   std::uint64_t fired_ = 0;
@@ -35,7 +34,6 @@ class IdentityProcess final : public Process {
  public:
   explicit IdentityProcess(std::string name, Word reset_out = 0);
   void fire(const Word* in, Word* out) override;
-  void reset() override {}
 };
 
 /// out = a + b each firing.
@@ -43,7 +41,6 @@ class AdderProcess final : public Process {
  public:
   explicit AdderProcess(std::string name);
   void fire(const Word* in, Word* out) override;
-  void reset() override {}
 };
 
 /// Accumulator with feedback through the network: out = acc; acc += in.
@@ -52,7 +49,6 @@ class AccumulatorProcess final : public Process {
  public:
   explicit AccumulatorProcess(std::string name);
   void fire(const Word* in, Word* out) override;
-  void reset() override { acc_ = 0; }
 
  private:
   Word acc_ = 0;
@@ -63,7 +59,6 @@ class SinkProcess final : public Process {
  public:
   SinkProcess(std::string name, std::uint64_t limit = 0);
   void fire(const Word* in, Word* out) override;
-  void reset() override;
   bool halted() const override;
 
   const std::vector<Word>& received() const { return received_; }
@@ -83,7 +78,6 @@ class DutyCycleProcess final : public Process {
 
   InputMask required(const PeekView& peek) const override;
   void fire(const Word* in, Word* out) override;
-  void reset() override { phase_ = 0; }
 
  private:
   std::uint64_t period_;
@@ -106,7 +100,6 @@ class RandomMooreProcess final : public Process {
 
   InputMask required(const PeekView& peek) const override;
   void fire(const Word* in, Word* out) override;
-  void reset() override { state_ = 0; }
 
  private:
   InputMask final_mask(InputMask base, Word gate_value) const;

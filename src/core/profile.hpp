@@ -6,16 +6,14 @@
 // *excitation rate* (fraction of firings that require the input) is the
 // communication profile: a rate near 1 means the WP2 wrapper cannot relax
 // that channel (no gain over WP1); a low rate predicts a large WP2
-// recovery when the channel is pipelined. predicted_wp2_throughput() turns
-// the rates into a first-order throughput estimate per loop.
+// recovery when the channel is pipelined. bench_profile_noise prints it
+// beside the simulated WP1/WP2 throughputs.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/system.hpp"
-#include "graph/digraph.hpp"
 
 namespace wp {
 
@@ -44,26 +42,5 @@ struct CommunicationProfile {
 /// observer attached and returns the measured profile.
 CommunicationProfile profile_communication(const SystemSpec& spec,
                                            std::uint64_t max_cycles);
-
-/// First-order WP2 throughput estimate of one loop: a loop of latency L
-/// (processes + relay stations) whose most-relaxed crossing is excited with
-/// rate r sustains roughly min(1, m / (m + n·r̂)) where r̂ interpolates
-/// between "never excited" (loop invisible) and "always excited" (the WP1
-/// bound m/(m+n)). Used to rank connections, not to replace simulation.
-struct Wp2Estimate {
-  std::string loop;
-  double wp1 = 1.0;       ///< m/(m+n)
-  double excitation = 1;  ///< min excitation rate along the loop
-  double wp2 = 1.0;       ///< interpolated estimate
-};
-
-/// Per-loop estimates for a system graph whose edges are labelled with
-/// "process.port" consumer endpoints found in the profile; edges without a
-/// matching profile entry are treated as always-excited.
-std::vector<Wp2Estimate> estimate_wp2(const graph::Digraph& g,
-                                      const CommunicationProfile& profile,
-                                      const std::map<std::string,
-                                                     std::string>&
-                                          edge_to_input);
 
 }  // namespace wp

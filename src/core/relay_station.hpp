@@ -43,7 +43,6 @@ class RelayStation {
       : in_(in),
         out_(out),
         stall_probability_(stall_probability),
-        seed_(seed),
         rng_(seed) {
     WP_REQUIRE(in_ != out_, "relay station input and output must differ");
     WP_REQUIRE(stall_probability >= 0.0 && stall_probability <= 1.0,
@@ -86,7 +85,6 @@ class RelayStation {
       }
     } else {
       // Either main was empty or it has been consumed downstream this cycle.
-      if (main_.valid) ++tokens_forwarded_;
       if (aux_.valid) {
         // Drain the skid buffer first; our stop was high so nothing arrives.
         WP_CHECK(!incoming.valid,
@@ -99,18 +97,8 @@ class RelayStation {
     }
   }
 
-  /// Power-on state; a noise station also rewinds its Rng.
-  void reset() {
-    main_ = aux_ = Token::tau();
-    stalling_ = false;
-    tokens_forwarded_ = 0;
-    rng_ = Rng(seed_);
-  }
-
   /// Number of buffered valid items (0, 1 or 2). Exposed for tests.
   int occupancy() const { return int{main_.valid} + int{aux_.valid}; }
-
-  std::uint64_t tokens_forwarded() const { return tokens_forwarded_; }
 
  private:
   WireId in_;
@@ -119,10 +107,8 @@ class RelayStation {
   Token main_ = Token::tau();  // drives the output
   Token aux_ = Token::tau();   // skid buffer used while stopped
   bool stalling_ = false;      // this cycle's injected stop (noise only)
-  std::uint64_t tokens_forwarded_ = 0;
 
   double stall_probability_;
-  std::uint64_t seed_;
   Rng rng_;
 };
 

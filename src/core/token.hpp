@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 
 namespace wp {
 
@@ -42,7 +41,5 @@ struct Token {
     return !a.valid || a.value == b.value;  // all τ compare equal
   }
 };
-
-std::ostream& operator<<(std::ostream& os, const Token& t);
 
 }  // namespace wp

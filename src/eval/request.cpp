@@ -489,10 +489,6 @@ ProgramRef ProgramRef::matmul(std::uint64_t dim, std::uint64_t seed) {
   return ProgramRef{Generator::kMatmul, dim, seed, {}};
 }
 
-ProgramRef ProgramRef::pointer_chase(std::uint64_t n, std::uint64_t seed) {
-  return ProgramRef{Generator::kPointerChase, n, seed, {}};
-}
-
 ProgramRef ProgramRef::inlined(proc::ProgramSpec spec) {
   ProgramRef ref;
   ref.generator = Generator::kInline;

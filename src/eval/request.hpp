@@ -3,10 +3,10 @@
 // Every evaluation the repo performs — a Table-1 experiment row, the
 // optimizer's WP2-throughput objective, a floorplan anneal, an ensemble
 // sample — is described by an EvalRequest and answered by an EvalReply.
-// The five historical entry points (proc::run_experiment,
-// proc::simulate_wp2_throughput, proc::optimal_config, proc::ParallelSweep,
-// gen::run_ensemble) are thin adapters that build a request and call
-// eval::evaluate, and the service daemon (src/svc) decodes the identical
+// The four historical entry points (proc::run_experiment,
+// proc::optimal_config, proc::ParallelSweep, gen::run_ensemble) are thin
+// adapters that build a request and call eval::evaluate, and the service
+// daemon (src/svc) decodes the identical
 // request type off the wire and calls the identical eval::evaluate — the
 // in-process path and the daemon path execute literally the same code.
 //
@@ -88,8 +88,6 @@ struct ProgramRef {
   static ProgramRef extraction_sort(std::uint64_t n = 16,
                                     std::uint64_t seed = 1);
   static ProgramRef matmul(std::uint64_t dim = 4, std::uint64_t seed = 2);
-  static ProgramRef pointer_chase(std::uint64_t n = 32,
-                                  std::uint64_t seed = 3);
   static ProgramRef inlined(proc::ProgramSpec spec);
 
   bool wireable() const { return generator != Generator::kInline; }

@@ -59,17 +59,6 @@ const std::vector<EdgeId>& Digraph::in_edges(NodeId n) const {
   return in_[static_cast<std::size_t>(n)];
 }
 
-void Digraph::set_relay_stations(NodeId src, NodeId dst, int count) {
-  WP_REQUIRE(count >= 0, "relay station count must be >= 0");
-  for (EdgeId e : out_edges(src)) {
-    if (edge(e).dst == dst) {
-      edge(e).relay_stations = count;
-      return;
-    }
-  }
-  WP_REQUIRE(false, "no edge " + node_name(src) + "->" + node_name(dst));
-}
-
 void Digraph::check_node(NodeId n) const {
   WP_REQUIRE(n >= 0 && n < num_nodes(), "node id out of range");
 }

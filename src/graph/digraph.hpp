@@ -46,9 +46,6 @@ class Digraph {
   /// relay stations.
   int edge_latency(EdgeId e) const { return 1 + edge(e).relay_stations; }
 
-  /// Sets the relay-station count of the first edge matching (src,dst).
-  void set_relay_stations(NodeId src, NodeId dst, int count);
-
  private:
   void check_node(NodeId n) const;
 

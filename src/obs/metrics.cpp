@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <chrono>
-#include <sstream>
 
 #include "util/json.hpp"
 
@@ -174,14 +173,6 @@ void Registry::write_json(json::JsonWriter& json) const {
   }
   json.end_object();
   json.end_object();
-}
-
-std::string Registry::to_json() const {
-  std::ostringstream os;
-  json::JsonWriter json(os);
-  write_json(json);
-  os << "\n";
-  return os.str();
 }
 
 void Registry::reset_all() {

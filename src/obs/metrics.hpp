@@ -148,7 +148,6 @@ class Registry {
   /// Streams the snapshot as one JSON object (schema wirepipe-metrics/1):
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}.
   void write_json(json::JsonWriter& json) const;
-  std::string to_json() const;  ///< standalone document, trailing newline
 
   /// Zeroes every registered metric, keeping registrations (and therefore
   /// every cached reference) valid. Test isolation only.

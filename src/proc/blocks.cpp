@@ -98,7 +98,7 @@ void IcacheBlock::fire(const Word* in, Word* out) {
 // ---------------------------------------------------------------------------
 
 DcacheBlock::DcacheBlock(std::vector<std::uint32_t> ram)
-    : Process("DC"), initial_ram_(ram), ram_(std::move(ram)) {
+    : Process("DC"), ram_(std::move(ram)) {
   declare_oracle();
   add_input("ctl", DcCtl{}.pack());
   add_input("maddr", 0);
@@ -128,11 +128,6 @@ void DcacheBlock::fire(const Word* in, Word* out) {
     }
   }
   out[kDcOutLoad] = last_load_;
-}
-
-void DcacheBlock::reset() {
-  ram_ = initial_ram_;
-  last_load_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -194,15 +189,6 @@ void RegFileBlock::fire(const Word* in, Word* out) {
   out[kRfOutOperands] = last_operands_.pack();
 }
 
-void RegFileBlock::reset() {
-  regs_.fill(0);
-  firing_ = 0;
-  alu_wb_.clear();
-  load_wb_.clear();
-  staged_store_ = 0;
-  last_operands_ = {};
-}
-
 // ---------------------------------------------------------------------------
 // AluBlock
 // ---------------------------------------------------------------------------
@@ -238,11 +224,6 @@ void AluBlock::fire(const Word* in, Word* out) {
   out[kAluOutMaddr] = last_result_;
 }
 
-void AluBlock::reset() {
-  flags_ = {};
-  last_result_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 // ControlUnit
 // ---------------------------------------------------------------------------
@@ -258,7 +239,7 @@ ControlUnit::ControlUnit(Config config)
   out_rf_ = add_output("rf_ctl", RfCtl{}.pack());
   out_alu_ = add_output("alu_op", AluCtl{}.pack());
   out_dc_ = add_output("dc_ctl", DcCtl{}.pack());
-  reset();
+  fetch_meta_.assign(2, FetchMeta{});  // the two in-flight reset slots
 }
 
 int ControlUnit::outstanding_real() const {
@@ -430,23 +411,6 @@ void ControlUnit::fire(const Word* in, Word* out) {
       --drain_left_;
   }
   ++firing_;
-}
-
-void ControlUnit::reset() {
-  pc_ = 0;
-  firing_ = 0;
-  fetch_meta_.assign(2, FetchMeta{});  // the two in-flight reset slots
-  ibuf_.clear();
-  for (auto& r : ready_at_) r = 0;
-  flags_ready_at_ = 0;
-  fetch_allowed_at_ = 0;
-  alu_delay_ = AluCtl{};
-  dc_delay_[0] = DcCtl{};
-  dc_delay_[1] = DcCtl{};
-  draining_ = false;
-  drain_left_ = 0;
-  halted_ = false;
-  retired_ = 0;
 }
 
 }  // namespace wp::proc

@@ -44,7 +44,6 @@ class IcacheBlock final : public Process {
   explicit IcacheBlock(std::vector<Word> rom);
 
   void fire(const Word* in, Word* out) override;
-  void reset() override {}
 
  private:
   std::vector<Word> rom_;
@@ -59,12 +58,10 @@ class DcacheBlock final : public Process {
 
   InputMask required(const PeekView& peek) const override;
   void fire(const Word* in, Word* out) override;
-  void reset() override;
 
   const std::vector<std::uint32_t>& memory() const { return ram_; }
 
  private:
-  std::vector<std::uint32_t> initial_ram_;
   std::vector<std::uint32_t> ram_;
   std::uint32_t last_load_ = 0;
 };
@@ -78,7 +75,6 @@ class RegFileBlock final : public Process {
 
   InputMask required(const PeekView& peek) const override;
   void fire(const Word* in, Word* out) override;
-  void reset() override;
 
   const std::array<std::uint32_t, kNumRegisters>& registers() const {
     return regs_;
@@ -101,7 +97,6 @@ class AluBlock final : public Process {
 
   InputMask required(const PeekView& peek) const override;
   void fire(const Word* in, Word* out) override;
-  void reset() override;
 
  private:
   Flags flags_{};
@@ -129,7 +124,6 @@ class ControlUnit final : public Process {
 
   InputMask required(const PeekView& peek) const override;
   void fire(const Word* in, Word* out) override;
-  void reset() override;
   bool halted() const override { return halted_; }
 
   std::uint64_t instructions_retired() const { return retired_; }

@@ -28,19 +28,6 @@ ExperimentRow run_experiment(const ProgramSpec& program,
       eval::evaluate(eval::EvalRequest(std::move(job)), {}));
 }
 
-double simulate_wp2_throughput(const ProgramSpec& program,
-                               const CpuConfig& cpu,
-                               const std::map<std::string, int>& rs,
-                               std::size_t fifo_capacity) {
-  eval::ThroughputJob job;
-  job.program = eval::ProgramRef::inlined(program);
-  job.cpu = cpu;
-  job.rs = rs;
-  job.fifo_capacity = fifo_capacity;
-  return eval::unwrap_throughput(
-      eval::evaluate(eval::EvalRequest(std::move(job)), {}));
-}
-
 std::vector<RsConfig> table1_sort_configs() {
   std::vector<RsConfig> configs;
   configs.push_back({"All 0 (ideal)", {}});

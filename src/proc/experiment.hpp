@@ -63,14 +63,6 @@ ExperimentRow run_experiment(const ProgramSpec& program,
                              const CpuConfig& cpu, const RsConfig& config,
                              const ExperimentOptions& options = {});
 
-/// Convenience: simulated WP2 throughput of one configuration (used as the
-/// optimizer objective for the "Optimal k" rows). Oracle-backed like
-/// run_experiment.
-double simulate_wp2_throughput(const ProgramSpec& program,
-                               const CpuConfig& cpu,
-                               const std::map<std::string, int>& rs,
-                               std::size_t fifo_capacity = 16);
-
 /// Table 1 configurations, extraction-sort section (rows 1–13): ideal, one
 /// RS on each single connection, all-1 except CU-IC, and the optimizer's
 /// best all-1-with-relief placement.

@@ -126,10 +126,6 @@ bool reads_rs2(Opcode op) {
   }
 }
 
-bool needs_alu(Opcode op) {
-  return is_alu_writeback(op) || op == Opcode::kCmp || is_mem(op);
-}
-
 std::string to_string(const Instr& instr) {
   std::ostringstream os;
   os << opcode_name(instr.op);

@@ -66,7 +66,6 @@ bool is_branch(Opcode op);  ///< conditional branches (flag consumers)
 bool is_jump(Opcode op);    ///< unconditional control transfer
 bool reads_rs1(Opcode op);
 bool reads_rs2(Opcode op);
-bool needs_alu(Opcode op);  ///< occupies the ALU (compute or address)
 
 std::string to_string(const Instr& instr);
 

@@ -77,9 +77,9 @@ class SimOracle {
   GoldenCache::Stats stats() const { return cache_.stats(); }
   GoldenCache& cache() { return cache_; }
 
-  /// Process-wide oracle used by the proc::run_experiment /
-  /// proc::simulate_wp2_throughput free functions, so every client in one
-  /// process shares the same golden records by default.
+  /// Process-wide oracle used by eval::evaluate when its context names
+  /// none (so by proc::run_experiment too): every client in one process
+  /// shares the same golden records by default.
   static SimOracle& shared();
 
  private:

@@ -54,7 +54,6 @@ class TimedProcess final : public Process {
     if (registry_ != nullptr) registry_->record(elapsed);
   }
 
-  void reset() override { inner_->reset(); }
   bool halted() const override { return inner_->halted(); }
   const Process& inner() const { return *inner_; }
 

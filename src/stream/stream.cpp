@@ -77,8 +77,6 @@ void SampleSource::fire(const Word* /*in*/, Word* out) {
   ++t_;
 }
 
-void SampleSource::reset() { t_ = 0; }
-
 bool SampleSource::halted() const { return limit_ != 0 && t_ >= limit_; }
 
 // ---------------------------------------------------------------------------
@@ -109,11 +107,6 @@ void FirFilter::fire(const Word* in, Word* out) {
   out[0] = as_word(acc);
 }
 
-void FirFilter::reset() {
-  delay_line_.assign(coefficients_.size(), 0);
-  newest_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 
 GainStage::GainStage(std::string name, std::uint64_t period)
@@ -139,11 +132,6 @@ void GainStage::fire(const Word* in, Word* out) {
   }
   out[0] = fix_mul(in[kGainInSample], gain_);
   ++firing_;
-}
-
-void GainStage::reset() {
-  firing_ = 0;
-  gain_ = static_cast<Word>(kFixOne);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,12 +187,6 @@ void AgcControl::fire(const Word* in, Word* out) {
   }
 }
 
-void AgcControl::reset() {
-  phase_ = 0;
-  accumulator_ = 0;
-  gain_ = static_cast<Word>(kFixOne);
-}
-
 // ---------------------------------------------------------------------------
 
 StreamSink::StreamSink(std::string name, std::uint64_t limit,
@@ -234,16 +216,6 @@ void StreamSink::fire(const Word* in, Word* /*out*/) {
     tail_[tail_pos_] = sample;
     tail_pos_ = tail_pos_ + 1 == tail_.size() ? 0 : tail_pos_ + 1;
   }
-}
-
-void StreamSink::reset() {
-  count_ = 0;
-  digest_ = kDigestSeed;
-  value_stats_ = RunningStats{};
-  samples_.clear();
-  tail_pos_ = 0;
-  if (!options_.keep_samples && options_.tail_window > 0)
-    tail_.assign(options_.tail_window, 0);
 }
 
 bool StreamSink::halted() const {

@@ -42,7 +42,6 @@ class SampleSource final : public Process {
  public:
   SampleSource(std::string name, std::uint64_t seed, std::uint64_t limit);
   void fire(const Word* in, Word* out) override;
-  void reset() override;
   bool halted() const override;
 
  private:
@@ -56,7 +55,6 @@ class FirFilter final : public Process {
  public:
   FirFilter(std::string name, std::vector<Word> coefficients);
   void fire(const Word* in, Word* out) override;
-  void reset() override;
 
  private:
   std::vector<Word> coefficients_;
@@ -78,7 +76,6 @@ class GainStage final : public Process {
   GainStage(std::string name, std::uint64_t period);
   InputMask required(const PeekView& peek) const override;
   void fire(const Word* in, Word* out) override;
-  void reset() override;
 
   std::uint64_t period() const { return period_; }
 
@@ -96,7 +93,6 @@ class Quantizer final : public Process {
  public:
   explicit Quantizer(std::string name);
   void fire(const Word* in, Word* out) override;
-  void reset() override {}
 };
 
 /// AGC: accumulates magnitudes and, every `period` samples, emits a fresh
@@ -106,7 +102,6 @@ class AgcControl final : public Process {
  public:
   AgcControl(std::string name, std::uint64_t period, double target);
   void fire(const Word* in, Word* out) override;
-  void reset() override;
 
   /// Tag of the token that carries a fresh gain: every period-th firing.
   static bool fresh(Word token) { return (token >> 63) & 1; }
@@ -142,7 +137,6 @@ class StreamSink final : public Process {
  public:
   StreamSink(std::string name, std::uint64_t limit, SinkOptions options = {});
   void fire(const Word* in, Word* out) override;
-  void reset() override;
   bool halted() const override;
 
   std::uint64_t count() const { return count_; }

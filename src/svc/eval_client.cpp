@@ -28,14 +28,6 @@ EvalClient::~EvalClient() { close(); }
 EvalClient::EvalClient(EvalClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)) {}
 
-EvalClient& EvalClient::operator=(EvalClient&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-  }
-  return *this;
-}
-
 void EvalClient::connect(const std::string& socket_path) {
   close();
   for (int attempt = 0; attempt <= kConnectRetries; ++attempt) {

@@ -42,7 +42,6 @@ class EvalClient {
   EvalClient(const EvalClient&) = delete;
   EvalClient& operator=(const EvalClient&) = delete;
   EvalClient(EvalClient&& other) noexcept;
-  EvalClient& operator=(EvalClient&& other) noexcept;
 
   /// Connects to `socket_path`, retrying for about five seconds (a daemon
   /// that was just spawned needs a moment to bind). Throws

@@ -17,11 +17,7 @@ std::string format(const char* kind, const char* expr, const char* file,
 ContractViolation::ContractViolation(const char* kind, const char* expr,
                                      const char* file, int line,
                                      const std::string& msg)
-    : std::logic_error(format(kind, expr, file, line, msg)),
-      kind_(kind),
-      expr_(expr),
-      file_(file),
-      line_(line) {}
+    : std::logic_error(format(kind, expr, file, line, msg)), kind_(kind) {}
 
 namespace detail {
 void contract_fail(const char* kind, const char* expr, const char* file,

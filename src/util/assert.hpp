@@ -18,16 +18,12 @@ class ContractViolation : public std::logic_error {
   ContractViolation(const char* kind, const char* expr, const char* file,
                     int line, const std::string& msg);
 
+  /// "precondition", "postcondition" or "invariant"; what() carries the
+  /// expression, location and message.
   const char* kind() const noexcept { return kind_; }
-  const char* expression() const noexcept { return expr_; }
-  const char* file() const noexcept { return file_; }
-  int line() const noexcept { return line_; }
 
  private:
   const char* kind_;
-  const char* expr_;
-  const char* file_;
-  int line_;
 };
 
 namespace detail {

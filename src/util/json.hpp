@@ -107,11 +107,8 @@ class Value {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
 
   /// Typed accessors; wrong-kind access throws ParseError(offset 0).
   bool as_bool() const;

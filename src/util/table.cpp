@@ -12,13 +12,6 @@ namespace wp {
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
   WP_REQUIRE(!headers_.empty(), "table needs at least one column");
-  aligns_.assign(headers_.size(), Align::kRight);
-  aligns_[0] = Align::kLeft;
-}
-
-void TextTable::set_align(std::size_t col, Align align) {
-  WP_REQUIRE(col < aligns_.size(), "column index out of range");
-  aligns_[col] = align;
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
@@ -48,12 +41,13 @@ std::string TextTable::str() const {
   std::size_t total = headers_.size() * 3 + 1;
   for (auto w : width) total += w;
 
-  auto pad = [](const std::string& s, std::size_t w, Align a) {
+  // Column c is left-aligned when c is 0, right-aligned otherwise.
+  auto pad = [](const std::string& s, std::size_t w, std::size_t c) {
     std::string out;
     const std::size_t fill = w > s.size() ? w - s.size() : 0;
-    if (a == Align::kRight) out.append(fill, ' ');
+    if (c != 0) out.append(fill, ' ');
     out += s;
-    if (a == Align::kLeft) out.append(fill, ' ');
+    if (c == 0) out.append(fill, ' ');
     return out;
   };
 
@@ -63,7 +57,7 @@ std::string TextTable::str() const {
   rule();
   os << "|";
   for (std::size_t c = 0; c < headers_.size(); ++c)
-    os << ' ' << pad(headers_[c], width[c], aligns_[c]) << " |";
+    os << ' ' << pad(headers_[c], width[c], c) << " |";
   os << '\n';
   rule();
   for (const auto& row : rows_) {
@@ -71,14 +65,14 @@ std::string TextTable::str() const {
       case Row::Kind::kData:
         os << "|";
         for (std::size_t c = 0; c < row.cells.size(); ++c)
-          os << ' ' << pad(row.cells[c], width[c], aligns_[c]) << " |";
+          os << ' ' << pad(row.cells[c], width[c], c) << " |";
         os << '\n';
         break;
       case Row::Kind::kSeparator:
         rule();
         break;
       case Row::Kind::kSection: {
-        os << "| " << pad(row.cells[0], total - 4, Align::kLeft) << " |\n";
+        os << "| " << pad(row.cells[0], total - 4, 0) << " |\n";
         break;
       }
     }

@@ -9,17 +9,12 @@
 
 namespace wp {
 
-/// Column alignment for TextTable.
-enum class Align { kLeft, kRight };
-
-/// Accumulates rows of strings and prints them with per-column alignment,
-/// a header rule, and optional section separators.
+/// Accumulates rows of strings and prints them with the first column
+/// left-aligned and the rest right-aligned, a header rule, and optional
+/// section separators.
 class TextTable {
  public:
   explicit TextTable(std::vector<std::string> headers);
-
-  /// Sets the alignment of one column (default: left for col 0, right else).
-  void set_align(std::size_t col, Align align);
 
   /// Adds a data row. Must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
@@ -42,7 +37,6 @@ class TextTable {
   };
 
   std::vector<std::string> headers_;
-  std::vector<Align> aligns_;
   std::vector<Row> rows_;
 };
 

@@ -86,17 +86,6 @@ TEST(Dcache, OracleAsksForExactlyWhatTheOpNeeds) {
   EXPECT_EQ(dc.required(PeekView(avail, values, 3)), 0b001u);
 }
 
-TEST(Dcache, ResetRestoresInitialImage) {
-  DcacheBlock dc({5, 6});
-  Word in[3], out[1];
-  in[0] = DcCtl{false, MemKind::kStore}.pack();
-  in[1] = 0;
-  in[2] = 42;
-  dc.fire(in, out);
-  dc.reset();
-  EXPECT_EQ(dc.memory()[0], 5u);
-}
-
 // ------------------------------------------------------------------ RF
 
 TEST(RegFile, ReadsAndSchedulesWriteback) {

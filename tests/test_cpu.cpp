@@ -3,12 +3,25 @@
 // domination), the multicycle observation of §3, and the experiment driver.
 #include <gtest/gtest.h>
 
+#include "eval/evaluate.hpp"
+#include "eval/request.hpp"
 #include "graph/cycle_ratio.hpp"
 #include "graph/throughput.hpp"
 #include "proc/experiment.hpp"
 
 namespace wp::proc {
 namespace {
+
+/// Simulated WP2 throughput of one configuration, through the one
+/// evaluation surface.
+double wp2_throughput(const ProgramSpec& program,
+                      const std::map<std::string, int>& rs) {
+  eval::ThroughputJob job;
+  job.program = eval::ProgramRef::inlined(program);
+  job.rs = rs;
+  return eval::unwrap_throughput(
+      eval::evaluate(eval::EvalRequest(std::move(job)), {}));
+}
 
 class ProgramCorrectness
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
@@ -118,16 +131,14 @@ TEST(Table1Shape, MoreRelayStationsNeverRaiseThroughput) {
 }
 
 TEST(CpuGraph, LoopInventoryMatchesTopology) {
-  auto g = make_cpu_graph();
-  const auto report = wp::graph::analyze_throughput(g);
+  const auto report = wp::graph::analyze_throughput(make_cpu_graph());
   // Fig. 1 loops: CU-IC digon, CU-ALU digon, RF-ALU digon, RF-DC digon,
   // CU->RF->ALU->CU, ALU->DC->RF->ALU, CU->DC->RF->ALU->CU.
   EXPECT_EQ(report.loops.size(), 7u);
   EXPECT_DOUBLE_EQ(report.system_throughput, 1.0);  // no RS yet
   // With one RS on the CU-IC bundle (both edges), that loop dominates.
-  g.set_relay_stations(g.find_node("CU"), g.find_node("IC"), 1);
-  g.set_relay_stations(g.find_node("IC"), g.find_node("CU"), 1);
-  const auto pipelined = wp::graph::analyze_throughput(g);
+  const auto pipelined =
+      wp::graph::analyze_throughput(make_cpu_graph_with_rs({{"CU-IC", 1}}));
   EXPECT_NEAR(pipelined.system_throughput, 0.5, 1e-12);
   EXPECT_NE(pipelined.critical_loop.find("IC"), std::string::npos);
 }
@@ -160,14 +171,14 @@ TEST(Optimal, RsOptimizerBeatsAll1) {
     }
   const RsConfig best =
       optimal_config("Optimal 1 (no CU-IC)", prog, {}, demand, relieved, 2);
-  const double all1 = simulate_wp2_throughput(prog, {}, demand);
-  const double opt = simulate_wp2_throughput(prog, {}, best.rs);
+  const double all1 = wp2_throughput(prog, demand);
+  const double opt = wp2_throughput(prog, best.rs);
   EXPECT_GE(opt, all1 - 1e-9);
 }
 
 TEST(Experiment, SimulatedWp2ThroughputIdealIsOne) {
   const ProgramSpec prog = extraction_sort_program(8, 3);
-  EXPECT_NEAR(simulate_wp2_throughput(prog, {}, {}), 1.0, 1e-9);
+  EXPECT_NEAR(wp2_throughput(prog, {}), 1.0, 1e-9);
 }
 
 class PointerChase : public ::testing::TestWithParam<std::uint64_t> {};

@@ -4,8 +4,9 @@
 // mutations either fail with WireError or re-encode to the mutated bytes;
 // out-of-range ints and unordered rs maps are rejected), content-hash
 // stability, the inline-program wire guard, the
-// adapter guarantee (proc::run_experiment / simulate_wp2_throughput /
-// ParallelSweep rows are bit-identical to direct SimOracle calls), and
+// adapter guarantee (proc::run_experiment / ParallelSweep rows and
+// evaluate()'s throughput replies are bit-identical to direct SimOracle
+// calls), and
 // error containment in eval::evaluate.
 #include <gtest/gtest.h>
 

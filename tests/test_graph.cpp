@@ -42,9 +42,6 @@ TEST(Digraph, BasicAccessors) {
   EXPECT_EQ(g.edge_latency(e), 3);
   EXPECT_EQ(g.out_edges(a).size(), 1u);
   EXPECT_EQ(g.in_edges(b).size(), 1u);
-  g.set_relay_stations(a, b, 5);
-  EXPECT_EQ(g.edge(e).relay_stations, 5);
-  EXPECT_THROW(g.set_relay_stations(b, a, 1), wp::ContractViolation);
   EXPECT_THROW(g.add_edge(a, 7), wp::ContractViolation);
 }
 

@@ -64,8 +64,6 @@ TEST(Isa, Classification) {
   EXPECT_TRUE(reads_rs2(Opcode::kSt));
   EXPECT_FALSE(reads_rs1(Opcode::kLi));
   EXPECT_FALSE(reads_rs2(Opcode::kAddi));
-  EXPECT_TRUE(needs_alu(Opcode::kLd));
-  EXPECT_FALSE(needs_alu(Opcode::kBeq));
 }
 
 TEST(Isa, ToStringFormats) {

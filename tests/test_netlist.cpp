@@ -2,6 +2,8 @@
 // execution of parsed systems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 #include "core/netlist_text.hpp"
@@ -87,10 +89,14 @@ rs link 3
 
 TEST(Netlist, RegistryListsTypesAndRejectsDuplicates) {
   ProcessRegistry registry = default_registry();
-  EXPECT_TRUE(registry.contains("counter"));
-  EXPECT_TRUE(registry.contains("dutycycle"));
-  EXPECT_FALSE(registry.contains("frobnicator"));
-  EXPECT_GE(registry.types().size(), 7u);
+  const std::vector<std::string> types = registry.types();
+  auto listed = [&types](const std::string& type) {
+    return std::find(types.begin(), types.end(), type) != types.end();
+  };
+  EXPECT_TRUE(listed("counter"));
+  EXPECT_TRUE(listed("dutycycle"));
+  EXPECT_FALSE(listed("frobnicator"));
+  EXPECT_GE(types.size(), 7u);
   EXPECT_THROW(registry.add("counter", [](const ProcessParams&) {
     return ProcessFactory{};
   }),
@@ -98,10 +104,9 @@ TEST(Netlist, RegistryListsTypesAndRejectsDuplicates) {
 }
 
 TEST(Netlist, ParameterHelpers) {
-  ProcessParams params{{"x", "42"}, {"y", "2.5"}};
+  ProcessParams params{{"x", "42"}};
   EXPECT_EQ(param_int(params, "x", 0), 42);
   EXPECT_EQ(param_int(params, "missing", 7), 7);
-  EXPECT_DOUBLE_EQ(param_double(params, "y", 0), 2.5);
   EXPECT_EQ(param_int_required(params, "x"), 42);
   EXPECT_THROW(param_int_required(params, "missing"), ContractViolation);
 }

@@ -153,34 +153,6 @@ TEST(Profiler, CpuProfileMatchesTable1Intuition) {
   EXPECT_DOUBLE_EQ(rf_ctl, 1.0);
 }
 
-TEST(Profiler, Wp2EstimateRanksLoops) {
-  const proc::ProgramSpec program = proc::extraction_sort_program(16, 1);
-  const SystemSpec spec = proc::make_cpu_system(program, {});
-  const CommunicationProfile profile = profile_communication(spec, 200000);
-
-  auto g = proc::make_cpu_graph();
-  g.set_relay_stations(g.find_node("RF"), g.find_node("DC"), 1);
-  g.set_relay_stations(g.find_node("CU"), g.find_node("IC"), 1);
-  g.set_relay_stations(g.find_node("IC"), g.find_node("CU"), 1);
-  // Map each connection to the consumer input whose excitation gates it.
-  const std::map<std::string, std::string> edge_to_input = {
-      {"CU-IC", "CU.instr"}, {"RF-DC", "DC.store_data"},
-      {"DC-RF", "RF.load"},  {"ALU-CU", "CU.flags"}};
-  const auto estimates = estimate_wp2(g, profile, edge_to_input);
-  ASSERT_FALSE(estimates.empty());
-  // The worst estimated loop must be the fetch loop (high excitation),
-  // not the rarely-excited RF-DC loop.
-  EXPECT_NE(estimates.front().loop.find("IC"), std::string::npos);
-  for (const auto& est : estimates) {
-    if (est.loop.find("DC") != std::string::npos &&
-        est.loop.find("RF") != std::string::npos &&
-        est.loop.find("CU") == std::string::npos &&
-        est.loop.find("ALU") == std::string::npos) {
-      EXPECT_GT(est.wp2, 0.9);  // RF<->DC loop: barely excited
-    }
-  }
-}
-
 TEST(Profiler, StrictProcessesReportFullExcitation) {
   SystemSpec spec;
   spec.add_process("a", []() { return std::make_unique<IdentityProcess>("a", 0); });

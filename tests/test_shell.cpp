@@ -38,7 +38,6 @@ class RecordingProcess final : public Process {
     seen.emplace_back(in[0], in[1]);
     out[0] = in[0] + in[1];
   }
-  void reset() override { seen.clear(); }
   std::vector<std::pair<Word, Word>> seen;
 };
 
@@ -54,7 +53,6 @@ class UnsoundOracleProcess final : public Process {
   }
   InputMask required(const PeekView&) const override { return 0b01; }
   void fire(const Word* in, Word* out) override { out[0] = in[0] + in[1]; }
-  void reset() override {}
 };
 
 // A process with `inputs` inputs that fires on all of them.
@@ -69,7 +67,6 @@ class WideProcess final : public Process {
     out[0] = 0;
     for (std::size_t i = 0; i < inputs().size(); ++i) out[0] += in[i];
   }
-  void reset() override {}
 };
 
 TEST(Shell, StrictWaitsForAllInputs) {
@@ -291,9 +288,9 @@ TEST(Shell, FireObserverSeesTagsInOrder) {
   EXPECT_EQ(net.firing_counter(shell), 5u);  // the next tag to fire
 }
 
-TEST(Network, CountsFiringsAndHaltsAcrossReset) {
+TEST(Network, CountsFiringsAndHalts) {
   // The shell commits feed the run loop's two counters: the firing total
-  // and the number of halted shells. reset() clears both.
+  // and the number of halted shells.
   Network net;
   const WireId w = net.make_wire("w");
   const ShellId src = net.add_shell(
@@ -307,13 +304,6 @@ TEST(Network, CountsFiringsAndHaltsAcrossReset) {
   EXPECT_EQ(net.halted_shells(), 1u);
   EXPECT_EQ(net.firings(), net.stats(src).firings + net.stats(sink).firings);
   EXPECT_EQ(net.run(100, 1), 0u);  // already satisfied: no step
-
-  net.reset();
-  EXPECT_EQ(net.cycle(), 0u);
-  EXPECT_EQ(net.firings(), 0u);
-  EXPECT_EQ(net.halted_shells(), 0u);
-  EXPECT_FALSE(net.halted(src));
-  EXPECT_EQ(net.run(100, 1), 3u);  // the same run again
 }
 
 TEST(Shell, RejectsBadConfiguration) {

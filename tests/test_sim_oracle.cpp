@@ -13,6 +13,8 @@
 #include <thread>
 
 #include "core/procs.hpp"
+#include "eval/evaluate.hpp"
+#include "eval/request.hpp"
 #include "graph/cycle_ratio.hpp"
 #include "proc/blocks.hpp"
 #include "proc/experiment.hpp"
@@ -374,7 +376,11 @@ TEST(SimOracle, ProgramWithoutVerifierHasNothingToCheck) {
   EXPECT_EQ(bare.golden_cycles, checked.golden_cycles);
   EXPECT_EQ(bare.wp1_cycles, checked.wp1_cycles);
   EXPECT_EQ(bare.wp2_cycles, checked.wp2_cycles);
-  EXPECT_EQ(proc::simulate_wp2_throughput(unverified, {}, config.rs),
+  eval::ThroughputJob job;
+  job.program = eval::ProgramRef::inlined(unverified);
+  job.rs = config.rs;
+  EXPECT_EQ(eval::unwrap_throughput(
+                eval::evaluate(eval::EvalRequest(std::move(job)), {})),
             bare.th_wp2);
 }
 

@@ -198,24 +198,6 @@ TEST(System, SpecValidation) {
   EXPECT_EQ(spec.channels()[0].relay_stations, 2);
 }
 
-TEST(System, ResetReproducesTheRunExactly) {
-  // Network::reset must restore wires, relay stations and shells (tags,
-  // FIFOs, initial tokens) to power-on state: a re-run yields the same
-  // τ-filtered trace.
-  SystemSpec spec = ring_system(3);
-  spec.set_connection_rs("ring1", 2);
-  ShellOptions wp2;
-  wp2.use_oracle = true;
-  LidSystem lid = build_lid(spec, wp2, true);
-  for (int i = 0; i < 400; ++i) lid.network->step();
-  const Trace first = lid.trace;
-  lid.trace.clear();
-  lid.network->reset();
-  EXPECT_EQ(lid.network->cycle(), 0u);
-  for (int i = 0; i < 400; ++i) lid.network->step();
-  EXPECT_EQ(first, lid.trace);
-}
-
 TEST(System, BoundedFifosMatchTheSemiInfiniteAbstraction) {
   // Paper §1 first defines the wrapper with "semi-infinite fifos", then
   // bounds them with back-pressure. Both must produce identical streams
