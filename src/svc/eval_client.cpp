@@ -1,12 +1,16 @@
 #include "svc/eval_client.hpp"
 
+#include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <exception>
+#include <thread>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -17,9 +21,12 @@ namespace wp::svc {
 
 namespace {
 
-/// A daemon that was just spawned needs a moment to bind.
-constexpr int kConnectRetries = 50;
-constexpr int kConnectRetryMs = 100;
+/// A spawned worker listens a few milliseconds after the fork. The pause
+/// between polls doubles from the first to the cap; the budget bounds the
+/// whole launch.
+constexpr std::chrono::microseconds kFirstPollPause{100};
+constexpr std::chrono::microseconds kMaxPollPause{1000};
+constexpr std::chrono::seconds kListenBudget{5};
 
 }  // namespace
 
@@ -30,14 +37,27 @@ EvalClient::EvalClient(EvalClient&& other) noexcept
 
 void EvalClient::connect(const std::string& socket_path) {
   close();
-  for (int attempt = 0; attempt <= kConnectRetries; ++attempt) {
-    if (attempt > 0) ::usleep(kConnectRetryMs * 1000);
-    fd_ = open_unix_socket(socket_path, /*listen=*/false);
-    if (fd_ >= 0) return;
+  fd_ = open_unix_socket(socket_path, /*listen=*/false);
+  if (fd_ < 0)
+    throw ProtocolError(eval::ErrorCode::kInternal,
+                        "could not connect to " + socket_path + ": " +
+                            std::strerror(errno));
+}
+
+bool EvalClient::try_connect(const std::string& socket_path,
+                             pid_t server_pid) {
+  close();
+  const int fd = open_unix_socket(socket_path, /*listen=*/false);
+  if (fd < 0) return false;
+  ucred peer{};
+  socklen_t size = sizeof peer;
+  if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &peer, &size) == 0 &&
+      peer.pid == server_pid) {
+    fd_ = fd;
+    return true;
   }
-  throw ProtocolError(eval::ErrorCode::kInternal,
-                      "could not connect to " + socket_path + ": " +
-                          std::strerror(errno));
+  ::close(fd);
+  return false;
 }
 
 void EvalClient::close() {
@@ -112,15 +132,18 @@ std::string EvalClient::stats_json() {
   return expect(FrameType::kStatsReply);
 }
 
-void EvalClient::shutdown_server() {
+bool EvalClient::shutdown_server() {
+  // The server writes the acknowledgement before it starts shutting down,
+  // so a missing one means the frame was not taken.
+  bool acknowledged = true;
   try {
     send(FrameType::kShutdown, {});
     expect(FrameType::kPong);
   } catch (const ProtocolError&) {
-    // The server may tear the socket down before the ack leaves: the
-    // shutdown still happened.
+    acknowledged = false;
   }
   close();
+  return acknowledged;
 }
 
 // ------------------------------------------------------------- sharding
@@ -183,42 +206,87 @@ WorkerFleet::~WorkerFleet() { stop(); }
 
 void WorkerFleet::start() {
   WP_REQUIRE(!running_, "fleet already running");
-  std::vector<std::string> paths;
-  for (std::size_t w = 0; w < options_.workers; ++w)
-    paths.push_back(
-        socket_path(options_.base_port + static_cast<port_name>(w)));
+  pids_.assign(options_.workers, 0);
+  clients_.resize(options_.workers);
+  try {
+    launch(0, options_.workers);
+  } catch (...) {
+    stop();
+    throw;
+  }
+  running_ = true;
+}
 
-  for (std::size_t w = 0; w < options_.workers; ++w) {
+void WorkerFleet::launch(std::size_t first, std::size_t count) {
+  // Every argv is built before the fork: the child of a threaded process
+  // may only call async-signal-safe functions before it execs.
+  std::vector<std::string> paths(count);
+  std::vector<std::vector<std::string>> args(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    paths[i] = socket_path(options_.base_port +
+                           static_cast<port_name>(first + i));
+    args[i] = {options_.evald_path, "--socket", paths[i], "--workers",
+               std::to_string(options_.threads_per_worker)};
+    args[i].insert(args[i].end(), options_.extra_args.begin(),
+                   options_.extra_args.end());
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<char*> argv;
+    for (std::string& arg : args[i]) argv.push_back(arg.data());
+    argv.push_back(nullptr);
     const pid_t pid = ::fork();
     WP_CHECK(pid >= 0, "fork() failed");
     if (pid == 0) {
-      // Child: exec the worker daemon on its own port.
-      std::vector<std::string> args = {
-          options_.evald_path, "--socket", paths[w], "--workers",
-          std::to_string(options_.threads_per_worker)};
-      args.insert(args.end(), options_.extra_args.begin(),
-                  options_.extra_args.end());
-      std::vector<char*> argv;
-      for (std::string& arg : args) argv.push_back(arg.data());
-      argv.push_back(nullptr);
       ::execv(options_.evald_path.c_str(), argv.data());
       ::_exit(127);  // exec failed
     }
-    pids_.push_back(pid);
+    pids_[first + i] = pid;
   }
 
-  clients_.resize(options_.workers);
-  for (std::size_t w = 0; w < options_.workers; ++w)
-    clients_[w].connect(paths[w]);
-  running_ = true;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + kListenBudget;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t w = first + i;
+    std::chrono::microseconds pause = kFirstPollPause;
+    while (!clients_[w].try_connect(paths[i], pids_[w])) {
+      // WNOWAIT leaves an exited worker for stop() to reap.
+      siginfo_t info{};
+      if (::waitid(P_PID, static_cast<id_t>(pids_[w]), &info,
+                   WEXITED | WNOHANG | WNOWAIT) == 0 &&
+          info.si_pid == pids_[w])
+        throw ProtocolError(
+            eval::ErrorCode::kInternal,
+            "worker " + std::to_string(w) + " (" + options_.evald_path +
+                (info.si_code == CLD_EXITED
+                     ? ") exited with status "
+                     : ") was killed by signal ") +
+                std::to_string(info.si_status) + " before listening on " +
+                paths[i]);
+      if (Clock::now() >= deadline)
+        throw ProtocolError(eval::ErrorCode::kInternal,
+                            "worker " + std::to_string(w) +
+                                " did not listen on " + paths[i] +
+                                " within " +
+                                std::to_string(kListenBudget.count()) + " s");
+      std::this_thread::sleep_for(pause);
+      pause = std::min(pause * 2, kMaxPollPause);
+    }
+  }
 }
 
 void WorkerFleet::stop() {
   if (!running_ && pids_.empty()) return;
-  for (EvalClient& client : clients_)
-    if (client.connected()) client.shutdown_server();
+  for (std::size_t w = 0; w < pids_.size(); ++w) {
+    if (pids_[w] <= 0) continue;
+    // A worker that took no kShutdown frame would never exit by itself.
+    if (!clients_[w].connected() || !clients_[w].shutdown_server())
+      ::kill(pids_[w], SIGKILL);
+  }
   clients_.clear();
-  for (const pid_t pid : pids_) ::waitpid(pid, nullptr, 0);
+  for (const pid_t pid : pids_)
+    if (pid > 0)
+      while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+      }
   pids_.clear();
   running_ = false;
 }

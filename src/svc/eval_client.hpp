@@ -1,10 +1,11 @@
 // EvalClient / WorkerFleet — the client side of the evaluation service.
 //
 // EvalClient speaks the frame protocol to one EvalServer endpoint:
-// connect (with retry, for daemons still booting), evaluate a request
-// batch (input order preserved), scrape stats, ping, shut the server down.
-// Each is one round trip over one private send/expect pair, which alone
-// turns EOF, a kError frame and a wrong frame type into ProtocolError.
+// connect (one attempt; the server must already listen), evaluate a
+// request batch (input order preserved), scrape stats, ping, shut the
+// server down. Each is one round trip over one private send/expect pair,
+// which alone turns EOF, a kError frame and a wrong frame type into
+// ProtocolError.
 //
 // WorkerFleet runs a sharded fabric: it forks N wirepipe_evald worker
 // processes on per-worker ports, round-robin shards a request list across
@@ -14,6 +15,17 @@
 // result depends on which worker ran it). evaluate_sharded is also
 // available against caller-owned clients, which is how the tests drive
 // two in-process servers without forking.
+//
+// start() forks every worker, then polls each worker's socket with
+// doubling pauses (0.1 ms up to 1 ms, 5 s in all) and returns as soon as
+// every worker listens. A connection counts only when its peer process
+// (SO_PEERCRED) is that worker, so a stale listener left on a worker's
+// path is never adopted. A worker that exits before it listens fails
+// start() at once, naming the worker and its exit status. stop() sends
+// every connected worker a kShutdown frame, kills every worker that did
+// not acknowledge one (a worker without a client included) and reaps them
+// all, so it cannot wait on a daemon that will never exit; a failed
+// start() runs it before it throws.
 //
 // Sharding is threadless: send every shard, then read every reply in
 // worker order. A server reads a whole frame before it evaluates, so every
@@ -43,9 +55,8 @@ class EvalClient {
   EvalClient& operator=(const EvalClient&) = delete;
   EvalClient(EvalClient&& other) noexcept;
 
-  /// Connects to `socket_path`, retrying for about five seconds (a daemon
-  /// that was just spawned needs a moment to bind). Throws
-  /// ProtocolError(kInternal) when every attempt fails.
+  /// Connects to `socket_path` in one attempt. Throws
+  /// ProtocolError(kInternal) when nothing listens there.
   void connect(const std::string& socket_path);
   bool connected() const { return fd_ >= 0; }
   void close();
@@ -64,13 +75,20 @@ class EvalClient {
   /// the server predates the stats frame or the connection fails.
   std::string stats_json();
 
-  /// Sends kShutdown and waits for the acknowledgement.
-  void shutdown_server();
+  /// Sends kShutdown and waits for the acknowledgement, then closes the
+  /// connection. False when none came: the server never took the frame.
+  bool shutdown_server();
 
  private:
   friend std::vector<eval::EvalReply> evaluate_sharded(
       std::vector<EvalClient*> clients,
       const std::vector<eval::EvalRequest>& requests);
+  friend class WorkerFleet;
+
+  /// One connect attempt that keeps the connection only when the process
+  /// listening on `socket_path` is `server_pid`. Never throws: a worker
+  /// that is still booting is the common case, not an error.
+  bool try_connect(const std::string& socket_path, pid_t server_pid);
 
   /// The two halves of every round trip. send writes one frame; expect
   /// reads the answer and returns its payload when it is a `type` frame,
@@ -105,9 +123,12 @@ class WorkerFleet {
   WorkerFleet(const WorkerFleet&) = delete;
   WorkerFleet& operator=(const WorkerFleet&) = delete;
 
-  /// Forks and execs the worker daemons, connects a client to each.
+  /// Forks and execs the worker daemons and connects a client to each as
+  /// soon as it listens. Throws ProtocolError when a worker exits first
+  /// or does not listen within 5 s; every worker is stopped by then.
   void start();
-  /// Shuts every worker down (kShutdown frame, then waitpid). Idempotent.
+  /// Sends kShutdown to every connected worker, kills every worker that
+  /// did not acknowledge it, then reaps them all. Idempotent.
   void stop();
 
   std::size_t workers() const { return clients_.size(); }
@@ -120,9 +141,13 @@ class WorkerFleet {
       const std::vector<eval::EvalRequest>& requests);
 
  private:
+  /// Forks workers [first, first + count), then connects each one's client
+  /// as soon as that worker listens (see the file comment).
+  void launch(std::size_t first, std::size_t count);
+
   FleetOptions options_;
   std::vector<EvalClient> clients_;
-  std::vector<pid_t> pids_;
+  std::vector<pid_t> pids_;  ///< 0 for a worker not forked yet
   bool running_ = false;
 };
 

@@ -31,7 +31,7 @@ int open_unix_socket(const std::string& path, bool listen) {
     return -1;
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
   const auto* address = reinterpret_cast<const sockaddr*>(&addr);
   if (listen) ::unlink(path.c_str());

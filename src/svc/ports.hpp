@@ -28,9 +28,10 @@ std::string socket_path(port_name port);
 /// socket_path(kPortEval).
 std::string default_socket_path();
 
-/// The one way server and client open an endpoint: a new AF_UNIX stream
-/// socket connected to `path` or, with `listen`, bound and listening there
-/// (a stale socket file is unlinked first). -1 with errno on failure.
+/// The one way server and client open an endpoint: a new close-on-exec
+/// AF_UNIX stream socket connected to `path` or, with `listen`, bound and
+/// listening there (a stale socket file is unlinked first), so a spawned
+/// worker inherits no endpoint of its parent. -1 with errno on failure.
 int open_unix_socket(const std::string& path, bool listen);
 
 }  // namespace wp::svc

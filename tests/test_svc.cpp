@@ -421,7 +421,7 @@ TEST(EvalServer, ShutdownFrameEndsWait) {
 
   EvalClient client;
   client.connect(server.socket_path());
-  client.shutdown_server();
+  EXPECT_TRUE(client.shutdown_server());  // acknowledged
   server.wait();  // must return now instead of blocking
   server.stop();
   EXPECT_FALSE(server.running());
