@@ -47,8 +47,8 @@ std::string dir_of(const char* argv0) {
 // ------------------------------------------------------------ sweep mode
 
 std::vector<eval::EvalRequest> sweep_requests() {
-  // A wireable program reference: the daemon regenerates the program from
-  // (generator, size, seed) — no closure crosses the socket.
+  // A generator program reference: the daemon regenerates the program
+  // from (generator, size, seed) — no closure crosses the socket.
   const eval::ProgramRef program = eval::ProgramRef::extraction_sort(10, 7);
   proc::CpuConfig cpu;
   proc::ExperimentOptions options;
@@ -206,8 +206,8 @@ int main(int argc, char** argv) {
     requests.reserve(jobs.size());
     for (const gen::SampleJob& job : jobs) requests.emplace_back(job);
 
-    // Single-process side: a private oracle, exactly how run_ensemble
-    // wires one per run.
+    // Single-process side: a private oracle, whose golden cache stands in
+    // for the one run_ensemble owns per run (same kMaxCachedGoldens cap).
     sim::SimOracle oracle;
     eval::EvalContext context;
     context.oracle = &oracle;

@@ -109,9 +109,9 @@ void Network::add_relay_station(WireId in, WireId out,
       .emplace_back(in, out, stall_probability, seed);
 }
 
-// One clock cycle: every per-cycle pass. It is inlined into both step()
-// and run(), so the run loop makes no call per cycle. The relay station's
-// eval and commit are inlined here.
+// One clock cycle: every per-cycle pass. It is always inline, in both
+// step() and run(), so the run loop makes no call per cycle. The relay
+// station's eval and commit are inline here too.
 [[gnu::always_inline]] inline void Network::advance() {
   Word* const ring = ring_words_.data();
 
@@ -228,10 +228,10 @@ void Network::add_relay_station(WireId in, WireId out,
 }
 
 // The kernel's out-of-line per-cycle functions, step() and run(), each
-// holding the inlined cycle, are pinned to 64-byte boundaries: their speed
-// depends on where their loops fall within a 64-byte line, and unpinned, a
-// code-size change in files linked before them moved the stream-wp2
-// benchmark by 5% (latency_p1_ms, gcc 12.2 Release on a 4-vCPU Xeon).
+// holding an inline copy of the cycle, are pinned to 64-byte boundaries:
+// their speed depends on where their loops fall in a 64-byte line, and
+// unpinned, a code-size change in files linked before them moved the
+// stream-wp2 benchmark by 5% (latency_p1_ms, gcc 12.2 Release, 4-vCPU Xeon).
 [[gnu::aligned(64)]]
 void Network::step() { advance(); }
 

@@ -158,7 +158,7 @@ class Network {
     ShellStats stats;
   };
 
-  void advance();  // one clock cycle, inlined into step() and run()
+  void advance();  // one clock cycle, inline in step() and run()
 
   const ShellState& shell_state(ShellId shell) const;  // checks the id
   const std::string& first_unconnected_shell() const;

@@ -18,10 +18,10 @@ namespace wp::eval {
 
 namespace {
 
-/// Per-kind request counter + latency histogram, resolved once. This is
-/// THE choke point every evaluation path funnels through (in-process and
-/// daemon alike), so instrumenting it covers experiments, the optimizer,
-/// the ensembles and the service in one place.
+/// Per-kind request counter + latency histogram, resolved once. They count
+/// evaluate() calls only: the daemon's requests and in-process callers of
+/// evaluate, not the proc and gen drivers, which call their engines
+/// directly.
 struct KindMetrics {
   obs::Counter& requests;
   obs::Histogram& latency_ns;
@@ -101,8 +101,7 @@ EvalReply eval_floorplan(const FloorplanJob& job) {
 EvalReply eval_sample(const gen::SampleJob& job, sim::GoldenCache* cache) {
   EvalReply reply;
   reply.kind = ReplyKind::kSample;
-  reply.sample =
-      gen::run_sample_job(job, job.simulate.enabled ? cache : nullptr);
+  reply.sample = gen::run_sample_job(job, cache);
   return reply;
 }
 

@@ -1,15 +1,18 @@
-// eval::evaluate — the ONE executor behind the ONE evaluation surface.
+// eval::evaluate — the executor behind every wire request.
 //
-// evaluate(request, context) runs any EvalRequest and never throws: an
-// evaluation failure (contract violation, bad program, anything) comes
-// back as a typed kError reply, so batch callers — the in-process
-// ParallelSweep as much as the daemon worker pool — keep their remaining
-// work. evaluate_batch fans a request vector over a ThreadPool and
-// returns replies in input order.
+// evaluate(request, context) runs any EvalRequest on the engine an
+// in-process driver calls directly (sim::SimOracle for experiments and
+// WP2 throughput, gen::run_sample_job for ensemble samples, the floorplan
+// scoring half of an ensemble sample, stream::run_stream_graph), and never
+// throws: an evaluation failure (contract violation, bad program,
+// anything) comes back as a typed kError reply, so a batch keeps its
+// remaining work. evaluate_batch fans a request vector over a ThreadPool
+// and returns replies in input order. The service daemon serves both; the
+// in-process drivers (proc::run_experiment, proc::optimal_config,
+// proc::ParallelSweep, gen::run_ensemble) do not pass through here.
 //
-// The unwrap_* helpers are for adapters that preserve historical throwing
-// behavior: they return the payload of a success reply and rethrow error
-// replies as ContractViolation.
+// The unwrap_* helpers return the payload of a success reply and rethrow
+// an error reply as ContractViolation.
 #pragma once
 
 #include <vector>

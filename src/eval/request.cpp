@@ -6,7 +6,6 @@
 
 #include "proc/programs.hpp"
 #include "util/assert.hpp"
-#include "util/hash.hpp"
 
 namespace wp::eval {
 
@@ -37,7 +36,6 @@ using TagWire = std::conditional_t<std::is_same_v<E, ErrorCode>,
 struct Enc {
   static constexpr bool kDecoding = false;
   Writer& w;
-  bool for_hash;  ///< content_hash(): digest inline programs, don't throw
 
   void b(const bool& v) { w.b(v); }
   void i32(const std::int32_t& v) { w.i32(v); }
@@ -76,20 +74,6 @@ struct Enc {
   }
 
   void version(const char* /*type*/) { w.u8(kEvalVersion); }
-
-  void inline_program(const proc::ProgramSpec& spec) {
-    if (!for_hash)
-      throw WireError(
-          "inline ProgramSpec is not wire-serializable (its verify closure "
-          "cannot cross a process); use a generator ProgramRef");
-    // Hash mode: digest the program content. The verify closure is
-    // excluded — it is assumed to be a pure function of (source, ram),
-    // the same assumption sim::SimOracle's golden key already makes.
-    str(spec.name);
-    str(spec.source);
-    u64(spec.ram.size());
-    for (const std::uint32_t word : spec.ram) w.u32(word);
-  }
 
  private:
   void count(std::size_t n) {
@@ -168,10 +152,6 @@ struct Dec {
       throw WireError(std::string("unsupported ") + type + " version " +
                       std::to_string(version));
   }
-
-  void inline_program(proc::ProgramSpec& /*spec*/) {
-    throw WireError("inline ProgramSpec cannot arrive over the wire");
-  }
 };
 
 // ---------------------------------------------------------- field lists
@@ -180,8 +160,8 @@ template <class Io>
 void fields(Io& io, Field<Io, ProgramRef>& p) {
   io.tag(p.generator, ProgramRef::Generator::kPointerChase,
          "program generator");
-  if (p.generator == ProgramRef::Generator::kInline)
-    return io.inline_program(p.inline_spec);
+  if (p.generator == ProgramRef::Generator{})
+    throw WireError("unknown program generator tag 0");
   io.u64(p.size);
   io.u64(p.seed);
 }
@@ -453,8 +433,8 @@ void fields(Io& io, Field<Io, EvalReply>& reply) {
 }
 
 template <class T>
-void encode_value(Writer& w, const T& value, bool for_hash = false) {
-  Enc enc{w, for_hash};
+void encode_value(Writer& w, const T& value) {
+  Enc enc{w};
   fields(enc, value);
 }
 
@@ -482,24 +462,15 @@ const char* request_kind_name(RequestKind kind) {
 // ----------------------------------------------------------- ProgramRef
 
 ProgramRef ProgramRef::extraction_sort(std::uint64_t n, std::uint64_t seed) {
-  return ProgramRef{Generator::kExtractionSort, n, seed, {}};
+  return ProgramRef{Generator::kExtractionSort, n, seed};
 }
 
 ProgramRef ProgramRef::matmul(std::uint64_t dim, std::uint64_t seed) {
-  return ProgramRef{Generator::kMatmul, dim, seed, {}};
-}
-
-ProgramRef ProgramRef::inlined(proc::ProgramSpec spec) {
-  ProgramRef ref;
-  ref.generator = Generator::kInline;
-  ref.inline_spec = std::move(spec);
-  return ref;
+  return ProgramRef{Generator::kMatmul, dim, seed};
 }
 
 proc::ProgramSpec ProgramRef::materialize() const {
   switch (generator) {
-    case Generator::kInline:
-      return inline_spec;
     case Generator::kExtractionSort:
       return proc::extraction_sort_program(static_cast<std::size_t>(size),
                                            seed);
@@ -561,12 +532,6 @@ EvalRequest::EvalRequest(gen::SampleJob job)
 
 EvalRequest::EvalRequest(StreamJob job)
     : kind(RequestKind::kStreamRun), stream(std::move(job)) {}
-
-std::uint64_t EvalRequest::content_hash() const {
-  Writer w;
-  encode_value(w, *this, /*for_hash=*/true);
-  return hash_bytes(w.bytes().data(), w.size());
-}
 
 void EvalRequest::encode(Writer& w) const { encode_value(w, *this); }
 

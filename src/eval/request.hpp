@@ -1,41 +1,35 @@
-// EvalRequest / EvalReply — the ONE public evaluation surface.
+// EvalRequest / EvalReply — the evaluation requests a wire can carry.
 //
-// Every evaluation the repo performs — a Table-1 experiment row, the
-// optimizer's WP2-throughput objective, a floorplan anneal, an ensemble
-// sample — is described by an EvalRequest and answered by an EvalReply.
-// The four historical entry points (proc::run_experiment,
-// proc::optimal_config, proc::ParallelSweep, gen::run_ensemble) are thin
-// adapters that build a request and call eval::evaluate, and the service
-// daemon (src/svc) decodes the identical
-// request type off the wire and calls the identical eval::evaluate — the
-// in-process path and the daemon path execute literally the same code.
+// Each request names one evaluation by value — a Table-1 experiment row,
+// the optimizer's WP2-throughput objective, a floorplan anneal, an
+// ensemble sample or a stream run — and is answered by an EvalReply.
+// eval::evaluate (evaluate.hpp) runs a request on the same engine an
+// in-process driver calls directly (sim::SimOracle, gen::run_sample_job,
+// stream::run_stream_graph), and the service daemon (src/svc) decodes the
+// identical request type off the wire and calls the identical evaluate.
+// src/eval is the top of the library: only src/svc, the examples, the
+// tests and wpbench include it.
 //
 // Value-type contract:
-//   * tagged union over the four request kinds (RequestKind selects the
+//   * tagged union over the request kinds (RequestKind selects the
 //     engaged payload member);
 //   * versioned serialization (kEvalVersion byte leads every encoded
 //     request/reply; decoders reject other versions loudly) shared with
 //     the wire protocol;
 //   * one field list per wire type: request.cpp states each layout once,
 //     as a template `fields(io, value)` that runs over an encoding adapter
-//     (appends each field to a wire::Writer; a hash mode digests inline
-//     programs) and a decoding adapter (reads each field back and assigns
-//     it). encode, decode and content_hash are that list run three ways,
-//     so the two directions cannot drift apart;
+//     (appends each field to a wire::Writer) and a decoding adapter (reads
+//     each field back and assigns it), so the two directions cannot drift
+//     apart;
 //   * canonical decode: every byte image decode() accepts re-encodes to
 //     exactly those bytes. Enum tags are bounds-checked, an int field
 //     carried as i64 (rs-map counts, feedback_rs, forward_rs) must fit in
 //     an int, and rs-map names must strictly increase; anything else is a
-//     wire::WireError;
-//   * content-hash keyed: content_hash() is a stable FNV digest of the
-//     canonical encoding, usable as a cache/shard key across processes.
+//     wire::WireError.
 //
-// Programs are carried as ProgramRef: either a *generator reference*
-// (extraction-sort / matmul / pointer-chase plus parameters — the wire
-// representation) or an inline proc::ProgramSpec (in-process only: the
-// spec's verify closure cannot cross a process boundary, and silently
-// dropping it would change result_ok verdicts; serializing an inline
-// program throws wire::WireError instead).
+// Programs are carried as a ProgramRef: a generator (extraction-sort /
+// matmul / pointer-chase) plus its parameters, which the evaluating side
+// materializes into a proc::ProgramSpec.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +66,8 @@ const char* request_kind_name(RequestKind kind);
 // ------------------------------------------------------------ ProgramRef
 
 struct ProgramRef {
+  /// Tag 0 names no generator: decoding it is a wire::WireError.
   enum class Generator : std::uint8_t {
-    kInline = 0,          ///< carries a full ProgramSpec; NOT wireable
     kExtractionSort = 1,  ///< proc::extraction_sort_program(size, seed)
     kMatmul = 2,          ///< proc::matmul_program(size, seed)
     kPointerChase = 3,    ///< proc::pointer_chase_program(size, seed)
@@ -82,16 +76,12 @@ struct ProgramRef {
   Generator generator = Generator::kExtractionSort;
   std::uint64_t size = 16;  ///< n / dim, generator-dependent
   std::uint64_t seed = 1;
-  /// Engaged only for kInline (generator invocations materialize lazily).
-  proc::ProgramSpec inline_spec;
 
   static ProgramRef extraction_sort(std::uint64_t n = 16,
                                     std::uint64_t seed = 1);
   static ProgramRef matmul(std::uint64_t dim = 4, std::uint64_t seed = 2);
-  static ProgramRef inlined(proc::ProgramSpec spec);
 
-  bool wireable() const { return generator != Generator::kInline; }
-  /// Builds the ProgramSpec this ref names (inline: returns the copy).
+  /// Builds the ProgramSpec this ref names.
   proc::ProgramSpec materialize() const;
 };
 
@@ -178,14 +168,7 @@ struct EvalRequest {
   explicit EvalRequest(gen::SampleJob job);
   explicit EvalRequest(StreamJob job);
 
-  /// Stable content digest of the canonical encoding — the cache/shard
-  /// key. Inline programs hash their name/source/ram (the verify closure
-  /// is assumed to be a pure function of those, the same assumption the
-  /// golden cache already makes).
-  std::uint64_t content_hash() const;
-
-  /// Versioned wire encoding. Throws wire::WireError for requests that
-  /// cannot cross a process boundary (inline programs).
+  /// Versioned wire encoding.
   void encode(wire::Writer& w) const;
   static EvalRequest decode(wire::Reader& r);
 };
@@ -207,7 +190,8 @@ enum class ErrorCode : std::uint32_t {
   kNone = 0,
   kMalformedRequest = 1,  ///< payload failed to decode
   kBadVersion = 2,        ///< version byte mismatch
-  kNotWireable = 3,       ///< inline program asked to cross a process
+  kNotWireable = 3,       ///< retired with in-process programs; kept so
+                          ///< the later codes keep their numbers
   kEvalFailed = 4,        ///< the evaluation itself threw
   kMalformedFrame = 5,    ///< framing violation (svc layer)
   kOversizedFrame = 6,    ///< declared length over the frame cap

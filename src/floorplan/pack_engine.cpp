@@ -42,7 +42,7 @@ namespace {
 /// block/key lookups are shared), and the bounding box falls out of the
 /// same reaches the trees are fed.
 ///
-/// Pinned to a 64-byte boundary: the inlined Fenwick loops are a few
+/// Pinned to a 64-byte boundary: the inline Fenwick loops are a few
 /// instructions each, and their speed depends on where they fall within a
 /// 64-byte line. Unaligned, a code-size change in any file linked before
 /// this one moved the whole anneal-area-1024 benchmark by up to 25%.

@@ -6,9 +6,6 @@
 #include <ostream>
 #include <utility>
 
-#include "eval/evaluate.hpp"
-#include "eval/request.hpp"
-#include "sim/oracle.hpp"
 #include "graph/throughput_engine.hpp"
 #include "sim/netlist_sim.hpp"
 #include "util/assert.hpp"
@@ -176,28 +173,22 @@ EnsembleReport run_jobs(const EnsembleConfig& config, ThreadPool* pool) {
   const std::vector<SampleJob> jobs = ensemble_jobs(config);
   EnsembleReport report;
   report.samples.resize(jobs.size());
-  // One oracle for the whole run (thread-safe, per-key once-semantics):
-  // every sample's WP1/WP2 pair replays one cached golden, and repeat
-  // netlists across samples are cache hits. The oracle's LRU cap keeps
-  // memory flat when the generated netlists are all distinct.
-  sim::SimOracle oracle;
-  eval::EvalContext context;
-  context.oracle = &oracle;
-  // Every sample goes through the ONE evaluation surface — the same
-  // eval::evaluate the service daemon calls for a remote ensemble-sample
-  // request, so in-process and sharded ensembles execute literally the
-  // same code.
+  // One golden cache for the whole run (thread-safe, per-key
+  // once-semantics): every sample's WP1/WP2 pair replays one cached
+  // golden, and repeat netlists across samples are cache hits. The LRU
+  // cap keeps memory flat when the generated netlists are all distinct.
+  // Every sample runs run_sample_job, the same call the evaluation daemon
+  // makes for a remote ensemble-sample request.
+  sim::GoldenCache cache(sim::kMaxCachedGoldens);
   auto body = [&](std::size_t i) {
-    report.samples[i] =
-        eval::unwrap_sample(eval::evaluate(eval::EvalRequest(jobs[i]),
-                                           context));
+    report.samples[i] = run_sample_job(jobs[i], &cache);
   };
   if (pool == nullptr) {
     for (std::size_t i = 0; i < jobs.size(); ++i) body(i);
   } else {
     pool->parallel_for(0, jobs.size(), body);
   }
-  const sim::GoldenCache::Stats cache_stats = oracle.stats();
+  const sim::GoldenCache::Stats cache_stats = cache.stats();
   report.sim_golden_runs = cache_stats.golden_runs;
   report.sim_cache_hits = cache_stats.hits;
   for (const SampleResult& s : report.samples) {

@@ -4,9 +4,10 @@
 // placement's relay-station demand, and score the resulting min-cycle-
 // ratio system throughput — then aggregates per-family distribution
 // statistics and writes tidy CSV. Opt-in (EnsembleSimOptions): simulate
-// each sample's generated netlist as a golden/WP1/WP2 triple through the
-// simulation oracle, so rows carry *simulated* throughput next to the
-// static m/(m+n) bound.
+// each sample's generated netlist as a golden/WP1/WP2 triple against one
+// golden cache per run, so rows carry *simulated* throughput next to the
+// static m/(m+n) bound. The runners call run_sample_job directly, the same
+// call the evaluation daemon makes for a remote sample.
 //
 // Determinism contract: every sample owns an Rng derived arithmetically
 // from (ensemble seed, family name, sample index) and a private
@@ -146,9 +147,8 @@ struct FamilyStats {
 struct EnsembleReport {
   std::vector<SampleResult> samples;  ///< family-major, sample order
   std::vector<FamilyStats> families;  ///< config order
-  /// Golden-cache statistics of the run's simulation oracle (zeros when
-  /// simulation was off). Informational — never part of the determinism
-  /// comparison.
+  /// Statistics of the run's golden cache (zeros when simulation was
+  /// off). Informational — never part of the determinism comparison.
   std::uint64_t sim_golden_runs = 0;
   std::uint64_t sim_cache_hits = 0;
   /// ThroughputEngine totals summed over all samples: queries the
@@ -218,7 +218,10 @@ std::vector<SampleJob> ensemble_jobs(const EnsembleConfig& config);
 std::vector<FamilyStats> aggregate_families(
     const EnsembleConfig& config, const std::vector<SampleResult>& samples);
 
-/// Runs the whole ensemble on the pool (nullptr = ThreadPool::shared()).
+/// Runs the whole ensemble on the pool (nullptr = ThreadPool::shared()):
+/// run_sample_job per job, every job sharing one
+/// sim::GoldenCache(sim::kMaxCachedGoldens). A failing sample throws its
+/// own exception.
 EnsembleReport run_ensemble(const EnsembleConfig& config,
                             ThreadPool* pool = nullptr);
 

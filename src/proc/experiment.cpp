@@ -2,30 +2,21 @@
 
 #include <utility>
 
-#include "eval/evaluate.hpp"
-#include "eval/request.hpp"
 #include "graph/optimize.hpp"
 #include "sim/oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wp::proc {
 
-// The historical entry points are thin adapters over the ONE evaluation
-// surface: they build an eval::EvalRequest and hand it to eval::evaluate —
-// the identical call the service daemon makes for a decoded wire request.
-// Programs travel as inline ProgramRefs (in-process only; the daemon path
-// uses generator refs).
+// Every driver here calls the simulation oracle directly: the same
+// SimOracle::run_experiment and wp2_throughput the evaluation daemon runs
+// for a decoded wire request.
 
 ExperimentRow run_experiment(const ProgramSpec& program,
                              const CpuConfig& cpu, const RsConfig& config,
                              const ExperimentOptions& options) {
-  eval::ExperimentJob job;
-  job.program = eval::ProgramRef::inlined(program);
-  job.cpu = cpu;
-  job.rs = config;
-  job.options = options;
-  return eval::unwrap_row(
-      eval::evaluate(eval::EvalRequest(std::move(job)), {}));
+  return sim::SimOracle::shared().run_experiment(program, cpu, config,
+                                                 options);
 }
 
 std::vector<RsConfig> table1_sort_configs() {
@@ -68,19 +59,14 @@ RsConfig optimal_config(const std::string& label, const ProgramSpec& program,
   // Every candidate the exhaustive search scores shares one golden run:
   // the oracle caches it on the first evaluation, so the optimizer's cost
   // is the WP2 simulations alone.
-  eval::EvalContext context;  // default: the shared oracle
+  sim::SimOracle& oracle = sim::SimOracle::shared();
   wp::graph::RsOptimizeProblem problem;
   problem.demand = demand;
   problem.relieved = relieved;
   problem.max_relieved = budget;
   const auto result = wp::graph::optimize_rs_exhaustive(
       problem, [&](const wp::graph::RsAssignment& assignment) {
-        eval::ThroughputJob job;
-        job.program = eval::ProgramRef::inlined(program);
-        job.cpu = cpu;
-        job.rs = assignment;
-        return eval::unwrap_throughput(
-            eval::evaluate(eval::EvalRequest(std::move(job)), context));
+        return oracle.wp2_throughput(program, cpu, assignment);
       });
   return {label, result.assignment};
 }
@@ -91,23 +77,13 @@ ParallelSweep::ParallelSweep(ProgramSpec program, CpuConfig cpu,
 
 std::vector<ExperimentRow> ParallelSweep::run(
     const std::vector<RsConfig>& configs, ThreadPool* pool) const {
-  eval::EvalContext context;
-  context.oracle = oracle_;  // nullptr → evaluate resolves shared()
-  std::vector<eval::EvalRequest> requests;
-  requests.reserve(configs.size());
-  for (const RsConfig& config : configs) {
-    eval::ExperimentJob job;
-    job.program = eval::ProgramRef::inlined(program_);
-    job.cpu = cpu_;
-    job.rs = config;
-    job.options = options_;
-    requests.emplace_back(std::move(job));
-  }
-  const std::vector<eval::EvalReply> replies =
-      eval::evaluate_batch(requests, context, pool);
+  ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::shared();
+  sim::SimOracle& oracle =
+      oracle_ != nullptr ? *oracle_ : sim::SimOracle::shared();
   std::vector<ExperimentRow> rows(configs.size());
-  for (std::size_t i = 0; i < replies.size(); ++i)
-    rows[i] = eval::unwrap_row(replies[i]);
+  workers.parallel_for(0, configs.size(), [&](std::size_t i) {
+    rows[i] = oracle.run_experiment(program_, cpu_, configs[i], options_);
+  });
   return rows;
 }
 

@@ -3,12 +3,14 @@
 // measure cycles and throughput, check τ-filtered equivalence and the
 // program's final memory, and compare against the static m/(m+n) bound.
 //
-// Since the simulation-oracle refactor these entry points are thin clients
-// of sim::SimOracle: the golden reference of a (program, cpu) pair is
-// simulated once, cached, and replayed for every subsequent evaluation —
-// a sweep over one program, or the optimizer's exhaustive candidate scan,
-// runs the golden exactly once. Results are bit-identical to the
-// fresh-golden path (differential suite: tests/test_sim_oracle.cpp).
+// These entry points call sim::SimOracle directly (the same
+// run_experiment and wp2_throughput the evaluation daemon serves): the
+// golden reference of a (program, cpu) pair is simulated once, cached, and
+// replayed for every subsequent evaluation — a sweep over one program, or
+// the optimizer's exhaustive candidate scan, runs the golden exactly once.
+// Results are bit-identical to the fresh-golden path (differential suite:
+// tests/test_sim_oracle.cpp). A failing run throws the oracle's own
+// exception.
 #pragma once
 
 #include <map>

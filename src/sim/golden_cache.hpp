@@ -44,6 +44,11 @@ struct GoldenRecord {
 /// Order-sensitive digest of a τ-filtered trace (stream names + values).
 std::uint64_t trace_fingerprint(const Trace& trace);
 
+/// LRU cap on the golden records of a SimOracle or an ensemble run. Records
+/// hold full traces, so a long-lived process sweeping many programs keeps
+/// a bound.
+constexpr std::size_t kMaxCachedGoldens = 64;
+
 class GoldenCache {
  public:
   /// `max_entries` caps the number of cached records (LRU eviction);

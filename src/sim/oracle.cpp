@@ -26,8 +26,8 @@ bool check_result(const proc::ProgramSpec& program, const wp::Process& dc,
 /// ProgramSpecs (same generator, same parameters) share one record — which
 /// also means the cached final-memory verdict assumes ProgramSpec::verify
 /// is a pure function of (source, ram), as every program generator's is.
-std::uint64_t content_hash(const proc::ProgramSpec& program,
-                           const proc::CpuConfig& cpu) {
+std::uint64_t program_digest(const proc::ProgramSpec& program,
+                             const proc::CpuConfig& cpu) {
   std::uint64_t h = hash_string(program.source);
   h = hash_combine(h, hash_bytes(program.ram.data(),
                                  program.ram.size() * sizeof(std::uint32_t)));
@@ -41,7 +41,8 @@ std::uint64_t content_hash(const proc::ProgramSpec& program,
 std::string golden_key(const proc::ProgramSpec& program,
                        const proc::CpuConfig& cpu,
                        std::uint64_t max_cycles) {
-  const std::uint64_t h = hash_combine(content_hash(program, cpu), max_cycles);
+  const std::uint64_t h =
+      hash_combine(program_digest(program, cpu), max_cycles);
   return "cpu:" + program.name + ":" + hash_hex(h);
 }
 

@@ -35,10 +35,6 @@ namespace wp::sim {
 
 class SimOracle {
  public:
-  /// LRU cap on cached golden records. Records hold full traces, so a
-  /// long-lived process sweeping many programs keeps a bound.
-  static constexpr std::size_t kMaxCachedGoldens = 64;
-
   SimOracle();
 
   SimOracle(const SimOracle&) = delete;
@@ -77,9 +73,9 @@ class SimOracle {
   GoldenCache::Stats stats() const { return cache_.stats(); }
   GoldenCache& cache() { return cache_; }
 
-  /// Process-wide oracle used by eval::evaluate when its context names
-  /// none (so by proc::run_experiment too): every client in one process
-  /// shares the same golden records by default.
+  /// Process-wide oracle of proc::run_experiment and optimal_config, and of
+  /// eval::evaluate when its context names none: every client in one
+  /// process shares the same golden records by default.
   static SimOracle& shared();
 
  private:

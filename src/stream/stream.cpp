@@ -209,7 +209,6 @@ void StreamSink::fire(const Word* in, Word* /*out*/) {
   const Word sample = in[0];
   ++count_;
   digest_ = hash_combine(digest_, sample);
-  value_stats_.add(fix_to_double(sample));
   if (options_.keep_samples) {
     samples_.push_back(sample);
   } else if (options_.tail_window > 0) {

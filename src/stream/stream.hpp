@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/process.hpp"
-#include "util/stats.hpp"
 
 namespace wp::stream {
 
@@ -117,9 +116,9 @@ class AgcControl final : public Process {
 
 /// How a StreamSink retains what it receives.
 struct SinkOptions {
-  /// false — stats-only (the default): RunningStats + order-sensitive
-  ///         digest + an optional tail window, O(1) memory no matter how
-  ///         many million tokens flow through;
+  /// false — stats-only (the default): count + order-sensitive digest +
+  ///         an optional tail window, O(1) memory no matter how many
+  ///         million tokens flow through;
   /// true  — retain every sample (tests that compare streams bit for bit;
   ///         memory grows with the run, reserve()d up front when the halt
   ///         limit is known).
@@ -142,8 +141,6 @@ class StreamSink final : public Process {
   std::uint64_t count() const { return count_; }
   /// Digest of all received words in order (FNV-1a + avalanche combine).
   std::uint64_t digest() const { return digest_; }
-  /// Welford stats over the received values interpreted as 16.16.
-  const RunningStats& value_stats() const { return value_stats_; }
 
   /// Full sample retention; requires keep_samples mode.
   const std::vector<Word>& samples() const;
@@ -156,7 +153,6 @@ class StreamSink final : public Process {
   std::uint64_t limit_;
   std::uint64_t count_ = 0;
   std::uint64_t digest_;
-  RunningStats value_stats_;
   std::vector<Word> samples_;  // keep_samples mode only
   std::vector<Word> tail_;     // stats-only ring, tail_pos_ = next slot
   std::size_t tail_pos_ = 0;

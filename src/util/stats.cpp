@@ -16,22 +16,13 @@ void RunningStats::add(double x) {
   }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 double RunningStats::mean() const {
   WP_REQUIRE(n_ > 0, "mean of empty stats");
   return mean_;
 }
-
-double RunningStats::variance() const {
-  WP_REQUIRE(n_ > 1, "variance needs at least two samples");
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double RunningStats::min() const {
   WP_REQUIRE(n_ > 0, "min of empty stats");
@@ -51,16 +42,6 @@ double percentile(std::vector<double> data, double p) {
   const auto rank = static_cast<std::size_t>(
       std::ceil(p / 100.0 * static_cast<double>(data.size())));
   return data[std::min(rank, data.size()) - 1];
-}
-
-double geomean(const std::vector<double>& data) {
-  WP_REQUIRE(!data.empty(), "geomean of empty data");
-  double log_sum = 0.0;
-  for (double x : data) {
-    WP_REQUIRE(x > 0.0, "geomean requires positive inputs");
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(data.size()));
 }
 
 }  // namespace wp

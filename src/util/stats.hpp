@@ -1,4 +1,4 @@
-// Streaming statistics (Welford) and small helpers used by benches.
+// Streaming summary statistics and the percentile helper.
 #pragma once
 
 #include <cstddef>
@@ -6,15 +6,13 @@
 
 namespace wp {
 
-/// Single-pass mean/variance/min/max accumulator (Welford's algorithm).
+/// Single-pass count/mean/min/max/sum accumulator (running mean update).
 class RunningStats {
  public:
   void add(double x);
 
   std::size_t count() const { return n_; }
   double mean() const;
-  double variance() const;  ///< sample variance (n-1 denominator)
-  double stddev() const;
   double min() const;
   double max() const;
   double sum() const { return sum_; }
@@ -22,7 +20,6 @@ class RunningStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -30,8 +27,5 @@ class RunningStats {
 
 /// Percentile of a copy of the data (nearest-rank). p in [0,100].
 double percentile(std::vector<double> data, double p);
-
-/// Geometric mean; all inputs must be > 0.
-double geomean(const std::vector<double>& data);
 
 }  // namespace wp

@@ -3,24 +3,19 @@
 // domination), the multicycle observation of §3, and the experiment driver.
 #include <gtest/gtest.h>
 
-#include "eval/evaluate.hpp"
-#include "eval/request.hpp"
 #include "graph/cycle_ratio.hpp"
 #include "graph/throughput.hpp"
 #include "proc/experiment.hpp"
+#include "sim/oracle.hpp"
 
 namespace wp::proc {
 namespace {
 
-/// Simulated WP2 throughput of one configuration, through the one
-/// evaluation surface.
+/// Simulated WP2 throughput of one configuration, from the shared oracle
+/// (the optimizer's objective).
 double wp2_throughput(const ProgramSpec& program,
                       const std::map<std::string, int>& rs) {
-  eval::ThroughputJob job;
-  job.program = eval::ProgramRef::inlined(program);
-  job.rs = rs;
-  return eval::unwrap_throughput(
-      eval::evaluate(eval::EvalRequest(std::move(job)), {}));
+  return sim::SimOracle::shared().wp2_throughput(program, {}, rs);
 }
 
 class ProgramCorrectness

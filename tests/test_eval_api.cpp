@@ -2,12 +2,11 @@
 // truncation behavior, per-kind request/reply serialize→deserialize
 // identity against pinned wire images, canonical decode (seeded byte
 // mutations either fail with WireError or re-encode to the mutated bytes;
-// out-of-range ints and unordered rs maps are rejected), content-hash
-// stability, the inline-program wire guard, the
-// adapter guarantee (proc::run_experiment / ParallelSweep rows and
-// evaluate()'s throughput replies are bit-identical to direct SimOracle
-// calls), and
-// error containment in eval::evaluate.
+// out-of-range ints, unordered rs maps and program generator tag 0 are
+// rejected), the evaluator guarantee (evaluate()'s experiment, throughput
+// and ensemble-sample replies on generator refs are bit-identical to direct
+// SimOracle / run_sample_job calls, and proc::ParallelSweep rows to
+// sequential oracle runs), and error containment in eval::evaluate.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -201,45 +200,29 @@ TEST(EvalRequestWire, RoundTripIdentityPerKind) {
     const EvalRequest decoded = EvalRequest::decode(r);
     EXPECT_NO_THROW(r.expect_done());
     EXPECT_EQ(decoded.kind, request.kind);
-    // decode∘encode must be the identity on the wire image — and the
-    // content hash (computed from the canonical encoding) must survive
-    // the round trip.
+    // decode∘encode must be the identity on the wire image.
     EXPECT_EQ(encoded(decoded), bytes)
         << request_kind_name(request.kind);
-    EXPECT_EQ(decoded.content_hash(), request.content_hash());
   }
 }
 
-TEST(EvalRequestWire, ContentHashIsStableAndSensitive) {
-  const EvalRequest a = sample_floorplan_request();
-  const EvalRequest b = sample_floorplan_request();
-  EXPECT_EQ(a.content_hash(), b.content_hash());
+TEST(EvalRequestWire, ProgramGeneratorTagZeroRejected) {
+  // Byte 2 of an experiment request is its program generator tag, after
+  // the version and kind bytes. Tag 0 names no generator: no encoder
+  // writes it and the decoder refuses it (svc's
+  // EvalServer.GeneratorTagZeroIsMalformedRequest sends such an image to a
+  // live server).
+  std::string bytes = encoded(sample_experiment_request());
+  ASSERT_EQ(bytes[2], static_cast<char>(
+                          ProgramRef::Generator::kExtractionSort));
+  bytes[2] = 0;
+  wire::Reader r(bytes);
+  EXPECT_THROW(EvalRequest::decode(r), wire::WireError);
 
-  EvalRequest c = sample_floorplan_request();
-  c.floorplan.seed += 1;
-  EXPECT_NE(a.content_hash(), c.content_hash());
-
-  // Distinct kinds carrying default payloads still hash apart (the kind
-  // byte participates).
-  EXPECT_NE(EvalRequest(ExperimentJob{}).content_hash(),
-            EvalRequest(ThroughputJob{}).content_hash());
-}
-
-TEST(EvalRequestWire, InlineProgramIsNotWireable) {
   ExperimentJob job;
-  job.program =
-      ProgramRef::inlined(proc::extraction_sort_program(8, 1));
-  const EvalRequest request((ExperimentJob(job)));
-  EXPECT_FALSE(request.experiment.program.wireable());
+  job.program.generator = ProgramRef::Generator{};
   wire::Writer w;
-  EXPECT_THROW(request.encode(w), wire::WireError);
-  // ...but content hashing (in-process cache keys) still works, and two
-  // inlined copies of the same program agree.
-  const EvalRequest again((ExperimentJob(job)));
-  EXPECT_EQ(request.content_hash(), again.content_hash());
-  // Pinned like the wire images: the version byte and the inline
-  // program's name, source and ram are what the hash digests.
-  EXPECT_EQ(request.content_hash(), 0x9139173d7ba48047ULL);
+  EXPECT_THROW(EvalRequest(std::move(job)).encode(w), wire::WireError);
 }
 
 TEST(EvalRequestWire, ForeignVersionRejected) {
@@ -450,79 +433,47 @@ bool rows_equal(const proc::ExperimentRow& a, const proc::ExperimentRow& b) {
 }
 
 TEST(EvalAdapters, RunExperimentMatchesDirectOracle) {
-  const proc::ProgramSpec program = proc::extraction_sort_program(8, 1);
-  const proc::CpuConfig cpu;
-  const proc::RsConfig config{"adapter-test", {{"CU-RF", 1}}};
-  const proc::ExperimentOptions options;
-
-  // Adapter path: EvalRequest through evaluate against a private oracle.
-  sim::SimOracle oracle;
   ExperimentJob job;
-  job.program = ProgramRef::inlined(program);
-  job.cpu = cpu;
-  job.rs = config;
-  job.options = options;
+  job.program = ProgramRef::extraction_sort(8, 1);
+  job.rs = {"adapter-test", {{"CU-RF", 1}}};
+  const EvalRequest request(job);
+
+  // Request path: evaluate against a private oracle.
+  sim::SimOracle oracle;
   EvalContext context;
   context.oracle = &oracle;
-  const proc::ExperimentRow via_eval =
-      unwrap_row(evaluate(EvalRequest(std::move(job)), context));
+  const proc::ExperimentRow via_eval = unwrap_row(evaluate(request, context));
 
-  // Direct path.
+  // Direct path on the program the ref names.
   sim::SimOracle direct;
-  const proc::ExperimentRow via_oracle =
-      direct.run_experiment(program, cpu, config, options);
+  const proc::ExperimentRow via_oracle = direct.run_experiment(
+      job.program.materialize(), job.cpu, job.rs, job.options);
 
   EXPECT_TRUE(rows_equal(via_eval, via_oracle));
 }
 
 TEST(EvalAdapters, Wp2ThroughputMatchesDirectOracle) {
-  const proc::ProgramSpec program = proc::extraction_sort_program(8, 2);
-  const proc::CpuConfig cpu;
-  const std::map<std::string, int> rs = {{"CU-RF", 1}, {"RF-ALU", 1}};
+  // The wire sends (generator, size, seed); the evaluator materializes the
+  // program and must score it exactly as a direct oracle call on the
+  // program the ref names, and on the same program built by hand.
+  ThroughputJob job;
+  job.program = ProgramRef::extraction_sort(8, 2);
+  job.rs = {{"CU-RF", 1}, {"RF-ALU", 1}};
+  job.fifo_capacity = 16;
+  const EvalRequest request(job);
 
   sim::SimOracle oracle;
-  ThroughputJob job;
-  job.program = ProgramRef::inlined(program);
-  job.cpu = cpu;
-  job.rs = rs;
-  job.fifo_capacity = 16;
   EvalContext context;
   context.oracle = &oracle;
-  const double via_eval =
-      unwrap_throughput(evaluate(EvalRequest(std::move(job)), context));
+  const double via_eval = unwrap_throughput(evaluate(request, context));
 
   sim::SimOracle direct;
-  EXPECT_EQ(via_eval, direct.wp2_throughput(program, cpu, rs, 16));
-}
-
-TEST(EvalAdapters, GeneratorRefMatchesInlineProgram) {
-  // The wire path sends (generator, size, seed); the in-process path an
-  // inline spec. Both must evaluate identically.
-  const proc::CpuConfig cpu;
-  const std::map<std::string, int> rs = {{"CU-RF", 1}};
-
-  sim::SimOracle oracle_a;
-  ThroughputJob by_ref;
-  by_ref.program = ProgramRef::extraction_sort(8, 3);
-  by_ref.cpu = cpu;
-  by_ref.rs = rs;
-  EvalContext context_a;
-  context_a.oracle = &oracle_a;
-  const double via_ref =
-      unwrap_throughput(evaluate(EvalRequest(std::move(by_ref)), context_a));
-
-  sim::SimOracle oracle_b;
-  ThroughputJob by_inline;
-  by_inline.program =
-      ProgramRef::inlined(proc::extraction_sort_program(8, 3));
-  by_inline.cpu = cpu;
-  by_inline.rs = rs;
-  EvalContext context_b;
-  context_b.oracle = &oracle_b;
-  const double via_inline = unwrap_throughput(
-      evaluate(EvalRequest(std::move(by_inline)), context_b));
-
-  EXPECT_EQ(via_ref, via_inline);
+  EXPECT_EQ(via_eval, direct.wp2_throughput(job.program.materialize(),
+                                            job.cpu, job.rs, 16));
+  sim::SimOracle by_hand;
+  EXPECT_EQ(via_eval,
+            by_hand.wp2_throughput(proc::extraction_sort_program(8, 2),
+                                   job.cpu, job.rs, 16));
 }
 
 TEST(EvalAdapters, ParallelSweepStillMatchesSequentialRuns) {

@@ -13,8 +13,6 @@
 #include <thread>
 
 #include "core/procs.hpp"
-#include "eval/evaluate.hpp"
-#include "eval/request.hpp"
 #include "graph/cycle_ratio.hpp"
 #include "proc/blocks.hpp"
 #include "proc/experiment.hpp"
@@ -376,11 +374,7 @@ TEST(SimOracle, ProgramWithoutVerifierHasNothingToCheck) {
   EXPECT_EQ(bare.golden_cycles, checked.golden_cycles);
   EXPECT_EQ(bare.wp1_cycles, checked.wp1_cycles);
   EXPECT_EQ(bare.wp2_cycles, checked.wp2_cycles);
-  eval::ThroughputJob job;
-  job.program = eval::ProgramRef::inlined(unverified);
-  job.rs = config.rs;
-  EXPECT_EQ(eval::unwrap_throughput(
-                eval::evaluate(eval::EvalRequest(std::move(job)), {})),
+  EXPECT_EQ(SimOracle::shared().wp2_throughput(unverified, {}, config.rs),
             bare.th_wp2);
 }
 

@@ -139,8 +139,6 @@ TEST(StreamSink, StatsOnlyIsObservationallyIdenticalToKeepAll) {
 
   EXPECT_EQ(keep.count(), stats.count());
   EXPECT_EQ(keep.digest(), stats.digest());
-  EXPECT_DOUBLE_EQ(keep.value_stats().mean(), stats.value_stats().mean());
-  EXPECT_DOUBLE_EQ(keep.value_stats().stddev(), stats.value_stats().stddev());
 
   // The tail window is the keep-all suffix, oldest first.
   const std::vector<Word> tail = stats.tail();
@@ -334,7 +332,9 @@ TEST(StreamWire, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(decoded.stream.graph.forward_rs, request.stream.graph.forward_rs);
   EXPECT_EQ(decoded.stream.mode, request.stream.mode);
   EXPECT_EQ(decoded.stream.fifo_capacity, request.stream.fifo_capacity);
-  EXPECT_EQ(decoded.content_hash(), request.content_hash());
+  wire::Writer again;
+  decoded.encode(again);
+  EXPECT_EQ(again.bytes(), w.bytes());
 }
 
 TEST(StreamWire, ReplyRoundTripAndEqualityIgnoreWallClock) {

@@ -136,8 +136,7 @@ TEST(FrameCodec, RequestBatchPayloadRoundTrip) {
   const std::vector<eval::EvalRequest> decoded =
       decode_request_batch(payload);
   ASSERT_EQ(decoded.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    EXPECT_EQ(decoded[i].content_hash(), batch[i].content_hash()) << i;
+  EXPECT_EQ(encode_request_batch(decoded), payload);
   EXPECT_THROW(decode_request_batch("garbage bytes"), wire::WireError);
 }
 
@@ -315,6 +314,39 @@ TEST(EvalServer, NonCanonicalRequestIsMalformedNotServed) {
   server.stop();
   EXPECT_EQ(server.stats().requests, 0u);
   EXPECT_EQ(server.stats().dropped_connections, 0u);
+}
+
+TEST(EvalServer, GeneratorTagZeroIsMalformedRequest) {
+  // The program generator tag of an experiment request is the one byte
+  // where an extraction-sort and a matmul request of the same size and
+  // seed differ; tag 0 names no generator
+  // (EvalRequestWire.ProgramGeneratorTagZeroRejected pins its position).
+  auto batch = [](eval::ProgramRef program) {
+    eval::ExperimentJob job;
+    job.program = program;
+    return encode_request_batch({eval::EvalRequest(job)});
+  };
+  std::string zero = batch(eval::ProgramRef::extraction_sort(8, 1));
+  const std::string matmul = batch(eval::ProgramRef::matmul(8, 1));
+  ASSERT_EQ(zero.size(), matmul.size());
+  std::size_t tag = 0;
+  while (zero[tag] == matmul[tag]) ++tag;
+  ASSERT_EQ(zero[tag], 1);
+  zero[tag] = 0;
+  EXPECT_THROW(decode_request_batch(zero), wire::WireError);
+
+  EvalServer server(test_server_options());
+  server.start();
+  const int fd = raw_connect(server.socket_path());
+  write_frame(fd, FrameType::kEvalBatch, zero);
+  auto reply = read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(decode_payload<eval::EvalError>(reply->payload).code,
+            eval::ErrorCode::kMalformedRequest);
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().requests, 0u);
 }
 
 TEST(EvalServer, FramingViolationDropsOnlyThatConnection) {
