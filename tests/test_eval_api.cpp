@@ -453,9 +453,8 @@ TEST(EvalAdapters, RunExperimentMatchesDirectOracle) {
 }
 
 TEST(EvalAdapters, Wp2ThroughputMatchesDirectOracle) {
-  // The wire sends (generator, size, seed); the evaluator materializes the
-  // program and must score it exactly as a direct oracle call on the
-  // program the ref names, and on the same program built by hand.
+  // The evaluator materializes the program and must score it exactly as a
+  // direct oracle call on the program the ref names.
   ThroughputJob job;
   job.program = ProgramRef::extraction_sort(8, 2);
   job.rs = {{"CU-RF", 1}, {"RF-ALU", 1}};
@@ -470,10 +469,27 @@ TEST(EvalAdapters, Wp2ThroughputMatchesDirectOracle) {
   sim::SimOracle direct;
   EXPECT_EQ(via_eval, direct.wp2_throughput(job.program.materialize(),
                                             job.cpu, job.rs, 16));
-  sim::SimOracle by_hand;
-  EXPECT_EQ(via_eval,
-            by_hand.wp2_throughput(proc::extraction_sort_program(8, 2),
-                                   job.cpu, job.rs, 16));
+}
+
+TEST(EvalAdapters, GeneratorRefMatchesInlineProgram) {
+  // The wire path sends (generator, size, seed); the in-process path hands
+  // the oracle the program built by hand. Both must evaluate identically.
+  ThroughputJob job;
+  job.program = ProgramRef::extraction_sort(8, 3);
+  job.rs = {{"CU-RF", 1}};
+
+  sim::SimOracle oracle;
+  EvalContext context;
+  context.oracle = &oracle;
+  const double via_ref =
+      unwrap_throughput(evaluate(EvalRequest(job), context));
+
+  sim::SimOracle in_process;
+  const double via_program = in_process.wp2_throughput(
+      proc::extraction_sort_program(8, 3), job.cpu, job.rs,
+      job.fifo_capacity);
+
+  EXPECT_EQ(via_ref, via_program);
 }
 
 TEST(EvalAdapters, ParallelSweepStillMatchesSequentialRuns) {
