@@ -73,15 +73,19 @@ EvalReply eval_throughput(const ThroughputJob& job, sim::SimOracle& oracle) {
 
 // The floorplan portion of the ensemble pipeline as a standalone request:
 // generate → dress → gen::anneal_and_score (the same scoring half an
-// ensemble sample runs).
+// ensemble sample runs). The reply reads no netlist, so the topology is
+// dressed netlist-free whatever job.system.build_netlist says (and the
+// netlist's port limits do not apply), and the topology moves into the
+// scoring engine.
 EvalReply eval_floorplan(const FloorplanJob& job) {
   Rng rng(job.seed);
-  const graph::Digraph topology = gen::generate_topology(job.topology, rng);
-  const gen::GeneratedSystem sys =
-      gen::dress_topology(topology, job.system, rng);
+  graph::Digraph topology = gen::generate_topology(job.topology, rng);
+  gen::SystemConfig system = job.system;
+  system.build_netlist = false;
+  const gen::GeneratedSystem sys = gen::dress_topology(topology, system, rng);
   gen::SampleResult score;
   const fplan::AnnealResult annealed = gen::anneal_and_score(
-      topology, sys.instance, job.anneal.to_options(), score);
+      std::move(topology), sys.instance, job.anneal.to_options(), score);
 
   EvalReply reply;
   reply.kind = ReplyKind::kFloorplan;

@@ -128,6 +128,9 @@ struct ThroughputJob {
 
 struct FloorplanJob {
   gen::TopologyConfig topology;
+  /// The dressing's block distribution and name. The reply reads no
+  /// netlist, so system.build_netlist does not change it: the topology
+  /// is always dressed netlist-free.
   gen::SystemConfig system;
   std::uint64_t seed = 1;
   AnnealKnobs anneal;

@@ -85,6 +85,15 @@ class CostModel {
     }
   }
 
+  /// Hands the run's best placement's demand and the engine ids to
+  /// `best` (AnnealResult::demand); the model is done after this.
+  void report_demand(AnnealResult& best) {
+    if (!index_) return;
+    best.demand = std::move(rs_);  // derive() reuses the scratch's storage
+    index_->derive(best.placement, options_.delay_model, best.demand);
+    best.demand_ids = std::move(ids_);
+  }
+
   Score score(const Placement& placement, AnnealResult& stats) {
     const double area = placement.area();
     if (nets_) return combine(area, nets_->wirelength(placement), 1.0);
@@ -227,6 +236,7 @@ AnnealResult anneal(const Instance& inst, const AnnealOptions& options) {
   SequencePair current = SequencePair::random(inst.blocks.size(), rng);
 
   run_loop(inst, options, model, current, rng, best);
+  model.report_demand(best);
 
   if (options.throughput_engine != nullptr) {
     const graph::ThroughputEngine::Stats after =

@@ -93,6 +93,16 @@ struct AnnealResult {
   /// queries the run issued, which is throughput_evals.
   std::uint64_t engine_incremental = 0;
   std::uint64_t engine_fallbacks = 0;
+  /// A throughput-driven run's best placement as the oracle scores it:
+  /// `demand` holds its relay stations per connection, in the run's
+  /// DemandIndex order (sorted labels, the order rs_demand() emits), and
+  /// `demand_ids` the throughput_engine's label id per connection (empty
+  /// for a throughput_fn run). Re-scoring the best placement on the run's
+  /// engine is throughput(demand_ids, demand): the query
+  /// throughput(rs_demand(...)) makes, without interning the labels again.
+  /// Both empty for an area-driven run.
+  std::vector<int> demand;
+  std::vector<int> demand_ids;
   /// Wall-clock breakdown (informational, never compared): time inside
   /// packing calls and inside the throughput oracle, for the bench
   /// tables/JSON showing each stage's share of the anneal.

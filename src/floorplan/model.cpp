@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "util/assert.hpp"
+#include "util/strings.hpp"
 
 namespace wp::fplan {
 
@@ -105,10 +106,11 @@ DemandIndex::DemandIndex(const Instance& inst) : nets_(inst) {
   // Nets in label order; each run of equal labels is one connection id.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&inst](std::size_t a, std::size_t b) {
-    return inst.nets[a].connection < inst.nets[b].connection;
+  sort_by_label(order, [&inst](std::size_t i) -> const std::string& {
+    return inst.nets[i].connection;
   });
   conn_.resize(n);
+  labels_.reserve(n);
   for (const std::size_t i : order) {
     const std::string& label = inst.nets[i].connection;
     if (labels_.empty() || labels_.back() != label) labels_.push_back(label);

@@ -31,24 +31,23 @@ std::uint64_t derive_sample_seed(std::uint64_t ensemble_seed,
   return ensemble_seed + 0x9e3779b97f4a7c15ULL * lane;
 }
 
-fplan::AnnealResult anneal_and_score(
-    const graph::Digraph& topology, const fplan::Instance& instance,
-    fplan::AnnealOptions options, SampleResult& score,
-    std::vector<std::pair<std::string, int>>* demand_out) {
+fplan::AnnealResult anneal_and_score(graph::Digraph topology,
+                                     const fplan::Instance& instance,
+                                     fplan::AnnealOptions options,
+                                     SampleResult& score) {
   // Throughput must be placement-driven: score against the topology with
   // its generator RS annotations cleared, then apply the demand the
   // annealed placement implies. One incremental engine serves the whole
-  // run — the RS graph is built once here and every anneal move mutates it
-  // in place.
-  graph::Digraph base = topology;
-  for (graph::EdgeId e = 0; e < base.num_edges(); ++e)
-    base.edge(e).relay_stations = 0;
-  graph::ThroughputEngine engine(std::move(base));
+  // run — it takes the topology as its base graph, and every anneal move
+  // mutates its latencies in place.
+  for (graph::EdgeId e = 0; e < topology.num_edges(); ++e)
+    topology.edge(e).relay_stations = 0;
+  graph::ThroughputEngine engine(std::move(topology));
 
   options.throughput_fn = nullptr;  // the private engine is the oracle
   options.throughput_engine = &engine;
   const auto anneal_start = std::chrono::steady_clock::now();
-  const fplan::AnnealResult annealed = fplan::anneal(instance, options);
+  fplan::AnnealResult annealed = fplan::anneal(instance, options);
   score.anneal_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - anneal_start)
                         .count();
@@ -56,17 +55,19 @@ fplan::AnnealResult anneal_and_score(
   score.area = annealed.area;
   score.wirelength = annealed.wirelength;
 
-  auto demand =
-      fplan::rs_demand(instance, annealed.placement, options.delay_model);
-  score.total_rs = 0;
-  for (const auto& [connection, rs] : demand) {
-    (void)connection;
-    score.total_rs += rs;
+  // The best placement's demand by the engine's label ids: a
+  // throughput-driven anneal hands back the ids it interned; an
+  // area-driven one interned none, so the labels are interned here.
+  if (annealed.demand_ids.empty()) {
+    const fplan::DemandIndex index(instance);
+    index.derive(annealed.placement, options.delay_model, annealed.demand);
+    annealed.demand_ids = engine.resolve(index.labels());
   }
-  score.throughput = engine.throughput(demand);
+  score.total_rs = 0;
+  for (const int rs : annealed.demand) score.total_rs += rs;
+  score.throughput = engine.throughput(annealed.demand_ids, annealed.demand);
   score.engine_incremental = engine.stats().incremental();
   score.engine_fallbacks = engine.stats().fallbacks;
-  if (demand_out != nullptr) *demand_out = std::move(demand);
   return annealed;
 }
 
@@ -80,9 +81,11 @@ SampleResult run_sample_job(const SampleJob& job,
                                    job.sample);
 
   Rng rng(result.seed);
-  const graph::Digraph topology =
-      generate_topology(family.topology, rng);
-  const GeneratedSystem sys = dress_topology(topology, family.system, rng);
+  graph::Digraph topology = generate_topology(family.topology, rng);
+  // Only a simulated sample reads the netlist.
+  SystemConfig system = family.system;
+  system.build_netlist = system.build_netlist && job.simulate.enabled;
+  const GeneratedSystem sys = dress_topology(topology, system, rng);
   result.nodes = topology.num_nodes();
   result.edges = topology.num_edges();
 
@@ -90,8 +93,8 @@ SampleResult run_sample_job(const SampleJob& job,
   if (family.anneal_iterations > 0)
     options.iterations = family.anneal_iterations;
   options.seed = result.seed;
-  std::vector<std::pair<std::string, int>> demand;
-  anneal_and_score(topology, sys.instance, options, result, &demand);
+  const fplan::AnnealResult annealed =
+      anneal_and_score(std::move(topology), sys.instance, options, result);
 
   if (job.simulate.enabled) {
     WP_REQUIRE(!sys.netlist.empty(),
@@ -107,6 +110,8 @@ SampleResult run_sample_job(const SampleJob& job,
     sim_options.wp_cycles = job.simulate.wp_cycles;
     sim_options.fifo_capacity = job.simulate.fifo_capacity;
     sim_options.check_equivalence = job.simulate.check_equivalence;
+    const auto demand = fplan::rs_demand(sys.instance, annealed.placement,
+                                         options.delay_model);
     const std::map<std::string, int> rs_map(demand.begin(), demand.end());
     const sim::NetlistSimResult sim_result =
         sim::simulate_netlist(sys.netlist, rs_map, sim_options, golden_cache);

@@ -190,22 +190,24 @@ std::uint64_t derive_sample_seed(std::uint64_t ensemble_seed,
 
 /// The placement-driven scoring half of a sample, shared with the
 /// floorplan-anneal evaluation request: clears the generator RS annotations
-/// of `topology`, anneals `instance` with a private incremental
-/// ThroughputEngine over it, derives the annealed placement's
-/// per-connection RS demand and scores it with one final engine query.
-/// Writes area, wirelength, total_rs, throughput, the engine counters
-/// (anneal moves + final query) and the anneal timings into `score`;
-/// returns the anneal itself (placement, cost, move counts) and hands the
-/// demand to `demand` when non-null. Deterministic in its inputs.
-fplan::AnnealResult anneal_and_score(
-    const graph::Digraph& topology, const fplan::Instance& instance,
-    fplan::AnnealOptions options, SampleResult& score,
-    std::vector<std::pair<std::string, int>>* demand = nullptr);
+/// of `topology` and hands it to a private incremental ThroughputEngine
+/// (no copy), anneals `instance` against that engine, and scores the
+/// annealed placement's per-connection RS demand with one final engine
+/// query by label id. Writes area, wirelength, total_rs, throughput, the
+/// engine counters (anneal moves + final query) and the anneal timings
+/// into `score`; returns the anneal itself (placement, cost, move counts,
+/// and the scored demand in AnnealResult::demand / demand_ids, also for an
+/// area-driven run). Deterministic in its inputs.
+fplan::AnnealResult anneal_and_score(graph::Digraph topology,
+                                     const fplan::Instance& instance,
+                                     fplan::AnnealOptions options,
+                                     SampleResult& score);
 
 /// Scores one sample through the full pipeline (generate → dress → anneal
 /// → RS demand → throughput, plus the opt-in golden/WP1/WP2 netlist
-/// simulation). `golden_cache` may be nullptr (fresh golden run); when the
-/// job does not simulate it is unused. Deterministic in the job alone.
+/// simulation). A sample that does not simulate dresses netlist-free.
+/// `golden_cache` may be nullptr (fresh golden run); when the job does not
+/// simulate it is unused. Deterministic in the job alone.
 SampleResult run_sample_job(const SampleJob& job,
                             sim::GoldenCache* golden_cache);
 

@@ -37,16 +37,17 @@ GeneratedSystem dress_topology(const graph::Digraph& topology,
   WP_REQUIRE(topology.num_nodes() > 0, "cannot dress an empty topology");
   WP_REQUIRE(config.moore_states >= 1, "moore_states must be >= 1");
   GeneratedSystem sys;
-  sys.topology = topology;
   sys.instance.name = config.name;
 
   // Blocks: one per process, extents from the configured distributions.
+  sys.instance.blocks.reserve(static_cast<std::size_t>(topology.num_nodes()));
   for (NodeId n = 0; n < topology.num_nodes(); ++n)
     sys.instance.blocks.push_back(
         sample_block(topology.node_name(n), config.blocks, rng));
 
   // Nets: one per channel, keyed by the edge label so placement-derived
   // relay-station demand addresses topology edges directly.
+  sys.instance.nets.reserve(static_cast<std::size_t>(topology.num_edges()));
   for (EdgeId e = 0; e < topology.num_edges(); ++e) {
     const auto& data = topology.edge(e);
     fplan::Net net;
@@ -66,8 +67,8 @@ GeneratedSystem dress_topology(const graph::Digraph& topology,
   std::vector<int> out_ordinal(static_cast<std::size_t>(topology.num_edges()));
   std::vector<int> in_ordinal(static_cast<std::size_t>(topology.num_edges()));
   for (NodeId n = 0; n < topology.num_nodes(); ++n) {
-    const auto& outs = topology.out_edges(n);
-    const auto& ins = topology.in_edges(n);
+    const graph::Digraph::EdgeList outs = topology.out_edges(n);
+    const graph::Digraph::EdgeList ins = topology.in_edges(n);
     WP_REQUIRE(!outs.empty() && !ins.empty(),
                "node " + topology.node_name(n) +
                    " needs in- and out-degree >= 1 to become a process "
@@ -75,10 +76,10 @@ GeneratedSystem dress_topology(const graph::Digraph& topology,
     WP_REQUIRE(ins.size() <= 32,
                "node " + topology.node_name(n) +
                    " exceeds the 32-input process port limit");
-    for (std::size_t k = 0; k < outs.size(); ++k)
-      out_ordinal[static_cast<std::size_t>(outs[k])] = static_cast<int>(k);
-    for (std::size_t k = 0; k < ins.size(); ++k)
-      in_ordinal[static_cast<std::size_t>(ins[k])] = static_cast<int>(k);
+    int k = 0;
+    for (const EdgeId e : outs) out_ordinal[static_cast<std::size_t>(e)] = k++;
+    k = 0;
+    for (const EdgeId e : ins) in_ordinal[static_cast<std::size_t>(e)] = k++;
   }
 
   std::ostringstream os;

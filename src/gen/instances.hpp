@@ -36,26 +36,36 @@ struct SystemConfig {
   /// hubs of scale-free topologies at 256+ nodes produce. Turning this
   /// off dresses the floorplan/throughput views only (netlist empty, no
   /// port-limit constraint): the anneal → RS demand → min-cycle-ratio
-  /// pipeline runs in full, simulation is unavailable.
+  /// pipeline runs in full, simulation is unavailable. Callers that never
+  /// simulate (a floorplan request, an ensemble sample without
+  /// simulation) dress netlist-free whatever this says.
   bool build_netlist = true;
 };
 
-/// The three coupled views of one synthetic system. Nets and netlist
+/// The two views dress_topology() adds to a topology: nets and netlist
 /// channels carry connection=<edge label>, so floorplan-derived RS demand
-/// flows into both the throughput evaluator and the simulator unchanged.
+/// flows into both the throughput evaluator (which reads the caller's
+/// topology itself) and the simulator unchanged.
 struct GeneratedSystem {
-  graph::Digraph topology;   ///< the dressed topology (copied from input)
   fplan::Instance instance;  ///< blocks + nets for the floorplanner
-  std::string netlist;       ///< core netlist text (default_registry types)
+  /// Core netlist text (default_registry types); empty when dressed with
+  /// build_netlist = false.
+  std::string netlist;
 };
 
-/// When config.build_netlist is set (the default), requires every node to
-/// have in-degree in [1, 32] and out-degree >= 1 (RandomMooreProcess port
-/// limits) — guaranteed by generators run with ensure_strongly_connected
-/// at modest sizes; scale-free families at 256+ nodes grow hubs past the
-/// limit and must dress netlist-free. Deterministic in rng. The netlist's
-/// rs= annotations mirror the topology's edge counts; the ensemble
-/// pipeline overrides them with placement-derived demand.
+/// Blocks draw their extents from rng in node order; the netlist (with
+/// config.build_netlist, the default) then draws one randommoore seed per
+/// node. So the instance is the same with or without the netlist, and a
+/// caller that never simulates (a floorplan request, an ensemble sample
+/// without simulation) dresses netlist-free: the text is the costliest
+/// part of a small dressing and nothing else reads it. The netlist
+/// requires every node to have in-degree in [1, 32] and out-degree >= 1
+/// (RandomMooreProcess port limits) — guaranteed by generators run with
+/// ensure_strongly_connected at modest sizes; scale-free families at 256+
+/// nodes grow hubs past the limit and must dress netlist-free.
+/// Deterministic in rng. The netlist's rs= annotations mirror the
+/// topology's edge counts; the ensemble pipeline overrides them with
+/// placement-derived demand.
 GeneratedSystem dress_topology(const graph::Digraph& topology,
                                const SystemConfig& config, Rng& rng);
 

@@ -1,6 +1,8 @@
 #include "gen/topologies.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -13,8 +15,21 @@ using graph::Digraph;
 using graph::EdgeId;
 using graph::NodeId;
 
-void add_numbered_nodes(Digraph& g, int num_nodes) {
-  for (int i = 0; i < num_nodes; ++i) g.add_node("p" + std::to_string(i));
+/// `prefix` (at most two characters) followed by the decimal digits of
+/// `n`, formatted in place: the generators name every node and label
+/// every edge this way, and a short name fits the string's inline buffer.
+std::string numbered(const char* prefix, int n) {
+  char buf[16];
+  const std::size_t len = std::strlen(prefix);
+  std::memcpy(buf, prefix, len);
+  return std::string(buf, std::to_chars(buf + len, buf + sizeof buf, n).ptr);
+}
+
+/// Starts `g` with nodes "p0".."p<n-1>" and room for `max_edges` edges, so
+/// a generator that stays within its bound reallocates nothing.
+void add_numbered_nodes(Digraph& g, int num_nodes, int max_edges) {
+  g.reserve(num_nodes, max_edges);
+  for (int i = 0; i < num_nodes; ++i) g.add_node(numbered("p", i));
 }
 
 int random_rs(Rng& rng, int max_relay_stations) {
@@ -25,7 +40,7 @@ int random_rs(Rng& rng, int max_relay_stations) {
 /// Adds one edge labeled "e<id>" with a random relay-station count.
 void add_link(Digraph& g, NodeId src, NodeId dst, Rng& rng,
               int max_relay_stations) {
-  g.add_edge(src, dst, "e" + std::to_string(g.num_edges()),
+  g.add_edge(src, dst, numbered("e", g.num_edges()),
              random_rs(rng, max_relay_stations));
 }
 
@@ -99,11 +114,14 @@ graph::Digraph barabasi_albert(const TopologyConfig& config, Rng& rng) {
   WP_REQUIRE(config.num_nodes > config.ba_attach,
              "need more nodes than ba_attach");
   Digraph g;
-  add_numbered_nodes(g, config.num_nodes);
+  // A ring of m0 links, then ba_attach links per arriving node, each at
+  // most an antiparallel pair.
+  const int m0 = std::max(config.ba_attach, 2);
+  add_numbered_nodes(g, config.num_nodes,
+                     m0 + 2 * config.ba_attach * (config.num_nodes - m0));
 
   // Seed core: a directed ring over the first m0 nodes (cycles from the
   // start, every seed node already has degree for the attachment lottery).
-  const int m0 = std::max(config.ba_attach, 2);
   std::vector<NodeId> endpoints;  // one entry per link end: degree lottery
   for (int i = 0; i < m0 && i < config.num_nodes; ++i) {
     const NodeId next = (i + 1) % m0;
@@ -136,7 +154,7 @@ graph::Digraph watts_strogatz(const TopologyConfig& config, Rng& rng) {
   WP_REQUIRE(k >= 2 && k % 2 == 0, "ws_neighbors must be even and >= 2");
   WP_REQUIRE(n > k, "need num_nodes > ws_neighbors");
   Digraph g;
-  add_numbered_nodes(g, n);
+  add_numbered_nodes(g, n, n * k);  // n·k/2 links, each at most a pair
 
   // Ring lattice: node i linked to its k/2 clockwise neighbors (each
   // undirected link recorded once), then each link's far endpoint rewired
@@ -178,7 +196,11 @@ graph::Digraph mesh_2d(const TopologyConfig& config, Rng& rng) {
   WP_REQUIRE(rows * cols == config.num_nodes,
              "mesh_rows * mesh_cols must equal num_nodes");
   Digraph g;
-  add_numbered_nodes(g, config.num_nodes);
+  // Every lattice link (and torus wrap) is an antiparallel pair.
+  const int row_links = config.mesh_torus && cols > 2 ? cols : cols - 1;
+  const int col_links = config.mesh_torus && rows > 2 ? rows : rows - 1;
+  add_numbered_nodes(g, config.num_nodes,
+                     2 * (rows * row_links + cols * col_links));
 
   // NoC fabric: every lattice link is an antiparallel channel pair. Torus
   // wrap links only exist when the dimension exceeds 2 (at 2 the wrap
@@ -208,7 +230,7 @@ graph::Digraph clustered_erdos_renyi(const TopologyConfig& config, Rng& rng) {
   WP_REQUIRE(config.er_clusters >= 1 && config.er_clusters <= n,
              "er_clusters must be in [1, num_nodes]");
   Digraph g;
-  add_numbered_nodes(g, n);
+  add_numbered_nodes(g, n, 0);  // the edge count is a coin flip per pair
   // Contiguous near-equal clusters; each ordered pair sampled with the
   // intra- or inter-cluster probability.
   auto cluster_of = [&](int i) {
@@ -235,19 +257,21 @@ SccResult strongly_connected_components(const graph::Digraph& g) {
   std::vector<char> visited(static_cast<std::size_t>(n), 0);
   std::vector<NodeId> order;
   order.reserve(static_cast<std::size_t>(n));
-  std::vector<std::pair<NodeId, std::size_t>> stack;
+  // Each node is pushed once, so the stack never outgrows n entries.
+  std::vector<std::pair<NodeId, Digraph::EdgeList::iterator>> stack;
+  stack.reserve(static_cast<std::size_t>(n));
   for (NodeId s = 0; s < n; ++s) {
     if (visited[static_cast<std::size_t>(s)]) continue;
     visited[static_cast<std::size_t>(s)] = 1;
-    stack.push_back({s, 0});
+    stack.emplace_back(s, g.out_edges(s).begin());
     while (!stack.empty()) {
       auto& [u, next] = stack.back();
-      const auto& outs = g.out_edges(u);
-      if (next < outs.size()) {
-        const NodeId v = g.edge(outs[next++]).dst;
+      if (next != g.out_edges(u).end()) {
+        const NodeId v = g.edge(*next).dst;
+        ++next;
         if (!visited[static_cast<std::size_t>(v)]) {
           visited[static_cast<std::size_t>(v)] = 1;
-          stack.push_back({v, 0});
+          stack.emplace_back(v, g.out_edges(v).begin());
         }
       } else {
         order.push_back(u);
@@ -256,9 +280,11 @@ SccResult strongly_connected_components(const graph::Digraph& g) {
     }
   }
   // Pass 2: reverse-graph DFS in reverse finish order labels components.
+  std::vector<NodeId> dfs;
+  dfs.reserve(static_cast<std::size_t>(n));
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     if (result.component[static_cast<std::size_t>(*it)] != -1) continue;
-    std::vector<NodeId> dfs{*it};
+    dfs.push_back(*it);
     result.component[static_cast<std::size_t>(*it)] = result.count;
     while (!dfs.empty()) {
       const NodeId u = dfs.back();
@@ -328,7 +354,7 @@ void make_strongly_connected(graph::Digraph& g, Rng& rng,
                "condensation must expose a sink and a distinct source");
     g.add_edge(rep[static_cast<std::size_t>(sink)],
                rep[static_cast<std::size_t>(source)],
-               "sc" + std::to_string(g.num_edges()),
+               numbered("sc", g.num_edges()),
                random_rs(rng, max_relay_stations));
   }
 }
@@ -365,7 +391,7 @@ std::vector<int> undirected_degrees(const graph::Digraph& g) {
 graph::Digraph random_digraph(const RandomGraphConfig& config, Rng& rng) {
   WP_REQUIRE(config.num_nodes >= 1, "need at least one node");
   Digraph g;
-  add_numbered_nodes(g, config.num_nodes);
+  add_numbered_nodes(g, config.num_nodes, 0);
 
   if (config.ensure_cycle && config.num_nodes >= 2) {
     for (int i = 0; i < config.num_nodes; ++i)
@@ -386,7 +412,7 @@ graph::Digraph ring_graph(int num_nodes, const std::vector<int>& rs_pattern) {
   WP_REQUIRE(num_nodes >= 1, "need at least one node");
   WP_REQUIRE(!rs_pattern.empty(), "relay-station pattern must be non-empty");
   Digraph g;
-  add_numbered_nodes(g, num_nodes);
+  add_numbered_nodes(g, num_nodes, num_nodes);
   for (int i = 0; i < num_nodes; ++i)
     g.add_edge(i, (i + 1) % num_nodes, "ring",
                rs_pattern[static_cast<std::size_t>(i) % rs_pattern.size()]);

@@ -290,15 +290,14 @@ void Potentials::rebase(double new_lambda) {
   lambda = new_lambda;
 }
 
-std::vector<EdgeId> predecessor_cycle(const FlatGraph& g,
-                                      Potentials& potentials, NodeId start,
-                                      int id) {
+bool predecessor_cycle(const FlatGraph& g, Potentials& potentials,
+                       NodeId start, int id, std::vector<EdgeId>& cycle) {
+  cycle.clear();
   const std::vector<EdgeId>& pred = potentials.pred;
   std::vector<int>& stamp = potentials.stamp;
   NodeId v = start;
   while (v >= 0 && pred[static_cast<std::size_t>(v)] >= 0) {
     if (stamp[static_cast<std::size_t>(v)] == id) {
-      std::vector<EdgeId> cycle;
       NodeId u = v;
       do {
         const EdgeId e = pred[static_cast<std::size_t>(u)];
@@ -306,12 +305,12 @@ std::vector<EdgeId> predecessor_cycle(const FlatGraph& g,
         u = g.edge(e).src;
       } while (u != v);
       std::reverse(cycle.begin(), cycle.end());
-      return cycle;
+      return true;
     }
     stamp[static_cast<std::size_t>(v)] = id;
     v = g.edge(pred[static_cast<std::size_t>(v)]).src;
   }
-  return {};
+  return false;
 }
 
 std::vector<EdgeId> witness_bellman_ford(const FlatGraph& g, double lambda,
@@ -344,9 +343,10 @@ std::vector<EdgeId> witness_bellman_ford(const FlatGraph& g, double lambda,
     if (last_relaxed == -1) return {};  // converged: π certifies λ
     // Every relaxation is a strict improvement, so a cycle in the
     // predecessor graph is a negative cycle.
-    std::vector<EdgeId> witness =
-        predecessor_cycle(g, potentials, g.edge(last_relaxed).dst, pass);
-    if (!witness.empty()) return witness;
+    std::vector<EdgeId> witness;
+    if (predecessor_cycle(g, potentials, g.edge(last_relaxed).dst, pass,
+                          witness))
+      return witness;
     // A node relaxed in pass k hangs off a predecessor relaxed in pass
     // k − 1 or later, so the chain behind a pass-n relaxation spans n + 1
     // relaxed nodes — more than the graph has: it must close a cycle.

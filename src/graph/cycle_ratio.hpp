@@ -184,14 +184,14 @@ inline bool relax(const FlatGraph::Edge& edge, double lambda, double* value,
 
 /// Walks the predecessor chain behind `start` (potentials.pred), stamping
 /// each node with `id` (no node may carry that stamp yet), and cuts out
-/// the first cycle the chain closes; empty when the chain ends first. When
-/// every predecessor edge was set by a strict (beyond-tolerance)
+/// the first cycle the chain closes into `cycle` (its storage reused);
+/// `cycle` is left empty, and false returned, when the chain ends first.
+/// When every predecessor edge was set by a strict (beyond-tolerance)
 /// relaxation at one λ, that cycle is negative at λ: its exact ratio lies
 /// strictly below λ. Shared by witness_bellman_ford() and the throughput
 /// engine's certificate repair.
-std::vector<EdgeId> predecessor_cycle(const FlatGraph& g,
-                                      Potentials& potentials, NodeId start,
-                                      int id);
+bool predecessor_cycle(const FlatGraph& g, Potentials& potentials,
+                       NodeId start, int id, std::vector<EdgeId>& cycle);
 
 /// Whole-graph Bellman–Ford at λ on weights tokens_e − λ·latency_e,
 /// warm-started from `potentials` re-based at λ and clamped to the empty

@@ -1,13 +1,18 @@
 #include "graph/digraph.hpp"
 
-#include "util/assert.hpp"
-
 namespace wp::graph {
+
+void Digraph::reserve(int nodes, int edges) {
+  WP_REQUIRE(nodes >= 0 && edges >= 0, "reserve sizes must be >= 0");
+  names_.reserve(static_cast<std::size_t>(nodes));
+  chains_.reserve(static_cast<std::size_t>(nodes));
+  edges_.reserve(static_cast<std::size_t>(edges));
+  next_.reserve(2 * static_cast<std::size_t>(edges));
+}
 
 NodeId Digraph::add_node(std::string name) {
   names_.push_back(std::move(name));
-  out_.emplace_back();
-  in_.emplace_back();
+  chains_.emplace_back();
   return static_cast<NodeId>(names_.size() - 1);
 }
 
@@ -23,8 +28,19 @@ EdgeId Digraph::add_edge(NodeId src, NodeId dst, std::string label,
   e.relay_stations = relay_stations;
   edges_.push_back(std::move(e));
   const EdgeId id = static_cast<EdgeId>(edges_.size() - 1);
-  out_[static_cast<std::size_t>(src)].push_back(id);
-  in_[static_cast<std::size_t>(dst)].push_back(id);
+  next_.push_back(-1);
+  next_.push_back(-1);
+  // Append id to src's out-chain (side 0) and dst's in-chain (side 1).
+  const NodeId ends[2] = {src, dst};
+  for (std::size_t side = 0; side < 2; ++side) {
+    Chains& c = chains_[static_cast<std::size_t>(ends[side])];
+    if (c.last[side] < 0)
+      c.first[side] = id;
+    else
+      next_[2 * static_cast<std::size_t>(c.last[side]) + side] = id;
+    c.last[side] = id;
+    ++c.size[side];
+  }
   return id;
 }
 
@@ -39,25 +55,15 @@ NodeId Digraph::find_node(const std::string& name) const {
   return -1;
 }
 
-const EdgeData& Digraph::edge(EdgeId e) const {
-  WP_REQUIRE(e >= 0 && e < num_edges(), "edge id out of range");
-  return edges_[static_cast<std::size_t>(e)];
-}
-
-EdgeData& Digraph::edge(EdgeId e) {
-  WP_REQUIRE(e >= 0 && e < num_edges(), "edge id out of range");
-  return edges_[static_cast<std::size_t>(e)];
-}
-
-const std::vector<EdgeId>& Digraph::out_edges(NodeId n) const {
+Digraph::EdgeList Digraph::chain(NodeId n, std::size_t side) const {
   check_node(n);
-  return out_[static_cast<std::size_t>(n)];
+  const Chains& c = chains_[static_cast<std::size_t>(n)];
+  return EdgeList(next_.data(), side, c.first[side], c.size[side]);
 }
 
-const std::vector<EdgeId>& Digraph::in_edges(NodeId n) const {
-  check_node(n);
-  return in_[static_cast<std::size_t>(n)];
-}
+Digraph::EdgeList Digraph::out_edges(NodeId n) const { return chain(n, 0); }
+
+Digraph::EdgeList Digraph::in_edges(NodeId n) const { return chain(n, 1); }
 
 void Digraph::check_node(NodeId n) const {
   WP_REQUIRE(n >= 0 && n < num_nodes(), "node id out of range");

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
+#include "util/strings.hpp"
 
 namespace wp::graph {
 
@@ -47,25 +49,21 @@ ThroughputEngine::~ThroughputEngine() {
 
 ThroughputEngine::ThroughputEngine(Digraph base)
     : base_(std::move(base)), flat_(base_), potentials_(flat_.num_nodes()) {
-  // Label CSR: labels numbered by first appearance, each label's edges in
-  // edge-id order.
+  // Label CSR: labels numbered in sorted order, each label's edges in
+  // edge-id order. One sort of the edge ids builds it, and label_id()
+  // binary-searches the labels' first edges, so no string is copied or
+  // hashed.
   const auto num_edges = static_cast<std::size_t>(base_.num_edges());
-  std::vector<std::size_t> edge_label(num_edges);
-  for (std::size_t e = 0; e < num_edges; ++e)
-    edge_label[e] = label_ids_
-                        .emplace(base_.edge(static_cast<EdgeId>(e)).label,
-                                 label_ids_.size())
-                        .first->second;
-  const std::size_t num_labels = label_ids_.size();
-  label_begin_.assign(num_labels + 1, 0);
-  for (const std::size_t label : edge_label) ++label_begin_[label + 1];
-  for (std::size_t l = 0; l < num_labels; ++l)
-    label_begin_[l + 1] += label_begin_[l];
   label_edges_.resize(num_edges);
-  std::vector<int> fill(label_begin_.begin(), label_begin_.end() - 1);
-  for (std::size_t e = 0; e < num_edges; ++e)
-    label_edges_[static_cast<std::size_t>(fill[edge_label[e]]++)] =
-        static_cast<EdgeId>(e);
+  std::iota(label_edges_.begin(), label_edges_.end(), EdgeId{0});
+  sort_by_label(label_edges_,
+                [this](EdgeId e) -> const std::string& { return label_of(e); });
+  label_begin_.reserve(num_edges + 1);
+  for (std::size_t k = 0; k < num_edges; ++k)
+    if (k == 0 || label_of(label_edges_[k]) != label_of(label_edges_[k - 1]))
+      label_begin_.push_back(static_cast<int>(k));
+  label_begin_.push_back(static_cast<int>(num_edges));
+  const std::size_t num_labels = label_begin_.size() - 1;
   base_latency_.reserve(num_edges);
   for (const detail::FlatGraph::Edge& edge : flat_.edges)
     base_latency_.push_back(edge.latency);
@@ -75,6 +73,11 @@ ThroughputEngine::ThroughputEngine(Digraph base)
   const auto num_nodes = static_cast<std::size_t>(base_.num_nodes());
   in_worklist_.assign(num_nodes, 0);
   pops_.assign(num_nodes, 0);
+  // The query scratch at the sizes a typical query reaches, so a short run
+  // does not pay for growing it one reallocation at a time.
+  dirty_labels_.reserve(num_labels);
+  raised_.reserve(num_edges);
+  worklist_.reserve(num_nodes);
   // Cyclicity is structural — relay-station mutations cannot change it, so
   // acyclic instances answer every query as a constant 1.0 (exactly the
   // fresh solver's acyclic result).
@@ -114,16 +117,45 @@ void ThroughputEngine::revert_label_to_base(std::size_t label) {
   label_rs_[label] = kBase;
 }
 
+const std::string& ThroughputEngine::label_of(EdgeId e) const {
+  return base_.edge(e).label;
+}
+
+const std::string& ThroughputEngine::label_name(std::size_t label) const {
+  return label_of(label_edges_[static_cast<std::size_t>(label_begin_[label])]);
+}
+
 int ThroughputEngine::label_id(const std::string& label) const {
-  const auto it = label_ids_.find(label);
-  return it == label_ids_.end() ? -1 : static_cast<int>(it->second);
+  // Labels are numbered in sorted order: the first label not below
+  // `label` is the only candidate.
+  std::size_t lo = 0;
+  std::size_t hi = label_rs_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (label_name(mid) < label)
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  return lo < label_rs_.size() && label_name(lo) == label
+             ? static_cast<int>(lo)
+             : -1;
 }
 
 std::vector<int> ThroughputEngine::resolve(
     const std::vector<std::string>& labels) const {
   std::vector<int> ids;
   ids.reserve(labels.size());
-  for (const std::string& label : labels) ids.push_back(label_id(label));
+  // Sorted labels (a DemandIndex's) usually hit the id after the previous
+  // hit: one string compare instead of a search.
+  std::size_t next = 0;
+  for (const std::string& label : labels) {
+    const int id = next < label_rs_.size() && label_name(next) == label
+                       ? static_cast<int>(next)
+                       : label_id(label);
+    ids.push_back(id);
+    if (id >= 0) next = static_cast<std::size_t>(id) + 1;
+  }
   return ids;
 }
 
@@ -313,8 +345,9 @@ bool ThroughputEngine::certify(double lambda) {
     const auto i = static_cast<std::size_t>(v);
     in_worklist_[i] = 0;
     if (++pops_[i] > 1) {
-      witness_ = detail::predecessor_cycle(flat_, potentials_, v, walks++);
-      if (!witness_.empty() || pops_[i] > kMaxPopsPerNode)
+      if (detail::predecessor_cycle(flat_, potentials_, v, walks++,
+                                    witness_) ||
+          pops_[i] > kMaxPopsPerNode)
         return give_up(head);
     }
     for (int k = flat_.out_begin[i]; k < flat_.out_begin[i + 1]; ++k) {

@@ -75,7 +75,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -139,6 +138,8 @@ class ThroughputEngine {
   Digraph graph() const;
 
  private:
+  const std::string& label_of(EdgeId e) const;
+  const std::string& label_name(std::size_t label) const;  ///< by label id
   int label_id(const std::string& label) const;  ///< -1 if absent
   /// Sets every edge of `label` to latency `latency`; flags changed_ if any
   /// edge moved.
@@ -159,10 +160,10 @@ class ThroughputEngine {
   bool incremental_ = true;
   std::vector<int> base_latency_;  ///< per-edge latency of the base graph
 
-  // Label interning: queries address edges by label id (resolve()). The
-  // edges of label l are label_edges_[label_begin_[l] .. label_begin_[l+1]).
+  // Label interning: queries address edges by label id (resolve()). Ids
+  // follow sorted label order; the edges of label l are
+  // label_edges_[label_begin_[l] .. label_begin_[l+1]), in edge-id order.
   static constexpr int kBase = -1;  ///< label_rs_: edges at base counts
-  std::unordered_map<std::string, std::size_t> label_ids_;
   std::vector<int> label_begin_;
   std::vector<EdgeId> label_edges_;
   /// Count last applied to every edge of a label, kBase when the label's

@@ -208,6 +208,10 @@ void WorkerFleet::start() {
   WP_REQUIRE(!running_, "fleet already running");
   pids_.assign(options_.workers, 0);
   clients_.resize(options_.workers);
+  paths_.clear();
+  for (std::size_t w = 0; w < options_.workers; ++w)
+    paths_.push_back(
+        socket_path(options_.base_port + static_cast<port_name>(w)));
   try {
     launch(0, options_.workers);
   } catch (...) {
@@ -220,12 +224,10 @@ void WorkerFleet::start() {
 void WorkerFleet::launch(std::size_t first, std::size_t count) {
   // Every argv is built before the fork: the child of a threaded process
   // may only call async-signal-safe functions before it execs.
-  std::vector<std::string> paths(count);
   std::vector<std::vector<std::string>> args(count);
   for (std::size_t i = 0; i < count; ++i) {
-    paths[i] = socket_path(options_.base_port +
-                           static_cast<port_name>(first + i));
-    args[i] = {options_.evald_path, "--socket", paths[i], "--workers",
+    const std::string& path = paths_[first + i];
+    args[i] = {options_.evald_path, "--socket", path, "--workers",
                std::to_string(options_.threads_per_worker)};
     args[i].insert(args[i].end(), options_.extra_args.begin(),
                    options_.extra_args.end());
@@ -243,50 +245,63 @@ void WorkerFleet::launch(std::size_t first, std::size_t count) {
     pids_[first + i] = pid;
   }
 
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline = Clock::now() + kListenBudget;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t w = first + i;
-    std::chrono::microseconds pause = kFirstPollPause;
-    while (!clients_[w].try_connect(paths[i], pids_[w])) {
-      // WNOWAIT leaves an exited worker for stop() to reap.
-      siginfo_t info{};
-      if (::waitid(P_PID, static_cast<id_t>(pids_[w]), &info,
-                   WEXITED | WNOHANG | WNOWAIT) == 0 &&
-          info.si_pid == pids_[w])
-        throw ProtocolError(
-            eval::ErrorCode::kInternal,
-            "worker " + std::to_string(w) + " (" + options_.evald_path +
-                (info.si_code == CLD_EXITED
-                     ? ") exited with status "
-                     : ") was killed by signal ") +
-                std::to_string(info.si_status) + " before listening on " +
-                paths[i]);
-      if (Clock::now() >= deadline)
-        throw ProtocolError(eval::ErrorCode::kInternal,
-                            "worker " + std::to_string(w) +
-                                " did not listen on " + paths[i] +
-                                " within " +
-                                std::to_string(kListenBudget.count()) + " s");
-      std::this_thread::sleep_for(pause);
-      pause = std::min(pause * 2, kMaxPollPause);
-    }
+  deadline_ = Clock::now() + kListenBudget;
+  for (std::size_t w = first; w < first + count; ++w) {
+    siginfo_t exited{};
+    if (await_listener(w, exited)) continue;
+    if (exited.si_pid == pids_[w])
+      throw ProtocolError(
+          eval::ErrorCode::kInternal,
+          "worker " + std::to_string(w) + " (" + options_.evald_path +
+              (exited.si_code == CLD_EXITED ? ") exited with status "
+                                            : ") was killed by signal ") +
+              std::to_string(exited.si_status) + " before listening on " +
+              paths_[w]);
+    throw ProtocolError(eval::ErrorCode::kInternal,
+                        "worker " + std::to_string(w) + " did not listen on " +
+                            paths_[w] + " within " +
+                            std::to_string(kListenBudget.count()) + " s");
   }
+}
+
+bool WorkerFleet::await_listener(std::size_t w, siginfo_t& exited) {
+  std::chrono::microseconds pause = kFirstPollPause;
+  while (!clients_[w].try_connect(paths_[w], pids_[w])) {
+    // WNOWAIT leaves an exited worker for stop() to reap.
+    if (::waitid(P_PID, static_cast<id_t>(pids_[w]), &exited,
+                 WEXITED | WNOHANG | WNOWAIT) == 0 &&
+        exited.si_pid == pids_[w])
+      return false;
+    if (Clock::now() >= deadline_) return false;
+    std::this_thread::sleep_for(pause);
+    pause = std::min(pause * 2, kMaxPollPause);
+  }
+  return true;
 }
 
 void WorkerFleet::stop() {
   if (!running_ && pids_.empty()) return;
+  std::vector<char> killed_owner(pids_.size(), 0);
   for (std::size_t w = 0; w < pids_.size(); ++w) {
     if (pids_[w] <= 0) continue;
-    // A worker that took no kShutdown frame would never exit by itself.
-    if (!clients_[w].connected() || !clients_[w].shutdown_server())
-      ::kill(pids_[w], SIGKILL);
+    // A worker that took a kShutdown frame unlinks its socket and exits.
+    const bool had_client = clients_[w].connected();
+    if (had_client && clients_[w].shutdown_server()) continue;
+    // Any other would never exit by itself, so it is killed. Its socket
+    // file is removed after the kill only when a connection whose peer is
+    // that worker proved the file its own: a worker without a client gets
+    // until start()'s deadline to listen for that proof.
+    siginfo_t exited{};
+    killed_owner[w] = had_client || await_listener(w, exited);
+    ::kill(pids_[w], SIGKILL);
   }
   clients_.clear();
-  for (const pid_t pid : pids_)
-    if (pid > 0)
-      while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
-      }
+  for (std::size_t w = 0; w < pids_.size(); ++w) {
+    if (pids_[w] <= 0) continue;
+    while (::waitpid(pids_[w], nullptr, 0) < 0 && errno == EINTR) {
+    }
+    if (killed_owner[w]) ::unlink(paths_[w].c_str());
+  }
   pids_.clear();
   running_ = false;
 }

@@ -25,7 +25,11 @@
 // every connected worker a kShutdown frame, kills every worker that did
 // not acknowledge one (a worker without a client included) and reaps them
 // all, so it cannot wait on a daemon that will never exit; a failed
-// start() runs it before it throws.
+// start() runs it before it throws. A worker acknowledging kShutdown
+// removes its own socket file; for a killed one, stop() removes it only
+// when a connection whose peer is that worker proved the file its own
+// (a worker still booting gets until start()'s deadline to listen for
+// that proof), so a worker that never bound leaves any file there alone.
 //
 // Sharding is threadless: send every shard, then read every reply in
 // worker order. A server reads a whole frame before it evaluates, so every
@@ -35,9 +39,12 @@
 // order is rethrown.
 #pragma once
 
+#include <signal.h>
+#include <sys/types.h>
+
+#include <chrono>
 #include <cstdint>
 #include <string>
-#include <sys/types.h>
 #include <vector>
 
 #include "eval/request.hpp"
@@ -128,7 +135,8 @@ class WorkerFleet {
   /// or does not listen within 5 s; every worker is stopped by then.
   void start();
   /// Sends kShutdown to every connected worker, kills every worker that
-  /// did not acknowledge it, then reaps them all. Idempotent.
+  /// did not acknowledge it, then reaps them all and removes the socket
+  /// file of each killed worker proven to listen on it. Idempotent.
   void stop();
 
   std::size_t workers() const { return clients_.size(); }
@@ -141,13 +149,21 @@ class WorkerFleet {
       const std::vector<eval::EvalRequest>& requests);
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   /// Forks workers [first, first + count), then connects each one's client
   /// as soon as that worker listens (see the file comment).
   void launch(std::size_t first, std::size_t count);
+  /// Polls worker `w`'s socket until its client connects to that worker
+  /// (true), the worker exits (false, `exited` names it) or deadline_
+  /// passes (false).
+  bool await_listener(std::size_t w, siginfo_t& exited);
 
   FleetOptions options_;
   std::vector<EvalClient> clients_;
   std::vector<pid_t> pids_;  ///< 0 for a worker not forked yet
+  std::vector<std::string> paths_;  ///< per worker: its socket path
+  Clock::time_point deadline_;      ///< the last launch's listen budget
   bool running_ = false;
 };
 

@@ -48,6 +48,14 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+std::uint64_t prefix_key(std::string_view s) {
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    key = key << 8 |
+          (i < s.size() ? static_cast<unsigned char>(s[i]) : std::uint64_t{0});
+  return key;
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

@@ -16,8 +16,10 @@
 
 #include "core/shell.hpp"
 #include "eval/evaluate.hpp"
+#include "floorplan/annealer.hpp"
 #include "eval/request.hpp"
 #include "gen/ensemble.hpp"
+#include "graph/throughput_engine.hpp"
 #include "proc/experiment.hpp"
 #include "proc/programs.hpp"
 #include "sim/oracle.hpp"
@@ -625,6 +627,122 @@ TEST(EvalErrors, FloorplanEvaluationIsDeterministic) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a.floorplan == b.floorplan);
+}
+
+// ------------------------------------------------------------ floorplan
+
+/// A floorplan request's reply rebuilt through the public layer calls the
+/// way the evaluator composed them before its set-up was trimmed: the
+/// netlist dressing, a relabelled copy of the topology for the engine,
+/// rs_demand's label pairs and the label-keyed final engine query.
+FloorplanResult layer_replay(const FloorplanJob& job) {
+  Rng rng(job.seed);
+  const graph::Digraph topology = gen::generate_topology(job.topology, rng);
+  const gen::GeneratedSystem sys =
+      gen::dress_topology(topology, job.system, rng);
+  graph::Digraph base = topology;
+  for (graph::EdgeId e = 0; e < base.num_edges(); ++e)
+    base.edge(e).relay_stations = 0;
+  graph::ThroughputEngine engine(std::move(base));
+  fplan::AnnealOptions options = job.anneal.to_options();
+  options.throughput_engine = &engine;
+  const fplan::AnnealResult annealed = fplan::anneal(sys.instance, options);
+  const auto demand =
+      fplan::rs_demand(sys.instance, annealed.placement, options.delay_model);
+
+  FloorplanResult result;
+  result.area = annealed.area;
+  result.wirelength = annealed.wirelength;
+  result.cost = annealed.cost;
+  result.accepted_moves = annealed.accepted_moves;
+  result.evaluations = annealed.evaluations;
+  for (const auto& [connection, rs] : demand) result.total_rs += rs;
+  result.throughput = engine.throughput(demand);
+  result.engine_incremental = engine.stats().incremental();
+  result.engine_fallbacks = engine.stats().fallbacks;
+  return result;
+}
+
+gen::TopologyConfig family(gen::TopologyFamily kind, int nodes) {
+  gen::TopologyConfig config;
+  config.family = kind;
+  config.num_nodes = nodes;
+  return config;
+}
+
+TEST(EvalFloorplan, ReplyEqualsTheLayerReplay) {
+  // Four families, ten seeds each; every fifth request is area-driven,
+  // whose anneal interns no labels, so the final query interns them.
+  const std::vector<gen::TopologyConfig> families = {
+      family(gen::TopologyFamily::kMesh, 9),
+      family(gen::TopologyFamily::kMesh, 16),
+      family(gen::TopologyFamily::kBarabasiAlbert, 24),
+      family(gen::TopologyFamily::kWattsStrogatz, 16)};
+  for (const gen::TopologyConfig& topology : families) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      FloorplanJob job;
+      job.topology = topology;
+      job.seed = seed * 7919;
+      job.anneal.seed = seed;
+      job.anneal.iterations = 60;
+      job.anneal.weight_throughput = seed % 5 == 0 ? 0.0 : 10.0;
+      const EvalReply reply = evaluate(EvalRequest(job), {});
+      ASSERT_TRUE(reply.ok()) << reply.error.message;
+      const FloorplanResult want = layer_replay(job);
+      const std::string what = gen::family_name(topology.family) + "-" +
+                               std::to_string(topology.num_nodes) +
+                               " seed " + std::to_string(seed);
+      EXPECT_TRUE(reply.floorplan == want) << what;
+      EXPECT_EQ(reply.floorplan.throughput, want.throughput) << what;
+      EXPECT_EQ(reply.floorplan.engine_incremental, want.engine_incremental)
+          << what;
+      EXPECT_EQ(reply.floorplan.engine_fallbacks, want.engine_fallbacks)
+          << what;
+    }
+  }
+}
+
+TEST(EvalFloorplan, NetlistFlagDoesNotChangeTheReply) {
+  EvalRequest with = sample_floorplan_request();
+  EvalRequest without = with;
+  without.floorplan.system.build_netlist = false;
+  const EvalReply a = evaluate(with, {});
+  const EvalReply b = evaluate(without, {});
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(encoded(a), encoded(b));
+}
+
+TEST(EvalFloorplan, PortLimitBreakingTopologiesNoLongerFail) {
+  // Topologies no randommoore netlist can carry: a digraph left with a
+  // node of in-degree 0 (no strong-connectivity repair) and a complete
+  // 40-node digraph (in-degree 39 > 32). A floorplan reply reads no
+  // netlist, so each evaluates as if dressed netlist-free.
+  FloorplanJob sparse;
+  sparse.topology = family(gen::TopologyFamily::kClusteredErdosRenyi, 10);
+  sparse.topology.er_clusters = 1;
+  sparse.topology.er_intra_probability = 0.15;
+  sparse.topology.ensure_strongly_connected = false;
+  FloorplanJob dense;
+  dense.topology = family(gen::TopologyFamily::kClusteredErdosRenyi, 40);
+  dense.topology.er_clusters = 1;
+  dense.topology.er_intra_probability = 1.0;
+  for (FloorplanJob job : {sparse, dense}) {
+    job.seed = 5;
+    job.anneal.iterations = 30;
+    job.anneal.weight_throughput = 10.0;
+    // The topology does break the port limits: a netlist dressing throws.
+    Rng rng(job.seed);
+    const graph::Digraph topology = gen::generate_topology(job.topology, rng);
+    EXPECT_THROW(gen::dress_topology(topology, job.system, rng),
+                 ContractViolation);
+
+    const EvalReply reply = evaluate(EvalRequest(job), {});
+    ASSERT_TRUE(reply.ok()) << reply.error.message;
+    FloorplanJob netlist_free = job;
+    netlist_free.system.build_netlist = false;
+    EXPECT_EQ(encoded(reply), encoded(evaluate(
+                                       EvalRequest(netlist_free), {})));
+  }
 }
 
 }  // namespace

@@ -72,7 +72,6 @@ class Fleet : public ::testing::Test {
     errno = 0;
     EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
     EXPECT_EQ(errno, ECHILD) << "a worker process outlived its fleet";
-    // A killed worker leaves its socket file behind.
     ::unsetenv("WIREPIPE_SOCKET_DIR");
     std::filesystem::remove_all(dir_);
   }
@@ -136,7 +135,11 @@ TEST_F(Fleet, MissingBinaryFailsAtOnceWithItsStatus) {
 TEST_F(Fleet, WorkerThatExitsFailsStartAndTheRestAreStopped) {
   // Worker 0 (socket ...-16.sock) quits; worker 1 is a real daemon that
   // listens but never gets a client. start() must throw at once, and
-  // cleaning up must neither hang on worker 1 nor leave it running.
+  // cleaning up must neither hang on worker 1 nor leave it running. A
+  // plain file sits on worker 0's path: that worker never binds, so the
+  // file is not its own and must survive the fleet.
+  const std::string foreign = socket_path(kPortShardBase);
+  std::ofstream(foreign) << "not a socket";
   const std::string wrapper =
       script("exit-for-worker-0", "case \"$2\" in *-16.sock) exit 3 ;; esac\n"
                                   "exec " + evald_ + " \"$@\"\n");
@@ -155,6 +158,11 @@ TEST_F(Fleet, WorkerThatExitsFailsStartAndTheRestAreStopped) {
     }
   }  // ~WorkerFleet returns; TearDown checks that no child is left
   EXPECT_LT(seconds_since(t0), 1.0);
+  // Worker 1 was killed; the fleet proved it listened on its socket, so
+  // the socket file is gone with it.
+  const std::string killed = socket_path(kPortShardBase + 1);
+  EXPECT_FALSE(std::filesystem::exists(killed)) << killed << " outlived it";
+  EXPECT_TRUE(std::filesystem::exists(foreign)) << foreign << " was removed";
 }
 
 TEST_F(Fleet, StaleListenerIsNeverAdopted) {

@@ -45,6 +45,44 @@ TEST(Digraph, BasicAccessors) {
   EXPECT_THROW(g.add_edge(a, 7), wp::ContractViolation);
 }
 
+TEST(Digraph, EdgeListsFollowEdgeIdOrder) {
+  // Interleaved adds, parallel edges and a self loop: every node's out- and
+  // in-edges come back in edge-id order, with or without reserve().
+  for (const bool reserved : {false, true}) {
+    Digraph g;
+    if (reserved) g.reserve(3, 7);
+    for (int i = 0; i < 3; ++i) g.add_node("n" + std::to_string(i));
+    g.add_edge(0, 1);  // 0
+    g.add_edge(2, 0);  // 1
+    g.add_edge(0, 1);  // 2
+    g.add_edge(1, 1);  // 3
+    g.add_edge(0, 2);  // 4
+    g.add_edge(1, 0);  // 5
+    g.add_edge(2, 0);  // 6
+    std::vector<EdgeId> out0, in0, out1, in1;
+    for (const EdgeId e : g.out_edges(0)) out0.push_back(e);
+    for (const EdgeId e : g.in_edges(0)) in0.push_back(e);
+    for (const EdgeId e : g.out_edges(1)) out1.push_back(e);
+    for (const EdgeId e : g.in_edges(1)) in1.push_back(e);
+    EXPECT_EQ(out0, (std::vector<EdgeId>{0, 2, 4}));
+    EXPECT_EQ(in0, (std::vector<EdgeId>{1, 5, 6}));
+    EXPECT_EQ(out1, (std::vector<EdgeId>{3, 5}));
+    EXPECT_EQ(in1, (std::vector<EdgeId>{0, 2, 3}));
+    EXPECT_EQ(g.out_edges(2).size(), 2u);
+    EXPECT_EQ(g.in_edges(2).size(), 1u);
+    // A copy owns its chains.
+    const Digraph copy = g;
+    g.add_edge(0, 0);
+    EXPECT_EQ(copy.out_edges(0).size(), 3u);
+    EXPECT_EQ(g.out_edges(0).size(), 4u);
+  }
+  Digraph empty;
+  empty.add_node("lonely");
+  EXPECT_TRUE(empty.out_edges(0).empty());
+  EXPECT_TRUE(empty.in_edges(0).empty());
+  EXPECT_EQ(empty.out_edges(0).begin(), empty.out_edges(0).end());
+}
+
 TEST(Cycles, SelfLoopAndDigon) {
   Digraph g;
   const NodeId a = g.add_node("a");
@@ -220,6 +258,10 @@ INSTANTIATE_TEST_SUITE_P(Random, McrCrossCheck,
 
 // ------------------------------------------------------- Howard core
 
+std::vector<EdgeId> edge_ids(Digraph::EdgeList list) {
+  return {list.begin(), list.end()};
+}
+
 std::vector<EdgeId> csr_out_edges(const detail::FlatGraph& flat, NodeId v) {
   const auto i = static_cast<std::size_t>(v);
   return {flat.out.begin() + flat.out_begin[i],
@@ -257,7 +299,8 @@ TEST(FlatGraph, MirrorsEdgesAndOutEdgeOrder) {
       EXPECT_EQ(flat.edge(e).latency, g.edge_latency(e));
     }
     for (NodeId v = 0; v < g.num_nodes(); ++v)
-      EXPECT_EQ(csr_out_edges(flat, v), g.out_edges(v)) << "node " << v;
+      EXPECT_EQ(csr_out_edges(flat, v), edge_ids(g.out_edges(v)))
+          << "node " << v;
   }
 }
 
