@@ -101,25 +101,38 @@ wp::fplan::ThroughputFn recording(wp::fplan::ThroughputFn oracle,
   };
 }
 
-/// Replays `stream` through a fresh engine on its id path (the annealer's)
-/// and through the fresh-Howard reference, alternating query by query so
-/// a slow stretch of the host lands on both sides of the ratio alike.
-/// Returns the reference's total query time over the engine's; exits on
-/// a query where the two disagree.
+/// Replays `stream` through a fresh engine on the annealer's path — the
+/// first query whole, then each query as a delta of the connections whose
+/// count moved — and through the fresh-Howard reference, alternating query
+/// by query so a slow stretch of the host lands on both sides of the
+/// ratio alike. The moved lists are built before the timing starts.
+/// Returns the reference's total query time over the engine's; exits on a
+/// query where the two disagree.
 double replay_eval_speedup(const wp::graph::Digraph& g,
                            const QueryStream& stream) {
   wp::graph::ThroughputEngine engine(g);
   const std::vector<int> ids = engine.resolve(stream.labels);
   const wp::fplan::ThroughputFn reference = fresh_howard_fn(g);
+  std::vector<std::vector<int>> moved(stream.counts.size());
+  for (std::size_t q = 1; q < stream.counts.size(); ++q)
+    for (std::size_t c = 0; c < ids.size(); ++c)
+      if (stream.counts[q][c] != stream.counts[q - 1][c])
+        moved[q].push_back(static_cast<int>(c));
   std::vector<std::pair<std::string, int>> demand;
   for (const std::string& label : stream.labels) demand.emplace_back(label, 0);
   double engine_ms = 0, reference_ms = 0;
-  for (const std::vector<int>& counts : stream.counts) {
+  std::uint64_t seen = 0;
+  for (std::size_t q = 0; q < stream.counts.size(); ++q) {
+    const std::vector<int>& counts = stream.counts[q];
     for (std::size_t c = 0; c < counts.size(); ++c)
       demand[c].second = counts[c];
     const auto engine_start = std::chrono::steady_clock::now();
-    const double th = engine.throughput(ids, counts);
+    const double th =
+        q == 0 ? engine.throughput(ids, counts)
+               : engine.throughput(ids, counts, moved[q].data(),
+                                   moved[q].size(), seen);
     engine_ms += ms_since(engine_start);
+    seen = engine.stats().queries;
     const auto reference_start = std::chrono::steady_clock::now();
     const double reference_th = reference(demand);
     reference_ms += ms_since(reference_start);

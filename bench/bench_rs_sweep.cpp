@@ -6,6 +6,11 @@
 // shared cached golden (simulation oracle: the golden runs once per
 // program, no matter how many points or workers), fanned out over the
 // thread pool (ParallelSweep) with rows in deterministic input order.
+//
+// Exits 1 when a row breaks the claim: WP2 below WP1 at a point, WP1
+// rising with n on a connection, or WP1 off the static m/(m+n) bound by
+// more than 0.005.
+#include <cmath>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -16,6 +21,7 @@ int main() {
   using namespace wp::proc;
 
   const CpuConfig cpu;
+  bool ok = true;
   ExperimentOptions options;
   options.check_equivalence = false;  // speed; equivalence covered by tests
 
@@ -49,6 +55,24 @@ int main() {
                      wp::fmt_fixed(row.th_wp2, 3),
                      wp::fmt_percent(row.improvement),
                      wp::fmt_fixed(row.static_wp1, 3)});
+      const std::string where = program.name + " " + configs[i].label;
+      if (row.th_wp2 < row.th_wp1) {
+        std::cerr << "bench_rs_sweep: " << where << ": WP2 " << row.th_wp2
+                  << " below WP1 " << row.th_wp1 << "\n";
+        ok = false;
+      }
+      // Rows of one connection are adjacent, in rising n.
+      if (i > 0 && configs[i - 1].rs.begin()->first == rs.begin()->first &&
+          row.th_wp1 > rows[i - 1].th_wp1) {
+        std::cerr << "bench_rs_sweep: " << where << ": WP1 " << row.th_wp1
+                  << " above " << rows[i - 1].th_wp1 << " at a smaller n\n";
+        ok = false;
+      }
+      if (std::abs(row.th_wp1 - row.static_wp1) > 0.005) {
+        std::cerr << "bench_rs_sweep: " << where << ": WP1 " << row.th_wp1
+                  << " off the static bound " << row.static_wp1 << "\n";
+        ok = false;
+      }
     }
     table.print(std::cout);
     wp::bench::maybe_write_csv(
@@ -61,5 +85,5 @@ int main() {
   std::cout << "WP1 follows m/(m+n) (deeper pipelining keeps hurting); the "
                "WP2 recovery\nis largest on rarely-read connections and "
                "persists as n grows.\n";
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -59,8 +59,6 @@ class PeekView {
   PeekView(InputMask available, const Word* values, std::size_t n)
       : available_(available), values_(values), n_(n) {}
 
-  std::size_t size() const { return n_; }
-
   bool available(std::size_t i) const {
     return i < n_ && ((available_ >> i) & 1u) != 0;
   }

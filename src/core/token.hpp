@@ -35,11 +35,6 @@ struct Token {
 
   /// A valid event carrying v.
   static constexpr Token make(Word v) { return Token{v, true}; }
-
-  friend bool operator==(const Token& a, const Token& b) {
-    if (a.valid != b.valid) return false;
-    return !a.valid || a.value == b.value;  // all τ compare equal
-  }
 };
 
 }  // namespace wp

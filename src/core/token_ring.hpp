@@ -26,7 +26,6 @@ class TokenRing {
                "token ring capacity must be in [1, 2^31)");
   }
 
-  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   bool full() const { return size_ == capacity_; }
@@ -47,11 +46,6 @@ class TokenRing {
     WP_CHECK(size_ > 0, "pop_front() on an empty token ring");
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     --size_;
-  }
-
-  void clear() {
-    head_ = 0;
-    size_ = 0;
   }
 
  private:

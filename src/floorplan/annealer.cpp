@@ -56,6 +56,9 @@ double ms_since(Clock::time_point start) {
 /// yields wirelength and RS demand together, and the oracle is addressed
 /// by connection id. Both sum wirelength bit-identically to
 /// total_wirelength(), so the terms a score carries are the reported ones.
+/// An engine hears the run's first demand whole and then, per candidate,
+/// only the connections whose count differs from the previous candidate's
+/// (its delta query): the engine already holds the rest.
 class CostModel {
  public:
   /// A placement's objective and the three terms it combines.
@@ -77,8 +80,10 @@ class CostModel {
                "throughput weight set but neither throughput_engine nor "
                "throughput_fn provided");
     index_.emplace(inst);
+    stations_.emplace(options_.delay_model);
     if (options_.throughput_engine != nullptr) {
       ids_ = options_.throughput_engine->resolve(index_->labels());
+      changed_.resize(ids_.size());
     } else {
       for (const std::string& label : index_->labels())
         demand_.emplace_back(label, 0);
@@ -90,15 +95,15 @@ class CostModel {
   void report_demand(AnnealResult& best) {
     if (!index_) return;
     best.demand = std::move(rs_);  // derive() reuses the scratch's storage
-    index_->derive(best.placement, options_.delay_model, best.demand);
+    index_->derive(best.placement, *stations_, best.demand);
     best.demand_ids = std::move(ids_);
   }
 
   Score score(const Placement& placement, AnnealResult& stats) {
     const double area = placement.area();
     if (nets_) return combine(area, nets_->wirelength(placement), 1.0);
-    const double wirelength =
-        index_->derive(placement, options_.delay_model, rs_);
+    const double wirelength = index_->derive(placement, *stations_, next_);
+    if (queried_ && options_.throughput_engine != nullptr) diff();
     return combine(area, wirelength, throughput(stats));
   }
 
@@ -110,17 +115,36 @@ class CostModel {
             area, wirelength, throughput};
   }
 
-  /// One oracle query for the demand derive() left in rs_.
+  /// Lists in changed_ the connections whose count in next_ differs from
+  /// the previous candidate's (rs_). Branch-free: every id is written, and
+  /// the cursor moves past only the ones that differ.
+  void diff() {
+    std::size_t moved = 0;
+    for (std::size_t c = 0; c < next_.size(); ++c) {
+      changed_[moved] = static_cast<int>(c);
+      moved += next_[c] != rs_[c] ? 1 : 0;
+    }
+    num_changed_ = moved;
+  }
+
+  /// One oracle query for the demand derive() left in next_, which then
+  /// becomes the previous candidate's (rs_).
   double throughput(AnnealResult& stats) {
     WP_SPAN("anneal/throughput");
     const auto oracle_start = Clock::now();
     double th;
-    if (options_.throughput_engine != nullptr) {
-      th = options_.throughput_engine->throughput(ids_, rs_);
+    if (graph::ThroughputEngine* engine = options_.throughput_engine) {
+      th = queried_ ? engine->throughput(ids_, next_, changed_.data(),
+                                         num_changed_, queries_seen_)
+                    : engine->throughput(ids_, next_);
+      queries_seen_ = engine->stats().queries;
     } else {
-      for (std::size_t c = 0; c < rs_.size(); ++c) demand_[c].second = rs_[c];
+      for (std::size_t c = 0; c < next_.size(); ++c)
+        demand_[c].second = next_[c];
       th = options_.throughput_fn(demand_);
     }
+    queried_ = true;
+    rs_.swap(next_);
     stats.throughput_ms += ms_since(oracle_start);
     ++stats.throughput_evals;
     return th;
@@ -129,8 +153,17 @@ class CostModel {
   const AnnealOptions& options_;
   std::optional<NetGeometry> nets_;   ///< area-driven runs
   std::optional<DemandIndex> index_;  ///< throughput-driven runs
-  std::vector<int> rs_;   ///< score()'s derive scratch
-  std::vector<int> ids_;  ///< engine label id per connection id
+  std::optional<RelayStationTable> stations_;  ///< throughput-driven runs
+  std::vector<int> next_;  ///< score()'s derive scratch: this candidate
+  std::vector<int> rs_;    ///< the previous candidate's demand
+  std::vector<int> ids_;   ///< engine label id per connection id
+  /// Engine runs: connections whose count moved, the first num_changed_.
+  std::vector<int> changed_;
+  std::size_t num_changed_ = 0;
+  /// Engine runs: the engine's query count right after this run's last
+  /// query, the delta query's proof that no other query came between.
+  std::uint64_t queries_seen_ = 0;
+  bool queried_ = false;  ///< rs_ holds a queried demand
   /// throughput_fn's argument: labels filled once, counts per query.
   std::vector<std::pair<std::string, int>> demand_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -69,6 +70,81 @@ int relay_stations_for_length(double mm, const WireDelayModel& model) {
   return std::max(1, static_cast<int>(stages)) - 1;
 }
 
+RelayStationTable::RelayStationTable(const WireDelayModel& model)
+    : model_(model),
+      per_mm_(model.ps_per_mm / model.clock_ps),
+      bounds_{-std::numeric_limits<double>::infinity(),
+              std::numeric_limits<double>::infinity()} {}
+
+int RelayStationTable::extend(double mm) {
+  const int count = relay_stations_for_length(mm, model_);
+  if (count > kMaxCount) return count;
+  // The reference accepted mm, and mm > top_, so count is at least
+  // max_count(); every threshold up to count lies at or below mm.
+  const int known = max_count();
+  bounds_.pop_back();  // the +inf sentinel, pushed back below
+  for (int k = known + 1; k <= count; ++k)
+    bounds_.push_back(find_threshold(k, mm));
+  bounds_.push_back(std::numeric_limits<double>::infinity());
+  top_ = mm;
+  return count;
+}
+
+double RelayStationTable::find_threshold(int k, double known) const {
+  // A bisection over the bit patterns of the lengths in (lo, hi], which
+  // order like the lengths themselves (all are non-negative), seeded by
+  // galloping from the estimate. Invariant: lo needs fewer than k
+  // stations, hi at least k. Every probe lies at or below `known`, a
+  // length the reference accepted, so no probe can throw.
+  const double below = k == 1 ? 0.0 : bounds_[static_cast<std::size_t>(k) - 1];
+  auto reaches = [&](double mm) {
+    return relay_stations_for_length(mm, model_) >= k;
+  };
+  if (reaches(below)) return below;  // two thresholds at one length
+  auto bits = [](double mm) {
+    std::uint64_t b;
+    std::memcpy(&b, &mm, sizeof b);
+    return b;
+  };
+  auto length = [](std::uint64_t b) {
+    double mm;
+    std::memcpy(&mm, &b, sizeof mm);
+    return mm;
+  };
+  std::uint64_t lo = bits(below);
+  std::uint64_t hi = bits(known);
+  // The reference's stage boundary: delay / clock just above k + 1e-9.
+  const double estimate = (k + 1e-9) * model_.clock_ps / model_.ps_per_mm;
+  std::uint64_t probe = hi;
+  if (estimate > below && estimate < known) probe = bits(estimate);
+  if (reaches(length(probe))) {
+    hi = probe;
+    for (std::uint64_t step = 1; hi - lo > 1; step *= 2) {
+      probe = hi - std::min(step, hi - lo - 1);
+      if (!reaches(length(probe))) {
+        lo = probe;
+        break;
+      }
+      hi = probe;
+    }
+  } else {
+    lo = probe;
+    for (std::uint64_t step = 1; hi - lo > 1; step *= 2) {
+      probe = lo + std::min(step, hi - lo - 1);
+      if (reaches(length(probe))) {
+        hi = probe;
+        break;
+      }
+      lo = probe;
+    }
+  }
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (reaches(length(mid)) ? hi : lo) = mid;
+  }
+  return length(hi);
+}
+
 NetGeometry::NetGeometry(const Instance& inst) {
   WP_REQUIRE(inst.blocks.size() <= std::numeric_limits<std::uint32_t>::max(),
              "too many blocks for 32-bit net indices");
@@ -95,6 +171,12 @@ double NetGeometry::length(const Placement& placement,
                          half_h_[d]);
 }
 
+// The two per-candidate net passes are pinned to a 64-byte boundary, as
+// pack_engine.cpp pins fused_pass: each is one short loop whose speed
+// depends on where it falls within a line. Unpinned, a 16-byte shift of
+// this file's code (from growth in any object linked before it) moved the
+// area-driven anneal of a 32x32 mesh by ~6%.
+[[gnu::aligned(64)]]
 double NetGeometry::wirelength(const Placement& placement) const {
   double total = 0;
   for (std::size_t i = 0; i < src_.size(); ++i) total += length(placement, i);
@@ -118,8 +200,11 @@ DemandIndex::DemandIndex(const Instance& inst) : nets_(inst) {
   }
 }
 
+// Flattened too: without it gcc calls NetGeometry::length() out of line
+// from this loop and keeps the wirelength sum on the stack.
+[[gnu::aligned(64), gnu::flatten]]
 double DemandIndex::derive(const Placement& placement,
-                           const WireDelayModel& model,
+                           RelayStationTable& stations,
                            std::vector<int>& rs) const {
   rs.assign(labels_.size(), 0);
   double total = 0;
@@ -127,7 +212,7 @@ double DemandIndex::derive(const Placement& placement,
     const double length = nets_.length(placement, i);
     total += length;
     int& worst = rs[conn_[i]];
-    worst = std::max(worst, relay_stations_for_length(length, model));
+    worst = std::max(worst, stations.count(length));
   }
   return total;
 }
@@ -136,8 +221,9 @@ std::vector<std::pair<std::string, int>> rs_demand(
     const Instance& inst, const Placement& placement,
     const WireDelayModel& model) {
   const DemandIndex index(inst);
+  RelayStationTable stations(model);
   std::vector<int> rs;
-  index.derive(placement, model, rs);
+  index.derive(placement, stations, rs);
   std::vector<std::pair<std::string, int>> demand;
   demand.reserve(rs.size());
   for (std::size_t c = 0; c < rs.size(); ++c)

@@ -5,6 +5,7 @@
 // needs in a real wire-pipelined SoC flow.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -67,6 +68,60 @@ struct WireDelayModel {
 /// finite and non-negative, and the stage count must fit an int.
 int relay_stations_for_length(double mm, const WireDelayModel& model);
 
+/// relay_stations_for_length() without a division or a ceil per wire: a
+/// lazily extended table of exact length thresholds, where threshold k is
+/// the shortest length that needs k relay stations. Each threshold is
+/// found by stepping from an estimate with relay_stations_for_length()
+/// itself, probing only lengths at or below one the reference has already
+/// accepted, so count() equals the reference everywhere. A length beyond
+/// the table, and any length the reference rejects (NaN, infinite,
+/// negative, too many stages), goes to the reference, with its errors.
+/// One table per thread: count() extends it.
+class RelayStationTable {
+ public:
+  explicit RelayStationTable(const WireDelayModel& model);
+
+  /// relay_stations_for_length(mm, model), bit for bit.
+  int count(double mm) {
+    // Also false for NaN: only lengths the table is known to cover.
+    if (!(mm >= 0.0 && mm <= top_)) return extend(mm);
+    // Estimate, then step to the k with bounds_[k] <= mm < bounds_[k + 1].
+    // The estimate is almost always exact, and the sentinels end both
+    // steps without a range test, so the loops rarely branch differently
+    // from one wire to the next.
+    const double top = static_cast<double>(max_count());
+    std::size_t k = static_cast<std::size_t>(std::min(top, mm * per_mm_));
+    while (mm < bounds_[k]) --k;
+    while (bounds_[k + 1] <= mm) ++k;
+    return static_cast<int>(k);
+  }
+
+  /// Thresholds computed so far: threshold(k) for k in [1, max_count()]
+  /// is the shortest length needing k stations.
+  int max_count() const { return static_cast<int>(bounds_.size()) - 2; }
+  double threshold(int k) const { return bounds_[static_cast<std::size_t>(k)]; }
+
+ private:
+  /// Counts above this fall back to the reference without growing the
+  /// table.
+  static constexpr int kMaxCount = 1024;
+
+  /// The reference's answer for `mm`, growing the table to cover it.
+  /// Out of line, so the per-net loops that call count() stay tight.
+  [[gnu::noinline]] int extend(double mm);
+  /// Shortest length needing `k` stations, given that `known` needs at
+  /// least k and thresholds 1..k-1 are in the table.
+  double find_threshold(int k, double known) const;
+
+  WireDelayModel model_;
+  double per_mm_;  ///< stages per mm: the count estimate's slope
+  /// A length with exactly max_count() stations (-1: none yet), so every
+  /// length in [0, top_] is covered.
+  double top_ = -1.0;
+  /// {-inf, threshold 1, ..., threshold max_count(), +inf}.
+  std::vector<double> bounds_;
+};
+
 /// An instance's nets as flat arrays: per-net block indices and per-block
 /// half extents, range-checked once at construction. Both cost paths of an
 /// anneal measure wirelength through it, so no candidate walks the Net and
@@ -108,10 +163,10 @@ class DemandIndex {
   const std::vector<std::string>& labels() const { return labels_; }
 
   /// One pass over the nets: `rs` (resized to labels().size()) receives
-  /// each connection's max relay_stations_for_length() over its nets, and
-  /// the return value is the net-order sum of net lengths — bit-identical
-  /// to total_wirelength().
-  double derive(const Placement& placement, const WireDelayModel& model,
+  /// each connection's max relay_stations_for_length() over its nets,
+  /// counted through `stations`, and the return value is the net-order sum
+  /// of net lengths — bit-identical to total_wirelength().
+  double derive(const Placement& placement, RelayStationTable& stations,
                 std::vector<int>& rs) const;
 
  private:

@@ -60,7 +60,8 @@ fplan::AnnealResult anneal_and_score(graph::Digraph topology,
   // area-driven one interned none, so the labels are interned here.
   if (annealed.demand_ids.empty()) {
     const fplan::DemandIndex index(instance);
-    index.derive(annealed.placement, options.delay_model, annealed.demand);
+    fplan::RelayStationTable stations(options.delay_model);
+    index.derive(annealed.placement, stations, annealed.demand);
     annealed.demand_ids = engine.resolve(index.labels());
   }
   score.total_rs = 0;

@@ -51,11 +51,6 @@ class Digraph {
         edge_ = next_[2 * static_cast<std::size_t>(edge_) + side_];
         return *this;
       }
-      iterator operator++(int) {
-        iterator before = *this;
-        ++*this;
-        return before;
-      }
       bool operator==(const iterator& other) const {
         return edge_ == other.edge_;
       }

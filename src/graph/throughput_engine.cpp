@@ -172,6 +172,27 @@ double ThroughputEngine::throughput(
   return throughput(ids, rs);
 }
 
+void ThroughputEngine::begin_query() {
+  ++stats_.queries;
+  changed_ = false;
+  raised_.clear();
+}
+
+void ThroughputEngine::apply(std::size_t label, int rs) {
+  if (label_rs_[label] == rs) return;
+  if (label_rs_[label] == kBase) dirty_labels_.push_back(label);
+  set_label_latency(label, 1 + rs);
+  label_rs_[label] = rs;
+}
+
+double ThroughputEngine::finish_query() {
+  if (!changed_ && has_result_) {
+    ++stats_.unchanged;
+    return ratio_;
+  }
+  return solve();
+}
+
 double ThroughputEngine::throughput(const std::vector<int>& ids,
                                     const std::vector<int>& rs) {
   WP_REQUIRE(ids.size() == rs.size(),
@@ -184,9 +205,7 @@ double ThroughputEngine::throughput(const std::vector<int>& ids,
     WP_REQUIRE(0 <= rs[i] && rs[i] < std::numeric_limits<int>::max(),
                "ThroughputEngine: relay-station count out of range");
   }
-  ++stats_.queries;
-  changed_ = false;
-  raised_.clear();
+  begin_query();
   const std::uint64_t epoch = ++epoch_;
 
   // Apply the demanded labels (duplicates: last one wins, like the
@@ -199,12 +218,8 @@ double ThroughputEngine::throughput(const std::vector<int>& ids,
     if (label_epoch_[label] != epoch) {
       label_epoch_[label] = epoch;
       ++named;
-      if (label_rs_[label] == kBase) dirty_labels_.push_back(label);
     }
-    if (label_rs_[label] != rs[i]) {
-      set_label_latency(label, 1 + rs[i]);
-      label_rs_[label] = rs[i];
-    }
+    apply(label, rs[i]);
   }
   // Every named label is now on the dirty list. Labels set by an earlier
   // demand but absent from this one revert to the base counts — the
@@ -221,12 +236,37 @@ double ThroughputEngine::throughput(const std::vector<int>& ids,
     }
     dirty_labels_.resize(kept);
   }
+  return finish_query();
+}
 
-  if (!changed_ && has_result_) {
-    ++stats_.unchanged;
-    return ratio_;
+double ThroughputEngine::throughput(const std::vector<int>& ids,
+                                    const std::vector<int>& rs,
+                                    const int* changed,
+                                    std::size_t num_changed,
+                                    std::uint64_t queries_seen) {
+  WP_REQUIRE(queries_seen == stats_.queries,
+             "ThroughputEngine: delta query after another caller's query");
+  WP_REQUIRE(ids.size() == rs.size(),
+             "ThroughputEngine: one relay-station count per label id");
+  for (std::size_t k = 0; k < num_changed; ++k) {
+    WP_REQUIRE(changed[k] >= 0 &&
+                   static_cast<std::size_t>(changed[k]) < ids.size(),
+               "ThroughputEngine: delta position out of range");
+    const auto i = static_cast<std::size_t>(changed[k]);
+    WP_REQUIRE(ids[i] < static_cast<int>(label_rs_.size()),
+               "ThroughputEngine: label id out of range");
+    WP_REQUIRE(0 <= rs[i] && rs[i] < std::numeric_limits<int>::max(),
+               "ThroughputEngine: relay-station count out of range");
   }
-  return solve();
+  begin_query();
+  // Labels the delta does not name keep their counts, so there is no
+  // revert pass: a named label leaves the dirty list only when a later
+  // dense query omits it.
+  for (std::size_t k = 0; k < num_changed; ++k) {
+    const auto i = static_cast<std::size_t>(changed[k]);
+    if (ids[i] >= 0) apply(static_cast<std::size_t>(ids[i]), rs[i]);
+  }
+  return finish_query();
 }
 
 double ThroughputEngine::solve() {

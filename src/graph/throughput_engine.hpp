@@ -20,6 +20,13 @@
 //     base counts (the reference's configured-copy semantics) in one
 //     compaction pass over the dirty-label list, skipped when the demand
 //     names every dirty label;
+//   * a caller that already knows which of its counts moved since its own
+//     previous query sends only those (the DELTA query): the same apply
+//     core then touches just the named labels, with no compare per
+//     unchanged label and no revert pass. The annealer scores every
+//     throughput-driven candidate this way — a BA-128 candidate moves ~61
+//     of its 342 connections — and gets the dense query's exact answer
+//     and query-path counts;
 //   * optimality is RE-CERTIFIED LAZILY: the engine keeps a dual
 //     certificate — per-node potentials π with
 //     tokens_e − λ·latency_e + π(src) − π(dst) ≥ 0 for every edge, which
@@ -72,6 +79,7 @@
 // samples each own one; anneal_parallel takes an engine factory).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -126,6 +134,20 @@ class ThroughputEngine {
   /// Same, addressed by label: resolves `demand`'s labels and forwards.
   double throughput(const std::vector<std::pair<std::string, int>>& demand);
 
+  /// Delta query: the demand of the caller's previous query with, for each
+  /// of the `num_changed` positions i in `changed`, `rs[i]` relay stations
+  /// on every edge of label `ids[i]` (-1 ids ignored). `ids` must name
+  /// each label at most once, as resolve() of distinct labels does. The
+  /// answer equals the dense query of the updated demand; positions in
+  /// ascending order also rewrite edges in the dense query's order, so
+  /// the query takes the same path. Only the named entries are validated.
+  /// `queries_seen` is stats().queries as the caller read it right after
+  /// its previous query: a query in between may have moved labels, so a
+  /// mismatch is rejected. A rejected query changes nothing.
+  double throughput(const std::vector<int>& ids, const std::vector<int>& rs,
+                    const int* changed, std::size_t num_changed,
+                    std::uint64_t queries_seen);
+
   /// Test hook: with incremental certification off, every solving query
   /// takes the cold fallback path (demand deltas still apply in place).
   /// Results are identical either way — that is the point of the suite
@@ -141,10 +163,18 @@ class ThroughputEngine {
   const std::string& label_of(EdgeId e) const;
   const std::string& label_name(std::size_t label) const;  ///< by label id
   int label_id(const std::string& label) const;  ///< -1 if absent
+  /// Opens a query: counts it and clears the per-query apply state.
+  void begin_query();
+  /// The one apply core: gives every edge of `label` the count `rs`
+  /// (edges rewritten only when the count moved) and enlists the label as
+  /// dirty.
+  void apply(std::size_t label, int rs);
   /// Sets every edge of `label` to latency `latency`; flags changed_ if any
   /// edge moved.
   void set_label_latency(std::size_t label, int latency);
   void revert_label_to_base(std::size_t label);
+  /// Closes a query: the cached ratio when no edge moved, else solve().
+  double finish_query();
   double solve();
   /// Tries to certify `lambda` as the exact minimum by repairing the held
   /// potentials. Returns false when the repair gives up; witness_ then

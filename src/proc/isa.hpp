@@ -49,7 +49,6 @@ struct Instr {
     return op == o.op && rd == o.rd && rs1 == o.rs1 && rs2 == o.rs2 &&
            imm == o.imm;
   }
-  bool operator!=(const Instr& o) const { return !(*this == o); }
 };
 
 /// Encoding layout inside a 64-bit word:

@@ -76,8 +76,6 @@ class GainStage final : public Process {
   InputMask required(const PeekView& peek) const override;
   void fire(const Word* in, Word* out) override;
 
-  std::uint64_t period() const { return period_; }
-
  private:
   bool reads_gain() const { return firing_ > 0 && firing_ % period_ == 0; }
 
@@ -104,7 +102,6 @@ class AgcControl final : public Process {
 
   /// Tag of the token that carries a fresh gain: every period-th firing.
   static bool fresh(Word token) { return (token >> 63) & 1; }
-  std::uint64_t period() const { return period_; }
 
  private:
   std::uint64_t period_;

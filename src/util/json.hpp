@@ -87,12 +87,7 @@ class JsonWriter {
 class ParseError : public std::runtime_error {
  public:
   ParseError(const std::string& what, std::size_t offset)
-      : std::runtime_error(what + " at byte " + std::to_string(offset)),
-        offset_(offset) {}
-  std::size_t offset() const { return offset_; }
-
- private:
-  std::size_t offset_;
+      : std::runtime_error(what + " at byte " + std::to_string(offset)) {}
 };
 
 /// An immutable parsed JSON document. Objects keep insertion order (the

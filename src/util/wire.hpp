@@ -66,8 +66,6 @@ class Reader {
   std::string str();  ///< u32 length + bytes
   std::string raw(std::size_t size);  ///< the next `size` bytes, verbatim
 
-  std::size_t remaining() const { return size_ - pos_; }
-  bool done() const { return pos_ == size_; }
   /// Throws WireError unless the whole buffer was consumed — catches
   /// trailing garbage after an otherwise valid payload.
   void expect_done() const;

@@ -18,6 +18,7 @@
 #include "fresh_howard.hpp"
 #include "gen/instances.hpp"
 #include "gen/topologies.hpp"
+#include "graph/throughput_engine.hpp"
 #include "proc/cpu.hpp"
 #include "util/thread_pool.hpp"
 
@@ -162,6 +163,66 @@ TEST(Model, RelayStationsRejectNonFiniteAndOverlongWires) {
   EXPECT_EQ(relay_stations_for_length(1e9, model), 300000000 - 1);
 }
 
+TEST(Model, RelayStationTableEqualsTheReferenceAtEveryThreshold) {
+  // Threshold k is the shortest length needing k stations, so the count
+  // steps there: the table must give the reference's count at each
+  // threshold, one ulp either side, and on random lengths, under a few
+  // delay models (the 1e-9 guard of the reference's ceil included).
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<WireDelayModel> models(3);
+  models[1].clock_ps = 250.0;
+  models[2].ps_per_mm = 137.3;
+  models[2].clock_ps = 411.7;
+  for (const WireDelayModel& model : models) {
+    const double reach = model.reachable_mm();
+    RelayStationTable table(model);
+    ASSERT_EQ(table.count(40.5 * reach), relay_stations_for_length(
+                                             40.5 * reach, model));
+    ASSERT_EQ(table.max_count(), 40);
+    for (int k = 1; k <= table.max_count(); ++k) {
+      const double t = table.threshold(k);
+      const double below = std::nextafter(t, 0.0);
+      EXPECT_EQ(relay_stations_for_length(t, model), k);
+      EXPECT_EQ(relay_stations_for_length(below, model), k - 1);
+      for (const double mm : {below, t, std::nextafter(t, inf)})
+        EXPECT_EQ(table.count(mm), relay_stations_for_length(mm, model))
+            << "threshold " << k << " at " << mm;
+    }
+    // A fresh table grown by random lengths in random order finds the
+    // same thresholds.
+    RelayStationTable grown(model);
+    wp::Rng rng(17);
+    for (int i = 0; i < 20000; ++i) {
+      const double mm = rng.uniform() * 50 * reach;
+      ASSERT_EQ(grown.count(mm), relay_stations_for_length(mm, model)) << mm;
+    }
+    ASSERT_GE(grown.max_count(), 40);
+    for (int k = 1; k <= table.max_count(); ++k)
+      EXPECT_EQ(grown.threshold(k), table.threshold(k));
+  }
+}
+
+TEST(Model, RelayStationTableFallsBackToTheReference) {
+  const WireDelayModel model;  // 0.3 stages per mm
+  RelayStationTable table(model);
+  EXPECT_EQ(table.count(10.1), 3);
+  const double inf = std::numeric_limits<double>::infinity();
+  // The reference's errors, unchanged: non-finite, negative, and lengths
+  // needing more stages than an int holds.
+  for (const double bad : {inf, -inf, std::nan(""), -1.0, 1e10, 1e150})
+    EXPECT_THROW(table.count(bad), wp::ContractViolation) << bad;
+  // Out of table: the reference's count, without growing the table to it.
+  EXPECT_EQ(table.count(1e9), 300000000 - 1);
+  EXPECT_LT(table.max_count(), 2000);
+  EXPECT_EQ(table.count(-0.0), 0);
+  EXPECT_EQ(table.count(6.8), 2);
+  // A broken model fails on first use, as the reference does.
+  WireDelayModel broken;
+  broken.clock_ps = 0.0;
+  RelayStationTable broken_table(broken);
+  EXPECT_THROW(broken_table.count(1.0), wp::ContractViolation);
+}
+
 /// Random placements of `inst`: packs of random sequence pairs.
 std::vector<Placement> random_placements(const Instance& inst, int count,
                                          std::uint64_t seed) {
@@ -197,10 +258,11 @@ TEST(Model, DeriveMatchesRsDemandAndWirelengthBitForBit) {
   for (const Instance& inst : instances) {
     const DemandIndex index(inst);
     const NetGeometry nets(inst);
+    RelayStationTable stations(tight);
     std::vector<int> rs;
     for (const Placement& p : random_placements(inst, 20, inst.nets.size())) {
       const double reference = total_wirelength(inst, p);
-      EXPECT_EQ(index.derive(p, tight, rs), reference);
+      EXPECT_EQ(index.derive(p, stations, rs), reference);
       // The area path's flat pass, which interns no labels.
       EXPECT_EQ(nets.wirelength(p), reference);
       for (std::size_t i = 0; i < inst.nets.size(); ++i)
@@ -341,6 +403,57 @@ TEST(Annealer, ThroughputDrivenBeatsAreaDrivenOnThroughput) {
   const double area_th =
       throughput_fn(rs_demand(inst, area_result.placement, tight));
   EXPECT_GE(th_result.throughput + 1e-9, area_th);
+}
+
+TEST(Annealer, EngineRunOnMultiNetConnectionsMatchesTheReferenceRun) {
+  // synthetic_instance gives every net a connection of its own. Folding
+  // its extra nets three to a connection makes such a connection's count
+  // the max over several nets, and its label several edges of the system
+  // graph: the engine run, fed deltas of the moved connections, must
+  // follow the fresh-Howard throughput_fn run bit for bit.
+  Instance inst = synthetic_instance(40, 3);
+  for (Net& net : inst.nets)
+    if (net.connection[0] == 'x')
+      net.connection =
+          "x" + std::to_string(std::stoi(net.connection.substr(1)) / 3);
+  wp::graph::Digraph graph;
+  for (const Block& block : inst.blocks) graph.add_node(block.name);
+  for (const Net& net : inst.nets)
+    graph.add_edge(net.src_block, net.dst_block, net.connection);
+
+  AnnealOptions with_fn;
+  with_fn.iterations = 1500;
+  with_fn.seed = 4;
+  with_fn.weight_throughput = 100.0;
+  with_fn.delay_model.clock_ps = 350.0;
+  AnnealOptions with_engine = with_fn;
+  with_fn.throughput_fn = wp::reference::fresh_howard_fn(graph);
+  wp::graph::ThroughputEngine engine(graph);
+  with_engine.throughput_engine = &engine;
+  const AnnealResult reference = anneal(inst, with_fn);
+  const AnnealResult result = anneal(inst, with_engine);
+
+  EXPECT_EQ(result.cost, reference.cost);
+  EXPECT_EQ(result.area, reference.area);
+  EXPECT_EQ(result.wirelength, reference.wirelength);
+  EXPECT_EQ(result.throughput, reference.throughput);
+  EXPECT_EQ(result.accepted_moves, reference.accepted_moves);
+  EXPECT_EQ(result.placement.x, reference.placement.x);
+  EXPECT_EQ(result.placement.y, reference.placement.y);
+  EXPECT_EQ(result.demand, reference.demand);
+  EXPECT_EQ(result.throughput_evals, reference.throughput_evals);
+  EXPECT_EQ(engine.stats().queries,
+            static_cast<std::uint64_t>(result.throughput_evals));
+  // The best placement's demand is the reference rs_demand().
+  const auto demand = rs_demand(inst, result.placement, with_fn.delay_model);
+  ASSERT_EQ(demand.size(), result.demand.size());
+  int multi_net_max = 0;
+  for (std::size_t c = 0; c < demand.size(); ++c) {
+    EXPECT_EQ(demand[c].second, result.demand[c]) << demand[c].first;
+    if (demand[c].first[0] == 'x')
+      multi_net_max = std::max(multi_net_max, demand[c].second);
+  }
+  EXPECT_GT(multi_net_max, 0);  // the folded connections carry stations
 }
 
 TEST(Annealer, RejectsMissingThroughputFn) {

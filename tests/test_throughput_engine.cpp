@@ -254,6 +254,120 @@ TEST(ThroughputEngine, IdQueriesRejectMalformedInput) {
             fresh_ratio(proc::make_cpu_graph(), {{"CU-IC", 2}}));
 }
 
+void expect_same_stats(const ThroughputEngine::Stats& a,
+                       const ThroughputEngine::Stats& b, int step) {
+  EXPECT_EQ(a.queries, b.queries) << "step " << step;
+  EXPECT_EQ(a.unchanged, b.unchanged) << "step " << step;
+  EXPECT_EQ(a.acyclic, b.acyclic) << "step " << step;
+  EXPECT_EQ(a.cycle_hits, b.cycle_hits) << "step " << step;
+  EXPECT_EQ(a.witness_hits, b.witness_hits) << "step " << step;
+  EXPECT_EQ(a.fallbacks, b.fallbacks) << "step " << step;
+}
+
+TEST(ThroughputEngine, DeltaQueriesMatchDenseQueriesOnATwin) {
+  // Two engines on one graph hear the same demand chain: `dense` as whole
+  // demands, `delta` as the positions that moved since its previous query
+  // (the annealer's path). Every step must give the same ratio — the fresh
+  // reference's — and leave both engines with the same Stats. The chain
+  // mixes small perturbations, whole-demand jumps, empty deltas, deltas
+  // naming unmoved and absent (-1) positions, and a dense query to both
+  // engines now and then.
+  for (const Digraph& base : family_topologies(24, 83)) {
+    std::vector<std::string> labels = labels_of(base);
+    labels.push_back("NO-SUCH");
+    labels.insert(labels.begin(), "AA-absent");
+    ThroughputEngine dense(base);
+    ThroughputEngine delta(base);
+    const std::vector<int> ids = delta.resolve(labels);
+    Rng rng(91);
+    std::vector<int> rs(ids.size(), 0);
+    std::vector<int> previous;
+    std::uint64_t seen = 0;
+    std::vector<int> changed;
+    for (int step = 0; step < 80; ++step) {
+      previous = rs;
+      const double roll = rng.uniform();
+      const bool whole = step == 0 || roll < 0.1;
+      if (roll < 0.2) {
+        for (int& count : rs) count = static_cast<int>(rng.below(5));
+      } else if (roll < 0.3) {
+        // an empty delta: nothing moves
+      } else {
+        const int mutations = 1 + static_cast<int>(rng.below(3));
+        for (int m = 0; m < mutations; ++m)
+          rs[rng.below(rs.size())] = static_cast<int>(rng.below(5));
+      }
+      double by_delta;
+      if (whole) {
+        by_delta = delta.throughput(ids, rs);
+      } else {
+        changed.clear();
+        for (std::size_t i = 0; i < rs.size(); ++i)
+          if (rs[i] != previous[i] || ids[i] < 0 || rng.below(8) == 0)
+            changed.push_back(static_cast<int>(i));
+        by_delta =
+            delta.throughput(ids, rs, changed.data(), changed.size(), seen);
+      }
+      seen = delta.stats().queries;
+      const double by_dense = dense.throughput(ids, rs);
+      Demand demand;
+      for (std::size_t i = 0; i < labels.size(); ++i)
+        demand.emplace_back(labels[i], rs[i]);
+      ASSERT_EQ(by_dense, fresh_ratio(base, demand)) << "step " << step;
+      ASSERT_EQ(by_delta, by_dense) << "step " << step;
+      expect_same_stats(delta.stats(), dense.stats(), step);
+    }
+    EXPECT_GT(delta.stats().incremental(), delta.stats().queries / 2);
+  }
+}
+
+TEST(ThroughputEngine, DeltaQueryAfterAForeignQueryIsRejected) {
+  const Digraph base = proc::make_cpu_graph();
+  ThroughputEngine engine(base);
+  const std::vector<int> ids = engine.resolve({"CU-IC", "RF-ALU", "NO-SUCH"});
+  std::vector<int> rs = {2, 1, 0};
+  engine.throughput(ids, rs);
+  const std::uint64_t seen = engine.stats().queries;
+
+  // Another caller queries in between: its demand omits CU-IC, which
+  // reverts to its base count, so a delta against the first caller's
+  // demand would be answered for a configuration nobody asked for.
+  const double foreign = engine.throughput({{"RF-ALU", 3}});
+  const ThroughputEngine::Stats before = engine.stats();
+  rs[1] = 4;
+  const int moved[] = {1};
+  EXPECT_THROW(engine.throughput(ids, rs, moved, 1, seen),
+               wp::ContractViolation);
+  // Rejected: no query counted, no edge moved.
+  expect_same_stats(engine.stats(), before, 0);
+  EXPECT_EQ(engine.throughput({{"RF-ALU", 3}}), foreign);
+  EXPECT_EQ(engine.stats().unchanged, before.unchanged + 1);
+
+  // Malformed deltas are rejected the same way, from a matching count.
+  const std::uint64_t now = engine.stats().queries;
+  const ThroughputEngine::Stats held = engine.stats();
+  const int out_of_range[] = {3};
+  const int negative[] = {-1};
+  EXPECT_THROW(engine.throughput(ids, rs, out_of_range, 1, now),
+               wp::ContractViolation);
+  EXPECT_THROW(engine.throughput(ids, rs, negative, 1, now),
+               wp::ContractViolation);
+  std::vector<int> bad = rs;
+  bad[0] = -1;
+  const int first[] = {0};
+  EXPECT_THROW(engine.throughput(ids, bad, first, 1, now),
+               wp::ContractViolation);
+  EXPECT_THROW(engine.throughput({1 << 20}, {1}, first, 1, now),
+               wp::ContractViolation);
+  expect_same_stats(engine.stats(), held, 1);
+
+  // Only the named entries are validated: an invalid count at a position
+  // the delta does not name is never read.
+  const int second[] = {1};
+  EXPECT_EQ(engine.throughput(ids, bad, second, 1, now),
+            fresh_ratio(base, {{"RF-ALU", 4}}));
+}
+
 /// Two loops sharing node b: C1 = a→b→a (2 tokens) and C2 = b→c→d→b (3
 /// tokens), plus an edge a→e off every cycle. Relay stations set the
 /// ratios: C1 = 2 / (2 + rs_ab + rs_ba), C2 = 3 / (3 + rs_bc + rs_cd +
