@@ -55,20 +55,14 @@ KindMetrics& kind_metrics(RequestKind kind) {
 }
 
 EvalReply eval_experiment(const ExperimentJob& job, sim::SimOracle& oracle) {
-  EvalReply reply;
-  reply.kind = ReplyKind::kExperiment;
-  reply.row = oracle.run_experiment(job.program.materialize(), job.cpu,
-                                    job.rs, job.options);
-  return reply;
+  return EvalReply(oracle.run_experiment(job.program.materialize(), job.cpu,
+                                         job.rs, job.options));
 }
 
 EvalReply eval_throughput(const ThroughputJob& job, sim::SimOracle& oracle) {
-  EvalReply reply;
-  reply.kind = ReplyKind::kThroughput;
-  reply.throughput = oracle.wp2_throughput(
+  return EvalReply(oracle.wp2_throughput(
       job.program.materialize(), job.cpu, job.rs,
-      static_cast<std::size_t>(job.fifo_capacity));
-  return reply;
+      static_cast<std::size_t>(job.fifo_capacity)));
 }
 
 // The floorplan portion of the ensemble pipeline as a standalone request:
@@ -87,9 +81,7 @@ EvalReply eval_floorplan(const FloorplanJob& job) {
   const fplan::AnnealResult annealed = gen::anneal_and_score(
       std::move(topology), sys.instance, job.anneal.to_options(), score);
 
-  EvalReply reply;
-  reply.kind = ReplyKind::kFloorplan;
-  FloorplanResult& fp = reply.floorplan;
+  FloorplanResult fp;
   fp.area = score.area;
   fp.wirelength = score.wirelength;
   fp.cost = annealed.cost;
@@ -99,14 +91,11 @@ EvalReply eval_floorplan(const FloorplanJob& job) {
   fp.evaluations = annealed.evaluations;
   fp.engine_incremental = score.engine_incremental;
   fp.engine_fallbacks = score.engine_fallbacks;
-  return reply;
+  return EvalReply(fp);
 }
 
 EvalReply eval_sample(const gen::SampleJob& job, sim::GoldenCache* cache) {
-  EvalReply reply;
-  reply.kind = ReplyKind::kSample;
-  reply.sample = gen::run_sample_job(job, cache);
-  return reply;
+  return EvalReply(gen::run_sample_job(job, cache));
 }
 
 // A stream run served remotely: force stats-only sinks (the reply carries
@@ -124,18 +113,17 @@ EvalReply eval_stream(const StreamJob& job) {
   options.fifo_capacity = static_cast<std::size_t>(job.fifo_capacity);
   const stream::HarnessResult run = stream::run_stream_graph(config, options);
 
-  EvalReply reply;
-  reply.kind = ReplyKind::kStream;
-  reply.stream.tokens = run.tokens;
-  reply.stream.cycles = run.cycles;
-  reply.stream.digest = run.digest;
-  reply.stream.sink_digests = run.sink_digests;
-  reply.stream.sink_counts = run.sink_counts;
-  reply.stream.input_stalls = run.input_stalls;
-  reply.stream.output_stalls = run.output_stalls;
-  reply.stream.discarded_tokens = run.discarded_tokens;
-  reply.stream.tokens_per_sec = run.tokens_per_sec;
-  return reply;
+  StreamResult result;
+  result.tokens = run.tokens;
+  result.cycles = run.cycles;
+  result.digest = run.digest;
+  result.sink_digests = run.sink_digests;
+  result.sink_counts = run.sink_counts;
+  result.input_stalls = run.input_stalls;
+  result.output_stalls = run.output_stalls;
+  result.discarded_tokens = run.discarded_tokens;
+  result.tokens_per_sec = run.tokens_per_sec;
+  return EvalReply(std::move(result));
 }
 
 [[noreturn]] void unwrap_fail(const EvalReply& reply, ReplyKind wanted) {
@@ -143,7 +131,8 @@ EvalReply eval_stream(const StreamJob& job) {
     WP_CHECK(false, "evaluation failed: " + reply.error.message);
   WP_CHECK(false, std::string("reply kind mismatch: wanted ") +
                       std::to_string(static_cast<int>(wanted)) + ", got " +
-                      std::to_string(static_cast<int>(reply.kind)));
+                      std::to_string(static_cast<int>(
+                          static_cast<ReplyKind>(reply.kind))));
   std::terminate();  // unreachable: WP_CHECK(false, ...) throws
 }
 
@@ -172,7 +161,8 @@ EvalReply evaluate(const EvalRequest& request, const EvalContext& context) {
     return EvalReply::make_error(
         ErrorCode::kMalformedRequest,
         "unknown request kind " +
-            std::to_string(static_cast<int>(request.kind)));
+            std::to_string(static_cast<int>(
+                static_cast<RequestKind>(request.kind))));
   } catch (const std::exception& e) {
     obs::Registry::global().counter("eval/errors").inc();
     return EvalReply::make_error(ErrorCode::kEvalFailed, e.what());

@@ -1,5 +1,7 @@
 #include "eval/request.hpp"
 
+#include <memory>
+#include <new>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -14,6 +16,105 @@ namespace {
 using wire::Reader;
 using wire::WireError;
 using wire::Writer;
+
+// ------------------------------------------------------------- dispatch
+//
+// The one switch over each message's payloads: with_payload calls f with
+// a pointer to the member `kind` names and returns what f returns. Copy,
+// move, assignment, destruction, encoding and decoding all go through it.
+// A tag that names no kind can only come off the wire: a WireError.
+
+template <class F>
+decltype(auto) with_payload(RequestKind kind, F&& f) {
+  switch (kind) {
+    case RequestKind::kExperiment:
+      return f(&EvalRequest::experiment);
+    case RequestKind::kWp2Throughput:
+      return f(&EvalRequest::throughput);
+    case RequestKind::kFloorplanAnneal:
+      return f(&EvalRequest::floorplan);
+    case RequestKind::kEnsembleSample:
+      return f(&EvalRequest::sample);
+    case RequestKind::kStreamRun:
+      return f(&EvalRequest::stream);
+  }
+  throw WireError("unknown request kind tag " +
+                  std::to_string(static_cast<int>(kind)));
+}
+
+template <class F>
+decltype(auto) with_payload(ReplyKind kind, F&& f) {
+  switch (kind) {
+    case ReplyKind::kError:
+      return f(&EvalReply::error);
+    case ReplyKind::kExperiment:
+      return f(&EvalReply::row);
+    case ReplyKind::kThroughput:
+      return f(&EvalReply::throughput);
+    case ReplyKind::kFloorplan:
+      return f(&EvalReply::floorplan);
+    case ReplyKind::kSample:
+      return f(&EvalReply::sample);
+    case ReplyKind::kStream:
+      return f(&EvalReply::stream);
+  }
+  throw WireError("unknown reply kind tag " +
+                  std::to_string(static_cast<int>(kind)));
+}
+
+/// The payload type a member pointer names.
+template <class M>
+struct MemberType;
+template <class T, class Message>
+struct MemberType<T Message::*> {
+  using type = T;
+};
+template <class M>
+using Payload = typename MemberType<M>::type;
+
+/// Whether payload member M lives in its message's union.
+/// EvalReply::floorplan is a plain member: its lifetime is the reply's.
+template <class M>
+constexpr bool kInUnion = !std::is_same_v<M, FloorplanResult EvalReply::*>;
+
+template <class... T>
+constexpr bool kNothrowMovable =
+    (... && (std::is_nothrow_move_constructible_v<T> &&
+             std::is_nothrow_move_assignable_v<T>));
+static_assert(kNothrowMovable<ExperimentJob, ThroughputJob, FloorplanJob,
+                              gen::SampleJob, StreamJob, EvalError,
+                              proc::ExperimentRow, FloorplanResult,
+                              gen::SampleResult, StreamResult>,
+              "a message moves without throwing only if its payloads do");
+
+template <class Message, class Source>
+void construct_payload(Message& message, Source&& source) {
+  with_payload(source.kind, [&](auto member) {
+    if constexpr (kInUnion<decltype(member)>) {
+      using T = Payload<decltype(member)>;
+      ::new (static_cast<void*>(std::addressof(message.*member)))
+          T(std::forward<Source>(source).*member);
+    }
+  });
+}
+
+template <class Message, class Source>
+void assign_payload(Message& message, Source&& source) {
+  with_payload(message.kind, [&](auto member) {
+    if constexpr (kInUnion<decltype(member)>)
+      message.*member = std::forward<Source>(source).*member;
+  });
+}
+
+template <class Message>
+void destroy_payload(Message& message) noexcept {
+  with_payload(message.kind, [&](auto member) {
+    if constexpr (kInUnion<decltype(member)>) {
+      using T = Payload<decltype(member)>;
+      (message.*member).~T();
+    }
+  });
+}
 
 // ------------------------------------------------------------- adapters
 //
@@ -315,26 +416,6 @@ void fields(Io& io, Field<Io, StreamJob>& job) {
   io.u64(job.fifo_capacity);
 }
 
-template <class Io>
-void fields(Io& io, Field<Io, EvalRequest>& request) {
-  io.version("EvalRequest");
-  io.tag(request.kind, RequestKind::kStreamRun, "request kind");
-  switch (request.kind) {
-    case RequestKind::kExperiment:
-      return fields(io, request.experiment);
-    case RequestKind::kWp2Throughput:
-      return fields(io, request.throughput);
-    case RequestKind::kFloorplanAnneal:
-      return fields(io, request.floorplan);
-    case RequestKind::kEnsembleSample:
-      return fields(io, request.sample);
-    case RequestKind::kStreamRun:
-      return fields(io, request.stream);
-  }
-  throw WireError("unknown request kind tag " +
-                  std::to_string(static_cast<int>(request.kind)));
-}
-
 // -------------------------------------------------------- reply payloads
 
 template <class Io>
@@ -411,25 +492,59 @@ void fields(Io& io, Field<Io, StreamResult>& s) {
 }
 
 template <class Io>
-void fields(Io& io, Field<Io, EvalReply>& reply) {
-  io.version("EvalReply");
-  io.tag(reply.kind, ReplyKind::kStream, "reply kind");
-  switch (reply.kind) {
-    case ReplyKind::kError:
-      return fields(io, reply.error);
-    case ReplyKind::kExperiment:
-      return fields(io, reply.row);
-    case ReplyKind::kThroughput:
-      return io.f64(reply.throughput);
-    case ReplyKind::kFloorplan:
-      return fields(io, reply.floorplan);
-    case ReplyKind::kSample:
-      return fields(io, reply.sample);
-    case ReplyKind::kStream:
-      return fields(io, reply.stream);
-  }
-  throw WireError("unknown reply kind tag " +
-                  std::to_string(static_cast<int>(reply.kind)));
+void fields(Io& io, Field<Io, double>& throughput) {
+  io.f64(throughput);
+}
+
+// ------------------------------------------------------------ messages
+//
+// A message is its header (the version byte, then the kind tag) and the
+// field list of the one payload the tag names.
+
+template <class Message>
+struct Header;
+
+template <>
+struct Header<EvalRequest> {
+  using Kind = RequestKind;
+  static constexpr Kind kLast = RequestKind::kStreamRun;
+  static constexpr const char* kType = "EvalRequest";
+  static constexpr const char* kTag = "request kind";
+};
+
+template <>
+struct Header<EvalReply> {
+  using Kind = ReplyKind;
+  static constexpr Kind kLast = ReplyKind::kStream;
+  static constexpr const char* kType = "EvalReply";
+  static constexpr const char* kTag = "reply kind";
+};
+
+template <class Message, class Io>
+void header(Io& io, Field<Io, typename Header<Message>::Kind>& kind) {
+  io.version(Header<Message>::kType);
+  io.tag(kind, Header<Message>::kLast, Header<Message>::kTag);
+}
+
+template <class Message>
+void encode_message(Writer& w, const Message& message) {
+  Enc io{w};
+  const typename Header<Message>::Kind kind = message.kind;
+  header<Message>(io, kind);
+  with_payload(kind, [&](auto member) { fields(io, message.*member); });
+}
+
+/// Constructs only the payload the tag names, then decodes into it.
+template <class Message>
+Message decode_message(Reader& r) {
+  Dec io{r};
+  typename Header<Message>::Kind kind{};
+  header<Message>(io, kind);
+  return with_payload(kind, [&](auto member) {
+    Message message{Payload<decltype(member)>{}};
+    fields(io, message.*member);
+    return message;
+  });
 }
 
 template <class T>
@@ -533,10 +648,31 @@ EvalRequest::EvalRequest(gen::SampleJob job)
 EvalRequest::EvalRequest(StreamJob job)
     : kind(RequestKind::kStreamRun), stream(std::move(job)) {}
 
-void EvalRequest::encode(Writer& w) const { encode_value(w, *this); }
+EvalRequest::EvalRequest(const EvalRequest& other) : kind(other.kind) {
+  construct_payload(*this, other);
+}
+
+EvalRequest::EvalRequest(EvalRequest&& other) noexcept : kind(other.kind) {
+  construct_payload(*this, std::move(other));
+}
+
+EvalRequest& EvalRequest::operator=(EvalRequest other) noexcept {
+  if (kind == other.kind) {
+    assign_payload(*this, std::move(other));
+  } else {
+    destroy_payload(*this);
+    kind = other.kind;
+    construct_payload(*this, std::move(other));
+  }
+  return *this;
+}
+
+EvalRequest::~EvalRequest() { destroy_payload(*this); }
+
+void EvalRequest::encode(Writer& w) const { encode_message(w, *this); }
 
 EvalRequest EvalRequest::decode(Reader& r) {
-  return decode_value<EvalRequest>(r);
+  return decode_message<EvalRequest>(r);
 }
 
 // --------------------------------------------------------------- replies
@@ -564,16 +700,58 @@ void EvalError::encode(Writer& w) const { encode_value(w, *this); }
 
 EvalError EvalError::decode(Reader& r) { return decode_value<EvalError>(r); }
 
-EvalReply EvalReply::make_error(ErrorCode code, std::string message) {
-  EvalReply reply;
-  reply.kind = ReplyKind::kError;
-  reply.error.code = code;
-  reply.error.message = std::move(message);
-  return reply;
+EvalReply::EvalReply() : EvalReply(EvalError{}) {}
+
+EvalReply::EvalReply(EvalError error)
+    : kind(ReplyKind::kError), error(std::move(error)) {}
+
+EvalReply::EvalReply(proc::ExperimentRow row)
+    : kind(ReplyKind::kExperiment), row(std::move(row)) {}
+
+EvalReply::EvalReply(double throughput)
+    : kind(ReplyKind::kThroughput), throughput(throughput) {}
+
+EvalReply::EvalReply(FloorplanResult floorplan)
+    : kind(ReplyKind::kFloorplan), floorplan(floorplan) {}
+
+EvalReply::EvalReply(gen::SampleResult sample)
+    : kind(ReplyKind::kSample), sample(std::move(sample)) {}
+
+EvalReply::EvalReply(StreamResult stream)
+    : kind(ReplyKind::kStream), stream(std::move(stream)) {}
+
+EvalReply::EvalReply(const EvalReply& other)
+    : kind(other.kind), floorplan(other.floorplan) {
+  construct_payload(*this, other);
 }
 
-void EvalReply::encode(Writer& w) const { encode_value(w, *this); }
+EvalReply::EvalReply(EvalReply&& other) noexcept
+    : kind(other.kind), floorplan(other.floorplan) {
+  construct_payload(*this, std::move(other));
+}
 
-EvalReply EvalReply::decode(Reader& r) { return decode_value<EvalReply>(r); }
+EvalReply& EvalReply::operator=(EvalReply other) noexcept {
+  floorplan = other.floorplan;
+  if (kind == other.kind) {
+    assign_payload(*this, std::move(other));
+  } else {
+    destroy_payload(*this);
+    kind = other.kind;
+    construct_payload(*this, std::move(other));
+  }
+  return *this;
+}
+
+EvalReply::~EvalReply() { destroy_payload(*this); }
+
+EvalReply EvalReply::make_error(ErrorCode code, std::string message) {
+  return EvalReply(EvalError{code, std::move(message)});
+}
+
+void EvalReply::encode(Writer& w) const { encode_message(w, *this); }
+
+EvalReply EvalReply::decode(Reader& r) {
+  return decode_message<EvalReply>(r);
+}
 
 }  // namespace wp::eval

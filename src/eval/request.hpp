@@ -11,8 +11,12 @@
 // tests and wpbench include it.
 //
 // Value-type contract:
-//   * tagged union over the request kinds (RequestKind selects the
-//     engaged payload member);
+//   * tagged unions: an EvalRequest holds the one job its RequestKind
+//     names and an EvalReply the one result its ReplyKind names (see the
+//     layout notes at each type). `kind` reads, compares and switches like
+//     the enum, but only the message itself sets it: a message is built
+//     per kind, from its payload, so a tag cannot name a payload the
+//     message does not hold;
 //   * versioned serialization (kEvalVersion byte leads every encoded
 //     request/reply; decoders reject other versions loudly) shared with
 //     the wire protocol;
@@ -35,6 +39,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "gen/ensemble.hpp"
 #include "proc/experiment.hpp"
@@ -152,24 +157,54 @@ struct StreamJob {
   std::uint64_t fifo_capacity = 16;
 };
 
+// ------------------------------------------------------------- KindTag
+
+/// A message's kind: it converts to E, so it compares and switches like the
+/// enum, but only `Message` can set it. A caller cannot re-tag a message
+/// whose payload it did not build.
+template <class E, class Message>
+class KindTag {
+ public:
+  constexpr KindTag(const KindTag&) = default;
+  constexpr operator E() const { return value_; }
+
+ private:
+  friend Message;
+  constexpr explicit KindTag(E value) : value_(value) {}
+  constexpr KindTag& operator=(const KindTag&) = default;
+
+  E value_;
+};
+
 // -------------------------------------------------------------- requests
 
+/// Layout: `kind` plus an anonymous union of the five jobs, of which only
+/// the one `kind` names is alive; the others are never constructed and
+/// must not be read. The members keep their names (`request.floorplan`),
+/// which a std::variant would not. Copy, move, assignment and destruction
+/// switch on `kind` in one place (request.cpp), and decode() constructs
+/// only the job its tag names.
 struct EvalRequest {
-  RequestKind kind = RequestKind::kExperiment;
-  // Engaged member selected by `kind` (plain members rather than a
-  // std::variant keep the serializers flat and the accessors cheap).
-  ExperimentJob experiment;
-  ThroughputJob throughput;
-  FloorplanJob floorplan;
-  gen::SampleJob sample;
-  StreamJob stream;
+  KindTag<RequestKind, EvalRequest> kind;
+  union {
+    ExperimentJob experiment;
+    ThroughputJob throughput;
+    FloorplanJob floorplan;
+    gen::SampleJob sample;
+    StreamJob stream;
+  };
 
-  EvalRequest() = default;
   explicit EvalRequest(ExperimentJob job);
   explicit EvalRequest(ThroughputJob job);
   explicit EvalRequest(FloorplanJob job);
   explicit EvalRequest(gen::SampleJob job);
   explicit EvalRequest(StreamJob job);
+
+  EvalRequest(const EvalRequest& other);
+  EvalRequest(EvalRequest&& other) noexcept;
+  /// Copy and move assignment both: `other` is already a copy or a move.
+  EvalRequest& operator=(EvalRequest other) noexcept;
+  ~EvalRequest();
 
   /// Versioned wire encoding.
   void encode(wire::Writer& w) const;
@@ -242,14 +277,38 @@ struct StreamResult {
   bool operator==(const StreamResult& other) const;
 };
 
+/// Layout: `kind`, the kFloorplan result as a plain member, and an
+/// anonymous union of the other five results, of which only the one `kind`
+/// names is alive. `floorplan` stays outside the union because a floorplan
+/// client reads it off every reply, an error reply included (it then holds
+/// the default FloorplanResult); that costs a reply 64 bytes. A reply is
+/// built per kind, from its result; the lifetime operations switch on
+/// `kind` in one place (request.cpp) and decode() constructs only the
+/// result its tag names.
 struct EvalReply {
-  ReplyKind kind = ReplyKind::kError;
-  EvalError error;               ///< kError
-  proc::ExperimentRow row;       ///< kExperiment
-  double throughput = 0.0;       ///< kThroughput
-  FloorplanResult floorplan;     ///< kFloorplan
-  gen::SampleResult sample;      ///< kSample
-  StreamResult stream;           ///< kStream
+  KindTag<ReplyKind, EvalReply> kind;
+  FloorplanResult floorplan;     ///< kFloorplan; default on other kinds
+  union {
+    EvalError error;             ///< kError
+    proc::ExperimentRow row;     ///< kExperiment
+    double throughput;           ///< kThroughput
+    gen::SampleResult sample;    ///< kSample
+    StreamResult stream;         ///< kStream
+  };
+
+  EvalReply();  ///< a kError reply carrying ErrorCode::kNone
+  explicit EvalReply(EvalError error);
+  explicit EvalReply(proc::ExperimentRow row);
+  explicit EvalReply(double throughput);
+  explicit EvalReply(FloorplanResult floorplan);
+  explicit EvalReply(gen::SampleResult sample);
+  explicit EvalReply(StreamResult stream);
+
+  EvalReply(const EvalReply& other);
+  EvalReply(EvalReply&& other) noexcept;
+  /// Copy and move assignment both: `other` is already a copy or a move.
+  EvalReply& operator=(EvalReply other) noexcept;
+  ~EvalReply();
 
   bool ok() const { return kind != ReplyKind::kError; }
 

@@ -18,10 +18,15 @@ using eval::ErrorCode;
 
 constexpr std::size_t kHeaderSize = 12;   // magic+version+type+reserved+len
 constexpr std::size_t kChecksumSize = 8;
+/// The payload arrives in chunks of at most this many bytes.
+constexpr std::size_t kReadChunk = 64u << 10;
 
 /// The one frame parser, over a byte source: read(dst, n, allow_eof)
 /// fills dst with the next n bytes, or returns false at a clean end before
-/// them (allow_eof); any other shortfall throws. Header before allocation.
+/// them (allow_eof); any other shortfall throws. Header before allocation,
+/// and the payload buffer grows one bounded chunk at a time as its bytes
+/// arrive: a header alone cannot make the reader allocate the declared
+/// length, so a reader's memory follows the bytes that arrived.
 template <class Read>
 std::optional<Frame> parse_frame(Read&& read) {
   char header[kHeaderSize];
@@ -46,8 +51,13 @@ std::optional<Frame> parse_frame(Read&& read) {
     throw ProtocolError(ErrorCode::kOversizedFrame,
                         "declared payload of " + std::to_string(len) +
                             " bytes exceeds the cap");
-  Frame frame{static_cast<FrameType>(type), std::string(len, '\0')};
-  read(frame.payload.data(), len, /*allow_eof=*/false);
+  Frame frame{static_cast<FrameType>(type), {}};
+  for (std::size_t got = 0; got < len;) {
+    const std::size_t n = std::min<std::size_t>(len - got, kReadChunk);
+    frame.payload.resize(got + n);
+    read(frame.payload.data() + got, n, /*allow_eof=*/false);
+    got += n;
+  }
   char checksum[kChecksumSize];
   read(checksum, kChecksumSize, /*allow_eof=*/false);
   if (wire::Reader(checksum, kChecksumSize).u64() !=

@@ -22,7 +22,9 @@
 // version, unknown type, nonzero reserved bits, a declared length over
 // kMaxFramePayload or a checksum mismatch throw ProtocolError carrying a
 // typed eval::ErrorCode, and the reader never touches memory past the
-// declared length. A malformed frame or a vanished peer (writes never
+// declared length. The payload buffer grows in chunks of at most 64 KiB as
+// bytes arrive, so a header that declares a large payload and then stalls
+// costs one chunk, not the declared length. A malformed frame or a vanished peer (writes never
 // raise SIGPIPE) can fail a connection loudly but never crash the server.
 #pragma once
 

@@ -2,18 +2,21 @@
 //
 // A tiny explicit-little-endian byte-stream format shared by the
 // EvalRequest/EvalReply value types (src/eval) and the daemon frame
-// protocol (src/svc): fixed-width integers written byte by byte (the
-// format is an interchange format between processes, unlike the
-// host-order golden-record files), doubles as IEEE-754 bit patterns,
+// protocol (src/svc): fixed-width integers in little-endian byte order
+// whatever the host's (the format is an interchange format between
+// processes, unlike the host-order golden-record files), each field moved
+// as one word with one bounds check, doubles as IEEE-754 bit patterns,
 // strings and containers length-prefixed. The Reader is bounds-checked
 // and throws WireError on any violation — truncated input, a length
 // prefix larger than the remaining bytes, trailing garbage — so a
 // malformed payload can never crash a decoder, only fail it loudly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace wp::wire {
 
@@ -27,10 +30,10 @@ class WireError : public std::runtime_error {
 /// Appends little-endian values to a growing byte buffer.
 class Writer {
  public:
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void b(bool v) { u8(v ? 1 : 0); }
@@ -43,6 +46,16 @@ class Writer {
   std::size_t size() const { return buffer_.size(); }
 
  private:
+  /// One append of the word's bytes, least significant first.
+  template <class U>
+  void put(U v) {
+    static_assert(std::is_unsigned_v<U>);
+    char bytes[sizeof(U)];
+    for (std::size_t i = 0; i < sizeof(U); ++i)
+      bytes[i] = static_cast<char>(v >> (8 * i));
+    buffer_.append(bytes, sizeof(U));
+  }
+
   std::string buffer_;
 };
 
@@ -55,10 +68,10 @@ class Reader {
   explicit Reader(const std::string& bytes)
       : Reader(bytes.data(), bytes.size()) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   bool b();           ///< strict: only 0/1 are valid encodings
@@ -71,7 +84,19 @@ class Reader {
   void expect_done() const;
 
  private:
-  void take(void* out, std::size_t n);
+  /// One bounds check, then the word's bytes, least significant first.
+  template <class U>
+  U get() {
+    static_assert(std::is_unsigned_v<U>);
+    if (size_ - pos_ < sizeof(U)) truncated();
+    const auto* p = reinterpret_cast<const unsigned char*>(data_ + pos_);
+    U v = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i)
+      v = static_cast<U>(v | static_cast<U>(static_cast<U>(p[i]) << (8 * i)));
+    pos_ += sizeof(U);
+    return v;
+  }
+  [[noreturn]] static void truncated();
 
   const char* data_;
   std::size_t size_;

@@ -1,5 +1,6 @@
-// Allocation budget of one tiny floorplan request: a 3x3 mesh annealed for
-// 12 moves, the shape of the fabric benchmark's common request. The
+// Allocation budgets of one tiny floorplan request (a 3x3 mesh annealed for
+// 12 moves, the shape of the fabric benchmark's common request) and of
+// decoding a daemon's batch of 16 of them. The
 // binary replaces the global allocation functions with counting ones, so
 // the count is exact and deterministic: it moves only when the code on a
 // request's path allocates more or less. A request whose set-up work
@@ -16,6 +17,7 @@
 
 #include "eval/evaluate.hpp"
 #include "eval/request.hpp"
+#include "svc/protocol.hpp"
 
 namespace {
 
@@ -147,6 +149,25 @@ TEST(AllocBudget, CounterSeesTheRequestPath) {
   // replacement functions are not the ones the library calls.
   (void)allocations_of(tiny_request(1));
   EXPECT_GT(allocations_of(tiny_request(7)), 10);
+}
+
+TEST(AllocBudget, TinyBatchDecodeStaysWithinBudget) {
+  // What a daemon allocates to decode a fabric batch: one vector (every
+  // string of a tiny request fits its small buffer). A decode that built
+  // a payload its tag does not name, or went through a temporary per
+  // field, would show up here as allocations per request.
+  std::vector<EvalRequest> batch;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed)
+    batch.push_back(tiny_request(seed));
+  const std::string payload = svc::encode_request_batch(batch);
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  const std::vector<EvalRequest> decoded = svc::decode_request_batch(payload);
+  const long count = g_allocations.load(std::memory_order_relaxed) - before;
+  ASSERT_EQ(decoded.size(), batch.size());
+  RecordProperty("allocations_tiny_batch_decode", static_cast<int>(count));
+  // 1 at the time of writing.
+  constexpr long kBudget = 2;
+  EXPECT_LE(count, kBudget);
 }
 
 }  // namespace

@@ -3,15 +3,21 @@
 // identity against pinned wire images, canonical decode (seeded byte
 // mutations either fail with WireError or re-encode to the mutated bytes;
 // out-of-range ints, unordered rs maps and program generator tag 0 are
-// rejected), the evaluator guarantee (evaluate()'s experiment, throughput
-// and ensemble-sample replies on generator refs are bit-identical to direct
-// SimOracle / run_sample_job calls, and proc::ParallelSweep rows to
-// sequential oracle runs), and error containment in eval::evaluate.
+// rejected), the tagged-union messages (sizes within budget, copy and move
+// across every pair of kinds, a decode that throws after the kind tag,
+// `kind` not assignable), the evaluator guarantee (evaluate()'s
+// experiment, throughput and ensemble-sample replies on generator refs are
+// bit-identical to direct SimOracle / run_sample_job calls, and
+// proc::ParallelSweep rows to sequential oracle runs), and error
+// containment in eval::evaluate.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <random>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/shell.hpp"
@@ -272,50 +278,41 @@ std::vector<EvalReply> reply_fixtures() {
   std::vector<EvalReply> replies;
   replies.push_back(EvalReply::make_error(ErrorCode::kEvalFailed, "boom"));
   {
-    EvalReply reply;
-    reply.kind = ReplyKind::kExperiment;
-    reply.row.label = "row";
-    reply.row.golden_cycles = 123;
-    reply.row.th_wp2 = 0.75;
-    reply.row.wp1_equivalent = false;
-    reply.row.detail = "detail text";
-    replies.push_back(reply);
+    proc::ExperimentRow row;
+    row.label = "row";
+    row.golden_cycles = 123;
+    row.th_wp2 = 0.75;
+    row.wp1_equivalent = false;
+    row.detail = "detail text";
+    replies.emplace_back(std::move(row));
+  }
+  replies.emplace_back(0.625);
+  {
+    FloorplanResult floorplan;
+    floorplan.area = 12.5;
+    floorplan.total_rs = 7;
+    floorplan.engine_incremental = 99;
+    replies.emplace_back(floorplan);
   }
   {
-    EvalReply reply;
-    reply.kind = ReplyKind::kThroughput;
-    reply.throughput = 0.625;
-    replies.push_back(reply);
+    gen::SampleResult sample;
+    sample.family = "mesh-9";
+    sample.sample = 2;
+    sample.throughput = 0.5;
+    sample.anneal_ms = 3.25;  // timings ride the wire too
+    replies.emplace_back(std::move(sample));
   }
   {
-    EvalReply reply;
-    reply.kind = ReplyKind::kFloorplan;
-    reply.floorplan.area = 12.5;
-    reply.floorplan.total_rs = 7;
-    reply.floorplan.engine_incremental = 99;
-    replies.push_back(reply);
-  }
-  {
-    EvalReply reply;
-    reply.kind = ReplyKind::kSample;
-    reply.sample.family = "mesh-9";
-    reply.sample.sample = 2;
-    reply.sample.throughput = 0.5;
-    reply.sample.anneal_ms = 3.25;  // timings ride the wire too
-    replies.push_back(reply);
-  }
-  {
-    EvalReply reply;
-    reply.kind = ReplyKind::kStream;
-    reply.stream.tokens = 1400;
-    reply.stream.cycles = 1620;
-    reply.stream.digest = 0xdeadbeefcafef00dULL;
-    reply.stream.sink_digests = {1, 2};
-    reply.stream.sink_counts = {700, 700};
-    reply.stream.input_stalls = 11;
-    reply.stream.discarded_tokens = 3;
-    reply.stream.tokens_per_sec = 123456.0;
-    replies.push_back(reply);
+    StreamResult stream;
+    stream.tokens = 1400;
+    stream.cycles = 1620;
+    stream.digest = 0xdeadbeefcafef00dULL;
+    stream.sink_digests = {1, 2};
+    stream.sink_counts = {700, 700};
+    stream.input_stalls = 11;
+    stream.discarded_tokens = 3;
+    stream.tokens_per_sec = 123456.0;
+    replies.emplace_back(std::move(stream));
   }
   return replies;
 }
@@ -338,8 +335,7 @@ TEST(EvalReplyWire, RoundTripPerKind) {
   for (std::size_t i = 0; i < replies.size(); ++i) {
     const EvalReply& reply = replies[i];
     const std::string bytes = encoded(reply);
-    EXPECT_EQ(image_hash(bytes), pinned[i])
-        << static_cast<int>(reply.kind);
+    EXPECT_EQ(image_hash(bytes), pinned[i]) << "reply " << i;
     wire::Reader r(bytes);
     const EvalReply decoded = EvalReply::decode(r);
     EXPECT_NO_THROW(r.expect_done());
@@ -361,17 +357,17 @@ void expect_canonical_decode(const std::string& image, std::uint64_t seed) {
     const int flips = 1 + static_cast<int>(rng() % 2);
     for (int f = 0; f < flips; ++f)
       bytes[rng() % bytes.size()] = static_cast<char>(rng() & 0xff);
-    T decoded;
+    std::optional<T> decoded;
     try {
       wire::Reader r(bytes);
-      decoded = T::decode(r);
+      decoded.emplace(T::decode(r));
       r.expect_done();
     } catch (const wire::WireError&) {
       continue;
     }
     ++accepted;
     wire::Writer w;
-    decoded.encode(w);
+    decoded->encode(w);
     ASSERT_EQ(w.bytes(), bytes) << "seed " << seed << " trial " << trial;
   }
   EXPECT_GT(accepted, 0) << "seed " << seed;
@@ -387,6 +383,113 @@ TEST(EvalReplyWire, MutatedImagesDecodeCanonicallyOrNotAtAll) {
   std::uint64_t seed = 101;
   for (const EvalReply& reply : reply_fixtures())
     expect_canonical_decode<EvalReply>(encoded(reply), seed++);
+}
+
+// --------------------------------------------------- message lifetimes
+//
+// A request holds only the job its kind names and a reply only the result
+// its kind names, so copy, move, assignment and destruction are written by
+// hand. Each check compares wire images; a sanitizer build also sees every
+// payload freed exactly once.
+
+/// `kind` compares and switches like its enum, but a caller cannot assign
+/// it: neither from an enum value nor from another message's kind.
+template <class Message, class Kind>
+constexpr bool kKindIsReadOnly =
+    std::is_convertible_v<decltype(Message::kind), Kind> &&
+    !std::is_assignable_v<decltype((std::declval<Message&>().kind)), Kind> &&
+    !std::is_assignable_v<decltype((std::declval<Message&>().kind)),
+                          const decltype(Message::kind)&>;
+static_assert(kKindIsReadOnly<EvalRequest, RequestKind>);
+static_assert(kKindIsReadOnly<EvalReply, ReplyKind>);
+
+TEST(EvalMessages, FootprintStaysWithinBudget) {
+  // 984 and 504 bytes when a message held every kind's payload; a client
+  // pools thousands of them.
+  EXPECT_LE(sizeof(EvalRequest), 400u);
+  EXPECT_LE(sizeof(EvalReply), 232u);
+}
+
+/// Copy and move, construction and assignment, from every fixture kind
+/// into every other, self-assignment included.
+template <class Message>
+void expect_lifetimes_across_kinds(const std::vector<Message>& fixtures) {
+  for (std::size_t i = 0; i < fixtures.size(); ++i) {
+    for (std::size_t j = 0; j < fixtures.size(); ++j) {
+      const Message& from = fixtures[j];
+      const std::string want = encoded(from);
+      const std::string before = encoded(fixtures[i]);
+      SCOPED_TRACE("kind " + std::to_string(i) + " <- " + std::to_string(j));
+
+      const Message copied(from);
+      EXPECT_EQ(encoded(copied), want);
+      Message source(from);
+      const Message moved(std::move(source));
+      EXPECT_EQ(encoded(moved), want);
+
+      Message copy_assigned(fixtures[i]);
+      copy_assigned = from;
+      EXPECT_EQ(encoded(copy_assigned), want);
+      EXPECT_EQ(encoded(from), want);
+
+      Message move_assigned(fixtures[i]);
+      Message donor(from);
+      move_assigned = std::move(donor);
+      EXPECT_EQ(encoded(move_assigned), want);
+      // A moved-from message stays assignable and destructible.
+      donor = fixtures[i];
+      EXPECT_EQ(encoded(donor), before);
+
+      Message self(from);
+      Message& alias = self;
+      self = alias;
+      EXPECT_EQ(encoded(self), want);
+      self = std::move(alias);
+      EXPECT_EQ(encoded(self), want);
+    }
+  }
+}
+
+TEST(EvalMessages, RequestLifetimesAcrossEveryPairOfKinds) {
+  const std::vector<EvalRequest> fixtures = request_fixtures();
+  ASSERT_EQ(fixtures.size(), 5u);
+  expect_lifetimes_across_kinds(fixtures);
+}
+
+TEST(EvalMessages, ReplyLifetimesAcrossEveryPairOfKinds) {
+  const std::vector<EvalReply> fixtures = reply_fixtures();
+  ASSERT_EQ(fixtures.size(), 6u);
+  expect_lifetimes_across_kinds(fixtures);
+}
+
+TEST(EvalMessages, DefaultReplyIsAnErrorWithTheDefaultFloorplan) {
+  const EvalReply reply;
+  ASSERT_EQ(reply.kind, ReplyKind::kError);
+  EXPECT_EQ(reply.error.code, ErrorCode::kNone);
+  // Every reply carries a floorplan, default unless it is a kFloorplan one.
+  EXPECT_TRUE(reply.floorplan == FloorplanResult{});
+}
+
+/// Decodes that fail once the kind tag is read: the payload decoder has
+/// constructed the tag's payload and must free it. Cuts right after the
+/// tag, inside the payload and one byte short of its end.
+template <class Message>
+void expect_truncated_payloads_throw(const std::vector<Message>& fixtures) {
+  for (const Message& message : fixtures) {
+    const std::string bytes = encoded(message);
+    ASSERT_GT(bytes.size(), 3u);
+    for (const std::size_t cut : {std::size_t{2}, bytes.size() / 2,
+                                  bytes.size() - 1}) {
+      wire::Reader r(bytes.data(), cut);
+      EXPECT_THROW(Message::decode(r), wire::WireError)
+          << "kind " << static_cast<int>(bytes[1]) << " cut at " << cut;
+    }
+  }
+}
+
+TEST(EvalMessages, DecodeThatThrowsAfterTheKindTagFreesThePayload) {
+  expect_truncated_payloads_throw(request_fixtures());
+  expect_truncated_payloads_throw(reply_fixtures());
 }
 
 TEST(EvalRequestWire, IntFieldOutOfRangeRejected) {
@@ -535,7 +638,7 @@ TEST(EvalErrors, EvaluationFailureBecomesTypedErrorReply) {
   FloorplanJob bad;
   bad.topology.num_nodes = -3;  // generator precondition violation
   const EvalReply reply = evaluate(EvalRequest(std::move(bad)), {});
-  EXPECT_EQ(reply.kind, ReplyKind::kError);
+  ASSERT_EQ(reply.kind, ReplyKind::kError);
   EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed);
   EXPECT_FALSE(reply.error.message.empty());
   EXPECT_THROW(unwrap_floorplan(reply), ContractViolation);
@@ -547,7 +650,7 @@ TEST(EvalErrors, OverlongWiresBecomeErrorReply) {
   EvalRequest request = sample_floorplan_request();
   request.floorplan.system.blocks.max_area_mm2 = 1e300;
   const EvalReply reply = evaluate(request, {});
-  EXPECT_EQ(reply.kind, ReplyKind::kError);
+  ASSERT_EQ(reply.kind, ReplyKind::kError);
   EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed);
   EXPECT_NE(reply.error.message.find("pipeline stages"), std::string::npos)
       << reply.error.message;
@@ -558,7 +661,7 @@ TEST(EvalErrors, MeaninglessScheduleBecomesErrorReply) {
   request.floorplan.anneal.cooling = std::nan("");
   request.floorplan.anneal.initial_temperature = -1.0;
   const EvalReply reply = evaluate(request, {});
-  EXPECT_EQ(reply.kind, ReplyKind::kError);
+  ASSERT_EQ(reply.kind, ReplyKind::kError);
   EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed);
   EXPECT_NE(reply.error.message.find("initial_temperature"), std::string::npos)
       << reply.error.message;
@@ -575,7 +678,7 @@ TEST(EvalErrors, TruncatedWp2RunBecomesErrorReply) {
   EvalContext context;
   context.oracle = &oracle;
   const EvalReply reply = evaluate(EvalRequest(std::move(job)), context);
-  EXPECT_EQ(reply.kind, ReplyKind::kError);
+  ASSERT_EQ(reply.kind, ReplyKind::kError);
   EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed);
   EXPECT_NE(reply.error.message.find("did not halt"), std::string::npos)
       << reply.error.message;
@@ -590,7 +693,7 @@ TEST(EvalErrors, AbsurdFifoCapacityBecomesErrorReply) {
     EvalRequest request = sample_stream_request();
     request.stream.fifo_capacity = capacity;
     const EvalReply reply = evaluate(request, {});
-    EXPECT_EQ(reply.kind, ReplyKind::kError) << capacity;
+    ASSERT_EQ(reply.kind, ReplyKind::kError) << capacity;
     EXPECT_EQ(reply.error.code, ErrorCode::kEvalFailed) << capacity;
     EXPECT_NE(reply.error.message.find(std::to_string(kMaxFifoCapacity)),
               std::string::npos)
@@ -599,8 +702,7 @@ TEST(EvalErrors, AbsurdFifoCapacityBecomesErrorReply) {
 }
 
 TEST(EvalErrors, UnwrapKindMismatchThrows) {
-  EvalReply reply;
-  reply.kind = ReplyKind::kThroughput;
+  const EvalReply reply(0.0);
   EXPECT_THROW(unwrap_row(reply), ContractViolation);
   EXPECT_NO_THROW(unwrap_throughput(reply));
 }

@@ -338,17 +338,17 @@ TEST(StreamWire, RequestRoundTripPreservesEveryField) {
 }
 
 TEST(StreamWire, ReplyRoundTripAndEqualityIgnoreWallClock) {
-  eval::EvalReply reply;
-  reply.kind = eval::ReplyKind::kStream;
-  reply.stream.tokens = 1400;
-  reply.stream.cycles = 1620;
-  reply.stream.digest = 0xdeadbeefcafef00dULL;
-  reply.stream.sink_digests = {1, 2};
-  reply.stream.sink_counts = {700, 700};
-  reply.stream.input_stalls = 11;
-  reply.stream.output_stalls = 7;
-  reply.stream.discarded_tokens = 3;
-  reply.stream.tokens_per_sec = 123456.0;
+  eval::StreamResult result;
+  result.tokens = 1400;
+  result.cycles = 1620;
+  result.digest = 0xdeadbeefcafef00dULL;
+  result.sink_digests = {1, 2};
+  result.sink_counts = {700, 700};
+  result.input_stalls = 11;
+  result.output_stalls = 7;
+  result.discarded_tokens = 3;
+  result.tokens_per_sec = 123456.0;
+  const eval::EvalReply reply(std::move(result));
 
   wire::Writer w;
   reply.encode(w);

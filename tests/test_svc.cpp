@@ -11,6 +11,9 @@
 // bytes, an unknown error code rejected, every server error path counted
 // once, a client that vanishes before its reply, and a sharded call with
 // one stopped server (it throws; the surviving connection still serves).
+// The frame reader takes a payload in bounded chunks: a multi-chunk frame
+// round trips, a truncated one is "closed mid-frame", and stalled headers
+// declaring the cap leave the server's resident set nearly unchanged.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -19,7 +22,9 @@
 
 #include <cstring>
 #include <chrono>
+#include <fstream>
 #include <iterator>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -128,6 +133,57 @@ TEST(FrameCodec, OversizedPayloadRefusedAtEncode) {
       encode_frame(FrameType::kEvalBatch,
                    std::string(kMaxFramePayload + 1, 'a')),
       ProtocolError);
+}
+
+/// A frame header declaring a `len`-byte payload of `type`.
+std::string frame_header(FrameType type, std::uint32_t len) {
+  wire::Writer w;
+  w.u32(kFrameMagic);
+  w.u8(kFrameVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u16(0);
+  w.u32(len);
+  return w.take();
+}
+
+TEST(FrameCodec, PayloadLongerThanOneReadChunkRoundTrips) {
+  // The reader takes a payload in chunks of at most 64 KiB; this one
+  // spans four of them, the last partial.
+  std::string payload(200000, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<char>(i * 131 + (i >> 16));
+  const std::string bytes = encode_frame(FrameType::kEvalBatch, payload);
+  EXPECT_EQ(decode_frame(bytes.data(), bytes.size()).payload, payload);
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread writer(
+      [&] { write_frame(fds[1], FrameType::kEvalBatch, payload); });
+  const std::optional<Frame> frame = read_frame(fds[0]);
+  writer.join();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, FrameType::kEvalBatch);
+  EXPECT_EQ(frame->payload, payload);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(FrameCodec, TruncatedFrameOnASocketIsClosedMidFrame) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string bytes =
+      frame_header(FrameType::kEvalBatch, 100) + std::string(10, 'x');
+  ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
+  try {
+    (void)read_frame(fds[0]);
+    ADD_FAILURE() << "a truncated frame was accepted";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.code(), eval::ErrorCode::kMalformedFrame);
+    EXPECT_STREQ(e.what(), "connection closed mid-frame");
+  }
+  ::close(fds[0]);
 }
 
 TEST(FrameCodec, RequestBatchPayloadRoundTrip) {
@@ -240,7 +296,7 @@ TEST(EvalServer, BatchRepliesMatchInProcessEvaluation) {
     EXPECT_TRUE(remote[i].floorplan == local[i].floorplan) << i;
   }
   // The poisoned request became a typed error reply, not a dead server.
-  EXPECT_FALSE(remote.back().ok());
+  ASSERT_FALSE(remote.back().ok());
   EXPECT_EQ(remote.back().error.code, eval::ErrorCode::kEvalFailed);
   EXPECT_TRUE(client.ping());
 
@@ -382,14 +438,8 @@ TEST(EvalServer, OversizedDeclaredLengthIsRefused) {
   server.start();
 
   const int fd = raw_connect(server.socket_path());
-  // Hand-build a header declaring a payload over the cap.
-  wire::Writer w;
-  w.u32(kFrameMagic);
-  w.u8(kFrameVersion);
-  w.u8(static_cast<std::uint8_t>(FrameType::kEvalBatch));
-  w.u16(0);
-  w.u32(kMaxFramePayload + 1);
-  const std::string& header = w.bytes();
+  const std::string header =
+      frame_header(FrameType::kEvalBatch, kMaxFramePayload + 1);
   ASSERT_EQ(::write(fd, header.data(), header.size()),
             static_cast<ssize_t>(header.size()));
 
@@ -404,6 +454,54 @@ TEST(EvalServer, OversizedDeclaredLengthIsRefused) {
   client.connect(server.socket_path());
   EXPECT_TRUE(client.ping());
   client.close();
+  server.stop();
+}
+
+/// This process's resident set in KiB (VmRSS), or -1 where unreadable.
+long resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  return -1;
+}
+
+TEST(EvalServer, StalledHeaderCostsAChunkNotTheDeclaredLength) {
+  EvalServer server(test_server_options());
+  server.start();
+  {
+    EvalClient warm;  // the first connection's set-up is not the frame's
+    warm.connect(server.socket_path());
+    ASSERT_TRUE(warm.ping());
+  }
+  const long before = resident_kib();
+  if (before < 0) GTEST_SKIP() << "no VmRSS in /proc/self/status";
+
+  // Four connections each declare the largest payload the cap allows,
+  // send ten bytes of it, then stall.
+  constexpr int kConnections = 4;
+  const std::string bytes =
+      frame_header(FrameType::kEvalBatch, kMaxFramePayload) +
+      std::string(10, 'x');
+  std::vector<int> fds;
+  for (int i = 0; i < kConnections; ++i) {
+    fds.push_back(raw_connect(server.socket_path()));
+    ASSERT_EQ(::write(fds.back(), bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  // Give each connection thread time to read its header and block in the
+  // payload read (an up-front allocation of the declared length would be
+  // resident by then: it is zero-filled).
+  for (int i = 0; i < 100 && server.stats().connections < kConnections + 1;
+       ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const long grown = resident_kib() - before;
+  RecordProperty("resident_growth_kib", static_cast<int>(grown));
+  EXPECT_LT(grown, 8 * 1024) << "KiB resident after " << kConnections
+                             << " stalled headers";
+
+  for (const int fd : fds) ::close(fd);
   server.stop();
 }
 

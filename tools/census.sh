@@ -30,7 +30,10 @@
 #               path against;
 #   inspection  an accessor that reads back state for tests;
 #   generator   builds test inputs;
-#   server-path the client side of a path a shipped server serves.
+#   server-path the client side of a path a shipped server serves;
+#   value-type  a copy or assignment a wire message type must have, which
+#               shipped binaries (they build each message once and move
+#               it) never call and the lifetime suites check.
 #
 # Blind spots:
 #   * virtual functions: a kept vtable keeps every override, so a virtual
@@ -101,7 +104,7 @@ comm -23 "$work/defined" "$work/shipped" | comm -12 - "$work/tests" \
 
 grep -v -e '^[[:space:]]*#' -e '^[[:space:]]*$' "$allowlist" \
   > "$work/entries" || true
-awk '$1 !~ /^(reference|inspection|generator|server-path)$/' \
+awk '$1 !~ /^(reference|inspection|generator|server-path|value-type)$/' \
   "$work/entries" > "$work/bad_reasons"
 sed -E 's/^[^ ]+ +//' "$work/entries" | sort > "$work/allowed.all"
 uniq -d "$work/allowed.all" > "$work/duplicates"
