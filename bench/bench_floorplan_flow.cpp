@@ -39,7 +39,7 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-#include "../tests/fresh_howard.hpp"
+#include "../tests/testkit/fresh_howard.hpp"
 
 namespace {
 

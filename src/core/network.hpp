@@ -97,16 +97,10 @@ class Network {
   /// kDeadlockWindow consecutive cycles.
   std::uint64_t run(std::uint64_t max_cycles, std::size_t halted_shells);
 
-  Cycle cycle() const { return cycle_; }
-  std::size_t shell_count() const { return shells_.size(); }
   std::size_t relay_station_count() const {
     return stations_.size() + noise_stations_.size();
   }
   std::size_t wire_count() const { return wires_.size(); }
-  /// Firings of every shell since construction.
-  std::uint64_t firings() const { return firings_; }
-  /// Shells whose process has halted.
-  std::size_t halted_shells() const { return halted_; }
 
   // One shell's state. A returned reference stays valid until the network
   // adds a shell.

@@ -1,7 +1,6 @@
 #include "core/system.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "util/rng.hpp"
@@ -88,12 +87,6 @@ void SystemSpec::set_rs_map(const std::map<std::string, int>& counts) {
                            }),
                "unknown connection in RS map: " + name);
   }
-}
-
-std::vector<std::string> SystemSpec::connections() const {
-  std::set<std::string> names;
-  for (const auto& ch : channels_) names.insert(ch.connection);
-  return {names.begin(), names.end()};
 }
 
 std::unique_ptr<Process> SystemSpec::instantiate(
@@ -224,7 +217,6 @@ void GoldenSim::step() {
     }
   }
   for (auto& p : procs_) p.regs = p.next_regs;
-  ++cycle_;
 }
 
 std::uint64_t GoldenSim::run_until_halt(std::uint64_t max_cycles) {

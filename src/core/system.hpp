@@ -68,9 +68,6 @@ class SystemSpec {
   /// Per-connection counts, e.g. {{"CU-IC", 1}, ...}; missing names → 0.
   void set_rs_map(const std::map<std::string, int>& counts);
 
-  /// Sorted list of distinct connection names.
-  std::vector<std::string> connections() const;
-
   const std::vector<ChannelDecl>& channels() const { return channels_; }
   const std::vector<std::string>& process_names() const { return names_; }
 
@@ -133,7 +130,6 @@ class GoldenSim {
   /// Runs until any process halts or max_cycles elapse; returns cycles run.
   std::uint64_t run_until_halt(std::uint64_t max_cycles);
 
-  Cycle cycle() const { return cycle_; }
   bool halted() const;
   const Trace& trace() const { return trace_; }
 
@@ -158,7 +154,6 @@ class GoldenSim {
   };
 
   std::vector<Proc> procs_;
-  Cycle cycle_ = 0;
   bool record_trace_ = false;
   Trace trace_;
   PreFireObserver pre_fire_;

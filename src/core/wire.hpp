@@ -25,12 +25,6 @@ struct Wire {
   Word value = kPoisonWord;
   bool valid = false;
   bool stop = false;
-
-  /// Producer side: drive a token (τ or valid) forward.
-  void drive(const Token& t) {
-    value = t.value;
-    valid = t.valid;
-  }
 };
 
 }  // namespace wp

@@ -1,7 +1,5 @@
 #include "floorplan/instances.hpp"
 
-#include <sstream>
-
 #include "util/assert.hpp"
 #include "util/strings.hpp"
 
@@ -48,18 +46,6 @@ Instance parse_instance(const std::string& text) {
   }
   WP_REQUIRE(!inst.blocks.empty(), "instance has no blocks");
   return inst;
-}
-
-std::string serialize_instance(const Instance& inst) {
-  std::ostringstream os;
-  if (!inst.name.empty()) os << "instance " << inst.name << "\n";
-  for (const auto& b : inst.blocks)
-    os << "block " << b.name << ' ' << b.width << ' ' << b.height << "\n";
-  for (const auto& n : inst.nets)
-    os << "net " << n.connection << ' '
-       << inst.blocks[static_cast<std::size_t>(n.src_block)].name << ' '
-       << inst.blocks[static_cast<std::size_t>(n.dst_block)].name << "\n";
-  return os.str();
 }
 
 Instance cpu_instance() {

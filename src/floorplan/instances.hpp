@@ -18,9 +18,6 @@ namespace wp::fplan {
 /// '#' starts a comment. Throws on malformed input.
 Instance parse_instance(const std::string& text);
 
-/// Serializes back to the exchange format (round-trips with parse).
-std::string serialize_instance(const Instance& inst);
-
 /// The paper's five-block processor with physical extents chosen so the
 /// longest connections need pipelining at the default delay model: block
 /// sizes in mm.

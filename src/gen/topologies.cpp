@@ -302,10 +302,6 @@ SccResult strongly_connected_components(const graph::Digraph& g) {
   return result;
 }
 
-bool is_strongly_connected(const graph::Digraph& g) {
-  return g.num_nodes() > 0 && strongly_connected_components(g).count == 1;
-}
-
 void make_strongly_connected(graph::Digraph& g, Rng& rng,
                              int max_relay_stations) {
   WP_REQUIRE(g.num_nodes() > 0, "cannot connect an empty graph");
@@ -386,37 +382,6 @@ std::vector<int> undirected_degrees(const graph::Digraph& g) {
   for (const auto& list : nbr)
     degrees.push_back(static_cast<int>(list.size()));
   return degrees;
-}
-
-graph::Digraph random_digraph(const RandomGraphConfig& config, Rng& rng) {
-  WP_REQUIRE(config.num_nodes >= 1, "need at least one node");
-  Digraph g;
-  add_numbered_nodes(g, config.num_nodes, 0);
-
-  if (config.ensure_cycle && config.num_nodes >= 2) {
-    for (int i = 0; i < config.num_nodes; ++i)
-      g.add_edge(i, (i + 1) % config.num_nodes, "ring",
-                 random_rs(rng, config.max_relay_stations));
-  }
-  for (int u = 0; u < config.num_nodes; ++u) {
-    for (int v = 0; v < config.num_nodes; ++v) {
-      if (u == v) continue;
-      if (rng.chance(config.edge_probability))
-        g.add_edge(u, v, "e", random_rs(rng, config.max_relay_stations));
-    }
-  }
-  return g;
-}
-
-graph::Digraph ring_graph(int num_nodes, const std::vector<int>& rs_pattern) {
-  WP_REQUIRE(num_nodes >= 1, "need at least one node");
-  WP_REQUIRE(!rs_pattern.empty(), "relay-station pattern must be non-empty");
-  Digraph g;
-  add_numbered_nodes(g, num_nodes, num_nodes);
-  for (int i = 0; i < num_nodes; ++i)
-    g.add_edge(i, (i + 1) % num_nodes, "ring",
-               rs_pattern[static_cast<std::size_t>(i) % rs_pattern.size()]);
-  return g;
 }
 
 }  // namespace wp::gen

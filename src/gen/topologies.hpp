@@ -9,8 +9,7 @@
 //   * Watts–Strogatz       — small-world rewired ring lattice (clustering);
 //   * 2D mesh / torus      — the regular NoC fabric, bidirectional links;
 //   * clustered Erdős–Rényi — dense clusters, sparse inter-cluster wiring;
-//     with er_clusters = 1 this is the plain ER family, which subsumes the
-//     former graph/random_graphs one-off (random_digraph lives here now).
+//     with er_clusters = 1 this is the plain ER family.
 //
 // All generators are deterministic in the caller-supplied Rng: the same
 // config and seed always produce the bit-identical digraph.
@@ -81,7 +80,8 @@ struct TopologyConfig {
 /// That is a valid result, not an error — the min-cycle-ratio solvers
 /// return ratio 1.0 with has_cycle=false for such graphs (no loop
 /// constrains the system). Callers that require the loop-limited regime
-/// must keep ensure_strongly_connected on or check is_strongly_connected().
+/// must keep ensure_strongly_connected on or check
+/// strongly_connected_components().
 graph::Digraph generate_topology(const TopologyConfig& config, Rng& rng);
 
 /// The individual families (exposed for tests; generate_topology is the
@@ -101,8 +101,6 @@ struct SccResult {
 };
 SccResult strongly_connected_components(const graph::Digraph& g);
 
-bool is_strongly_connected(const graph::Digraph& g);
-
 /// Adds "sc<k>"-labeled repair edges (random relay stations in
 /// [0, max_relay_stations]) from sink components to source components of
 /// the condensation until the graph is one SCC. Deterministic in rng.
@@ -117,29 +115,5 @@ double average_clustering(const graph::Digraph& g);
 /// Undirected degree (distinct neighbors in either direction, self loops
 /// excluded) — the heavy-tail observable for the BA family.
 std::vector<int> undirected_degrees(const graph::Digraph& g);
-
-// --- the refolded graph/random_graphs one-off ----------------------------
-
-/// Plain-ER compatibility config (formerly wp::graph::RandomGraphConfig).
-struct RandomGraphConfig {
-  int num_nodes = 8;
-  /// Probability of each ordered pair (u,v), u != v, getting an edge.
-  double edge_probability = 0.3;
-  int max_relay_stations = 3;
-  /// Guarantees at least one cycle by closing a random ring first. When
-  /// false the result may be ACYCLIC (edge_probability 0 always is): the
-  /// min-cycle-ratio solvers then report ratio 1.0 / has_cycle=false
-  /// rather than throwing — covered by a regression test.
-  bool ensure_cycle = true;
-};
-
-/// Erdős–Rényi-style digraph with random relay-station counts; the
-/// single-cluster special case of the clustered-ER family, kept with its
-/// original sampling order so existing seeded tests reproduce.
-graph::Digraph random_digraph(const RandomGraphConfig& config, Rng& rng);
-
-/// A single directed ring of `num_nodes` nodes with the given per-edge
-/// relay-station counts (cyclically repeated) — the textbook m/(m+n) case.
-graph::Digraph ring_graph(int num_nodes, const std::vector<int>& rs_pattern);
 
 }  // namespace wp::gen

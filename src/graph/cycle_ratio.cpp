@@ -67,21 +67,6 @@ bool has_cycle(const Digraph& g) {
 
 }  // namespace detail
 
-CycleRatioResult min_cycle_ratio_exhaustive(const Digraph& g,
-                                            std::size_t max_cycles) {
-  CycleRatioResult result;
-  const auto cycles = enumerate_cycles(g, max_cycles);
-  for (const auto& c : cycles) {
-    const double r = c.throughput();
-    if (!result.has_cycle || r < result.ratio) {
-      result.ratio = r;
-      result.critical_cycle = c.edges;
-      result.has_cycle = true;
-    }
-  }
-  return result;
-}
-
 namespace {
 
 /// True when `policy` is a structurally valid policy vector for `g`: one

@@ -6,23 +6,17 @@
 //     Th* = min over cycles C  (Σ_e∈C tokens_e) / (Σ_e∈C (1 + rs_e)),
 //
 // the paper's "the worst loop dominates the system" with Th = m/(m+n) per
-// loop. One production solver and one reference, cross-checked by the
-// test suite:
-//
-//   * Howard        — policy iteration, certified by witness descent (a
-//                     Bellman–Ford at λ either proves no cycle beats λ or
-//                     hands back a cycle whose exact ratio is the next,
-//                     strictly lower λ); the one solver every caller and
-//                     graph::ThroughputEngine use;
-//   * exhaustive    — via Johnson enumeration; exact, small graphs only —
-//                     the test reference.
+// loop. The one solver is Howard's policy iteration, certified by witness
+// descent (a Bellman–Ford at λ either proves no cycle beats λ or hands back
+// a cycle whose exact ratio is the next, strictly lower λ); every caller
+// and graph::ThroughputEngine use it. The test suite checks it against
+// exhaustive Johnson enumeration on small graphs.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "graph/cycles.hpp"
 #include "graph/digraph.hpp"
 
 namespace wp::graph {
@@ -35,11 +29,6 @@ struct CycleRatioResult {
   std::vector<EdgeId> critical_cycle;
   bool has_cycle = false;
 };
-
-/// Exact minimum via full enumeration (throws if the graph has more than
-/// `max_cycles` elementary cycles).
-CycleRatioResult min_cycle_ratio_exhaustive(const Digraph& g,
-                                            std::size_t max_cycles = 100000);
 
 /// Howard's policy-iteration algorithm from a cold default policy,
 /// certified by detail::witness_descent(): the result is the exact

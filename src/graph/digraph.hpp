@@ -55,7 +55,7 @@ class Digraph {
         return edge_ == other.edge_;
       }
       bool operator!=(const iterator& other) const {
-        return edge_ != other.edge_;
+        return !(*this == other);
       }
 
      private:

@@ -276,7 +276,7 @@ double ThroughputEngine::solve() {
     ++stats_.acyclic;
     return ratio_;
   }
-  if (incremental_ && !critical_cycle_.empty()) {
+  if (!critical_cycle_.empty()) {
     // Candidate 1: the previous critical cycle, re-costed on the mutated
     // graph in O(|cycle|) — most moves leave the argmin where it was. When
     // the move displaced it, the failed repair usually hands back the

@@ -148,12 +148,6 @@ class ThroughputEngine {
                     const int* changed, std::size_t num_changed,
                     std::uint64_t queries_seen);
 
-  /// Test hook: with incremental certification off, every solving query
-  /// takes the cold fallback path (demand deltas still apply in place).
-  /// Results are identical either way — that is the point of the suite
-  /// that flips this.
-  void set_incremental(bool on) { incremental_ = on; }
-
   const Stats& stats() const { return stats_; }
   /// A copy of the engine's graph in its CURRENT configuration (base +
   /// last demand).
@@ -187,7 +181,6 @@ class ThroughputEngine {
   Digraph base_;
   detail::FlatGraph flat_;
   bool cyclic_ = false;
-  bool incremental_ = true;
   std::vector<int> base_latency_;  ///< per-edge latency of the base graph
 
   // Label interning: queries address edges by label id (resolve()). Ids

@@ -59,8 +59,6 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void sub(std::int64_t n) { add(-n); }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { set(0); }
 

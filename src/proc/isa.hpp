@@ -44,11 +44,6 @@ struct Instr {
   std::uint8_t rs1 = 0;
   std::uint8_t rs2 = 0;
   std::int32_t imm = 0;
-
-  bool operator==(const Instr& o) const {
-    return op == o.op && rd == o.rd && rs1 == o.rs1 && rs2 == o.rs2 &&
-           imm == o.imm;
-  }
 };
 
 /// Encoding layout inside a 64-bit word:

@@ -17,7 +17,7 @@ std::string format(const char* kind, const char* expr, const char* file,
 ContractViolation::ContractViolation(const char* kind, const char* expr,
                                      const char* file, int line,
                                      const std::string& msg)
-    : std::logic_error(format(kind, expr, file, line, msg)), kind_(kind) {}
+    : std::logic_error(format(kind, expr, file, line, msg)) {}
 
 namespace detail {
 void contract_fail(const char* kind, const char* expr, const char* file,

@@ -17,13 +17,6 @@ class ContractViolation : public std::logic_error {
  public:
   ContractViolation(const char* kind, const char* expr, const char* file,
                     int line, const std::string& msg);
-
-  /// "precondition", "postcondition" or "invariant"; what() carries the
-  /// expression, location and message.
-  const char* kind() const noexcept { return kind_; }
-
- private:
-  const char* kind_;
 };
 
 namespace detail {

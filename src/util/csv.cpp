@@ -28,7 +28,6 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
     os_ << escape(cells[i], sep_);
   }
   os_ << '\n';
-  ++rows_;
 }
 
 void CsvWriter::row(std::initializer_list<std::string> cells) {

@@ -19,15 +19,12 @@ class CsvWriter {
   /// Convenience overloads for mixed rows built by benches.
   void row(std::initializer_list<std::string> cells);
 
-  std::size_t rows_written() const { return rows_; }
-
   /// Escapes a single cell (exposed for tests).
   static std::string escape(const std::string& cell, char sep);
 
  private:
   std::ostream& os_;
   char sep_;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace wp

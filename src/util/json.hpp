@@ -101,8 +101,6 @@ class Value {
   Value() = default;  ///< null
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_array() const { return kind_ == Kind::kArray; }
 
   /// Typed accessors; wrong-kind access throws ParseError(offset 0).

@@ -46,14 +46,6 @@ std::uint64_t Rng::below(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
-  WP_REQUIRE(lo <= hi, "Rng::range requires lo <= hi");
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>((*this)());  // full range
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 double Rng::uniform() {
   // 53 top bits → double in [0,1).
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -63,12 +55,6 @@ bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
-}
-
-Rng Rng::split() {
-  Rng child(0);
-  for (auto& s : child.s_) s = (*this)();
-  return child;
 }
 
 }  // namespace wp

@@ -10,33 +10,23 @@
 
 namespace wp {
 
-/// xoshiro256** by Blackman & Vigna. Satisfies UniformRandomBitGenerator.
+/// xoshiro256** by Blackman & Vigna.
 class Rng {
  public:
   using result_type = std::uint64_t;
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~0ULL; }
-
   result_type operator()();
 
   /// Uniform integer in [0, bound) without modulo bias. bound must be > 0.
   std::uint64_t below(std::uint64_t bound);
-
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t range(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1).
   double uniform();
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool chance(double p);
-
-  /// Returns a fork of this generator with a decorrelated state, so parallel
-  /// components can each own an independent stream from one master seed.
-  Rng split();
 
   /// Fisher–Yates shuffle of a vector in place.
   template <typename T>

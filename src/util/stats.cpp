@@ -15,7 +15,6 @@ void RunningStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++n_;
-  sum_ += x;
   mean_ += (x - mean_) / static_cast<double>(n_);
 }
 

@@ -6,7 +6,7 @@
 
 namespace wp {
 
-/// Single-pass count/mean/min/max/sum accumulator (running mean update).
+/// Single-pass count/mean/min/max accumulator (running mean update).
 class RunningStats {
  public:
   void add(double x);
@@ -15,14 +15,12 @@ class RunningStats {
   double mean() const;
   double min() const;
   double max() const;
-  double sum() const { return sum_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 /// Percentile of a copy of the data (nearest-rank). p in [0,100].

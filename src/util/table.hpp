@@ -28,8 +28,6 @@ class TextTable {
   std::string str() const;
   void print(std::ostream& os) const;
 
-  std::size_t rows() const { return rows_.size(); }
-
  private:
   struct Row {
     enum class Kind { kData, kSeparator, kSection } kind;

@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 namespace wp::wire {
 
@@ -41,22 +42,36 @@ class Writer {
   void str(const std::string& s);     ///< u32 length + bytes
   void raw(const void* data, std::size_t size);
 
-  const std::string& bytes() const { return buffer_; }
-  std::string take() { return std::move(buffer_); }
-  std::size_t size() const { return buffer_.size(); }
+  std::string take() {
+    buffer_.resize(size_);
+    size_ = 0;
+    return std::move(buffer_);
+  }
 
  private:
-  /// One append of the word's bytes, least significant first.
+  /// The next `n` bytes of the buffer, counted as written. Inline, so a
+  /// field costs a compare and a few stores rather than an out-of-line
+  /// std::string::append.
+  char* claim(std::size_t n) {
+    if (buffer_.size() - size_ < n) grow(n);
+    char* out = &buffer_[size_];
+    size_ += n;
+    return out;
+  }
+  void grow(std::size_t n);
+
+  /// One word's bytes, least significant first.
   template <class U>
   void put(U v) {
     static_assert(std::is_unsigned_v<U>);
-    char bytes[sizeof(U)];
+    char* out = claim(sizeof(U));
     for (std::size_t i = 0; i < sizeof(U); ++i)
-      bytes[i] = static_cast<char>(v >> (8 * i));
-    buffer_.append(bytes, sizeof(U));
+      out[i] = static_cast<char>(v >> (8 * i));
   }
 
+  /// The whole of buffer_ is room; its first size_ bytes are written.
   std::string buffer_;
+  std::size_t size_ = 0;
 };
 
 /// Bounds-checked sequential reader over a byte buffer. Non-owning: the

@@ -2,6 +2,7 @@
 // of the VCD waveform writer.
 #include <gtest/gtest.h>
 
+#include "testkit/systems.hpp"
 #include "util/assert.hpp"
 
 #include <sstream>
@@ -16,6 +17,8 @@
 
 namespace wp {
 namespace {
+
+using testkit::drive;
 
 TEST(Area, BreakdownSumsToTotal) {
   WrapperGeometry g;
@@ -102,10 +105,10 @@ TEST(Vcd, EmitsHeaderAndChanges) {
   vcd.add_wire(w);
   vcd.finalize_header();
 
-  net.wire(w).drive(Token::make(5));
+  drive(net.wire(w), Token::make(5));
   vcd.sample(0);
   vcd.sample(1);  // no change: nothing emitted
-  net.wire(w).drive(Token::tau());
+  drive(net.wire(w), Token::tau());
   net.wire(w).stop = true;
   vcd.sample(2);
 
@@ -146,7 +149,7 @@ TEST(Vcd, TracksAShellNetwork) {
   vcd.add_wire(out);
   vcd.finalize_header();
   for (Cycle c = 0; c < 5; ++c) {
-    net.wire(in).drive(Token::make(10 + c));
+    drive(net.wire(in), Token::make(10 + c));
     net.step();
     vcd.sample(c);
   }

@@ -7,10 +7,16 @@
 
 #include "core/procs.hpp"
 #include "core/system.hpp"
+#include "testkit/rng.hpp"
+#include "testkit/systems.hpp"
 #include "util/rng.hpp"
 
 namespace wp {
 namespace {
+
+using testkit::connections;
+using testkit::range;
+using testkit::split;
 
 struct RandomSystem {
   SystemSpec spec;
@@ -23,7 +29,7 @@ struct RandomSystem {
 RandomSystem random_system(std::uint64_t seed) {
   Rng rng(seed);
   RandomSystem sys;
-  sys.num_procs = static_cast<int>(rng.range(2, 6));
+  sys.num_procs = static_cast<int>(range(rng, 2, 6));
   const int n = sys.num_procs;
 
   // Each process i has num_inputs(i) inputs; input 0 closes the ring from
@@ -31,11 +37,11 @@ RandomSystem random_system(std::uint64_t seed) {
   std::vector<int> num_inputs(static_cast<std::size_t>(n));
   std::vector<int> num_outputs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    num_inputs[static_cast<std::size_t>(i)] = static_cast<int>(rng.range(1, 3));
-    num_outputs[static_cast<std::size_t>(i)] = static_cast<int>(rng.range(1, 3));
+    num_inputs[static_cast<std::size_t>(i)] = static_cast<int>(range(rng, 1, 3));
+    num_outputs[static_cast<std::size_t>(i)] = static_cast<int>(range(rng, 1, 3));
   }
 
-  Rng table_rng = rng.split();
+  Rng table_rng = split(rng);
   for (int i = 0; i < n; ++i) {
     const auto ni = static_cast<std::size_t>(num_inputs[static_cast<std::size_t>(i)]);
     const auto no = static_cast<std::size_t>(num_outputs[static_cast<std::size_t>(i)]);
@@ -63,7 +69,7 @@ RandomSystem random_system(std::uint64_t seed) {
     }
   }
   // Random relay stations per connection.
-  for (const auto& name : sys.spec.connections())
+  for (const auto& name : connections(sys.spec))
     sys.spec.set_connection_rs(name, static_cast<int>(rng.below(4)));
   return sys;
 }

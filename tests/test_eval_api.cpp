@@ -52,7 +52,8 @@ TEST(Wire, PrimitiveRoundTrip) {
   w.str("hello");
   w.str("");
 
-  wire::Reader r(w.bytes());
+  const std::string bytes = w.take();
+  wire::Reader r(bytes);
   EXPECT_EQ(r.u8(), 0xab);
   EXPECT_EQ(r.u16(), 0xbeef);
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
@@ -70,7 +71,7 @@ TEST(Wire, PrimitiveRoundTrip) {
 TEST(Wire, TruncationThrows) {
   wire::Writer w;
   w.u64(7);
-  const std::string bytes = w.bytes();
+  const std::string bytes = w.take();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     wire::Reader r(bytes.data(), cut);
     EXPECT_THROW(r.u64(), wire::WireError) << "cut at " << cut;
@@ -81,14 +82,16 @@ TEST(Wire, StringLengthBeyondBufferThrows) {
   wire::Writer w;
   w.u32(1000);  // claims 1000 bytes follow
   w.raw("abc", 3);
-  wire::Reader r(w.bytes());
+  const std::string bytes = w.take();
+  wire::Reader r(bytes);
   EXPECT_THROW(r.str(), wire::WireError);
 }
 
 TEST(Wire, RawReadsVerbatimWithinBounds) {
   wire::Writer w;
   w.raw("abc\0ef", 6);
-  wire::Reader r(w.bytes());
+  const std::string bytes = w.take();
+  wire::Reader r(bytes);
   EXPECT_EQ(r.raw(4), std::string("abc\0", 4));
   EXPECT_THROW(r.raw(3), wire::WireError);  // only 2 bytes remain
   EXPECT_EQ(r.raw(2), "ef");                // a failed read consumes nothing
@@ -99,7 +102,8 @@ TEST(Wire, TrailingGarbageDetected) {
   wire::Writer w;
   w.u32(1);
   w.u8(0);  // one extra byte
-  wire::Reader r(w.bytes());
+  const std::string bytes = w.take();
+  wire::Reader r(bytes);
   r.u32();
   EXPECT_THROW(r.expect_done(), wire::WireError);
 }
@@ -107,7 +111,8 @@ TEST(Wire, TrailingGarbageDetected) {
 TEST(Wire, NonCanonicalBoolThrows) {
   wire::Writer w;
   w.u8(2);
-  wire::Reader r(w.bytes());
+  const std::string bytes = w.take();
+  wire::Reader r(bytes);
   EXPECT_THROW(r.b(), wire::WireError);
 }
 
@@ -368,7 +373,7 @@ void expect_canonical_decode(const std::string& image, std::uint64_t seed) {
     ++accepted;
     wire::Writer w;
     decoded->encode(w);
-    ASSERT_EQ(w.bytes(), bytes) << "seed " << seed << " trial " << trial;
+    ASSERT_EQ(w.take(), bytes) << "seed " << seed << " trial " << trial;
   }
   EXPECT_GT(accepted, 0) << "seed " << seed;
 }

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <limits>
 
+#include "testkit/instances.hpp"
+#include "testkit/rng.hpp"
 #include "util/assert.hpp"
 
 #include "floorplan/annealer.hpp"
@@ -15,7 +17,7 @@
 #include "floorplan/model.hpp"
 #include "floorplan/pack_engine.hpp"
 #include "floorplan/sequence_pair.hpp"
-#include "fresh_howard.hpp"
+#include "testkit/fresh_howard.hpp"
 #include "gen/instances.hpp"
 #include "gen/topologies.hpp"
 #include "graph/throughput_engine.hpp"
@@ -24,6 +26,9 @@
 
 namespace wp::fplan {
 namespace {
+
+using testkit::range;
+using testkit::serialize_instance;
 
 Instance two_blocks() {
   Instance inst;
@@ -82,7 +87,7 @@ class PackingProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PackingProperty, RandomSequencePairsNeverOverlap) {
   wp::Rng rng(GetParam());
   const Instance inst =
-      synthetic_instance(static_cast<std::size_t>(rng.range(3, 12)),
+      synthetic_instance(static_cast<std::size_t>(range(rng, 3, 12)),
                          GetParam());
   for (int round = 0; round < 20; ++round) {
     const auto sp = SequencePair::random(inst.blocks.size(), rng);

@@ -8,11 +8,14 @@
 
 #include "proc/blocks.hpp"
 #include "proc/cpu.hpp"
-#include "proc/fuzz.hpp"
+#include "testkit/fuzz.hpp"
 #include "util/rng.hpp"
 
 namespace wp::proc {
 namespace {
+
+using testkit::RandomProgramConfig;
+using testkit::random_program;
 
 std::map<std::string, int> random_rs_map(wp::Rng& rng) {
   std::map<std::string, int> rs;

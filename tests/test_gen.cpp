@@ -16,11 +16,16 @@
 #include "graph/cycle_ratio.hpp"
 #include "graph/cycles.hpp"
 #include "graph/throughput.hpp"
+#include "testkit/graphs.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wp::gen {
 namespace {
+
+using testkit::RandomGraphConfig;
+using testkit::is_strongly_connected;
+using testkit::random_digraph;
 
 bool same_graph(const graph::Digraph& a, const graph::Digraph& b) {
   if (a.num_nodes() != b.num_nodes() || a.num_edges() != b.num_edges())
@@ -220,7 +225,7 @@ TEST(RandomDigraph, AcyclicResultContract) {
   const graph::Digraph g = random_digraph(config, rng);
   EXPECT_TRUE(enumerate_cycles(g).empty());
   for (const auto& result :
-       {graph::min_cycle_ratio_exhaustive(g),
+       {testkit::min_cycle_ratio_exhaustive(g),
         graph::min_cycle_ratio_howard(g)}) {
     EXPECT_FALSE(result.has_cycle);
     EXPECT_DOUBLE_EQ(result.ratio, 1.0);

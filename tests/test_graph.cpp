@@ -7,6 +7,8 @@
 // critical-loop highlight.
 #include <gtest/gtest.h>
 
+#include "testkit/graphs.hpp"
+#include "testkit/rng.hpp"
 #include "util/assert.hpp"
 
 #include <algorithm>
@@ -27,6 +29,9 @@
 
 namespace wp::graph {
 namespace {
+
+using testkit::range;
+using testkit::min_cycle_ratio_exhaustive;
 
 TEST(Digraph, BasicAccessors) {
   Digraph g;
@@ -139,7 +144,7 @@ TEST(Cycles, ToStringNamesNodes) {
 TEST(CycleRatio, RingFormula) {
   for (int m : {1, 2, 3, 6}) {
     for (int n : {0, 1, 2, 5}) {
-      Digraph g = gen::ring_graph(m, {0});
+      Digraph g = testkit::ring_graph(m, {0});
       g.edge(0).relay_stations = n;
       const double expected =
           static_cast<double>(m) / static_cast<double>(m + n);
@@ -232,11 +237,11 @@ TEST(CycleRatio, LargeMagnitudeGraphsDoNotSpinOnFloatNoise) {
 /// The random graph of McrCrossCheck's seed `seed` (3–9 nodes, RS 0–4).
 Digraph cross_check_graph(std::uint64_t seed) {
   wp::Rng rng(seed);
-  gen::RandomGraphConfig config;
-  config.num_nodes = static_cast<int>(rng.range(3, 10));
+  testkit::RandomGraphConfig config;
+  config.num_nodes = static_cast<int>(range(rng, 3, 10));
   config.edge_probability = 0.25;
   config.max_relay_stations = 4;
-  return gen::random_digraph(config, rng);
+  return testkit::random_digraph(config, rng);
 }
 
 class McrCrossCheck : public ::testing::TestWithParam<std::uint64_t> {};
@@ -283,10 +288,10 @@ TEST(FlatGraph, MirrorsEdgesAndOutEdgeOrder) {
   std::vector<Digraph> graphs{multi};
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     wp::Rng rng(seed);
-    gen::RandomGraphConfig config;
-    config.num_nodes = static_cast<int>(rng.range(2, 30));
+    testkit::RandomGraphConfig config;
+    config.num_nodes = static_cast<int>(range(rng, 2, 30));
     config.edge_probability = 0.2;
-    graphs.push_back(gen::random_digraph(config, rng));
+    graphs.push_back(testkit::random_digraph(config, rng));
   }
   for (const Digraph& g : graphs) {
     const detail::FlatGraph flat(g);
@@ -306,11 +311,11 @@ TEST(FlatGraph, MirrorsEdgesAndOutEdgeOrder) {
 
 TEST(HowardCore, UnfitWarmPoliciesAreRebuilt) {
   wp::Rng rng(17);
-  gen::RandomGraphConfig config;
+  testkit::RandomGraphConfig config;
   config.num_nodes = 9;
   config.edge_probability = 0.3;
   config.max_relay_stations = 4;
-  const Digraph g = gen::random_digraph(config, rng);
+  const Digraph g = testkit::random_digraph(config, rng);
   const detail::FlatGraph flat(g);
   const double expected = min_cycle_ratio_exhaustive(g).ratio;
 
@@ -452,11 +457,11 @@ TEST(HowardCore, OnePolicyAndScratchAcrossRelayStationMutations) {
   int exact = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     wp::Rng rng(seed * 31);
-    gen::RandomGraphConfig config;
-    config.num_nodes = static_cast<int>(rng.range(4, 11));
+    testkit::RandomGraphConfig config;
+    config.num_nodes = static_cast<int>(range(rng, 4, 11));
     config.edge_probability = 0.3;
     config.max_relay_stations = 4;
-    Digraph g = gen::random_digraph(config, rng);
+    Digraph g = testkit::random_digraph(config, rng);
     detail::FlatGraph flat(g);
     std::vector<EdgeId> policy;
     detail::HowardScratch scratch;
@@ -496,7 +501,7 @@ TEST(HowardCore, OnePolicyAndScratchAcrossRelayStationMutations) {
 }
 
 TEST(Throughput, ReportSortsWorstFirst) {
-  Digraph g = gen::ring_graph(2, {1, 0});  // 2-ring with 1 RS total
+  Digraph g = testkit::ring_graph(2, {1, 0});  // 2-ring with 1 RS total
   g.add_node("solo");
   g.add_edge(2, 2, "self");  // Th 1.0 self-loop
   const auto report = analyze_throughput(g);
@@ -525,7 +530,7 @@ RsObjective min_ratio_of(const Digraph& g) {
 TEST(Optimizer, ExhaustiveFindsBestRelief) {
   // Ring of 3 with demand 2 RS each; relieving one edge to 0 is best and
   // relieving two is better still.
-  Digraph g = gen::ring_graph(3, {0});
+  Digraph g = testkit::ring_graph(3, {0});
   for (EdgeId e = 0; e < g.num_edges(); ++e)
     g.edge(e).label = "c" + std::to_string(e);
   RsOptimizeProblem problem;
@@ -540,7 +545,7 @@ TEST(Optimizer, ExhaustiveFindsBestRelief) {
 }
 
 TEST(Optimizer, ZeroBudgetKeepsDemand) {
-  Digraph g = gen::ring_graph(2, {0});
+  Digraph g = testkit::ring_graph(2, {0});
   g.edge(0).label = "x";
   g.edge(1).label = "y";
   RsOptimizeProblem problem;
@@ -570,7 +575,7 @@ std::vector<EdgeId> red_edges(const std::string& dot) {
 }
 
 TEST(Dot, ContainsNodesEdgesAndCriticalHighlight) {
-  Digraph ring = gen::ring_graph(2, {1});
+  Digraph ring = testkit::ring_graph(2, {1});
   ring.edge(0).label = "hot";
   const std::string dot = to_dot(ring, {"title", true, true});
   EXPECT_NE(dot.find("digraph"), std::string::npos);
@@ -606,7 +611,7 @@ TEST(Dot, ContainsNodesEdgesAndCriticalHighlight) {
 }
 
 TEST(RandomGraphs, RingGraphShape) {
-  const Digraph g = gen::ring_graph(5, {1, 2});
+  const Digraph g = testkit::ring_graph(5, {1, 2});
   EXPECT_EQ(g.num_nodes(), 5);
   EXPECT_EQ(g.num_edges(), 5);
   // Pattern 1,2 repeats cyclically.
@@ -617,11 +622,11 @@ TEST(RandomGraphs, RingGraphShape) {
 
 TEST(RandomGraphs, EnsuresCycleWhenAsked) {
   wp::Rng rng(7);
-  gen::RandomGraphConfig config;
+  testkit::RandomGraphConfig config;
   config.num_nodes = 6;
   config.edge_probability = 0.0;
   config.ensure_cycle = true;
-  const Digraph g = gen::random_digraph(config, rng);
+  const Digraph g = testkit::random_digraph(config, rng);
   EXPECT_FALSE(enumerate_cycles(g).empty());
 }
 

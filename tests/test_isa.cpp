@@ -2,6 +2,7 @@
 // and the assembler (including its error paths).
 #include <gtest/gtest.h>
 
+#include "testkit/rng.hpp"
 #include "util/assert.hpp"
 
 #include "proc/assembler.hpp"
@@ -11,6 +12,8 @@
 
 namespace wp::proc {
 namespace {
+
+using testkit::range;
 
 class EncodeRoundTrip : public ::testing::TestWithParam<Opcode> {};
 
@@ -22,8 +25,13 @@ TEST_P(EncodeRoundTrip, AllFieldsSurvive) {
     instr.rd = static_cast<std::uint8_t>(rng.below(16));
     instr.rs1 = static_cast<std::uint8_t>(rng.below(16));
     instr.rs2 = static_cast<std::uint8_t>(rng.below(16));
-    instr.imm = static_cast<std::int32_t>(rng.range(-(1 << 29), (1 << 29)));
-    EXPECT_EQ(decode(encode(instr)), instr);
+    instr.imm = static_cast<std::int32_t>(range(rng, -(1 << 29), (1 << 29)));
+    const Instr back = decode(encode(instr));
+    EXPECT_EQ(back.op, instr.op);
+    EXPECT_EQ(back.rd, instr.rd);
+    EXPECT_EQ(back.rs1, instr.rs1);
+    EXPECT_EQ(back.rs2, instr.rs2);
+    EXPECT_EQ(back.imm, instr.imm);
   }
 }
 
@@ -136,8 +144,11 @@ TEST(Assembler, SimpleProgram) {
     halt
   )");
   ASSERT_EQ(result.rom.size(), 3u);
-  EXPECT_EQ(result.listing[0], (Instr{Opcode::kLi, 1, 0, 0, 5}));
-  EXPECT_EQ(result.listing[1], (Instr{Opcode::kAddi, 1, 1, 0, -1}));
+  // encode() packs every field losslessly, so equal words are equal
+  // instructions.
+  EXPECT_EQ(encode(result.listing[0]), encode(Instr{Opcode::kLi, 1, 0, 0, 5}));
+  EXPECT_EQ(encode(result.listing[1]),
+            encode(Instr{Opcode::kAddi, 1, 1, 0, -1}));
   EXPECT_EQ(result.listing[2].op, Opcode::kHalt);
 }
 
@@ -155,8 +166,8 @@ skip:   beq start
 
 TEST(Assembler, MemoryOperands) {
   const auto result = assemble("ld r2, 8(r3)\nst r4, -2(r5)\nhalt");
-  EXPECT_EQ(result.listing[0], (Instr{Opcode::kLd, 2, 3, 0, 8}));
-  EXPECT_EQ(result.listing[1], (Instr{Opcode::kSt, 0, 5, 4, -2}));
+  EXPECT_EQ(encode(result.listing[0]), encode(Instr{Opcode::kLd, 2, 3, 0, 8}));
+  EXPECT_EQ(encode(result.listing[1]), encode(Instr{Opcode::kSt, 0, 5, 4, -2}));
 }
 
 TEST(Assembler, MultipleLabelsOneLine) {

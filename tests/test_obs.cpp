@@ -47,8 +47,8 @@ TEST(Metrics, CounterGaugeHistogramBasics) {
 
   Gauge& g = registry.gauge("t/depth");
   g.set(5);
-  g.sub(2);
-  EXPECT_EQ(g.value(), 3);
+  g.set(-3);
+  EXPECT_EQ(g.value(), -3);
 
   Histogram& h = registry.histogram("t/lat_ns");
   h.record(0);
@@ -249,9 +249,9 @@ TEST(Json, NonFiniteDoublesEmitNull) {
   json.end_object();
 
   const json::Value doc = json::Value::parse(os.str());
-  EXPECT_TRUE(doc.find("nan")->is_null());
-  EXPECT_TRUE(doc.find("inf")->is_null());
-  EXPECT_TRUE(doc.find("ninf")->is_null());
+  EXPECT_EQ(doc.find("nan")->kind(), json::Value::Kind::kNull);
+  EXPECT_EQ(doc.find("inf")->kind(), json::Value::Kind::kNull);
+  EXPECT_EQ(doc.find("ninf")->kind(), json::Value::Kind::kNull);
   EXPECT_DOUBLE_EQ(doc.find("fine")->as_double(), 1.5);
 }
 
@@ -275,7 +275,7 @@ TEST(Json, WriterOutputRoundTripsThroughParser) {
   EXPECT_TRUE(doc.find("flag")->as_bool());
   const json::Value* list = doc.find("list");
   ASSERT_EQ(list->size(), 3u);
-  EXPECT_TRUE(list->at(1).is_null());
+  EXPECT_EQ(list->at(1).kind(), json::Value::Kind::kNull);
   EXPECT_EQ(list->at(2).as_string(), "x");
 }
 
@@ -436,7 +436,7 @@ TEST(StatsScrape, LiveServerAnswersWithParsableStatsDocument) {
   ASSERT_NE(golden_cache, nullptr);
   std::set<std::string> golden_keys;
   for (const auto& [key, value] : golden_cache->members()) {
-    EXPECT_TRUE(value.is_number()) << key;
+    EXPECT_EQ(value.kind(), json::Value::Kind::kNumber) << key;
     golden_keys.insert(key);
   }
   EXPECT_EQ(golden_keys,

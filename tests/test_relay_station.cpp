@@ -9,11 +9,14 @@
 #include "core/network.hpp"
 #include "core/relay_station.hpp"
 #include "core/wire.hpp"
+#include "testkit/systems.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace wp {
 namespace {
+
+using testkit::drive;
 
 /// Drives a chain of n relay stations by hand: a scripted producer that
 /// respects stop (holds its token) and a consumer that stalls on demand.
@@ -36,7 +39,7 @@ class RsHarness {
     for (auto& rs : stations_) rs.eval(wires_);
     // producer drive: held token takes precedence
     if (!held_ && offer) held_ = offer;
-    wires_.front().drive(held_ ? Token::make(*held_) : Token::tau());
+    drive(wires_.front(), held_ ? Token::make(*held_) : Token::tau());
     // consumer stop line
     wires_.back().stop = stall;
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/network.hpp"
+#include "testkit/systems.hpp"
 #include "util/assert.hpp"
 #include "core/procs.hpp"
 #include "core/shell.hpp"
@@ -13,6 +14,8 @@
 
 namespace wp {
 namespace {
+
+using testkit::drive;
 
 ShellOptions wp1() {
   ShellOptions o;
@@ -87,17 +90,17 @@ TEST(Shell, StrictWaitsForAllInputs) {
   EXPECT_EQ(rec->seen[0], std::make_pair(Word{10}, Word{20}));
 
   // Only input a gets a tag-1 token: the strict shell must stall.
-  net.wire(wa).drive(Token::make(11));
+  drive(net.wire(wa), Token::make(11));
   net.step();
-  net.wire(wa).drive(Token::tau());
+  drive(net.wire(wa), Token::tau());
   net.step();
   EXPECT_EQ(net.stats(shell).firings, 1u);
   EXPECT_GT(net.stats(shell).stalls_input, 0u);
 
   // b arrives: fire.
-  net.wire(wb).drive(Token::make(21));
+  drive(net.wire(wb), Token::make(21));
   net.step();
-  net.wire(wb).drive(Token::tau());
+  drive(net.wire(wb), Token::tau());
   EXPECT_EQ(net.stats(shell).firings, 2u);
   EXPECT_EQ(rec->seen[1], std::make_pair(Word{11}, Word{21}));
 }
@@ -134,10 +137,10 @@ TEST(Shell, OutputHeldUnderStopThenDelivered) {
   net.step();            // fires tag 0 (output pending)
   EXPECT_EQ(net.stats(shell).firings, 1u);
   // Pending output + stop: cannot fire tag 1 even though input arrives.
-  net.wire(wa).drive(Token::make(6));
+  drive(net.wire(wa), Token::make(6));
   net.wire(wo).stop = true;
   net.step();
-  net.wire(wa).drive(Token::tau());
+  drive(net.wire(wa), Token::tau());
   EXPECT_EQ(net.stats(shell).firings, 1u);
   EXPECT_GT(net.stats(shell).stalls_output, 0u);
   EXPECT_EQ(net.wire(wo).value, 5u);  // held token re-driven
@@ -162,7 +165,7 @@ TEST(Shell, BackPressureAssertsStopWhenFifoFull) {
 
   // Flood input a while b starves: a's FIFO fills to capacity, stop rises.
   for (int i = 1; i <= 6; ++i) {
-    net.wire(wa).drive(Token::make(static_cast<Word>(i)));
+    drive(net.wire(wa), Token::make(static_cast<Word>(i)));
     net.step();
     EXPECT_LE(net.fifo_size(shell, 0), 2u);
   }
@@ -184,25 +187,25 @@ TEST(Shell, OracleFiresWithoutUnneededInput) {
   net.step();  // tag 0 fires (both initial tokens present)
   EXPECT_EQ(net.stats(shell).firings, 1u);
   // Feed only a: tags 1 and 2 need just a, so the shell runs ahead.
-  net.wire(wa).drive(Token::make(101));
+  drive(net.wire(wa), Token::make(101));
   net.step();
-  net.wire(wa).drive(Token::make(102));
+  drive(net.wire(wa), Token::make(102));
   net.step();
-  net.wire(wa).drive(Token::tau());
+  drive(net.wire(wa), Token::tau());
   EXPECT_EQ(net.stats(shell).firings, 3u);
   // Tag 3 is a phase-0 firing again: b required, shell must stall.
-  net.wire(wa).drive(Token::make(103));
+  drive(net.wire(wa), Token::make(103));
   net.step();
-  net.wire(wa).drive(Token::tau());
+  drive(net.wire(wa), Token::tau());
   net.step();
   EXPECT_EQ(net.stats(shell).firings, 3u);
   // The stale b tokens (tags 1, 2) arrive late and must be discarded; the
   // tag-3 token unblocks the firing.
   for (Word v : {201, 202, 203}) {
-    net.wire(wb).drive(Token::make(v));
+    drive(net.wire(wb), Token::make(v));
     net.step();
   }
-  net.wire(wb).drive(Token::tau());
+  drive(net.wire(wb), Token::tau());
   EXPECT_EQ(net.stats(shell).firings, 4u);
   EXPECT_EQ(net.stats(shell).discarded_tokens, 2u);
 }
@@ -218,8 +221,8 @@ TEST(Shell, StrictModeNeverDiscards) {
   net.connect_input(shell, 1, wb, 0);
   net.add_output_wire(shell, 0, wo);
   for (int i = 1; i <= 10; ++i) {
-    net.wire(wa).drive(Token::make(static_cast<Word>(i)));
-    net.wire(wb).drive(Token::make(static_cast<Word>(100 + i)));
+    drive(net.wire(wa), Token::make(static_cast<Word>(i)));
+    drive(net.wire(wb), Token::make(static_cast<Word>(100 + i)));
     net.step();
   }
   EXPECT_EQ(net.stats(shell).discarded_tokens, 0u);
@@ -255,10 +258,10 @@ TEST(Shell, FanOutWaitsForAllBranches) {
 
   net.wire(w2).stop = true;
   net.step();  // fires tag 0
-  net.wire(wa).drive(Token::make(8));
+  drive(net.wire(wa), Token::make(8));
   net.wire(w2).stop = true;
   net.step();  // w1 delivered, w2 held: no second firing
-  net.wire(wa).drive(Token::tau());
+  drive(net.wire(wa), Token::tau());
   EXPECT_EQ(net.stats(shell).firings, 1u);
   net.wire(w2).stop = true;
   net.step();  // branch w1 now drives τ, w2 still re-drives the held token
@@ -281,7 +284,7 @@ TEST(Shell, FireObserverSeesTagsInOrder) {
   net.set_fire_observer(
       shell, [&tags](Cycle, Tag tag, const Word*) { tags.push_back(tag); });
   for (int i = 1; i <= 5; ++i) {
-    net.wire(wa).drive(Token::make(static_cast<Word>(i)));
+    drive(net.wire(wa), Token::make(static_cast<Word>(i)));
     net.step();
   }
   EXPECT_EQ(tags, (std::vector<Tag>{0, 1, 2, 3, 4}));
@@ -289,8 +292,9 @@ TEST(Shell, FireObserverSeesTagsInOrder) {
 }
 
 TEST(Network, CountsFiringsAndHalts) {
-  // The shell commits feed the run loop's two counters: the firing total
-  // and the number of halted shells.
+  // The shell commits feed the run loop's two counters: the number of
+  // halted shells ends a run, and a firing total that stands still trips
+  // the watchdog.
   Network net;
   const WireId w = net.make_wire("w");
   const ShellId src = net.add_shell(
@@ -301,9 +305,12 @@ TEST(Network, CountsFiringsAndHalts) {
   net.connect_input(sink, 0, w, 0);
 
   EXPECT_EQ(net.run(100, 1), 3u);  // the source halts after 3 firings
-  EXPECT_EQ(net.halted_shells(), 1u);
-  EXPECT_EQ(net.firings(), net.stats(src).firings + net.stats(sink).firings);
+  EXPECT_TRUE(net.halted(src));
+  EXPECT_FALSE(net.halted(sink));
   EXPECT_EQ(net.run(100, 1), 0u);  // already satisfied: no step
+  // The sink never halts, and once it has taken the source's tokens
+  // nothing fires again.
+  EXPECT_THROW(net.run(10 * Network::kDeadlockWindow, 2), ContractViolation);
 }
 
 TEST(Shell, RejectsBadConfiguration) {
@@ -316,9 +323,9 @@ TEST(Shell, RejectsBadConfiguration) {
   ShellOptions huge = wp1();
   huge.fifo_capacity = kMaxFifoCapacity + 1;
   EXPECT_THROW(net.add_shell("s", make(), huge), ContractViolation);
-  EXPECT_EQ(net.shell_count(), 0u);  // a refused shell leaves no entry
   huge.fifo_capacity = kMaxFifoCapacity;
-  EXPECT_NO_THROW(net.add_shell("big", make(), huge));
+  // A refused shell leaves no entry: the first accepted one gets id 0.
+  EXPECT_EQ(net.add_shell("big", make(), huge), 0u);
 
   const WireId w = net.make_wire("w");
   const ShellId s = net.add_shell("s", make(), wp1());
@@ -360,12 +367,13 @@ TEST(Shell, RejectsMoreInputsThanTheMaskHolds) {
   Network net;
   EXPECT_THROW(net.add_shell("s", std::make_unique<WideProcess>(33), wp1()),
                ContractViolation);
-  EXPECT_EQ(net.shell_count(), 0u);
 
-  // 32 inputs use every bit of the mask, the top one included.
+  // 32 inputs use every bit of the mask, the top one included. The refused
+  // shell left no entry, so this one gets id 0.
   const WireId out = net.make_wire("o");
   const ShellId shell = net.add_shell(
       "s", std::make_unique<WideProcess>(32), wp2());
+  EXPECT_EQ(shell, 0u);
   std::vector<WireId> in;
   for (std::size_t i = 0; i < 32; ++i) {
     in.push_back(net.make_wire("in" + std::to_string(i)));
@@ -379,11 +387,11 @@ TEST(Shell, RejectsMoreInputsThanTheMaskHolds) {
   EXPECT_EQ(net.wire(out).value, Word{32 * 33 / 2});
   net.step();  // tag 1 waits for the top input, like every other one
   EXPECT_EQ(net.stats(shell).firings, 1u);
-  for (std::size_t i = 0; i < 31; ++i) net.wire(in[i]).drive(Token::make(1));
+  for (std::size_t i = 0; i < 31; ++i) drive(net.wire(in[i]), Token::make(1));
   net.step();
-  for (std::size_t i = 0; i < 31; ++i) net.wire(in[i]).drive(Token::tau());
+  for (std::size_t i = 0; i < 31; ++i) drive(net.wire(in[i]), Token::tau());
   EXPECT_EQ(net.stats(shell).firings, 1u);
-  net.wire(in[31]).drive(Token::make(1));
+  drive(net.wire(in[31]), Token::make(1));
   net.step();
   EXPECT_EQ(net.stats(shell).firings, 2u);
 }

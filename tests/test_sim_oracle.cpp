@@ -18,6 +18,7 @@
 #include "proc/experiment.hpp"
 #include "sim/netlist_sim.hpp"
 #include "sim/oracle.hpp"
+#include "testkit/graphs.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wp::sim {
@@ -291,7 +292,7 @@ ExperimentRow reference_run_experiment(const ProgramSpec& program,
     auto it = config.rs.find(g.edge(e).label);
     if (it != config.rs.end()) g.edge(e).relay_stations = it->second;
   }
-  row.static_wp1 = wp::graph::min_cycle_ratio_exhaustive(g).ratio;
+  row.static_wp1 = testkit::min_cycle_ratio_exhaustive(g).ratio;
   return row;
 }
 

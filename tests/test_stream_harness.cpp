@@ -318,7 +318,8 @@ TEST(StreamWire, RequestRoundTripPreservesEveryField) {
   const eval::EvalRequest request{wire_job()};
   wire::Writer w;
   request.encode(w);
-  wire::Reader r(w.bytes().data(), w.size());
+  const std::string bytes = w.take();
+  wire::Reader r(bytes);
   const eval::EvalRequest decoded = eval::EvalRequest::decode(r);
 
   ASSERT_EQ(decoded.kind, eval::RequestKind::kStreamRun);
@@ -334,7 +335,7 @@ TEST(StreamWire, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(decoded.stream.fifo_capacity, request.stream.fifo_capacity);
   wire::Writer again;
   decoded.encode(again);
-  EXPECT_EQ(again.bytes(), w.bytes());
+  EXPECT_EQ(again.take(), bytes);
 }
 
 TEST(StreamWire, ReplyRoundTripAndEqualityIgnoreWallClock) {
@@ -352,7 +353,8 @@ TEST(StreamWire, ReplyRoundTripAndEqualityIgnoreWallClock) {
 
   wire::Writer w;
   reply.encode(w);
-  wire::Reader r(w.bytes().data(), w.size());
+  const std::string bytes = w.take();
+  wire::Reader r(bytes);
   const eval::EvalReply decoded = eval::EvalReply::decode(r);
   ASSERT_EQ(decoded.kind, eval::ReplyKind::kStream);
   EXPECT_TRUE(decoded.stream == reply.stream);

@@ -241,7 +241,7 @@ TEST(FrameCodec, UnknownErrorCodeIsRejected) {
   wire::Writer w;
   w.u32(99);
   w.str("m");
-  EXPECT_THROW(decode_payload<eval::EvalError>(w.bytes()), wire::WireError);
+  EXPECT_THROW(decode_payload<eval::EvalError>(w.take()), wire::WireError);
 }
 
 // ------------------------------------------------------- server fixture
@@ -687,7 +687,7 @@ TEST(EvalClient, UnknownErrorCodeIsAMalformedFrame) {
       wire::Writer w;
       w.u32(99);
       w.str("m");
-      write_frame(fd, FrameType::kError, w.bytes());
+      write_frame(fd, FrameType::kError, w.take());
     } catch (const ProtocolError&) {
     }
     ::close(fd);

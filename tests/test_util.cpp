@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "testkit/rng.hpp"
 #include "util/assert.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
@@ -14,6 +15,8 @@
 
 namespace wp {
 namespace {
+
+using testkit::range;
 
 // --------------------------------------------------------------------- Rng
 
@@ -50,7 +53,7 @@ TEST(Rng, RangeInclusive) {
   Rng rng(11);
   std::set<std::int64_t> seen;
   for (int i = 0; i < 500; ++i) {
-    const auto v = rng.range(-2, 2);
+    const auto v = range(rng, -2, 2);
     EXPECT_GE(v, -2);
     EXPECT_LE(v, 2);
     seen.insert(v);
@@ -87,7 +90,7 @@ TEST(Rng, ChanceFrequency) {
 
 TEST(Rng, SplitDecorrelates) {
   Rng a(23);
-  Rng b = a.split();
+  Rng b = testkit::split(a);
   int equal = 0;
   for (int i = 0; i < 64; ++i) equal += (a() == b());
   EXPECT_LT(equal, 4);
@@ -111,7 +114,6 @@ TEST(Stats, MeanAndVariance) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(Stats, EmptyThrows) {
@@ -159,7 +161,6 @@ TEST(Stats, SingleSampleSummary) {
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
   EXPECT_DOUBLE_EQ(s.min(), 3.5);
   EXPECT_DOUBLE_EQ(s.max(), 3.5);
-  EXPECT_DOUBLE_EQ(s.sum(), 3.5);
 }
 
 // ----------------------------------------------------------------- Strings
@@ -215,7 +216,7 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(s.find("Config"), std::string::npos);
   EXPECT_NE(s.find("Matrix Multiply"), std::string::npos);
   EXPECT_NE(s.find("1559"), std::string::npos);
-  EXPECT_EQ(t.rows(), 3u);
+  EXPECT_NE(s.find("4703"), std::string::npos);
 }
 
 TEST(Table, RowWidthChecked) {
@@ -237,7 +238,6 @@ TEST(Csv, PlainRow) {
   CsvWriter w(os);
   w.row({"a", "b", "c"});
   EXPECT_EQ(os.str(), "a,b,c\n");
-  EXPECT_EQ(w.rows_written(), 1u);
 }
 
 TEST(Csv, QuotesSpecials) {
@@ -275,7 +275,8 @@ TEST(Assert, CarriesLocationAndKind) {
     WP_REQUIRE(1 == 2, "impossible");
     FAIL() << "should have thrown";
   } catch (const ContractViolation& e) {
-    EXPECT_STREQ(e.kind(), "precondition");
+    EXPECT_EQ(std::string(e.what()).rfind("precondition failed: (1 == 2)", 0),
+              0u);
     EXPECT_NE(std::string(e.what()).find("impossible"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("test_util.cpp"),
               std::string::npos);

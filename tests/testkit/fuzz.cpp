@@ -1,12 +1,15 @@
-#include "proc/fuzz.hpp"
+#include "testkit/fuzz.hpp"
 
 #include <sstream>
 
+#include "testkit/rng.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
-namespace wp::proc {
+namespace wp::testkit {
+
+using proc::ProgramSpec;
 
 namespace {
 
@@ -86,7 +89,7 @@ class Generator {
         break;
       case 7:
         emit(format("addi r%d, r%d, %d", reg(), reg(),
-                    static_cast<int>(rng_.range(-16, 16))));
+                    static_cast<int>(range(rng_, -16, 16))));
         break;
       case 8:
         emit(format("ld r%d, %d(r0)", reg(), addr()));
@@ -99,19 +102,19 @@ class Generator {
 
   void emit_straight_block() {
     const int ops = static_cast<int>(
-        rng_.range(config_.min_block_ops, config_.max_block_ops));
+        range(rng_, config_.min_block_ops, config_.max_block_ops));
     for (int i = 0; i < ops; ++i) emit_random_op();
   }
 
   void emit_counted_loop(int block) {
     const int trips = static_cast<int>(
-        rng_.range(1, config_.loop_trip_max));
+        range(rng_, 1, config_.loop_trip_max));
     const std::string head = "loop" + std::to_string(block);
     emit("li r13, 0");
     emit(format("li r14, %d", trips));
     emit_label(head);
     const int ops = static_cast<int>(
-        rng_.range(config_.min_block_ops, config_.max_block_ops));
+        range(rng_, config_.min_block_ops, config_.max_block_ops));
     for (int i = 0; i < ops; ++i) emit_random_op();
     emit("addi r13, r13, 1");
     emit("cmp r13, r14");
@@ -148,4 +151,4 @@ ProgramSpec random_program(const RandomProgramConfig& config) {
   return spec;
 }
 
-}  // namespace wp::proc
+}  // namespace wp::testkit

@@ -8,7 +8,7 @@
 
 #include "proc/programs.hpp"
 
-namespace wp::proc {
+namespace wp::testkit {
 
 struct RandomProgramConfig {
   std::uint64_t seed = 1;
@@ -24,6 +24,6 @@ struct RandomProgramConfig {
 /// Generates a random terminating program. The returned spec's verify()
 /// accepts anything — the property tests compare the final memory of the
 /// WP runs against the golden run directly (plus trace equivalence).
-ProgramSpec random_program(const RandomProgramConfig& config);
+proc::ProgramSpec random_program(const RandomProgramConfig& config);
 
-}  // namespace wp::proc
+}  // namespace wp::testkit
