@@ -3,8 +3,8 @@
 // (generate -> dress -> throughput-aware annealed floorplan -> placement
 // RS demand -> min-cycle-ratio throughput -> golden/WP1/WP2 simulation of
 // the generated netlist via the simulation oracle). The same ensemble runs
-// sequentially and on the thread pool; any bitwise divergence is a
-// determinism bug and fails the run.
+// on a one-worker pool and on a four-worker pool; any bitwise divergence
+// is a determinism bug and fails the run.
 //
 // The default family set includes the 128-node scale-free family the fast
 // packing engine unlocked, riding on FamilySpec::anneal_iterations (a
@@ -146,19 +146,21 @@ ScaleSection run_scale_section() {
   return section;
 }
 
-/// Runs one config sequentially and pooled, prints the family table, writes
+/// Runs one config on one worker and on four, prints the family table, writes
 /// the CSVs and the JSON artifact, and returns whether the two runs were
 /// bit-identical.
 bool run_and_report(const wp::gen::EnsembleConfig& config,
                     const std::string& prefix, const std::string& json_path,
                     const ScaleSection& scale) {
   using namespace wp;
+  ThreadPool one(1);
   const auto sequential_start = Clock::now();
-  const gen::EnsembleReport sequential = gen::run_ensemble_sequential(config);
+  const gen::EnsembleReport sequential = gen::run_ensemble(config, &one);
   const double sequential_s = seconds_since(sequential_start);
 
+  ThreadPool four(4);
   const auto parallel_start = Clock::now();
-  const gen::EnsembleReport parallel = gen::run_ensemble(config);
+  const gen::EnsembleReport parallel = gen::run_ensemble(config, &four);
   const double parallel_s = seconds_since(parallel_start);
 
   const bool identical = sequential.samples == parallel.samples;

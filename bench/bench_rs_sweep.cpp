@@ -4,8 +4,8 @@
 //
 // Every sweep point is an independent WP1/WP2 simulation pair against the
 // shared cached golden (simulation oracle: the golden runs once per
-// program, no matter how many points or workers), fanned out over the
-// thread pool (ParallelSweep) with rows in deterministic input order.
+// program, no matter how many points or workers), fanned out with
+// ThreadPool::parallel_for into input-order rows.
 //
 // Exits 1 when a row breaks the claim: WP2 below WP1 at a point, WP1
 // rising with n on a connection, or WP1 off the static m/(m+n) bound by
@@ -32,9 +32,7 @@ int main() {
         wp::sim::SimOracle::shared().stats();
     wp::TextTable table({"connection", "n", "Th WP1", "Th WP2", "gain",
                          "static"});
-    table.add_section("RS depth sweep — " + program.name + " (" +
-                      std::to_string(wp::ThreadPool::shared().size()) +
-                      " workers)");
+    table.add_section("RS depth sweep — " + program.name);
     table.add_separator();
 
     std::vector<RsConfig> configs;
@@ -44,8 +42,11 @@ int main() {
         configs.push_back({conn + " x" + std::to_string(n), {{conn, n}}});
     }
 
-    const ParallelSweep sweep(program, cpu, options);
-    const std::vector<ExperimentRow> rows = sweep.run(configs);
+    std::vector<ExperimentRow> rows(configs.size());
+    wp::ThreadPool::shared().parallel_for(0, configs.size(),
+                                          [&](std::size_t i) {
+      rows[i] = run_experiment(program, cpu, configs[i], options);
+    });
 
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const ExperimentRow& row = rows[i];

@@ -1,14 +1,17 @@
 // Parallel exploration engine tour: the same 8-restart throughput-driven
-// annealing job run (a) sequentially and (b) on the thread pool, with a
-// bit-identical-result check and the wall-clock speedup, followed by a
-// relay-station sweep fanned out over the pool with its per-point critical
-// loops. Exits non-zero if the parallel best diverges from the sequential
-// best — this example doubles as the determinism smoke test.
+// annealing job run (a) sequentially and (b) fanned out with
+// ThreadPool::parallel_for, with a bit-identical-result check and the
+// wall-clock speedup, followed by a relay-station sweep fanned out the
+// same way with its per-point critical loops. Exits non-zero if the
+// pooled best diverges from the sequential best — this example doubles as
+// the determinism smoke test.
 #include <chrono>
 #include <iostream>
+#include <vector>
 
 #include "floorplan/annealer.hpp"
 #include "floorplan/instances.hpp"
+#include "graph/throughput.hpp"
 #include "graph/throughput_engine.hpp"
 #include "proc/cpu.hpp"
 #include "proc/experiment.hpp"
@@ -34,6 +37,18 @@ bool same_result(const wp::fplan::AnnealResult& a,
          a.placement.x == b.placement.x && a.placement.y == b.placement.y;
 }
 
+/// Restart i of the job: seed base.seed + i, with a private engine (an
+/// engine is stateful, so every concurrent run owns one).
+wp::fplan::AnnealResult run_restart(const wp::fplan::Instance& inst,
+                                    const wp::graph::Digraph& graph,
+                                    wp::fplan::AnnealOptions options,
+                                    std::size_t i) {
+  options.seed += i;
+  wp::graph::ThroughputEngine engine(graph);
+  options.throughput_engine = &engine;
+  return wp::fplan::anneal(inst, options);
+}
+
 }  // namespace
 
 int main() {
@@ -42,17 +57,14 @@ int main() {
   const fplan::Instance cpu = fplan::cpu_instance();
   const graph::Digraph cpu_graph = proc::make_cpu_graph();
 
-  fplan::ParallelAnnealOptions job;
-  job.base.iterations = 20000;
-  job.base.seed = 11;
-  job.base.weight_throughput = 500.0;
-  job.base.delay_model.clock_ps = 350.0;
-  job.restarts = 8;
-  job.engine_factory = [&cpu_graph]() {
-    return std::make_unique<graph::ThroughputEngine>(cpu_graph);
-  };
+  fplan::AnnealOptions base;
+  base.iterations = 20000;
+  base.seed = 11;
+  base.weight_throughput = 500.0;
+  base.delay_model.clock_ps = 350.0;
+  constexpr std::size_t kRestarts = 8;
 
-  std::cout << "Parallel exploration engine — " << job.restarts
+  std::cout << "Parallel exploration engine — " << kRestarts
             << " annealing restarts, " << ThreadPool::shared().size()
             << " pool workers\n\n";
 
@@ -60,20 +72,23 @@ int main() {
   // in seed order (strict improvement, ties to the lowest seed).
   const auto sequential_start = Clock::now();
   fplan::AnnealResult sequential;
-  for (int i = 0; i < job.restarts; ++i) {
-    fplan::AnnealOptions options = job.base;
-    options.seed = job.base.seed + static_cast<std::uint64_t>(i);
-    const auto engine = job.engine_factory();
-    options.throughput_engine = engine.get();
-    fplan::AnnealResult restart = fplan::anneal(cpu, options);
+  for (std::size_t i = 0; i < kRestarts; ++i) {
+    fplan::AnnealResult restart = run_restart(cpu, cpu_graph, base, i);
     if (i == 0 || restart.cost < sequential.cost)
       sequential = std::move(restart);
   }
   const double sequential_s = seconds_since(sequential_start);
 
-  // (b) The same job on the pool.
+  // (b) The same restarts on the pool, reduced in the same seed order.
   const auto parallel_start = Clock::now();
-  const fplan::AnnealResult parallel = fplan::anneal_parallel(cpu, job);
+  std::vector<fplan::AnnealResult> restarts(kRestarts);
+  ThreadPool::shared().parallel_for(0, kRestarts, [&](std::size_t i) {
+    restarts[i] = run_restart(cpu, cpu_graph, base, i);
+  });
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < kRestarts; ++i)
+    if (restarts[i].cost < restarts[best].cost) best = i;
+  const fplan::AnnealResult& parallel = restarts[best];
   const double parallel_s = seconds_since(parallel_start);
 
   TextTable table({"run", "wall (s)", "best cost", "best seed", "area",
@@ -84,7 +99,7 @@ int main() {
                  std::to_string(sequential.seed),
                  fmt_fixed(sequential.area, 2),
                  fmt_fixed(sequential.throughput, 3)});
-  table.add_row({"anneal_parallel", fmt_fixed(parallel_s, 2),
+  table.add_row({"parallel_for x8", fmt_fixed(parallel_s, 2),
                  fmt_fixed(parallel.cost, 4), std::to_string(parallel.seed),
                  fmt_fixed(parallel.area, 2),
                  fmt_fixed(parallel.throughput, 3)});
@@ -108,15 +123,19 @@ int main() {
       sim::SimOracle::shared().stats();
   proc::ExperimentOptions options;
   options.check_equivalence = false;
-  const proc::ParallelSweep sweep(proc::extraction_sort_program(16, 1), {},
-                                  options);
+  const proc::ProgramSpec program = proc::extraction_sort_program(16, 1);
   std::vector<proc::RsConfig> configs;
   for (int n = 0; n <= 4; ++n)
     configs.push_back({"CU-RF x" + std::to_string(n), {{"CU-RF", n}}});
 
   const auto sweep_start = Clock::now();
-  const auto rows = sweep.run(configs);
-  const auto reports = sweep.analyze(configs);
+  std::vector<proc::ExperimentRow> rows(configs.size());
+  std::vector<graph::ThroughputReport> reports(configs.size());
+  ThreadPool::shared().parallel_for(0, configs.size(), [&](std::size_t i) {
+    rows[i] = proc::run_experiment(program, {}, configs[i], options);
+    reports[i] =
+        graph::analyze_throughput(proc::make_cpu_graph_with_rs(configs[i].rs));
+  });
   const double sweep_s = seconds_since(sweep_start);
 
   TextTable sweep_table({"point", "Th WP1", "Th WP2", "critical loop"});

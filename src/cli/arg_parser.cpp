@@ -5,18 +5,11 @@
 #include <sstream>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace wp::cli {
 
 ArgParser::ArgParser(std::string program, std::string description)
-    : program_(std::move(program)), description_(std::move(description)) {
-  // Built-in: every ArgParser binary (benches, both daemons) accepts
-  // --log-level without declaring it; parse() applies it. Empty default =
-  // keep the process threshold (WIREPIPE_LOG or warn).
-  option("--log-level", "trace|debug|info|warn|error|off", "",
-         "override the log threshold for this run");
-}
+    : program_(std::move(program)), description_(std::move(description)) {}
 
 void ArgParser::flag(const std::string& name, const std::string& help) {
   WP_REQUIRE(name.rfind("--", 0) == 0, "flag names start with --");
@@ -85,16 +78,6 @@ bool ArgParser::parse(int argc, char** argv) {
       error_ = "unexpected argument '" + arg + "'";
       return false;
     }
-  }
-  const std::string level_name = get("--log-level");
-  if (!level_name.empty()) {
-    LogLevel level = LogLevel::kWarn;
-    if (!parse_log_level(level_name, level)) {
-      error_ = "--log-level must be one of "
-               "trace|debug|info|warn|error|off, got '" + level_name + "'";
-      return false;
-    }
-    set_log_level(level);
   }
   return true;
 }

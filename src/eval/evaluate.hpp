@@ -9,7 +9,7 @@
 // remaining work. evaluate_batch fans a request vector over a ThreadPool
 // and returns replies in input order. The service daemon serves both; the
 // in-process drivers (proc::run_experiment, proc::optimal_config,
-// proc::ParallelSweep, gen::run_ensemble) do not pass through here.
+// gen::run_ensemble) do not pass through here.
 //
 // The unwrap_* helpers return the payload of a success reply and rethrow
 // an error reply as ContractViolation.

@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wp::fplan {
 
@@ -289,43 +288,6 @@ AnnealResult anneal(const Instance& inst, const AnnealOptions& options) {
       static_cast<std::uint64_t>(best.throughput_evals));
   metrics.run_ns.record(obs::now_ns() - run_start_ns);
   return best;
-}
-
-AnnealResult anneal_parallel(const Instance& inst,
-                             const ParallelAnnealOptions& options) {
-  WP_REQUIRE(options.restarts > 0, "need at least one restart");
-  // A ThroughputEngine is stateful and single-threaded; a pre-set
-  // base.throughput_engine would be shared by every pool worker. Refuse
-  // loudly instead of racing.
-  WP_REQUIRE(options.base.throughput_engine == nullptr ||
-                 static_cast<bool>(options.engine_factory),
-             "base.throughput_engine cannot be shared across restarts — "
-             "provide engine_factory for per-restart engines");
-  ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : ThreadPool::shared();
-
-  const auto restarts = static_cast<std::size_t>(options.restarts);
-  std::vector<AnnealResult> results(restarts);
-  pool.parallel_for(0, restarts, [&](std::size_t i) {
-    AnnealOptions per_restart = options.base;
-    per_restart.seed = options.base.seed + i;
-    std::unique_ptr<graph::ThroughputEngine> engine;
-    if (options.engine_factory) {
-      // A private incremental oracle per restart: the engine's Howard
-      // state and certificate are worker-local.
-      engine = options.engine_factory();
-      per_restart.throughput_engine = engine.get();
-    }
-    results[i] = anneal(inst, per_restart);
-  });
-
-  // Deterministic reduction: scan in seed order, keep strict improvements,
-  // so ties resolve to the lowest seed no matter how the restarts were
-  // scheduled across workers.
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < restarts; ++i)
-    if (results[i].cost < results[best].cost) best = i;
-  return std::move(results[best]);
 }
 
 }  // namespace wp::fplan

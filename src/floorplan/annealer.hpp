@@ -7,16 +7,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "floorplan/model.hpp"
 #include "floorplan/pack_engine.hpp"
 #include "floorplan/sequence_pair.hpp"
 #include "util/rng.hpp"
-
-namespace wp {
-class ThreadPool;
-}
 
 namespace wp::graph {
 class ThroughputEngine;
@@ -47,8 +42,8 @@ struct AnnealOptions {
   /// bit-identical to a fresh min-cycle-ratio solve per demand (the
   /// engine's exact-fallback contract) — and the run records the engine's
   /// path counters in AnnealResult. Engines are stateful and not
-  /// thread-safe: one engine per concurrent run (anneal_parallel builds
-  /// one per restart via ParallelAnnealOptions::engine_factory).
+  /// thread-safe: one engine per concurrent run (multi-seed callers build
+  /// one per seed inside their ThreadPool::parallel_for body).
   graph::ThroughputEngine* throughput_engine = nullptr;
   WireDelayModel delay_model;
 
@@ -113,31 +108,5 @@ struct AnnealResult {
 
 /// Runs the annealer from a random start.
 AnnealResult anneal(const Instance& inst, const AnnealOptions& options);
-
-struct ParallelAnnealOptions {
-  /// Options shared by every restart. Restart i runs with seed
-  /// `base.seed + i`, so the restart set is reproducible from one master
-  /// seed and matches the equivalent sequential best-of loop exactly.
-  AnnealOptions base;
-  int restarts = 8;
-  /// Pool to fan the restarts over; nullptr uses ThreadPool::shared().
-  ThreadPool* pool = nullptr;
-  /// The per-run oracle seam: when set, called once per restart to build
-  /// that restart's private throughput engine (overrides
-  /// base.throughput_engine, which would otherwise be shared across
-  /// workers and is refused). Without it a throughput-driven restart calls
-  /// its copy of base.throughput_fn, so a callable whose copies share
-  /// mutable state races across restarts.
-  /// The engine lives for the duration of the restart; its counters land
-  /// in the restart's AnnealResult.
-  std::function<std::unique_ptr<graph::ThroughputEngine>()> engine_factory;
-};
-
-/// Runs `restarts` independently-seeded annealing restarts on the pool and
-/// returns the best result. Selection is deterministic: strictly lower cost
-/// wins, ties go to the lowest seed — bit-identical to running the restarts
-/// sequentially through anneal() and reducing in seed order.
-AnnealResult anneal_parallel(const Instance& inst,
-                             const ParallelAnnealOptions& options);
 
 }  // namespace wp::fplan

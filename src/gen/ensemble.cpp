@@ -106,16 +106,11 @@ SampleResult run_sample_job(const SampleJob& job,
     // golden/WP1/WP2 triple under the same placement-derived RS demand.
     // The golden run is keyed by the netlist text, so WP1, WP2 and the two
     // equivalence checks share one cached record.
-    sim::NetlistSimOptions sim_options;
-    sim_options.golden_cycles = job.simulate.golden_cycles;
-    sim_options.wp_cycles = job.simulate.wp_cycles;
-    sim_options.fifo_capacity = job.simulate.fifo_capacity;
-    sim_options.check_equivalence = job.simulate.check_equivalence;
     const auto demand = fplan::rs_demand(sys.instance, annealed.placement,
                                          options.delay_model);
     const std::map<std::string, int> rs_map(demand.begin(), demand.end());
     const sim::NetlistSimResult sim_result =
-        sim::simulate_netlist(sys.netlist, rs_map, sim_options, golden_cache);
+        sim::simulate_netlist(sys.netlist, rs_map, job.simulate, golden_cache);
     result.simulated = true;
     result.th_wp1_sim = sim_result.th_wp1;
     result.th_wp2_sim = sim_result.th_wp2;
@@ -172,40 +167,6 @@ std::vector<FamilyStats> aggregate_families(
   }
   return families;
 }
-
-namespace {
-
-EnsembleReport run_jobs(const EnsembleConfig& config, ThreadPool* pool) {
-  const std::vector<SampleJob> jobs = ensemble_jobs(config);
-  EnsembleReport report;
-  report.samples.resize(jobs.size());
-  // One golden cache for the whole run (thread-safe, per-key
-  // once-semantics): every sample's WP1/WP2 pair replays one cached
-  // golden, and repeat netlists across samples are cache hits. The LRU
-  // cap keeps memory flat when the generated netlists are all distinct.
-  // Every sample runs run_sample_job, the same call the evaluation daemon
-  // makes for a remote ensemble-sample request.
-  sim::GoldenCache cache(sim::kMaxCachedGoldens);
-  auto body = [&](std::size_t i) {
-    report.samples[i] = run_sample_job(jobs[i], &cache);
-  };
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) body(i);
-  } else {
-    pool->parallel_for(0, jobs.size(), body);
-  }
-  const sim::GoldenCache::Stats cache_stats = cache.stats();
-  report.sim_golden_runs = cache_stats.golden_runs;
-  report.sim_cache_hits = cache_stats.hits;
-  for (const SampleResult& s : report.samples) {
-    report.engine_incremental += s.engine_incremental;
-    report.engine_fallbacks += s.engine_fallbacks;
-  }
-  report.families = aggregate_families(config, report.samples);
-  return report;
-}
-
-}  // namespace
 
 std::vector<FamilySpec> scale_family_specs() {
   // Horizons from a per-family diameter estimate: the golden run must let
@@ -284,7 +245,7 @@ std::vector<SampleJob> ensemble_jobs(const EnsembleConfig& config) {
 
 bool SampleResult::operator==(const SampleResult& other) const {
   // anneal_ms/throughput_ms are wall-clock and intentionally absent: the
-  // sequential vs pooled determinism check compares results, not timings.
+  // one-worker vs pooled determinism check compares results, not timings.
   // The engine counters ARE compared — path selection inside the
   // throughput engine must be deterministic.
   return family == other.family && sample == other.sample &&
@@ -298,11 +259,29 @@ bool SampleResult::operator==(const SampleResult& other) const {
 }
 
 EnsembleReport run_ensemble(const EnsembleConfig& config, ThreadPool* pool) {
-  return run_jobs(config, pool == nullptr ? &ThreadPool::shared() : pool);
-}
-
-EnsembleReport run_ensemble_sequential(const EnsembleConfig& config) {
-  return run_jobs(config, nullptr);
+  const std::vector<SampleJob> jobs = ensemble_jobs(config);
+  EnsembleReport report;
+  report.samples.resize(jobs.size());
+  // One golden cache for the whole run (thread-safe, per-key
+  // once-semantics): every sample's WP1/WP2 pair replays one cached
+  // golden, and repeat netlists across samples are cache hits. The LRU
+  // cap keeps memory flat when the generated netlists are all distinct.
+  // Every sample runs run_sample_job, the same call the evaluation daemon
+  // makes for a remote ensemble-sample request.
+  sim::GoldenCache cache(sim::kMaxCachedGoldens);
+  ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::shared();
+  workers.parallel_for(0, jobs.size(), [&](std::size_t i) {
+    report.samples[i] = run_sample_job(jobs[i], &cache);
+  });
+  const sim::GoldenCache::Stats cache_stats = cache.stats();
+  report.sim_golden_runs = cache_stats.golden_runs;
+  report.sim_cache_hits = cache_stats.hits;
+  for (const SampleResult& s : report.samples) {
+    report.engine_incremental += s.engine_incremental;
+    report.engine_fallbacks += s.engine_fallbacks;
+  }
+  report.families = aggregate_families(config, report.samples);
+  return report;
 }
 
 void write_samples_csv(const EnsembleReport& report, std::ostream& os) {

@@ -6,14 +6,14 @@
 // statistics and writes tidy CSV. Opt-in (EnsembleSimOptions): simulate
 // each sample's generated netlist as a golden/WP1/WP2 triple against one
 // golden cache per run, so rows carry *simulated* throughput next to the
-// static m/(m+n) bound. The runners call run_sample_job directly, the same
-// call the evaluation daemon makes for a remote sample.
+// static m/(m+n) bound. run_ensemble calls run_sample_job directly, the
+// same call the evaluation daemon makes for a remote sample.
 //
 // Determinism contract: every sample owns an Rng derived arithmetically
 // from (ensemble seed, family name, sample index) and a private
 // graph::ThroughputEngine (the incremental min-cycle-ratio oracle), so the
 // pooled run writes results into input-order slots and is bit-identical to
-// the sequential run under the same config (checked by test_gen and by
+// a one-worker run under the same config (checked by test_gen and by
 // bench_ensembles on every invocation).
 #pragma once
 
@@ -26,12 +26,10 @@
 #include "floorplan/annealer.hpp"
 #include "gen/instances.hpp"
 #include "gen/topologies.hpp"
+#include "sim/netlist_sim.hpp"
 
 namespace wp {
 class ThreadPool;
-}
-namespace wp::sim {
-class GoldenCache;
 }
 
 namespace wp::gen {
@@ -61,12 +59,8 @@ struct FamilySpec {
 /// randommoore netlist through a golden/WP1/WP2 triple (sim::simulate_
 /// netlist, golden cached per netlist) under the placement-derived RS
 /// demand, landing th_wp1_sim/th_wp2_sim next to the static bound.
-struct EnsembleSimOptions {
+struct EnsembleSimOptions : sim::NetlistSimOptions {
   bool enabled = false;
-  std::uint64_t golden_cycles = 256;  ///< golden horizon (τ-trace length)
-  std::uint64_t wp_cycles = 1536;     ///< WP1/WP2 horizon
-  std::size_t fifo_capacity = 16;
-  bool check_equivalence = true;      ///< τ-filtered check vs cached golden
 };
 
 struct EnsembleConfig {
@@ -110,14 +104,14 @@ struct SampleResult {
   /// ThroughputEngine counters over the whole sample (anneal moves + final
   /// scoring query). Deterministic — the demand stream is seed-derived and
   /// the engine's control flow is pure — so they participate in the
-  /// sequential≡pooled comparison, which then also guards the engine's
+  /// one-worker≡pooled comparison, which then also guards the engine's
   /// path selection against nondeterminism.
   std::uint64_t engine_incremental = 0;
   std::uint64_t engine_fallbacks = 0;
   /// Wall-clock of this sample's anneal (and the slice of it spent inside
   /// the throughput oracle), for the CSV artifact. Deliberately excluded
   /// from operator== — timing is noisy and must not fail the
-  /// sequential≡pooled determinism check.
+  /// one-worker≡pooled determinism check.
   double anneal_ms = 0.0;
   double throughput_ms = 0.0;
 
@@ -226,9 +220,6 @@ std::vector<FamilyStats> aggregate_families(
 /// own exception.
 EnsembleReport run_ensemble(const EnsembleConfig& config,
                             ThreadPool* pool = nullptr);
-
-/// The plain-loop reference: bit-identical results to run_ensemble().
-EnsembleReport run_ensemble_sequential(const EnsembleConfig& config);
 
 /// Tidy CSV, one row per sample / per family (with header row).
 void write_samples_csv(const EnsembleReport& report, std::ostream& os);

@@ -76,7 +76,7 @@
 // configured COPY (the current counts live in the flat latencies).
 //
 // Not thread-safe: one engine per worker (annealer restarts and ensemble
-// samples each own one; anneal_parallel takes an engine factory).
+// samples each build their own inside the parallel_for body).
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,13 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
 
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 
 namespace wp::obs {
 
@@ -36,11 +36,6 @@ std::vector<TraceEvent> TraceRing::events() const {
   for (std::size_t i = 0; i < held; ++i)
     out.push_back(ring_[(start + i) % capacity]);
   return out;
-}
-
-std::uint64_t TraceRing::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pushed_ <= ring_.size() ? 0 : pushed_ - ring_.size();
 }
 
 // ----------------------------------------------------------------- Tracer
@@ -140,30 +135,6 @@ void Tracer::export_chrome_trace(std::ostream& os) const {
   os << "\n";
 }
 
-std::size_t Tracer::event_count() const {
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    rings = rings_;
-  }
-  std::size_t total = 0;
-  for (const std::shared_ptr<TraceRing>& ring : rings)
-    total += ring->events().size();
-  return total;
-}
-
-std::uint64_t Tracer::dropped_count() const {
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    rings = rings_;
-  }
-  std::uint64_t total = 0;
-  for (const std::shared_ptr<TraceRing>& ring : rings)
-    total += ring->dropped();
-  return total;
-}
-
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   rings_.clear();
@@ -181,16 +152,11 @@ void write_trace_at_exit() {
   tracer.disable();
   std::ofstream file(g_trace_path);
   if (!file) {
-    WP_LOG(kError) << "WIREPIPE_TRACE: cannot write " << g_trace_path;
+    std::fprintf(stderr, "[ERROR] WIREPIPE_TRACE: cannot write %s\n",
+                 g_trace_path.c_str());
     return;
   }
   tracer.export_chrome_trace(file);
-  WP_LOG(kInfo) << "WIREPIPE_TRACE: wrote " << tracer.event_count()
-                << " spans to " << g_trace_path
-                << (tracer.dropped_count() != 0
-                        ? " (" + std::to_string(tracer.dropped_count()) +
-                              " dropped by ring wraparound)"
-                        : "");
 }
 
 struct TraceEnvInit {

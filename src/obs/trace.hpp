@@ -16,8 +16,8 @@
 // paths carry literally zero tracing code in that configuration.
 //
 // Events land in fixed-capacity per-thread ring buffers (wraparound
-// overwrites the oldest event and bumps a dropped counter — tracing never
-// blocks or allocates on the record path after a thread's first span).
+// overwrites the oldest event — tracing never blocks or allocates on the
+// record path after a thread's first span).
 // export_chrome_trace() renders every thread's ring as chrome://tracing /
 // Perfetto JSON ("traceEvents" with ph:"X" complete events).
 //
@@ -57,9 +57,8 @@ class TraceRing {
   void push(const TraceEvent& event);
 
   std::uint32_t thread_index() const { return thread_index_; }
-  /// Events in record order (oldest first) plus the overwrite count.
+  /// Events in record order (oldest first).
   std::vector<TraceEvent> events() const;
-  std::uint64_t dropped() const;
 
  private:
   const std::uint32_t thread_index_;
@@ -94,11 +93,6 @@ class Tracer {
   /// tracing continues (per-ring locks); pair with disable() for a stable
   /// snapshot.
   void export_chrome_trace(std::ostream& os) const;
-
-  /// Total events currently held across rings, and events lost to
-  /// wraparound — the wraparound tests' observables.
-  std::size_t event_count() const;
-  std::uint64_t dropped_count() const;
 
   /// Drops every ring (threads re-register on their next span).
   void clear();

@@ -36,8 +36,8 @@ wp::graph::Digraph make_cpu_graph();
 
 /// make_cpu_graph() with a per-connection relay-station map applied
 /// (missing names keep zero). The single source of truth for turning a
-/// Table-1 RS configuration into the static-analysis graph — shared by the
-/// simulation oracle's m/(m+n) column and ParallelSweep::analyze.
+/// Table-1 RS configuration into the static-analysis graph, behind the
+/// simulation oracle's m/(m+n) column.
 wp::graph::Digraph make_cpu_graph_with_rs(
     const std::map<std::string, int>& rs);
 

@@ -4,7 +4,6 @@
 
 #include "graph/optimize.hpp"
 #include "sim/oracle.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wp::proc {
 
@@ -69,33 +68,6 @@ RsConfig optimal_config(const std::string& label, const ProgramSpec& program,
         return oracle.wp2_throughput(program, cpu, assignment);
       });
   return {label, result.assignment};
-}
-
-ParallelSweep::ParallelSweep(ProgramSpec program, CpuConfig cpu,
-                             ExperimentOptions options)
-    : program_(std::move(program)), cpu_(cpu), options_(options) {}
-
-std::vector<ExperimentRow> ParallelSweep::run(
-    const std::vector<RsConfig>& configs, ThreadPool* pool) const {
-  ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::shared();
-  sim::SimOracle& oracle =
-      oracle_ != nullptr ? *oracle_ : sim::SimOracle::shared();
-  std::vector<ExperimentRow> rows(configs.size());
-  workers.parallel_for(0, configs.size(), [&](std::size_t i) {
-    rows[i] = oracle.run_experiment(program_, cpu_, configs[i], options_);
-  });
-  return rows;
-}
-
-std::vector<wp::graph::ThroughputReport> ParallelSweep::analyze(
-    const std::vector<RsConfig>& configs, ThreadPool* pool) const {
-  ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::shared();
-  std::vector<wp::graph::ThroughputReport> reports(configs.size());
-  workers.parallel_for(0, configs.size(), [&](std::size_t i) {
-    reports[i] =
-        wp::graph::analyze_throughput(make_cpu_graph_with_rs(configs[i].rs));
-  });
-  return reports;
 }
 
 }  // namespace wp::proc

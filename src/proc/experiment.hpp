@@ -17,16 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "graph/throughput.hpp"
 #include "proc/cpu.hpp"
 #include "proc/programs.hpp"
-
-namespace wp {
-class ThreadPool;
-}
-namespace wp::sim {
-class SimOracle;
-}
 
 namespace wp::proc {
 
@@ -82,39 +74,5 @@ RsConfig optimal_config(const std::string& label, const ProgramSpec& program,
                         const std::map<std::string, int>& demand,
                         const std::map<std::string, int>& relieved,
                         int budget);
-
-/// Parallel sweep runner: fans relay-station sweep points out over a
-/// thread pool — each point a full golden/WP1/WP2 simulation triple — and
-/// collects the rows in input order, so a parallel sweep prints exactly
-/// like its sequential equivalent. Every worker builds its own simulator
-/// instances; the shared program/CPU spec is only read.
-class ParallelSweep {
- public:
-  ParallelSweep(ProgramSpec program, CpuConfig cpu,
-                ExperimentOptions options = {});
-
-  /// Evaluates against `oracle` instead of the process-wide shared one
-  /// (tests isolate cache statistics this way). The oracle's per-key
-  /// once-semantics make the pooled sweep run the golden exactly once even
-  /// when every worker asks for it simultaneously.
-  void set_oracle(sim::SimOracle* oracle) { oracle_ = oracle; }
-
-  /// Runs run_experiment for every configuration. nullptr pool uses
-  /// ThreadPool::shared().
-  std::vector<ExperimentRow> run(const std::vector<RsConfig>& configs,
-                                 ThreadPool* pool = nullptr) const;
-
-  /// Static loop-inventory report per configuration (no simulation): the
-  /// per-point ThroughputReport of the CPU graph under each RS map.
-  std::vector<graph::ThroughputReport> analyze(
-      const std::vector<RsConfig>& configs,
-      ThreadPool* pool = nullptr) const;
-
- private:
-  ProgramSpec program_;
-  CpuConfig cpu_;
-  ExperimentOptions options_;
-  sim::SimOracle* oracle_ = nullptr;  ///< nullptr → SimOracle::shared()
-};
 
 }  // namespace wp::proc

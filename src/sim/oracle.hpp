@@ -3,7 +3,7 @@
 //
 // The pre-oracle pipeline re-simulated the golden reference for every
 // evaluation: each Table-1 row, each of the ~100 candidates the exhaustive
-// RS optimizer scores, each ParallelSweep point. All of those share the
+// RS optimizer scores, each relay-station sweep point. All of those share the
 // same golden run — it depends only on (program, cpu, horizon), never on
 // the relay-station configuration under test. The oracle keys a
 // GoldenCache on exactly that triple: the first evaluation simulates the

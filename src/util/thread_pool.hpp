@@ -1,11 +1,12 @@
 // Fixed-size thread pool for the exploration engine.
 //
-// The annealer's parallel restarts and the relay-station sweeps both need a
-// simple fan-out primitive: a fixed set of workers, FIFO task dispatch,
-// future-based results and loud exception propagation. No work stealing, no
-// priorities — exploration workloads are coarse (one task = one
-// annealing restart or one simulated sweep point), so a single shared queue
-// is never the bottleneck.
+// parallel_for is the library's one in-process fan-out primitive: multi-seed
+// anneals, relay-station sweeps, ensemble samples and evaluation batches
+// all call it directly, each body writing its own input-order slot. A
+// fixed set of workers, FIFO task dispatch, future-based results and loud
+// exception propagation; no work stealing, no priorities — exploration
+// workloads are coarse (one task = one annealing restart or one simulated
+// sweep point), so a single shared queue is never the bottleneck.
 #pragma once
 
 #include <condition_variable>

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cli/arg_parser.hpp"
-#include "util/log.hpp"
 
 namespace wp::cli {
 namespace {
@@ -87,24 +86,6 @@ TEST(ArgParser, RejectsPositionalWhenNoneDeclared) {
   parser.flag("--verbose", "say more");
   Argv argv({"tool", "stray"});
   EXPECT_FALSE(parser.parse(argv.argc(), argv.argv()));
-}
-
-TEST(ArgParser, LogLevelIsBuiltInAndAppliesOnParse) {
-  const LogLevel before = log_level();
-  ArgParser parser("tool", "no explicit log option");
-  Argv argv({"tool", "--log-level", "debug"});
-  ASSERT_TRUE(parser.parse(argv.argc(), argv.argv())) << parser.error();
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  set_log_level(before);
-}
-
-TEST(ArgParser, RejectsBogusLogLevel) {
-  const LogLevel before = log_level();
-  ArgParser parser("tool", "no explicit log option");
-  Argv argv({"tool", "--log-level", "loud"});
-  EXPECT_FALSE(parser.parse(argv.argc(), argv.argv()));
-  EXPECT_NE(parser.error().find("loud"), std::string::npos);
-  EXPECT_EQ(log_level(), before);  // an invalid level changes nothing
 }
 
 TEST(ArgParser, UsageNamesEveryDeclaredArgument) {

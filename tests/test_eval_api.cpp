@@ -7,8 +7,7 @@
 // across every pair of kinds, a decode that throws after the kind tag,
 // `kind` not assignable), the evaluator guarantee (evaluate()'s
 // experiment, throughput and ensemble-sample replies on generator refs are
-// bit-identical to direct SimOracle / run_sample_job calls, and
-// proc::ParallelSweep rows to sequential oracle runs), and error
+// bit-identical to direct SimOracle / run_sample_job calls), and error
 // containment in eval::evaluate.
 #include <gtest/gtest.h>
 
@@ -600,26 +599,6 @@ TEST(EvalAdapters, GeneratorRefMatchesInlineProgram) {
       job.fifo_capacity);
 
   EXPECT_EQ(via_ref, via_program);
-}
-
-TEST(EvalAdapters, ParallelSweepStillMatchesSequentialRuns) {
-  const proc::ProgramSpec program = proc::extraction_sort_program(8, 4);
-  const proc::CpuConfig cpu;
-  const std::vector<proc::RsConfig> configs = {
-      {"a", {}}, {"b", {{"CU-RF", 1}}}, {"c", {{"RF-ALU", 2}}}};
-
-  sim::SimOracle oracle;
-  proc::ParallelSweep sweep(program, cpu, {});
-  sweep.set_oracle(&oracle);
-  const std::vector<proc::ExperimentRow> rows = sweep.run(configs);
-  ASSERT_EQ(rows.size(), configs.size());
-
-  sim::SimOracle reference;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const proc::ExperimentRow direct =
-        reference.run_experiment(program, cpu, configs[i], {});
-    EXPECT_TRUE(rows_equal(rows[i], direct)) << configs[i].label;
-  }
 }
 
 TEST(EvalAdapters, EnsembleSampleMatchesRunSampleJob) {

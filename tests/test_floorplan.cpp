@@ -22,7 +22,6 @@
 #include "gen/topologies.hpp"
 #include "graph/throughput_engine.hpp"
 #include "proc/cpu.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wp::fplan {
 namespace {
@@ -505,58 +504,6 @@ bool identical_results(const AnnealResult& a, const AnnealResult& b) {
          a.sequence_pair.positive == b.sequence_pair.positive &&
          a.sequence_pair.negative == b.sequence_pair.negative &&
          a.placement.x == b.placement.x && a.placement.y == b.placement.y;
-}
-
-TEST(AnnealParallel, BitIdenticalToSequentialRestarts) {
-  // The acceptance bar of the parallel engine: anneal_parallel with fixed
-  // seeds must return exactly the best-of of the equivalent sequential
-  // restarts, regardless of pool size or scheduling.
-  const Instance inst = cpu_instance();
-  const auto graph = wp::proc::make_cpu_graph();
-
-  ParallelAnnealOptions job;
-  job.base.iterations = 1500;
-  job.base.seed = 21;
-  job.base.weight_throughput = 200.0;
-  job.base.delay_model.clock_ps = 300.0;
-  job.restarts = 5;
-  // Stateless reference oracle: every restart may call its own copy.
-  job.base.throughput_fn = wp::reference::fresh_howard_fn(graph);
-
-  AnnealResult sequential;
-  for (int i = 0; i < job.restarts; ++i) {
-    AnnealOptions options = job.base;
-    options.seed = job.base.seed + static_cast<std::uint64_t>(i);
-    AnnealResult restart = anneal(inst, options);
-    if (i == 0 || restart.cost < sequential.cost)
-      sequential = std::move(restart);
-  }
-
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    wp::ThreadPool pool(workers);
-    job.pool = &pool;
-    const AnnealResult parallel = anneal_parallel(inst, job);
-    EXPECT_TRUE(identical_results(sequential, parallel))
-        << "diverged with " << workers << " workers: sequential cost "
-        << sequential.cost << " seed " << sequential.seed
-        << " vs parallel cost " << parallel.cost << " seed "
-        << parallel.seed;
-  }
-}
-
-TEST(AnnealParallel, AreaDrivenDeterminismAndSeedBookkeeping) {
-  const Instance inst = synthetic_instance(12, 5);
-  ParallelAnnealOptions job;
-  job.base.iterations = 2000;
-  job.base.seed = 100;
-  job.restarts = 4;
-  wp::ThreadPool pool(4);
-  job.pool = &pool;
-  const AnnealResult a = anneal_parallel(inst, job);
-  const AnnealResult b = anneal_parallel(inst, job);
-  EXPECT_TRUE(identical_results(a, b));
-  EXPECT_GE(a.seed, 100u);
-  EXPECT_LT(a.seed, 104u);
 }
 
 TEST(Annealer, AreaDrivenFlatPassMatchesNaiveEngineAndReferenceCost) {

@@ -357,8 +357,9 @@ EnsembleConfig small_ensemble() {
 
 TEST(Ensemble, SequentialAndPooledAreBitIdentical) {
   const EnsembleConfig config = small_ensemble();
-  const EnsembleReport sequential = run_ensemble_sequential(config);
-  ThreadPool pool(2);
+  ThreadPool one(1);
+  const EnsembleReport sequential = run_ensemble(config, &one);
+  ThreadPool pool(4);
   const EnsembleReport pooled = run_ensemble(config, &pool);
   ASSERT_EQ(sequential.samples.size(), 6u);
   EXPECT_TRUE(sequential.samples == pooled.samples);
@@ -372,8 +373,8 @@ TEST(Ensemble, SequentialAndPooledAreBitIdentical) {
 
 TEST(Ensemble, DeterministicAcrossRunsAndSane) {
   const EnsembleConfig config = small_ensemble();
-  const EnsembleReport a = run_ensemble_sequential(config);
-  const EnsembleReport b = run_ensemble_sequential(config);
+  const EnsembleReport a = run_ensemble(config);
+  const EnsembleReport b = run_ensemble(config);
   EXPECT_TRUE(a.samples == b.samples);
   for (std::size_t i = 0; i < a.samples.size(); ++i) {
     const SampleResult& s = a.samples[i];
@@ -411,8 +412,9 @@ TEST(Ensemble, SimulateModeIsDeterministicAndEquivalent) {
   config.simulate.golden_cycles = 96;
   config.simulate.wp_cycles = 384;
 
-  const EnsembleReport sequential = run_ensemble_sequential(config);
-  ThreadPool pool(2);
+  ThreadPool one(1);
+  const EnsembleReport sequential = run_ensemble(config, &one);
+  ThreadPool pool(4);
   const EnsembleReport pooled = run_ensemble(config, &pool);
   EXPECT_TRUE(sequential.samples == pooled.samples);
 
@@ -435,7 +437,7 @@ TEST(Ensemble, SimulateOffLeavesSimColumnsInert) {
   EnsembleConfig config = small_ensemble();
   config.families.resize(1);
   config.samples_per_family = 1;
-  const EnsembleReport report = run_ensemble_sequential(config);
+  const EnsembleReport report = run_ensemble(config);
   EXPECT_FALSE(report.samples[0].simulated);
   EXPECT_EQ(report.samples[0].th_wp2_sim, 0.0);
   EXPECT_EQ(report.sim_golden_runs, 0u);
@@ -449,8 +451,8 @@ TEST(Ensemble, FamilySeedsAreIndependentOfListPosition) {
   const EnsembleConfig both = small_ensemble();
   EnsembleConfig only_second = both;
   only_second.families = {both.families[1]};
-  const EnsembleReport full = run_ensemble_sequential(both);
-  const EnsembleReport filtered = run_ensemble_sequential(only_second);
+  const EnsembleReport full = run_ensemble(both);
+  const EnsembleReport filtered = run_ensemble(only_second);
   const auto per_family =
       static_cast<std::size_t>(both.samples_per_family);
   ASSERT_EQ(filtered.samples.size(), per_family);
@@ -467,14 +469,14 @@ TEST(Ensemble, PerFamilyAnnealIterationsOverride) {
   overridden.anneal.iterations = 9999;  // would change results...
   overridden.families[0].anneal_iterations =
       base.anneal.iterations;  // ...but the override wins
-  const EnsembleReport a = run_ensemble_sequential(base);
-  const EnsembleReport b = run_ensemble_sequential(overridden);
+  const EnsembleReport a = run_ensemble(base);
+  const EnsembleReport b = run_ensemble(overridden);
   EXPECT_TRUE(a.samples == b.samples);
 
   // A genuinely smaller budget changes the annealed placement.
   EnsembleConfig smaller = base;
   smaller.families[0].anneal_iterations = 50;
-  const EnsembleReport c = run_ensemble_sequential(smaller);
+  const EnsembleReport c = run_ensemble(smaller);
   EXPECT_FALSE(a.samples == c.samples);
 }
 
@@ -492,8 +494,9 @@ TEST(Ensemble, ScaleFamiliesSequentialAndPooledAgree) {
   }
   ASSERT_EQ(config.families.size(), 4u);  // 256 + 1024, ba + mesh
 
-  const EnsembleReport sequential = run_ensemble_sequential(config);
-  ThreadPool pool(3);
+  ThreadPool one(1);
+  const EnsembleReport sequential = run_ensemble(config, &one);
+  ThreadPool pool(4);
   const EnsembleReport pooled = run_ensemble(config, &pool);
   EXPECT_TRUE(sequential.samples == pooled.samples);
   for (const auto& s : sequential.samples) {
@@ -545,7 +548,7 @@ TEST(Ensemble, FamilyHorizonOverridesLandInJobs) {
 
 TEST(Ensemble, CsvRowCounts) {
   const EnsembleConfig config = small_ensemble();
-  const EnsembleReport report = run_ensemble_sequential(config);
+  const EnsembleReport report = run_ensemble(config);
   std::ostringstream samples, families;
   write_samples_csv(report, samples);
   write_families_csv(report, families);

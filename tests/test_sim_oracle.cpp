@@ -396,10 +396,11 @@ TEST(SimOracle, PooledSweepMatchesSequentialWithSharedCache) {
         sequential_oracle.run_experiment(program, {}, config, options));
 
   SimOracle pooled_oracle;
-  proc::ParallelSweep sweep(program, {}, options);
-  sweep.set_oracle(&pooled_oracle);
+  std::vector<ExperimentRow> pooled(configs.size());
   ThreadPool pool(4);
-  const std::vector<ExperimentRow> pooled = sweep.run(configs, &pool);
+  pool.parallel_for(0, configs.size(), [&](std::size_t i) {
+    pooled[i] = pooled_oracle.run_experiment(program, {}, configs[i], options);
+  });
 
   ASSERT_EQ(pooled.size(), sequential.size());
   for (std::size_t i = 0; i < pooled.size(); ++i)

@@ -1,6 +1,5 @@
 // Tests of the parallel exploration engine's foundation: ThreadPool
-// ordering/exception/parallel_for semantics and the ParallelSweep runner's
-// equivalence with sequential experiment execution.
+// ordering/exception/parallel_for semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "proc/experiment.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wp {
@@ -110,59 +108,6 @@ TEST(ThreadPool, NestedParallelForRunsInlineInsteadOfDeadlocking) {
 TEST(ThreadPool, SharedPoolIsAStableSingleton) {
   EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
   EXPECT_GE(ThreadPool::shared().size(), 1u);
-}
-
-// ------------------------------------------------------------ ParallelSweep
-
-bool rows_equal(const proc::ExperimentRow& a, const proc::ExperimentRow& b) {
-  return a.label == b.label && a.golden_cycles == b.golden_cycles &&
-         a.wp1_cycles == b.wp1_cycles && a.wp2_cycles == b.wp2_cycles &&
-         a.th_wp1 == b.th_wp1 && a.th_wp2 == b.th_wp2 &&
-         a.static_wp1 == b.static_wp1 &&
-         a.wp1_equivalent == b.wp1_equivalent &&
-         a.wp2_equivalent == b.wp2_equivalent && a.result_ok == b.result_ok;
-}
-
-TEST(ParallelSweep, MatchesSequentialExperimentRows) {
-  const proc::ProgramSpec program = proc::extraction_sort_program(8, 1);
-  const proc::CpuConfig cpu;
-  proc::ExperimentOptions options;
-  options.check_equivalence = false;
-
-  const std::vector<proc::RsConfig> configs = {
-      {"All 0 (ideal)", {}},
-      {"Only CU-RF", {{"CU-RF", 1}}},
-      {"RF-DC x2", {{"RF-DC", 2}}},
-  };
-
-  ThreadPool pool(3);
-  const proc::ParallelSweep sweep(program, cpu, options);
-  const auto parallel_rows = sweep.run(configs, &pool);
-
-  ASSERT_EQ(parallel_rows.size(), configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto sequential =
-        proc::run_experiment(program, cpu, configs[i], options);
-    EXPECT_TRUE(rows_equal(parallel_rows[i], sequential))
-        << "row " << i << " (" << configs[i].label << ") diverged";
-  }
-}
-
-TEST(ParallelSweep, AnalyzeReportsCriticalLoopPerPoint) {
-  const proc::ProgramSpec program = proc::extraction_sort_program(8, 1);
-  const proc::ParallelSweep sweep(program, {}, {});
-  const std::vector<proc::RsConfig> configs = {
-      {"ideal", {}},
-      {"Only CU-IC", {{"CU-IC", 1}}},
-  };
-  ThreadPool pool(2);
-  const auto reports = sweep.analyze(configs, &pool);
-  ASSERT_EQ(reports.size(), 2u);
-  // The un-pipelined CPU graph runs at full throughput; one RS on the
-  // fetch loop drags the system below 1.
-  EXPECT_DOUBLE_EQ(reports[0].system_throughput, 1.0);
-  EXPECT_LT(reports[1].system_throughput, 1.0);
-  EXPECT_FALSE(reports[1].critical_loop.empty());
 }
 
 }  // namespace

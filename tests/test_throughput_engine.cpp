@@ -534,35 +534,6 @@ TEST(ThroughputEngineAnnealer, EngineRunMatchesFreshHowardRun) {
                 with_engine.weight_throughput * (1.0 - result.throughput));
 }
 
-TEST(ThroughputEngineAnnealer, ParallelEngineFactoryMatchesSerialBestOf) {
-  const fplan::Instance inst = fplan::cpu_instance();
-  const Digraph graph = proc::make_cpu_graph();
-
-  fplan::ParallelAnnealOptions parallel;
-  parallel.base = throughput_driven_options(21);
-  parallel.restarts = 3;
-  parallel.engine_factory = [&graph]() {
-    return std::make_unique<ThroughputEngine>(graph);
-  };
-  ThreadPool pool(3);
-  parallel.pool = &pool;
-  const fplan::AnnealResult pooled = fplan::anneal_parallel(inst, parallel);
-
-  fplan::AnnealResult best;
-  best.cost = 0;
-  for (int i = 0; i < parallel.restarts; ++i) {
-    fplan::AnnealOptions options = throughput_driven_options(21 + i);
-    ThroughputEngine engine(graph);
-    options.throughput_engine = &engine;
-    const fplan::AnnealResult result = fplan::anneal(inst, options);
-    if (i == 0 || result.cost < best.cost) best = result;
-  }
-  EXPECT_EQ(pooled.cost, best.cost);
-  EXPECT_EQ(pooled.seed, best.seed);
-  EXPECT_EQ(pooled.placement.x, best.placement.x);
-  EXPECT_EQ(pooled.throughput, best.throughput);
-}
-
 /// Per-request query-path counts of one throughput-driven BA-128 anneal of
 /// the wpbench `anneal-throughput-128` shape. The engine and the fresh
 /// reference share one Howard core, so the equivalence tests above cannot
@@ -650,8 +621,8 @@ TEST(ThroughputEngineEnsemble, CountersAreDeterministicAcrossPooling) {
   mesh.topology.mesh_cols = 4;
   config.families.push_back(mesh);
 
-  const gen::EnsembleReport sequential =
-      gen::run_ensemble_sequential(config);
+  ThreadPool one(1);
+  const gen::EnsembleReport sequential = gen::run_ensemble(config, &one);
   ThreadPool pool(4);
   const gen::EnsembleReport pooled = gen::run_ensemble(config, &pool);
 

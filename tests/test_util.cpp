@@ -7,7 +7,6 @@
 #include "testkit/rng.hpp"
 #include "util/assert.hpp"
 #include "util/csv.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -247,26 +246,6 @@ TEST(Csv, QuotesSpecials) {
   EXPECT_EQ(os.str(), "\"x,y\",\"he said \"\"hi\"\"\",\"line\nbreak\"\n");
 }
 
-
-// --------------------------------------------------------------------- Log
-
-TEST(Log, ThresholdFilters) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below the threshold: the stream body must still be side-effect-safe.
-  int evaluations = 0;
-  WP_LOG(kDebug) << "never emitted " << ++evaluations;
-  EXPECT_EQ(evaluations, 0);  // short-circuited before evaluation
-  set_log_level(saved);
-}
-
-TEST(Log, LevelNames) {
-  EXPECT_STREQ(log_level_name(LogLevel::kTrace), "TRACE");
-  EXPECT_STREQ(log_level_name(LogLevel::kInfo), "INFO");
-  EXPECT_STREQ(log_level_name(LogLevel::kError), "ERROR");
-  EXPECT_STREQ(log_level_name(LogLevel::kOff), "OFF");
-}
 
 // ------------------------------------------------------------------ Assert
 
